@@ -19,7 +19,6 @@ import (
 	"matview/internal/core"
 	"matview/internal/filtertree"
 	"matview/internal/harness"
-	"matview/internal/lattice"
 	"matview/internal/opt"
 	"matview/internal/spjg"
 	"matview/internal/tpch"
@@ -176,32 +175,6 @@ func BenchmarkOptimizeAll(b *testing.B) {
 	}
 }
 
-// BenchmarkViewMatch isolates one view-matching invocation (§3's algorithm
-// alone, no filter tree, no optimizer).
-func BenchmarkViewMatch(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	m := core.NewMatcher(cat, core.DefaultOptions())
-	var views []*core.View
-	for i := 0; i < 100; i++ {
-		v, err := m.NewView(i, fmt.Sprintf("v%d", i), gen.View(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		views = append(views, v)
-	}
-	var queries []*spjg.Query
-	for i := 0; i < 50; i++ {
-		queries = append(queries, gen.Query(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := queries[i%len(queries)]
-		v := views[i%len(views)]
-		m.Match(q, v)
-	}
-}
-
 // BenchmarkFilterTree isolates the candidate lookup: filter tree vs the
 // linear alternative it replaces (§4's contribution).
 func BenchmarkFilterTree(b *testing.B) {
@@ -227,126 +200,6 @@ func BenchmarkFilterTree(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkFilterTreeSearch isolates one Candidates call on the allocation-
-// lean hot path, serial and under parallel search contention. Run with
-// -benchmem: B/op here is dominated by the copied result slice; traversal
-// scratch is pooled.
-func BenchmarkFilterTreeSearch(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	m := core.NewMatcher(cat, core.DefaultOptions())
-	tree := filtertree.New()
-	for i := 0; i < 1000; i++ {
-		v, err := m.NewView(i, fmt.Sprintf("v%d", i), gen.View(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		tree.Insert(v)
-	}
-	var keys []core.QueryKeys
-	for i := 0; i < 50; i++ {
-		keys = append(keys, m.ComputeQueryKeys(gen.Query(i)))
-	}
-	b.Run("serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			tree.Candidates(&keys[i%len(keys)])
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		b.ReportAllocs()
-		b.RunParallel(func(pb *testing.PB) {
-			i := 0
-			for pb.Next() {
-				tree.Candidates(&keys[i%len(keys)])
-				i++
-			}
-		})
-	})
-}
-
-// BenchmarkComputeQueryKeys measures query-key derivation, comparing the
-// allocating entry point against the scratch-reusing Into variant the
-// optimizer's hot path uses. Run with -benchmem.
-func BenchmarkComputeQueryKeys(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	m := core.NewMatcher(cat, core.DefaultOptions())
-	var queries []*spjg.Query
-	for i := 0; i < 50; i++ {
-		queries = append(queries, gen.Query(i))
-	}
-	b.Run("fresh", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			m.ComputeQueryKeys(queries[i%len(queries)])
-		}
-	})
-	b.Run("into", func(b *testing.B) {
-		b.ReportAllocs()
-		var k core.QueryKeys
-		for i := 0; i < b.N; i++ {
-			m.ComputeQueryKeysInto(queries[i%len(queries)], &k)
-		}
-	})
-}
-
-// BenchmarkLatticeIndex compares lattice-index superset search against the
-// linear scan it replaces inside a filter-tree node (§4.1 ablation).
-func BenchmarkLatticeIndex(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	m := core.NewMatcher(cat, core.DefaultOptions())
-	const n = 500
-	idx := lattice.New[int]()
-	var allKeys [][]string
-	for i := 0; i < n; i++ {
-		v, err := m.NewView(i, fmt.Sprintf("v%d", i), gen.View(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		idx.Insert(v.Keys.SourceTables, i)
-		allKeys = append(allKeys, v.Keys.SourceTables)
-	}
-	var searches [][]string
-	for i := 0; i < 50; i++ {
-		searches = append(searches, gen.Query(i).SourceTableMultiset())
-	}
-	b.Run("lattice", func(b *testing.B) {
-		var buf []int
-		for i := 0; i < b.N; i++ {
-			buf = idx.Supersets(searches[i%len(searches)], buf[:0])
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		var buf []int
-		for i := 0; i < b.N; i++ {
-			s := searches[i%len(searches)]
-			buf = buf[:0]
-			set := map[string]bool{}
-			for _, k := range s {
-				set[k] = true
-			}
-			for vi, k := range allKeys {
-				sup := map[string]bool{}
-				for _, e := range k {
-					sup[e] = true
-				}
-				all := true
-				for e := range set {
-					if !sup[e] {
-						all = false
-						break
-					}
-				}
-				if all {
-					buf = append(buf, vi)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkAblations toggles each optional feature off against the full

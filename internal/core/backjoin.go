@@ -1,91 +1,65 @@
 package core
 
-import (
-	"matview/internal/eqclass"
-	"matview/internal/expr"
-)
+import "matview/internal/expr"
 
-// colMapper maps a (view-instance-space) column reference to a column
-// available to the substitute: a view output (Tab 0) or, when the backjoin
-// extension is enabled, a column of a base table re-attached through a
-// unique-key equijoin (Tab 1+i). It accumulates the backjoins it creates.
-type colMapper struct {
-	m         *Matcher
-	v         *View
-	qec       *eqclass.Classes
-	viewIsAgg bool
-
-	backjoins []Backjoin
-	byTab     map[int]int // view-space table instance → backjoin index
-}
-
-// ordinal maps a column straight to a view output ordinal using the query
-// equivalence classes (grouping outputs only on aggregation views), or -1.
-func (cm *colMapper) ordinal(c expr.ColRef) int {
-	if cm.viewIsAgg {
-		return cm.v.groupingOrdinal(cm.qec.Same, c)
+// ordinal maps a column of the view's space straight to a view output ordinal
+// using the extended query equivalence classes, or -1.
+func (s *matchState) ordinal(id int32) int {
+	if len(s.ordByRoot) == 0 {
+		for i := 0; i < s.qec.Len(); i++ {
+			s.ordByRoot = append(s.ordByRoot, -1)
+		}
+		for k := len(s.d.colIDs) - 1; k >= 0; k-- { // descending, so the first output of a class wins
+			s.ordByRoot[s.qec.FindID(s.d.colIDs[k])] = int32(s.d.colOrds[k])
+		}
 	}
-	return cm.v.outputOrdinal(cm.qec.Same, c)
+	return int(s.ordByRoot[s.qec.FindID(id)])
 }
 
-// keyOrdinal is like ordinal but routes through the view's own equivalence
-// classes; used for backjoin keys (see mapCol).
-func (cm *colMapper) keyOrdinal(c expr.ColRef) int {
-	if cm.viewIsAgg {
-		return cm.v.groupingOrdinal(cm.v.A.EC.Same, c)
-	}
-	return cm.v.outputOrdinal(cm.v.A.EC.Same, c)
-}
-
-// mapCol resolves c to an available column, creating a backjoin if necessary
-// and allowed. ok is false when the column is unrecoverable.
-func (cm *colMapper) mapCol(c expr.ColRef) (expr.ColRef, bool) {
-	if ord := cm.ordinal(c); ord >= 0 {
+// mapCol resolves a column of the view's space to a column available to the
+// substitute: a view output (Tab 0) or, when the backjoin extension is
+// enabled, a column of a base table re-attached through a unique-key equijoin
+// (Tab 1+i). It creates the backjoin if necessary and allowed; ok is false
+// when the column is unrecoverable.
+func (s *matchState) mapCol(id int32) (expr.ColRef, bool) {
+	if ord := s.ordinal(id); ord >= 0 {
 		return expr.ColRef{Tab: 0, Col: ord}, true
 	}
-	if !cm.m.opts.BackjoinSubstitutes {
+	if !s.qc.m.opts.BackjoinSubstitutes {
 		return expr.ColRef{}, false
 	}
-	if c.Tab < 0 || c.Tab >= len(cm.v.Def.Tables) {
-		return expr.ColRef{}, false
-	}
-	if idx, ok := cm.byTab[c.Tab]; ok {
-		return expr.ColRef{Tab: idx + 1, Col: c.Col}, true
+	c := s.v.A.EC.Ref(id)
+	if idx := s.byTab[c.Tab]; idx > 0 {
+		return expr.ColRef{Tab: idx, Col: c.Col}, true
 	}
 	// Try to establish a backjoin: some unique key of the table must be fully
 	// available as (grouping) view outputs, so the equijoin back to the base
 	// table is 1:1 and preserves rows and duplication (§7). Key columns are
 	// resolved through the VIEW's equivalence classes (not the query's) so
 	// the filter tree's backjoinable-closure keys stay conservative.
-	tbl := cm.v.Def.Tables[c.Tab].Table
+	tbl := s.v.Def.Tables[c.Tab].Table
+	base := s.v.A.EC.Offsets()[c.Tab]
+next:
 	for _, uk := range tbl.UniqueKeys {
 		if len(uk) == 0 {
 			continue
 		}
-		ords := make([]int, len(uk))
-		all := true
-		for i, kc := range uk {
-			ord := cm.keyOrdinal(expr.ColRef{Tab: c.Tab, Col: kc})
-			if ord < 0 {
-				all = false
-				break
+		for _, kc := range uk {
+			if s.d.viewOrd[base+int32(kc)] < 0 {
+				continue next
 			}
-			ords[i] = ord
 		}
-		if !all {
-			continue
+		ords := make([]int, len(uk))
+		for i, kc := range uk {
+			ords[i] = int(s.d.viewOrd[base+int32(kc)])
 		}
-		if cm.byTab == nil {
-			cm.byTab = map[int]int{}
-		}
-		idx := len(cm.backjoins)
-		cm.backjoins = append(cm.backjoins, Backjoin{
+		s.backjoins = append(s.backjoins, Backjoin{
 			Table:    tbl,
 			ViewOrds: ords,
 			KeyCols:  append([]int(nil), uk...),
 		})
-		cm.byTab[c.Tab] = idx
-		return expr.ColRef{Tab: idx + 1, Col: c.Col}, true
+		s.byTab[c.Tab] = len(s.backjoins)
+		return expr.ColRef{Tab: len(s.backjoins), Col: c.Col}, true
 	}
 	return expr.ColRef{}, false
 }

@@ -201,13 +201,13 @@ func TestBackjoinClosureInFilterKeys(t *testing.T) {
 		},
 	})
 	// With the PK output, the closure exposes every orders column.
-	if !hasKey(v.Keys.OutputCols, "orders.o_totalprice") {
+	if !hasKey(m, v.Keys.OutputCols, "orders.o_totalprice") {
 		t.Errorf("closure missing: %v", v.Keys.OutputCols)
 	}
 	// Without backjoins (prototype mode) the closure is absent.
 	pm := paperMatcher()
 	pv := mustView(t, pm, 1, "pv", v.Def)
-	if hasKey(pv.Keys.OutputCols, "orders.o_totalprice") {
+	if hasKey(pm, pv.Keys.OutputCols, "orders.o_totalprice") {
 		t.Errorf("prototype keys contain closure: %v", pv.Keys.OutputCols)
 	}
 }

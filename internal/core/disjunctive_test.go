@@ -21,12 +21,18 @@ func orPred(col int, parts ...[2]int64) expr.Expr {
 	return expr.NewOr(ds...)
 }
 
-func TestOrRangeSetRecognition(t *testing.T) {
+func TestOrRangesRecognition(t *testing.T) {
 	q := &spjg.Query{
 		Tables:  []spjg.TableRef{tref("lineitem")},
 		Outputs: []spjg.OutputColumn{{Expr: expr.Col(0, 0)}},
 	}
 	a := spjg.Analyze(q, false)
+	// classes interprets one conjunct under a's classes.
+	classes := func(a *spjg.Analysis, conjunct expr.Expr) []classDisjunction {
+		var d disjunctions
+		d.scan(scanOrRanges([]expr.Expr{conjunct}), a.EC, a.EC.Offsets(), 0)
+		return d.entries
+	}
 
 	// (k >= 1 AND k <= 5) is an AND, so CNF splits it; use pure disjunctions
 	// of atomic ranges here.
@@ -34,15 +40,15 @@ func TestOrRangeSetRecognition(t *testing.T) {
 		expr.NewCmp(expr.LT, expr.Col(0, tpch.LPartkey), expr.CInt(5)),
 		expr.NewCmp(expr.GT, expr.Col(0, tpch.LPartkey), expr.CInt(10)),
 	)
-	rep, set, ok := orRangeSet(or, a.EC)
-	if !ok {
+	got := classes(a, or)
+	if len(got) != 1 {
 		t.Fatal("OR of ranges not recognized")
 	}
-	if rep != (expr.ColRef{Tab: 0, Col: tpch.LPartkey}) {
-		t.Errorf("rep = %v", rep)
+	if a.EC.Ref(got[0].rep) != (expr.ColRef{Tab: 0, Col: tpch.LPartkey}) {
+		t.Errorf("rep = %v", a.EC.Ref(got[0].rep))
 	}
-	if len(set.Parts()) != 2 {
-		t.Errorf("set = %v", set)
+	if len(got[0].set.Parts()) != 2 {
+		t.Errorf("set = %v", got[0].set)
 	}
 
 	// Mixed columns in different classes: rejected.
@@ -50,7 +56,7 @@ func TestOrRangeSetRecognition(t *testing.T) {
 		expr.NewCmp(expr.LT, expr.Col(0, tpch.LPartkey), expr.CInt(5)),
 		expr.NewCmp(expr.GT, expr.Col(0, tpch.LSuppkey), expr.CInt(10)),
 	)
-	if _, _, ok := orRangeSet(bad, a.EC); ok {
+	if len(classes(a, bad)) != 0 {
 		t.Error("cross-class OR recognized as range set")
 	}
 
@@ -59,7 +65,7 @@ func TestOrRangeSetRecognition(t *testing.T) {
 		expr.NewCmp(expr.LT, expr.Col(0, tpch.LPartkey), expr.CInt(5)),
 		expr.Like{E: expr.Col(0, tpch.LComment), Pattern: expr.CStr("%x%")},
 	)
-	if _, _, ok := orRangeSet(bad2, a.EC); ok {
+	if len(scanOrRanges([]expr.Expr{bad2})) != 0 {
 		t.Error("OR with non-range disjunct recognized")
 	}
 
@@ -76,7 +82,7 @@ func TestOrRangeSetRecognition(t *testing.T) {
 		expr.NewCmp(expr.LT, expr.Col(0, tpch.LOrderkey), expr.CInt(5)),
 		expr.NewCmp(expr.GT, expr.Col(1, tpch.OOrderkey), expr.CInt(10)),
 	)
-	if _, _, ok := orRangeSet(cross, a2.EC); !ok {
+	if len(classes(a2, cross)) != 1 {
 		t.Error("same-class OR across tables rejected")
 	}
 }
@@ -220,19 +226,19 @@ func TestDisjunctiveKeys(t *testing.T) {
 	m := defaultMatcher()
 	v := disjView(t, m, 0, orPred(tpch.LPartkey, [2]int64{1, 100}, [2]int64{500, 600}))
 	// The OR must count as a range constraint, not a residual.
-	if len(v.Keys.Residuals) != 0 {
+	if v.Keys.Residuals.Len() != 0 {
 		t.Errorf("Residuals = %v, want empty", v.Keys.Residuals)
 	}
-	if !hasKey(v.Keys.RangeColsReduced, "lineitem.l_partkey") {
+	if !hasKey(m, v.Keys.RangeColsReduced, "lineitem.l_partkey") {
 		t.Errorf("RangeColsReduced = %v", v.Keys.RangeColsReduced)
 	}
 	// Query side: OR class joins the extended range list.
 	q := disjQuery(t, orPred(tpch.LPartkey, [2]int64{1, 50}))
 	qk := m.ComputeQueryKeys(q)
-	if !hasKey(qk.ExtRangeCols, "lineitem.l_partkey") {
+	if !hasKey(m, qk.ExtRangeCols, "lineitem.l_partkey") {
 		t.Errorf("ExtRangeCols = %v", qk.ExtRangeCols)
 	}
-	if len(qk.Residuals) != 0 {
+	if qk.Residuals.Len() != 0 {
 		t.Errorf("query Residuals = %v, want empty", qk.Residuals)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"matview/internal/catalog"
@@ -401,6 +402,18 @@ func TestSelfJoinInstanceMapping(t *testing.T) {
 	}
 }
 
+// allMappings collects the alignments of q's table instances to v's, in the
+// order Match tries them.
+func allMappings(q, v *spjg.Query, limit int) [][]int {
+	al := alignment{mapping: make([]int, len(q.Tables)), taken: make([]bool, len(v.Tables))}
+	var out [][]int
+	al.each(q.Tables, v.Tables, defaultMatcher().NewQueryContext(q).tablesByName(), 0, limit, func() bool {
+		out = append(out, append([]int(nil), al.mapping...))
+		return false
+	})
+	return out
+}
+
 func TestInstanceMappingEnumeration(t *testing.T) {
 	q := &spjg.Query{
 		Tables:  []spjg.TableRef{tref("nation")},
@@ -410,19 +423,41 @@ func TestInstanceMappingEnumeration(t *testing.T) {
 		Tables:  []spjg.TableRef{trefAs("nation", "n1"), trefAs("nation", "n2")},
 		Outputs: []spjg.OutputColumn{{Expr: expr.Col(0, 0)}},
 	}
-	maps := instanceMappings(q, v, 16)
-	if len(maps) != 2 {
+	if maps := allMappings(q, v, 16); len(maps) != 2 {
 		t.Fatalf("1 nation into 2 instances: %d mappings, want 2", len(maps))
 	}
 	// Query needing more instances than the view has → none.
-	if got := instanceMappings(v, q, 16); got != nil {
+	if got := allMappings(v, q, 16); got != nil {
 		t.Fatalf("2 nations into 1 instance: %v mappings, want none", got)
 	}
 	// Cap respected.
 	big := &spjg.Query{Tables: []spjg.TableRef{
 		trefAs("nation", "a"), trefAs("nation", "b"), trefAs("nation", "c"),
 	}, Outputs: []spjg.OutputColumn{{Expr: expr.Col(0, 0)}}}
-	if got := instanceMappings(big, big, 4); len(got) > 4 {
-		t.Fatalf("cap exceeded: %d mappings", len(got))
+	if got := allMappings(big, big, 4); len(got) != 4 {
+		t.Fatalf("cap of 4: %d mappings", len(got))
+	}
+
+	// Order: table names in sorted order, the first name varying slowest;
+	// within a name, query instances in FROM order over the view's instances
+	// in FROM order. The first alignment that matches wins, so the order is
+	// part of the matcher's observable behaviour.
+	q2 := &spjg.Query{Tables: []spjg.TableRef{
+		trefAs("region", "r1"), trefAs("nation", "a"), trefAs("region", "r2"), trefAs("nation", "b")}}
+	v2 := &spjg.Query{Tables: []spjg.TableRef{
+		trefAs("region", "x"), trefAs("nation", "p"), trefAs("region", "y"), trefAs("nation", "q"), trefAs("nation", "r")}}
+	want := [][]int{
+		{0, 1, 2, 3}, {2, 1, 0, 3}, // nations (p, q), regions (x, y) then (y, x)
+		{0, 1, 2, 4}, {2, 1, 0, 4}, // nations (p, r)
+		{0, 3, 2, 1}, {2, 3, 0, 1}, // nations (q, p)
+	}
+	got := allMappings(q2, v2, 6)
+	if len(got) != len(want) {
+		t.Fatalf("%d mappings, want %d: %v", len(got), len(want), got)
+	}
+	for i := range want {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("mapping %d = %v, want %v", i, got[i], want[i])
+		}
 	}
 }

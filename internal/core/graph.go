@@ -15,85 +15,91 @@ import (
 type fkEdge struct {
 	From, To int
 	FK       *catalog.ForeignKey
+	// nullable lists the foreign-key columns of From that are not declared
+	// NOT NULL. The edge is cardinality preserving only for a query that
+	// rejects nulls on each of them (end of §3.2); it is empty for an edge
+	// that holds unconditionally.
+	nullable []expr.ColRef
 }
 
 // buildFKGraph constructs the foreign-key join graph of a view definition.
 // Equijoin conditions are taken from the equivalence classes so transitive
 // equalities are captured ("to capture transitive equijoin conditions
-// correctly we must use the equivalence classes when adding edges"). The
-// nullable predicate, when non-nil, implements the null-rejecting relaxation:
-// a nullable foreign-key column is acceptable if nullable(col) returns true.
-func buildFKGraph(def *spjg.Query, ec *eqclass.Classes, nullableOK func(expr.ColRef) bool) []fkEdge {
+// correctly we must use the equivalence classes when adding edges"). Edges
+// over nullable foreign-key columns are included, marked conditional, only
+// under the null-rejecting relaxation.
+func buildFKGraph(def *spjg.Query, ec *eqclass.Classes, relaxNullable bool) []fkEdge {
 	var edges []fkEdge
 	for from := range def.Tables {
 		ft := def.Tables[from].Table
 		for fi := range ft.Foreign {
 			fk := &ft.Foreign[fi]
+		targets:
 			for to := range def.Tables {
 				if to == from || def.Tables[to].Table.Name != fk.RefTable {
 					continue
 				}
-				ok := true
+				e := fkEdge{From: from, To: to, FK: fk}
 				for k := range fk.Columns {
 					fcol := expr.ColRef{Tab: from, Col: fk.Columns[k]}
 					rcol := expr.ColRef{Tab: to, Col: fk.RefColumns[k]}
 					if !ec.Same(fcol, rcol) {
-						ok = false
-						break
+						continue targets
 					}
 					if !ft.Columns[fk.Columns[k]].NotNull {
-						if nullableOK == nil || !nullableOK(fcol) {
-							ok = false
-							break
+						if !relaxNullable {
+							continue targets
 						}
+						e.nullable = append(e.nullable, fcol)
 					}
 				}
-				if ok {
-					edges = append(edges, fkEdge{From: from, To: to, FK: fk})
-				}
+				edges = append(edges, e)
 			}
 		}
 	}
 	return edges
 }
 
+// elimination is the working state of eliminate, reusable across runs.
+type elimination struct {
+	dead     []bool // per node
+	edgeDead []bool // per edge
+	deleted  []int  // indexes of the edges consumed, in deletion order
+}
+
 // eliminate runs the node-deletion process of §3.2 on the graph: repeatedly
 // delete a candidate node that has no outgoing edges and exactly one incoming
 // edge (logically performing that cardinality-preserving join), until no more
-// candidates can be deleted. It returns the edges consumed by deletions, in
-// deletion order, and whether every candidate was eliminated.
+// candidates can be deleted. It leaves the edges consumed by deletions in
+// el.deleted and reports whether every candidate was eliminated.
 //
-// candidates marks the nodes that may be deleted: the view's extra tables
-// during matching, or every node when computing the hub.
-func eliminate(numNodes int, edges []fkEdge, candidates map[int]bool, blocked func(int) bool) (deleted []fkEdge, allGone bool) {
-	alive := make([]bool, numNodes)
-	for i := range alive {
-		alive[i] = true
-	}
-	edgeAlive := make([]bool, len(edges))
-	for i := range edgeAlive {
-		edgeAlive[i] = true
-	}
+// candidate marks the nodes that may be deleted: the view's extra tables
+// during matching, or every unconstrained node when computing the hub. An
+// edge for which usable returns false does not exist for this run.
+func (el *elimination) eliminate(edges []fkEdge, candidate []bool, usable func(*fkEdge) bool) bool {
+	el.dead = append(el.dead[:0], make([]bool, len(candidate))...)
+	el.edgeDead = append(el.edgeDead[:0], make([]bool, len(edges))...)
+	el.deleted = el.deleted[:0]
 	remaining := 0
-	for n := range candidates {
-		if candidates[n] {
+	for _, c := range candidate {
+		if c {
 			remaining++
 		}
 	}
-	for {
-		progress := false
-		for n := 0; n < numNodes; n++ {
-			if !alive[n] || !candidates[n] {
+	if usable != nil {
+		for i := range edges {
+			el.edgeDead[i] = !usable(&edges[i])
+		}
+	}
+	for progress := true; progress && remaining > 0; {
+		progress = false
+		for n := range candidate {
+			if el.dead[n] || !candidate[n] {
 				continue
 			}
-			if blocked != nil && blocked(n) {
-				continue
-			}
-			out := 0
-			in := -1
-			inCount := 0
+			out, in, inCount := 0, -1, 0
 			for i, e := range edges {
-				if !edgeAlive[i] || !alive[e.From] || !alive[e.To] {
+				if el.edgeDead[i] || el.dead[e.From] || el.dead[e.To] {
 					continue
 				}
 				if e.From == n {
@@ -105,18 +111,15 @@ func eliminate(numNodes int, edges []fkEdge, candidates map[int]bool, blocked fu
 				}
 			}
 			if out == 0 && inCount == 1 {
-				alive[n] = false
-				edgeAlive[in] = false
-				deleted = append(deleted, edges[in])
+				el.dead[n] = true
+				el.edgeDead[in] = true
+				el.deleted = append(el.deleted, in)
 				remaining--
 				progress = true
 			}
 		}
-		if !progress {
-			break
-		}
 	}
-	return deleted, remaining == 0
+	return remaining == 0
 }
 
 // computeHub runs the elimination on the view itself until no further tables
@@ -131,10 +134,13 @@ func eliminate(numNodes int, edges []fkEdge, candidates map[int]bool, blocked fu
 // participate (a future query may supply the null-rejecting predicate), which
 // can only shrink the hub — keeping the hub condition conservative.
 func (m *Matcher) computeHub(v *View) []int {
-	constrained := make(map[int]bool)
+	candidate := make([]bool, len(v.Def.Tables))
+	for i := range candidate {
+		candidate[i] = true
+	}
 	mark := func(c expr.ColRef) {
 		if v.A.EC.IsTrivial(c) {
-			constrained[c.Tab] = true
+			candidate[c.Tab] = false
 		}
 	}
 	for _, rc := range v.A.PR {
@@ -146,25 +152,11 @@ func (m *Matcher) computeHub(v *View) []int {
 		}
 	}
 
-	var nullableOK func(expr.ColRef) bool
-	if m.opts.NullRejectingFKRelaxation {
-		nullableOK = func(expr.ColRef) bool { return true }
-	}
-	edges := buildFKGraph(v.Def, v.A.EC, nullableOK)
-	candidates := make(map[int]bool, len(v.Def.Tables))
-	for i := range v.Def.Tables {
-		candidates[i] = true
-	}
-	deleted, _ := eliminate(len(v.Def.Tables), edges, candidates, func(n int) bool {
-		return constrained[n]
-	})
-	gone := make(map[int]bool, len(deleted))
-	for _, e := range deleted {
-		gone[e.To] = true
-	}
+	var el elimination
+	el.eliminate(v.derived.fkEdges, candidate, nil)
 	var hub []int
 	for i := range v.Def.Tables {
-		if !gone[i] {
+		if !el.dead[i] {
 			hub = append(hub, i)
 		}
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"matview/internal/eqclass"
 	"matview/internal/expr"
 	"matview/internal/spjg"
 	"matview/internal/tpch"
@@ -12,7 +11,7 @@ import (
 // graphFor builds the FK join graph of a definition with its own classes.
 func graphFor(def *spjg.Query) []fkEdge {
 	a := spjg.Analyze(def, false)
-	return buildFKGraph(def, a.EC, nil)
+	return buildFKGraph(def, a.EC, false)
 }
 
 func TestBuildFKGraphDirectJoin(t *testing.T) {
@@ -64,10 +63,26 @@ func TestBuildFKGraphNoEdgeWithoutEquality(t *testing.T) {
 	}
 }
 
+// runEliminate eliminates the given candidate nodes and returns the consumed
+// edges in deletion order.
+func runEliminate(nodes int, edges []fkEdge, usable func(*fkEdge) bool, candidates ...int) ([]fkEdge, bool) {
+	cand := make([]bool, nodes)
+	for _, n := range candidates {
+		cand[n] = true
+	}
+	var el elimination
+	ok := el.eliminate(edges, cand, usable)
+	var deleted []fkEdge
+	for _, i := range el.deleted {
+		deleted = append(deleted, edges[i])
+	}
+	return deleted, ok
+}
+
 func TestEliminateChain(t *testing.T) {
 	// 0 → 1 → 2, eliminate {1, 2}.
 	edges := []fkEdge{{From: 0, To: 1}, {From: 1, To: 2}}
-	deleted, ok := eliminate(3, edges, map[int]bool{1: true, 2: true}, nil)
+	deleted, ok := runEliminate(3, edges, nil, 1, 2)
 	if !ok || len(deleted) != 2 {
 		t.Fatalf("deleted=%v ok=%v", deleted, ok)
 	}
@@ -80,8 +95,7 @@ func TestEliminateChain(t *testing.T) {
 func TestEliminateBlockedByOutgoingEdge(t *testing.T) {
 	// 0 → 1 → 2, try to eliminate only {1}: node 1 has an outgoing edge.
 	edges := []fkEdge{{From: 0, To: 1}, {From: 1, To: 2}}
-	_, ok := eliminate(3, edges, map[int]bool{1: true}, nil)
-	if ok {
+	if _, ok := runEliminate(3, edges, nil, 1); ok {
 		t.Fatal("node with outgoing edge eliminated")
 	}
 }
@@ -89,31 +103,35 @@ func TestEliminateBlockedByOutgoingEdge(t *testing.T) {
 func TestEliminateBlockedByTwoIncoming(t *testing.T) {
 	// 0 → 2 and 1 → 2: two incoming edges, the paper requires exactly one.
 	edges := []fkEdge{{From: 0, To: 2}, {From: 1, To: 2}}
-	_, ok := eliminate(3, edges, map[int]bool{2: true}, nil)
-	if ok {
+	if _, ok := runEliminate(3, edges, nil, 2); ok {
 		t.Fatal("node with two incoming edges eliminated")
 	}
 }
 
-func TestEliminateRespectsBlockedFn(t *testing.T) {
+func TestEliminateIgnoresUnusableEdge(t *testing.T) {
+	// The only edge into node 1 does not hold for this query.
 	edges := []fkEdge{{From: 0, To: 1}}
-	_, ok := eliminate(2, edges, map[int]bool{1: true}, func(n int) bool { return n == 1 })
-	if ok {
-		t.Fatal("blocked node eliminated")
+	if _, ok := runEliminate(2, edges, func(*fkEdge) bool { return false }, 1); ok {
+		t.Fatal("node eliminated through an unusable edge")
+	}
+	// With 0 → 2 unusable, node 2 has exactly one incoming edge left.
+	edges = []fkEdge{{From: 0, To: 2}, {From: 1, To: 2}}
+	if _, ok := runEliminate(3, edges, func(e *fkEdge) bool { return e.From == 1 }, 2); !ok {
+		t.Fatal("unusable edge still counted as incoming")
 	}
 }
 
 func TestEliminateCascade(t *testing.T) {
 	// Star: 0 → 1, 0 → 2; both 1 and 2 deletable independently.
 	edges := []fkEdge{{From: 0, To: 1}, {From: 0, To: 2}}
-	deleted, ok := eliminate(3, edges, map[int]bool{1: true, 2: true}, nil)
+	deleted, ok := runEliminate(3, edges, nil, 1, 2)
 	if !ok || len(deleted) != 2 {
 		t.Fatalf("star elimination failed: %+v", deleted)
 	}
 }
 
 func TestEliminateNothingToDo(t *testing.T) {
-	deleted, ok := eliminate(2, nil, map[int]bool{}, nil)
+	deleted, ok := runEliminate(2, nil, nil)
 	if !ok || len(deleted) != 0 {
 		t.Fatal("empty candidate set must succeed trivially")
 	}
@@ -129,12 +147,12 @@ func TestBuildFKGraphNullableColumns(t *testing.T) {
 		Outputs: []spjg.OutputColumn{{Expr: expr.Col(0, 0)}},
 	}
 	a := spjg.Analyze(def, false)
-	if edges := buildFKGraph(def, a.EC, nil); len(edges) != 0 {
+	if edges := buildFKGraph(def, a.EC, false); len(edges) != 0 {
 		t.Fatalf("nullable FK produced an edge without relaxation: %+v", edges)
 	}
-	relaxed := buildFKGraph(def, a.EC, func(expr.ColRef) bool { return true })
-	if len(relaxed) != 1 {
-		t.Fatalf("relaxation did not produce the edge: %+v", relaxed)
+	relaxed := buildFKGraph(def, a.EC, true)
+	if len(relaxed) != 1 || len(relaxed[0].nullable) != 1 {
+		t.Fatalf("relaxation did not produce the conditional edge: %+v", relaxed)
 	}
 }
 
@@ -150,32 +168,5 @@ func TestBuildFKGraphCompositePartialEquality(t *testing.T) {
 		if e.To == 1 && len(e.FK.Columns) == 2 {
 			t.Fatalf("partial composite FK edge built: %+v", e)
 		}
-	}
-}
-
-func TestOutputOrdinalHelpers(t *testing.T) {
-	def := &spjg.Query{
-		Tables:  []spjg.TableRef{tref("lineitem")},
-		GroupBy: []expr.Expr{expr.Col(0, tpch.LPartkey)},
-		Outputs: []spjg.OutputColumn{
-			{Name: "l_partkey", Expr: expr.Col(0, tpch.LPartkey)},
-			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
-		},
-	}
-	ec := eqclass.New()
-	same := ec.Same
-	if got := OutputOrdinal(def, same, expr.ColRef{Tab: 0, Col: tpch.LPartkey}); got != 0 {
-		t.Errorf("OutputOrdinal = %d", got)
-	}
-	if got := OutputOrdinal(def, same, expr.ColRef{Tab: 0, Col: tpch.LSuppkey}); got != -1 {
-		t.Errorf("missing column ordinal = %d", got)
-	}
-	if got := GroupingOrdinal(def, same, expr.ColRef{Tab: 0, Col: tpch.LPartkey}); got != 0 {
-		t.Errorf("GroupingOrdinal = %d", got)
-	}
-	// Through an equivalence class.
-	ec.Union(expr.ColRef{Tab: 0, Col: tpch.LPartkey}, expr.ColRef{Tab: 0, Col: tpch.LSuppkey})
-	if got := OutputOrdinal(def, ec.Same, expr.ColRef{Tab: 0, Col: tpch.LSuppkey}); got != 0 {
-		t.Errorf("equivalence-routed ordinal = %d", got)
 	}
 }

@@ -1,254 +1,221 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"matview/internal/expr"
+	"matview/internal/lattice"
 	"matview/internal/spjg"
 )
 
 // ViewKeys are the precomputed per-view keys for the filter tree's
-// partitioning conditions (§4.2). All column-level keys use base-table column
-// names ("lineitem.l_partkey"); instance-level keys (source tables, hub) use
-// occurrence-numbered names ("nation#0") so multisets reduce to sets.
+// partitioning conditions (§4.2), as sets of ids from the matcher's
+// dictionary. Column-level keys hold base-table columns
+// ("lineitem.l_partkey"); instance-level keys (source tables, hub) hold
+// numbered occurrences ("nation#0") so multisets reduce to sets.
 type ViewKeys struct {
 	// SourceTables is the view's table multiset (§4.2.1: view sources must be
 	// a superset of the query's).
-	SourceTables []string
+	SourceTables lattice.Set
 	// Hub is the multiset key of the view's hub (§4.2.2: hub must be a subset
 	// of the query's sources).
-	Hub []string
+	Hub lattice.Set
 	// OutputCols is the extended output column list (§4.2.3): every column
 	// equivalent to a simple output column.
-	OutputCols []string
+	OutputCols lattice.Set
 	// OutputExprs holds the fingerprint texts of complex scalar outputs, and,
-	// for aggregation views, "SUM:"-prefixed texts of the sum arguments
-	// (§4.2.7; used only against aggregation-view candidates).
-	OutputExprs []string
+	// for aggregation views, the texts of the sum arguments (§4.2.7; used
+	// only against aggregation-view candidates).
+	OutputExprs lattice.Set
 	// Residuals holds the fingerprint texts of the view's residual predicates
 	// (§4.2.6: must be a subset of the query's).
-	Residuals []string
-	// RangeColsReduced is the reduced range constraint list (§4.2.5): names
-	// of constrained columns in trivial equivalence classes only.
-	RangeColsReduced []string
-	// RangeClasses lists, for every constrained view class, the names of all
-	// its member columns — the complete constraint list used by the strong
+	Residuals lattice.Set
+	// RangeColsReduced is the reduced range constraint list (§4.2.5):
+	// constrained columns in trivial equivalence classes only.
+	RangeColsReduced lattice.Set
+	// RangeClasses lists, for every constrained view class, all its member
+	// columns — the complete constraint list used by the strong
 	// range-constraint check.
-	RangeClasses [][]string
+	RangeClasses []lattice.Set
 	// GroupingCols is the extended grouping column list (§4.2.4), aggregation
 	// views only.
-	GroupingCols []string
+	GroupingCols lattice.Set
 	// GroupingExprs holds the fingerprint texts of complex grouping
 	// expressions (§4.2.8), aggregation views only.
-	GroupingExprs []string
+	GroupingExprs lattice.Set
 	// IsAggregate routes the view into the aggregation subtree.
 	IsAggregate bool
 }
 
 // QueryKeys are the per-invocation search keys derived from a query
-// expression, mirroring ViewKeys on the query side of each condition.
+// expression, mirroring ViewKeys on the query side of each condition. An
+// element the dictionary does not know is left out of the keys that subset
+// searches use; where a superset search would need it, no view can qualify
+// and the subtree is skipped.
 type QueryKeys struct {
-	SourceTables []string
-	// OutputClasses holds, per simple scalar output, the names of every
-	// column in its equivalence class (the condition: the view's extended
-	// output list must intersect each class).
-	OutputClasses [][]string
+	SourceTables lattice.Set
+	// OutputClasses holds, per simple scalar output, every column in its
+	// equivalence class (the condition: the view's extended output list must
+	// intersect each class).
+	OutputClasses []lattice.Set
 	// OutputExprsSPJ holds complex scalar output texts, matched against SPJ
-	// views; OutputExprsAgg additionally carries "SUM:" keys, matched against
-	// aggregation views.
-	OutputExprsSPJ []string
-	OutputExprsAgg []string
-	Residuals      []string
-	// ExtRangeCols is the extended range constraint list (§4.2.5): names of
-	// every column in every constrained query class.
-	ExtRangeCols []string
+	// views; OutputExprsAgg additionally carries the sum arguments, matched
+	// against aggregation views.
+	OutputExprsSPJ lattice.Set
+	OutputExprsAgg lattice.Set
+	Residuals      lattice.Set
+	// ExtRangeCols is the extended range constraint list (§4.2.5): every
+	// column in every constrained query class.
+	ExtRangeCols lattice.Set
 	// GroupingClasses and GroupingExprs mirror the output-side keys for the
 	// query's group-by list (aggregation queries only).
-	GroupingClasses [][]string
-	GroupingExprs   []string
+	GroupingClasses []lattice.Set
+	GroupingExprs   lattice.Set
 	IsAggregate     bool
 	// ScalarAggregate marks an aggregate query with no GROUP BY; such queries
 	// never match aggregation views (see Match).
 	ScalarAggregate bool
+	// SkipSPJ / SkipAgg are set when the query needs a table occurrence or an
+	// expression that no SPJ / aggregation view has.
+	SkipSPJ, SkipAgg bool
 }
 
-// colName renders a column as "basetable.column", sharing the catalog's
-// precomputed qualified-name strings.
-func colName(def *spjg.Query, c expr.ColRef) string {
-	return def.Tables[c.Tab].Table.QualifiedColumn(c.Col)
+// keyCols translates the columns of one analysed expression to dictionary
+// column ids.
+type keyCols struct {
+	a       *spjg.Analysis
+	colBase []int // per table instance
 }
 
-// classNames returns the deduplicated, sorted names of all columns equivalent
-// to c under the analysis' classes.
-func classNames(a *spjg.Analysis, c expr.ColRef) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, m := range a.EC.Members(c) {
-		n := colName(a.Q, m)
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
+func (kc keyCols) id(c expr.ColRef) int { return kc.colBase[c.Tab] + c.Col }
+
+// addClass adds every column equivalent to the column with EC id x.
+func (kc keyCols) addClass(s lattice.Set, x int32) lattice.Set {
+	cls := kc.a.EC.ClassIDs(x)
+	if cls == nil {
+		return s.Add(kc.id(kc.a.EC.Ref(x)))
+	}
+	for _, m := range cls {
+		s = s.Add(kc.id(kc.a.EC.Ref(m)))
+	}
+	return s
+}
+
+// occurrence returns how many earlier entries of the FROM list reference the
+// same base table as entry i.
+func occurrence(tables []spjg.TableRef, i int) int {
+	n := 0
+	for _, u := range tables[:i] {
+		if u.Table.Name == tables[i].Table.Name {
+			n++
 		}
 	}
-	sort.Strings(out)
-	return out
+	return n
 }
 
-func sortedSet(in []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range in {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// sortDedupInPlace sorts s and drops adjacent duplicates without allocating;
-// same result as sortedSet but reusing s's backing array.
-func sortDedupInPlace(s []string) []string {
-	sort.Strings(s)
-	out := s[:0]
-	var prev string
-	for i, v := range s {
-		if i == 0 || v != prev {
-			out = append(out, v)
-		}
-		prev = v
-	}
-	return out
-}
-
-// computeViewKeys derives the filter-tree keys for a registered view.
+// computeViewKeys derives the filter-tree keys for a view being registered,
+// interning their elements.
 func (m *Matcher) computeViewKeys(v *View) ViewKeys {
-	def, a := v.Def, v.A
-	k := ViewKeys{
-		SourceTables: def.SourceTableMultiset(),
-		IsAggregate:  def.IsAggregate(),
+	def, a, d := v.Def, v.A, v.derived
+	m.dict.mu.Lock()
+	defer m.dict.mu.Unlock()
+
+	k := ViewKeys{IsAggregate: d.isAgg}
+	occIDs := make([]int, len(def.Tables))
+	kc := keyCols{a: a, colBase: make([]int, len(def.Tables))}
+	for i, t := range def.Tables {
+		occ := occurrence(def.Tables, i)
+		ids := m.dict.internTable(t.Table, occ+1)
+		kc.colBase[i], occIDs[i] = ids.colBase, ids.occ[occ]
+		k.SourceTables = k.SourceTables.Add(occIDs[i])
 	}
-	// Hub multiset keys.
-	src := k.SourceTables
 	for _, ti := range v.Hub {
-		k.Hub = append(k.Hub, src[ti])
+		k.Hub = k.Hub.Add(occIDs[ti])
 	}
-	sort.Strings(k.Hub)
 
 	// Extended output columns and complex output expressions.
-	var outCols, outExprs []string
-	for _, o := range def.Outputs {
-		switch {
-		case o.Expr != nil:
-			if col, ok := o.Expr.(expr.Column); ok {
-				outCols = append(outCols, classNames(a, col.Ref)...)
-			} else if _, isConst := o.Expr.(expr.Const); !isConst {
-				outExprs = append(outExprs, expr.NewFingerprint(expr.Normalize(o.Expr)).Text)
-			}
-		case o.Agg != nil && o.Agg.Kind == spjg.AggSum:
-			outExprs = append(outExprs, "SUM:"+expr.NewFingerprint(expr.Normalize(o.Agg.Arg)).Text)
-		}
+	for _, id := range d.colIDs {
+		k.OutputCols = kc.addClass(k.OutputCols, id)
+	}
+	for _, fp := range d.exprFPs {
+		k.OutputExprs = k.OutputExprs.Add(m.dict.internText(m.dict.texts, fp.Text))
+	}
+	for _, fp := range d.sumFPs {
+		k.OutputExprs = k.OutputExprs.Add(m.dict.internText(m.dict.sums, fp.Text))
 	}
 	// Backjoinable closure: if a table instance's unique key is fully
 	// available among the (grouping) output columns, every column of that
 	// table is recoverable through a backjoin (§7), so the filter tree's
 	// output- and grouping-column conditions must treat them as available.
 	if m.opts.BackjoinSubstitutes {
-		outCols = append(outCols, m.backjoinClosure(v, outCols)...)
+		k.OutputCols = backjoinClosure(def, kc, k.OutputCols)
 	}
-	k.OutputCols = sortedSet(outCols)
-	k.OutputExprs = sortedSet(outExprs)
 
-	// Disjunctive OR-of-range residuals count as range constraints, not as
-	// textual residuals, when the extension is enabled.
-	dis := disjunctiveInfo{consumed: map[int]bool{}}
+	// Residual texts. Disjunctive OR-of-range residuals count as range
+	// constraints, not as textual residuals, when the extension is enabled.
+	var dis disjunctions
 	if m.opts.DisjunctiveRanges {
-		dis = scanDisjunctive(a.PU, a.EC, a.EC.Find)
+		dis.scan(d.ors, a.EC, a.EC.Offsets(), 0)
 	}
-
-	// Residual texts.
-	var res []string
 	for i, fp := range a.ResidualFPs {
-		if dis.consumed[i] {
-			continue
+		if !dis.consumed(i) {
+			k.Residuals = k.Residuals.Add(m.dict.internText(m.dict.texts, fp.Text))
 		}
-		res = append(res, fp.Text)
 	}
-	k.Residuals = sortedSet(res)
 
-	// Range constraint lists (plain ranges plus disjunctive classes).
-	constrainedReps := map[expr.ColRef]bool{}
-	for rep := range a.Ranges {
-		constrainedReps[a.EC.Find(rep)] = true
+	// Range constraint lists (plain ranges plus disjunctive classes), one
+	// entry per constrained class.
+	var reps []int32
+	for _, cr := range a.Ranges {
+		reps = append(reps, cr.Rep)
 	}
-	for rep := range dis.sets {
-		constrainedReps[a.EC.Find(rep)] = true
+	for _, e := range dis.entries {
+		reps = append(reps, e.rep)
 	}
-	var reduced []string
-	for rep := range constrainedReps {
-		names := classNames(a, rep)
-		k.RangeClasses = append(k.RangeClasses, names)
-		if len(a.EC.Members(rep)) == 1 {
-			reduced = append(reduced, names[0])
+	slices.Sort(reps)
+	for _, rep := range slices.Compact(reps) {
+		k.RangeClasses = append(k.RangeClasses, kc.addClass(nil, rep))
+		if a.EC.ClassIDs(rep) == nil {
+			k.RangeColsReduced = k.RangeColsReduced.Add(kc.id(a.EC.Ref(rep)))
 		}
 	}
-	sort.Slice(k.RangeClasses, func(i, j int) bool { return k.RangeClasses[i][0] < k.RangeClasses[j][0] })
-	k.RangeColsReduced = sortedSet(reduced)
 
 	// Grouping keys for aggregation views.
 	if k.IsAggregate {
-		var gcols, gexprs []string
 		for _, g := range def.GroupBy {
 			if col, ok := g.(expr.Column); ok {
-				gcols = append(gcols, classNames(a, col.Ref)...)
+				k.GroupingCols = kc.addClass(k.GroupingCols, a.EC.ID(col.Ref))
 			} else {
-				gexprs = append(gexprs, expr.NewFingerprint(expr.Normalize(g)).Text)
+				text := expr.NewFingerprint(expr.Normalize(g)).Text
+				k.GroupingExprs = k.GroupingExprs.Add(m.dict.internText(m.dict.texts, text))
 			}
 		}
 		if m.opts.BackjoinSubstitutes {
 			// On aggregation views the backjoin key must consist of grouping
 			// columns, so the closure over the grouping list is the right
 			// extension for the grouping-column condition too.
-			gcols = append(gcols, m.backjoinClosure(v, gcols)...)
+			k.GroupingCols = backjoinClosure(def, kc, k.GroupingCols)
 		}
-		k.GroupingCols = sortedSet(gcols)
-		k.GroupingExprs = sortedSet(gexprs)
 	}
 	return k
 }
 
-// backjoinClosure returns the column names of every table instance whose
-// unique key is fully contained (by name) in the available set — the columns
+// backjoinClosure adds the columns of every base table whose unique key is
+// fully contained (by base-table column) in the available set — the columns
 // a backjoin can recover. Name-level checking is slightly looser than the
 // matcher's instance-level test, which keeps the filter conservative.
-func (m *Matcher) backjoinClosure(v *View, available []string) []string {
-	set := map[string]bool{}
-	for _, s := range available {
-		set[s] = true
-	}
-	var out []string
-	seenTable := map[string]bool{}
-	for _, tref := range v.Def.Tables {
+func backjoinClosure(def *spjg.Query, kc keyCols, available lattice.Set) lattice.Set {
+	out := slices.Clone(available)
+	for ti, tref := range def.Tables {
 		t := tref.Table
-		if seenTable[t.Name] {
-			continue
-		}
 		for _, uk := range t.UniqueKeys {
-			if len(uk) == 0 {
-				continue
-			}
-			all := true
-			for _, kc := range uk {
-				if !set[t.Name+"."+t.Columns[kc].Name] {
-					all = false
-					break
-				}
+			all := len(uk) > 0
+			for _, c := range uk {
+				all = all && available.Has(kc.colBase[ti]+c)
 			}
 			if all {
-				seenTable[t.Name] = true
-				for _, col := range t.Columns {
-					out = append(out, t.Name+"."+col.Name)
+				for c := range t.Columns {
+					out = out.Add(kc.colBase[ti] + c)
 				}
 				break
 			}
@@ -257,78 +224,114 @@ func (m *Matcher) backjoinClosure(v *View, available []string) []string {
 	return out
 }
 
-// ComputeQueryKeys derives the search keys for a query expression. The
-// analysis is computed with the matcher's options so check-constraint folding
-// matches registration-time behaviour.
-func (m *Matcher) ComputeQueryKeys(q *spjg.Query) QueryKeys {
-	var k QueryKeys
-	m.ComputeQueryKeysInto(q, &k)
-	return k
+// Keys returns the filter-tree search keys of the query, computed on first
+// use from the context's analysis.
+func (qc *QueryContext) Keys() *QueryKeys {
+	if qc.keys == nil {
+		qc.keys = qc.computeKeys()
+	}
+	return qc.keys
 }
 
-// ComputeQueryKeysInto is ComputeQueryKeys writing into an existing QueryKeys,
-// reusing its slice capacity. The optimizer's hot path recycles QueryKeys
-// values through a sync.Pool so the per-invocation key computation does not
-// re-grow its slices every probe.
-func (m *Matcher) ComputeQueryKeysInto(q *spjg.Query, k *QueryKeys) {
-	a := spjg.Analyze(q, m.opts.UseCheckConstraints)
-	*k = QueryKeys{
-		SourceTables:    q.SourceTableMultiset(),
-		OutputClasses:   k.OutputClasses[:0],
-		OutputExprsSPJ:  k.OutputExprsSPJ[:0],
-		OutputExprsAgg:  k.OutputExprsAgg[:0],
-		Residuals:       k.Residuals[:0],
-		ExtRangeCols:    k.ExtRangeCols[:0],
-		GroupingClasses: k.GroupingClasses[:0],
-		GroupingExprs:   k.GroupingExprs[:0],
-		IsAggregate:     q.IsAggregate(),
-		ScalarAggregate: q.IsAggregate() && len(q.GroupBy) == 0,
+func (qc *QueryContext) computeKeys() *QueryKeys {
+	q, a, dict := qc.q, qc.a, qc.m.dict
+	k := &QueryKeys{
+		IsAggregate:     qc.isAgg,
+		ScalarAggregate: qc.isAgg && len(q.GroupBy) == 0,
 	}
-	for _, o := range q.Outputs {
+	dict.mu.RLock()
+	defer dict.mu.RUnlock()
+
+	// The column sets — at most one per output and grouping expression, plus
+	// the range list — are carved out of one allocation, each with room for
+	// every column id.
+	colWords, occWords := (dict.cols+63)/64, (dict.occs+63)/64
+	arena := make([]uint64, (len(q.Outputs)+len(q.GroupBy)+1)*colWords+occWords)
+	take := func(words int) lattice.Set {
+		s := arena[:0:words]
+		arena = arena[words:]
+		return s
+	}
+
+	kc := keyCols{a: a, colBase: make([]int, len(q.Tables))}
+	k.SourceTables = take(occWords)
+	for i, t := range q.Tables {
+		ids := dict.tables[t.Table.Name]
+		occ := occurrence(q.Tables, i)
+		if ids == nil || occ >= len(ids.occ) {
+			// No view has this many occurrences of the table, so none has a
+			// superset of the query's sources.
+			k.SkipSPJ, k.SkipAgg = true, true
+			return k
+		}
+		kc.colBase[i] = ids.colBase
+		k.SourceTables = k.SourceTables.Add(ids.occ[occ])
+	}
+
+	k.OutputClasses = make([]lattice.Set, 0, len(q.Outputs))
+	for i, o := range q.Outputs {
 		switch {
 		case o.Expr != nil:
 			if col, ok := o.Expr.(expr.Column); ok {
-				k.OutputClasses = append(k.OutputClasses, classNames(a, col.Ref))
-			} else if _, isConst := o.Expr.(expr.Const); !isConst {
-				t := expr.NewFingerprint(expr.Normalize(o.Expr)).Text
-				k.OutputExprsSPJ = append(k.OutputExprsSPJ, t)
-				k.OutputExprsAgg = append(k.OutputExprsAgg, t)
+				k.OutputClasses = append(k.OutputClasses, kc.addClass(take(colWords), a.EC.ID(col.Ref)))
+			} else if x := qc.out(i); x != nil {
+				if id, ok := dict.texts[x.fp.Text]; ok {
+					k.OutputExprsSPJ = k.OutputExprsSPJ.Add(id)
+					k.OutputExprsAgg = k.OutputExprsAgg.Add(id)
+				} else {
+					k.SkipSPJ, k.SkipAgg = true, true
+				}
 			}
 		case o.Agg != nil && (o.Agg.Kind == spjg.AggSum || o.Agg.Kind == spjg.AggAvg):
-			k.OutputExprsAgg = append(k.OutputExprsAgg, "SUM:"+expr.NewFingerprint(expr.Normalize(o.Agg.Arg)).Text)
-		}
-	}
-	k.OutputExprsSPJ = sortDedupInPlace(k.OutputExprsSPJ)
-	k.OutputExprsAgg = sortDedupInPlace(k.OutputExprsAgg)
-
-	dis := disjunctiveInfo{consumed: map[int]bool{}}
-	if m.opts.DisjunctiveRanges {
-		dis = scanDisjunctive(a.PU, a.EC, a.EC.Find)
-	}
-	for i, fp := range a.ResidualFPs {
-		if dis.consumed[i] {
-			continue
-		}
-		k.Residuals = append(k.Residuals, fp.Text)
-	}
-	k.Residuals = sortDedupInPlace(k.Residuals)
-
-	for rep := range a.Ranges {
-		k.ExtRangeCols = append(k.ExtRangeCols, classNames(a, rep)...)
-	}
-	for rep := range dis.sets {
-		k.ExtRangeCols = append(k.ExtRangeCols, classNames(a, rep)...)
-	}
-	k.ExtRangeCols = sortDedupInPlace(k.ExtRangeCols)
-
-	if k.IsAggregate {
-		for _, g := range q.GroupBy {
-			if col, ok := g.(expr.Column); ok {
-				k.GroupingClasses = append(k.GroupingClasses, classNames(a, col.Ref))
+			if x := qc.out(i); x == nil {
+				k.SkipAgg = true
+			} else if id, ok := dict.sums[x.fp.Text]; ok {
+				k.OutputExprsAgg = k.OutputExprsAgg.Add(id)
 			} else {
-				k.GroupingExprs = append(k.GroupingExprs, expr.NewFingerprint(expr.Normalize(g)).Text)
+				k.SkipAgg = true
 			}
 		}
-		k.GroupingExprs = sortDedupInPlace(k.GroupingExprs)
 	}
+
+	var dis disjunctions
+	if qc.m.opts.DisjunctiveRanges {
+		dis.scan(qc.ors, a.EC, a.EC.Offsets(), 0)
+	}
+	for i, fp := range a.ResidualFPs {
+		if dis.consumed(i) {
+			continue
+		}
+		if id, ok := dict.texts[fp.Text]; ok {
+			k.Residuals = k.Residuals.Add(id)
+		}
+	}
+
+	k.ExtRangeCols = take(colWords)
+	for _, cr := range a.Ranges {
+		k.ExtRangeCols = kc.addClass(k.ExtRangeCols, cr.Rep)
+	}
+	for _, e := range dis.entries {
+		k.ExtRangeCols = kc.addClass(k.ExtRangeCols, e.rep)
+	}
+
+	if k.IsAggregate {
+		k.GroupingClasses = make([]lattice.Set, 0, len(q.GroupBy))
+		for gi, g := range q.GroupBy {
+			if col, ok := g.(expr.Column); ok {
+				k.GroupingClasses = append(k.GroupingClasses, kc.addClass(take(colWords), a.EC.ID(col.Ref)))
+			} else if id, ok := dict.texts[qc.groups[gi].fp.Text]; ok {
+				k.GroupingExprs = k.GroupingExprs.Add(id)
+			} else {
+				k.SkipAgg = true
+			}
+		}
+	}
+	return k
+}
+
+// ComputeQueryKeys derives the search keys for a query expression. Callers
+// that go on to match the candidates should build one QueryContext and use
+// its Keys and Match instead, which analyses the query once.
+func (m *Matcher) ComputeQueryKeys(q *spjg.Query) QueryKeys {
+	return *m.NewQueryContext(q).Keys()
 }

@@ -1,138 +1,44 @@
 package core
 
-import (
-	"matview/internal/expr"
-	"matview/internal/spjg"
-)
+import "matview/internal/spjg"
 
-// instanceMappings enumerates the injective, table-name-preserving mappings
-// from the query's table instances to the view's table instances. Table
-// alignment is trivial (a single mapping) unless the same base table appears
-// more than once on either side — e.g. a nation dimension shared by customer
-// and supplier — in which case each assignment of query instances to view
-// instances must be tried. The enumeration is capped at limit mappings.
-func instanceMappings(q, v *spjg.Query, limit int) [][]int {
-	// Group instance indexes by base-table name.
-	qByName := map[string][]int{}
-	for i, t := range q.Tables {
-		qByName[t.Table.Name] = append(qByName[t.Table.Name], i)
-	}
-	vByName := map[string][]int{}
-	for i, t := range v.Tables {
-		vByName[t.Table.Name] = append(vByName[t.Table.Name], i)
-	}
-	// Feasibility: the view must reference at least as many instances of each
-	// table as the query (source table condition, §4.2.1).
-	names := make([]string, 0, len(qByName))
-	for name, qi := range qByName {
-		if len(vByName[name]) < len(qi) {
-			return nil
-		}
-		names = append(names, name)
-	}
-	// Deterministic order.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-
-	mappings := [][]int{make([]int, len(q.Tables))}
-	for _, name := range names {
-		qIdx := qByName[name]
-		vIdx := vByName[name]
-		assigns := injections(len(qIdx), vIdx, limit)
-		var next [][]int
-		for _, base := range mappings {
-			for _, as := range assigns {
-				m := make([]int, len(base))
-				copy(m, base)
-				for k, qi := range qIdx {
-					m[qi] = as[k]
-				}
-				next = append(next, m)
-				if len(next) >= limit {
-					break
-				}
-			}
-			if len(next) >= limit {
-				break
-			}
-		}
-		mappings = next
-		if len(mappings) == 0 {
-			return nil
-		}
-	}
-	return mappings
+// alignment enumerates the injective, table-name-preserving mappings from the
+// query's table instances to the view's. Table alignment is trivial (a single
+// mapping) unless the same base table appears more than once on either side —
+// e.g. a nation dimension shared by customer and supplier — in which case
+// each assignment of query instances to view instances must be tried.
+type alignment struct {
+	mapping []int  // query table instance → view table instance
+	taken   []bool // per view table instance
+	tried   int
 }
 
-// injections enumerates ordered selections of k elements from pool (k-
-// permutations), capped at limit.
-func injections(k int, pool []int, limit int) [][]int {
-	var out [][]int
-	cur := make([]int, 0, k)
-	used := make([]bool, len(pool))
-	var rec func()
-	rec = func() {
-		if len(out) >= limit {
-			return
-		}
-		if len(cur) == k {
-			out = append(out, append([]int(nil), cur...))
-			return
-		}
-		for i, v := range pool {
-			if used[i] {
-				continue
-			}
-			used[i] = true
-			cur = append(cur, v)
-			rec()
-			cur = cur[:len(cur)-1]
-			used[i] = false
-		}
+// each calls try with al.mapping set to one mapping after another until try
+// reports success or limit mappings have been tried, and reports whether try
+// succeeded. Query instances are assigned in the given order (nil for FROM
+// order), each to the view's instances of the same table in FROM order; k is
+// the number of instances already assigned.
+func (al *alignment) each(q, v []spjg.TableRef, order []int, k, limit int, try func() bool) bool {
+	if k == len(q) {
+		al.tried++
+		return try()
 	}
-	rec()
-	return out
-}
-
-// remapQuery rewrites the query into the view's table-instance space: the
-// resulting query's FROM list is exactly the view's (so the two expressions
-// "reference the same tables", §3.1, with the view's extra tables
-// conceptually added to the query, §3.2) and every column reference goes
-// through the instance mapping.
-func remapQuery(q *spjg.Query, vTables []spjg.TableRef, mapping []int) *spjg.Query {
-	mapRef := func(r expr.ColRef) expr.ColRef {
-		return expr.ColRef{Tab: mapping[r.Tab], Col: r.Col}
+	qt := k
+	if order != nil {
+		qt = order[k]
 	}
-	out := &spjg.Query{
-		Tables:     vTables,
-		HasGroupBy: q.HasGroupBy,
-	}
-	if q.Where != nil {
-		out.Where = expr.MapColumns(q.Where, mapRef)
-	}
-	out.Outputs = make([]spjg.OutputColumn, len(q.Outputs))
-	for i, o := range q.Outputs {
-		no := spjg.OutputColumn{Name: o.Name}
-		if o.Expr != nil {
-			no.Expr = expr.MapColumns(o.Expr, mapRef)
+	for j := range v {
+		if al.taken[j] || v[j].Table.Name != q[qt].Table.Name {
+			continue
 		}
-		if o.Agg != nil {
-			agg := &spjg.Aggregate{Kind: o.Agg.Kind}
-			if o.Agg.Arg != nil {
-				agg.Arg = expr.MapColumns(o.Agg.Arg, mapRef)
-			}
-			no.Agg = agg
+		al.taken[j], al.mapping[qt] = true, j
+		if al.each(q, v, order, k+1, limit, try) {
+			return true
 		}
-		out.Outputs[i] = no
-	}
-	if len(q.GroupBy) > 0 {
-		out.GroupBy = make([]expr.Expr, len(q.GroupBy))
-		for i, g := range q.GroupBy {
-			out.GroupBy[i] = expr.MapColumns(g, mapRef)
+		al.taken[j] = false
+		if al.tried >= limit {
+			break
 		}
 	}
-	return out
+	return false
 }

@@ -255,12 +255,7 @@ func TestPaperExample6(t *testing.T) {
 
 	// Keys must reflect the extended output list: the view's OutputCols
 	// include both lineitem.l_orderkey and orders.o_orderkey.
-	keys := v.Keys
-	found := map[string]bool{}
-	for _, k := range keys.OutputCols {
-		found[k] = true
-	}
-	if !found["lineitem.l_orderkey"] || !found["orders.o_orderkey"] {
-		t.Errorf("extended output cols = %v", keys.OutputCols)
+	if !hasKey(m, v.Keys.OutputCols, "lineitem.l_orderkey") || !hasKey(m, v.Keys.OutputCols, "orders.o_orderkey") {
+		t.Errorf("extended output cols = %v", v.Keys.OutputCols)
 	}
 }

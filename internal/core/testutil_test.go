@@ -1,11 +1,34 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"matview/internal/lattice"
 	"matview/internal/spjg"
 	"matview/internal/tpch"
 )
+
+// hasKey reports whether a filter-tree key holds the named element under the
+// matcher's dictionary: a column "orders.o_totalprice", a table occurrence
+// "nation#1", a SUM argument text "SUM:?", or any other expression text.
+func hasKey(m *Matcher, key lattice.Set, name string) bool {
+	id, ok := -1, false
+	if table, col, isCol := strings.Cut(name, "."); isCol && tcat.Table(table) != nil {
+		if ids := m.dict.tables[table]; ids != nil {
+			id, ok = ids.colBase+tcat.Table(table).ColumnIndex(col), true
+		}
+	} else if table, occ, isOcc := strings.Cut(name, "#"); isOcc && tcat.Table(table) != nil {
+		if ids := m.dict.tables[table]; ids != nil && int(occ[0]-'0') < len(ids.occ) {
+			id, ok = ids.occ[occ[0]-'0'], true
+		}
+	} else if arg, isSum := strings.CutPrefix(name, "SUM:"); isSum {
+		id, ok = m.dict.sums[arg]
+	} else {
+		id, ok = m.dict.texts[name]
+	}
+	return ok && key.Has(id)
+}
 
 var tcat = tpch.NewCatalog(0.1)
 

@@ -14,6 +14,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"matview/internal/catalog"
 	"matview/internal/expr"
@@ -22,7 +23,9 @@ import (
 
 // View is a registered materialized view: its definition, the precomputed
 // analysis (equivalence classes, ranges, residual fingerprints), the hub
-// (§4.2.2), and the filter-tree keys (§4.2).
+// (§4.2.2), and the filter-tree keys (§4.2). NewView is the only constructor;
+// a View is read-only from then on, which makes it safe to share across
+// matching goroutines.
 type View struct {
 	ID   int
 	Name string
@@ -37,125 +40,115 @@ type View struct {
 	// Keys holds the precomputed filter-tree keys.
 	Keys ViewKeys
 
-	// derived caches per-view structures the matcher would otherwise
-	// recompute on every probe: normalized grouping expressions, shallow-
-	// matching fingerprints of complex outputs and SUM arguments, and the
-	// ordinal lists the output-mapping lookups scan. Precomputed by NewView;
-	// a View must not be mutated after registration, which makes the cache
-	// (and the View as a whole) safe to share across matching goroutines.
+	// derived holds everything else the matching tests need that depends on
+	// the view alone.
 	derived *viewDerived
 }
 
-// viewDerived holds the register-time caches. All fields are immutable after
-// construction.
+// viewDerived is the view side of the matching tests, computed once by
+// NewView. All fields are immutable after construction. Column ids are those
+// of the view's equivalence classes (A.EC).
 type viewDerived struct {
-	// outFPs has one entry per output ordinal: the fingerprint of the
-	// normalized output expression when it is complex (non-column) scalar,
-	// nil otherwise. Scanned by matchOutputExpr.
-	outFPs []*expr.Fingerprint
-	// outColOrds/outColRefs list the ordinals and column refs of simple
-	// column outputs, in output order (OutputOrdinal's scan set).
-	outColOrds []int
-	outColRefs []expr.ColRef
-	// normGroupBy is Normalize applied to each grouping expression.
-	normGroupBy []expr.Expr
-	// groupColOrds/groupColRefs restrict outColOrds to outputs that are also
-	// grouping expressions (GroupingOrdinal's scan set, aggregation views).
-	groupColOrds []int
-	groupColRefs []expr.ColRef
-	// groupOrds/groupFPs list every scalar grouping output with its
-	// fingerprint (finishAggOverAgg's vGroups).
+	isAgg bool
+	// dupTables is set when some base table occurs more than once in the
+	// FROM list, so instance alignment needs the general enumeration.
+	dupTables bool
+	// fkEdges is the foreign-key join graph of §3.2 under the view's classes.
+	fkEdges []fkEdge
+	// ors lists the residual conjuncts that are disjunctions of range
+	// predicates.
+	ors []orRanges
+	// checks holds, per table instance with check constraints folded into the
+	// view's analysis, those constraints analysed on their own (table
+	// instance 0 standing for the table). A query that does not reference the
+	// table acquires them when the table is added to it (§3.2). Nil when no
+	// table has any.
+	checks []*tableChecks
+
+	// exprOrds/exprFPs list the complex scalar outputs (neither a column nor
+	// a constant) with the fingerprints of their normalized expressions.
+	exprOrds []int
+	exprFPs  []expr.Fingerprint
+	// colOrds/colIDs list the ordinals and column ids of simple column
+	// outputs, in output order. On an aggregation view every scalar output is
+	// a grouping expression (ValidateAsView), so these are also the columns a
+	// compensating predicate may filter on.
+	colOrds []int
+	colIDs  []int32
+	// viewOrd maps a column id to the ordinal of the first simple output
+	// column in the same view equivalence class, -1 when there is none — the
+	// paper's "extended output list" lookup (§4.2.3).
+	viewOrd []int32
+	// groupOrds/groupFPs list every scalar output of an aggregation view —
+	// its grouping outputs — with their fingerprints.
 	groupOrds []int
 	groupFPs  []expr.Fingerprint
 	// sumOrds/sumFPs list the SUM outputs with the fingerprints of their
-	// normalized arguments (findViewSum's scan set).
+	// normalized arguments.
 	sumOrds []int
 	sumFPs  []expr.Fingerprint
 	// cntOrd is the COUNT(*) output ordinal, -1 when absent.
 	cntOrd int
 }
 
-// der returns the view's derived caches, computing them on first use for
-// views not built by NewView (lazy initialization is not concurrency-safe;
-// NewView precomputes so shared views never hit this path).
-func (v *View) der() *viewDerived {
-	if v.derived == nil {
-		v.derived = computeDerived(v)
-	}
-	return v.derived
+// tableChecks is the analysis of one table's check constraints.
+type tableChecks struct {
+	a   *spjg.Analysis
+	ors []orRanges
 }
 
-func computeDerived(v *View) *viewDerived {
-	def := v.Def
-	d := &viewDerived{cntOrd: -1}
-	d.normGroupBy = make([]expr.Expr, len(def.GroupBy))
-	for i, g := range def.GroupBy {
-		d.normGroupBy[i] = expr.Normalize(g)
+func (m *Matcher) computeDerived(def *spjg.Query, a *spjg.Analysis) *viewDerived {
+	d := &viewDerived{cntOrd: -1, isAgg: def.IsAggregate()}
+	for i := range def.Tables {
+		d.dupTables = d.dupTables || occurrence(def.Tables, i) > 0
 	}
-	isAgg := def.IsAggregate()
-	d.outFPs = make([]*expr.Fingerprint, len(def.Outputs))
+	d.fkEdges = buildFKGraph(def, a.EC, m.opts.NullRejectingFKRelaxation)
+	d.ors = scanOrRanges(a.PU)
+	if m.opts.UseCheckConstraints {
+		for ti, t := range def.Tables {
+			if len(t.Table.Checks) == 0 {
+				continue
+			}
+			if d.checks == nil {
+				d.checks = make([]*tableChecks, len(def.Tables))
+			}
+			ca := spjg.Analyze(&spjg.Query{Tables: def.Tables[ti : ti+1]}, true)
+			d.checks[ti] = &tableChecks{a: ca, ors: scanOrRanges(ca.PU)}
+		}
+	}
 	for i, o := range def.Outputs {
 		switch {
 		case o.Expr != nil:
+			fp := expr.NewFingerprint(expr.Normalize(o.Expr))
 			if col, isCol := o.Expr.(expr.Column); isCol {
-				d.outColOrds = append(d.outColOrds, i)
-				d.outColRefs = append(d.outColRefs, col.Ref)
-				if isAgg && d.inGroupBy(o.Expr) {
-					d.groupColOrds = append(d.groupColOrds, i)
-					d.groupColRefs = append(d.groupColRefs, col.Ref)
-				}
-			} else {
-				fp := expr.NewFingerprint(expr.Normalize(o.Expr))
-				d.outFPs[i] = &fp
+				d.colOrds = append(d.colOrds, i)
+				d.colIDs = append(d.colIDs, a.EC.ID(col.Ref))
+			} else if _, isConst := o.Expr.(expr.Const); !isConst {
+				d.exprOrds = append(d.exprOrds, i)
+				d.exprFPs = append(d.exprFPs, fp)
 			}
-			if isAgg && d.inGroupBy(o.Expr) {
+			if d.isAgg {
 				d.groupOrds = append(d.groupOrds, i)
-				d.groupFPs = append(d.groupFPs, expr.NewFingerprint(expr.Normalize(o.Expr)))
+				d.groupFPs = append(d.groupFPs, fp)
 			}
-		case o.Agg != nil:
-			switch o.Agg.Kind {
-			case spjg.AggCountStar:
-				d.cntOrd = i
-			case spjg.AggSum:
-				d.sumOrds = append(d.sumOrds, i)
-				d.sumFPs = append(d.sumFPs, expr.NewFingerprint(expr.Normalize(o.Agg.Arg)))
+		case o.Agg.Kind == spjg.AggCountStar:
+			d.cntOrd = i
+		case o.Agg.Kind == spjg.AggSum:
+			d.sumOrds = append(d.sumOrds, i)
+			d.sumFPs = append(d.sumFPs, expr.NewFingerprint(expr.Normalize(o.Agg.Arg)))
+		}
+	}
+	d.viewOrd = make([]int32, a.EC.Len())
+	for x := range d.viewOrd {
+		d.viewOrd[x] = -1
+		for k, id := range d.colIDs {
+			if a.EC.FindID(id) == a.EC.FindID(int32(x)) {
+				d.viewOrd[x] = int32(d.colOrds[k])
+				break
 			}
 		}
 	}
 	return d
-}
-
-// inGroupBy reports whether e normalizes to some grouping expression.
-func (d *viewDerived) inGroupBy(e expr.Expr) bool {
-	ne := expr.Normalize(e)
-	for _, g := range d.normGroupBy {
-		if expr.Equal(ne, g) {
-			return true
-		}
-	}
-	return false
-}
-
-// outputOrdinal is OutputOrdinal over the cached simple-output list.
-func (v *View) outputOrdinal(same func(a, b expr.ColRef) bool, c expr.ColRef) int {
-	d := v.der()
-	for k, ref := range d.outColRefs {
-		if same(ref, c) {
-			return d.outColOrds[k]
-		}
-	}
-	return -1
-}
-
-// groupingOrdinal is GroupingOrdinal over the cached grouping-output list.
-func (v *View) groupingOrdinal(same func(a, b expr.ColRef) bool, c expr.ColRef) int {
-	d := v.der()
-	for k, ref := range d.groupColRefs {
-		if same(ref, c) {
-			return d.groupColOrds[k]
-		}
-	}
-	return -1
 }
 
 // MatchOptions configures optional extensions of the algorithm.
@@ -218,10 +211,14 @@ func DefaultOptions() MatchOptions {
 	}
 }
 
-// Matcher holds the catalog and options shared across match invocations.
+// Matcher holds the catalog and options shared across match invocations, the
+// dictionary that interns the filter-tree key elements of its views, and the
+// pool of per-match scratch state.
 type Matcher struct {
-	cat  *catalog.Catalog
-	opts MatchOptions
+	cat     *catalog.Catalog
+	opts    MatchOptions
+	dict    *dict
+	scratch sync.Pool // *matchState
 }
 
 // NewMatcher returns a Matcher over the given catalog.
@@ -229,7 +226,8 @@ func NewMatcher(cat *catalog.Catalog, opts MatchOptions) *Matcher {
 	if opts.MaxInstanceMappings == 0 {
 		opts.MaxInstanceMappings = 16
 	}
-	return &Matcher{cat: cat, opts: opts}
+	return &Matcher{cat: cat, opts: opts, dict: newDict(),
+		scratch: sync.Pool{New: func() any { return new(matchState) }}}
 }
 
 // Options returns the matcher's options.
@@ -238,77 +236,18 @@ func (m *Matcher) Options() MatchOptions { return m.opts }
 // Catalog returns the catalog the matcher resolves constraints against.
 func (m *Matcher) Catalog() *catalog.Catalog { return m.cat }
 
-// NewView analyzes and registers a view definition. The definition must
-// satisfy the indexable-view restrictions (§2); id is the caller's identifier
-// (e.g. an index into a view list).
+// NewView analyzes a view definition and freezes everything the matching
+// tests and the filter tree need from it. The definition must satisfy the
+// indexable-view restrictions (§2); id is the caller's identifier (e.g. an
+// index into a view list). The view's keys are only meaningful to filter
+// trees searched with this matcher's query keys.
 func (m *Matcher) NewView(id int, name string, def *spjg.Query) (*View, error) {
 	if err := def.ValidateAsView(); err != nil {
 		return nil, fmt.Errorf("core: view %s: %w", name, err)
 	}
 	a := spjg.Analyze(def, m.opts.UseCheckConstraints)
-	v := &View{ID: id, Name: name, Def: def, A: a}
+	v := &View{ID: id, Name: name, Def: def, A: a, derived: m.computeDerived(def, a)}
 	v.Hub = m.computeHub(v)
 	v.Keys = m.computeViewKeys(v)
-	v.derived = computeDerived(v)
 	return v, nil
-}
-
-// OutputOrdinal returns the ordinal of a view output column whose expression
-// is the simple column c, or a column equivalent to it under the given
-// equivalence test. Returns -1 when no output column qualifies. This is the
-// paper's "extended output list" lookup (§4.2.3): each simple output column
-// stands in for its whole equivalence class.
-func OutputOrdinal(def *spjg.Query, same func(a, b expr.ColRef) bool, c expr.ColRef) int {
-	for i, o := range def.Outputs {
-		if o.Expr == nil {
-			continue
-		}
-		col, ok := o.Expr.(expr.Column)
-		if !ok {
-			continue
-		}
-		if same(col.Ref, c) {
-			return i
-		}
-	}
-	return -1
-}
-
-// GroupingOrdinal is like OutputOrdinal but only admits output columns that
-// are also grouping expressions — required when compensating predicates must
-// be applied to an aggregation view, where filtering is only sound on
-// grouping columns.
-func GroupingOrdinal(def *spjg.Query, same func(a, b expr.ColRef) bool, c expr.ColRef) int {
-	for i, o := range def.Outputs {
-		if o.Expr == nil {
-			continue
-		}
-		col, ok := o.Expr.(expr.Column)
-		if !ok {
-			continue
-		}
-		if !isGroupingExpr(def, o.Expr) {
-			continue
-		}
-		if same(col.Ref, c) {
-			return i
-		}
-	}
-	return -1
-}
-
-// isGroupingExpr reports whether e appears in the query's grouping list
-// (structurally). For SPJ views every output is trivially usable, so callers
-// only consult this for aggregate definitions.
-func isGroupingExpr(def *spjg.Query, e expr.Expr) bool {
-	if !def.IsAggregate() {
-		return true
-	}
-	ne := expr.Normalize(e)
-	for _, g := range def.GroupBy {
-		if expr.Equal(ne, expr.Normalize(g)) {
-			return true
-		}
-	}
-	return false
 }

@@ -148,9 +148,21 @@ type EqualityConjunct struct {
 // constant, in either operand order. NULL constants never form ranges
 // (col = NULL is never true); they stay residual.
 func Classify(e Expr) (ConjunctKind, *EqualityConjunct, *RangeConjunct) {
+	switch kind, eq, rng := classify(e); kind {
+	case KindColumnEquality:
+		return kind, &eq, nil
+	case KindRange:
+		return kind, nil, &rng
+	default:
+		return kind, nil, nil
+	}
+}
+
+// classify is Classify returning the decomposed forms by value.
+func classify(e Expr) (kind ConjunctKind, eq EqualityConjunct, rng RangeConjunct) {
 	cmp, ok := e.(Cmp)
 	if !ok {
-		return KindResidual, nil, nil
+		return KindResidual, eq, rng
 	}
 	lc, lIsCol := cmp.L.(Column)
 	rc, rIsCol := cmp.R.(Column)
@@ -158,30 +170,28 @@ func Classify(e Expr) (ConjunctKind, *EqualityConjunct, *RangeConjunct) {
 	rk, rIsConst := cmp.R.(Const)
 
 	if cmp.Op == EQ && lIsCol && rIsCol {
-		return KindColumnEquality, &EqualityConjunct{A: lc.Ref, B: rc.Ref}, nil
+		return KindColumnEquality, EqualityConjunct{A: lc.Ref, B: rc.Ref}, rng
 	}
-	rangeOp := func(op CmpOp) bool {
-		return op == EQ || op == LT || op == LE || op == GT || op == GE
+	rangeOp := cmp.Op == EQ || cmp.Op == LT || cmp.Op == LE || cmp.Op == GT || cmp.Op == GE
+	if lIsCol && rIsConst && rangeOp && !rk.Val.IsNull() {
+		return KindRange, eq, RangeConjunct{Col: lc.Ref, Op: cmp.Op, Val: rk.Val}
 	}
-	if lIsCol && rIsConst && rangeOp(cmp.Op) && !rk.Val.IsNull() {
-		return KindRange, nil, &RangeConjunct{Col: lc.Ref, Op: cmp.Op, Val: rk.Val}
+	if rIsCol && lIsConst && rangeOp && !lk.Val.IsNull() {
+		return KindRange, eq, RangeConjunct{Col: rc.Ref, Op: cmp.Op.Flip(), Val: lk.Val}
 	}
-	if rIsCol && lIsConst && rangeOp(cmp.Op) && !lk.Val.IsNull() {
-		return KindRange, nil, &RangeConjunct{Col: rc.Ref, Op: cmp.Op.Flip(), Val: lk.Val}
-	}
-	return KindResidual, nil, nil
+	return KindResidual, eq, rng
 }
 
 // SplitPredicate converts a predicate to CNF and splits the conjuncts into
 // the PE / PR / PU components of §3.1.2.
 func SplitPredicate(w Expr) (pe []EqualityConjunct, pr []RangeConjunct, pu []Expr) {
 	for _, c := range ToCNF(w) {
-		kind, eq, rng := Classify(c)
+		kind, eq, rng := classify(c)
 		switch kind {
 		case KindColumnEquality:
-			pe = append(pe, *eq)
+			pe = append(pe, eq)
 		case KindRange:
-			pr = append(pr, *rng)
+			pr = append(pr, rng)
 		default:
 			pu = append(pu, c)
 		}

@@ -22,7 +22,8 @@
 package filtertree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"matview/internal/core"
@@ -33,28 +34,29 @@ import (
 type level struct {
 	name string
 	// key extracts the view-side key for this level.
-	key func(v *core.View) []string
+	key func(v *core.View) lattice.Set
 	// search runs the level's condition against an index of child nodes.
-	search func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node
+	search func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node
 }
 
 // node is one partition at some level: an internal node carries a lattice
 // index of children keyed by the next level's condition; a leaf carries the
 // views of the partition.
 type node struct {
-	idx      *lattice.Index[*node]
-	children map[string]*node // canonical key → child (same payloads as idx)
-	views    []*core.View
+	idx   *lattice.Index[*node]
+	views []*core.View
 }
 
-// Tree is the filter tree over a set of registered views.
+// Tree is the filter tree over a set of registered views. Its views must all
+// come from one core.Matcher, and it must be searched with that matcher's
+// query keys: the keys are sets of ids from the matcher's dictionary.
 type Tree struct {
 	mu   sync.RWMutex
 	spj  *subtree
 	agg  *subtree
 	size int
-	// scratch pools per-search frontier buffers, the candidate accumulator,
-	// and the extended-range-column set, so a steady-state Candidates call
+	// scratch pools per-search frontier buffers, the candidate accumulator
+	// and the lattice visit marks, so a steady-state Candidates call
 	// allocates only its result slice.
 	scratch sync.Pool // *candScratch
 }
@@ -64,15 +66,7 @@ type candScratch struct {
 	frontier []*node
 	next     []*node
 	views    []*core.View
-	ext      map[string]bool
-}
-
-func (t *Tree) getScratch() *candScratch {
-	sc, _ := t.scratch.Get().(*candScratch)
-	if sc == nil {
-		sc = &candScratch{ext: make(map[string]bool, 8)}
-	}
-	return sc
+	marks    lattice.Scratch
 }
 
 type subtree struct {
@@ -80,76 +74,54 @@ type subtree struct {
 	root   *node
 }
 
-// intersectsAll reports whether key intersects every class in classes — the
-// §4.2.3/§4.2.4 condition ("for each equivalence class …, at least one of its
-// columns is available in the …extended list"). Failure is downward closed,
-// as lattice.Qualify requires.
-func intersectsAll(key map[string]bool, classes [][]string) bool {
-	for _, cls := range classes {
-		hit := false
-		for _, c := range cls {
-			if key[c] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	return true
-}
-
 func commonLevels(aggTree bool) []level {
 	return []level{
 		{
 			// Hub condition (§4.2.2): hub ⊆ query's source tables.
 			name: "hub",
-			key:  func(v *core.View) []string { return v.Keys.Hub },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Subsets(qk.SourceTables, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.Hub },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Subsets(qk.SourceTables, sc, out)
 			},
 		},
 		{
 			// Source table condition (§4.2.1): view sources ⊇ query sources.
 			name: "sources",
-			key:  func(v *core.View) []string { return v.Keys.SourceTables },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Supersets(qk.SourceTables, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.SourceTables },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Supersets(qk.SourceTables, sc, out)
 			},
 		},
 		{
 			// Output expression condition (§4.2.7): query's textual output
 			// expression list ⊆ view's. Aggregation views additionally carry
-			// "SUM:" keys matched by the query's aggregate arguments.
+			// the sum arguments, matched by the query's aggregate arguments.
 			name: "outexprs",
-			key:  func(v *core.View) []string { return v.Keys.OutputExprs },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
+			key:  func(v *core.View) lattice.Set { return v.Keys.OutputExprs },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
 				q := qk.OutputExprsSPJ
 				if aggTree {
 					q = qk.OutputExprsAgg
 				}
-				return idx.Supersets(q, out)
+				return idx.Supersets(q, sc, out)
 			},
 		},
 		{
 			// Output column condition (§4.2.3): each query output class must
 			// intersect the view's extended output list.
 			name: "outcols",
-			key:  func(v *core.View) []string { return v.Keys.OutputCols },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Qualify(func(key map[string]bool) bool {
-					return intersectsAll(key, qk.OutputClasses)
-				}, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.OutputCols },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Covering(qk.OutputClasses, sc, out)
 			},
 		},
 		{
 			// Residual predicate condition (§4.2.6): view residual list ⊆
 			// query residual list.
 			name: "residuals",
-			key:  func(v *core.View) []string { return v.Keys.Residuals },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Subsets(qk.Residuals, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.Residuals },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Subsets(qk.Residuals, sc, out)
 			},
 		},
 		{
@@ -157,9 +129,9 @@ func commonLevels(aggTree bool) []level {
 			// range constraint list ⊆ the query's extended range constraint
 			// list. The strong check runs per view at collection time.
 			name: "ranges",
-			key:  func(v *core.View) []string { return v.Keys.RangeColsReduced },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Subsets(qk.ExtRangeCols, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.RangeColsReduced },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Subsets(qk.ExtRangeCols, sc, out)
 			},
 		},
 	}
@@ -170,19 +142,17 @@ func aggLevels() []level {
 		level{
 			// Grouping expression condition (§4.2.8).
 			name: "groupexprs",
-			key:  func(v *core.View) []string { return v.Keys.GroupingExprs },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Supersets(qk.GroupingExprs, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.GroupingExprs },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Supersets(qk.GroupingExprs, sc, out)
 			},
 		},
 		level{
 			// Grouping column condition (§4.2.4).
 			name: "groupcols",
-			key:  func(v *core.View) []string { return v.Keys.GroupingCols },
-			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, out []*node) []*node {
-				return idx.Qualify(func(key map[string]bool) bool {
-					return intersectsAll(key, qk.GroupingClasses)
-				}, out)
+			key:  func(v *core.View) lattice.Set { return v.Keys.GroupingCols },
+			search: func(idx *lattice.Index[*node], qk *core.QueryKeys, sc *lattice.Scratch, out []*node) []*node {
+				return idx.Covering(qk.GroupingClasses, sc, out)
 			},
 		},
 	)
@@ -191,8 +161,9 @@ func aggLevels() []level {
 // New returns an empty filter tree.
 func New() *Tree {
 	return &Tree{
-		spj: &subtree{levels: commonLevels(false), root: &node{}},
-		agg: &subtree{levels: aggLevels(), root: &node{}},
+		spj:     &subtree{levels: commonLevels(false), root: &node{}},
+		agg:     &subtree{levels: aggLevels(), root: &node{}},
+		scratch: sync.Pool{New: func() any { return new(candScratch) }},
 	}
 }
 
@@ -236,15 +207,12 @@ func (st *subtree) insert(v *core.View) {
 	cur := st.root
 	for _, lv := range st.levels {
 		key := lv.key(v)
-		canon := lattice.Canon(key)
-		if cur.children == nil {
-			cur.children = map[string]*node{}
+		if cur.idx == nil {
 			cur.idx = lattice.New[*node]()
 		}
-		child, ok := cur.children[canon]
+		child, ok := cur.idx.Get(key)
 		if !ok {
 			child = &node{}
-			cur.children[canon] = child
 			cur.idx.Insert(key, child)
 		}
 		cur = child
@@ -254,45 +222,35 @@ func (st *subtree) insert(v *core.View) {
 
 func (st *subtree) delete(v *core.View) bool {
 	type step struct {
-		n     *node
-		key   []string
-		canon string
+		parent, child *node
+		key           lattice.Set
 	}
 	cur := st.root
 	var path []step
 	for _, lv := range st.levels {
-		key := lv.key(v)
-		canon := lattice.Canon(key)
-		if cur.children == nil {
+		if cur.idx == nil {
 			return false
 		}
-		child, ok := cur.children[canon]
+		key := lv.key(v)
+		child, ok := cur.idx.Get(key)
 		if !ok {
 			return false
 		}
-		path = append(path, step{cur, key, canon})
+		path = append(path, step{cur, child, key})
 		cur = child
 	}
-	idx := -1
-	for i, w := range cur.views {
-		if w.ID == v.ID {
-			idx = i
-			break
-		}
-	}
+	idx := slices.IndexFunc(cur.views, func(w *core.View) bool { return w.ID == v.ID })
 	if idx < 0 {
 		return false
 	}
-	cur.views = append(cur.views[:idx], cur.views[idx+1:]...)
+	cur.views = slices.Delete(cur.views, idx, idx+1)
 	// Prune empty partitions bottom-up.
 	for i := len(path) - 1; i >= 0; i-- {
-		parent := path[i]
-		child := parent.n.children[parent.canon]
-		if len(child.views) > 0 || len(child.children) > 0 {
+		p := path[i]
+		if len(p.child.views) > 0 || (p.child.idx != nil && p.child.idx.Len() > 0) {
 			break
 		}
-		delete(parent.n.children, parent.canon)
-		parent.n.idx.Delete(parent.key, func(p *node) bool { return p == child })
+		p.parent.idx.Delete(p.key, func(n *node) bool { return n == p.child })
 	}
 	return true
 }
@@ -301,24 +259,23 @@ func (st *subtree) delete(v *core.View) bool {
 // the given query keys, sorted by view ID. SPJ queries search only the SPJ
 // subtree (an aggregation view can never answer them); aggregation queries
 // search both subtrees, except scalar aggregates which skip the aggregation
-// subtree (see core.Matcher.Match).
+// subtree (see core.QueryContext.Match).
 //
 // The returned slice is freshly allocated — it never aliases the tree's
 // pooled scratch buffers, so callers may retain or mutate it freely.
 func (t *Tree) Candidates(qk *core.QueryKeys) []*core.View {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	sc := t.getScratch()
-	buf := t.spj.candidates(qk, sc, sc.views[:0])
-	if qk.IsAggregate && !qk.ScalarAggregate {
+	sc := t.scratch.Get().(*candScratch)
+	buf := sc.views[:0]
+	if !qk.SkipSPJ {
+		buf = t.spj.candidates(qk, sc, buf)
+	}
+	if qk.IsAggregate && !qk.ScalarAggregate && !qk.SkipAgg {
 		buf = t.agg.candidates(qk, sc, buf)
 	}
-	sort.Slice(buf, func(i, j int) bool { return buf[i].ID < buf[j].ID })
-	var out []*core.View
-	if len(buf) > 0 {
-		out = make([]*core.View, len(buf))
-		copy(out, buf)
-	}
+	slices.SortFunc(buf, func(a, b *core.View) int { return cmp.Compare(a.ID, b.ID) })
+	out := slices.Clone(buf)
 	sc.views = buf[:0]
 	t.scratch.Put(sc)
 	return out
@@ -334,43 +291,26 @@ func (st *subtree) candidates(qk *core.QueryKeys, sc *candScratch, out []*core.V
 			if n.idx == nil {
 				continue
 			}
-			next = lv.search(n.idx, qk, next)
+			next = lv.search(n.idx, qk, &sc.marks, next)
 		}
 		if len(next) == 0 {
 			return out
 		}
 		frontier, next = next, frontier
 	}
-	ext := sc.ext
-	clear(ext)
-	for _, c := range qk.ExtRangeCols {
-		ext[c] = true
-	}
 	for _, n := range frontier {
+	views:
 		for _, v := range n.views {
 			// Strong range constraint condition (§4.2.5): every constrained
 			// view class must have at least one column in the query's
 			// extended range constraint list.
-			if passesStrongRangeCheck(v, ext) {
-				out = append(out, v)
+			for _, cls := range v.Keys.RangeClasses {
+				if !cls.Intersects(qk.ExtRangeCols) {
+					continue views
+				}
 			}
+			out = append(out, v)
 		}
 	}
 	return out
-}
-
-func passesStrongRangeCheck(v *core.View, ext map[string]bool) bool {
-	for _, cls := range v.Keys.RangeClasses {
-		hit := false
-		for _, c := range cls {
-			if ext[c] {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			return false
-		}
-	}
-	return true
 }

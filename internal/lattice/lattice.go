@@ -3,6 +3,9 @@
 // the two searches the filter tree needs — all keys that are subsets of a
 // search key and all keys that are supersets — without scanning every key.
 //
+// Keys are bitsets over small dense integers (the caller interns its
+// elements), so every ⊆ / ⊇ / ∩ test is a few word operations.
+//
 // Each node carries superset pointers (to minimal supersets) and subset
 // pointers (to maximal subsets); nodes without supersets are tops, nodes
 // without subsets are roots. A superset search starts from the tops and
@@ -10,78 +13,127 @@
 // the search key (no subset of it can be). A subset search is the mirror
 // image, starting from the roots.
 //
-// Concurrency: the search methods (Supersets, Subsets, Qualify, All, Len,
-// Size) never mutate the index — node visit tracking lives in pooled
-// per-search scratch, not on the nodes — so any number of goroutines may
-// search concurrently. Insert and Delete mutate the graph and require
-// external synchronization against each other and against searches (the
-// filter tree provides it with an RWMutex).
+// Concurrency: the search methods (Supersets, Subsets, Covering, Get, Len,
+// Size) never mutate the index — node visit tracking lives in the
+// caller's Scratch, not on the nodes — so any number of goroutines may search
+// concurrently, each with its own Scratch. Insert and Delete mutate the graph
+// and require external synchronization against each other and against
+// searches (the filter tree provides it with an RWMutex).
 package lattice
 
 import (
-	"sort"
-	"strings"
-	"sync"
-
-	"matview/internal/intern"
+	"encoding/binary"
+	"math/bits"
+	"slices"
 )
+
+// Set is a set of small non-negative integers as a bitset. A Set built with
+// Add has no trailing zero words, which makes equal sets equal word for word
+// and lets SubsetOf reject on length alone.
+type Set []uint64
+
+// Add returns s with id added, growing it as needed.
+func (s Set) Add(id int) Set {
+	w := id >> 6
+	for len(s) <= w {
+		s = append(s, 0)
+	}
+	s[w] |= 1 << (id & 63)
+	return s
+}
+
+// Has reports whether id is in s.
+func (s Set) Has(id int) bool {
+	w := id >> 6
+	return w < len(s) && s[w]&(1<<(id&63)) != 0
+}
+
+// Len returns the number of elements.
+func (s Set) Len() int {
+	n := 0
+	for _, w := range s {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// SubsetOf reports s ⊆ o.
+func (s Set) SubsetOf(o Set) bool {
+	if len(s) > len(o) {
+		return false
+	}
+	for i, w := range s {
+		if w&^o[i] != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Intersects reports s ∩ o ≠ ∅.
+func (s Set) Intersects(o Set) bool {
+	if len(o) < len(s) {
+		s = s[:len(o)]
+	}
+	for i, w := range s {
+		if w&o[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// handle returns the map key of s: its words as bytes.
+func (s Set) handle() string {
+	b := make([]byte, 0, 64)
+	for _, w := range s {
+		b = binary.LittleEndian.AppendUint64(b, w)
+	}
+	return string(b)
+}
 
 // node is one key set in the lattice with its payloads.
 type node[P any] struct {
-	id       int // dense per-index ordinal, indexes searchScratch.marks
-	key      map[string]bool
-	canon    string // canonical sorted-joined key, map lookup handle
+	id       int // dense per-index ordinal, indexes Scratch.marks
+	key      Set
 	payloads []P
 	supers   []*node[P] // minimal supersets
 	subs     []*node[P] // maximal subsets
 }
 
-// Index is a lattice index over string-set keys with payloads of type P. The
-// zero value is not usable; call New.
+// Index is a lattice index over Set keys with payloads of type P. The zero
+// value is not usable; call New.
 type Index[P any] struct {
 	nodes  map[string]*node[P]
 	tops   []*node[P]
 	roots  []*node[P]
 	size   int // total payload count
 	nextID int
-	// scratch pools per-search visit marks and the search-key set, keeping
-	// the read path allocation-free in steady state.
-	scratch sync.Pool // *searchScratch
 }
 
-// searchScratch is per-search state: an epoch-stamped visited array indexed
-// by node id (bumping the epoch invalidates all marks in O(1)) and a
-// reusable string-set for the search key.
-type searchScratch struct {
+// Scratch is the working state of a search: an epoch-stamped visited array
+// indexed by node id (bumping the epoch invalidates all marks in O(1)). One
+// Scratch serves any number of searches, over any indexes, one at a time; the
+// zero value is ready to use. Reusing it keeps searches allocation-free.
+type Scratch struct {
 	marks []uint32
 	epoch uint32
-	set   map[string]bool
 }
 
-func (x *Index[P]) getScratch() *searchScratch {
-	sc, _ := x.scratch.Get().(*searchScratch)
-	if sc == nil {
-		sc = &searchScratch{set: make(map[string]bool, 8)}
+// begin readies the scratch for one search of an index with that many nodes.
+func (sc *Scratch) begin(nodes int) {
+	if len(sc.marks) < nodes {
+		sc.marks = append(sc.marks, make([]uint32, nodes-len(sc.marks))...)
 	}
 	sc.epoch++
 	if sc.epoch == 0 { // wrapped: stale marks could collide, reset them
-		for i := range sc.marks {
-			sc.marks[i] = 0
-		}
+		clear(sc.marks)
 		sc.epoch = 1
 	}
-	return sc
 }
 
-func (x *Index[P]) putScratch(sc *searchScratch) { x.scratch.Put(sc) }
-
 // visit marks the node visited and reports whether it already was.
-func (sc *searchScratch) visit(id int) bool {
-	if id >= len(sc.marks) {
-		grown := make([]uint32, id+1+len(sc.marks))
-		copy(grown, sc.marks)
-		sc.marks = grown
-	}
+func (sc *Scratch) visit(id int) bool {
 	if sc.marks[id] == sc.epoch {
 		return true
 	}
@@ -89,56 +141,9 @@ func (sc *searchScratch) visit(id int) bool {
 	return false
 }
 
-// searchSet fills the reusable set with the search key's members.
-func (sc *searchScratch) searchSet(key []string) map[string]bool {
-	clear(sc.set)
-	for _, k := range key {
-		sc.set[k] = true
-	}
-	return sc.set
-}
-
 // New returns an empty lattice index.
 func New[P any]() *Index[P] {
 	return &Index[P]{nodes: map[string]*node[P]{}}
-}
-
-// Canon returns the canonical form of a key (sorted, deduplicated, joined);
-// exported for tests and diagnostics. The result is interned: equal keys
-// share one backing string across indexes and filter-tree levels.
-func Canon(key []string) string {
-	s := append([]string(nil), key...)
-	sort.Strings(s)
-	out := s[:0]
-	var prev string
-	for i, v := range s {
-		if i == 0 || v != prev {
-			out = append(out, v)
-		}
-		prev = v
-	}
-	return intern.String(strings.Join(out, "\x00"))
-}
-
-func toSet(key []string) map[string]bool {
-	m := make(map[string]bool, len(key))
-	for _, k := range key {
-		m[k] = true
-	}
-	return m
-}
-
-// isSubset reports a ⊆ b.
-func isSubset(a, b map[string]bool) bool {
-	if len(a) > len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
 }
 
 // Len returns the number of distinct keys in the index.
@@ -147,37 +152,26 @@ func (x *Index[P]) Len() int { return len(x.nodes) }
 // Size returns the total number of payloads stored.
 func (x *Index[P]) Size() int { return x.size }
 
-// Keys returns every distinct key (as sorted member slices), for diagnostics.
-func (x *Index[P]) Keys() [][]string {
-	out := make([][]string, 0, len(x.nodes))
-	for _, n := range x.nodes {
-		out = append(out, n.members())
+// Get returns the first payload stored under exactly key.
+func (x *Index[P]) Get(key Set) (p P, ok bool) {
+	n, ok := x.nodes[key.handle()]
+	if !ok {
+		return p, false
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return strings.Join(out[i], "\x00") < strings.Join(out[j], "\x00")
-	})
-	return out
-}
-
-func (n *node[P]) members() []string {
-	out := make([]string, 0, len(n.key))
-	for k := range n.key {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return n.payloads[0], true
 }
 
 // Insert adds a payload under the given key set, creating and wiring a new
-// lattice node if the key is new.
-func (x *Index[P]) Insert(key []string, payload P) {
-	canon := Canon(key)
-	if n, ok := x.nodes[canon]; ok {
+// lattice node if the key is new. The key is retained and must not be
+// modified afterwards.
+func (x *Index[P]) Insert(key Set, payload P) {
+	h := key.handle()
+	if n, ok := x.nodes[h]; ok {
 		n.payloads = append(n.payloads, payload)
 		x.size++
 		return
 	}
-	n := &node[P]{id: x.nextID, key: toSet(key), canon: canon, payloads: []P{payload}}
+	n := &node[P]{id: x.nextID, key: key, payloads: []P{payload}}
 	x.nextID++
 
 	// Find the minimal supersets and maximal subsets of the new key by a
@@ -205,85 +199,64 @@ func (x *Index[P]) Insert(key []string, payload P) {
 		x.tops = append(x.tops, n)
 	}
 	// Former tops that are now below n stop being tops.
-	x.tops = filterNodes(x.tops, func(t *node[P]) bool { return len(t.supers) == 0 })
+	x.tops = slices.DeleteFunc(x.tops, func(t *node[P]) bool { return len(t.supers) > 0 })
 	if len(subs) == 0 {
 		x.roots = append(x.roots, n)
 	}
-	x.roots = filterNodes(x.roots, func(r *node[P]) bool { return len(r.subs) == 0 })
+	x.roots = slices.DeleteFunc(x.roots, func(r *node[P]) bool { return len(r.subs) > 0 })
 
-	x.nodes[canon] = n
+	x.nodes[h] = n
 	x.size++
 }
 
 // minimalSupersets returns the nodes with key ⊇ k that have no other superset
 // node of k below them.
-func (x *Index[P]) minimalSupersets(k map[string]bool) []*node[P] {
-	var result []*node[P]
-	visited := map[*node[P]]bool{}
-	var walk func(n *node[P]) bool // returns true if n or a descendant is a superset
-	walk = func(n *node[P]) bool {
-		if visited[n] {
-			return isSubset(k, n.key)
-		}
-		visited[n] = true
-		if !isSubset(k, n.key) {
-			return false
-		}
-		childIs := false
-		for _, c := range n.subs {
-			if walk(c) {
-				childIs = true
-			}
-		}
-		if !childIs {
-			result = append(result, n)
-		}
-		return true
-	}
-	for _, t := range x.tops {
-		walk(t)
-	}
-	return dedupNodes(result)
+func (x *Index[P]) minimalSupersets(k Set) []*node[P] {
+	return extremes(x.tops, func(n *node[P]) bool { return k.SubsetOf(n.key) }, func(n *node[P]) []*node[P] { return n.subs })
 }
 
 // maximalSubsets returns the nodes with key ⊆ k that have no other subset
 // node of k above them.
-func (x *Index[P]) maximalSubsets(k map[string]bool) []*node[P] {
+func (x *Index[P]) maximalSubsets(k Set) []*node[P] {
+	return extremes(x.roots, func(n *node[P]) bool { return n.key.SubsetOf(k) }, func(n *node[P]) []*node[P] { return n.supers })
+}
+
+// extremes walks from the start nodes along next while ok holds and returns
+// the nodes where it holds for none of their successors. ok must fail on
+// every successor of a node it fails on.
+func extremes[P any](start []*node[P], ok func(*node[P]) bool, next func(*node[P]) []*node[P]) []*node[P] {
 	var result []*node[P]
 	visited := map[*node[P]]bool{}
-	var walk func(n *node[P]) bool
+	var walk func(n *node[P]) bool // reports whether ok holds at n
 	walk = func(n *node[P]) bool {
-		if visited[n] {
-			return isSubset(n.key, k)
+		if visited[n] || !ok(n) {
+			return ok(n)
 		}
 		visited[n] = true
-		if !isSubset(n.key, k) {
-			return false
-		}
-		parentIs := false
-		for _, p := range n.supers {
-			if walk(p) {
-				parentIs = true
+		last := true
+		for _, c := range next(n) {
+			if walk(c) {
+				last = false
 			}
 		}
-		if !parentIs {
+		if last {
 			result = append(result, n)
 		}
 		return true
 	}
-	for _, r := range x.roots {
-		walk(r)
+	for _, n := range start {
+		walk(n)
 	}
-	return dedupNodes(result)
+	return result
 }
 
 // Delete removes one payload (selected by match) under the given key; when
 // the node's payload list empties, the node is unlinked and its neighbours
 // are re-wired to preserve reachability. It returns whether a payload was
 // removed.
-func (x *Index[P]) Delete(key []string, match func(P) bool) bool {
-	canon := Canon(key)
-	n, ok := x.nodes[canon]
+func (x *Index[P]) Delete(key Set, match func(P) bool) bool {
+	h := key.handle()
+	n, ok := x.nodes[h]
 	if !ok {
 		return false
 	}
@@ -305,14 +278,14 @@ func (x *Index[P]) Delete(key []string, match func(P) bool) bool {
 
 	// Unlink the empty node. Snapshot the neighbour lists first: removeEdge
 	// mutates them.
-	delete(x.nodes, canon)
+	delete(x.nodes, h)
 	supers := append([]*node[P](nil), n.supers...)
 	subs := append([]*node[P](nil), n.subs...)
 	for _, s := range supers {
 		removeEdge(s, n)
 	}
 	for _, b := range subs {
-		removeEdgeUp(b, n)
+		removeEdge(n, b)
 	}
 	// Restore reachability between n's former supers and subs.
 	for _, s := range supers {
@@ -325,15 +298,15 @@ func (x *Index[P]) Delete(key []string, match func(P) bool) bool {
 	}
 	// Former subs with no supersets become tops; former supers with no
 	// subsets become roots.
-	x.tops = filterNodes(x.tops, func(t *node[P]) bool { return t != n })
-	x.roots = filterNodes(x.roots, func(r *node[P]) bool { return r != n })
+	x.tops = slices.DeleteFunc(x.tops, func(t *node[P]) bool { return t == n })
+	x.roots = slices.DeleteFunc(x.roots, func(r *node[P]) bool { return r == n })
 	for _, b := range subs {
-		if len(b.supers) == 0 && !containsNode(x.tops, b) {
+		if len(b.supers) == 0 && !slices.Contains(x.tops, b) {
 			x.tops = append(x.tops, b)
 		}
 	}
 	for _, s := range supers {
-		if len(s.subs) == 0 && !containsNode(x.roots, s) {
+		if len(s.subs) == 0 && !slices.Contains(x.roots, s) {
 			x.roots = append(x.roots, s)
 		}
 	}
@@ -356,7 +329,7 @@ func (x *Index[P]) reachable(s, b *node[P]) bool {
 		}
 		visited[n] = true
 		// Prune: b's key must be a subset of every node on the path.
-		if !isSubset(b.key, n.key) {
+		if !b.key.SubsetOf(n.key) {
 			return false
 		}
 		for _, c := range n.subs {
@@ -370,126 +343,61 @@ func (x *Index[P]) reachable(s, b *node[P]) bool {
 }
 
 // Supersets appends to out the payloads of every node whose key is a superset
-// of (or equal to) the search key, and returns out.
-func (x *Index[P]) Supersets(search []string, out []P) []P {
-	sc := x.getScratch()
-	defer x.putScratch(sc)
-	k := sc.searchSet(search)
-	var walk func(n *node[P])
-	walk = func(n *node[P]) {
-		if sc.visit(n.id) {
-			return
-		}
-		if !isSubset(k, n.key) {
-			return // no subset of n can be a superset of k
-		}
-		out = append(out, n.payloads...)
-		for _, c := range n.subs {
-			walk(c)
-		}
-	}
-	for _, t := range x.tops {
-		walk(t)
-	}
-	return out
+// of (or equal to) the search key, and returns out. It walks down from the
+// tops: no subset of a node that fails can be a superset of the key.
+func (x *Index[P]) Supersets(search Set, sc *Scratch, out []P) []P {
+	return x.search(x.tops, false, sc, out, func(key Set) bool { return search.SubsetOf(key) })
 }
 
 // Subsets appends to out the payloads of every node whose key is a subset of
-// (or equal to) the search key, and returns out.
-func (x *Index[P]) Subsets(search []string, out []P) []P {
-	sc := x.getScratch()
-	defer x.putScratch(sc)
-	k := sc.searchSet(search)
-	var walk func(n *node[P])
-	walk = func(n *node[P]) {
-		if sc.visit(n.id) {
-			return
+// (or equal to) the search key, and returns out. It walks up from the roots:
+// no superset of a node that fails can be a subset of the key.
+func (x *Index[P]) Subsets(search Set, sc *Scratch, out []P) []P {
+	return x.search(x.roots, true, sc, out, func(key Set) bool { return key.SubsetOf(search) })
+}
+
+// Covering appends the payloads of every node whose key intersects each of
+// the classes — the output-column and grouping-column conditions of
+// §4.2.3–4.2.4. Like a superset search it walks down from the tops: a key
+// that misses a class has no subset that hits it.
+func (x *Index[P]) Covering(classes []Set, sc *Scratch, out []P) []P {
+	return x.search(x.tops, false, sc, out, func(key Set) bool {
+		for _, cls := range classes {
+			if !key.Intersects(cls) {
+				return false
+			}
 		}
-		if !isSubset(n.key, k) {
-			return // no superset of n can be a subset of k
-		}
-		out = append(out, n.payloads...)
-		for _, p := range n.supers {
-			walk(p)
-		}
-	}
-	for _, r := range x.roots {
-		walk(r)
+		return true
+	})
+}
+
+// search collects the start nodes and everything reachable from them (along
+// superset pointers when up is set, subset pointers otherwise) whose key
+// satisfies keep, pruning below a node that fails.
+func (x *Index[P]) search(start []*node[P], up bool, sc *Scratch, out []P, keep func(Set) bool) []P {
+	sc.begin(x.nextID)
+	for _, n := range start {
+		out = walk(n, up, sc, out, keep)
 	}
 	return out
 }
 
-// Qualify appends the payloads of every node whose key satisfies pred, where
-// pred must be downward closed in failure: if a key fails, every subset of it
-// fails. This generalizes the superset search to the output-column and
-// grouping-column conditions of §4.2.3–4.2.4.
-func (x *Index[P]) Qualify(pred func(key map[string]bool) bool, out []P) []P {
-	sc := x.getScratch()
-	defer x.putScratch(sc)
-	var walk func(n *node[P])
-	walk = func(n *node[P]) {
-		if sc.visit(n.id) {
-			return
-		}
-		if !pred(n.key) {
-			return
-		}
-		out = append(out, n.payloads...)
-		for _, c := range n.subs {
-			walk(c)
-		}
+func walk[P any](n *node[P], up bool, sc *Scratch, out []P, keep func(Set) bool) []P {
+	if sc.visit(n.id) || !keep(n.key) {
+		return out
 	}
-	for _, t := range x.tops {
-		walk(t)
+	out = append(out, n.payloads...)
+	next := n.subs
+	if up {
+		next = n.supers
 	}
-	return out
-}
-
-// All appends every payload in the index to out and returns it.
-func (x *Index[P]) All(out []P) []P {
-	for _, n := range x.nodes {
-		out = append(out, n.payloads...)
+	for _, c := range next {
+		out = walk(c, up, sc, out, keep)
 	}
 	return out
 }
 
 func removeEdge[P any](parent, child *node[P]) {
-	parent.subs = filterNodes(parent.subs, func(n *node[P]) bool { return n != child })
-	child.supers = filterNodes(child.supers, func(n *node[P]) bool { return n != parent })
-}
-
-func removeEdgeUp[P any](child, parent *node[P]) {
-	child.supers = filterNodes(child.supers, func(n *node[P]) bool { return n != parent })
-	parent.subs = filterNodes(parent.subs, func(n *node[P]) bool { return n != child })
-}
-
-func filterNodes[P any](in []*node[P], keep func(*node[P]) bool) []*node[P] {
-	out := in[:0]
-	for _, n := range in {
-		if keep(n) {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func dedupNodes[P any](in []*node[P]) []*node[P] {
-	seen := map[*node[P]]bool{}
-	out := in[:0]
-	for _, n := range in {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-func containsNode[P any](in []*node[P], n *node[P]) bool {
-	for _, m := range in {
-		if m == n {
-			return true
-		}
-	}
-	return false
+	parent.subs = slices.DeleteFunc(parent.subs, func(n *node[P]) bool { return n == child })
+	child.supers = slices.DeleteFunc(child.supers, func(n *node[P]) bool { return n == parent })
 }

@@ -6,7 +6,15 @@ import (
 	"testing"
 )
 
-func keys(ss ...string) []string { return ss }
+// keys builds the set of the given one-letter elements. Letters are spread
+// over several words so that keys of different lengths meet in every search.
+func keys(ss ...string) Set {
+	var s Set
+	for _, e := range ss {
+		s = s.Add(int(e[0]-'A') * 11)
+	}
+	return s
+}
 
 func sortedInts(in []int) []int {
 	out := append([]int(nil), in...)
@@ -35,7 +43,7 @@ func figure1Index() *Index[int] {
 		{"A", "B", "C"}, {"A", "B", "F"}, {"B", "C", "D", "E"},
 	}
 	for i, s := range sets {
-		x.Insert(s, i)
+		x.Insert(keys(s...), i)
 	}
 	return x
 }
@@ -43,7 +51,7 @@ func figure1Index() *Index[int] {
 func TestFigure1SupersetSearch(t *testing.T) {
 	x := figure1Index()
 	// The paper: supersets of AB are ABC, ABF, and AB itself.
-	got := sortedInts(x.Supersets(keys("A", "B"), nil))
+	got := sortedInts(x.Supersets(keys("A", "B"), new(Scratch), nil))
 	want := []int{3, 5, 6} // AB, ABC, ABF
 	if !equalInts(got, want) {
 		t.Fatalf("Supersets(AB) = %v, want %v", got, want)
@@ -53,13 +61,13 @@ func TestFigure1SupersetSearch(t *testing.T) {
 func TestFigure1SubsetSearch(t *testing.T) {
 	x := figure1Index()
 	// Subsets of BCDE: B, D, BE, BCDE.
-	got := sortedInts(x.Subsets(keys("B", "C", "D", "E"), nil))
+	got := sortedInts(x.Subsets(keys("B", "C", "D", "E"), new(Scratch), nil))
 	want := []int{1, 2, 4, 7}
 	if !equalInts(got, want) {
 		t.Fatalf("Subsets(BCDE) = %v, want %v", got, want)
 	}
 	// Subsets of AB: A, B, AB.
-	got = sortedInts(x.Subsets(keys("A", "B"), nil))
+	got = sortedInts(x.Subsets(keys("A", "B"), new(Scratch), nil))
 	want = []int{0, 1, 3}
 	if !equalInts(got, want) {
 		t.Fatalf("Subsets(AB) = %v, want %v", got, want)
@@ -69,7 +77,7 @@ func TestFigure1SubsetSearch(t *testing.T) {
 func TestNoDuplicateResults(t *testing.T) {
 	// AB is reachable from both ABC and ABF; it must be returned once.
 	x := figure1Index()
-	got := x.Supersets(keys("A", "B"), nil)
+	got := x.Supersets(keys("A", "B"), new(Scratch), nil)
 	seen := map[int]bool{}
 	for _, p := range got {
 		if seen[p] {
@@ -84,15 +92,15 @@ func TestEmptyKeyAndEmptySearch(t *testing.T) {
 	x.Insert(nil, 99) // empty key (e.g. a view with no residuals)
 	x.Insert(keys("A"), 1)
 	// Empty key is a subset of everything.
-	if got := sortedInts(x.Subsets(keys("Z"), nil)); !equalInts(got, []int{99}) {
+	if got := sortedInts(x.Subsets(keys("Z"), new(Scratch), nil)); !equalInts(got, []int{99}) {
 		t.Errorf("Subsets(Z) = %v", got)
 	}
 	// Everything is a superset of the empty search key.
-	if got := sortedInts(x.Supersets(nil, nil)); !equalInts(got, []int{1, 99}) {
+	if got := sortedInts(x.Supersets(nil, new(Scratch), nil)); !equalInts(got, []int{1, 99}) {
 		t.Errorf("Supersets({}) = %v", got)
 	}
 	// Only the empty key is a subset of the empty search key.
-	if got := sortedInts(x.Subsets(nil, nil)); !equalInts(got, []int{99}) {
+	if got := sortedInts(x.Subsets(nil, new(Scratch), nil)); !equalInts(got, []int{99}) {
 		t.Errorf("Subsets({}) = %v", got)
 	}
 }
@@ -105,35 +113,46 @@ func TestDuplicateKeysSharePayloadList(t *testing.T) {
 	if x.Len() != 1 || x.Size() != 3 {
 		t.Fatalf("Len=%d Size=%d", x.Len(), x.Size())
 	}
-	if got := sortedInts(x.Supersets(keys("A"), nil)); !equalInts(got, []int{1, 2, 3}) {
+	if got := sortedInts(x.Supersets(keys("A"), new(Scratch), nil)); !equalInts(got, []int{1, 2, 3}) {
 		t.Errorf("payloads = %v", got)
 	}
 }
 
-func TestQualifyConditionSearch(t *testing.T) {
+func TestCoveringConditionSearch(t *testing.T) {
 	x := figure1Index()
 	// Output-column-style condition: key must intersect {A, D} and {B}.
-	classes := [][]string{{"A", "D"}, {"B"}}
-	pred := func(key map[string]bool) bool {
-		for _, cls := range classes {
-			hit := false
-			for _, c := range cls {
-				if key[c] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				return false
-			}
-		}
-		return true
-	}
-	got := sortedInts(x.Qualify(pred, nil))
+	got := sortedInts(x.Covering([]Set{keys("A", "D"), keys("B")}, new(Scratch), nil))
 	// Qualifying keys: AB(3), ABC(5), ABF(6), BCDE(7).
 	want := []int{3, 5, 6, 7}
 	if !equalInts(got, want) {
-		t.Fatalf("Qualify = %v, want %v", got, want)
+		t.Fatalf("Covering = %v, want %v", got, want)
+	}
+	// No classes: every key qualifies.
+	if got := x.Covering(nil, new(Scratch), nil); len(got) != 8 {
+		t.Fatalf("Covering() = %v", got)
+	}
+}
+
+func TestSetOps(t *testing.T) {
+	a, ab, z := keys("A"), keys("A", "B"), keys("Z")
+	if !a.SubsetOf(ab) || ab.SubsetOf(a) || !Set(nil).SubsetOf(a) || z.SubsetOf(ab) || ab.SubsetOf(z) {
+		t.Error("SubsetOf wrong")
+	}
+	if !a.Intersects(ab) || a.Intersects(z) || z.Intersects(a) || a.Intersects(nil) {
+		t.Error("Intersects wrong")
+	}
+	if !ab.Has(0) || !ab.Has(11) || ab.Has(1) || ab.Has(1000) || ab.Len() != 2 {
+		t.Error("Has/Len wrong")
+	}
+}
+
+func TestGet(t *testing.T) {
+	x := figure1Index()
+	if p, ok := x.Get(keys("B", "A")); !ok || p != 3 {
+		t.Errorf("Get(AB) = %d, %v", p, ok)
+	}
+	if _, ok := x.Get(keys("A", "C")); ok {
+		t.Error("Get found a key that was never inserted")
 	}
 }
 
@@ -144,13 +163,13 @@ func TestDelete(t *testing.T) {
 	}
 	// AB is gone; supersets of A must still find ABC and ABF through the
 	// re-wired edges.
-	got := sortedInts(x.Supersets(keys("A"), nil))
+	got := sortedInts(x.Supersets(keys("A"), new(Scratch), nil))
 	want := []int{0, 5, 6} // A, ABC, ABF
 	if !equalInts(got, want) {
 		t.Fatalf("Supersets(A) after delete = %v, want %v", got, want)
 	}
 	// Subset search must also still reach A from ABC.
-	got = sortedInts(x.Subsets(keys("A", "B", "C"), nil))
+	got = sortedInts(x.Subsets(keys("A", "B", "C"), new(Scratch), nil))
 	want = []int{0, 1, 5}
 	if !equalInts(got, want) {
 		t.Fatalf("Subsets(ABC) after delete = %v, want %v", got, want)
@@ -169,17 +188,8 @@ func TestDeleteOnlyOnePayload(t *testing.T) {
 	x.Insert(keys("A"), 1)
 	x.Insert(keys("A"), 2)
 	x.Delete(keys("A"), func(p int) bool { return p == 1 })
-	if got := x.Supersets(nil, nil); len(got) != 1 || got[0] != 2 {
+	if got := x.Supersets(nil, new(Scratch), nil); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("payloads = %v", got)
-	}
-}
-
-func TestCanon(t *testing.T) {
-	if Canon(keys("b", "a", "b")) != Canon(keys("a", "b")) {
-		t.Error("Canon must sort and dedup")
-	}
-	if Canon(nil) != "" {
-		t.Errorf("Canon(nil) = %q", Canon(nil))
 	}
 }
 
@@ -192,6 +202,15 @@ type naive struct {
 func (n *naive) insert(key []string, p int) {
 	n.keys = append(n.keys, key)
 	n.payloads = append(n.payloads, p)
+}
+
+func isSubset(a, b map[string]bool) bool {
+	for k := range a {
+		if !b[k] {
+			return false
+		}
+	}
+	return true
 }
 
 func setOf(key []string) map[string]bool {
@@ -244,17 +263,17 @@ func TestLatticeAgainstNaive(t *testing.T) {
 		nKeys := 1 + r.Intn(40)
 		for i := 0; i < nKeys; i++ {
 			k := randKey()
-			x.Insert(k, i)
+			x.Insert(keys(k...), i)
 			ref.insert(k, i)
 		}
 		for s := 0; s < 20; s++ {
 			search := randKey()
-			got := sortedInts(x.Supersets(search, nil))
+			got := sortedInts(x.Supersets(keys(search...), new(Scratch), nil))
 			want := sortedInts(ref.supersets(search))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: Supersets(%v) = %v, want %v", trial, search, got, want)
 			}
-			got = sortedInts(x.Subsets(search, nil))
+			got = sortedInts(x.Subsets(keys(search...), new(Scratch), nil))
 			want = sortedInts(ref.subsets(search))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: Subsets(%v) = %v, want %v", trial, search, got, want)
@@ -286,14 +305,14 @@ func TestLatticeDeleteAgainstNaive(t *testing.T) {
 		var entries []entry
 		for i := 0; i < 25; i++ {
 			k := randKey()
-			x.Insert(k, i)
+			x.Insert(keys(k...), i)
 			entries = append(entries, entry{k, i})
 		}
 		// Delete half of them.
 		for i := 0; i < 12; i++ {
 			j := r.Intn(len(entries))
 			e := entries[j]
-			if !x.Delete(e.key, func(p int) bool { return p == e.p }) {
+			if !x.Delete(keys(e.key...), func(p int) bool { return p == e.p }) {
 				t.Fatalf("trial %d: failed to delete %v/%d", trial, e.key, e.p)
 			}
 			entries = append(entries[:j], entries[j+1:]...)
@@ -304,12 +323,12 @@ func TestLatticeDeleteAgainstNaive(t *testing.T) {
 		}
 		for s := 0; s < 20; s++ {
 			search := randKey()
-			got := sortedInts(x.Supersets(search, nil))
+			got := sortedInts(x.Supersets(keys(search...), new(Scratch), nil))
 			want := sortedInts(ref.supersets(search))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: Supersets(%v) = %v, want %v", trial, search, got, want)
 			}
-			got = sortedInts(x.Subsets(search, nil))
+			got = sortedInts(x.Subsets(keys(search...), new(Scratch), nil))
 			want = sortedInts(ref.subsets(search))
 			if !equalInts(got, want) {
 				t.Fatalf("trial %d: Subsets(%v) = %v, want %v", trial, search, got, want)
@@ -321,13 +340,19 @@ func TestLatticeDeleteAgainstNaive(t *testing.T) {
 	}
 }
 
-func TestAllAndKeys(t *testing.T) {
+// The searches run on every rule invocation; in steady state they allocate
+// nothing beyond what the caller's output slice needs.
+func TestSearchesDoNotAllocate(t *testing.T) {
 	x := figure1Index()
-	if got := len(x.All(nil)); got != 8 {
-		t.Errorf("All() returned %d payloads", got)
-	}
-	ks := x.Keys()
-	if len(ks) != 8 {
-		t.Errorf("Keys() returned %d keys", len(ks))
+	out := make([]int, 0, 16)
+	ab, bcde := keys("A", "B"), keys("B", "C", "D", "E")
+	classes := []Set{keys("A", "D"), keys("B")}
+	var sc Scratch
+	if n := testing.AllocsPerRun(100, func() {
+		out = x.Supersets(ab, &sc, out[:0])
+		out = x.Subsets(bcde, &sc, out[:0])
+		out = x.Covering(classes, &sc, out[:0])
+	}); n != 0 {
+		t.Errorf("searches allocate %v objects per run", n)
 	}
 }

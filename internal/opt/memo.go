@@ -509,15 +509,18 @@ func (c *optCtx) subsetExpr(mask uint64) (*spjg.Query, []expr.ColRef) {
 func (c *optCtx) subsetViewPlans(mask uint64) *planInfo {
 	subExpr, outCols := c.subsetExpr(mask)
 	subs := c.o.matchViews(subExpr, &c.stats)
-	var bestPlan *planInfo
-	for _, sub := range subs {
-		node, cost, outRows := c.buildSubstitute(sub)
-		p := newPlanInfo(node, outCols, cost, outRows, true)
-		if bestPlan == nil || p.cost < bestPlan.cost {
-			bestPlan = p
+	if len(subs) == 0 {
+		return nil
+	}
+	// Cost every substitute, build the memo entry for the cheapest only (the
+	// first one on a tie).
+	bestNode, bestCost, bestRows := c.buildSubstitute(subs[0])
+	for _, sub := range subs[1:] {
+		if node, cost, outRows := c.buildSubstitute(sub); cost < bestCost {
+			bestNode, bestCost, bestRows = node, cost, outRows
 		}
 	}
-	return bestPlan
+	return newPlanInfo(bestNode, outCols, bestCost, bestRows, true)
 }
 
 // buildSubstitute assembles a substitute's physical plan and estimates its

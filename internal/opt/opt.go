@@ -107,10 +107,6 @@ type Optimizer struct {
 	unhealthy   map[string]bool // views excluded from matching (stale/quarantined)
 	nextID      int
 
-	// qkPool recycles QueryKeys values across matchViews invocations so the
-	// per-invocation key computation reuses slice capacity.
-	qkPool sync.Pool // *core.QueryKeys
-
 	// epoch counts catalog mutations (view registration and drop, index
 	// declaration, row-count overrides). External plan caches stamp entries
 	// with the epoch observed before planning; any DDL bumps it, so a plan
@@ -273,17 +269,12 @@ func (o *Optimizer) matchViews(q *spjg.Query, stats *QueryStats) []*core.Substit
 	}
 	start := time.Now()
 	stats.Invocations++
-	var cands []*core.View
+	// One analysis of the expression serves the filter-tree search and every
+	// candidate's match.
+	qc := o.matcher.NewQueryContext(q)
+	cands := o.views
 	if o.opts.UseFilterTree {
-		qk, _ := o.qkPool.Get().(*core.QueryKeys)
-		if qk == nil {
-			qk = new(core.QueryKeys)
-		}
-		o.matcher.ComputeQueryKeysInto(q, qk)
-		cands = o.tree.Candidates(qk)
-		o.qkPool.Put(qk)
-	} else {
-		cands = o.views
+		cands = o.tree.Candidates(qc.Keys())
 	}
 	stats.CandidatesChecked += int64(len(cands))
 	var subs []*core.Substitute
@@ -291,7 +282,7 @@ func (o *Optimizer) matchViews(q *spjg.Query, stats *QueryStats) []*core.Substit
 		if len(o.unhealthy) > 0 && o.unhealthy[v.Name] {
 			continue
 		}
-		if sub := o.matcher.Match(q, v); sub != nil {
+		if sub := qc.Match(v); sub != nil {
 			stats.SubstitutesProduced++
 			if !o.opts.NoSubstitutes {
 				subs = append(subs, sub)

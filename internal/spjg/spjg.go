@@ -294,7 +294,7 @@ func (q *Query) String() string {
 // Analysis holds everything the matching tests derive from a Query: the
 // predicate components, the column equivalence classes, and the per-class
 // ranges. For views it is computed once at registration; for queries, once
-// per view-matching invocation.
+// per view-matching invocation. It is read-only once Analyze returns.
 type Analysis struct {
 	Q *Query
 
@@ -304,14 +304,13 @@ type Analysis struct {
 	PR []expr.RangeConjunct
 	PU []expr.Expr
 
-	// EC holds the column equivalence classes computed from PE, with every
-	// column referenced anywhere in the expression at least in a trivial
-	// class.
+	// EC holds the column equivalence classes computed from PE over every
+	// column of every table instance, frozen.
 	EC *eqclass.Classes
 
-	// Ranges maps each class representative (EC.Find of any member) to the
-	// class's accumulated range. Only constrained classes appear.
-	Ranges map[expr.ColRef]ranges.Range
+	// Ranges lists the constrained classes with their accumulated range, in
+	// the order the classes were first constrained.
+	Ranges []ClassRange
 
 	// ResidualFPs are the normalized fingerprints of the PU conjuncts,
 	// aligned with PU by index.
@@ -322,12 +321,21 @@ type Analysis struct {
 	Contradiction bool
 }
 
+// ClassRange is the accumulated range of one equivalence class; Rep is the
+// EC id of the class representative.
+type ClassRange struct {
+	Rep   int32
+	Range ranges.Range
+}
+
 // Analyze computes the Analysis of q. Check constraints of referenced tables
 // are folded into the predicate before the split when includeChecks is set —
 // the extension the paper describes ("check constraints can be taken into
 // account by including them in the antecedent", §3.1.2).
 func Analyze(q *Query, includeChecks bool) *Analysis {
-	a := &Analysis{Q: q, EC: eqclass.New(), Ranges: map[expr.ColRef]ranges.Range{}}
+	a := &Analysis{Q: q, EC: eqclass.New(len(q.Tables), func(t int) int {
+		return len(q.Tables[t].Table.Columns)
+	})}
 
 	pred := q.Where
 	if pred == nil {
@@ -349,41 +357,38 @@ func Analyze(q *Query, includeChecks bool) *Analysis {
 	a.PE = pe
 	a.PR = pr
 	a.EC.AddEqualities(pe)
-
-	// Track every referenced column so trivial classes exist for them; the
-	// §3.2 table-addition step and the filter-tree keys rely on this.
-	touch := func(e expr.Expr) {
-		for _, r := range expr.Columns(e) {
-			a.EC.Touch(r)
-		}
-	}
-	touch(pred)
-	for _, o := range q.Outputs {
-		if o.Expr != nil {
-			touch(o.Expr)
-		} else if o.Agg != nil && o.Agg.Arg != nil {
-			touch(o.Agg.Arg)
-		}
-	}
-	for _, g := range q.GroupBy {
-		touch(g)
-	}
+	a.EC.Freeze()
 
 	// Fold range predicates into per-class ranges. A range predicate whose
 	// constant is incomparable with the accumulated bounds degrades to a
 	// residual conjunct (conservative).
 	for _, rc := range pr {
-		rep := a.EC.Find(rc.Col)
-		cur, ok := a.Ranges[rep]
-		if !ok {
-			cur = ranges.Universal()
+		id := a.EC.ID(rc.Col)
+		if id < 0 {
+			continue // outside the FROM list; Validate rejects such queries
+		}
+		rep := a.EC.FindID(id)
+		at := -1
+		for i := range a.Ranges {
+			if a.Ranges[i].Rep == rep {
+				at = i
+				break
+			}
+		}
+		cur := ranges.Universal()
+		if at >= 0 {
+			cur = a.Ranges[at].Range
 		}
 		next, ok := cur.Apply(rc.Op, rc.Val)
 		if !ok {
-			pu = append(pu, expr.Normalize(expr.NewCmp(rc.Op, expr.ColE(rc.Col), expr.C(rc.Val))))
+			pu = append(pu, expr.NewCmp(rc.Op, expr.ColE(rc.Col), expr.C(rc.Val)))
 			continue
 		}
-		a.Ranges[rep] = next
+		if at < 0 {
+			a.Ranges = append(a.Ranges, ClassRange{Rep: rep, Range: next})
+		} else {
+			a.Ranges[at].Range = next
+		}
 		if next.Empty() {
 			a.Contradiction = true
 		}
@@ -403,9 +408,13 @@ func Analyze(q *Query, includeChecks bool) *Analysis {
 // RangeFor returns the accumulated range of the class containing r
 // (universal when unconstrained).
 func (a *Analysis) RangeFor(r expr.ColRef) ranges.Range {
-	rep := a.EC.Find(r)
-	if rg, ok := a.Ranges[rep]; ok {
-		return rg
+	if id := a.EC.ID(r); id >= 0 {
+		rep := a.EC.FindID(id)
+		for _, cr := range a.Ranges {
+			if cr.Rep == rep {
+				return cr.Range
+			}
+		}
 	}
 	return ranges.Universal()
 }

@@ -1,63 +1,22 @@
-// Server and plan-cache benchmarks. These quantify the point of the plan
-// cache: a hit costs a fingerprint and a map lookup, while a miss pays for
-// full optimization (view matching over 1000 registered views), so the
-// hit/miss gap is the per-request saving the cache buys.
+// The plan-cache miss benchmark. A hit costs a fingerprint and a map lookup
+// (internal/server's BenchmarkQueryHit measures it end to end through the
+// handler), while a miss pays for full optimization — view matching over 1000
+// registered views — so the gap is the per-request saving the cache buys.
 package matview
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"matview/internal/harness"
 	"matview/internal/server"
 	"matview/internal/sqlparser"
-	"matview/internal/tpch"
 )
-
-// BenchmarkPlanCacheHit measures the steady-state hit path: fingerprint the
-// statement text and look it up at an unchanged catalog epoch.
-func BenchmarkPlanCacheHit(b *testing.B) {
-	h := getHarness(b)
-	o, err := newBenchOptimizer(h, harness.Settings[0], 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := h.Queries()
-	cache := server.NewPlanCache(2 * len(queries))
-	sqls := make([]string, len(queries))
-	epoch := o.CatalogEpoch()
-	for i, q := range queries {
-		sqls[i] = fmt.Sprintf("select a, sum(b) as s from t%d where a = %d group by a", i, i)
-		key, err := sqlparser.Fingerprint(sqls[i])
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := o.Optimize(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cache.Put(key, epoch, &server.CachedPlan{Res: res})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		key, err := sqlparser.Fingerprint(sqls[i%len(sqls)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, ok := cache.Get(key, epoch); !ok {
-			b.Fatal("unexpected miss")
-		}
-	}
-}
 
 // BenchmarkPlanCacheMiss measures the miss path under DDL churn: every
 // lookup sees a newer catalog epoch, so the entry is invalidated and the
 // query pays for full optimization against 1000 registered views before
-// being re-cached. The gap to BenchmarkPlanCacheHit is what a hit saves.
+// being re-cached. The gap to BenchmarkQueryHit is what a hit saves.
 func BenchmarkPlanCacheMiss(b *testing.B) {
 	h := getHarness(b)
 	o, err := newBenchOptimizer(h, harness.Settings[0], 1000)
@@ -85,64 +44,5 @@ func BenchmarkPlanCacheMiss(b *testing.B) {
 			b.Fatal(err)
 		}
 		cache.Put(key, epoch, &server.CachedPlan{Res: res})
-	}
-}
-
-// BenchmarkServerQPS drives the full HTTP stack end to end — JSON decode,
-// admission, plan cache, execution, JSON encode — with parallel clients over
-// a small set of point-rollup shapes, and reports qps and the cache hit rate.
-func BenchmarkServerQPS(b *testing.B) {
-	db, err := tpch.NewDatabase(0.001, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv := server.New(db, server.DefaultConfig())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	post := func(path, sql string) error {
-		body, _ := json.Marshal(map[string]string{"sql": sql})
-		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
-		if err != nil {
-			return err
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return fmt.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		return nil
-	}
-	if err := post("/exec", `create view bench_pq with schemabinding as
-		select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
-		from lineitem group by l_partkey`); err != nil {
-		b.Fatal(err)
-	}
-	if err := post("/exec", "create unique index bench_pq_idx on bench_pq (l_partkey)"); err != nil {
-		b.Fatal(err)
-	}
-	shapes := make([]string, 16)
-	for i := range shapes {
-		shapes[i] = fmt.Sprintf(
-			"select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = %d group by l_partkey", i+1)
-	}
-
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if err := post("/query", shapes[i%len(shapes)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	m := srv.Metrics()
-	if b.Elapsed() > 0 {
-		b.ReportMetric(float64(m.Queries)/b.Elapsed().Seconds(), "qps")
-	}
-	if total := m.PlanCache.Hits + m.PlanCache.Misses; total > 0 {
-		b.ReportMetric(100*float64(m.PlanCache.Hits)/float64(total), "hit_pct")
 	}
 }

@@ -1,0 +1,83 @@
+//go:build !race
+
+package exec
+
+import (
+	"runtime"
+	"testing"
+
+	"matview/internal/expr"
+	"matview/internal/sqlvalue"
+	"matview/internal/storage"
+)
+
+// allocBytes is the mean number of heap bytes one call of f allocates.
+func allocBytes(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestRowAllocSizedToRowsEmitted: a stage that emits one row pays for a few
+// rows, not for a rowAllocSlab of them, and a stage that emits many still
+// allocates once per rowAllocSlab values (within a tenth).
+func TestRowAllocSizedToRowsEmitted(t *testing.T) {
+	if b := allocBytes(100, func() { new(rowAlloc).row(2) }); b >= 1024 {
+		t.Errorf("one row of width 2 allocates %.0f bytes, want under 1 KB", b)
+	}
+	const rows, width = 100_000, 4
+	oldSlabs := float64(rows*width+rowAllocSlab-1) / rowAllocSlab
+	n := testing.AllocsPerRun(3, func() {
+		var a rowAlloc
+		for i := 0; i < rows; i++ {
+			a.row(width)
+		}
+	})
+	if n > 1.1*oldSlabs {
+		t.Errorf("%d rows of width %d: %v slabs, want at most 1.1 × %v", rows, width, n, oldSlabs)
+	}
+	// Rows never overlap, whatever slab they come from.
+	var a rowAlloc
+	seen := map[*sqlvalue.Value]bool{}
+	for i := 0; i < 3000; i++ {
+		r := a.row(1 + i%7)
+		if len(r) != cap(r) || seen[&r[0]] || seen[&r[len(r)-1]] {
+			t.Fatalf("row %d overlaps an earlier one or has spare capacity", i)
+		}
+		seen[&r[0]], seen[&r[len(r)-1]] = true, true
+	}
+}
+
+// TestViewSeekAllocs: Project(ViewSeek) answering with one row costs the
+// index-key string, the row header slice, its value slab and the boxed
+// source — not a pipeline.
+func TestViewSeekAllocs(t *testing.T) {
+	db := smallDB(t)
+	rows := make([]storage.Row, 500)
+	for i := range rows {
+		rows[i] = storage.Row{sqlvalue.NewInt(int64(i)), sqlvalue.NewString("x"), sqlvalue.NewFloat(float64(i) / 3)}
+	}
+	if _, err := db.PutView("mv_alloc", 3, rows).BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	plan := &Project{In: &ViewScan{View: "mv_alloc", NCols: 3, EqCols: []int{0}, EqVals: storage.Row{sqlvalue.NewInt(77)}},
+		Exprs: []expr.Expr{expr.Col(0, 0), expr.Col(0, 2)}}
+	db.Commit()
+	snap := db.Snapshot() // what the server executes against
+	defer snap.Release()
+	e := &Engine{}
+	got, err := e.Run(snap, plan)
+	if err != nil || len(got) != 1 || len(got[0]) != 2 || got[0][0].Int() != 77 {
+		t.Fatalf("seek returned %v, %v", got, err)
+	}
+	if n := testing.AllocsPerRun(100, func() { e.Run(snap, plan) }); n > 4 {
+		t.Errorf("Project(ViewSeek) of one row: %v allocations, want at most 4", n)
+	}
+	if b := allocBytes(100, func() { e.Run(snap, plan) }); b > 256 {
+		t.Errorf("Project(ViewSeek) of one row: %.0f bytes, want at most 256", b)
+	}
+}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -91,6 +92,11 @@ func (e *Engine) materialize(db storage.Reader, n Node) ([]storage.Row, error) {
 	if err != nil {
 		return nil, err
 	}
+	if rows, ok := src.(sliceSource); ok && len(specs) == 0 {
+		// A view seek or an aggregation below: the rows are fresh and the
+		// slice exactly sized, so there is nothing for a pipeline to do.
+		return rows, nil
+	}
 	var col *collector
 	if _, err := e.runPipeline(src, specs, func(nm int) morselSink {
 		if col == nil {
@@ -100,15 +106,7 @@ func (e *Engine) materialize(db storage.Reader, n Node) ([]storage.Row, error) {
 	}); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, b := range col.buckets {
-		total += len(b)
-	}
-	out := make([]storage.Row, 0, total)
-	for _, b := range col.buckets {
-		out = append(out, b...)
-	}
-	return out, nil
+	return slices.Concat(col.buckets...), nil
 }
 
 // stream decomposes a subtree into the current pipeline: a row source and
@@ -131,7 +129,7 @@ func (e *Engine) stream(db storage.Reader, n Node) (rowSource, []stageSpec, erro
 			return nil, nil, fmt.Errorf("exec: view %q not materialized", t.View)
 		}
 		if len(t.EqCols) > 0 {
-			rows := seekView(v, t.EqCols, t.EqVals)
+			rows := seekView(v, t.EqCols, t.EqVals, nil)
 			var specs []stageSpec
 			if t.Filter != nil {
 				specs = append(specs, &filterSpec{pred: expr.CompilePredicate(t.Filter)})
@@ -150,6 +148,11 @@ func (e *Engine) stream(db storage.Reader, n Node) (rowSource, []stageSpec, erro
 		}
 		return src, append(specs, &filterSpec{pred: expr.CompilePredicate(t.Pred)}), nil
 	case *Project:
+		if vs, ok := t.In.(*ViewScan); ok && len(vs.EqCols) > 0 && vs.Filter == nil && projectable(t.Exprs) {
+			if v := db.ViewData(vs.View); v != nil {
+				return sliceSource(seekView(v, vs.EqCols, vs.EqVals, t.Exprs)), nil, nil
+			}
+		}
 		src, specs, err := e.stream(db, t.In)
 		if err != nil {
 			return nil, nil, err
@@ -229,28 +232,48 @@ func compileAll(es []expr.Expr) []expr.Compiled {
 // seekView resolves a point lookup on a view: via a secondary index when one
 // exists, otherwise by scanning with key equality. Matching rows are
 // materialized fresh from the column store — never aliases of view storage —
-// so results stay stable if the view is maintained after the lookup.
-func seekView(v *storage.ViewData, eqCols []int, eqVals []sqlvalue.Value) []storage.Row {
+// so results stay stable if the view is maintained after the lookup. proj,
+// when non-nil, is a projectable list over the view's columns: rows are then
+// emitted at projection width. Either way the result is one exactly-sized
+// slice of rows over one value slab.
+func seekView(v *storage.ViewData, eqCols []int, eqVals []sqlvalue.Value, proj []expr.Expr) []storage.Row {
 	st := v.Store()
+	var ords []int
 	if idx := v.LookupIndex(eqCols); idx != nil {
-		var rows []storage.Row
-		for _, ord := range idx.Probe(eqVals) {
-			rows = append(rows, st.RowAt(ord))
-		}
-		return rows
-	}
-	var rows []storage.Row
-	n := st.Len()
-	for i := 0; i < n; i++ {
-		match := true
-		for k, c := range eqCols {
-			if !sqlvalue.Identical(st.Value(i, c), eqVals[k]) {
-				match = false
-				break
+		ords = idx.Probe(eqVals) // the index's own bucket: read, never kept
+	} else {
+		n := st.Len()
+		for i := 0; i < n; i++ {
+			match := true
+			for k, c := range eqCols {
+				if !sqlvalue.Identical(st.Value(i, c), eqVals[k]) {
+					match = false
+					break
+				}
+			}
+			if match {
+				ords = append(ords, i)
 			}
 		}
-		if match {
-			rows = append(rows, st.RowAt(i))
+	}
+	ncols := st.NumCols()
+	w := ncols
+	if proj != nil {
+		w = len(proj)
+	}
+	rows := make([]storage.Row, len(ords))
+	vals := make([]sqlvalue.Value, len(ords)*w)
+	for k, ord := range ords {
+		rows[k] = vals[k*w : (k+1)*w : (k+1)*w]
+		if proj == nil {
+			st.MaterializeInto(rows[k], ord)
+		}
+		for j, ex := range proj {
+			if c, ok := ex.(expr.Column); !ok {
+				rows[k][j] = ex.(expr.Const).Val
+			} else if c.Ref.Tab == 0 && c.Ref.Col >= 0 && c.Ref.Col < ncols { // unbound reads NULL, as compiled
+				rows[k][j] = st.Value(ord, c.Ref.Col)
+			}
 		}
 	}
 	return rows
@@ -395,19 +418,24 @@ func (e *Engine) runPipeline(src rowSource, specs []stageSpec, mkSink func(numMo
 
 // rowAlloc hands out output rows carved from chunked value slabs, so an
 // operator emitting N rows performs O(N·width/slab) allocations instead of
-// N. Slabs are never recycled: emitted rows stay valid forever.
+// N. Slabs grow with what has been emitted — a few rows first, four times
+// the previous slab after that, up to rowAllocSlab values — so a stage that
+// emits one row pays for a few, not for a thousand. Slabs are never
+// recycled: emitted rows stay valid forever.
 type rowAlloc struct {
-	buf []sqlvalue.Value
+	buf  []sqlvalue.Value
+	next int // values in the next slab; 0 before the first
 }
 
-const rowAllocSlab = 4096
+const (
+	rowAllocFirst = 16
+	rowAllocSlab  = 4096
+)
 
 func (a *rowAlloc) row(w int) storage.Row {
 	if len(a.buf) < w {
-		n := rowAllocSlab
-		if n < w {
-			n = w
-		}
+		n := max(a.next, rowAllocFirst, w)
+		a.next = min(4*n, rowAllocSlab)
 		a.buf = make([]sqlvalue.Value, n)
 	}
 	r := a.buf[:w:w]

@@ -603,7 +603,7 @@ func (e *Engine) streamRids(db storage.Reader, n Node) (ridSource, *ridLayout, [
 			return nil, nil, nil, false, fmt.Errorf("exec: view %q not materialized", t.View)
 		}
 		if len(t.EqCols) > 0 {
-			rows := seekView(v, t.EqCols, t.EqVals)
+			rows := seekView(v, t.EqCols, t.EqVals, nil)
 			if len(rows) > maxRid {
 				return nil, nil, nil, false, nil
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -19,7 +20,6 @@ import (
 	"matview/internal/shell"
 	"matview/internal/spjg"
 	"matview/internal/sqlparser"
-	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 	"matview/internal/wal"
 )
@@ -435,12 +435,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
 	var req QueryRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.errors.Add(1)
@@ -448,7 +442,20 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	resp, code, err := s.runQuery(ctx, &req)
+	resp, rows, code, err := s.runQuery(r.Context(), &req)
+	// Encoding runs outside the lock — the rows are fresh copies out of a
+	// frozen snapshot — and finishes before the status line goes out, so a
+	// row JSON cannot carry is still an error response.
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	var elapsed time.Duration
+	if err == nil {
+		elapsed = time.Since(start)
+		resp.ElapsedMicros = elapsed.Microseconds()
+		if *bp, err = appendQueryResponse((*bp)[:0], resp, rows); err != nil {
+			code = http.StatusInternalServerError
+		}
+	}
 	if err != nil {
 		if code == http.StatusGatewayTimeout {
 			s.timeouts.Add(1)
@@ -457,11 +464,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	elapsed := time.Since(start)
-	resp.ElapsedMicros = elapsed.Microseconds()
 	s.lat.observe(elapsed)
 	s.queries.Add(1)
-	writeJSON(w, http.StatusOK, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(*bp) // a client that went away is not an error here
 }
 
 // planQuery is the read-locked half of /query: plan-cache lookup,
@@ -485,6 +492,13 @@ func (s *Server) planQuery(ctx context.Context, key string, req *QueryRequest) (
 		if st.Query == nil || st.ViewName != "" {
 			return nil, nil, false, nil, http.StatusBadRequest,
 				errors.New("server: /query accepts SELECT statements only; use /exec for DML and DDL")
+		}
+		// The deadline bounds optimization, the only stage that consults it:
+		// a hit never pays for the timer.
+		if s.cfg.RequestTimeout > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
+			defer cancel()
 		}
 		res, err := s.opt.OptimizeCtx(ctx, st.Query)
 		if err != nil {
@@ -511,19 +525,20 @@ func (s *Server) planQuery(ctx context.Context, key string, req *QueryRequest) (
 }
 
 // runQuery is the plan-cached SELECT path. Only planning and snapshot
-// acquisition hold the shared lock; execution and row encoding run against
-// the pinned, immutable epoch snapshot and never block or observe /exec.
-func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryResponse, int, error) {
+// acquisition hold the shared lock; execution runs against the pinned,
+// immutable epoch snapshot and never blocks or observes /exec. The returned
+// rows (at most MaxRows of them) are the reply's "rows".
+func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryResponse, []storage.Row, int, error) {
 	if strings.TrimSpace(req.SQL) == "" {
-		return nil, http.StatusBadRequest, errors.New("server: empty sql")
+		return nil, nil, http.StatusBadRequest, errors.New("server: empty sql")
 	}
 	key, err := sqlparser.Fingerprint(req.SQL)
 	if err != nil {
-		return nil, http.StatusBadRequest, err
+		return nil, nil, http.StatusBadRequest, err
 	}
 	cp, parsed, hit, snap, code, err := s.planQuery(ctx, key, req)
 	if err != nil {
-		return nil, code, err
+		return nil, nil, code, err
 	}
 	defer snap.Release()
 	resp := &QueryResponse{
@@ -534,15 +549,15 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	}
 	if req.Explain {
 		resp.Plan = exec.Explain(cp.Res.Plan)
-		return resp, 0, nil
+		return resp, nil, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, http.StatusGatewayTimeout, err
+		return nil, nil, http.StatusGatewayTimeout, err
 	}
 	execStart := time.Now()
 	rows, err := cp.Res.Plan.Run(snap)
 	if err != nil {
-		return nil, http.StatusInternalServerError, err
+		return nil, nil, http.StatusInternalServerError, err
 	}
 	// Capture hook: every executed statement feeds the usage counters and
 	// the autopilot's workload histogram (cache hits record with a nil
@@ -550,23 +565,11 @@ func (s *Server) runQuery(ctx context.Context, req *QueryRequest) (*QueryRespons
 	s.noteViewUse(cp.Views)
 	s.pilot.Recorder().Record(key, req.SQL, parsed, cp.Res.Cost, time.Since(execStart))
 	resp.RowCount = len(rows)
-	limit := len(rows)
-	if s.cfg.MaxRows > 0 && limit > s.cfg.MaxRows {
-		limit = s.cfg.MaxRows
+	if s.cfg.MaxRows > 0 && len(rows) > s.cfg.MaxRows {
+		rows = rows[:s.cfg.MaxRows]
 		resp.Truncated = true
 	}
-	// Encoding runs outside the lock: the snapshot's column arrays are
-	// frozen (copy-on-write), so concurrent DML can never mutate the values
-	// these rows alias.
-	resp.Rows = make([][]any, limit)
-	for i, row := range rows[:limit] {
-		out := make([]any, len(row))
-		for j, v := range row {
-			out[j] = valueToJSON(v)
-		}
-		resp.Rows[i] = out
-	}
-	return resp, 0, nil
+	return resp, rows, 0, nil
 }
 
 func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
@@ -775,28 +778,16 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
 }
 
-func valueToJSON(v sqlvalue.Value) any {
-	switch v.Kind() {
-	case sqlvalue.KindNull:
-		return nil
-	case sqlvalue.KindBool:
-		return v.Bool()
-	case sqlvalue.KindInt:
-		return v.Int()
-	case sqlvalue.KindFloat:
-		return v.Float()
-	case sqlvalue.KindString:
-		return v.Str()
-	default: // dates render as 'YYYY-MM-DD'
-		return strings.Trim(v.String(), "'")
-	}
-}
-
+// decodeJSON reads a request body of at most 1 MB holding exactly one JSON
+// object with no unknown fields; anything but whitespace after it is refused.
 func decodeJSON(r *http.Request, dst any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return fmt.Errorf("server: bad request body: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("server: bad request body: trailing data after the JSON object")
 	}
 	return nil
 }

@@ -578,3 +578,42 @@ func TestLoadWithConcurrentMutations(t *testing.T) {
 		t.Fatalf("leak guard fired during a clean run: %+v", m.Storage)
 	}
 }
+
+// TestRequestBodyIsOneJSONObject: every endpoint that reads a body accepts
+// exactly one JSON object, surrounding whitespace aside — a second value or
+// garbage after it used to be ignored — and still refuses unknown fields and
+// bodies over 1 MB.
+func TestRequestBodyIsOneJSONObject(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	post := func(path, body string) int {
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for path, ok := range map[string]string{
+		"/query":     `{"sql":"select l_partkey from lineitem where l_partkey = 1"}`,
+		"/exec":      `{"sql":"delete from lineitem where l_orderkey = -1"}`,
+		"/autopilot": `{"enabled":true}`,
+	} {
+		if code := post(path, " \n"+ok+"\r\n\t "); code != http.StatusOK {
+			t.Errorf("%s: one object in whitespace: status %d, want 200", path, code)
+		}
+		for _, tail := range []string{" trailing {{{", "{}", ok, "0", ","} {
+			if code := post(path, ok+tail); code != http.StatusBadRequest {
+				t.Errorf("%s: body followed by %q: status %d, want 400", path, tail, code)
+			}
+		}
+		if code := post(path, `{"nope":1,`+ok[1:]); code != http.StatusBadRequest {
+			t.Errorf("%s: unknown field: status %d, want 400", path, code)
+		}
+		if code := post(path, ok[:len(ok)-1]+`,"pad":"`+strings.Repeat("x", 1<<20)+`"}`); code != http.StatusBadRequest {
+			t.Errorf("%s: body over 1 MB: status %d, want 400", path, code)
+		}
+	}
+	if n := srv.Metrics().Errors; n != 3*7 {
+		t.Errorf("%d refused bodies counted as %d errors", 3*7, n)
+	}
+}

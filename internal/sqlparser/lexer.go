@@ -29,91 +29,93 @@ type token struct {
 	pos  int
 }
 
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
+// lex tokenizes src: identifiers are lowercased, string literals unquoted
+// and unescaped, and "!=" spelled "<>".
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
-			return l.toks, nil
+	var toks []token
+	for pos := 0; ; {
+		kind, start, end, err := scanToken(src, pos)
+		if err != nil {
+			return nil, err
 		}
-		start := l.pos
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(c):
-			for l.pos < len(l.src) && isIdentChar(l.src[l.pos]) {
-				l.pos++
+		text := src[start:end]
+		switch kind {
+		case tokIdent:
+			text = strings.ToLower(text)
+		case tokString:
+			text = strings.ReplaceAll(text[1:len(text)-1], "''", "'")
+		case tokCompare:
+			if text == "!=" {
+				text = "<>"
 			}
-			l.toks = append(l.toks, token{kind: tokIdent, text: strings.ToLower(l.src[start:l.pos]), pos: start})
-		case c >= '0' && c <= '9':
-			for l.pos < len(l.src) && (l.src[l.pos] >= '0' && l.src[l.pos] <= '9' || l.src[l.pos] == '.') {
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
-		case c == '\'':
-			l.pos++
-			var sb strings.Builder
-			for {
-				if l.pos >= len(l.src) {
-					return nil, fmt.Errorf("sqlparser: unterminated string at %d", start)
-				}
-				if l.src[l.pos] == '\'' {
-					if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-						sb.WriteByte('\'')
-						l.pos += 2
-						continue
-					}
-					l.pos++
-					break
-				}
-				sb.WriteByte(l.src[l.pos])
-				l.pos++
-			}
-			l.toks = append(l.toks, token{kind: tokString, text: sb.String(), pos: start})
-		case c == '<' || c == '>' || c == '=' || c == '!':
-			l.pos++
-			op := string(c)
-			if l.pos < len(l.src) && (l.src[l.pos] == '=' || (c == '<' && l.src[l.pos] == '>')) {
-				op += string(l.src[l.pos])
-				l.pos++
-			}
-			if op == "!=" {
-				op = "<>"
-			}
-			if op == "!" {
-				return nil, fmt.Errorf("sqlparser: unexpected '!' at %d", start)
-			}
-			l.toks = append(l.toks, token{kind: tokCompare, text: op, pos: start})
-		case strings.ContainsRune("(),*+-/.", rune(c)):
-			l.pos++
-			l.toks = append(l.toks, token{kind: tokSymbol, text: string(c), pos: start})
-		default:
-			return nil, fmt.Errorf("sqlparser: unexpected character %q at %d", c, start)
 		}
+		toks = append(toks, token{kind: kind, text: text, pos: start})
+		if kind == tokEOF {
+			return toks, nil
+		}
+		pos = end
 	}
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+// scanToken skips whitespace and "--" line comments from pos and classifies
+// the token that follows as src[start:end]; at the end of input that is an
+// empty tokEOF. A string token spans both quotes, with embedded quotes still
+// doubled. It is the one definition of the lexical grammar: lex builds the
+// parser's tokens from it and Fingerprint the plan-cache key.
+func scanToken(src string, pos int) (kind tokKind, start, end int, err error) {
+	for pos < len(src) {
+		c := src[pos]
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
-			continue
-		}
-		// -- line comments
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+			pos++
+		} else if c == '-' && pos+1 < len(src) && src[pos+1] == '-' {
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
-			continue
+		} else {
+			break
 		}
-		return
+	}
+	start = pos
+	if pos >= len(src) {
+		return tokEOF, start, start, nil
+	}
+	c := src[pos]
+	pos++
+	switch {
+	case isIdentStart(c):
+		for pos < len(src) && isIdentChar(src[pos]) {
+			pos++
+		}
+		return tokIdent, start, pos, nil
+	case c >= '0' && c <= '9':
+		for pos < len(src) && (src[pos] >= '0' && src[pos] <= '9' || src[pos] == '.') {
+			pos++
+		}
+		return tokNumber, start, pos, nil
+	case c == '\'':
+		for {
+			if pos >= len(src) {
+				return 0, 0, 0, fmt.Errorf("sqlparser: unterminated string at %d", start)
+			}
+			if src[pos] != '\'' {
+				pos++
+			} else if pos+1 < len(src) && src[pos+1] == '\'' {
+				pos += 2
+			} else {
+				return tokString, start, pos + 1, nil
+			}
+		}
+	case c == '<' || c == '>' || c == '=' || c == '!':
+		if pos < len(src) && (src[pos] == '=' || (c == '<' && src[pos] == '>')) {
+			pos++
+		} else if c == '!' {
+			return 0, 0, 0, fmt.Errorf("sqlparser: unexpected '!' at %d", start)
+		}
+		return tokCompare, start, pos, nil
+	case strings.IndexByte("(),*+-/.", c) >= 0:
+		return tokSymbol, start, pos, nil
+	default:
+		return 0, 0, 0, fmt.Errorf("sqlparser: unexpected character %q at %d", c, start)
 	}
 }
 

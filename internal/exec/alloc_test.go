@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"matview/internal/catalog"
 	"matview/internal/expr"
+	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 )
@@ -79,5 +81,69 @@ func TestViewSeekAllocs(t *testing.T) {
 	}
 	if b := allocBytes(100, func() { e.Run(snap, plan) }); b > 256 {
 		t.Errorf("Project(ViewSeek) of one row: %.0f bytes, want at most 256", b)
+	}
+}
+
+// intTable is one table "t" of n rows: a unique int key, the key modulo 25, a
+// float.
+func intTable(t *testing.T, n int) *storage.Database {
+	t.Helper()
+	c := catalog.New()
+	if err := c.Add(&catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "k", Type: sqlvalue.KindInt, NotNull: true}, {Name: "g", Type: sqlvalue.KindInt, NotNull: true},
+		{Name: "x", Type: sqlvalue.KindFloat, NotNull: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase(c)
+	for i := 0; i < n; i++ {
+		k := int64(i) * 7919 % int64(n) // distinct, not in order
+		if err := db.Table("t").Insert(storage.Row{sqlvalue.NewInt(k), sqlvalue.NewInt(k % 25), sqlvalue.NewFloat(float64(k) / 8)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestJoinBuildAllocs: a build allocates flat arrays — a number of objects
+// that grows with the workers and the logarithm of the input, not with its
+// keys (100 and 114 today; the per-key slices it replaced cost two objects a
+// key) — and a build of ten rows, what the maintainer's delta joins are, stays
+// as small as it was.
+func TestJoinBuildAllocs(t *testing.T) {
+	db := intTable(t, 50_000)
+	build := &HashJoin{L: &TableScan{Table: "t", NCols: 3}, LCols: []int{0}}
+	for workers, ceiling := range map[int]float64{1: 150, 4: 200} {
+		e := &Engine{Workers: workers}
+		b, _, _, err := e.buildRidJoin(db, build)
+		if err != nil || b.tab.n != 50_000 {
+			t.Fatalf("build: %v, %v", b, err)
+		}
+		if n := testing.AllocsPerRun(5, func() { e.buildRidJoin(db, build) }); n > ceiling {
+			t.Errorf("50 000-key build on %d worker(s): %v allocations, want at most %v", workers, n, ceiling)
+		}
+	}
+	small := intTable(t, 10)
+	e := &Engine{}
+	if b := allocBytes(200, func() { e.buildRidJoin(small, build) }); b > 3000 {
+		t.Errorf("10-row build: %.0f bytes, want at most 3000 (the map-and-slices build took 3704)", b)
+	}
+}
+
+// TestRidAggAllocs: 25 groups over 100 000 tuples cost a constant (70
+// objects today).
+func TestRidAggAllocs(t *testing.T) {
+	db := intTable(t, 100_000)
+	agg := &HashAgg{
+		In:      &TableScan{Table: "t", NCols: 3},
+		GroupBy: []expr.Expr{expr.Col(0, 1)},
+		Aggs:    []AggSpec{{Num: SimpleAgg{Kind: spjg.AggSum, Arg: expr.Col(0, 2)}}, {Num: SimpleAgg{Kind: spjg.AggCountStar}}},
+	}
+	e := &Engine{Workers: 1}
+	if rows, err := e.Run(db, agg); err != nil || len(rows) != 25 {
+		t.Fatalf("%d groups, %v", len(rows), err)
+	}
+	if n := testing.AllocsPerRun(5, func() { e.Run(db, agg) }); n > 100 {
+		t.Errorf("25 groups over 100 000 tuples: %v allocations, want at most 100", n)
 	}
 }

@@ -10,21 +10,18 @@ import (
 	"matview/internal/storage"
 )
 
-// Block-skip counters, package-global so every engine (server, shell,
-// maintainer deltas, benchmarks) feeds the same ledger. A "block" here is a
-// block segment visited by one morsel; with the default 1024-row batch size,
-// morsels align with storage blocks and segments == blocks.
-var (
-	scanBlocksScanned atomic.Int64
-	scanBlocksSkipped atomic.Int64
-	// Late-materialization join counters (gather.go/joinkey.go): probe-side
-	// tuples entering a hash-join probe, tuples whose key found at least one
-	// build match, and rows the gather stage actually materialized. The gap
-	// between probed and gathered is the work late materialization avoids.
-	scanRowsProbed   atomic.Int64
-	scanRowsMatched  atomic.Int64
-	scanRowsGathered atomic.Int64
-)
+// The scan and join counters, package-global so every engine (server, shell,
+// maintainer deltas, benchmarks) feeds the same ledger. A "block" is a block
+// segment visited by one morsel; with the default 1024-row batch size,
+// morsels align with storage blocks and segments == blocks. The join
+// counters (gather.go/joinkey.go) are probe-side tuples entering a hash-join
+// probe, tuples whose key found at least one build match, and rows the gather
+// stage actually materialized; the gap between probed and gathered is the
+// work late materialization avoids. Workers count in their scanScratch and
+// flush once per morsel.
+var scanLedger struct {
+	blocksScanned, blocksSkipped, rowsProbed, rowsMatched, rowsGathered atomic.Int64
+}
 
 // ScanStats is a snapshot of the columnar scan and join counters.
 type ScanStats struct {
@@ -56,22 +53,37 @@ func (s ScanStats) ProbeHitRate() float64 {
 
 // ReadScanStats returns the cumulative scan and join counters.
 func ReadScanStats() ScanStats {
+	l := &scanLedger
 	return ScanStats{
-		BlocksScanned: scanBlocksScanned.Load(),
-		BlocksSkipped: scanBlocksSkipped.Load(),
-		RowsProbed:    scanRowsProbed.Load(),
-		RowsMatched:   scanRowsMatched.Load(),
-		RowsGathered:  scanRowsGathered.Load(),
+		BlocksScanned: l.blocksScanned.Load(),
+		BlocksSkipped: l.blocksSkipped.Load(),
+		RowsProbed:    l.rowsProbed.Load(),
+		RowsMatched:   l.rowsMatched.Load(),
+		RowsGathered:  l.rowsGathered.Load(),
 	}
 }
 
 // ResetScanStats zeroes the scan and join counters (benchmarks and tests).
 func ResetScanStats() {
-	scanBlocksScanned.Store(0)
-	scanBlocksSkipped.Store(0)
-	scanRowsProbed.Store(0)
-	scanRowsMatched.Store(0)
-	scanRowsGathered.Store(0)
+	l := &scanLedger
+	for _, c := range []*atomic.Int64{&l.blocksScanned, &l.blocksSkipped, &l.rowsProbed, &l.rowsMatched, &l.rowsGathered} {
+		c.Store(0)
+	}
+}
+
+// flush moves a worker's counts for one morsel into the ledger.
+func (s *ScanStats) flush() {
+	add := func(sum *atomic.Int64, n int64) {
+		if n != 0 {
+			sum.Add(n)
+		}
+	}
+	add(&scanLedger.blocksScanned, s.BlocksScanned)
+	add(&scanLedger.blocksSkipped, s.BlocksSkipped)
+	add(&scanLedger.rowsProbed, s.RowsProbed)
+	add(&scanLedger.rowsMatched, s.RowsMatched)
+	add(&scanLedger.rowsGathered, s.RowsGathered)
+	*s = ScanStats{}
 }
 
 // rowSource is the head of a pipeline: a range of row ordinals that morsels
@@ -97,14 +109,25 @@ func (s sliceSource) morsel(lo, hi int, _ *scanScratch) ([]storage.Row, error) {
 // (emitted rows are durable — slabs are never recycled), the reusable morsel
 // output slice, the gather row used when a non-vectorizable predicate
 // conjunct needs a materialized row, the selection-vector buffer for
-// late-materialization sources, and the worker's rid pipeline state when the
-// source is a ridRowSource (gather.go).
+// late-materialization sources, the worker's rid pipeline state when the
+// source is a ridRowSource (gather.go), and its counts for the current morsel.
 type scanScratch struct {
+	stats  ScanStats
 	alloc  rowAlloc
 	rows   []storage.Row
 	gather storage.Row
 	rids   []int32
 	rid    *ridWorker
+	batch  ridBatch   // the one-relation batch heading a rid pipeline …
+	sel    [1][]int32 // … and its selection-vector header
+}
+
+// ridBatch wraps a morsel's qualifying ordinals as the batch a rid pipeline
+// starts from, valid until the worker's next morsel.
+func (sc *scanScratch) ridBatch(rids []int32) *ridBatch {
+	sc.sel[0] = rids
+	sc.batch = ridBatch{n: len(rids), sel: sc.sel[:]}
+	return &sc.batch
 }
 
 // colEmitter produces the boxed value of one output column for row ordinal i.
@@ -272,11 +295,11 @@ func (s *scanSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error) 
 			be = hi
 		}
 		if s.skip && s.skipBlock(b) {
-			scanBlocksSkipped.Add(1)
+			sc.stats.BlocksSkipped++
 			i = be
 			continue
 		}
-		scanBlocksScanned.Add(1)
+		sc.stats.BlocksScanned++
 		for ; i < be; i++ {
 			if pred != nil {
 				ok, err := pred.eval(i, s, sc)
@@ -312,11 +335,11 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 			be = hi
 		}
 		if s.skip && s.skipBlock(b) {
-			scanBlocksSkipped.Add(1)
+			sc.stats.BlocksSkipped++
 			i = be
 			continue
 		}
-		scanBlocksScanned.Add(1)
+		sc.stats.BlocksScanned++
 		for ; i < be; i++ {
 			if pred != nil {
 				ok, err := pred.eval(i, s, sc)

@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 
 	"matview/internal/expr"
-	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 )
@@ -32,8 +31,9 @@ import (
 //
 // Output is deterministic and identical to RunReference for every plan:
 // collected rows are ordered by (morsel, position), hash-join match lists are
-// kept in build-input order, and merged aggregation groups are emitted in
-// global first-seen order.
+// kept in build-input order, merged aggregation groups are emitted in global
+// first-seen order, and a SUM is the exact sum of its inputs (aggState), so
+// no schedule can change a digit of it.
 type Engine struct {
 	// Workers caps the number of goroutines per pipeline. 0 (or negative)
 	// selects GOMAXPROCS. Small inputs use fewer workers — never more than
@@ -395,6 +395,7 @@ func (e *Engine) runPipeline(src rowSource, specs []stageSpec, mkSink func(numMo
 		lo := seq * bs
 		hi := min(lo+bs, n)
 		sinks[wi].begin(seq)
+		defer scratch[wi].stats.flush()
 		rows, err := src.morsel(lo, hi, &scratch[wi])
 		if err != nil {
 			return err
@@ -763,212 +764,4 @@ func (e *Engine) buildJoin(db storage.Reader, j *HashJoin) (*joinBuild, error) {
 		out.lists[i] = rows
 	}
 	return out, nil
-}
-
-// aggShared is the read-only compiled form of a HashAgg, shared by all
-// worker sinks.
-type aggShared struct {
-	spec    *HashAgg
-	groupBy []expr.Compiled
-	numArgs []expr.Compiled // nil entry for COUNT(*)
-	denArgs []expr.Compiled // nil entry when no Den (or Den is COUNT(*))
-}
-
-func newAggShared(a *HashAgg) *aggShared {
-	sh := &aggShared{
-		spec:    a,
-		groupBy: compileAll(a.GroupBy),
-		numArgs: make([]expr.Compiled, len(a.Aggs)),
-		denArgs: make([]expr.Compiled, len(a.Aggs)),
-	}
-	for i, spec := range a.Aggs {
-		if spec.Num.Kind != spjg.AggCountStar && spec.Num.Arg != nil {
-			sh.numArgs[i] = expr.Compile(spec.Num.Arg)
-		}
-		if spec.Den != nil && spec.Den.Kind != spjg.AggCountStar && spec.Den.Arg != nil {
-			sh.denArgs[i] = expr.Compile(spec.Den.Arg)
-		}
-	}
-	return sh
-}
-
-// aggPartial is one group's per-worker partial state.
-type aggPartial struct {
-	keys storage.Row
-	ord  int64 // global ordinal of the group's first input row in this shard
-	num  []aggState
-	den  []aggState
-}
-
-// aggSink accumulates one worker's partial aggregation.
-type aggSink struct {
-	sh      *aggShared
-	idx     map[string]int32
-	groups  []*aggPartial
-	keyBuf  []byte
-	keyVals []sqlvalue.Value
-	ordBase int64
-	ctr     int64
-}
-
-func newAggSink(sh *aggShared) *aggSink {
-	return &aggSink{
-		sh:      sh,
-		idx:     make(map[string]int32),
-		keyVals: make([]sqlvalue.Value, len(sh.groupBy)),
-	}
-}
-
-func (s *aggSink) begin(seq int) {
-	s.ordBase = ordinal(seq, 0)
-	s.ctr = 0
-}
-
-func (s *aggSink) push(in []storage.Row) error {
-	sh := s.sh
-	aggs := sh.spec.Aggs
-	for _, r := range in {
-		ord := s.ordBase | s.ctr
-		s.ctr++
-		key := s.keyBuf[:0]
-		for i, g := range sh.groupBy {
-			v, err := g(r)
-			if err != nil {
-				s.keyBuf = key[:0]
-				return err
-			}
-			s.keyVals[i] = v
-			key = v.AppendKey(key)
-			key = append(key, '\x1f')
-		}
-		s.keyBuf = key[:0]
-		var grp *aggPartial
-		if li, ok := s.idx[string(key)]; ok {
-			grp = s.groups[li]
-		} else {
-			keys := make(storage.Row, len(s.keyVals))
-			copy(keys, s.keyVals)
-			// Workers claim morsels off a shared increasing counter, so this
-			// shard sees ordinals in increasing order: the first occurrence
-			// is the shard's minimum.
-			grp = &aggPartial{keys: keys, ord: ord, num: make([]aggState, len(aggs)), den: make([]aggState, len(aggs))}
-			s.idx[string(key)] = int32(len(s.groups))
-			s.groups = append(s.groups, grp)
-		}
-		for i := range aggs {
-			st := &grp.num[i]
-			st.count++
-			if arg := sh.numArgs[i]; arg != nil {
-				v, err := arg(r)
-				if err != nil {
-					return err
-				}
-				if err := st.accumulate(v); err != nil {
-					return err
-				}
-			}
-			if aggs[i].Den != nil {
-				dst := &grp.den[i]
-				dst.count++
-				if arg := sh.denArgs[i]; arg != nil {
-					v, err := arg(r)
-					if err != nil {
-						return err
-					}
-					if err := dst.accumulate(v); err != nil {
-						return err
-					}
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// aggShard is one worker's finished partial aggregation: groups in
-// first-seen order plus the key index used to merge shards.
-type aggShard struct {
-	idx    map[string]int32
-	groups []*aggPartial
-}
-
-// finishAgg merges per-worker shards in global first-seen order and renders
-// the final rows, matching the reference evaluator's output exactly.
-func finishAgg(shards []aggShard, a *HashAgg) ([]storage.Row, error) {
-	var merged []*aggPartial
-	if len(shards) == 1 {
-		merged = shards[0].groups
-	} else {
-		idx := make(map[string]int32)
-		for _, sh := range shards {
-			for k, li := range sh.idx {
-				g := sh.groups[li]
-				if gi, ok := idx[k]; ok {
-					t := merged[gi]
-					if g.ord < t.ord {
-						t.ord = g.ord
-					}
-					for i := range t.num {
-						if err := t.num[i].merge(&g.num[i]); err != nil {
-							return nil, err
-						}
-						if err := t.den[i].merge(&g.den[i]); err != nil {
-							return nil, err
-						}
-					}
-				} else {
-					idx[k] = int32(len(merged))
-					merged = append(merged, g)
-				}
-			}
-		}
-	}
-	if len(a.GroupBy) == 0 && len(merged) == 0 {
-		return []storage.Row{scalarEmptyAggRow(a.Aggs)}, nil
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].ord < merged[j].ord })
-	out := make([]storage.Row, 0, len(merged))
-	for _, g := range merged {
-		row, err := finishAggRow(g.keys, g.num, g.den, a.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, row)
-	}
-	return out, nil
-}
-
-// runAgg executes a HashAgg: the input pipeline feeds per-worker partial
-// states, merged in global first-seen order to match the reference
-// evaluator's output exactly. Aggregations directly over a columnar scan
-// with column/constant keys and arguments run fused (colagg.go): group keys
-// and aggregate inputs are read straight out of column blocks with no
-// intermediate row materialization.
-func (e *Engine) runAgg(db storage.Reader, a *HashAgg) ([]storage.Row, error) {
-	src, specs, err := e.stream(db, a.In)
-	if err != nil {
-		return nil, err
-	}
-	if ss, ok := src.(*scanSource); ok && len(specs) == 0 {
-		if fa := newFusedAgg(ss, a); fa != nil {
-			return e.runFusedAgg(fa, a)
-		}
-	}
-	if rs, ok := src.(*ridRowSource); ok && len(specs) == 0 && !rs.projected {
-		// Aggregate straight over rid tuples: group keys and aggregate
-		// arguments are evaluated over a scratch row holding only the
-		// columns they reference, and no join output is ever gathered.
-		return e.runRidAgg(rs, a)
-	}
-	sh := newAggShared(a)
-	sinks, err := e.runPipeline(src, specs, func(int) morselSink { return newAggSink(sh) })
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]aggShard, len(sinks))
-	for i, s := range sinks {
-		as := s.(*aggSink)
-		shards[i] = aggShard{idx: as.idx, groups: as.groups}
-	}
-	return finishAgg(shards, a)
 }

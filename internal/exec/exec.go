@@ -17,6 +17,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -233,10 +234,37 @@ func (a *HashAgg) Children() []Node { return []Node{a.In} }
 // aggState accumulates one SimpleAgg. COUNT counts every input row (so AVG =
 // SUM/count divides by the row count, per §3.3); SUM skips NULLs and stays
 // NULL until the first non-null input.
+//
+// A running sum that is or becomes DOUBLE is exact: it is held as a
+// non-overlapping expansion (Shewchuk's grow-expansion, the algorithm behind
+// Python's math.fsum) that value rounds once, half to even. The result is
+// therefore the correctly rounded sum of the inputs — a function of their
+// multiset, whatever the order rows arrive in or partial states are merged
+// in — and the engine equals RunReference, which folds through the same
+// state, at every worker count and batch size. The one exception: once an
+// input is ±Inf or NaN, or the running magnitude passes fsumLimit (a finite
+// sum about to overflow), the state falls back to plain left-to-right
+// addition and stays there; only such a sum can depend on the order of its
+// inputs.
 type aggState struct {
 	count int64
-	sum   sqlvalue.Value // running sum; Null until first non-null input
+	kind  sqlvalue.Kind // of the running sum; KindNull until the first non-null input
+	plain bool          // DOUBLE sum kept by plain addition, in small[0]
+	n     int8          // parts of the expansion held in small
+	i     int64         // the sum while it is a BIGINT, or a lone DATE's days
+	small [3]float64
+	rest  *aggRest
 }
+
+// aggRest is what few sums need: an expansion that outgrew small (n is then
+// unused), or a lone first input that is not numeric.
+type aggRest struct {
+	big  []float64
+	lone sqlvalue.Value
+}
+
+// fsumLimit is the magnitude below which adding two parts cannot overflow.
+const fsumLimit = math.MaxFloat64 / 4
 
 func (st *aggState) add(kind spjg.AggKind, arg expr.Expr, bind expr.Binding) error {
 	st.count++
@@ -251,27 +279,155 @@ func (st *aggState) add(kind spjg.AggKind, arg expr.Expr, bind expr.Binding) err
 }
 
 // accumulate folds one already-evaluated argument value into the running sum
-// (NULL contributes nothing). The caller has already bumped count.
+// (NULL contributes nothing). The caller has already bumped count. Integer
+// sums wrap; a lone DATE stays a DATE and any second addend makes the sum
+// DOUBLE; a non-numeric addend is kept if it is the first and an error after
+// that — all as sqlvalue.Add decides.
 func (st *aggState) accumulate(v sqlvalue.Value) error {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
+		return nil
+	case st.kind == sqlvalue.KindNull:
+		switch st.kind = v.Kind(); st.kind {
+		case sqlvalue.KindInt:
+			st.i = v.Int()
+		case sqlvalue.KindDate:
+			st.i = v.DateDays()
+		case sqlvalue.KindFloat:
+			st.addFloatSum(v.Float())
+		default:
+			st.rest = &aggRest{lone: v}
+		}
+		return nil
+	case st.kind == sqlvalue.KindInt && v.Kind() == sqlvalue.KindInt:
+		st.i += v.Int()
 		return nil
 	}
-	if st.sum.IsNull() {
-		st.sum = v
-		return nil
+	f, ok := v.AsFloat()
+	if st.kind != sqlvalue.KindFloat || !ok {
+		cur := st.value()
+		if _, err := sqlvalue.Add(cur, v); err != nil {
+			return err
+		}
+		prev, _ := cur.AsFloat() // a BIGINT or DATE sum turns DOUBLE
+		st.addFloatSum(prev)
 	}
-	s, err := sqlvalue.Add(st.sum, v)
-	if err != nil {
-		return err
-	}
-	st.sum = s
+	st.addFloatSum(f)
 	return nil
 }
 
-// merge folds another partial state (from a different worker) into st.
+// addIntSum folds a non-null value from an int-kind chain into a sum that is
+// NULL or BIGINT: exactly accumulate(NewInt(v)).
+func (st *aggState) addIntSum(v int64) {
+	st.kind = sqlvalue.KindInt
+	st.i += v
+}
+
+// parts is the live expansion: increasing magnitude, non-overlapping.
+func (st *aggState) parts() []float64 {
+	if st.rest != nil && st.rest.big != nil {
+		return st.rest.big
+	}
+	return st.small[:st.n]
+}
+
+// addFloatSum folds x into a sum that is NULL, DOUBLE, or about to be:
+// exactly accumulate(NewFloat(x)).
+func (st *aggState) addFloatSum(x float64) {
+	st.kind = sqlvalue.KindFloat
+	p := st.parts()
+	if !st.plain && (!(math.Abs(x) <= fsumLimit) || len(p) > 0 && math.Abs(p[len(p)-1]) > fsumLimit) {
+		st.small[0], st.plain = st.value().Float(), true
+	}
+	if st.plain {
+		st.small[0] += x
+		return
+	}
+	i := 0
+	for _, y := range p {
+		if math.Abs(x) < math.Abs(y) {
+			x, y = y, x
+		}
+		hi := x + y
+		if lo := y - (hi - x); lo != 0 {
+			p[i] = lo
+			i++
+		}
+		x = hi
+	}
+	// A high part that cancelled to zero is dropped, unless it is the whole
+	// value (a lone zero carries the sum's sign).
+	if p = p[:i]; x != 0 || i == 0 {
+		p = append(p, x)
+	}
+	switch {
+	case st.rest != nil && st.rest.big != nil:
+		st.rest.big = p
+	case len(p) > len(st.small):
+		st.rest = &aggRest{big: p}
+	default:
+		st.n = int8(len(p))
+	}
+}
+
+// value is the running sum as a Value; a DOUBLE expansion is rounded half to
+// even (the last loop of math.fsum).
+func (st *aggState) value() sqlvalue.Value {
+	switch st.kind {
+	case sqlvalue.KindNull:
+		return sqlvalue.Null
+	case sqlvalue.KindInt:
+		return sqlvalue.NewInt(st.i)
+	case sqlvalue.KindDate:
+		return sqlvalue.NewDate(st.i)
+	case sqlvalue.KindFloat:
+	default:
+		return st.rest.lone
+	}
+	p := st.parts()
+	if st.plain || len(p) == 0 {
+		return sqlvalue.NewFloat(st.small[0])
+	}
+	n := len(p) - 1
+	hi, lo := p[n], 0.0
+	for n > 0 && lo == 0 {
+		n--
+		x := hi
+		hi = x + p[n]
+		lo = p[n] - (hi - x)
+	}
+	// hi is the sum of the parts visited, rounded; lo its error. If what lies
+	// below has lo's sign, an exact tie was rounded the wrong way.
+	if n > 0 && (lo < 0 && p[n-1] < 0 || lo > 0 && p[n-1] > 0) {
+		if x := hi + 2*lo; 2*lo == x-hi {
+			hi = x
+		}
+	}
+	return sqlvalue.NewFloat(hi)
+}
+
+// merge folds another worker's partial state into st and consumes it: two
+// expansions are added part by part, never as rounded partials.
 func (st *aggState) merge(o *aggState) error {
-	st.count += o.count
-	return st.accumulate(o.sum)
+	count := st.count + o.count
+	switch {
+	case st.kind == sqlvalue.KindNull:
+		*st = *o
+	case o.kind != sqlvalue.KindFloat || o.plain:
+		if err := st.accumulate(o.value()); err != nil {
+			return err
+		}
+	default:
+		p := o.parts()
+		if err := st.accumulate(sqlvalue.NewFloat(p[0])); err != nil {
+			return err
+		}
+		for _, x := range p[1:] {
+			st.addFloatSum(x)
+		}
+	}
+	st.count = count
+	return nil
 }
 
 func (st *aggState) result(kind spjg.AggKind) sqlvalue.Value {
@@ -279,13 +435,13 @@ func (st *aggState) result(kind spjg.AggKind) sqlvalue.Value {
 	case spjg.AggCountStar:
 		return sqlvalue.NewInt(st.count)
 	case spjg.AggSum:
-		return st.sum
+		return st.value()
 	case spjg.AggAvg:
 		// Per the paper's conversion AVG(E) = SUM(E)/COUNT_BIG(*) (§3.3).
-		if st.sum.IsNull() || st.count == 0 {
+		if st.kind == sqlvalue.KindNull || st.count == 0 {
 			return sqlvalue.Null
 		}
-		v, err := sqlvalue.Div(st.sum, sqlvalue.NewInt(st.count))
+		v, err := sqlvalue.Div(st.value(), sqlvalue.NewInt(st.count))
 		if err != nil {
 			return sqlvalue.Null
 		}

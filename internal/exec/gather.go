@@ -14,7 +14,7 @@ import (
 //
 // A hash join over columnar scans never materializes its inputs as rows.
 // Scan leaves emit selection vectors (row ordinals that survived the fused
-// predicate); the build side hashes typed keys straight out of column arrays
+// predicate); the build side reads typed keys straight out of column arrays
 // and stores rid tuples, not rows (joinkey.go); the probe stage matches
 // batch-at-a-time and extends the tuple with the build side's rids; and a
 // single gather stage at the top of the pipeline boxes only the columns the
@@ -25,9 +25,9 @@ import (
 //
 // Output stays byte-identical to RunReference: the rid pipeline visits
 // qualifying rows in the same order as the row pipeline it replaces, the
-// build table keeps per-key entries in build-input order (per-entry ordinals
-// restore it after a multi-worker merge, exactly like buildJoin), NULL keys
-// never match on either side, and residual/filter predicates are evaluated
+// build table keeps per-key entries in build-input order (it is filled in
+// morsel order, whichever worker ran which morsel), NULL keys never match on
+// either side, and residual/filter predicates are evaluated
 // over scratch rows populated with the same boxed values — and in the same
 // sequence — the row-at-a-time stages would have produced.
 
@@ -114,7 +114,7 @@ type ridPusher interface {
 
 // ridStageSpec makes per-worker rid stage instances (probe, filter).
 type ridStageSpec interface {
-	makeRid(next ridPusher) ridPusher
+	makeRid(next ridPusher, stats *ScanStats) ridPusher
 }
 
 // ridSource heads a rid pipeline: scan leaves yield the ordinals surviving
@@ -144,10 +144,11 @@ func (s rowsRidSource) morselRids(lo, hi int, _ *scanScratch, out []int32) ([]in
 // allocations stay flat as worker count grows: each worker's stages borrow
 // scratch for one run and return it when the pipeline finishes.
 type ridScratch struct {
-	vecs   [][]int32
-	row    storage.Row
-	heads  []storage.Row
-	keyBuf []byte
+	vecs  [][]int32
+	row   storage.Row
+	heads []storage.Row
+	key   keyList
+	ids   []int32
 }
 
 var ridScratchPool = sync.Pool{New: func() any { return new(ridScratch) }}
@@ -241,7 +242,7 @@ type ridFilterSpec struct {
 	eval ridEval
 }
 
-func (s *ridFilterSpec) makeRid(next ridPusher) ridPusher {
+func (s *ridFilterSpec) makeRid(next ridPusher, _ *ScanStats) ridPusher {
 	return &ridFilterStage{spec: s, next: next, sc: ridScratchPool.Get().(*ridScratch)}
 }
 
@@ -325,13 +326,14 @@ func defaultGather(layout *ridLayout) *gatherSpec {
 }
 
 type gatherStage struct {
-	spec *gatherSpec
-	next pusher
-	sc   *ridScratch
+	spec  *gatherSpec
+	next  pusher
+	sc    *ridScratch
+	stats *ScanStats
 }
 
-func newGatherStage(spec *gatherSpec, next pusher) *gatherStage {
-	return &gatherStage{spec: spec, next: next, sc: ridScratchPool.Get().(*ridScratch)}
+func newGatherStage(spec *gatherSpec, next pusher, stats *ScanStats) *gatherStage {
+	return &gatherStage{spec: spec, next: next, sc: ridScratchPool.Get().(*ridScratch), stats: stats}
 }
 
 func (g *gatherStage) release() {
@@ -369,7 +371,7 @@ func (g *gatherStage) pushRids(in *ridBatch) error {
 			}
 		}
 	}
-	scanRowsGathered.Add(int64(n))
+	g.stats.RowsGathered += int64(n)
 	return g.next.push(heads)
 }
 
@@ -381,7 +383,7 @@ func (g *gatherStage) pushRids(in *ridBatch) error {
 // it unchanged: each morsel pulls a selection vector from the rid source,
 // streams it through the probe/filter stages, and gathers surviving tuples
 // into rows. Projections of columns/constants fuse into the gather; filters
-// become rid stages; aggregations bypass the gather entirely (colagg.go).
+// become rid stages; aggregations bypass the gather entirely (group.go).
 type ridRowSource struct {
 	e      *Engine
 	src    ridSource
@@ -481,11 +483,11 @@ func (s *ridRowSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error
 	w := sc.rid
 	if w == nil {
 		w = &ridWorker{}
-		g := newGatherStage(s.gatherSpec(), &w.cap)
+		g := newGatherStage(s.gatherSpec(), &w.cap, &sc.stats)
 		w.rel = append(w.rel, g)
 		var p ridPusher = g
 		for i := len(s.stages) - 1; i >= 0; i-- {
-			p = s.stages[i].makeRid(p)
+			p = s.stages[i].makeRid(p, &sc.stats)
 			if r, ok := p.(releaser); ok {
 				w.rel = append(w.rel, r)
 			}
@@ -500,8 +502,7 @@ func (s *ridRowSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error
 		return nil, err
 	}
 	if len(rids) > 0 {
-		b := ridBatch{n: len(rids), sel: [][]int32{rids}}
-		if err := w.chain.pushRids(&b); err != nil {
+		if err := w.chain.pushRids(sc.ridBatch(rids)); err != nil {
 			return nil, err
 		}
 	}
@@ -543,7 +544,7 @@ func (e *Engine) runRidPipeline(src ridSource, stages []ridStageSpec, mkSink fun
 		}
 		var p ridPusher = sinks[i]
 		for s := len(stages) - 1; s >= 0; s-- {
-			p = stages[s].makeRid(p)
+			p = stages[s].makeRid(p, &scratch[i].stats)
 			if r, ok := p.(releaser); ok {
 				rel = append(rel, r)
 			}
@@ -555,6 +556,7 @@ func (e *Engine) runRidPipeline(src ridSource, stages []ridStageSpec, mkSink fun
 		hi := min(lo+bs, n)
 		sinks[wi].begin(seq)
 		sc := &scratch[wi]
+		defer sc.stats.flush()
 		rids, err := src.morselRids(lo, hi, sc, sc.rids[:0])
 		sc.rids = rids
 		if err != nil {
@@ -563,8 +565,7 @@ func (e *Engine) runRidPipeline(src ridSource, stages []ridStageSpec, mkSink fun
 		if len(rids) == 0 {
 			return nil
 		}
-		b := ridBatch{n: len(rids), sel: [][]int32{rids}}
-		return chains[wi].pushRids(&b)
+		return chains[wi].pushRids(sc.ridBatch(rids))
 	})
 	for _, r := range rel {
 		r.release()

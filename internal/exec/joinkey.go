@@ -1,9 +1,7 @@
 package exec
 
 import (
-	"encoding/binary"
 	"math"
-	"sort"
 
 	"matview/internal/expr"
 	"matview/internal/sqlvalue"
@@ -32,30 +30,27 @@ type ridKeyMode uint8
 
 const (
 	keyModeBoxed  ridKeyMode = iota // sqlvalue.AppendKey composite (fallback)
-	keyModeInt1                     // single int/date/bool column
+	keyModeInts                     // int/date/bool columns, one key word each
 	keyModeFloat1                   // single float column (fkey space)
-	keyModeStr1                     // single string column
-	keyModeIntN                     // multiple int-family columns, 8 bytes each
+	keyModeStr1                     // single string column, keyed by its bytes
 )
 
-// fkey is the key space of a float join column: integral floats live in the
-// int space (flt=false, bits=the integer) alongside int/date/bool keys;
-// non-integral floats key by bit pattern with NaN canonicalized.
-type fkey struct {
-	flt  bool
-	bits int64
-}
+// fkey is the key space of a float join column, two key words: integral
+// floats live in the int space ({0, the integer}) alongside int/date/bool
+// keys; non-integral floats key by bit pattern ({1, bits}) with NaN
+// canonicalized.
+type fkey [2]int64
 
-func intFkey(v int64) fkey { return fkey{bits: v} }
+func intFkey(v int64) fkey { return fkey{0, v} }
 
 func floatFkey(f float64) fkey {
 	if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-		return fkey{bits: int64(f)}
+		return fkey{0, int64(f)}
 	}
 	if math.IsNaN(f) {
 		f = math.NaN()
 	}
-	return fkey{flt: true, bits: int64(math.Float64bits(f))}
+	return fkey{1, int64(math.Float64bits(f))}
 }
 
 // valueIntKey classifies a boxed value into the int key space, reporting
@@ -128,7 +123,7 @@ func classifyKeys(layout *ridLayout, cols []int, disableTyped bool) ridKeyMode {
 	if len(cols) == 1 {
 		switch kinds[0] {
 		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			return keyModeInt1
+			return keyModeInts
 		case sqlvalue.KindFloat:
 			return keyModeFloat1
 		case sqlvalue.KindString:
@@ -144,7 +139,7 @@ func classifyKeys(layout *ridLayout, cols []int, disableTyped bool) ridKeyMode {
 			return keyModeBoxed
 		}
 	}
-	return keyModeIntN
+	return keyModeInts
 }
 
 // ---------------------------------------------------------------------------
@@ -254,32 +249,34 @@ type ridBoxCol struct {
 	em  colEmitter
 }
 
-// ridKeyCodec extracts join keys from rid tuples in a fixed mode. The same
+// ridKeyCodec extracts join keys from rid tuples in a fixed mode, in the form
+// a keyTable takes them: width words per key for the int and float modes,
+// byte strings (width 0) for the string and boxed modes. The same
 // constructor serves both sides: the build side passes its own layout, the
 // probe side passes its layout with the build's mode, which compiles the
 // adapters that map probe columns into the build's key space.
 type ridKeyCodec struct {
-	mode ridKeyMode
-	gi   func(in *ridBatch, k int) (int64, bool)
-	gf   func(in *ridBatch, k int) (fkey, bool)
-	gs   func(in *ridBatch, k int) (string, bool)
-	gn   []func(in *ridBatch, k int) (int64, bool)
-	box  []ridBoxCol
+	mode  ridKeyMode
+	width int
+	ints  []func(in *ridBatch, k int) (int64, bool)
+	gf    func(in *ridBatch, k int) (fkey, bool)
+	gs    func(in *ridBatch, k int) (string, bool)
+	box   []ridBoxCol
 }
 
 func newRidKeyCodec(mode ridKeyMode, layout *ridLayout, cols []int) *ridKeyCodec {
 	c := &ridKeyCodec{mode: mode}
 	switch mode {
-	case keyModeInt1:
-		c.gi = intKeyGetter(layout, cols[0])
+	case keyModeInts:
+		c.width = len(cols)
+		for _, col := range cols {
+			c.ints = append(c.ints, intKeyGetter(layout, col))
+		}
 	case keyModeFloat1:
+		c.width = 2
 		c.gf = fkeyGetter(layout, cols[0])
 	case keyModeStr1:
 		c.gs = strKeyGetter(layout, cols[0])
-	case keyModeIntN:
-		for _, col := range cols {
-			c.gn = append(c.gn, intKeyGetter(layout, col))
-		}
 	default:
 		for _, col := range cols {
 			rel, local := layout.locate(col)
@@ -289,158 +286,96 @@ func newRidKeyCodec(mode ridKeyMode, layout *ridLayout, cols []int) *ridKeyCodec
 	return c
 }
 
-// appendKey serializes a composite key (IntN and boxed modes), reporting
-// false when any component is NULL (or outside the int class for IntN).
-func (c *ridKeyCodec) appendKey(buf []byte, in *ridBatch, k int) ([]byte, bool) {
-	if c.mode == keyModeIntN {
-		var tmp [8]byte
-		for _, g := range c.gn {
+// appendKey appends tuple k's key to l, a list of the codec's width, or
+// reports false — l unchanged — when a component is NULL or outside the
+// build's key class: the tuple can match nothing.
+func (c *ridKeyCodec) appendKey(l *keyList, in *ridBatch, k int) bool {
+	nw, nb := len(l.words), len(l.bytes)
+	switch c.mode {
+	case keyModeInts:
+		for _, g := range c.ints {
 			v, ok := g(in, k)
 			if !ok {
-				return buf, false
+				l.words = l.words[:nw]
+				return false
 			}
-			binary.LittleEndian.PutUint64(tmp[:], uint64(v))
-			buf = append(buf, tmp[:]...)
+			l.words = append(l.words, v)
 		}
-		return buf, true
-	}
-	for i := range c.box {
-		bc := &c.box[i]
-		v := bc.em(int(in.sel[bc.rel][k]))
-		if v.IsNull() {
-			return buf, false
+		return true
+	case keyModeFloat1:
+		f, ok := c.gf(in, k)
+		if ok {
+			l.words = append(l.words, f[:]...)
 		}
-		buf = v.AppendKey(buf)
-		buf = append(buf, '\x1f')
+		return ok
+	case keyModeStr1:
+		s, ok := c.gs(in, k)
+		if !ok {
+			return false
+		}
+		l.bytes = append(l.bytes, s...)
+	default:
+		for i := range c.box {
+			bc := &c.box[i]
+			v := bc.em(int(in.sel[bc.rel][k]))
+			if v.IsNull() {
+				l.bytes = l.bytes[:nb]
+				return false
+			}
+			l.bytes = append(v.AppendKey(l.bytes), '\x1f')
+		}
 	}
-	return buf, true
+	l.ends = append(l.ends, int32(len(l.bytes)))
+	return true
 }
 
 // ---------------------------------------------------------------------------
 // Build side
 
 // ridJoinBuild is a finished, immutable rid-join build table shared by all
-// probe workers: key → flat rid tuples (stride = arity) in build-input order.
-// Exactly one of the index maps is populated, per mode.
+// probe workers, in compressed-sparse-row form: key id (from tab) → the rid
+// tuples rids[starts[id]*arity : starts[id+1]*arity], in build-input order.
 type ridJoinBuild struct {
 	arity  int
 	mode   ridKeyMode
-	intIdx map[int64]int32
-	fltIdx map[fkey]int32
-	strIdx map[string]int32
-	lists  [][]int32
+	tab    keyTable
+	starts []int32
+	rids   []int32
 }
 
-// ridBuildSink accumulates one worker's shard. Ordinals are assigned per
-// input tuple — before the NULL-key check — mirroring buildSink, so merged
-// per-key lists restore to exactly the row path's build-input order.
+// ridBuildSink collects one worker's share of the build input and does
+// nothing else: per tuple with a non-NULL key, the key and the rid tuple are
+// appended to flat arrays; marks records where each morsel's tuples begin.
 type ridBuildSink struct {
-	codec   *ridKeyCodec
-	arity   int
-	intIdx  map[int64]int32
-	fltIdx  map[fkey]int32
-	strIdx  map[string]int32
-	lists   [][]int32
-	ords    [][]int64
-	keyBuf  []byte
-	ordBase int64
-	ctr     int64
+	codec *ridKeyCodec
+	arity int
+	keys  keyList // one per collected tuple
+	rids  []int32 // arity per collected tuple
+	marks []ridMark
 }
 
-func newRidBuildSink(codec *ridKeyCodec, arity int) *ridBuildSink {
-	b := &ridBuildSink{codec: codec, arity: arity}
-	switch codec.mode {
-	case keyModeInt1:
-		b.intIdx = make(map[int64]int32)
-	case keyModeFloat1:
-		b.fltIdx = make(map[fkey]int32)
-	default:
-		b.strIdx = make(map[string]int32)
-	}
-	return b
-}
+type ridMark struct{ seq, at int }
 
-func (b *ridBuildSink) begin(seq int) {
-	b.ordBase = ordinal(seq, 0)
-	b.ctr = 0
-}
+func (b *ridBuildSink) tuples() int { return len(b.rids) / b.arity }
+
+func (b *ridBuildSink) begin(seq int) { b.marks = append(b.marks, ridMark{seq, b.tuples()}) }
 
 func (b *ridBuildSink) pushRids(in *ridBatch) error {
 	for k := 0; k < in.n; k++ {
-		ord := b.ordBase | b.ctr
-		b.ctr++
-		li, ok := b.slot(in, k)
-		if !ok {
+		if !b.codec.appendKey(&b.keys, in, k) {
 			continue
 		}
-		if int(li) == len(b.lists) {
-			b.lists = append(b.lists, nil)
-			b.ords = append(b.ords, nil)
-		}
 		for r := 0; r < b.arity; r++ {
-			b.lists[li] = append(b.lists[li], in.sel[r][k])
+			b.rids = append(b.rids, in.sel[r][k])
 		}
-		b.ords[li] = append(b.ords[li], ord)
 	}
 	return nil
 }
 
-// slot finds or allocates the list slot for tuple k's key; false means the
-// key is NULL (the tuple is dropped). A returned slot equal to len(lists)
-// signals a fresh key — the caller appends the new list.
-func (b *ridBuildSink) slot(in *ridBatch, k int) (int32, bool) {
-	switch b.codec.mode {
-	case keyModeInt1:
-		v, ok := b.codec.gi(in, k)
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.intIdx[v]
-		if !ok {
-			li = int32(len(b.lists))
-			b.intIdx[v] = li
-		}
-		return li, true
-	case keyModeFloat1:
-		v, ok := b.codec.gf(in, k)
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.fltIdx[v]
-		if !ok {
-			li = int32(len(b.lists))
-			b.fltIdx[v] = li
-		}
-		return li, true
-	case keyModeStr1:
-		s, ok := b.codec.gs(in, k)
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.strIdx[s]
-		if !ok {
-			li = int32(len(b.lists))
-			b.strIdx[s] = li
-		}
-		return li, true
-	default:
-		key, ok := b.codec.appendKey(b.keyBuf[:0], in, k)
-		b.keyBuf = key[:0]
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.strIdx[string(key)]
-		if !ok {
-			li = int32(len(b.lists))
-			b.strIdx[string(key)] = li
-		}
-		return li, true
-	}
-}
-
 // buildRidJoin executes the build side of a hash join as a rid pipeline and
-// merges the per-worker shards. ok=false means a relation overflowed the rid
-// address space and the caller must fall back to the row path.
+// turns what the workers collected into the CSR table. ok=false means a
+// relation overflowed the rid address space and the caller must fall back to
+// the row path.
 func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *ridLayout, bool, error) {
 	src, layout, stages, ok, err := e.streamRids(db, j.L)
 	if err != nil {
@@ -461,88 +396,79 @@ func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *r
 	codec := newRidKeyCodec(mode, layout, j.LCols)
 	arity := layout.arity()
 	sinks, err := e.runRidPipeline(src, stages, func(int) ridMorselSink {
-		return newRidBuildSink(codec, arity)
+		return &ridBuildSink{codec: codec, arity: arity, keys: keyList{width: codec.width}}
 	})
 	if err != nil {
 		return nil, nil, false, err
 	}
-	return mergeRidBuild(sinks, mode, arity), layout, true, nil
+	return finishRidBuild(sinks, codec, arity), layout, true, nil
 }
 
-func mergeRidShards[K comparable](idx map[K]int32, sinks []ridMorselSink, get func(*ridBuildSink) map[K]int32) ([][]int32, [][]int64) {
-	var lists [][]int32
-	var ords [][]int64
-	for _, s := range sinks {
-		b := s.(*ridBuildSink)
-		for key, li := range get(b) {
-			if gi, ok := idx[key]; ok {
-				lists[gi] = append(lists[gi], b.lists[li]...)
-				ords[gi] = append(ords[gi], b.ords[li]...)
-			} else {
-				idx[key] = int32(len(lists))
-				lists = append(lists, b.lists[li])
-				ords = append(ords, b.ords[li])
+// finishRidBuild is the serial half of a build: one pass over the collected
+// tuples in morsel order — the build input's order, whichever worker ran
+// which morsel — gives every distinct key an id; counting ids and a prefix
+// sum lay out the per-key ranges; a second pass in the same order scatters
+// the rid tuples into them. Per-key lists come out in build-input order
+// because that is the order they are written in.
+func finishRidBuild(sinks []ridMorselSink, codec *ridKeyCodec, arity int) *ridJoinBuild {
+	type span struct {
+		b      *ridBuildSink
+		lo, hi int
+	}
+	var spans []span
+	total := 0
+	next := make([]int, len(sinks)) // each sink's next unvisited mark
+	for {
+		var first *ridBuildSink
+		at := -1
+		for i, s := range sinks {
+			b := s.(*ridBuildSink)
+			if next[i] < len(b.marks) && (at < 0 || b.marks[next[i]].seq < first.marks[next[at]].seq) {
+				first, at = b, i
 			}
 		}
-	}
-	return lists, ords
-}
-
-func mergeRidBuild(sinks []ridMorselSink, mode ridKeyMode, arity int) *ridJoinBuild {
-	out := &ridJoinBuild{arity: arity, mode: mode}
-	if len(sinks) == 1 {
-		// Single shard: lists are already in ordinal order.
-		b := sinks[0].(*ridBuildSink)
-		out.intIdx, out.fltIdx, out.strIdx, out.lists = b.intIdx, b.fltIdx, b.strIdx, b.lists
-		return out
-	}
-	var lists [][]int32
-	var ords [][]int64
-	switch mode {
-	case keyModeInt1:
-		out.intIdx = make(map[int64]int32)
-		lists, ords = mergeRidShards(out.intIdx, sinks, func(b *ridBuildSink) map[int64]int32 { return b.intIdx })
-	case keyModeFloat1:
-		out.fltIdx = make(map[fkey]int32)
-		lists, ords = mergeRidShards(out.fltIdx, sinks, func(b *ridBuildSink) map[fkey]int32 { return b.fltIdx })
-	default:
-		out.strIdx = make(map[string]int32)
-		lists, ords = mergeRidShards(out.strIdx, sinks, func(b *ridBuildSink) map[string]int32 { return b.strIdx })
-	}
-	for i := range lists {
-		sortRidList(lists[i], ords[i], arity)
-	}
-	out.lists = lists
-	return out
-}
-
-// sortRidList restores one merged per-key list to global ordinal order,
-// permuting stride-sized rid groups in lockstep with their ordinals.
-func sortRidList(rids []int32, ords []int64, arity int) {
-	n := len(ords)
-	if n < 2 {
-		return
-	}
-	sorted := true
-	for i := 1; i < n; i++ {
-		if ords[i] < ords[i-1] {
-			sorted = false
+		if at < 0 {
 			break
 		}
+		lo, hi := first.marks[next[at]].at, first.tuples()
+		if next[at]++; next[at] < len(first.marks) {
+			hi = first.marks[next[at]].at
+		}
+		spans = append(spans, span{first, lo, hi})
+		total += hi - lo
 	}
-	if sorted {
-		return
+	out := &ridJoinBuild{arity: arity, mode: codec.mode, tab: newKeyTable(codec.width, total)}
+	ids := make([]int32, total)
+	at := 0
+	for _, sp := range spans {
+		out.tab.putAll(&sp.b.keys, sp.lo, sp.hi, ids[at:])
+		at += sp.hi - sp.lo
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	n := int(out.tab.n)
+	starts := make([]int32, n+1)
+	for _, id := range ids {
+		starts[id]++
 	}
-	sort.Slice(perm, func(a, b int) bool { return ords[perm[a]] < ords[perm[b]] })
-	tmp := make([]int32, len(rids))
-	for dst, src := range perm {
-		copy(tmp[dst*arity:(dst+1)*arity], rids[src*arity:(src+1)*arity])
+	run := int32(0)
+	for id, c := range starts {
+		starts[id], run = run, run+c
 	}
-	copy(rids, tmp)
+	// Scatter, advancing starts[id] past each tuple written; afterwards
+	// starts[id] is where id+1 began, so shifting by one restores it.
+	out.rids = make([]int32, total*arity)
+	e := 0
+	for _, sp := range spans {
+		for src := sp.b.rids[sp.lo*arity : sp.hi*arity]; len(src) > 0; src = src[arity:] {
+			at := int(starts[ids[e]]) * arity
+			starts[ids[e]]++
+			copy(out.rids[at:at+arity], src)
+			e++
+		}
+	}
+	copy(starts[1:], starts[:n])
+	starts[0] = 0
+	out.starts = starts
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -557,8 +483,8 @@ type ridProbeSpec struct {
 	batch    int
 }
 
-func (s *ridProbeSpec) makeRid(next ridPusher) ridPusher {
-	return &ridProbeStage{spec: s, next: next, sc: ridScratchPool.Get().(*ridScratch)}
+func (s *ridProbeSpec) makeRid(next ridPusher, stats *ScanStats) ridPusher {
+	return &ridProbeStage{spec: s, next: next, sc: ridScratchPool.Get().(*ridScratch), stats: stats}
 }
 
 // ridProbeStage matches probe tuples against the build table batch-at-a-time
@@ -566,10 +492,11 @@ func (s *ridProbeSpec) makeRid(next ridPusher) ridPusher {
 // output tuple is (build rels..., probe rels...), matching the row path's
 // left++right concatenation. All scratch is pooled per worker.
 type ridProbeStage struct {
-	spec *ridProbeSpec
-	next ridPusher
-	sc   *ridScratch
-	out  ridBatch
+	spec  *ridProbeSpec
+	next  ridPusher
+	sc    *ridScratch
+	stats *ScanStats
+	out   ridBatch
 }
 
 func (p *ridProbeStage) release() {
@@ -607,13 +534,12 @@ func (p *ridProbeStage) pushRids(in *ridBatch) error {
 		row = p.sc.wideRow(s.resEval.width)
 	}
 	matched := 0
-	for k := 0; k < in.n; k++ {
-		li, ok := p.lookup(in, k)
-		if !ok {
+	for k, id := range p.lookup(in) {
+		if id < 0 {
 			continue
 		}
 		matched++
-		lst := b.lists[li]
+		lst := b.rids[int(b.starts[id])*ba : int(b.starts[id+1])*ba]
 		for e := 0; e < len(lst); e += ba {
 			ent := lst[e : e+ba]
 			if s.residual != nil {
@@ -640,43 +566,36 @@ func (p *ridProbeStage) pushRids(in *ridBatch) error {
 			}
 		}
 	}
-	scanRowsProbed.Add(int64(in.n))
-	scanRowsMatched.Add(int64(matched))
+	p.stats.RowsProbed += int64(in.n)
+	p.stats.RowsMatched += int64(matched)
 	return p.flush()
 }
 
-func (p *ridProbeStage) lookup(in *ridBatch, k int) (int32, bool) {
-	s := p.spec
-	b := s.build
-	switch b.mode {
-	case keyModeInt1:
-		v, ok := s.keys.gi(in, k)
-		if !ok {
-			return 0, false
+// lookup returns, per tuple of in, the build's id for its key, or -1.
+func (p *ridProbeStage) lookup(in *ridBatch) []int32 {
+	c, t, key := p.spec.keys, &p.spec.build.tab, &p.sc.key
+	key.width = c.width
+	key.reset()
+	ids := p.sc.ids[:0]
+	if c.width != 1 {
+		for k := 0; k < in.n; k++ {
+			id := int32(-1)
+			if c.appendKey(key, in, k) {
+				id = t.find(key, 0)
+				key.reset()
+			}
+			ids = append(ids, id)
 		}
-		li, ok := b.intIdx[v]
-		return li, ok
-	case keyModeFloat1:
-		v, ok := s.keys.gf(in, k)
-		if !ok {
-			return 0, false
+	} else { // one int key: the whole batch goes to the table at once
+		for k := 0; k < in.n; k++ {
+			if c.appendKey(key, in, k) {
+				ids = append(ids, 0)
+			} else {
+				ids, key.words = append(ids, -1), append(key.words, 0)
+			}
 		}
-		li, ok := b.fltIdx[v]
-		return li, ok
-	case keyModeStr1:
-		v, ok := s.keys.gs(in, k)
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.strIdx[v]
-		return li, ok
-	default:
-		key, ok := s.keys.appendKey(p.sc.keyBuf[:0], in, k)
-		p.sc.keyBuf = key[:0]
-		if !ok {
-			return 0, false
-		}
-		li, ok := b.strIdx[string(key)]
-		return li, ok
+		t.findInts(key.words, ids)
 	}
+	p.sc.ids = ids
+	return ids
 }

@@ -287,8 +287,8 @@ func refHashAgg(db storage.Reader, a *HashAgg) ([]storage.Row, error) {
 	result := make([]storage.Row, 0, len(groups))
 	for _, k := range order {
 		grp := groups[k]
-		row, err := finishAggRow(grp.keys, grp.num, grp.den, a.Aggs)
-		if err != nil {
+		row := make(storage.Row, len(grp.keys)+len(a.Aggs))
+		if err := finishAggRow(row, grp.keys, grp.num, grp.den, a.Aggs); err != nil {
 			return nil, err
 		}
 		result = append(result, row)
@@ -301,7 +301,7 @@ func refHashAgg(db storage.Reader, a *HashAgg) ([]storage.Row, error) {
 func scalarEmptyAggRow(aggs []AggSpec) storage.Row {
 	out := make(storage.Row, len(aggs))
 	for i, spec := range aggs {
-		st := aggState{sum: sqlvalue.Null}
+		var st aggState
 		out[i] = st.result(spec.Num.Kind)
 		if spec.Den != nil {
 			out[i] = sqlvalue.Null
@@ -310,11 +310,10 @@ func scalarEmptyAggRow(aggs []AggSpec) storage.Row {
 	return out
 }
 
-// finishAggRow renders one group: keys followed by each aggregate, applying
-// the Num/Den quotient for AVG rollups (§3.3).
-func finishAggRow(keys storage.Row, num, den []aggState, aggs []AggSpec) (storage.Row, error) {
-	row := make(storage.Row, 0, len(keys)+len(aggs))
-	row = append(row, keys...)
+// finishAggRow renders one group into row: keys followed by each aggregate,
+// applying the Num/Den quotient for AVG rollups (§3.3).
+func finishAggRow(row, keys storage.Row, num, den []aggState, aggs []AggSpec) error {
+	copy(row, keys)
 	for i, spec := range aggs {
 		v := num[i].result(spec.Num.Kind)
 		if spec.Den != nil {
@@ -324,12 +323,12 @@ func finishAggRow(keys storage.Row, num, den []aggState, aggs []AggSpec) (storag
 			} else {
 				q, err := sqlvalue.Div(v, d)
 				if err != nil {
-					return nil, err
+					return err
 				}
 				v = q
 			}
 		}
-		row = append(row, v)
+		row[len(keys)+i] = v
 	}
-	return row, nil
+	return nil
 }

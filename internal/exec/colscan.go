@@ -283,39 +283,51 @@ func (s *scanSource) setProjection(exprs []expr.Expr) {
 	s.projected = true
 }
 
+// numRows is the bound of the ordinal space morsels are cut from: the
+// store's physical length, dead rows included.
 func (s *scanSource) numRows() int { return s.store.Len() }
+
+// morsel and morselRids walk [lo,hi) block by block: a block the zone maps
+// rule out is skipped; a block without tombstones — every block of a store
+// nobody deleted from — runs the row loop once over its whole range; a block
+// with some runs it once per run of live rows, so the row loop itself never
+// tests for a dead row.
 
 func (s *scanSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error) {
 	out := sc.rows[:0]
 	pred := s.pred
 	for i := lo; i < hi; {
 		b := i / storage.BlockRows
-		be := (b + 1) * storage.BlockRows
-		if be > hi {
-			be = hi
-		}
+		be := min((b+1)*storage.BlockRows, hi)
 		if s.skip && s.skipBlock(b) {
 			sc.stats.BlocksSkipped++
 			i = be
 			continue
 		}
 		sc.stats.BlocksScanned++
-		for ; i < be; i++ {
-			if pred != nil {
-				ok, err := pred.eval(i, s, sc)
-				if err != nil {
-					sc.rows = out
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
+		tombstones := s.store.BlockDead(b) != 0
+		for i < be {
+			end := be
+			if tombstones {
+				i, end = s.store.LiveRun(i, be)
 			}
-			r := sc.alloc.row(s.width)
-			for c, em := range s.emit {
-				r[c] = em(i)
+			for ; i < end; i++ {
+				if pred != nil {
+					ok, err := pred.eval(i, s, sc)
+					if err != nil {
+						sc.rows = out
+						return nil, err
+					}
+					if !ok {
+						continue
+					}
+				}
+				r := sc.alloc.row(s.width)
+				for c, em := range s.emit {
+					r[c] = em(i)
+				}
+				out = append(out, r)
 			}
-			out = append(out, r)
 		}
 	}
 	sc.rows = out
@@ -330,30 +342,57 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 	pred := s.pred
 	for i := lo; i < hi; {
 		b := i / storage.BlockRows
-		be := (b + 1) * storage.BlockRows
-		if be > hi {
-			be = hi
-		}
+		be := min((b+1)*storage.BlockRows, hi)
 		if s.skip && s.skipBlock(b) {
 			sc.stats.BlocksSkipped++
 			i = be
 			continue
 		}
 		sc.stats.BlocksScanned++
-		for ; i < be; i++ {
-			if pred != nil {
-				ok, err := pred.eval(i, s, sc)
-				if err != nil {
-					return out, err
-				}
-				if !ok {
-					continue
-				}
+		tombstones := s.store.BlockDead(b) != 0
+		for i < be {
+			end := be
+			if tombstones {
+				i, end = s.store.LiveRun(i, be)
 			}
-			out = append(out, int32(i))
+			for ; i < end; i++ {
+				if pred != nil {
+					ok, err := pred.eval(i, s, sc)
+					if err != nil {
+						return out, err
+					}
+					if !ok {
+						continue
+					}
+				}
+				out = append(out, int32(i))
+			}
 		}
 	}
 	return out, nil
+}
+
+// MatchOrdinals returns the ordinals of the live rows of store that satisfy
+// filter (nil: all of them), found the way a scan finds them — compiled
+// column predicate, zone-map skipping, no row boxed. DELETE locates its
+// victims with it. ok is false when it cannot stand in for evaluating the
+// predicate row by row: some conjunct may fail or panic, and the caller's
+// row-at-a-time path defines what that means.
+func MatchOrdinals(store *storage.ColumnStore, filter expr.Expr) (ords []int, ok bool) {
+	s := newScanSource(store, filter, DefaultEngine)
+	if store.Len() > maxRid || (s.pred != nil && !s.pred.safe) {
+		return nil, false
+	}
+	var sc scanScratch
+	rids, err := s.morselRids(0, store.Len(), &sc, nil)
+	if err != nil {
+		return nil, false
+	}
+	ords = make([]int, len(rids))
+	for k, rid := range rids {
+		ords[k] = int(rid)
+	}
+	return ords, true
 }
 
 // skipBlock reports whether block b provably contains no qualifying row:
@@ -523,7 +562,7 @@ const (
 // constants numeric, and only operations that cannot fail on numeric inputs
 // are admitted (division by zero yields NULL, as sqlvalue.Div does).
 type numChain struct {
-	kind sqlvalue.Kind // KindInt, KindDate, or KindFloat
+	kind sqlvalue.Kind               // KindInt, KindDate, or KindFloat
 	gi   func(i int) (int64, bool)   // non-float chains; bool = NULL
 	gf   func(i int) (float64, bool) // float chains
 }

@@ -6,6 +6,7 @@ import (
 
 	"matview/internal/catalog"
 	"matview/internal/expr"
+	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 )
@@ -168,11 +169,12 @@ func TestZoneSkipStatsAccounting(t *testing.T) {
 // aliases into the view's storage that later maintenance would overwrite.
 func TestViewSeekSnapshot(t *testing.T) {
 	db := smallDB(t)
-	v := db.PutView("mv_seek", 2, []storage.Row{
+	stored := []storage.Row{
 		{sqlvalue.NewInt(1), sqlvalue.NewString("one")},
 		{sqlvalue.NewInt(2), sqlvalue.NewString("two")},
 		{sqlvalue.NewInt(2), sqlvalue.NewString("deux")},
-	})
+	}
+	v := db.PutView("mv_seek", 2, stored)
 	if _, err := v.BuildIndex([]int{0}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -198,16 +200,18 @@ func TestViewSeekSnapshot(t *testing.T) {
 			if len(rows) != 2 || rows[0][text].Str() != "two" || rows[1][text].Str() != "deux" {
 				t.Fatalf("%s: seek returned %v", plan.Describe(), rows)
 			}
-			// Maintain the view the way an incremental delta does: overwrite a
-			// matching row in place, move another out of the key, append one.
-			v.SetRow(1, storage.Row{sqlvalue.NewInt(2), sqlvalue.NewString("CLOBBERED")})
-			v.SetRow(2, storage.Row{sqlvalue.NewInt(3), sqlvalue.NewString("trois")})
+			// Maintain the view the way an incremental delta does: replace a
+			// matching row, move another out of the key.
+			v.Update(1, storage.Row{sqlvalue.NewInt(2), sqlvalue.NewString("CLOBBERED")})
+			v.Update(2, storage.Row{sqlvalue.NewInt(3), sqlvalue.NewString("trois")})
+			if err := v.PatchIndexes(); err != nil {
+				t.Fatal(err)
+			}
 			if !rowsExactlyEqual(rows, want) {
 				t.Fatalf("%s: seek result aliased view storage: maintenance leaked into the earlier result %v", plan.Describe(), rows)
 			}
-			// Restore for the next configuration.
-			v.SetRow(1, storage.Row{sqlvalue.NewInt(2), sqlvalue.NewString("two")})
-			v.SetRow(2, storage.Row{sqlvalue.NewInt(2), sqlvalue.NewString("deux")})
+			// Restore for the next configuration (PutView keeps the index).
+			v = db.PutView("mv_seek", 2, stored)
 		}
 	}
 }
@@ -264,4 +268,121 @@ func TestDisableZoneSkipFlag(t *testing.T) {
 	if st := ReadScanStats(); st.BlocksSkipped != 0 || st.BlocksScanned != 3 {
 		t.Fatalf("stats with skip disabled = %+v", st)
 	}
+}
+
+// TestTombstonesMatchReference: with dead rows in the first, a middle and the
+// last block of a table and of a view — single rows, a run across a block
+// boundary, a wholly dead block — scans, an aggregate, a join, an index seek
+// and the DELETE locator see exactly the live rows the reference evaluator
+// sees, in its order, at 1, 2 and 4 workers and at batch sizes that straddle
+// blocks. The blocks without tombstones keep their zone-map skipping.
+func TestTombstonesMatchReference(t *testing.T) {
+	const B = storage.BlockRows
+	n := 5*B + 77
+	db := zoneDB(t, n)
+	victims := []int{0, 7, B - 1, // first block, both edges
+		2*B + 5, 2*B + 6, 2*B + 7, // a run inside a middle block
+		n - 1, n - 20} // last block
+	for i := 3*B - 40; i < 3*B+40; i++ { // a run across a block boundary
+		victims = append(victims, i)
+	}
+	for i := 4 * B; i < 5*B; i++ { // a wholly dead block
+		victims = append(victims, i)
+	}
+	tb := db.Table("events")
+	view := db.PutView("mv_events", 3, tb.Rows())
+	if _, err := view.BuildIndex([]int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	deleted, err := tb.DeleteOrds(victims)
+	if err != nil || len(deleted) != len(victims) {
+		t.Fatalf("DeleteOrds removed %d of %d rows: %v", len(deleted), len(victims), err)
+	}
+	view.Delete(victims)
+	if err := view.PatchIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range []*storage.ColumnStore{tb.Store(), view.Store()} {
+		if st.Len() != n || st.Live() != n-len(victims) || st.BlockDead(4) != B || st.BlockDead(1) != 0 {
+			t.Fatalf("store: len %d live %d dead[4] %d dead[1] %d", st.Len(), st.Live(), st.BlockDead(4), st.BlockDead(1))
+		}
+	}
+	db.Commit()
+	snap := db.Snapshot()
+	defer snap.Release()
+
+	seq, bucket := expr.Col(0, 0), expr.Col(0, 1)
+	inFirstAndLast := expr.Or{Args: []expr.Expr{
+		expr.NewCmp(expr.LT, seq, expr.CInt(20)),
+		expr.NewCmp(expr.GT, seq, expr.CInt(int64(n-30))),
+	}}
+	plans := map[string]Node{
+		"table-scan":   &TableScan{Table: "events", NCols: 3},
+		"table-filter": &TableScan{Table: "events", NCols: 3, Filter: inFirstAndLast},
+		"view-scan":    &ViewScan{View: "mv_events", NCols: 3},
+		"view-filter":  &ViewScan{View: "mv_events", NCols: 3, Filter: expr.NewCmp(expr.GE, seq, expr.CInt(int64(3*B-50)))},
+		"view-seek":    &ViewScan{View: "mv_events", NCols: 3, EqCols: []int{1}, EqVals: storage.Row{sqlvalue.NewInt(7)}},
+		"agg": &HashAgg{In: &TableScan{Table: "events", NCols: 3}, GroupBy: []expr.Expr{bucket},
+			Aggs: []AggSpec{{Num: SimpleAgg{Kind: spjg.AggCountStar}}, {Num: SimpleAgg{Kind: spjg.AggSum, Arg: seq}}}},
+		"join": &HashJoin{
+			L:     &ViewScan{View: "mv_events", NCols: 3, Filter: expr.NewCmp(expr.LT, seq, expr.CInt(50))},
+			R:     &TableScan{Table: "events", NCols: 3, Filter: expr.NewCmp(expr.GE, seq, expr.CInt(int64(2*B)))},
+			LCols: []int{1}, RCols: []int{1}},
+	}
+	for name, plan := range plans {
+		want, err := RunReference(snap, plan)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			for _, bs := range []int{100, 1024, 1500} {
+				e := &Engine{Workers: workers, BatchSize: bs}
+				ResetScanStats()
+				got, err := e.Run(snap, plan)
+				if err != nil {
+					t.Fatalf("%s w=%d bs=%d: %v", name, workers, bs, err)
+				}
+				if !rowsExactlyEqual(got, want) {
+					t.Fatalf("%s w=%d bs=%d: %d rows, reference %d", name, workers, bs, len(got), len(want))
+				}
+				if name == "table-filter" && ReadScanStats().BlocksSkipped == 0 {
+					t.Fatalf("%s w=%d bs=%d: tombstones disabled zone-map skipping", name, workers, bs)
+				}
+			}
+		}
+	}
+	if got := len(plansRows(t, snap, plans["table-scan"])); got != n-len(victims) {
+		t.Fatalf("table scan returned %d rows, %d are live", got, n-len(victims))
+	}
+
+	// The DELETE locator agrees with the scan, filtered or not.
+	for name, filter := range map[string]expr.Expr{"all": nil, "filtered": inFirstAndLast} {
+		ords, ok := MatchOrdinals(tb.Store(), filter)
+		if !ok {
+			t.Fatalf("%s: MatchOrdinals declined a safe predicate", name)
+		}
+		want := plansRows(t, snap, &TableScan{Table: "events", NCols: 3, Filter: filter})
+		if len(ords) != len(want) {
+			t.Fatalf("%s: %d ordinals, scan has %d rows", name, len(ords), len(want))
+		}
+		for k, ord := range ords {
+			if tb.Store().IsDead(ord) || tb.Store().Value(ord, 0).Int() != want[k][0].Int() {
+				t.Fatalf("%s: ordinal %d is not row %v", name, ord, want[k])
+			}
+		}
+	}
+	// A predicate that can fail on a row (here: it is not a boolean) is left
+	// to the row-at-a-time path.
+	if _, ok := MatchOrdinals(tb.Store(), expr.And{Args: []expr.Expr{inFirstAndLast, expr.CInt(1)}}); ok {
+		t.Fatal("MatchOrdinals took a predicate that errors")
+	}
+}
+
+func plansRows(t *testing.T, db storage.Reader, plan Node) []storage.Row {
+	t.Helper()
+	rows, err := RunReference(db, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }

@@ -244,7 +244,7 @@ func seekView(v *storage.ViewData, eqCols []int, eqVals []sqlvalue.Value, proj [
 	} else {
 		n := st.Len()
 		for i := 0; i < n; i++ {
-			match := true
+			match := !st.IsDead(i)
 			for k, c := range eqCols {
 				if !sqlvalue.Identical(st.Value(i, c), eqVals[k]) {
 					match = false

@@ -178,8 +178,8 @@ func TestEngineSnapshotsScanOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Mutate the view's storage the way incremental maintenance does:
-	// replace a row in place.
-	v.SetRow(0, storage.Row{sqlvalue.NewInt(42)})
+	// replace a row.
+	v.Update(0, storage.Row{sqlvalue.NewInt(42)})
 	if len(vrows) != 2 || vrows[0][0].Int() != 1 || vrows[1][0].Int() != 2 {
 		t.Fatal("ViewScan result changed under view maintenance: live slice leaked")
 	}
@@ -247,7 +247,7 @@ func TestEngineUnknownNode(t *testing.T) {
 
 type unknownNode struct{}
 
-func (unknownNode) Run(storage.Reader) ([]storage.Row, error)    { return nil, nil }
-func (unknownNode) Width() int                                   { return 0 }
-func (unknownNode) Describe() string                             { return "unknown" }
-func (unknownNode) Children() []Node                             { return nil }
+func (unknownNode) Run(storage.Reader) ([]storage.Row, error) { return nil, nil }
+func (unknownNode) Width() int                                { return 0 }
+func (unknownNode) Describe() string                          { return "unknown" }
+func (unknownNode) Children() []Node                          { return nil }

@@ -28,9 +28,9 @@ const (
 	// SiteStorageInsert guards Table.Insert (fires before the row lands, so
 	// an injected fault mid-batch leaves a partially inserted batch).
 	SiteStorageInsert = "storage.table.insert"
-	// SiteStorageDelete guards Table.DeleteWhere.
+	// SiteStorageDelete guards Table.DeleteOrds (and DeleteWhere through it).
 	SiteStorageDelete = "storage.table.delete"
-	// SiteStorageRebuild guards MaterializedView.RebuildIndexes — a fault
+	// SiteStorageRebuild guards MaterializedView.PatchIndexes — a fault
 	// here strikes after the view's rows changed but before its indexes
 	// agree, the classic torn-write window.
 	SiteStorageRebuild = "storage.view.rebuild-indexes"

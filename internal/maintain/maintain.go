@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"matview/internal/exec"
+	"matview/internal/expr"
 	"matview/internal/faults"
 	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
@@ -178,6 +179,7 @@ func (m *Maintainer) Insert(table string, rows []storage.Row) error {
 	var pendings []pending
 	var computeFailed []ViewError
 	var selfJoin []*View
+	changed := storage.NewOverlay(m.db, table, rows)
 	for _, v := range m.views {
 		switch instancesOf(v.Def, table) {
 		case 0:
@@ -187,7 +189,7 @@ func (m *Maintainer) Insert(table string, rows []storage.Row) error {
 				rep.Skipped = append(rep.Skipped, v.Name)
 				continue
 			}
-			delta, err := m.computeDelta(v, table, rows)
+			delta, err := m.computeDelta(v, changed)
 			if err != nil {
 				computeFailed = append(computeFailed, ViewError{v.Name, err})
 				continue
@@ -260,7 +262,34 @@ func (m *Maintainer) Insert(table string, rows []storage.Row) error {
 // with no view touched; a per-view failure rolls that view back to its
 // committed contents and marks it Stale; everything that succeeded publishes
 // as one new epoch. It returns the number of deleted rows.
+//
+// pred sees every live row boxed, so the statement costs a full pass over
+// the table; DeleteWhere takes the predicate as an expression and does not.
 func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, error) {
+	return m.deleteRows(table, func(t *storage.Table) ([]storage.Row, error) { return t.DeleteWhere(pred) })
+}
+
+// DeleteWhere is Delete for a WHERE clause over the table's columns (nil
+// deletes every row). The victims are found the way a scan finds them —
+// compiled column predicate, zone maps — and only they are boxed. A clause
+// whose evaluation could fail on some row goes row by row instead, counting
+// a failing row as not matching.
+func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
+	return m.deleteRows(table, func(t *storage.Table) ([]storage.Row, error) {
+		if ords, ok := exec.MatchOrdinals(t.Store(), where); ok {
+			return t.DeleteOrds(ords)
+		}
+		pred := expr.CompilePredicate(where)
+		return t.DeleteWhere(func(r storage.Row) bool {
+			ok, err := pred(r)
+			return err == nil && ok
+		})
+	})
+}
+
+// deleteRows runs one DELETE: del removes the victims from the base table
+// and returns them, then every view is maintained from them.
+func (m *Maintainer) deleteRows(table string, del func(*storage.Table) ([]storage.Row, error)) (int, error) {
 	t := m.db.Table(table)
 	if t == nil {
 		return 0, fmt.Errorf("maintain: unknown table %q", table)
@@ -269,13 +298,12 @@ func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, err
 	var deleted []storage.Row
 	err := guard(func() error {
 		var derr error
-		deleted, derr = t.DeleteWhere(pred)
+		deleted, derr = del(t)
 		return derr
 	})
 	if err != nil {
-		// DeleteWhere may have compacted the rows before an index rebuild
-		// failed; rolling the table back to the committed epoch restores both
-		// rows and indexes, so the views stay consistent with it.
+		// Rolling the table back to the committed epoch restores rows and
+		// indexes alike, so the views stay consistent with it.
 		m.db.RollbackTable(table)
 		rep.Base = fmt.Errorf("maintain: base delete from %s failed: %w", table, err)
 		return 0, rep
@@ -283,6 +311,7 @@ func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, err
 	if len(deleted) == 0 {
 		return 0, nil
 	}
+	changed := storage.NewOverlay(m.db, table, deleted)
 	for _, v := range m.views {
 		switch instancesOf(v.Def, table) {
 		case 0:
@@ -294,7 +323,7 @@ func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, err
 			}
 			// Other tables are unchanged, so Q(T ← Δ) after the base delete
 			// equals the delta of the view.
-			delta, derr := m.computeDelta(v, table, deleted)
+			delta, derr := m.computeDelta(v, changed)
 			if derr == nil {
 				derr = m.applyGuarded(v, delta, -1)
 			}
@@ -322,16 +351,17 @@ func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, err
 	return len(deleted), rep.orNil()
 }
 
-// computeDelta evaluates the view's delta query Q(T ← Δ) against the changed
-// rows, read-only over a zero-copy overlay of the database. Panics become
-// errors so one broken view cannot unwind the whole statement.
-func (m *Maintainer) computeDelta(v *View, table string, rows []storage.Row) (delta []storage.Row, err error) {
+// computeDelta evaluates the view's delta query Q(T ← Δ) read-only over
+// changed, the statement's zero-copy overlay of the database in which the
+// changed rows stand for their table (one overlay serves every view). Panics
+// become errors so one broken view cannot unwind the whole statement.
+func (m *Maintainer) computeDelta(v *View, changed *storage.Overlay) (delta []storage.Row, err error) {
 	err = guard(func() error {
 		if ferr := m.faults.Maybe(faults.SiteMaintainDelta); ferr != nil {
 			return fmt.Errorf("maintain: delta for %s: %w", v.Name, ferr)
 		}
 		var rerr error
-		delta, rerr = exec.RunQuery(storage.NewOverlay(m.db, table, rows), v.Def)
+		delta, rerr = exec.RunQuery(changed, v.Def)
 		if rerr != nil {
 			return fmt.Errorf("maintain: delta for %s: %w", v.Name, rerr)
 		}
@@ -389,26 +419,24 @@ func (m *Maintainer) apply(v *View, delta []storage.Row, sign int64) error {
 	if mv == nil {
 		return fmt.Errorf("maintain: view %s not materialized", v.Name)
 	}
-	if !v.isAgg {
-		if sign > 0 {
-			mv.Append(delta)
-			return mv.RebuildIndexes()
-		}
-		if err := bagSubtract(mv, delta, v.Name); err != nil {
-			return err
-		}
-		return mv.RebuildIndexes()
+	var err error
+	switch {
+	case v.isAgg:
+		err = m.mergeAgg(v, mv, delta, sign)
+	case sign > 0:
+		mv.Append(delta)
+	default:
+		err = bagSubtract(mv, delta, v.Name)
 	}
-	if err := m.mergeAgg(v, mv, delta, sign); err != nil {
+	if err != nil {
 		return err
 	}
-	return mv.RebuildIndexes()
+	return mv.PatchIndexes()
 }
 
 // appendRowKey appends the composite group/row key of the given columns to
-// buf — Value.AppendKey bytes joined by 0x1f. Callers reuse buf across rows
-// and look maps up with string(buf), which Go performs without allocating,
-// so keying a stored view's rows costs no per-column string garbage.
+// buf — Value.AppendKey bytes joined by 0x1f, the key layout of a storage
+// index. Callers reuse buf across rows.
 func appendRowKey(buf []byte, r storage.Row, cols []int) []byte {
 	for _, c := range cols {
 		buf = r[c].AppendKey(buf)
@@ -417,76 +445,64 @@ func appendRowKey(buf []byte, r storage.Row, cols []int) []byte {
 	return buf
 }
 
-// bagSubtract removes one stored occurrence per delta row (bag semantics).
+// bagSubtract removes one stored occurrence per delta row (bag semantics),
+// finding them through the view's locator over all of its columns: the cost
+// follows the delta, not the view.
 func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string) error {
-	toRemove := map[string]int{}
-	width := mv.NumCols
-	cols := make([]int, width)
+	cols := make([]int, mv.NumCols)
 	for i := range cols {
 		cols[i] = i
 	}
+	loc := mv.Locator(cols)
+	// The locator does not see this statement's deletes until PatchIndexes,
+	// so the k-th delta row with one key takes the bucket's k-th ordinal.
+	taken := map[string]int{}
+	ords := make([]int, 0, len(delta))
 	var buf []byte
 	for _, d := range delta {
 		buf = appendRowKey(buf[:0], d, cols)
-		toRemove[string(buf)]++
-	}
-	st := mv.Store()
-	n := st.Len()
-	drop := make([]bool, n)
-	for i := 0; i < n; i++ {
-		buf = st.AppendRowKey(buf[:0], i, cols)
-		if c, ok := toRemove[string(buf)]; ok && c > 0 {
-			toRemove[string(buf)] = c - 1
-			drop[i] = true
+		stored := loc.ProbeKey(buf)
+		k := taken[string(buf)]
+		if k >= len(stored) {
+			return fmt.Errorf("maintain: view %s: delta removes a row the view does not hold (key %q)", name, buf)
 		}
+		taken[string(buf)] = k + 1
+		ords = append(ords, stored[k])
 	}
-	for k, c := range toRemove {
-		if c > 0 {
-			return fmt.Errorf("maintain: view %s: delta removed %d unmatched row(s) (key %q)", name, c, k)
-		}
-	}
-	mv.Compact(func(i int) bool { return !drop[i] })
+	mv.Delete(ords)
 	return nil
 }
 
 // mergeAgg folds the delta's groups into the stored groups: counts and sums
 // add (or subtract); groups reaching count zero are removed — the §2
-// incremental-deletion rule that COUNT_BIG exists for.
+// incremental-deletion rule that COUNT_BIG exists for. A stored group is
+// found through the view's locator over the group-by columns (the unique
+// clustered key §2 requires), and a delta holds each group once, so the cost
+// follows the delta's groups, not the view's.
 func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []storage.Row, sign int64) error {
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
 	}
-	st := mv.Store()
-	n := st.Len()
-	index := make(map[string]int, n)
+	loc := mv.Locator(v.keyPos)
 	var buf []byte
-	for i := 0; i < n; i++ {
-		buf = st.AppendRowKey(buf[:0], i, v.keyPos)
-		index[string(buf)] = i
-	}
-	removed := map[int]bool{}
 	for _, d := range delta {
 		buf = appendRowKey(buf[:0], d, v.keyPos)
-		k := string(buf)
-		i, ok := index[k]
-		if !ok {
+		stored := loc.ProbeKey(buf)
+		if len(stored) == 0 {
 			if sign < 0 {
 				return fmt.Errorf("maintain: view %s: delete delta for unknown group", v.Name)
 			}
 			mv.Append([]storage.Row{d})
-			index[k] = mv.NumRows() - 1
 			continue
 		}
-		// RowAt materializes a fresh row, so mutating it before SetRow never
-		// aliases stored data.
-		row := st.RowAt(i)
+		i := stored[0]
+		row := mv.RowAt(i) // a fresh row: changing it never aliases stored data
 		newCnt := row[v.cntPos].Int() + sign*d[v.cntPos].Int()
 		if newCnt < 0 {
 			return fmt.Errorf("maintain: view %s: group count went negative", v.Name)
 		}
 		if newCnt == 0 {
-			removed[i] = true
-			delete(index, k)
+			mv.Delete([]int{i})
 			continue
 		}
 		row[v.cntPos] = sqlvalue.NewInt(newCnt)
@@ -497,10 +513,7 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 			}
 			row[sp] = merged
 		}
-		mv.SetRow(i, row)
-	}
-	if len(removed) > 0 {
-		mv.Compact(func(i int) bool { return !removed[i] })
+		mv.Update(i, row)
 	}
 	return nil
 }

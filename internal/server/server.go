@@ -615,7 +615,7 @@ func (s *Server) runExec(req *ExecRequest) (msg string, epoch uint64, applied bo
 			errors.New("server: /exec accepts DML and DDL only; use /query for SELECT")
 	}
 	var sb strings.Builder
-	if err := s.sess.Execute(req.SQL, &sb); err != nil {
+	if err := s.sess.ExecuteParsed(st, req.SQL, &sb); err != nil {
 		var merr *maintain.MaintenanceError
 		applied = errors.As(err, &merr) && merr.Base == nil
 		if applied {

@@ -14,7 +14,6 @@ import (
 
 	"matview/internal/advisor"
 	"matview/internal/exec"
-	"matview/internal/expr"
 	"matview/internal/maintain"
 	"matview/internal/opt"
 	"matview/internal/spjg"
@@ -84,6 +83,16 @@ func (s *Session) Execute(stmt string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	return s.run(st, stmt, explain, w)
+}
+
+// ExecuteParsed runs a statement the caller has already parsed against this
+// session's catalog; stmt is its text, which a durable session logs.
+func (s *Session) ExecuteParsed(st *sqlparser.Statement, stmt string, w io.Writer) error {
+	return s.run(st, stmt, false, w)
+}
+
+func (s *Session) run(st *sqlparser.Statement, stmt string, explain bool, w io.Writer) error {
 	if s.Dur != nil && (st.Insert != nil || st.Delete != nil || st.CreateIndex != nil ||
 		st.ViewName != "" || st.DropViewName != "") {
 		// Stage the statement text so the commit hook logs it durably before
@@ -216,17 +225,7 @@ func (s *Session) execInsert(ins *sqlparser.InsertStatement, w io.Writer) error 
 }
 
 func (s *Session) execDelete(del *sqlparser.DeleteStatement, w io.Writer) error {
-	pred := func(storage.Row) bool { return true }
-	if del.Where != nil {
-		// Compile the WHERE clause once; the predicate then runs per row
-		// without rebuilding a binding closure or walking the expression tree.
-		where := expr.CompilePredicate(del.Where)
-		pred = func(r storage.Row) bool {
-			ok, err := where(r)
-			return err == nil && ok
-		}
-	}
-	n, err := s.Maint.Delete(del.Table, pred)
+	n, err := s.Maint.DeleteWhere(del.Table, del.Where)
 	s.DB.RefreshStats()
 	if err != nil {
 		return err

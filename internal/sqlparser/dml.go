@@ -2,12 +2,17 @@ package sqlparser
 
 import (
 	"fmt"
+	"time"
 
+	"matview/internal/catalog"
 	"matview/internal/expr"
 	"matview/internal/sqlvalue"
 )
 
-// InsertStatement is a parsed INSERT INTO table VALUES (...), (...).
+// InsertStatement is a parsed INSERT INTO table VALUES (...), (...). Every
+// value is NULL or of its column's catalog type: literals are coerced as
+// they are parsed (see coerceTo), so storage, the views' delta queries and a
+// WAL replay of the same text all see the same kinds.
 type InsertStatement struct {
 	Table string
 	Rows  [][]sqlvalue.Value
@@ -70,12 +75,48 @@ func (p *parser) parseInsert() (*InsertStatement, error) {
 			return nil, fmt.Errorf("sqlparser: VALUES row has %d values, table %s has %d columns",
 				len(row), name, len(tbl.Columns))
 		}
+		for i := range row {
+			v, err := coerceTo(row[i], &tbl.Columns[i])
+			if err != nil {
+				return nil, fmt.Errorf("sqlparser: column %s: %w", tbl.QualifiedColumn(i), err)
+			}
+			row[i] = v
+		}
 		st.Rows = append(st.Rows, row)
 		if !p.eatSymbol(",") {
 			break
 		}
 	}
 	return st, nil
+}
+
+// coerceTo converts an INSERT literal to the column's catalog type: an
+// integer widens to DOUBLE and a 'yyyy-mm-dd' string becomes a DATE; NULL
+// and a value already of the type pass through; anything else is an error.
+func coerceTo(v sqlvalue.Value, col *catalog.Column) (sqlvalue.Value, error) {
+	switch k := v.Kind(); {
+	case k == sqlvalue.KindNull || k == col.Type:
+		return v, nil
+	case k == sqlvalue.KindInt && col.Type == sqlvalue.KindFloat:
+		return sqlvalue.NewFloat(float64(v.Int())), nil
+	case k == sqlvalue.KindString && col.Type == sqlvalue.KindDate:
+		d, ok := dateValue(v.Str())
+		if !ok {
+			return sqlvalue.Null, fmt.Errorf("bad date %s (want 'yyyy-mm-dd')", v)
+		}
+		return d, nil
+	default:
+		return sqlvalue.Null, fmt.Errorf("is %s, got %s %s", col.Type, k, v)
+	}
+}
+
+// dateValue parses yyyy-mm-dd.
+func dateValue(s string) (sqlvalue.Value, bool) {
+	d, err := time.Parse("2006-01-02", s)
+	if err != nil {
+		return sqlvalue.Null, false
+	}
+	return sqlvalue.NewDateYMD(d.Year(), d.Month(), d.Day()), true
 }
 
 // parseLiteral parses a constant expression (no column references) and

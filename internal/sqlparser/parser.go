@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"matview/internal/catalog"
 	"matview/internal/expr"
@@ -635,11 +634,11 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 				p.pos++
 				s := p.cur().text
 				p.pos++
-				d, err := time.Parse("2006-01-02", s)
-				if err != nil {
+				d, ok := dateValue(s)
+				if !ok {
 					return nil, p.errf("bad date literal %q", s)
 				}
-				return expr.C(sqlvalue.NewDateYMD(d.Year(), d.Month(), d.Day())), nil
+				return expr.C(d), nil
 			}
 		}
 		return p.parseIdentExpr()

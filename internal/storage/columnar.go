@@ -11,12 +11,23 @@
 // non-NULL value stored in it. If a later value arrives with a different
 // kind, the column degrades to a boxed []sqlvalue.Value representation
 // (generic), which keeps correctness for schema-less view outputs at the
-// cost of the typed fast paths; its zone maps become untracked. Deleting
-// rows compacts the store, which re-types columns whose surviving values are
-// homogeneous again.
+// cost of the typed fast paths; its zone maps become untracked until the
+// next Rewrite re-types it.
+//
+// A store only ever grows: a row is added by appending to every column, and
+// removed by setting its bit in the store's dead bitmap (a tombstone). An
+// ordinal therefore names the same row for the store's whole life, payloads
+// below the current length are never written again, and a frozen copy (see
+// Freeze) is a set of lengths plus its own dead bitmap. Len is the physical
+// length — the bound of the ordinal space, dead rows included; Live is the
+// number of rows a reader sees. Zone maps stay conservative bounds after a
+// delete. Rewrite copies the live rows, in order, into a fresh store once
+// the dead ones are worth reclaiming.
 package storage
 
 import (
+	"math/bits"
+
 	"matview/internal/sqlvalue"
 )
 
@@ -38,13 +49,12 @@ type Zone struct {
 
 // column is one column of a ColumnStore.
 //
-// The shared* flags implement the store's immutable-prefix discipline for
-// MVCC snapshots (see Freeze): when an array is marked shared, some frozen
-// version references the same backing memory, so any in-place write at an
-// index a frozen reader could touch must clone the array first (the ensure*
-// helpers). Appends beyond the frozen length never need a clone — they write
-// memory no bounded reader can reach (and a reallocating append leaves the
-// frozen array behind entirely).
+// Every array is append-only: a write lands at or beyond the current length,
+// which no frozen copy can reach (and a reallocating append leaves the frozen
+// array behind entirely). The one exception is the null bitmap, whose last
+// word a frozen copy may cover: appending a NULL into a word that already
+// exists clones the bitmap first when sharedNulls says a frozen copy reads
+// it.
 type column struct {
 	kind    sqlvalue.Kind // KindNull until the first non-NULL value fixes it
 	ints    []int64       // payloads for KindInt, KindDate, KindBool
@@ -52,11 +62,15 @@ type column struct {
 	strs    []string      // payloads for KindString
 	nulls   []uint64      // null bitmap; may be shorter than the row count
 	generic []sqlvalue.Value
-	zones   []Zone
 
-	sharedPayload bool // ints/floats/strs/generic referenced by a frozen version
-	sharedNulls   bool
-	sharedZones   bool
+	// zones holds the statistics of every full block; tail those of the last,
+	// partial one (or of a last full block no append has followed yet). tail
+	// is a value, so a frozen copy keeps its own while the live store folds
+	// further appends into its.
+	zones []Zone
+	tail  Zone
+
+	sharedNulls bool // nulls is read by a frozen copy
 }
 
 // ensureNulls clones the null bitmap before an in-place word write.
@@ -65,33 +79,6 @@ func (c *column) ensureNulls() {
 		c.nulls = append([]uint64(nil), c.nulls...)
 		c.sharedNulls = false
 	}
-}
-
-// ensureZones clones the zone array before an in-place zone write.
-func (c *column) ensureZones() {
-	if c.sharedZones {
-		c.zones = append([]Zone(nil), c.zones...)
-		c.sharedZones = false
-	}
-}
-
-// ensurePayload clones the payload array before an in-place element write.
-func (c *column) ensurePayload() {
-	if !c.sharedPayload {
-		return
-	}
-	if c.generic != nil {
-		c.generic = append([]sqlvalue.Value(nil), c.generic...)
-	}
-	switch c.kind {
-	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		c.ints = append([]int64(nil), c.ints...)
-	case sqlvalue.KindFloat:
-		c.floats = append([]float64(nil), c.floats...)
-	case sqlvalue.KindString:
-		c.strs = append([]string(nil), c.strs...)
-	}
-	c.sharedPayload = false
 }
 
 func bitSet(bm []uint64, i int) bool {
@@ -118,13 +105,6 @@ func (c *column) setNull(i int) {
 		}
 	}
 	c.nulls[w] |= 1 << (uint(i) & 63)
-}
-
-func (c *column) clearNull(i int) {
-	if w := i >> 6; w < len(c.nulls) {
-		c.ensureNulls()
-		c.nulls[w] &^= 1 << (uint(i) & 63)
-	}
 }
 
 func (c *column) value(i int) sqlvalue.Value {
@@ -154,7 +134,6 @@ func (c *column) value(i int) sqlvalue.Value {
 // payloads for the n existing (all-NULL) rows.
 func (c *column) adopt(k sqlvalue.Kind, n int) {
 	c.kind = k
-	c.sharedPayload = false // the typed array below is freshly allocated
 	switch k {
 	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
 		c.ints = make([]int64, n)
@@ -174,11 +153,11 @@ func (c *column) degrade(n int) {
 	}
 	c.generic = g
 	c.ints, c.floats, c.strs, c.nulls = nil, nil, nil, nil
-	c.sharedPayload, c.sharedNulls = false, false
+	c.sharedNulls = false
 	// A fresh all-zero zone array doubles as "untracked everywhere" and
 	// avoids clearing zones a frozen version still reads.
 	c.zones = make([]Zone, len(c.zones))
-	c.sharedZones = false
+	c.tail = Zone{}
 }
 
 func (c *column) appendZero() {
@@ -231,29 +210,6 @@ func (c *column) append(v sqlvalue.Value, n int) {
 	}
 	c.appendZero()
 	c.setPayload(n, v)
-}
-
-// set overwrites the value at ordinal i; n is the store's row count.
-func (c *column) set(i int, v sqlvalue.Value, n int) {
-	if c.generic != nil {
-		c.ensurePayload()
-		c.generic[i] = v
-		return
-	}
-	if v.IsNull() {
-		c.setNull(i)
-		return
-	}
-	if k := v.Kind(); c.kind == sqlvalue.KindNull {
-		c.adopt(k, n)
-	} else if c.kind != k {
-		c.degrade(n)
-		c.generic[i] = v
-		return
-	}
-	c.clearNull(i)
-	c.ensurePayload()
-	c.setPayload(i, v)
 }
 
 // foldZone folds one value into a block's statistics.
@@ -414,19 +370,32 @@ func (v ColView) Gather(rids []int32, dst []sqlvalue.Value, off, stride int) {
 }
 
 // ColumnStore is column-major row storage: a fixed number of columns, each
-// an adaptive typed array with a null bitmap and per-block zone maps.
+// an adaptive typed array with a null bitmap and per-block zone maps, plus
+// the dead bitmap that marks deleted rows.
 type ColumnStore struct {
 	n    int
 	cols []column
+
+	dead       []uint64 // tombstones; may be shorter than n (no dead rows there)
+	ndead      int
+	sharedDead bool // dead is read by a frozen copy: clone before the next tombstone
 }
 
 // NewColumnStore returns an empty store with ncols columns.
 func NewColumnStore(ncols int) *ColumnStore {
-	return &ColumnStore{cols: make([]column, ncols)}
+	cs := &ColumnStore{cols: make([]column, ncols)}
+	for c := range cs.cols {
+		cs.cols[c].tail.Tracked = true
+	}
+	return cs
 }
 
-// Len returns the number of rows.
+// Len returns the physical length: ordinals run over [0, Len()), dead rows
+// included.
 func (cs *ColumnStore) Len() int { return cs.n }
+
+// Live returns the number of rows that are not dead.
+func (cs *ColumnStore) Live() int { return cs.n - cs.ndead }
 
 // NumCols returns the number of columns.
 func (cs *ColumnStore) NumCols() int { return len(cs.cols) }
@@ -434,8 +403,44 @@ func (cs *ColumnStore) NumCols() int { return len(cs.cols) }
 // NumBlocks returns the number of (possibly partial) blocks.
 func (cs *ColumnStore) NumBlocks() int { return (cs.n + BlockRows - 1) / BlockRows }
 
-// Zone returns the zone map of column c in block b.
-func (cs *ColumnStore) Zone(c, b int) Zone { return cs.cols[c].zones[b] }
+// Zone returns the zone map of column c in block b. It bounds the block's
+// live values; after a delete it may be wider than they are.
+func (cs *ColumnStore) Zone(c, b int) Zone {
+	col := &cs.cols[c]
+	if b < len(col.zones) {
+		return col.zones[b]
+	}
+	return col.tail
+}
+
+// IsDead reports whether row i has been deleted.
+func (cs *ColumnStore) IsDead(i int) bool { return bitSet(cs.dead, i) }
+
+// BlockDead returns the number of dead rows in block b. A store nobody has
+// deleted from answers without looking at anything.
+func (cs *ColumnStore) BlockDead(b int) int {
+	const words = BlockRows / 64
+	lo := b * words
+	if lo >= len(cs.dead) {
+		return 0
+	}
+	n := 0
+	for _, w := range cs.dead[lo:min(lo+words, len(cs.dead))] {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// LiveRun returns the first maximal run [lo, hi) of live ordinals inside
+// [from, to); lo == to when every row there is dead. Scans walk the blocks
+// BlockDead flags run by run, so their row loops never test a tombstone.
+func (cs *ColumnStore) LiveRun(from, to int) (lo, hi int) {
+	for lo = from; lo < to && bitSet(cs.dead, lo); lo++ {
+	}
+	for hi = lo; hi < to && !bitSet(cs.dead, hi); hi++ {
+	}
+	return lo, hi
+}
 
 // Col returns a read-only view of column c's physical arrays.
 func (cs *ColumnStore) Col(c int) ColView {
@@ -454,22 +459,20 @@ func (cs *ColumnStore) Col(c int) ColView {
 func (cs *ColumnStore) Value(i, c int) sqlvalue.Value { return cs.cols[c].value(i) }
 
 // AppendRow appends one row; r must have NumCols values. Values are copied
-// out of r, so the caller keeps ownership of the slice. Zone maps of the
-// last block are updated incrementally.
+// out of r, so the caller keeps ownership of the slice. The last block's zone
+// maps are updated incrementally.
 func (cs *ColumnStore) AppendRow(r Row) {
 	n := cs.n
-	b := n / BlockRows
 	for c := range cs.cols {
 		col := &cs.cols[c]
 		col.append(r[c], n)
-		if b == len(col.zones) {
-			col.zones = append(col.zones, Zone{Tracked: col.generic == nil})
-		} else {
-			// Folding into the last block's zone mutates an element frozen
-			// readers cover.
-			col.ensureZones()
+		if n > 0 && n%BlockRows == 0 {
+			// The previous block is full: its zone is final. Appending it
+			// writes past every frozen copy's length.
+			col.zones = append(col.zones, col.tail)
+			col.tail = Zone{Tracked: true}
 		}
-		if z := &col.zones[b]; z.Tracked {
+		if z := &col.tail; z.Tracked {
 			if col.generic != nil {
 				z.Tracked = false
 			} else {
@@ -480,231 +483,45 @@ func (cs *ColumnStore) AppendRow(r Row) {
 	cs.n = n + 1
 }
 
-// SetRow overwrites row i in place and recomputes the affected block's zone
-// maps.
-func (cs *ColumnStore) SetRow(i int, r Row) {
-	for c := range cs.cols {
-		cs.cols[c].set(i, r[c], cs.n)
+// Delete marks row i dead and reports whether it was live before. Payloads,
+// null bits and zone maps are left alone; only the dead bitmap changes, and
+// it is cloned first when a frozen copy reads it.
+func (cs *ColumnStore) Delete(i int) bool {
+	if i < 0 || i >= cs.n || bitSet(cs.dead, i) {
+		return false
 	}
-	b := i / BlockRows
-	for c := range cs.cols {
-		cs.recomputeZone(c, b)
+	if cs.sharedDead {
+		cs.dead = append(make([]uint64, 0, (cs.n+63)/64), cs.dead...)
+		cs.sharedDead = false
 	}
+	for w := i >> 6; w >= len(cs.dead); {
+		cs.dead = append(cs.dead, 0) // growing only touches words no frozen copy has
+	}
+	cs.dead[i>>6] |= 1 << (uint(i) & 63)
+	cs.ndead++
+	return true
 }
 
-// recomputeZone rebuilds the zone map of column c, block b, from the stored
-// values. Typed columns use direct payload loops; min/max updates via </>
-// replicate sqlvalue.Compare exactly (including NaN never displacing a
-// bound), and a typed column's values all share one kind, so its zone stays
-// Tracked.
-func (cs *ColumnStore) recomputeZone(c, b int) {
-	col := &cs.cols[c]
-	if b >= len(col.zones) {
-		return
-	}
-	col.ensureZones()
-	if col.generic != nil {
-		col.zones[b] = Zone{}
-		return
-	}
-	lo, hi := b*BlockRows, (b+1)*BlockRows
-	if hi > cs.n {
-		hi = cs.n
-	}
-	z := Zone{Tracked: true}
-	switch col.kind {
-	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		var mn, mx int64
-		for i := lo; i < hi; i++ {
-			if bitSet(col.nulls, i) {
-				z.HasNull = true
-				continue
-			}
-			v := col.ints[i]
-			if !z.HasNonNull {
-				mn, mx, z.HasNonNull = v, v, true
-			} else if v < mn {
-				mn = v
-			} else if v > mx {
-				mx = v
-			}
-		}
-		if z.HasNonNull {
-			switch col.kind {
-			case sqlvalue.KindInt:
-				z.Min, z.Max = sqlvalue.NewInt(mn), sqlvalue.NewInt(mx)
-			case sqlvalue.KindDate:
-				z.Min, z.Max = sqlvalue.NewDate(mn), sqlvalue.NewDate(mx)
-			default:
-				z.Min, z.Max = sqlvalue.NewBool(mn != 0), sqlvalue.NewBool(mx != 0)
-			}
-		}
-	case sqlvalue.KindFloat:
-		var mn, mx float64
-		for i := lo; i < hi; i++ {
-			if bitSet(col.nulls, i) {
-				z.HasNull = true
-				continue
-			}
-			v := col.floats[i]
-			if !z.HasNonNull {
-				mn, mx, z.HasNonNull = v, v, true
-			} else {
-				if v < mn {
-					mn = v
-				}
-				if v > mx {
-					mx = v
-				}
-			}
-		}
-		if z.HasNonNull {
-			z.Min, z.Max = sqlvalue.NewFloat(mn), sqlvalue.NewFloat(mx)
-		}
-	case sqlvalue.KindString:
-		var mn, mx string
-		for i := lo; i < hi; i++ {
-			if bitSet(col.nulls, i) {
-				z.HasNull = true
-				continue
-			}
-			v := col.strs[i]
-			if !z.HasNonNull {
-				mn, mx, z.HasNonNull = v, v, true
-			} else if v < mn {
-				mn = v
-			} else if v > mx {
-				mx = v
-			}
-		}
-		if z.HasNonNull {
-			z.Min, z.Max = sqlvalue.NewString(mn), sqlvalue.NewString(mx)
-		}
-	default: // KindNull: every value stored so far is NULL
-		z.HasNull = hi > lo
-	}
-	col.zones[b] = z
-}
+// rewriteDue reports whether dead rows make up more than a quarter of the
+// physical length — the point at which owners replace the store by its
+// Rewrite. The copy is O(Len) and frees at least Len/4 rows, so it adds O(1)
+// to the cost of each delete that led to it.
+func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 
-// Compact rewrites the store keeping only rows for which keep returns true,
-// returning the number of rows removed. Typed columns move surviving
-// payloads in place (no boxing); a column degraded by mixed kinds re-appends
-// its survivors, re-typing itself if they are homogeneous. All zone maps are
-// rebuilt. When keep accepts every row the store is left untouched.
-func (cs *ColumnStore) Compact(keep func(i int) bool) int {
-	n := cs.n
-	keepRow := make([]bool, n)
-	kept, first := 0, n
-	for i := 0; i < n; i++ {
-		if keep(i) {
-			keepRow[i] = true
-			kept++
-		} else if first == n {
-			first = i
+// Rewrite returns a fresh store holding the live rows in their current
+// order: no tombstones, exact zone maps, and degraded columns re-typed if
+// their surviving values are homogeneous again. The receiver is untouched,
+// so frozen copies of it stay valid; ordinals of the result are new.
+func (cs *ColumnStore) Rewrite() *ColumnStore {
+	out := NewColumnStore(len(cs.cols))
+	scratch := make(Row, len(cs.cols))
+	for i := 0; i < cs.n; i++ {
+		if !bitSet(cs.dead, i) {
+			cs.MaterializeInto(scratch, i)
+			out.AppendRow(scratch)
 		}
 	}
-	if kept == n {
-		return 0
-	}
-	retyped := make([]bool, len(cs.cols))
-	for c := range cs.cols {
-		col := &cs.cols[c]
-		if col.generic != nil {
-			retyped[c] = true
-			fresh := column{}
-			w := 0
-			for i := 0; i < n; i++ {
-				if keepRow[i] {
-					fresh.append(col.generic[i], w)
-					w++
-				}
-			}
-			cs.cols[c] = fresh
-			continue
-		}
-		// Surviving payloads are moved in place; clone first if a frozen
-		// version still reads this array. The bitmap and zones are rebuilt
-		// into fresh allocations below, so they need no clone.
-		col.ensurePayload()
-		var nulls []uint64
-		if len(col.nulls) > 0 {
-			nulls = make([]uint64, (kept+63)/64)
-		}
-		w := 0
-		mark := func(i int) {
-			if nulls != nil && bitSet(col.nulls, i) {
-				nulls[w>>6] |= 1 << (uint(w) & 63)
-			}
-		}
-		switch col.kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			for i := 0; i < n; i++ {
-				if keepRow[i] {
-					col.ints[w] = col.ints[i]
-					mark(i)
-					w++
-				}
-			}
-			col.ints = col.ints[:kept]
-		case sqlvalue.KindFloat:
-			for i := 0; i < n; i++ {
-				if keepRow[i] {
-					col.floats[w] = col.floats[i]
-					mark(i)
-					w++
-				}
-			}
-			col.floats = col.floats[:kept]
-		case sqlvalue.KindString:
-			for i := 0; i < n; i++ {
-				if keepRow[i] {
-					col.strs[w] = col.strs[i]
-					mark(i)
-					w++
-				}
-			}
-			for j := kept; j < n; j++ {
-				col.strs[j] = "" // release dropped strings to the GC
-			}
-			col.strs = col.strs[:kept]
-		default: // KindNull: only the bitmap exists
-			for i := 0; i < n; i++ {
-				if keepRow[i] {
-					mark(i)
-					w++
-				}
-			}
-		}
-		col.nulls = nulls
-		col.sharedNulls = false
-	}
-	removed := n - kept
-	cs.n = kept
-	nb := cs.NumBlocks()
-	// Blocks wholly before the first removed row keep their ordinals and
-	// values, so their zones carry over — unless the column was rebuilt from
-	// a degraded representation, whose old zones were untracked.
-	pb := first / BlockRows
-	if pb > nb {
-		pb = nb
-	}
-	for c := range cs.cols {
-		col := &cs.cols[c]
-		start := 0
-		old := col.zones
-		col.zones = make([]Zone, nb)
-		col.sharedZones = false
-		if !retyped[c] {
-			if start = pb; start > len(old) {
-				start = len(old)
-			}
-			copy(col.zones[:start], old[:start])
-		}
-		for b := start; b < nb; b++ {
-			cs.recomputeZone(c, b)
-		}
-	}
-	return removed
+	return out
 }
 
 // MaterializeInto fills dst (length NumCols) with row i's values.
@@ -721,59 +538,48 @@ func (cs *ColumnStore) RowAt(i int) Row {
 	return r
 }
 
-// Rows materializes every row. The result is freshly allocated (rows are
-// carved from chunked slabs); mutating the store afterwards does not affect
-// it. Column-major storage makes this the slow path — scans should read
-// columns through Col instead.
+// Rows materializes every live row, in ordinal order. The result is freshly
+// allocated (rows are carved from chunked slabs); mutating the store
+// afterwards does not affect it. Column-major storage makes this the slow
+// path — scans should read columns through Col instead.
 func (cs *ColumnStore) Rows() []Row {
 	ncols := len(cs.cols)
-	out := make([]Row, cs.n)
-	if ncols == 0 {
-		for i := range out {
-			out[i] = Row{}
-		}
-		return out
-	}
+	out := make([]Row, 0, cs.Live())
 	const chunk = 1024
-	for base := 0; base < cs.n; base += chunk {
-		m := cs.n - base
-		if m > chunk {
-			m = chunk
+	var slab []sqlvalue.Value
+	for i := 0; i < cs.n; i++ {
+		if bitSet(cs.dead, i) {
+			continue
 		}
-		slab := make([]sqlvalue.Value, m*ncols)
-		for k := 0; k < m; k++ {
-			out[base+k] = Row(slab[k*ncols : (k+1)*ncols : (k+1)*ncols])
+		if len(slab) < ncols {
+			slab = make([]sqlvalue.Value, min(chunk, cs.Live()-len(out))*ncols)
 		}
-	}
-	for c := range cs.cols {
-		col := &cs.cols[c]
-		for i := 0; i < cs.n; i++ {
-			out[i][c] = col.value(i)
-		}
+		r := Row(slab[:ncols:ncols])
+		slab = slab[ncols:]
+		cs.MaterializeInto(r, i)
+		out = append(out, r)
 	}
 	return out
 }
 
-// Freeze returns a copy of the store's column headers pinned at the current
-// row count — O(NumCols), no payload copying. Both the receiver and the copy
-// mark every array shared afterwards, so the next in-place mutation through
-// either clones first (copy-on-write): readers of the copy see exactly the
-// rows present at the freeze, forever, while the receiver remains mutable.
-// Appends after a freeze are always safe without cloning because they only
-// touch memory beyond the copy's pinned lengths.
+// Freeze returns a copy of the store's headers pinned at the current length
+// and dead bitmap — O(NumCols), no payload copying. Readers of the copy see
+// exactly the rows live at the freeze, forever, while the receiver remains
+// mutable: its appends land beyond the copy's lengths, and the two bitmaps an
+// in-place write could reach (dead rows, and a NULL appended into an existing
+// word) are marked shared on both sides, so the next such write clones first.
 //
 // Freeze is also the thaw direction: calling it on an immutable version's
-// store yields a mutable store sharing (and protecting) the same arrays,
-// which is how rollback restores a table or view head from the last
-// published version.
+// store yields a mutable store over the same arrays, which is how rollback
+// restores a table or view head from the last published version.
 func (cs *ColumnStore) Freeze() *ColumnStore {
 	for c := range cs.cols {
-		col := &cs.cols[c]
-		col.sharedPayload, col.sharedNulls, col.sharedZones = true, true, true
+		cs.cols[c].sharedNulls = true
 	}
-	f := &ColumnStore{n: cs.n, cols: make([]column, len(cs.cols))}
-	copy(f.cols, cs.cols)
-	return f
+	cs.sharedDead = true
+	f := *cs
+	f.cols = append([]column(nil), cs.cols...)
+	return &f
 }
 
 // AppendRowKey appends the composite hash key of the given columns of row i

@@ -90,20 +90,50 @@ func TestColumnarAllNullBlock(t *testing.T) {
 }
 
 // TestColumnarCompact deletes a scattered subset spanning block boundaries
-// and verifies survivor order, zone rebuild, and block count shrinkage.
+// and verifies that tombstones hide the rows while the zones stay
+// conservative, and that the rewrite keeps survivor order, tightens the zones
+// and shrinks the block count.
 func TestColumnarCompact(t *testing.T) {
 	n := 2*BlockRows + 100
 	cs := mkStore(n, func(i int) Row {
 		return Row{sqlvalue.NewInt(int64(i)), sqlvalue.NewString("p")}
 	})
 	// Drop all even ordinals: every block is partially invalidated.
-	kept := cs.Compact(func(i int) bool { return i%2 == 1 })
+	for i := 0; i < n; i += 2 {
+		if !cs.Delete(i) {
+			t.Fatalf("Delete(%d) found the row dead", i)
+		}
+	}
+	if cs.Delete(0) || cs.Delete(n) {
+		t.Fatal("Delete of a dead or out-of-range ordinal reported a live row")
+	}
 	wantKept := n / 2
-	if kept != wantKept || cs.Len() != wantKept {
-		t.Fatalf("kept %d (len %d), want %d", kept, cs.Len(), wantKept)
+	if cs.Len() != n || cs.Live() != wantKept || len(cs.Rows()) != wantKept {
+		t.Fatalf("len %d live %d rows %d, want %d/%d/%d", cs.Len(), cs.Live(), len(cs.Rows()), n, wantKept, wantKept)
+	}
+	if got := cs.BlockDead(0); got != BlockRows/2 {
+		t.Fatalf("BlockDead(0) = %d", got)
+	}
+	if lo, hi := cs.LiveRun(0, BlockRows); lo != 1 || hi != 2 {
+		t.Fatalf("LiveRun(0, block) = [%d,%d)", lo, hi)
+	}
+	// The zone still covers the deleted minimum: a bound, not an exact range.
+	if z := cs.Zone(0, 0); z.Min.Int() != 0 || z.Max.Int() != int64(BlockRows-1) {
+		t.Fatalf("zone 0 after delete = [%s, %s]", z.Min, z.Max)
+	}
+	if !cs.rewriteDue() {
+		t.Fatal("half the rows dead and no rewrite due")
+	}
+	old := cs
+	cs = cs.Rewrite()
+	if old.Len() != n || old.Live() != wantKept {
+		t.Fatal("Rewrite changed its receiver")
+	}
+	if cs.Len() != wantKept || cs.Live() != wantKept {
+		t.Fatalf("rewritten len %d live %d, want %d", cs.Len(), cs.Live(), wantKept)
 	}
 	if cs.NumBlocks() != (wantKept+BlockRows-1)/BlockRows {
-		t.Fatalf("blocks = %d after compact", cs.NumBlocks())
+		t.Fatalf("blocks = %d after rewrite", cs.NumBlocks())
 	}
 	for i := 0; i < wantKept; i++ {
 		if got := cs.Value(i, 0).Int(); got != int64(2*i+1) {
@@ -114,10 +144,13 @@ func TestColumnarCompact(t *testing.T) {
 	if z := cs.Zone(0, 0); z.Min.Int() != 1 || z.Max.Int() != int64(2*BlockRows-1) {
 		t.Fatalf("rebuilt zone 0 = [%s, %s]", z.Min, z.Max)
 	}
-	// Compacting everything away leaves an empty store.
-	cs.Compact(func(int) bool { return false })
+	// Deleting everything and rewriting leaves an empty store.
+	for i := 0; i < wantKept; i++ {
+		cs.Delete(i)
+	}
+	cs = cs.Rewrite()
 	if cs.Len() != 0 || cs.NumBlocks() != 0 || len(cs.Rows()) != 0 {
-		t.Fatal("compact-to-empty failed")
+		t.Fatal("rewrite-to-empty failed")
 	}
 }
 
@@ -125,20 +158,20 @@ func TestColumnarCompact(t *testing.T) {
 // without panicking.
 func TestColumnarEmpty(t *testing.T) {
 	cs := NewColumnStore(3)
-	if cs.Len() != 0 || cs.NumBlocks() != 0 {
+	if cs.Len() != 0 || cs.Live() != 0 || cs.NumBlocks() != 0 || cs.BlockDead(0) != 0 {
 		t.Fatal("empty store not empty")
 	}
 	if rows := cs.Rows(); len(rows) != 0 {
 		t.Fatalf("Rows() = %d", len(rows))
 	}
-	if n := cs.Compact(func(int) bool { return true }); n != 0 {
-		t.Fatalf("compact empty = %d", n)
+	if cs.rewriteDue() || cs.Rewrite().Len() != 0 {
+		t.Fatal("empty store wants a rewrite, or its rewrite has rows")
 	}
 }
 
 // TestColumnarDegradeAndRetype: a column that sees mixed kinds degrades to
-// generic storage (zones untracked, values preserved); compacting away the
-// offending rows re-types it and zones come back.
+// generic storage (zones untracked, values preserved); once the offending
+// rows are deleted, the rewrite re-types it and zones come back.
 func TestColumnarDegradeAndRetype(t *testing.T) {
 	cs := NewColumnStore(1)
 	for i := 0; i < 10; i++ {
@@ -160,37 +193,60 @@ func TestColumnarDegradeAndRetype(t *testing.T) {
 		t.Fatalf("post-degrade int = %d", got)
 	}
 
-	cs.Compact(func(i int) bool { return i != 10 })
+	cs.Delete(10)
+	cs = cs.Rewrite()
 	if v := cs.Col(0); v.Generic != nil || v.Kind != sqlvalue.KindInt {
-		t.Fatalf("compact did not re-type: kind=%s generic=%v", v.Kind, v.Generic != nil)
+		t.Fatalf("rewrite did not re-type: kind=%s generic=%v", v.Kind, v.Generic != nil)
 	}
 	if z := cs.Zone(0, 0); !z.Tracked || z.Min.Int() != 0 || z.Max.Int() != 99 {
 		t.Fatalf("re-typed zone = %+v", z)
 	}
 }
 
-// TestColumnarSetRowRecomputesZones: in-place updates (the aggregation
-// maintenance path) must keep the touched block's zones exact, not merely
-// widened.
-func TestColumnarSetRowRecomputesZones(t *testing.T) {
-	cs := mkStore(BlockRows+10, func(i int) Row {
+// TestColumnarFrozenCopyIsStable: a frozen copy keeps its length, its dead
+// rows, its NULLs and its last block's zone while the live store appends
+// (into the same bitmap words and the same block) and deletes.
+func TestColumnarFrozenCopyIsStable(t *testing.T) {
+	cs := mkStore(BlockRows-2, func(i int) Row {
+		if i%7 == 0 {
+			return Row{sqlvalue.Null}
+		}
 		return Row{sqlvalue.NewInt(int64(i % 100))}
 	})
-	cs.SetRow(5, Row{sqlvalue.NewInt(5000)})
-	if z := cs.Zone(0, 0); z.Max.Int() != 5000 {
-		t.Fatalf("zone max after raise = %s", z.Max)
+	cs.Delete(3)
+	f := cs.Freeze()
+	want := f.Rows()
+	wantZone := f.Zone(0, 0)
+
+	cs.AppendRow(Row{sqlvalue.Null})          // a NULL bit in a word f covers
+	cs.AppendRow(Row{sqlvalue.NewInt(5000)})  // widens block 0's zone, fills the block
+	cs.AppendRow(Row{sqlvalue.NewInt(-5000)}) // opens block 1
+	cs.Delete(4)
+	cs.Delete(BlockRows)
+
+	if f.Len() != BlockRows-2 || f.Live() != BlockRows-3 || f.IsDead(4) || !f.IsDead(3) {
+		t.Fatalf("frozen copy moved: len %d live %d", f.Len(), f.Live())
 	}
-	cs.SetRow(5, Row{sqlvalue.NewInt(5)})
-	if z := cs.Zone(0, 0); z.Max.Int() != 99 {
-		t.Fatalf("zone max after lower = %s (stale zone not recomputed)", z.Max)
+	got := f.Rows()
+	if len(got) != len(want) {
+		t.Fatalf("frozen copy has %d rows, had %d", len(got), len(want))
 	}
-	cs.SetRow(BlockRows+1, Row{sqlvalue.Null})
-	z := cs.Zone(0, 1)
-	if !z.HasNull {
-		t.Fatalf("zone after null set = %+v", z)
+	for i := range got {
+		if !sqlvalue.Identical(got[i][0], want[i][0]) {
+			t.Fatalf("frozen row %d = %s, was %s", i, got[i][0], want[i][0])
+		}
 	}
-	if !cs.Col(0).IsNull(BlockRows + 1) {
-		t.Fatal("SetRow(NULL) not reflected in bitmap")
+	if z := f.Zone(0, 0); !sqlvalue.Identical(z.Max, wantZone.Max) || z.Max.Int() != 99 {
+		t.Fatalf("frozen zone max = %s", z.Max)
+	}
+	if z := cs.Zone(0, 0); z.Max.Int() != 5000 || !z.HasNull {
+		t.Fatalf("live zone 0 = %+v", z)
+	}
+	if z := cs.Zone(0, 1); z.Min.Int() != -5000 {
+		t.Fatalf("live zone 1 = %+v", z)
+	}
+	if cs.Live() != BlockRows-2 || !cs.Col(0).IsNull(BlockRows-2) {
+		t.Fatalf("live store: live %d", cs.Live())
 	}
 }
 

@@ -1,0 +1,430 @@
+package storage
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"testing"
+
+	"matview/internal/sqlvalue"
+)
+
+// The model: a table and a view are each a plain []Row — the live rows in
+// ordinal order. An append adds at the end, a delete removes in place, an
+// update is remove + append, a rewrite changes nothing. Everything the store
+// answers (through the head or through a snapshot pinned at any epoch) must
+// be what this slice answers.
+
+// liveOrds returns the ordinals of cs's live rows; position k of the model
+// is ordinal liveOrds(cs)[k].
+func liveOrds(cs *ColumnStore) []int {
+	var out []int
+	for i := 0; i < cs.Len(); i++ {
+		if !cs.IsDead(i) {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func sameRow(a, b Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for c := range a {
+		if !sqlvalue.Identical(a[c], b[c]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkStore holds one store and its indexes to the model.
+func checkStore(t *testing.T, what string, cs *ColumnStore, indexes map[string]*Index, model []Row) {
+	t.Helper()
+	if cs.Live() != len(model) {
+		t.Fatalf("%s: %d live rows, model has %d", what, cs.Live(), len(model))
+	}
+	rows := cs.Rows()
+	ords := liveOrds(cs)
+	if len(rows) != len(model) || len(ords) != len(model) {
+		t.Fatalf("%s: Rows() has %d rows, %d ordinals are live, model has %d", what, len(rows), len(ords), len(model))
+	}
+	for k, want := range model {
+		if !sameRow(rows[k], want) || !sameRow(cs.RowAt(ords[k]), want) {
+			t.Fatalf("%s: row %d (ordinal %d) = %v / %v, model has %v", what, k, ords[k], rows[k], cs.RowAt(ords[k]), want)
+		}
+	}
+	// Tombstone accounting: per-block counts and live runs agree with the bits.
+	for b := 0; b < cs.NumBlocks(); b++ {
+		lo, hi := b*BlockRows, min((b+1)*BlockRows, cs.Len())
+		dead, covered := 0, 0
+		for i := lo; i < hi; i++ {
+			if cs.IsDead(i) {
+				dead++
+			}
+		}
+		if got := cs.BlockDead(b); got != dead {
+			t.Fatalf("%s: BlockDead(%d) = %d, %d bits are set", what, b, got, dead)
+		}
+		for i := lo; i < hi; {
+			from, to := cs.LiveRun(i, hi)
+			for j := from; j < to; j++ {
+				if cs.IsDead(j) {
+					t.Fatalf("%s: LiveRun(%d,%d) = [%d,%d) holds dead row %d", what, i, hi, from, to, j)
+				}
+			}
+			covered += to - from
+			i = to
+		}
+		if covered != hi-lo-dead {
+			t.Fatalf("%s: live runs of block %d cover %d rows, %d are live", what, b, covered, hi-lo-dead)
+		}
+		// Zone maps bound every live value of the block.
+		for c := 0; c < cs.NumCols(); c++ {
+			z := cs.Zone(c, b)
+			if !z.Tracked {
+				continue
+			}
+			for i := lo; i < hi; i++ {
+				if cs.IsDead(i) {
+					continue
+				}
+				v := cs.Value(i, c)
+				if v.IsNull() {
+					if !z.HasNull {
+						t.Fatalf("%s: block %d col %d holds a live NULL, zone %+v", what, b, c, z)
+					}
+					continue
+				}
+				cmin, ok1 := sqlvalue.Compare(v, z.Min)
+				cmax, ok2 := sqlvalue.Compare(v, z.Max)
+				if !z.HasNonNull || !ok1 || !ok2 || cmin < 0 || cmax > 0 {
+					t.Fatalf("%s: block %d col %d: live value %s outside zone %+v", what, b, c, v, z)
+				}
+			}
+		}
+	}
+	// Every index probe equals a scan, and no bucket holds anything else.
+	for key, idx := range indexes {
+		want := map[string][]int{}
+		for _, ord := range ords {
+			k := string(cs.AppendRowKey(nil, ord, idx.Cols))
+			want[k] = append(want[k], ord)
+		}
+		entries, keys := 0, 0
+		for _, shard := range idx.shards {
+			keys += len(shard)
+			for _, bucket := range shard {
+				entries += len(bucket)
+			}
+		}
+		if entries != len(ords) || keys != len(want) {
+			t.Fatalf("%s: index %s holds %d ordinals under %d keys, a scan finds %d under %d", what, key, entries, keys, len(ords), len(want))
+		}
+		for k, scan := range want {
+			got := append([]int(nil), idx.ProbeKey([]byte(k))...)
+			if len(got) != len(scan) {
+				t.Fatalf("%s: index %s key %q probes %v, a scan finds %v", what, key, k, got, scan)
+			}
+			seen := map[int]bool{}
+			for _, o := range got {
+				seen[o] = true
+			}
+			for _, o := range scan {
+				if !seen[o] {
+					t.Fatalf("%s: index %s key %q probes %v, a scan finds %v", what, key, k, got, scan)
+				}
+			}
+		}
+	}
+}
+
+func cloneRows(in []Row) []Row { return append([]Row(nil), in...) }
+
+// TestStorageAgainstModel drives random interleavings of append, delete by
+// ordinals, update, rewrite (the deletes that push a store over its dead-row
+// fraction), Commit, RollbackTable and RollbackView, checking the head after
+// every step and — at the end, after all the writes that followed them —
+// every snapshot pinned along the way.
+func TestStorageAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runModel(t, seed, 300) })
+	}
+}
+
+func runModel(t *testing.T, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	db := NewDatabase(testCatalog(t))
+	tb := db.Table("t")
+	if _, err := tb.BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	mv := db.PutView("v", 2, nil)
+	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	db.Commit()
+
+	var table, view []Row                 // the model of the head
+	var cTable, cView []Row               // … and of the last committed epoch
+	nextID, nextKey := int64(0), int64(0) // fresh unique keys
+	type pinned struct {
+		snap        *Snapshot
+		table, view []Row
+	}
+	var pins []pinned
+	rewrites := 0
+
+	newTableRow := func() Row {
+		note := sqlvalue.Null
+		if rng.Intn(3) > 0 {
+			note = sqlvalue.NewString(fmt.Sprintf("n%d", rng.Intn(50)))
+		}
+		nextID++
+		// Ids are not monotone, so a block's zone is set by its content.
+		return Row{sqlvalue.NewInt(nextID*7919%100003 - 50000), sqlvalue.NewInt(int64(rng.Intn(9))), note}
+	}
+	newViewRow := func(key int64) Row {
+		val := sqlvalue.Null
+		if rng.Intn(4) > 0 {
+			val = sqlvalue.NewFloat(rng.Float64()*200 - 100)
+		}
+		return Row{sqlvalue.NewInt(key), val}
+	}
+	// pick returns k distinct model positions, ascending.
+	pick := func(n, k int) []int {
+		pos := rng.Perm(n)[:k]
+		sort.Ints(pos)
+		return pos
+	}
+	removeAt := func(rows []Row, pos []int) []Row {
+		out := rows[:0:0]
+		drop := map[int]bool{}
+		for _, p := range pos {
+			drop[p] = true
+		}
+		for p, r := range rows {
+			if !drop[p] {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
+
+	for step := 0; step < steps; step++ {
+		switch op := rng.Intn(20); {
+		case op < 6: // append to the table, sometimes enough to cross a block
+			n := 1 + rng.Intn(40)
+			if rng.Intn(8) == 0 {
+				n += BlockRows
+			}
+			for i := 0; i < n; i++ {
+				r := newTableRow()
+				if err := tb.Insert(r); err != nil {
+					t.Fatal(err)
+				}
+				table = append(table, r)
+			}
+		case op < 10 && len(table) > 0: // delete from the table by ordinals
+			k := 1 + rng.Intn(min(len(table), 30))
+			if rng.Intn(6) == 0 {
+				k = len(table)/3 + 1 // a big delete: forces a rewrite soon
+			}
+			pos := pick(len(table), k)
+			ords := liveOrds(tb.Store())
+			victims := make([]int, len(pos))
+			for i, p := range pos {
+				victims[i] = ords[p]
+			}
+			before := tb.Store()
+			deleted, err := tb.DeleteOrds(victims)
+			if err != nil || len(deleted) != len(pos) {
+				t.Fatalf("step %d: DeleteOrds(%d ordinals) returned %d rows, %v", step, len(pos), len(deleted), err)
+			}
+			for i, p := range pos {
+				if !sameRow(deleted[i], table[p]) {
+					t.Fatalf("step %d: deleted row %v, model row %v", step, deleted[i], table[p])
+				}
+			}
+			if tb.Store() != before {
+				rewrites++
+				if tb.Store().Len() != tb.Store().Live() {
+					t.Fatalf("step %d: a rewritten table still has tombstones", step)
+				}
+			}
+			table = removeAt(table, pos)
+		case op < 16: // one maintenance statement on the view
+			mv.Locator([]int{0}) // the writer's own index rides along from here on
+			for m := 0; m < 1+rng.Intn(6); m++ {
+				switch kind := rng.Intn(3); {
+				case kind == 0 || len(view) == 0:
+					nextKey++
+					r := newViewRow(nextKey)
+					mv.Append([]Row{r})
+					view = append(view, r)
+				case kind == 1:
+					p := rng.Intn(len(view))
+					mv.Delete([]int{liveOrds(mv.Store())[p]})
+					view = removeAt(view, []int{p})
+				default:
+					p := rng.Intn(len(view))
+					r := newViewRow(view[p][0].Int())
+					mv.Update(liveOrds(mv.Store())[p], r)
+					view = append(removeAt(view, []int{p}), r)
+				}
+			}
+			before := mv.Store()
+			if err := mv.PatchIndexes(); err != nil {
+				t.Fatalf("step %d: PatchIndexes: %v", step, err)
+			}
+			if mv.Store() != before {
+				rewrites++
+			}
+		case op < 18:
+			db.Commit()
+			cTable, cView = cloneRows(table), cloneRows(view)
+			if rng.Intn(2) == 0 {
+				pins = append(pins, pinned{db.Snapshot(), cTable, cView})
+			}
+		case op == 18:
+			db.RollbackTable("t")
+			tb, table = db.Table("t"), cloneRows(cTable)
+		default:
+			db.RollbackView("v")
+			mv, view = db.View("v"), cloneRows(cView)
+		}
+		checkStore(t, fmt.Sprintf("step %d: head table", step), tb.Store(), tb.indexes, table)
+		viewIndexes := map[string]*Index{"public": mv.LookupIndex([]int{0})}
+		if mv.locator != nil {
+			viewIndexes["locator"] = mv.locator
+		}
+		checkStore(t, fmt.Sprintf("step %d: head view", step), mv.Store(), viewIndexes, view)
+	}
+	if rewrites == 0 || len(pins) < 3 {
+		t.Fatalf("the run exercised %d rewrites and %d pinned snapshots", rewrites, len(pins))
+	}
+	for _, p := range pins {
+		td, vd := p.snap.TableData("t"), p.snap.ViewData("v")
+		checkStore(t, fmt.Sprintf("snapshot at epoch %d: table", p.snap.Epoch()), td.Store(), td.indexes, p.table)
+		checkStore(t, fmt.Sprintf("snapshot at epoch %d: view", p.snap.Epoch()), vd.Store(), vd.indexes, p.view)
+		p.snap.Release()
+	}
+}
+
+// TestSnapshotReadersDuringWrites: readers scan, probe and re-scan snapshots
+// pinned at whatever epoch is current while one writer appends, tombstones,
+// updates, rewrites, rolls back and commits. Every committed epoch holds
+// rows in pairs (x, -x) under one group, so a torn or moving snapshot shows
+// as a non-zero sum; under -race a write below a pinned length shows as a
+// race.
+func TestSnapshotReadersDuringWrites(t *testing.T) {
+	db := NewDatabase(testCatalog(t))
+	tb := db.Table("t")
+	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
+		t.Fatal(err)
+	}
+	mv := db.PutView("v", 2, nil)
+	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	mv.Append([]Row{intRow(1, 0)})
+	if err := mv.PatchIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	db.Commit()
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				snap := db.Snapshot()
+				td, vd := snap.TableData("t"), snap.ViewData("v")
+				scan := func() (n int, sum int64) {
+					st := td.Store()
+					ids := st.Col(0)
+					for i := 0; i < st.Len(); i++ {
+						if !st.IsDead(i) {
+							n++
+							sum += ids.Ints[i]
+						}
+					}
+					return n, sum
+				}
+				n, sum := scan()
+				if sum != 0 || n%2 != 0 || n != td.NumRows() {
+					t.Errorf("epoch %d: %d rows (NumRows %d) summing to %d", snap.Epoch(), n, td.NumRows(), sum)
+				}
+				if got := len(td.LookupIndex([]int{1}).Probe(intRow(0))); got != n {
+					t.Errorf("epoch %d: index finds %d rows, scan %d", snap.Epoch(), got, n)
+				}
+				for b := 0; b < td.Store().NumBlocks(); b++ {
+					if z := td.Store().Zone(0, b); !z.Tracked {
+						t.Errorf("epoch %d: zone %d untracked", snap.Epoch(), b)
+					}
+				}
+				// The view holds one row: the table's live row count.
+				if rows := vd.Rows(); len(rows) != 1 || rows[0][1].Int() != int64(n) {
+					t.Errorf("epoch %d: view says %v, table has %d rows", snap.Epoch(), rows, n)
+				} else if got := vd.LookupIndex([]int{0}).Probe(intRow(1)); len(got) != 1 || vd.RowAt(got[0])[1].Int() != int64(n) {
+					t.Errorf("epoch %d: view index finds %v", snap.Epoch(), got)
+				}
+				if n2, sum2 := scan(); n2 != n || sum2 != sum {
+					t.Errorf("epoch %d moved under its reader: %d/%d then %d/%d", snap.Epoch(), n, sum, n2, sum2)
+				}
+				snap.Release()
+			}
+		}()
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	live, next := 0, int64(1)
+	for step := 0; step < 500; step++ {
+		if live > 0 && rng.Intn(3) == 0 {
+			// Delete the oldest pairs; their ordinals come in twos.
+			ords := liveOrds(tb.Store())
+			k := 2 * (1 + rng.Intn(min(live/2, 40)))
+			if _, err := tb.DeleteOrds(ords[:k]); err != nil {
+				t.Fatal(err)
+			}
+			live -= k
+		} else {
+			for i := 0; i < 1+rng.Intn(30); i++ {
+				for _, id := range []int64{next, -next} {
+					if err := tb.Insert(tRow(id, 0)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				next++
+				live += 2
+			}
+		}
+		mv.Update(liveOrds(mv.Store())[0], intRow(1, int64(live)))
+		if err := mv.PatchIndexes(); err != nil {
+			t.Fatal(err)
+		}
+		if rng.Intn(10) == 0 {
+			// An aborted statement: both heads return to the last commit.
+			db.RollbackTable("t")
+			db.RollbackView("v")
+			tb, mv = db.Table("t"), db.View("v")
+			live = tb.NumRows()
+			continue
+		}
+		db.Commit()
+	}
+	close(done)
+	wg.Wait()
+}

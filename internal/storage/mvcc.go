@@ -1,11 +1,13 @@
 // Epoch-snapshot MVCC. The database publishes an immutable version of every
 // table and view at each Commit; readers pin a version with Snapshot() —
 // three atomic operations, no locks — and run entire queries against it
-// while writers keep mutating the live head. Immutability is array-granular
-// copy-on-write (see column's shared* flags in columnar.go): publishing a
-// version is O(tables × columns) header copying, never payload copying, and
-// a failed statement rolls the head back to the published version so an
-// epoch is only ever observed fully applied.
+// while writers keep mutating the live head. Stores are append-only with
+// tombstones (see columnar.go), so below a version's pinned length payloads
+// never change and a version is just lengths, a dead bitmap and index maps:
+// publishing is O(tables × columns) header copying, a write after it clones
+// at most those two small structures, and a failed statement rolls the head
+// back to the published version so an epoch is only ever observed fully
+// applied.
 //
 // Version lifecycle:
 //
@@ -48,10 +50,10 @@ type TableData struct {
 // Store returns the column store for direct columnar access.
 func (d *TableData) Store() *ColumnStore { return d.store }
 
-// NumRows returns the number of rows.
-func (d *TableData) NumRows() int { return d.store.Len() }
+// NumRows returns the number of live rows.
+func (d *TableData) NumRows() int { return d.store.Live() }
 
-// Rows materializes every row (freshly allocated).
+// Rows materializes every live row (freshly allocated).
 func (d *TableData) Rows() []Row { return d.store.Rows() }
 
 // RowAt materializes row i as a fresh Row.
@@ -77,10 +79,10 @@ type ViewData struct {
 // Store returns the column store for direct columnar access.
 func (d *ViewData) Store() *ColumnStore { return d.store }
 
-// NumRows returns the number of rows.
-func (d *ViewData) NumRows() int { return d.store.Len() }
+// NumRows returns the number of live rows.
+func (d *ViewData) NumRows() int { return d.store.Live() }
 
-// Rows materializes every row (freshly allocated).
+// Rows materializes every live row (freshly allocated).
 func (d *ViewData) Rows() []Row { return d.store.Rows() }
 
 // RowAt materializes row i as a fresh Row.
@@ -217,18 +219,17 @@ func (db *Database) ViewData(name string) *ViewData {
 	return &ViewData{Name: mv.Name, NumCols: mv.NumCols, store: mv.cols, indexes: mv.indexes}
 }
 
-// shareIndexes marks every index's bucket map as shared with a published
-// version and returns an independent map of independent *Index structs over
-// the same buckets. The head keeps its structs (cloning a bucket map on its
-// next insert); the returned structs are immutable by convention.
+// shareIndexes returns an independent map of independent *Index structs over
+// the same shards as in, every shard marked shared on both sides (see
+// Index.share). The head keeps one set of structs, cloning a shard on its
+// next patch; a published version's structs are immutable by convention.
 func shareIndexes(in map[string]*Index) map[string]*Index {
 	if in == nil {
 		return nil
 	}
 	out := make(map[string]*Index, len(in))
 	for k, idx := range in {
-		idx.shared = true
-		out[k] = &Index{Cols: idx.Cols, Unique: idx.Unique, m: idx.m, shared: true}
+		out[k] = idx.share()
 	}
 	return out
 }
@@ -296,7 +297,7 @@ func (db *Database) CommitDurable() (uint64, error) {
 		return prev.epoch, nil
 	}
 	// Assemble the next version without clearing dirty marks yet: freezing is
-	// side-effect-safe (it only marks arrays copy-on-write), but the dirty
+	// side-effect-safe (it only marks bitmaps and index maps shared), but the dirty
 	// state must survive a hook failure so a retry or rollback still sees
 	// which objects diverge from the published epoch.
 	tables := prev.tables
@@ -365,8 +366,9 @@ func (db *Database) ForceEpoch(e uint64) {
 
 // RollbackTable restores the named table's head to the last committed
 // version, discarding every uncommitted mutation to it. Restoration is
-// header copying only — the head re-adopts the published arrays under
-// copy-on-write.
+// header copying only — the head re-adopts the published arrays, and its
+// next appends overwrite whatever the discarded statement left beyond the
+// published length.
 func (db *Database) RollbackTable(name string) {
 	t := db.tables[name]
 	td := db.cur.Load().tables[name]
@@ -394,6 +396,7 @@ func (db *Database) RollbackView(name string) {
 		NumCols: vd.NumCols,
 		cols:    vd.store.Freeze(),
 		indexes: shareIndexes(vd.indexes),
+		patched: vd.store.Len(),
 		faults:  db.faults,
 	}
 }

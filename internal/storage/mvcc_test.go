@@ -16,6 +16,9 @@ func intRow(vals ...int64) Row {
 	return r
 }
 
+// tRow is a row of testCatalog's table t: (id, grp, NULL note).
+func tRow(id, grp int64) Row { return append(intRow(id, grp), sqlvalue.Null) }
+
 // TestSnapshotIsolation: a pinned snapshot keeps seeing exactly the state of
 // its epoch while the head takes inserts, deletes, view replacements, and
 // further commits.
@@ -23,7 +26,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
 	for i := int64(0); i < 3; i++ {
-		if err := tb.Insert(intRow(i, i%2, 0)); err != nil {
+		if err := tb.Insert(tRow(i, i%2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,7 +41,7 @@ func TestSnapshotIsolation(t *testing.T) {
 
 	// Mutate the head heavily: append, delete, replace the view, commit.
 	for i := int64(10); i < 20; i++ {
-		if err := tb.Insert(intRow(i, 0, 0)); err != nil {
+		if err := tb.Insert(tRow(i, 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -81,11 +84,11 @@ func TestSnapshotIsolation(t *testing.T) {
 func TestSnapshotSeesOnlyCommitted(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
-	if err := tb.Insert(intRow(1, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db.Commit()
-	if err := tb.Insert(intRow(2, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := db.Snapshot()
@@ -106,7 +109,7 @@ func TestSnapshotSeesOnlyCommitted(t *testing.T) {
 func TestRollbackRestoresCommitted(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
-	if err := tb.Insert(intRow(1, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := tb.BuildIndex([]int{0}, true); err != nil {
@@ -114,7 +117,7 @@ func TestRollbackRestoresCommitted(t *testing.T) {
 	}
 	epoch := db.Commit()
 
-	if err := tb.Insert(intRow(2, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db.RollbackTable("t")
@@ -126,7 +129,7 @@ func TestRollbackRestoresCommitted(t *testing.T) {
 		t.Fatalf("rollback left the table dirty: epoch %d -> %d", epoch, got)
 	}
 	// The restored head still takes writes and maintains its index.
-	if err := tb.Insert(intRow(5, 1, 0)); err != nil {
+	if err := tb.Insert(tRow(5, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if got := tb.LookupIndex([]int{0}).Probe(intRow(5)); len(got) != 1 {
@@ -143,7 +146,7 @@ func TestVersionGCPinning(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
 	commit := func(id int64) {
-		if err := tb.Insert(intRow(id, 0, 0)); err != nil {
+		if err := tb.Insert(tRow(id, 0)); err != nil {
 			t.Fatal(err)
 		}
 		db.Commit()
@@ -187,12 +190,12 @@ func TestVersionGCPinning(t *testing.T) {
 func TestVersionGCLeakGuard(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
-	if err := tb.Insert(intRow(1, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db.Commit()
 	leakedSnap := db.Snapshot() // never released
-	if err := tb.Insert(intRow(2, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(2, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db.Commit()
@@ -230,7 +233,7 @@ func TestSnapshotDoubleRelease(t *testing.T) {
 func TestSnapshotAcquireConcurrent(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
-	if err := tb.Insert(intRow(0, 0, 0)); err != nil {
+	if err := tb.Insert(tRow(0, 0)); err != nil {
 		t.Fatal(err)
 	}
 	db.Commit()
@@ -245,7 +248,7 @@ func TestSnapshotAcquireConcurrent(t *testing.T) {
 				return
 			default:
 			}
-			if err := tb.Insert(intRow(i, 0, 0)); err != nil {
+			if err := tb.Insert(tRow(i, 0)); err != nil {
 				return
 			}
 			db.Commit()
@@ -261,7 +264,7 @@ func TestSnapshotAcquireConcurrent(t *testing.T) {
 				td := snap.TableData("t")
 				n := td.NumRows()
 				// Rows 0..n-1 are stable within the snapshot.
-				if td.RowAt(n-1)[0].Int() != int64(n-1) {
+				if td.RowAt(n - 1)[0].Int() != int64(n-1) {
 					t.Error("snapshot tore")
 					snap.Release()
 					return

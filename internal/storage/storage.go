@@ -9,6 +9,9 @@ package storage
 
 import (
 	"fmt"
+	"hash/maphash"
+	"maps"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -51,40 +54,100 @@ func newTable(meta *catalog.Table) *Table {
 // Store returns the table's column store for direct columnar access.
 func (t *Table) Store() *ColumnStore { return t.cols }
 
-// NumRows returns the number of stored rows.
-func (t *Table) NumRows() int { return t.cols.Len() }
+// NumRows returns the number of live rows.
+func (t *Table) NumRows() int { return t.cols.Live() }
 
-// Rows materializes every row (freshly allocated). The executor's scans read
+// Rows materializes every live row (freshly allocated). The executor's scans read
 // columns directly; this is for tests, tools, and the reference evaluator.
 func (t *Table) Rows() []Row { return t.cols.Rows() }
 
 // RowAt materializes row i as a fresh Row.
 func (t *Table) RowAt(i int) Row { return t.cols.RowAt(i) }
 
-// Index is a hash index over a column list. Unique indexes reject duplicate
-// keys at build time.
+// indexShards is how many maps an index spreads its buckets over; what a
+// patch clones after a publish is one shard per key it touches.
+const indexShards = 256
+
+var indexSeed = maphash.MakeSeed()
+
+// Index is a hash index over a column list, holding the ordinals of live
+// rows only. Unique indexes reject duplicate keys at build time.
 type Index struct {
 	Cols   []int
 	Unique bool
-	m      map[string][]int // key → row ordinals
 
-	// shared marks m as reachable from a published snapshot version; the
-	// first post-publish insert clones the map (bucket slices stay shared —
-	// appending beyond a published bucket's length writes fresh locations).
-	shared bool
+	// shards[h(key)] maps key → row ordinals. shared marks the shards a
+	// published snapshot version still reads: the first patch of such a shard
+	// clones its map. Bucket slices stay shared: appending beyond a published
+	// bucket's length writes fresh locations, and removing an ordinal builds
+	// a new bucket.
+	shards [indexShards]map[string][]int
+	shared [indexShards / 64]uint64
 }
 
-// ensureOwned clones the bucket map if a published version still reads it.
-func (idx *Index) ensureOwned() {
-	if !idx.shared {
-		return
+func newIndex(cols []int, unique bool) *Index {
+	return &Index{Cols: append([]int(nil), cols...), Unique: unique}
+}
+
+// share returns a copy of the index for a second owner — a published version
+// or, on rollback, the head — and marks every shard shared on both sides, so
+// whichever of the two patches one clones it first.
+func (idx *Index) share() *Index {
+	for w := range idx.shared {
+		idx.shared[w] = ^uint64(0)
 	}
-	m := make(map[string][]int, len(idx.m))
-	for k, v := range idx.m {
-		m[k] = v
+	cp := *idx
+	return &cp
+}
+
+// owned returns key's shard for writing, cloned first if a published
+// version still reads it.
+func (idx *Index) owned(key []byte) map[string][]int {
+	s := maphash.Bytes(indexSeed, key) % indexShards
+	m := idx.shards[s]
+	if bit := uint64(1) << (s % 64); idx.shared[s/64]&bit != 0 || m == nil {
+		idx.shared[s/64] &^= bit
+		m = maps.Clone(m)
+		if m == nil {
+			m = map[string][]int{}
+		}
+		idx.shards[s] = m
 	}
-	idx.m = m
-	idx.shared = false
+	return m
+}
+
+// add files row ord of cs, a live row, under its key. A unique index refuses
+// a key it already holds and reports false.
+func (idx *Index) add(cs *ColumnStore, ord int, buf []byte) ([]byte, bool) {
+	buf = cs.AppendRowKey(buf[:0], ord, idx.Cols)
+	m := idx.owned(buf)
+	if idx.Unique && len(m[string(buf)]) > 0 {
+		return buf, false
+	}
+	m[string(buf)] = append(m[string(buf)], ord)
+	return buf, true
+}
+
+// remove drops row ord of cs from its key's bucket. A dead row keeps its
+// payloads, so the key is still there to read.
+func (idx *Index) remove(cs *ColumnStore, ord int, buf []byte) []byte {
+	buf = cs.AppendRowKey(buf[:0], ord, idx.Cols)
+	m := idx.owned(buf)
+	old := m[string(buf)]
+	if len(old) <= 1 {
+		if len(old) == 1 && old[0] == ord {
+			delete(m, string(buf))
+		}
+		return buf
+	}
+	kept := make([]int, 0, len(old)-1)
+	for _, o := range old {
+		if o != ord {
+			kept = append(kept, o)
+		}
+	}
+	m[string(buf)] = kept
+	return buf
 }
 
 func indexKey(cols []int) string {
@@ -121,8 +184,13 @@ func (t *Table) Insert(r Row) error {
 			len(r), len(t.Meta.Columns), t.Meta.Name)
 	}
 	for i, col := range t.Meta.Columns {
-		if col.NotNull && r[i].IsNull() {
-			return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", t.Meta.Name, col.Name)
+		if r[i].IsNull() {
+			if col.NotNull {
+				return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", t.Meta.Name, col.Name)
+			}
+		} else if k := r[i].Kind(); k != col.Type {
+			// One stray kind would box the whole column (see column.append).
+			return fmt.Errorf("storage: %s value in %s column %s.%s", k, col.Type, t.Meta.Name, col.Name)
 		}
 	}
 	var buf []byte
@@ -131,31 +199,31 @@ func (t *Table) Insert(r Row) error {
 			continue
 		}
 		buf = appendKeyVals(buf[:0], r, idx.Cols)
-		if len(idx.m[string(buf)]) > 0 {
+		if len(idx.ProbeKey(buf)) > 0 {
 			return fmt.Errorf("storage: duplicate key in unique index on %s", t.Meta.Name)
 		}
 	}
 	ord := t.cols.Len()
 	t.cols.AppendRow(r)
 	for _, idx := range t.indexes {
-		idx.ensureOwned()
-		buf = appendKeyVals(buf[:0], r, idx.Cols)
-		idx.m[string(buf)] = append(idx.m[string(buf)], ord)
+		buf, _ = idx.add(t.cols, ord, buf) // uniqueness was checked above
 	}
 	t.dirty = true
 	return nil
 }
 
-// buildIndexOn builds a hash index over cols of a column store.
+// buildIndexOn builds a hash index over cols of a column store's live rows.
 func buildIndexOn(cs *ColumnStore, cols []int, unique bool, what string) (*Index, error) {
-	idx := &Index{Cols: append([]int(nil), cols...), Unique: unique, m: map[string][]int{}}
+	idx := newIndex(cols, unique)
 	var buf []byte
 	for ord := 0; ord < cs.Len(); ord++ {
-		buf = cs.AppendRowKey(buf[:0], ord, cols)
-		if unique && len(idx.m[string(buf)]) > 0 {
+		if cs.IsDead(ord) {
+			continue
+		}
+		var ok bool
+		if buf, ok = idx.add(cs, ord, buf); !ok {
 			return nil, fmt.Errorf("storage: duplicate key building unique index on %s", what)
 		}
-		idx.m[string(buf)] = append(idx.m[string(buf)], ord)
 	}
 	return idx, nil
 }
@@ -190,7 +258,32 @@ func (idx *Index) Probe(vals Row) []int {
 		buf = v.AppendKey(buf)
 		buf = append(buf, '\x1f')
 	}
-	return idx.m[string(buf)]
+	return idx.ProbeKey(buf)
+}
+
+// ProbeKey is Probe for a key the caller has already built: the AppendKey
+// bytes of the indexed columns' values, each followed by 0x1f (the layout
+// AppendRowKey writes).
+func (idx *Index) ProbeKey(key []byte) []int {
+	return idx.shards[maphash.Bytes(indexSeed, key)%indexShards][string(key)]
+}
+
+// rewritten returns cs's Rewrite and, since that renumbers every row, fresh
+// indexes with the definitions of in built over it.
+func rewritten(cs *ColumnStore, in map[string]*Index, what string) (*ColumnStore, map[string]*Index, error) {
+	cs = cs.Rewrite()
+	if in == nil {
+		return cs, nil, nil
+	}
+	out := make(map[string]*Index, len(in))
+	for key, idx := range in {
+		rebuilt, err := buildIndexOn(cs, idx.Cols, idx.Unique, what)
+		if err != nil {
+			return nil, nil, fmt.Errorf("storage: rebuilding index %s: %w", key, err)
+		}
+		out[key] = rebuilt
+	}
+	return cs, out, nil
 }
 
 // MaterializedView stores the materialized rows of a view: one column per
@@ -204,6 +297,18 @@ type MaterializedView struct {
 	cols    *ColumnStore
 	indexes map[string]*Index
 
+	// locator is the writer's own index over the view's clustered key (§2):
+	// maintenance finds the stored rows a delta touches through it instead of
+	// keying every row per statement. It is never published, so patching it
+	// never clones; whatever replaces the store (rollback, recompute, repair,
+	// rewrite) drops it and the next Locator call rebuilds it.
+	locator *Index
+
+	// Row changes the indexes have not seen yet: rows at ordinals >= patched
+	// are new, those in patchDel are gone. PatchIndexes catches up.
+	patched  int
+	patchDel []int
+
 	// dirty marks uncommitted mutations since the last published epoch.
 	dirty bool
 
@@ -213,21 +318,21 @@ type MaterializedView struct {
 // Store returns the view's column store for direct columnar access.
 func (mv *MaterializedView) Store() *ColumnStore { return mv.cols }
 
-// NumRows returns the number of materialized rows.
-func (mv *MaterializedView) NumRows() int { return mv.cols.Len() }
+// NumRows returns the number of live materialized rows.
+func (mv *MaterializedView) NumRows() int { return mv.cols.Live() }
 
-// RowCount returns the number of materialized rows as an int64 (the shape
-// cost models and stats want).
-func (mv *MaterializedView) RowCount() int64 { return int64(mv.cols.Len()) }
+// RowCount returns the number of live materialized rows as an int64 (the
+// shape cost models and stats want).
+func (mv *MaterializedView) RowCount() int64 { return int64(mv.cols.Live()) }
 
-// Rows materializes every row (freshly allocated).
+// Rows materializes every live row (freshly allocated).
 func (mv *MaterializedView) Rows() []Row { return mv.cols.Rows() }
 
 // RowAt materializes row i as a fresh Row.
 func (mv *MaterializedView) RowAt(i int) Row { return mv.cols.RowAt(i) }
 
-// Append appends delta rows to the view. Indexes are NOT rebuilt here;
-// maintenance calls RebuildIndexes explicitly after all row changes.
+// Append appends delta rows to the view. Indexes are not touched here;
+// maintenance calls PatchIndexes after all row changes.
 func (mv *MaterializedView) Append(rows []Row) {
 	for _, r := range rows {
 		mv.cols.AppendRow(r)
@@ -235,22 +340,30 @@ func (mv *MaterializedView) Append(rows []Row) {
 	mv.dirty = true
 }
 
-// SetRow overwrites row i (incremental aggregate maintenance). The write is
-// copy-on-write against published snapshot versions.
-func (mv *MaterializedView) SetRow(i int, r Row) {
-	mv.cols.SetRow(i, r)
+// Delete tombstones the rows at the given ordinals; like Append it leaves
+// the indexes to PatchIndexes.
+func (mv *MaterializedView) Delete(ords []int) {
+	for _, ord := range ords {
+		if mv.cols.Delete(ord) {
+			mv.patchDel = append(mv.patchDel, ord)
+		}
+	}
 	mv.dirty = true
 }
 
-// Compact removes the rows keep rejects, returning how many were removed.
-func (mv *MaterializedView) Compact(keep func(i int) bool) int {
-	mv.dirty = true
-	return mv.cols.Compact(keep)
+// Update replaces row ord (incremental aggregate maintenance): the stored
+// row is tombstoned and r appended, so no published array is written.
+func (mv *MaterializedView) Update(ord int, r Row) {
+	mv.Delete([]int{ord})
+	mv.cols.AppendRow(r)
 }
 
 // BuildIndex creates (or rebuilds) a hash index over the view's output
 // columns.
 func (mv *MaterializedView) BuildIndex(cols []int, unique bool) (*Index, error) {
+	if err := mv.patch(); err != nil {
+		return nil, err
+	}
 	idx, err := buildIndexOn(mv.cols, cols, unique, "view "+mv.Name)
 	if err != nil {
 		return nil, err
@@ -271,20 +384,74 @@ func (mv *MaterializedView) LookupIndex(cols []int) *Index {
 	return mv.indexes[indexKey(cols)]
 }
 
-// RebuildIndexes refreshes every index after the view's rows changed (e.g.
-// incremental maintenance). An injected fault here models the torn-write
+// Locator returns the writer-private index over cols, building it on first
+// use. It agrees with the rows as of the last PatchIndexes.
+func (mv *MaterializedView) Locator(cols []int) *Index {
+	if mv.locator == nil || !slices.Equal(mv.locator.Cols, cols) {
+		// A non-unique build cannot fail.
+		mv.locator, _ = buildIndexOn(mv.cols, cols, false, "view "+mv.Name)
+	}
+	return mv.locator
+}
+
+// PatchIndexes brings every index up to date after the view's rows changed
+// (incremental maintenance): the ordinals of deleted rows leave their
+// buckets and appended rows join theirs — work proportional to the change.
+// When dead rows have piled up the store is rewritten instead and the
+// indexes rebuilt over it. An injected fault here models the torn-write
 // window: rows already merged, indexes not yet consistent.
-func (mv *MaterializedView) RebuildIndexes() error {
+func (mv *MaterializedView) PatchIndexes() error {
 	if err := mv.faults.Maybe(faults.SiteStorageRebuild); err != nil {
 		return err
 	}
-	for key, idx := range mv.indexes {
-		rebuilt, err := mv.BuildIndex(idx.Cols, idx.Unique)
-		if err != nil {
-			return fmt.Errorf("storage: rebuilding view index %s: %w", key, err)
-		}
-		mv.indexes[key] = rebuilt
+	if !mv.cols.rewriteDue() {
+		return mv.patch()
 	}
+	cols, indexes, err := rewritten(mv.cols, mv.indexes, "view "+mv.Name)
+	if err != nil {
+		return err
+	}
+	mv.cols, mv.indexes, mv.locator = cols, indexes, nil
+	mv.patched, mv.patchDel = cols.Len(), nil
+	return nil
+}
+
+// patch applies the pending row changes to every index, removals first so
+// an updated row's key is free again before its replacement claims it.
+func (mv *MaterializedView) patch() error {
+	n := mv.cols.Len()
+	if mv.patched == n && len(mv.patchDel) == 0 {
+		return nil
+	}
+	var buf []byte
+	each := func(idx *Index) error {
+		for _, ord := range mv.patchDel {
+			if ord < mv.patched {
+				buf = idx.remove(mv.cols, ord, buf)
+			}
+		}
+		for ord := mv.patched; ord < n; ord++ {
+			if mv.cols.IsDead(ord) {
+				continue
+			}
+			var ok bool
+			if buf, ok = idx.add(mv.cols, ord, buf); !ok {
+				return fmt.Errorf("storage: duplicate key in unique index on view %s", mv.Name)
+			}
+		}
+		return nil
+	}
+	for _, idx := range mv.indexes {
+		if err := each(idx); err != nil {
+			return err
+		}
+	}
+	if mv.locator != nil {
+		if err := each(mv.locator); err != nil {
+			return err
+		}
+	}
+	mv.patched, mv.patchDel = n, nil
 	return nil
 }
 
@@ -361,7 +528,7 @@ func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedV
 	for _, r := range rows {
 		cs.AppendRow(r)
 	}
-	mv := &MaterializedView{Name: name, NumCols: numCols, cols: cs, faults: db.faults}
+	mv := &MaterializedView{Name: name, NumCols: numCols, cols: cs, patched: cs.Len(), faults: db.faults}
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {
 			// A failing unique rebuild is a definition-level inconsistency;
@@ -388,42 +555,62 @@ func (db *Database) DropView(name string) bool {
 	return true
 }
 
-// DeleteWhere removes every row satisfying pred, returning the deleted rows.
-// Indexes are rebuilt afterwards.
-func (t *Table) DeleteWhere(pred func(Row) bool) ([]Row, error) {
+// DeleteOrds removes the rows at the given ordinals and returns them, boxed
+// — the only rows a delete boxes. Each victim costs a tombstone bit and its
+// removal from every index bucket that holds it; nothing is moved. Ordinals
+// that are out of range or already dead are ignored.
+func (t *Table) DeleteOrds(ords []int) ([]Row, error) {
 	if err := t.faults.Maybe(faults.SiteStorageDelete); err != nil {
 		return nil, err
 	}
-	n := t.cols.Len()
 	var deleted []Row
-	drop := make([]bool, n)
-	scratch := make(Row, t.cols.NumCols())
-	for i := 0; i < n; i++ {
-		t.cols.MaterializeInto(scratch, i)
-		if pred(scratch) {
-			drop[i] = true
-			deleted = append(deleted, scratch.Clone())
+	var buf []byte
+	for _, ord := range ords {
+		if !t.cols.Delete(ord) {
+			continue
+		}
+		deleted = append(deleted, t.cols.RowAt(ord))
+		for _, idx := range t.indexes {
+			buf = idx.remove(t.cols, ord, buf)
 		}
 	}
 	if len(deleted) == 0 {
 		return nil, nil
 	}
 	t.dirty = true
-	t.cols.Compact(func(i int) bool { return !drop[i] })
-	for key, idx := range t.indexes {
-		rebuilt, err := t.BuildIndex(idx.Cols, idx.Unique)
+	if t.cols.rewriteDue() {
+		cols, indexes, err := rewritten(t.cols, t.indexes, t.Meta.Name)
 		if err != nil {
-			return nil, fmt.Errorf("storage: rebuilding index %s: %w", key, err)
+			return nil, err
 		}
-		t.indexes[key] = rebuilt
+		t.cols, t.indexes = cols, indexes
 	}
 	return deleted, nil
+}
+
+// DeleteWhere removes every row satisfying pred, returning the deleted rows.
+// It finds them by boxing each live row for the closure — the slow locator;
+// a compiled column predicate finds the ordinals without (exec.MatchOrdinals)
+// and hands them to DeleteOrds directly.
+func (t *Table) DeleteWhere(pred func(Row) bool) ([]Row, error) {
+	var ords []int
+	scratch := make(Row, t.cols.NumCols())
+	for i, n := 0, t.cols.Len(); i < n; i++ {
+		if t.cols.IsDead(i) {
+			continue
+		}
+		t.cols.MaterializeInto(scratch, i)
+		if pred(scratch) {
+			ords = append(ords, i)
+		}
+	}
+	return t.DeleteOrds(ords)
 }
 
 // RefreshStats updates each catalog table's RowCount to the stored row count,
 // so the cost model sees actual sizes after loading.
 func (db *Database) RefreshStats() {
 	for name, t := range db.tables {
-		db.Catalog.Table(name).RowCount = int64(t.cols.Len())
+		db.Catalog.Table(name).RowCount = int64(t.cols.Live())
 	}
 }

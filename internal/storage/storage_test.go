@@ -39,6 +39,12 @@ func TestInsertAndArity(t *testing.T) {
 	if err := tb.Insert(Row{sqlvalue.NewInt(2), sqlvalue.NewInt(10), sqlvalue.Null}); err != nil {
 		t.Fatalf("NULL in nullable column rejected: %v", err)
 	}
+	if err := tb.Insert(Row{sqlvalue.NewInt(3), sqlvalue.NewFloat(1), sqlvalue.Null}); err == nil {
+		t.Fatal("DOUBLE in a BIGINT column accepted")
+	}
+	if v := tb.Store().Col(1); v.Generic != nil {
+		t.Fatal("a refused value degraded the column")
+	}
 	if tb.NumRows() != 2 {
 		t.Fatalf("rows = %d", tb.NumRows())
 	}
@@ -158,13 +164,22 @@ func TestViewIndexes(t *testing.T) {
 	if mv.LookupIndex([]int{0}) == nil || mv.LookupIndex([]int{1}) != nil {
 		t.Fatal("LookupIndex wrong")
 	}
-	// Mutate rows then rebuild: the index must see the change.
+	// Mutate rows then patch: the index must see the change.
 	mv.Append([]Row{{sqlvalue.NewInt(3), sqlvalue.NewInt(30)}})
-	if err := mv.RebuildIndexes(); err != nil {
+	mv.Update(0, Row{sqlvalue.NewInt(1), sqlvalue.NewInt(11)})
+	if err := mv.PatchIndexes(); err != nil {
 		t.Fatal(err)
 	}
-	if got := mv.LookupIndex([]int{0}).Probe(Row{sqlvalue.NewInt(3)}); len(got) != 1 {
-		t.Fatalf("rebuilt probe = %v", got)
+	if got := mv.LookupIndex([]int{0}).Probe(Row{sqlvalue.NewInt(3)}); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("patched probe = %v", got)
+	}
+	if got := mv.LookupIndex([]int{0}).Probe(Row{sqlvalue.NewInt(1)}); len(got) != 1 || mv.RowAt(got[0])[1].Int() != 11 {
+		t.Fatalf("probe of the updated row = %v", got)
+	}
+	// A second row under a unique key is refused.
+	mv.Append([]Row{{sqlvalue.NewInt(3), sqlvalue.NewInt(31)}})
+	if err := mv.PatchIndexes(); err == nil {
+		t.Fatal("duplicate key entered a unique view index")
 	}
 	// Re-materialization preserves declared indexes.
 	mv2 := db.PutView("v", 2, []Row{{sqlvalue.NewInt(9), sqlvalue.NewInt(90)}})
@@ -194,13 +209,21 @@ func TestDeleteWhere(t *testing.T) {
 	if len(deleted) != 3 || tb.NumRows() != 3 {
 		t.Fatalf("deleted %d, kept %d", len(deleted), tb.NumRows())
 	}
-	// Index rebuilt: deleted keys gone, survivors probe correctly.
+	// Index patched: deleted keys gone, survivors probe correctly.
 	idx := tb.LookupIndex([]int{0})
 	if got := idx.Probe(Row{sqlvalue.NewInt(0)}); len(got) != 0 {
 		t.Fatalf("deleted key still indexed: %v", got)
 	}
-	if got := idx.Probe(Row{sqlvalue.NewInt(1)}); len(got) != 1 {
+	if got := idx.Probe(Row{sqlvalue.NewInt(1)}); len(got) != 1 || tb.RowAt(got[0])[0].Int() != 1 {
 		t.Fatalf("surviving key lost: %v", got)
+	}
+	// Half the rows are dead, so the table was rewritten: no tombstones left.
+	if st := tb.Store(); st.Len() != 3 || st.Live() != 3 {
+		t.Fatalf("store after delete: len %d live %d", st.Len(), st.Live())
+	}
+	// A deleted unique key can be inserted again.
+	if err := tb.Insert(Row{sqlvalue.NewInt(0), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
+		t.Fatalf("re-insert of a deleted key: %v", err)
 	}
 	// No matches: no-op.
 	if d, err := tb.DeleteWhere(func(Row) bool { return false }); err != nil || d != nil {

@@ -93,9 +93,15 @@ func (c *crcWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-func (c *crcWriter) u8(v uint8) error   { _, err := c.Write([]byte{v}); return err }
-func (c *crcWriter) u32(v uint32) error { _, err := c.Write(binary.LittleEndian.AppendUint32(nil, v)); return err }
-func (c *crcWriter) u64(v uint64) error { _, err := c.Write(binary.LittleEndian.AppendUint64(nil, v)); return err }
+func (c *crcWriter) u8(v uint8) error { _, err := c.Write([]byte{v}); return err }
+func (c *crcWriter) u32(v uint32) error {
+	_, err := c.Write(binary.LittleEndian.AppendUint32(nil, v))
+	return err
+}
+func (c *crcWriter) u64(v uint64) error {
+	_, err := c.Write(binary.LittleEndian.AppendUint64(nil, v))
+	return err
+}
 func (c *crcWriter) str(s string) error {
 	if err := c.u32(uint32(len(s))); err != nil {
 		return err
@@ -176,16 +182,21 @@ func (c *crcWriter) indexDefs(defs []storage.IndexDef) error {
 	return nil
 }
 
-// columnData serializes one column store: col count, row count, then rows.
+// columnData serializes one column store: col count, live row count, then
+// the live rows in ordinal order. Tombstones are not written: a recovered
+// store starts compact.
 func (c *crcWriter) columnData(cs *storage.ColumnStore) error {
 	if err := c.u32(uint32(cs.NumCols())); err != nil {
 		return err
 	}
-	if err := c.u64(uint64(cs.Len())); err != nil {
+	if err := c.u64(uint64(cs.Live())); err != nil {
 		return err
 	}
 	scratch := make(storage.Row, cs.NumCols())
 	for i := 0; i < cs.Len(); i++ {
+		if cs.IsDead(i) {
+			continue
+		}
 		cs.MaterializeInto(scratch, i)
 		for _, v := range scratch {
 			if err := c.value(v); err != nil {

@@ -1,6 +1,6 @@
 # Convenience targets; repro.sh is the full reproduction pipeline.
 
-.PHONY: build test race bench bench-join vet chaos recover repro
+.PHONY: build test race bench vet chaos recover repro
 
 build:
 	go build ./...
@@ -22,18 +22,6 @@ race:
 COUNT ?= 1
 bench:
 	go test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
-
-# bench-join is the join-path regression guard: one iteration of the two
-# join benchmarks at a small scale factor, checked by cmd/benchguard against
-# the committed BENCH_thresholds.json (fails if ns/op exceeds a threshold by
-# more than its margin). BENCH_JOIN_SF must match the thresholds file.
-BENCH_JOIN_SF ?= 0.05
-bench-join:
-	EXEC_BENCH_SF=$(BENCH_JOIN_SF) go test -run '^$$' \
-		-bench 'BenchmarkExecJoin3Way|BenchmarkExecGroupAggJoin' \
-		-benchmem -benchtime 1x ./internal/exec/ | tee bench-join.out
-	go run ./cmd/benchguard -thresholds BENCH_thresholds.json bench-join.out
-	@rm -f bench-join.out
 
 # chaos runs the fault-injected correctness suite (full-length) under the
 # race detector: concurrent query + DML traffic with faults at every site.

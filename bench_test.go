@@ -82,7 +82,9 @@ func newBenchOptimizer(h *harness.Harness, s harness.Setting, numViews int) (*op
 	opts := opt.DefaultOptions()
 	opts.UseFilterTree = s.FilterTree
 	opts.NoSubstitutes = !s.Substitutes
-	opts.Match = core.MatchOptions{} // paper-prototype matcher, as in the figures
+	if !s.Extensions {
+		opts.Match = core.MatchOptions{} // paper-prototype matcher, as in the figures
+	}
 	o := opt.NewOptimizer(h.Catalog(), opts)
 	for i := 0; i < numViews && i < len(h.ViewDefs()); i++ {
 		if _, err := o.RegisterView(fmt.Sprintf("mv%04d", i), h.ViewDefs()[i]); err != nil {

@@ -2,7 +2,11 @@
 
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"matview/internal/spjg"
+)
 
 // The race detector makes sync.Pool drop a share of what is put back, so the
 // allocation guard only means something without it.
@@ -18,5 +22,31 @@ func TestRejectedMatchDoesNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(200, func() { c.qc.Match(c.v) }); n > 2 {
 			t.Errorf("%s: rejected match allocates %v objects, want at most 2", name, n)
 		}
+	}
+}
+
+// Deriving a subexpression's context and its filter-tree keys reuses the
+// storage of the previous derivation: once every subset has been derived,
+// deriving them all again allocates nothing. Since converting, splitting,
+// normalizing, fingerprinting or analysing a predicate all allocate, this
+// also holds that the derivation does none of them.
+func TestSubContextDoesNotAllocate(t *testing.T) {
+	m := defaultMatcher()
+	mustView(t, m, 0, "v", example3View())
+	q, outs := threeWay()
+	qc := m.NewQueryContext(q)
+	var buf []spjg.OutputColumn
+	derive := func() {
+		for _, mask := range threeWayMasks {
+			var sub *QueryContext
+			sub, buf = subOf(qc, outs, buf, mask)
+			if k := sub.Keys(); k.SkipSPJ && mask == 4 {
+				t.Fatal("no view over lineitem is known to the dictionary")
+			}
+		}
+	}
+	derive()
+	if n := testing.AllocsPerRun(100, derive); n != 0 {
+		t.Errorf("deriving %d subexpression contexts allocates %v objects, want 0", len(threeWayMasks), n)
 	}
 }

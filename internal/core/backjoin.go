@@ -16,6 +16,15 @@ func (s *matchState) ordinal(id int32) int {
 	return int(s.ordByRoot[s.qec.FindID(id)])
 }
 
+// colExpr returns a column available to the substitute (see mapCol) as an
+// expression; the view's own outputs are boxed once, at registration.
+func (s *matchState) colExpr(r expr.ColRef) expr.Expr {
+	if r.Tab == 0 {
+		return s.d.outExprs[r.Col]
+	}
+	return expr.ColE(r)
+}
+
 // mapCol resolves a column of the view's space to a column available to the
 // substitute: a view output (Tab 0) or, when the backjoin extension is
 // enabled, a column of a base table re-attached through a unique-key equijoin

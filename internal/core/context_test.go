@@ -96,6 +96,114 @@ func BenchmarkQueryContext(b *testing.B) {
 	}
 }
 
+// threeWay is customer ⋈ orders ⋈ lineitem with a range on each of two
+// tables and a residual; subOutputs lists the columns it references per table
+// instance, the output list of a subexpression over some of them.
+func threeWay() (*spjg.Query, [][]spjg.OutputColumn) {
+	q := &spjg.Query{
+		Tables: []spjg.TableRef{tref("customer"), tref("orders"), tref("lineitem")},
+		Where: expr.NewAnd(
+			expr.Eq(expr.Col(0, tpch.CCustkey), expr.Col(1, tpch.OCustkey)),
+			expr.Eq(expr.Col(1, tpch.OOrderkey), expr.Col(2, tpch.LOrderkey)),
+			expr.NewCmp(expr.LE, expr.Col(2, tpch.LQuantity), expr.CInt(20)),
+			expr.NewCmp(expr.GE, expr.Col(1, tpch.OTotalprice), expr.CInt(1000)),
+			expr.NewCmp(expr.NE, expr.Col(2, tpch.LShipdate), expr.Col(2, tpch.LCommitdate)),
+		),
+		Outputs: []spjg.OutputColumn{
+			{Name: "c_name", Expr: expr.Col(0, tpch.CName)},
+			{Name: "l_quantity", Expr: expr.Col(2, tpch.LQuantity)},
+		},
+	}
+	cols := [][]int{{tpch.CCustkey, tpch.CName}, {tpch.OOrderkey, tpch.OCustkey, tpch.OTotalprice},
+		{tpch.LOrderkey, tpch.LQuantity, tpch.LShipdate, tpch.LCommitdate}}
+	outs := make([][]spjg.OutputColumn, len(cols))
+	for t, cs := range cols {
+		for _, c := range cs {
+			outs[t] = append(outs[t], spjg.OutputColumn{Name: q.Tables[t].Table.Columns[c].Name, Expr: expr.Col(t, c)})
+		}
+	}
+	return q, outs
+}
+
+// subOf is what the optimizer's memo loop does per subexpression: the context
+// of the tables in mask with their referenced columns as outputs.
+func subOf(qc *QueryContext, outs [][]spjg.OutputColumn, buf []spjg.OutputColumn, mask uint64) (*QueryContext, []spjg.OutputColumn) {
+	buf = buf[:0]
+	for t := range outs {
+		if mask&(1<<t) != 0 {
+			buf = append(buf, outs[t]...)
+		}
+	}
+	return qc.Sub(mask, buf, 0, nil), buf
+}
+
+var threeWayMasks = []uint64{1, 2, 4, 3, 6, 7}
+
+// BenchmarkSubContext is the per-invocation cost inside the optimizer's memo
+// loop: a subexpression's context derived from the query's one analysis, plus
+// its filter-tree keys. Compare BenchmarkQueryContext, an analysis from
+// nothing.
+func BenchmarkSubContext(b *testing.B) {
+	m := defaultMatcher()
+	if _, err := m.NewView(0, "v", example3View()); err != nil {
+		b.Fatal(err)
+	}
+	q, outs := threeWay()
+	qc := m.NewQueryContext(q)
+	var buf []spjg.OutputColumn
+	var sub *QueryContext
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sub, buf = subOf(qc, outs, buf, threeWayMasks[i%len(threeWayMasks)])
+		sub.Keys()
+	}
+}
+
+// A subexpression's context equals the context of the subexpression written
+// out as a query — here {orders, lineitem} of threeWay, renumbered 0 and 1 —
+// in every match it decides. (internal/opt's differential tests compare the
+// analyses field by field over whole workloads.)
+func TestSubContextMatchesWrittenOutQuery(t *testing.T) {
+	m := defaultMatcher()
+	view := &spjg.Query{
+		Tables: []spjg.TableRef{tref("lineitem"), tref("orders")},
+		Where: expr.NewAnd(
+			expr.Eq(expr.Col(1, tpch.OOrderkey), expr.Col(0, tpch.LOrderkey)),
+			expr.NewCmp(expr.LE, expr.Col(0, tpch.LQuantity), expr.CInt(30))),
+		Outputs: []spjg.OutputColumn{
+			{Name: "ok", Expr: expr.Col(0, tpch.LOrderkey)}, {Name: "q", Expr: expr.Col(0, tpch.LQuantity)},
+			{Name: "ck", Expr: expr.Col(1, tpch.OCustkey)}, {Name: "p", Expr: expr.Col(1, tpch.OTotalprice)},
+			{Name: "s", Expr: expr.Col(0, tpch.LShipdate)}, {Name: "c", Expr: expr.Col(0, tpch.LCommitdate)},
+		},
+	}
+	v := mustView(t, m, 0, "lo", view)
+	q, outs := threeWay()
+	sub, _ := subOf(m.NewQueryContext(q), outs, nil, 6)
+	written := &spjg.Query{
+		Tables: q.Tables[1:],
+		Where: expr.NewAnd(
+			expr.Eq(expr.Col(0, tpch.OOrderkey), expr.Col(1, tpch.LOrderkey)),
+			expr.NewCmp(expr.LE, expr.Col(1, tpch.LQuantity), expr.CInt(20)),
+			expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(1000)),
+			expr.NewCmp(expr.NE, expr.Col(1, tpch.LShipdate), expr.Col(1, tpch.LCommitdate)),
+		),
+	}
+	for lt, t0 := range []int{1, 2} {
+		for _, o := range outs[t0] {
+			written.Outputs = append(written.Outputs, spjg.OutputColumn{Name: o.Name, Expr: expr.Col(lt, o.Expr.(expr.Column).Ref.Col)})
+		}
+	}
+	want := m.NewQueryContext(mustValidate(t, written)).Match(v)
+	got := sub.Match(v)
+	if want == nil || got == nil || got.String() != want.String() {
+		t.Fatalf("substitute from the derived context:\n %v\nfrom the written-out query:\n %v", got, want)
+	}
+	if len(got.Conjuncts()) != 3 { // l_quantity <= 20, o_totalprice >= 1000, the residual
+		t.Fatalf("compensating conjuncts %v", got.Conjuncts())
+	}
+}
+
 // One frozen view matched from many goroutines. The view's equalities form a
 // depth-2 union chain (a=b, c=d, b=d) and all its outputs are expressions, so
 // registration never has a reason to resolve a column through the classes;

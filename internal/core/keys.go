@@ -224,20 +224,29 @@ func backjoinClosure(def *spjg.Query, kc keyCols, available lattice.Set) lattice
 	return out
 }
 
-// Keys returns the filter-tree search keys of the query, computed on first
-// use from the context's analysis.
+// Keys returns the filter-tree search keys of the expression, computed on
+// first use from the context's analysis. For a subexpression's context they
+// are valid until the parent's next Sub.
 func (qc *QueryContext) Keys() *QueryKeys {
-	if qc.keys == nil {
-		qc.keys = qc.computeKeys()
+	if !qc.keysOK {
+		qc.computeKeys(&qc.keys)
+		qc.keysOK = true
 	}
-	return qc.keys
+	return &qc.keys
 }
 
-func (qc *QueryContext) computeKeys() *QueryKeys {
-	q, a, dict := qc.q, qc.a, qc.m.dict
-	k := &QueryKeys{
+// computeKeys fills k, reusing the storage of its sets.
+func (qc *QueryContext) computeKeys(k *QueryKeys) {
+	a, dict := qc.a, qc.m.dict
+	*k = QueryKeys{
 		IsAggregate:     qc.isAgg,
-		ScalarAggregate: qc.isAgg && len(q.GroupBy) == 0,
+		ScalarAggregate: qc.isAgg && len(qc.groupBy) == 0,
+		OutputClasses:   slices.Grow(k.OutputClasses[:0], len(qc.outputs)),
+		OutputExprsSPJ:  k.OutputExprsSPJ[:0],
+		OutputExprsAgg:  k.OutputExprsAgg[:0],
+		Residuals:       k.Residuals[:0],
+		GroupingClasses: slices.Grow(k.GroupingClasses[:0], len(qc.groupBy)),
+		GroupingExprs:   k.GroupingExprs[:0],
 	}
 	dict.mu.RLock()
 	defer dict.mu.RUnlock()
@@ -246,36 +255,39 @@ func (qc *QueryContext) computeKeys() *QueryKeys {
 	// the range list — are carved out of one allocation, each with room for
 	// every column id.
 	colWords, occWords := (dict.cols+63)/64, (dict.occs+63)/64
-	arena := make([]uint64, (len(q.Outputs)+len(q.GroupBy)+1)*colWords+occWords)
+	if need := (len(qc.outputs)+len(qc.groupBy)+1)*colWords + occWords; cap(qc.keyArena) < need {
+		qc.keyArena = make([]uint64, 2*need) // room for the larger subexpressions to come
+	}
+	arena := qc.keyArena[:cap(qc.keyArena)]
 	take := func(words int) lattice.Set {
 		s := arena[:0:words]
 		arena = arena[words:]
 		return s
 	}
 
-	kc := keyCols{a: a, colBase: make([]int, len(q.Tables))}
+	qc.colBase = slices.Grow(qc.colBase[:0], len(qc.tables))[:len(qc.tables)]
+	kc := keyCols{a: a, colBase: qc.colBase}
 	k.SourceTables = take(occWords)
-	for i, t := range q.Tables {
-		ids := dict.tables[t.Table.Name]
-		occ := occurrence(q.Tables, i)
+	for i, t := range qc.tabs {
+		ids := dict.tables[qc.tables[t].Table.Name]
+		occ := qc.occurrence(i)
 		if ids == nil || occ >= len(ids.occ) {
 			// No view has this many occurrences of the table, so none has a
 			// superset of the query's sources.
 			k.SkipSPJ, k.SkipAgg = true, true
-			return k
+			return
 		}
-		kc.colBase[i] = ids.colBase
+		kc.colBase[t] = ids.colBase
 		k.SourceTables = k.SourceTables.Add(ids.occ[occ])
 	}
 
-	k.OutputClasses = make([]lattice.Set, 0, len(q.Outputs))
-	for i, o := range q.Outputs {
+	for i, o := range qc.outputs {
 		switch {
 		case o.Expr != nil:
 			if col, ok := o.Expr.(expr.Column); ok {
 				k.OutputClasses = append(k.OutputClasses, kc.addClass(take(colWords), a.EC.ID(col.Ref)))
-			} else if x := qc.out(i); x != nil {
-				if id, ok := dict.texts[x.fp.Text]; ok {
+			} else if x := qc.OutputFP(i); x != nil {
+				if id, ok := dict.texts[x.Text]; ok {
 					k.OutputExprsSPJ = k.OutputExprsSPJ.Add(id)
 					k.OutputExprsAgg = k.OutputExprsAgg.Add(id)
 				} else {
@@ -283,9 +295,9 @@ func (qc *QueryContext) computeKeys() *QueryKeys {
 				}
 			}
 		case o.Agg != nil && (o.Agg.Kind == spjg.AggSum || o.Agg.Kind == spjg.AggAvg):
-			if x := qc.out(i); x == nil {
+			if x := qc.OutputFP(i); x == nil {
 				k.SkipAgg = true
-			} else if id, ok := dict.sums[x.fp.Text]; ok {
+			} else if id, ok := dict.sums[x.Text]; ok {
 				k.OutputExprsAgg = k.OutputExprsAgg.Add(id)
 			} else {
 				k.SkipAgg = true
@@ -314,19 +326,15 @@ func (qc *QueryContext) computeKeys() *QueryKeys {
 		k.ExtRangeCols = kc.addClass(k.ExtRangeCols, e.rep)
 	}
 
-	if k.IsAggregate {
-		k.GroupingClasses = make([]lattice.Set, 0, len(q.GroupBy))
-		for gi, g := range q.GroupBy {
-			if col, ok := g.(expr.Column); ok {
-				k.GroupingClasses = append(k.GroupingClasses, kc.addClass(take(colWords), a.EC.ID(col.Ref)))
-			} else if id, ok := dict.texts[qc.groups[gi].fp.Text]; ok {
-				k.GroupingExprs = k.GroupingExprs.Add(id)
-			} else {
-				k.SkipAgg = true
-			}
+	for gi, g := range qc.groupBy {
+		if col, ok := g.(expr.Column); ok {
+			k.GroupingClasses = append(k.GroupingClasses, kc.addClass(take(colWords), a.EC.ID(col.Ref)))
+		} else if id, ok := dict.texts[qc.groups[gi].Text]; ok {
+			k.GroupingExprs = k.GroupingExprs.Add(id)
+		} else {
+			k.SkipAgg = true
 		}
 	}
-	return k
 }
 
 // ComputeQueryKeys derives the search keys for a query expression. Callers

@@ -15,18 +15,15 @@ type alignment struct {
 
 // each calls try with al.mapping set to one mapping after another until try
 // reports success or limit mappings have been tried, and reports whether try
-// succeeded. Query instances are assigned in the given order (nil for FROM
-// order), each to the view's instances of the same table in FROM order; k is
-// the number of instances already assigned.
+// succeeded. The query instances listed in order are assigned in that order,
+// each to the view's instances of the same table in FROM order; k is the
+// number of instances already assigned.
 func (al *alignment) each(q, v []spjg.TableRef, order []int, k, limit int, try func() bool) bool {
-	if k == len(q) {
+	if k == len(order) {
 		al.tried++
 		return try()
 	}
-	qt := k
-	if order != nil {
-		qt = order[k]
-	}
+	qt := order[k]
 	for j := range v {
 		if al.taken[j] || v[j].Table.Name != q[qt].Table.Name {
 			continue

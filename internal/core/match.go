@@ -23,26 +23,26 @@ func (qc *QueryContext) Match(v *View) *Substitute {
 	// view would return zero rows instead of one when the view is empty, so
 	// both are rejected outright.
 	d := v.derived
-	if d.isAgg && (!qc.isAgg || len(qc.q.GroupBy) == 0) {
+	if d.isAgg && (!qc.isAgg || len(qc.groupBy) == 0) {
 		return nil
 	}
-	if len(qc.q.Tables) > len(v.Def.Tables) {
+	if len(qc.tabs) > len(v.Def.Tables) {
 		return nil
 	}
 	s := qc.m.scratch.Get().(*matchState)
 	s.qc, s.v, s.d = qc, v, d
-	s.al.mapping = append(s.al.mapping[:0], make([]int, len(qc.q.Tables))...)
+	s.al.mapping = append(s.al.mapping[:0], make([]int, len(qc.tables))...)
 	s.al.taken = append(s.al.taken[:0], make([]bool, len(v.Def.Tables))...)
 	s.al.tried = 0
 	// With a repeated table on either side several alignments exist; they are
 	// tried table name by table name so the winner does not depend on how
 	// either FROM list happens to be ordered.
-	var order []int
+	order := qc.tabs
 	if qc.dupTables || d.dupTables {
 		order = qc.tablesByName()
 	}
 	var sub *Substitute
-	s.al.each(qc.q.Tables, v.Def.Tables, order, 0, qc.m.opts.MaxInstanceMappings, func() bool {
+	s.al.each(qc.tables, v.Def.Tables, order, 0, qc.m.opts.MaxInstanceMappings, func() bool {
 		sub = s.matchMapped()
 		return sub != nil
 	})
@@ -63,7 +63,7 @@ type matchState struct {
 
 	al      alignment
 	inverse []int   // view table instance → query table instance, -1 for an extra table
-	qoff    []int32 // query table instance → view id of its column 0
+	qoff    []int32 // query table instance (of the expression) → view id of its column 0
 	extra   []bool  // per view table instance
 	el      elimination
 	// order caches orderPreserved for the current mapping: 0 unknown, 1 yes,
@@ -130,8 +130,8 @@ func (s *matchState) toQueryRef(r expr.ColRef) expr.ColRef {
 func (s *matchState) orderPreserved() bool {
 	if s.order == 0 {
 		s.order = 1
-		for i := range s.al.mapping {
-			for j := i + 1; j < len(s.al.mapping); j++ {
+		for k, i := range s.qc.tabs {
+			for _, j := range s.qc.tabs[k+1:] {
 				if tabLess(i, j) != tabLess(s.al.mapping[i], s.al.mapping[j]) {
 					s.order = 2
 				}
@@ -152,9 +152,9 @@ func tabLess(a, b int) bool {
 // view sees it, with the table translating its columns to view ids. cached is
 // the context's fingerprint of e, nil for an expression the context does not
 // keep one for.
-func (s *matchState) fingerprint(e expr.Expr, cached *queryExpr) (*expr.Fingerprint, []int32) {
-	if cached != nil && (!spansTables(cached.fp.Cols) || s.orderPreserved()) {
-		return &cached.fp, s.qoff
+func (s *matchState) fingerprint(e expr.Expr, cached *expr.Fingerprint) (*expr.Fingerprint, []int32) {
+	if cached != nil && (!spansTables(cached.Cols) || s.orderPreserved()) {
+		return cached, s.qoff
 	}
 	fp := expr.NewFingerprint(expr.Normalize(expr.MapColumns(e, s.toViewRef)))
 	return &fp, s.v.A.EC.Offsets()
@@ -212,7 +212,7 @@ func rangeOf(list []classRange, rep int32) ranges.Range {
 // in s.al.mapping.
 func (s *matchState) matchMapped() *Substitute {
 	qc, v, d := s.qc, s.v, s.d
-	m, q, a := qc.m, qc.q, qc.a
+	m, a := qc.m, qc.a
 	voff := v.A.EC.Offsets()
 	nv := len(v.Def.Tables)
 
@@ -225,16 +225,17 @@ func (s *matchState) matchMapped() *Substitute {
 	for i := 0; i < nv; i++ {
 		s.inverse = append(s.inverse, -1)
 	}
-	s.qoff = s.qoff[:0]
-	for qt, vt := range s.al.mapping {
+	s.qoff = append(s.qoff[:0], make([]int32, len(qc.tables))...)
+	for _, qt := range qc.tabs {
+		vt := s.al.mapping[qt]
 		s.inverse[vt] = qt
-		s.qoff = append(s.qoff, voff[vt])
+		s.qoff[qt] = voff[vt]
 	}
 
 	// --- §3.2: eliminate the view's extra tables through cardinality-
 	// preserving joins.
 	s.el.deleted = s.el.deleted[:0]
-	hasExtras := nv > len(s.al.mapping)
+	hasExtras := nv > len(qc.tabs)
 	if hasExtras {
 		s.extra = s.extra[:0]
 		for _, qt := range s.inverse {
@@ -356,8 +357,8 @@ func (s *matchState) matchMapped() *Substitute {
 			}
 			if i > 0 {
 				s.comp = append(s.comp, expr.Eq(
-					expr.Col(0, int(d.viewOrd[s.members[i-1]])),
-					expr.Col(0, int(d.viewOrd[s.members[i]]))))
+					d.outExprs[d.viewOrd[s.members[i-1]]],
+					d.outExprs[d.viewOrd[s.members[i]]]))
 			}
 		}
 	}
@@ -470,11 +471,17 @@ func (s *matchState) matchMapped() *Substitute {
 
 	sub := &Substitute{View: v}
 	if len(s.comp) > 0 {
-		sub.Filter = expr.NewAnd(s.comp...)
+		// No compensating predicate is itself a conjunction, so this is
+		// expr.NewAnd without the second copy.
+		sub.comp = slices.Clone(s.comp)
+		sub.Filter = sub.comp[0]
+		if len(sub.comp) > 1 {
+			sub.Filter = expr.And{Args: sub.comp}
+		}
 	}
 
 	// --- Output expressions (§3.1.4) and aggregation rollup (§3.3).
-	sub.Outputs = make([]SubstituteOutput, 0, len(q.Outputs))
+	sub.Outputs = make([]SubstituteOutput, 0, len(qc.outputs))
 	if d.isAgg {
 		if !s.finishAggOverAgg(sub) {
 			return nil
@@ -500,7 +507,7 @@ func (s *matchState) compensateRange(rep int32, vr, qr ranges.Range) bool {
 	if !ok {
 		return false
 	}
-	col := expr.ColE(ref)
+	col := s.colExpr(ref)
 	if comp.NeedLo && comp.NeedHi && comp.LoOp == expr.GE && comp.HiOp == expr.LE &&
 		sqlvalue.Equal(comp.LoVal, comp.HiVal) {
 		s.comp = append(s.comp, expr.Eq(col, expr.C(comp.LoVal)))
@@ -556,18 +563,17 @@ next:
 // aggregation query, a compensating group-by over the view's rows with the
 // query's aggregates computed from view output columns.
 func (s *matchState) finishOverSPJ(sub *Substitute) bool {
-	q := s.qc.q
 	sub.Regroup = s.qc.isAgg
-	for gi, g := range q.GroupBy {
-		ge, ok := s.computeScalar(g, &s.qc.groups[gi])
+	for gi, g := range s.qc.groupBy {
+		ge, ok := s.computeScalar(g, s.qc.GroupFP(gi))
 		if !ok {
 			return false
 		}
 		sub.GroupBy = append(sub.GroupBy, ge)
 	}
-	for i, o := range q.Outputs {
+	for i, o := range s.qc.outputs {
 		if o.Agg == nil {
-			se, ok := s.computeScalar(o.Expr, s.qc.out(i))
+			se, ok := s.computeScalar(o.Expr, s.qc.OutputFP(i))
 			if !ok {
 				return false
 			}
@@ -576,7 +582,7 @@ func (s *matchState) finishOverSPJ(sub *Substitute) bool {
 		}
 		agg := &spjg.Aggregate{Kind: o.Agg.Kind}
 		if o.Agg.Arg != nil {
-			arg, ok := s.computeScalar(o.Agg.Arg, s.qc.out(i))
+			arg, ok := s.computeScalar(o.Agg.Arg, s.qc.OutputFP(i))
 			if !ok {
 				return false
 			}
@@ -594,7 +600,7 @@ func (s *matchState) finishOverSPJ(sub *Substitute) bool {
 // case COUNT(*) becomes SUM(count_big), SUM(E) becomes SUM over the view's
 // matching sum column, and AVG(E) becomes SUM(sum_E)/SUM(count_big).
 func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
-	q, d, m := s.qc.q, s.d, s.qc.m
+	d, m := s.d, s.qc.m
 	cntOrd := d.cntOrd
 	if cntOrd < 0 {
 		return false // not a legal aggregation view; defensive
@@ -604,11 +610,11 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 	s.used = append(s.used[:0], make([]bool, len(d.groupOrds))...)
 	needRegroup := false
 	var groupKeys []expr.Expr
-	for gi, g := range q.GroupBy {
-		fp, off := s.fingerprint(g, &s.qc.groups[gi])
+	for gi, g := range s.qc.groupBy {
+		fp, off := s.fingerprint(g, s.qc.GroupFP(gi))
 		if k := s.matchFP(d.groupFPs, fp, off); k >= 0 {
 			s.used[k] = true
-			groupKeys = append(groupKeys, expr.Col(0, d.groupOrds[k]))
+			groupKeys = append(groupKeys, d.outExprs[d.groupOrds[k]])
 			continue
 		}
 		if !m.opts.GroupingByExpression {
@@ -618,7 +624,7 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 		// grouping output columns is acceptable — the view's grouping
 		// expressions then functionally determine the query's, so the
 		// query's groups are unions of view groups (§3.3, [16]).
-		ge, ok := s.computeScalar(g, &s.qc.groups[gi])
+		ge, ok := s.computeScalar(g, s.qc.GroupFP(gi))
 		if !ok {
 			return false
 		}
@@ -633,13 +639,13 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 	// to be merged.
 	rollup := func(name string, ord int) SubstituteOutput {
 		if needRegroup {
-			return SubstituteOutput{Name: name, Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, ord)}}
+			return SubstituteOutput{Name: name, Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: d.outExprs[ord]}}
 		}
-		return SubstituteOutput{Name: name, Expr: expr.Col(0, ord)}
+		return SubstituteOutput{Name: name, Expr: d.outExprs[ord]}
 	}
-	for i, o := range q.Outputs {
+	for i, o := range s.qc.outputs {
 		if o.Agg == nil {
-			se, ok := s.computeScalar(o.Expr, s.qc.out(i))
+			se, ok := s.computeScalar(o.Expr, s.qc.OutputFP(i))
 			if !ok {
 				return false
 			}
@@ -653,7 +659,7 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 		if o.Agg.Kind != spjg.AggSum && o.Agg.Kind != spjg.AggAvg {
 			return false
 		}
-		fp, off := s.fingerprint(o.Agg.Arg, s.qc.out(i))
+		fp, off := s.fingerprint(o.Agg.Arg, s.qc.OutputFP(i))
 		k := s.matchFP(d.sumFPs, fp, off)
 		if k < 0 {
 			return false
@@ -661,9 +667,9 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 		out := rollup(o.Name, d.sumOrds[k])
 		if o.Agg.Kind == spjg.AggAvg {
 			if needRegroup {
-				out.DivBy = &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, cntOrd)}
+				out.DivBy = &spjg.Aggregate{Kind: spjg.AggSum, Arg: d.outExprs[cntOrd]}
 			} else {
-				out.Expr = expr.NewArith(expr.Div, out.Expr, expr.Col(0, cntOrd))
+				out.Expr = expr.NewArith(expr.Div, out.Expr, d.outExprs[cntOrd])
 			}
 		}
 		sub.Outputs = append(sub.Outputs, out)
@@ -681,7 +687,7 @@ func (s *matchState) finishAggOverAgg(sub *Substitute) bool {
 // matching view output expression (shallow matching) and otherwise are
 // recomputed from simple output columns. cached is the context's fingerprint
 // of e, if it keeps one.
-func (s *matchState) computeScalar(e expr.Expr, cached *queryExpr) (expr.Expr, bool) {
+func (s *matchState) computeScalar(e expr.Expr, cached *expr.Fingerprint) (expr.Expr, bool) {
 	if c, ok := expr.ConstOf(e); ok {
 		return expr.C(c), true
 	}
@@ -690,10 +696,10 @@ func (s *matchState) computeScalar(e expr.Expr, cached *queryExpr) (expr.Expr, b
 		if !ok {
 			return nil, false
 		}
-		return expr.ColE(ref), true
+		return s.colExpr(ref), true
 	}
 	if i := s.matchOutputExpr(e, cached); i >= 0 {
-		return expr.Col(0, i), true
+		return s.d.outExprs[i], true
 	}
 	if !s.qc.m.opts.SubexpressionMatching {
 		return s.rewriteOverOutputs(e)
@@ -720,7 +726,7 @@ func (s *matchState) computeScalar(e expr.Expr, cached *queryExpr) (expr.Expr, b
 // text, position-wise equivalent columns), or -1. Only grouping expressions
 // qualify on aggregation views, which holds by construction since every
 // scalar output of an aggregation view is a grouping expression.
-func (s *matchState) matchOutputExpr(e expr.Expr, cached *queryExpr) int {
+func (s *matchState) matchOutputExpr(e expr.Expr, cached *expr.Fingerprint) int {
 	if len(s.d.exprFPs) == 0 {
 		return -1
 	}
@@ -742,7 +748,7 @@ func (s *matchState) rewriteOverOutputs(e expr.Expr) (expr.Expr, bool) {
 			ok = false
 			return expr.ColE(r)
 		}
-		return expr.ColE(ref)
+		return s.colExpr(ref)
 	})
 	if !ok {
 		return nil, false

@@ -51,6 +51,7 @@ type Substitute struct {
 	// range compensations from the range comparison, and the query residuals
 	// missing from the view. Nil when no compensation is needed.
 	Filter expr.Expr
+	comp   []expr.Expr // the conjuncts of Filter as the matcher produced them
 
 	// Regroup indicates a compensating group-by must be applied on top of
 	// the view (§3.3). GroupBy holds the grouping expressions; it is empty
@@ -59,6 +60,16 @@ type Substitute struct {
 	GroupBy []expr.Expr
 
 	Outputs []SubstituteOutput
+}
+
+// Conjuncts returns the compensating predicates one by one — the CNF of
+// Filter, which a costing pass can read without converting it again. The
+// slice is shared with Filter and must not be modified.
+func (s *Substitute) Conjuncts() []expr.Expr {
+	if s.comp == nil && s.Filter != nil { // a substitute not built by Match
+		return expr.ToCNF(s.Filter)
+	}
+	return s.comp
 }
 
 // OutputResolver names view output (and backjoined) columns for rendering.

@@ -89,6 +89,21 @@ type viewDerived struct {
 	sumFPs  []expr.Fingerprint
 	// cntOrd is the COUNT(*) output ordinal, -1 when absent.
 	cntOrd int
+	// outCols holds, per output, the base-table column a simple column output
+	// reads (nil for any other output): the statistics behind a predicate over
+	// the view's outputs. outExprs holds the reference to each output that
+	// substitute expressions share.
+	outCols  []*catalog.Column
+	outExprs []expr.Expr
+}
+
+// OutputColumn returns the base-table column that output ord reads directly,
+// nil when the output is not a plain column.
+func (v *View) OutputColumn(ord int) *catalog.Column {
+	if ord < 0 || ord >= len(v.derived.outCols) {
+		return nil
+	}
+	return v.derived.outCols[ord]
 }
 
 // tableChecks is the analysis of one table's check constraints.
@@ -116,13 +131,17 @@ func (m *Matcher) computeDerived(def *spjg.Query, a *spjg.Analysis) *viewDerived
 			d.checks[ti] = &tableChecks{a: ca, ors: scanOrRanges(ca.PU)}
 		}
 	}
+	d.outCols = make([]*catalog.Column, len(def.Outputs))
+	d.outExprs = make([]expr.Expr, len(def.Outputs))
 	for i, o := range def.Outputs {
+		d.outExprs[i] = expr.Col(0, i)
 		switch {
 		case o.Expr != nil:
 			fp := expr.NewFingerprint(expr.Normalize(o.Expr))
 			if col, isCol := o.Expr.(expr.Column); isCol {
 				d.colOrds = append(d.colOrds, i)
 				d.colIDs = append(d.colIDs, a.EC.ID(col.Ref))
+				d.outCols[i] = &def.Tables[col.Ref.Tab].Table.Columns[col.Ref.Col]
 			} else if _, isConst := o.Expr.(expr.Const); !isConst {
 				d.exprOrds = append(d.exprOrds, i)
 				d.exprFPs = append(d.exprFPs, fp)

@@ -147,19 +147,7 @@ type EqualityConjunct struct {
 // range predicate is (Ti.Cp op c) with op in {<, <=, =, >=, >} and c a
 // constant, in either operand order. NULL constants never form ranges
 // (col = NULL is never true); they stay residual.
-func Classify(e Expr) (ConjunctKind, *EqualityConjunct, *RangeConjunct) {
-	switch kind, eq, rng := classify(e); kind {
-	case KindColumnEquality:
-		return kind, &eq, nil
-	case KindRange:
-		return kind, nil, &rng
-	default:
-		return kind, nil, nil
-	}
-}
-
-// classify is Classify returning the decomposed forms by value.
-func classify(e Expr) (kind ConjunctKind, eq EqualityConjunct, rng RangeConjunct) {
+func Classify(e Expr) (kind ConjunctKind, eq EqualityConjunct, rng RangeConjunct) {
 	cmp, ok := e.(Cmp)
 	if !ok {
 		return KindResidual, eq, rng
@@ -182,11 +170,22 @@ func classify(e Expr) (kind ConjunctKind, eq EqualityConjunct, rng RangeConjunct
 	return KindResidual, eq, rng
 }
 
+// Expr returns the predicate as an expression, column on the left.
+func (rc RangeConjunct) Expr() Expr {
+	return Cmp{Op: rc.Op, L: Column{Ref: rc.Col}, R: Const{Val: rc.Val}}
+}
+
 // SplitPredicate converts a predicate to CNF and splits the conjuncts into
 // the PE / PR / PU components of §3.1.2.
 func SplitPredicate(w Expr) (pe []EqualityConjunct, pr []RangeConjunct, pu []Expr) {
-	for _, c := range ToCNF(w) {
-		kind, eq, rng := classify(c)
+	return SplitConjuncts(ToCNF(w))
+}
+
+// SplitConjuncts splits CNF conjuncts into the PE / PR / PU components, each
+// in conjunct order.
+func SplitConjuncts(conjuncts []Expr) (pe []EqualityConjunct, pr []RangeConjunct, pu []Expr) {
+	for _, c := range conjuncts {
+		kind, eq, rng := Classify(c)
 		switch kind {
 		case KindColumnEquality:
 			pe = append(pe, eq)

@@ -62,14 +62,17 @@ type Setting struct {
 	Name        string
 	Substitutes bool // false = "No Alt"
 	FilterTree  bool // false = "No Filter"
+	Extensions  bool // this repo's matcher extensions (§7) on; false = the paper's prototype
 }
 
-// The four configurations of Figure 2.
+// The four configurations of Figure 2, then opt.DefaultOptions() — what the
+// server and bench/ run — for comparison.
 var Settings = []Setting{
 	{Name: "Alt&Filter", Substitutes: true, FilterTree: true},
 	{Name: "NoAlt&Filter", Substitutes: false, FilterTree: true},
 	{Name: "Alt&NoFilter", Substitutes: true, FilterTree: false},
 	{Name: "NoAlt&NoFilter", Substitutes: false, FilterTree: false},
+	{Name: "Default", Substitutes: true, FilterTree: true, Extensions: true},
 }
 
 // Measurement is one (setting, view count) data point.
@@ -174,7 +177,9 @@ func (h *Harness) newOptimizer(s Setting, numViews int) (*opt.Optimizer, error) 
 	// The figures reproduce the paper's prototype, which has none of this
 	// repo's matcher extensions (backjoins, disjunctive ranges, …); the
 	// extensions are measured separately by BenchmarkAblations.
-	opts.Match = core.MatchOptions{}
+	if !s.Extensions {
+		opts.Match = core.MatchOptions{}
+	}
 	o := opt.NewOptimizer(h.cat, opts)
 	for i := 0; i < numViews && i < len(h.viewDefs); i++ {
 		if _, err := o.RegisterView(fmt.Sprintf("mv%04d", i), h.viewDefs[i]); err != nil {
@@ -215,7 +220,7 @@ func (h *Harness) RunPoint(s Setting, numViews int) (Measurement, error) {
 	return m, nil
 }
 
-// RunFigure2 sweeps all four settings over the configured view counts —
+// RunFigure2 sweeps all settings over the configured view counts —
 // Figure 2's four optimization-time curves (the Alt&Filter line doubles as
 // the total-increase series of Figure 3, whose second series is RuleTime).
 func (h *Harness) RunFigure2(w io.Writer) ([]Measurement, error) {

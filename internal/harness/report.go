@@ -6,8 +6,8 @@ import (
 	"time"
 )
 
-// ReportFigure2 prints the four optimization-time series of Figure 2 as a
-// table: one row per view count, one column per configuration.
+// ReportFigure2 prints the optimization-time series of Figure 2 as a table:
+// one row per view count, one column per configuration.
 func ReportFigure2(w io.Writer, ms []Measurement) {
 	byKey := map[string]map[int]Measurement{}
 	var counts []int

@@ -9,6 +9,7 @@ package opt
 
 import (
 	"matview/internal/catalog"
+	"matview/internal/core"
 	"matview/internal/expr"
 	"matview/internal/ranges"
 	"matview/internal/spjg"
@@ -29,11 +30,20 @@ const (
 // the measurement, not plan quality).
 type estimator struct {
 	q *spjg.Query
+	// v, when set, makes column references outputs of the view (Tab 0), as in
+	// a substitute's compensating predicates; q is not used then.
+	v *core.View
 }
 
 func (e *estimator) column(c expr.ColRef) *catalog.Column {
+	if e.v != nil {
+		if c.Tab != 0 {
+			return nil // a backjoined column: default selectivity
+		}
+		return e.v.OutputColumn(c.Col)
+	}
 	if c.Tab < 0 || c.Tab >= len(e.q.Tables) {
-		return nil // untranslatable reference (e.g. a backjoined column)
+		return nil
 	}
 	t := e.q.Tables[c.Tab].Table
 	if c.Col < 0 || c.Col >= len(t.Columns) {

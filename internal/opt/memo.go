@@ -1,10 +1,11 @@
 package opt
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"matview/internal/core"
 	"matview/internal/exec"
@@ -12,49 +13,111 @@ import (
 	"matview/internal/spjg"
 )
 
-// planInfo is one memo alternative: a physical plan with its (query-space)
-// output schema and cost estimates.
+// maxTables bounds the FROM list of a query the memo plans.
+const maxTables = 20
+
+// planInfo is one memo alternative: a physical plan, the layout of its output
+// row, and cost estimates. The row concatenates per-table segments: base[t] is
+// 1 + the ordinal of table instance t's first column (0: not carried), and a
+// segment is the table's full row or, where bit t of narrow is set (under a
+// view substitute), only the columns the query references, in column order.
+// A projected or aggregated plan has no layout.
 type planInfo struct {
 	node     exec.Node
-	cols     []expr.ColRef
-	pos      map[expr.ColRef]int
+	base     [maxTables]int16
+	narrow   uint64
+	width    int
 	cost     float64
 	rows     float64
 	usesView bool
 }
 
-func newPlanInfo(node exec.Node, cols []expr.ColRef, cost, rows float64, usesView bool) *planInfo {
-	pos := make(map[expr.ColRef]int, len(cols))
-	for i, c := range cols {
-		pos[c] = i
+// conjunct is one CNF conjunct of the WHERE clause with what the memo reads
+// of it, computed once per optimization.
+type conjunct struct {
+	e    expr.Expr
+	mask uint64 // table instances referenced
+	sel  float64
+	equi bool // l = r over two different table instances: what a join hashes on
+	l, r expr.ColRef
+}
+
+// optCtx holds the state of one optimization: the query's one analysis and
+// everything the memo loop derives from it by table mask.
+type optCtx struct {
+	o     *Optimizer
+	q     *spjg.Query
+	qc    *core.QueryContext // serves the rule on the query and, through Sub, on every subexpression
+	est   estimator
+	conj  []conjunct
+	nbr   []uint64 // per table instance: the instances it shares a conjunct with
+	scans []planInfo
+	// refOuts lists, per table instance, the columns the query references as
+	// the output list of a subexpression; refPos maps a column ordinal to its
+	// position in that list, -1 when unreferenced.
+	refOuts [][]spjg.OutputColumn
+	refPos  [][]int32
+
+	masks []uint64    // the connected table subsets by size, then value
+	best  []*planInfo // aligned with masks
+	plans []planInfo  // slab behind newPlan
+
+	outs  []spjg.OutputColumn // output list of the subexpression being matched
+	subs  []*core.Substitute  // result buffer of matchViews
+	pre   preagg
+	stats QueryStats
+}
+
+func errNoColumn(r expr.ColRef) error {
+	return fmt.Errorf("opt: column %v not available in plan schema", r)
+}
+
+// ord returns the ordinal of query column r in the plan's row.
+func (c *optCtx) ord(p *planInfo, r expr.ColRef) (int, bool) {
+	if r.Tab < 0 || r.Tab >= len(c.refPos) || p.base[r.Tab] == 0 || r.Col < 0 || r.Col >= len(c.refPos[r.Tab]) {
+		return 0, false
 	}
-	return &planInfo{node: node, cols: cols, pos: pos, cost: cost, rows: rows, usesView: usesView}
+	col := r.Col
+	if p.narrow&(1<<uint(r.Tab)) != 0 {
+		if col = int(c.refPos[r.Tab][r.Col]); col < 0 {
+			return 0, false
+		}
+	}
+	return int(p.base[r.Tab]) - 1 + col, true
 }
 
 // rewriteTo rewrites a query-space expression to the plan's flat row layout.
-func (p *planInfo) rewriteTo(e expr.Expr) (expr.Expr, error) {
+func (c *optCtx) rewriteTo(p *planInfo, e expr.Expr) (expr.Expr, error) {
 	var err error
-	out := expr.MapColumns(e, func(c expr.ColRef) expr.ColRef {
-		i, ok := p.pos[c]
+	out := expr.MapColumns(e, func(r expr.ColRef) expr.ColRef {
+		i, ok := c.ord(p, r)
 		if !ok {
-			err = fmt.Errorf("opt: column %v not available in plan schema", c)
-			return c
+			err = errNoColumn(r)
+			return r
 		}
 		return expr.ColRef{Tab: 0, Col: i}
 	})
 	return out, err
 }
 
-// optCtx holds per-query optimization state.
-type optCtx struct {
-	o         *Optimizer
-	q         *spjg.Query
-	est       *estimator
-	conjuncts []expr.Expr
-	conjTabs  []map[int]bool
-	refCols   [][]int // per table instance: referenced column ordinals
-	adj       [][]bool
-	stats     QueryStats
+// newPlan takes a plan from the optimization's slab, its layout empty.
+func (c *optCtx) newPlan(node exec.Node, cost, rows float64, usesView bool) *planInfo {
+	if len(c.plans) == cap(c.plans) { // beyond what enumerate sized the slab for
+		c.plans = make([]planInfo, 0, 16)
+	}
+	c.plans = append(c.plans, planInfo{node: node, cost: cost, rows: rows, usesView: usesView})
+	return &c.plans[len(c.plans)-1]
+}
+
+// concat gives p the layout of l's row followed by r's.
+func (p *planInfo) concat(l, r *planInfo) {
+	p.base = l.base
+	for t, b := range r.base {
+		if b != 0 {
+			p.base[t] = int16(l.width) + b
+		}
+	}
+	p.narrow, p.width = l.narrow|r.narrow, l.width+r.width
 }
 
 // Optimize plans a normalized SPJG query, generating base join plans,
@@ -65,10 +128,10 @@ func (o *Optimizer) Optimize(q *spjg.Query) (*Result, error) {
 	return o.OptimizeCtx(context.Background(), q)
 }
 
-// OptimizeCtx is Optimize with cancellation: the memo loop polls ctx every
-// few subexpressions, so a server can abandon planning when a request times
-// out or the client disconnects. A cancelled call returns ctx's error
-// (context.Canceled or context.DeadlineExceeded) unwrapped.
+// OptimizeCtx is Optimize with cancellation: enumerating the subexpressions
+// and the memo loop over them poll ctx, so a server can abandon planning when
+// a request times out or the client disconnects. A cancelled call returns
+// ctx's error (context.Canceled or context.DeadlineExceeded) unwrapped.
 func (o *Optimizer) OptimizeCtx(ctx context.Context, q *spjg.Query) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -77,124 +140,97 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, q *spjg.Query) (*Result, er
 		return nil, err
 	}
 	n := len(q.Tables)
-	if n > 20 {
+	if n > maxTables {
 		return nil, fmt.Errorf("opt: %d tables exceeds the supported join size", n)
 	}
 	// Planning only reads the view catalog; hold the shared lock for the
 	// whole pass so registrations cannot splice the catalog mid-plan.
 	o.mu.RLock()
 	defer o.mu.RUnlock()
-	c := &optCtx{o: o, q: q, est: &estimator{q: q}}
-	c.prepare()
-
-	best := map[uint64]*planInfo{}
-	full := uint64(1)<<n - 1
-	// Enumerate connected subsets in increasing size; singletons first.
-	masks := make([]uint64, 0, 1<<n)
-	for m := uint64(1); m <= full; m++ {
-		if c.connected(m) {
-			masks = append(masks, m)
-		}
+	c, err := o.newOptCtx(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(masks[i]), bits.OnesCount64(masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
 
+	full := uint64(1)<<n - 1
 	isAgg := q.IsAggregate()
-	for mi, mask := range masks {
-		// Poll for cancellation cheaply: the per-mask work is microseconds,
-		// so a stride of 64 bounds the overrun after a timeout fires.
+	for mi, mask := range c.masks {
+		// The per-mask work is microseconds, so polling at a stride of 64
+		// bounds the overrun after a timeout fires.
 		if mi&63 == 0 && mi > 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
 		var alt *planInfo
-		if bits.OnesCount64(mask) == 1 {
-			alt = c.scanInfo(bits.TrailingZeros64(mask))
+		if mi < n { // the singletons come first, in table order
+			alt = &c.scans[mi]
 		} else {
-			for t := 0; t < n; t++ {
-				if mask&(1<<t) == 0 {
-					continue
-				}
+			// Cost joining each table t to best(mask − t), where that exists
+			// and shares a conjunct with t; build the cheapest, first on a tie.
+			var left *planInfo
+			bt, bcost, brows := -1, 0.0, 0.0
+			for m := mask; m != 0; m &= m - 1 {
+				t := bits.TrailingZeros64(m)
 				rest := mask &^ (1 << t)
-				left, ok := best[rest]
-				if !ok {
+				l := c.plan(rest)
+				if l == nil || c.nbr[t]&rest == 0 {
 					continue
 				}
-				// Require a join predicate between rest and t (the memo only
-				// explores connected subexpressions).
-				if !c.linked(rest, t) {
-					continue
-				}
-				ji, err := c.joinInfo(left, rest, t)
-				if err != nil {
-					return nil, err
-				}
-				if alt == nil || ji.cost < alt.cost {
-					alt = ji
+				if cost, rows := c.joinCost(l, rest, t); bt < 0 || cost < bcost {
+					left, bt, bcost, brows = l, t, cost, rows
 				}
 			}
-			if alt == nil {
-				continue // disconnected in left-deep order; unreachable for connected masks
+			if bt < 0 {
+				continue // no left-deep split; unreachable for connected masks
+			}
+			var err error
+			if alt, err = c.joinInfo(left, mask&^(1<<bt), bt, bcost, brows); err != nil {
+				return nil, err
 			}
 		}
 		// View-matching rule on the subexpression. For a pure SPJ query the
 		// full set is the query itself and is matched at top level instead.
 		if mask != full || isAgg {
-			if vp := c.subsetViewPlans(mask); vp != nil && vp.cost < alt.cost {
+			if vp := c.subsetViewPlan(mask, alt.cost); vp != nil {
 				alt = vp
 			}
 		}
-		best[mask] = alt
+		c.best[mi] = alt
 	}
 
-	core, ok := best[full]
-	if !ok {
+	spj := c.plan(full)
+	if spj == nil {
 		// Disconnected join graph: glue components with cartesian joins.
-		var err error
-		core, err = c.glueComponents(best, full)
-		if err != nil {
+		if spj, err = c.glueComponents(full); err != nil {
 			return nil, err
 		}
 	}
 
 	var final *planInfo
 	if !isAgg {
-		fp, err := c.projectOutputs(core)
-		if err != nil {
-			return nil, err
-		}
-		final = fp
+		final, err = c.projectOutputs(spj)
 	} else {
-		ap, err := c.assembleAgg(core)
+		final, err = c.assembleAgg(spj)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if isAgg && o.opts.EnablePreAggregation && len(q.GroupBy) > 0 && n > 1 {
+		pre, err := c.preaggAlternatives(full)
 		if err != nil {
 			return nil, err
 		}
-		final = ap
-		if o.opts.EnablePreAggregation && len(q.GroupBy) > 0 && n > 1 {
-			pre, err := c.preaggAlternatives(best, full)
-			if err != nil {
-				return nil, err
-			}
-			if pre != nil && pre.cost < final.cost {
-				final = pre
-			}
+		if pre != nil && pre.cost < final.cost {
+			final = pre
 		}
 	}
 	// Top-level view matching on the real query expression.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	for _, sub := range o.matchViews(q, &c.stats) {
-		vp := c.topSubstitutePlan(sub)
-		if vp.cost < final.cost {
-			final = vp
-		}
+	if vp := c.substitutePlan(c.matchViews(c.qc), q.GroupBy, final.cost); vp != nil {
+		final = vp
 	}
 
 	return &Result{
@@ -206,385 +242,355 @@ func (o *Optimizer) OptimizeCtx(ctx context.Context, q *spjg.Query) (*Result, er
 	}, nil
 }
 
-// prepare computes conjuncts, referenced columns, and the join-connectivity
-// graph.
+// newOptCtx analyses the query and enumerates its subexpressions.
+func (o *Optimizer) newOptCtx(ctx context.Context, q *spjg.Query) (*optCtx, error) {
+	c := &optCtx{o: o, q: q, est: estimator{q: q}, qc: o.matcher.NewQueryContext(q)}
+	c.prepare()
+	return c, c.enumerate(ctx)
+}
+
+// prepare reads the query's analysis once: every WHERE conjunct with its
+// table mask, selectivity and join columns, the join graph as neighbour masks,
+// the columns each table contributes to a subexpression, each table's scan.
 func (c *optCtx) prepare() {
-	q := c.q
-	if q.Where != nil {
-		c.conjuncts = expr.ToCNF(q.Where)
+	q, a := c.q, c.qc.Analysis()
+	n := len(q.Tables)
+	c.nbr = make([]uint64, n)
+	c.refPos = make([][]int32, n)
+	total := 0
+	for _, t := range q.Tables {
+		total += len(t.Table.Columns)
 	}
-	c.conjTabs = make([]map[int]bool, len(c.conjuncts))
-	for i, cj := range c.conjuncts {
-		c.conjTabs[i] = expr.TablesUsed(cj)
+	pos := make([]int32, total) // 0 unreferenced, 1 referenced; positions below
+	for t := range q.Tables {
+		w := len(q.Tables[t].Table.Columns)
+		c.refPos[t], pos = pos[:w:w], pos[w:]
+	}
+	touch := func(refs ...expr.ColRef) (mask uint64) {
+		for _, r := range refs {
+			c.refPos[r.Tab][r.Col] = 1
+			mask |= 1 << uint(r.Tab)
+		}
+		return mask
 	}
 
-	ref := make([]map[int]bool, len(q.Tables))
-	for i := range ref {
-		ref[i] = map[int]bool{}
-	}
-	touch := func(e expr.Expr) {
-		for _, r := range expr.Columns(e) {
-			ref[r.Tab][r.Col] = true
+	c.conj = make([]conjunct, a.NWhere)
+	for i, e := range a.Conjuncts[:a.NWhere] {
+		cj := &c.conj[i]
+		cj.e, cj.sel = e, c.est.conjunctSelectivity(e)
+		switch kind, eq, rng := expr.Classify(e); kind {
+		case expr.KindColumnEquality:
+			cj.mask = touch(eq.A, eq.B)
+			cj.equi, cj.l, cj.r = eq.A.Tab != eq.B.Tab, eq.A, eq.B
+		case expr.KindRange:
+			cj.mask = touch(rng.Col)
+		default:
+			cj.mask = touch(expr.Columns(e)...)
+		}
+		for m := cj.mask; m != 0; m &= m - 1 {
+			c.nbr[bits.TrailingZeros64(m)] |= cj.mask &^ (m & -m)
 		}
 	}
-	if q.Where != nil {
-		touch(q.Where)
-	}
-	for _, o := range q.Outputs {
-		if o.Expr != nil {
-			touch(o.Expr)
-		} else if o.Agg != nil && o.Agg.Arg != nil {
-			touch(o.Agg.Arg)
+	for i, o := range q.Outputs {
+		if col, ok := o.Expr.(expr.Column); ok {
+			touch(col.Ref)
+		} else if fp := c.qc.OutputFP(i); fp != nil {
+			touch(fp.Cols...)
 		}
 	}
-	for _, g := range q.GroupBy {
-		touch(g)
-	}
-	c.refCols = make([][]int, len(q.Tables))
-	for t := range ref {
-		if len(ref[t]) == 0 {
-			ref[t][0] = true // keep at least one column so subexpressions stay valid
-		}
-		for col := range ref[t] {
-			c.refCols[t] = append(c.refCols[t], col)
-		}
-		sort.Ints(c.refCols[t])
+	for gi := range q.GroupBy {
+		touch(c.qc.GroupFP(gi).Cols...)
 	}
 
-	c.adj = make([][]bool, len(q.Tables))
-	for i := range c.adj {
-		c.adj[i] = make([]bool, len(q.Tables))
+	nref := 0
+	for t := range q.Tables {
+		if !slices.Contains(c.refPos[t], 1) {
+			c.refPos[t][0] = 1 // keep at least one column so subexpressions stay valid
+		}
+		for _, p := range c.refPos[t] {
+			nref += int(p)
+		}
 	}
-	for _, tabs := range c.conjTabs {
-		if len(tabs) < 2 {
-			continue
+	outs := make([]spjg.OutputColumn, 0, nref)
+	c.refOuts = make([][]spjg.OutputColumn, n)
+	c.scans = make([]planInfo, n)
+	for t, tr := range q.Tables {
+		tbl := tr.Table
+		from := len(outs)
+		for col, p := range c.refPos[t] {
+			if c.refPos[t][col] = -1; p != 0 {
+				c.refPos[t][col] = int32(len(outs) - from)
+				outs = append(outs, spjg.OutputColumn{Name: tbl.Columns[col].Name, Expr: expr.Col(t, col)})
+			}
 		}
-		var list []int
-		for t := range tabs {
-			list = append(list, t)
+		c.refOuts[t] = outs[from:len(outs):len(outs)]
+
+		var local []expr.Expr
+		sel := 1.0
+		for i := range c.conj {
+			if cj := &c.conj[i]; cj.mask == 1<<uint(t) {
+				local = append(local, expr.ShiftTables(cj.e, -t))
+				sel *= cj.sel
+			}
 		}
-		for _, a := range list {
-			for _, b := range list {
-				if a != b {
-					c.adj[a][b] = true
+		var filter expr.Expr
+		if len(local) > 0 {
+			filter = expr.NewAnd(local...)
+		}
+		tableRows := c.est.tableRows(t)
+		c.scans[t] = planInfo{
+			node:  &exec.TableScan{Table: tbl.Name, Filter: filter, NCols: len(tbl.Columns)},
+			width: len(tbl.Columns), cost: tableRows, rows: max(tableRows*sel, 1),
+		}
+		c.scans[t].base[t] = 1
+	}
+}
+
+// enumerate lists the connected subsets of the join graph by size, then
+// value: the singletons, then every set of the previous size extended by one
+// neighbour, so only connected sets are ever generated — each once, by a
+// bitmap over masks — and ctx is polled while generating them.
+func (c *optCtx) enumerate(ctx context.Context) error {
+	n := len(c.nbr)
+	for t := 0; t < n; t++ {
+		c.masks = append(c.masks, 1<<uint(t))
+	}
+	seen := make([]uint64, 1<<max(n-6, 0))
+	for from := 0; from < len(c.masks); {
+		level := c.masks[from:]
+		from = len(c.masks)
+		for i, s := range level {
+			if i&63 == 63 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			var reach uint64
+			for m := s; m != 0; m &= m - 1 {
+				reach |= c.nbr[bits.TrailingZeros64(m)]
+			}
+			for m := reach &^ s; m != 0; m &= m - 1 {
+				if next := s | m&-m; seen[next>>6]&(1<<(next&63)) == 0 {
+					seen[next>>6] |= 1 << (next & 63)
+					c.masks = append(c.masks, next)
 				}
 			}
 		}
+		slices.Sort(c.masks[from:])
 	}
+	c.best = make([]*planInfo, len(c.masks))
+	c.plans = make([]planInfo, 0, 2*len(c.masks))
+	return nil
 }
 
-func (c *optCtx) connected(mask uint64) bool {
-	if bits.OnesCount64(mask) <= 1 {
-		return mask != 0
+// plan returns the memo's alternative for a table subset, nil when it has
+// none (the subset is not connected).
+func (c *optCtx) plan(mask uint64) *planInfo {
+	i, ok := slices.BinarySearchFunc(c.masks, mask, func(a, b uint64) int {
+		return cmp.Or(cmp.Compare(bits.OnesCount64(a), bits.OnesCount64(b)), cmp.Compare(a, b))
+	})
+	if !ok {
+		return nil
 	}
-	start := bits.TrailingZeros64(mask)
-	seen := uint64(1) << start
-	frontier := []int{start}
-	for len(frontier) > 0 {
-		t := frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		for u := 0; u < len(c.adj); u++ {
-			if mask&(1<<u) != 0 && seen&(1<<u) == 0 && c.adj[t][u] {
-				seen |= 1 << u
-				frontier = append(frontier, u)
-			}
-		}
-	}
-	return seen == mask
+	return c.best[i]
 }
 
-func (c *optCtx) linked(mask uint64, t int) bool {
-	for u := 0; u < len(c.adj); u++ {
-		if mask&(1<<u) != 0 && c.adj[u][t] {
-			return true
-		}
-	}
-	return false
+// joins reports whether conjunct cj becomes fully bound when table instance
+// t joins the tables of rest.
+func (cj *conjunct) joins(rest uint64, t int) bool {
+	bit := uint64(1) << uint(t)
+	return cj.mask&bit != 0 && cj.mask != bit && cj.mask&^(rest|bit) == 0
 }
 
-// scanInfo builds the scan alternative for a single table instance, with
-// single-table conjuncts pushed down.
-func (c *optCtx) scanInfo(t int) *planInfo {
-	tbl := c.q.Tables[t].Table
-	var local []expr.Expr
+// joinCost estimates joining best(rest) with table t.
+func (c *optCtx) joinCost(left *planInfo, rest uint64, t int) (cost, rows float64) {
+	scan := &c.scans[t]
 	sel := 1.0
-	for i, cj := range c.conjuncts {
-		if len(c.conjTabs[i]) == 1 && c.conjTabs[i][t] {
-			local = append(local, expr.MapColumns(cj, func(r expr.ColRef) expr.ColRef {
-				return expr.ColRef{Tab: 0, Col: r.Col}
-			}))
-			sel *= c.est.conjunctSelectivity(cj)
+	for i := range c.conj {
+		if c.conj[i].joins(rest, t) {
+			sel *= c.conj[i].sel
 		}
 	}
-	var filter expr.Expr
-	if len(local) > 0 {
-		filter = expr.NewAnd(local...)
-	}
-	node := &exec.TableScan{Table: tbl.Name, Filter: filter, NCols: len(tbl.Columns)}
-	cols := make([]expr.ColRef, len(tbl.Columns))
-	for i := range cols {
-		cols[i] = expr.ColRef{Tab: t, Col: i}
-	}
-	tableRows := c.est.tableRows(t)
-	rows := tableRows * sel
-	if rows < 1 {
-		rows = 1
-	}
-	return newPlanInfo(node, cols, tableRows, rows, false)
+	rows = max(left.rows*scan.rows*sel, 1)
+	return left.cost + scan.cost + left.rows + scan.rows + rows, rows
 }
 
-// joinInfo joins best(rest) with table t, applying every conjunct that
-// becomes fully bound.
-func (c *optCtx) joinInfo(left *planInfo, rest uint64, t int) (*planInfo, error) {
-	scan := c.scanInfo(t)
-	newMask := rest | 1<<uint(t)
+// joinInfo builds the join of best(rest) with table t that joinCost costed.
+func (c *optCtx) joinInfo(left *planInfo, rest uint64, t int, cost, rows float64) (*planInfo, error) {
+	p := c.newPlan(nil, cost, rows, left.usesView)
+	p.concat(left, &c.scans[t])
+	var err error
+	p.node, err = c.joinOn(left.node, left.width, rest, t, func(r expr.ColRef) (int, bool) { return c.ord(left, r) })
+	return p, err
+}
 
+// joinOn joins a plan over the tables of rest, with rows of the given width,
+// to the scan of table t under every conjunct that becomes fully bound:
+// equijoin conjuncts between a left column and a t column become hash keys,
+// every other one a join residual over the concatenated row. lookup resolves
+// a column of rest to its ordinal in the left row.
+func (c *optCtx) joinOn(left exec.Node, width int, rest uint64, t int, lookup func(expr.ColRef) (int, bool)) (exec.Node, error) {
 	var lcols, rcols []int
 	var residual []expr.Expr
-	sel := 1.0
-	for i, cj := range c.conjuncts {
-		tabs := c.conjTabs[i]
-		if len(tabs) < 2 || !tabs[t] {
+	var miss error
+	for i := range c.conj {
+		cj := &c.conj[i]
+		if !cj.joins(rest, t) {
 			continue
 		}
-		inNew := true
-		for tb := range tabs {
-			if newMask&(1<<tb) == 0 {
-				inNew = false
-				break
+		if cj.equi {
+			l, r := cj.l, cj.r
+			if l.Tab == t {
+				l, r = r, l
 			}
-		}
-		if !inNew {
+			lo, ok := lookup(l)
+			if !ok {
+				return nil, errNoColumn(l)
+			}
+			lcols, rcols = append(lcols, lo), append(rcols, r.Col)
 			continue
 		}
-		sel *= c.est.conjunctSelectivity(cj)
-		// Equi conjunct between a left column and a t column becomes a hash
-		// key; everything else is a join residual.
-		if cmp, ok := cj.(expr.Cmp); ok && cmp.Op == expr.EQ {
-			lc, lok := cmp.L.(expr.Column)
-			rc, rok := cmp.R.(expr.Column)
-			if lok && rok {
-				switch {
-				case lc.Ref.Tab != t && rc.Ref.Tab == t:
-					lcols = append(lcols, left.pos[lc.Ref])
-					rcols = append(rcols, rc.Ref.Col)
-					continue
-				case rc.Ref.Tab != t && lc.Ref.Tab == t:
-					lcols = append(lcols, left.pos[rc.Ref])
-					rcols = append(rcols, lc.Ref.Col)
-					continue
-				}
-			}
-		}
-		// Rewrite over concat(left, scan).
-		rw := expr.MapColumns(cj, func(r expr.ColRef) expr.ColRef {
+		residual = append(residual, expr.MapColumns(cj.e, func(r expr.ColRef) expr.ColRef {
 			if r.Tab == t {
-				return expr.ColRef{Tab: 0, Col: len(left.cols) + r.Col}
+				return expr.ColRef{Tab: 0, Col: width + r.Col}
 			}
-			return expr.ColRef{Tab: 0, Col: left.pos[r]}
-		})
-		residual = append(residual, rw)
+			lo, ok := lookup(r)
+			if !ok {
+				miss = errNoColumn(r)
+			}
+			return expr.ColRef{Tab: 0, Col: lo}
+		}))
 	}
-
-	var node exec.Node
+	if miss != nil {
+		return nil, miss
+	}
 	var resid expr.Expr
 	if len(residual) > 0 {
 		resid = expr.NewAnd(residual...)
 	}
 	if len(lcols) > 0 {
-		node = &exec.HashJoin{L: left.node, R: scan.node, LCols: lcols, RCols: rcols, Residual: resid}
-	} else {
-		node = &exec.NestedLoopJoin{L: left.node, R: scan.node, Pred: resid}
+		return &exec.HashJoin{L: left, R: c.scans[t].node, LCols: lcols, RCols: rcols, Residual: resid}, nil
 	}
-	cols := make([]expr.ColRef, 0, len(left.cols)+len(scan.cols))
-	cols = append(cols, left.cols...)
-	cols = append(cols, scan.cols...)
-	rows := left.rows * scan.rows * sel
-	if rows < 1 {
-		rows = 1
-	}
-	cost := left.cost + scan.cost + left.rows + scan.rows + rows
-	return newPlanInfo(node, cols, cost, rows, left.usesView), nil
+	return &exec.NestedLoopJoin{L: left, R: c.scans[t].node, Pred: resid}, nil
 }
 
 // glueComponents joins disconnected components with cartesian products.
-func (c *optCtx) glueComponents(best map[uint64]*planInfo, full uint64) (*planInfo, error) {
-	var comps []uint64
-	remaining := full
-	for remaining != 0 {
-		t := bits.TrailingZeros64(remaining)
-		// Grow the component of t.
-		comp := uint64(1) << t
-		for changed := true; changed; {
-			changed = false
-			for u := 0; u < len(c.adj); u++ {
-				if full&(1<<u) == 0 || comp&(1<<u) != 0 {
-					continue
-				}
-				for v := 0; v < len(c.adj); v++ {
-					if comp&(1<<v) != 0 && c.adj[u][v] {
-						comp |= 1 << u
-						changed = true
-						break
-					}
-				}
+func (c *optCtx) glueComponents(full uint64) (*planInfo, error) {
+	var acc *planInfo
+	for remaining := full; remaining != 0; {
+		// Grow the component of the lowest remaining table.
+		comp, grown := uint64(0), remaining&-remaining
+		for comp != grown {
+			comp = grown
+			for m := comp; m != 0; m &= m - 1 {
+				grown |= c.nbr[bits.TrailingZeros64(m)]
 			}
 		}
-		comps = append(comps, comp)
 		remaining &^= comp
-	}
-	var acc *planInfo
-	for _, comp := range comps {
-		p, ok := best[comp]
-		if !ok {
+		p := c.plan(comp)
+		if p == nil {
 			return nil, fmt.Errorf("opt: no plan for component %b", comp)
 		}
 		if acc == nil {
 			acc = p
 			continue
 		}
-		node := &exec.NestedLoopJoin{L: acc.node, R: p.node}
-		cols := append(append([]expr.ColRef{}, acc.cols...), p.cols...)
 		rows := acc.rows * p.rows
-		cost := acc.cost + p.cost + rows
-		acc = newPlanInfo(node, cols, cost, rows, acc.usesView || p.usesView)
+		glued := c.newPlan(&exec.NestedLoopJoin{L: acc.node, R: p.node}, acc.cost+p.cost+rows, rows, acc.usesView || p.usesView)
+		glued.concat(acc, p)
+		acc = glued
 	}
 	return acc, nil
 }
 
-// subsetExpr builds the SPJG subexpression induced by a table subset: its
-// tables, every conjunct fully contained in the subset, and the referenced
-// columns as outputs. Returns the expression and the query-space column list
-// matching its output order.
-func (c *optCtx) subsetExpr(mask uint64) (*spjg.Query, []expr.ColRef) {
-	var tabs []int
-	local := make(map[int]int)
-	for t := 0; t < len(c.q.Tables); t++ {
-		if mask&(1<<t) != 0 {
-			local[t] = len(tabs)
-			tabs = append(tabs, t)
-		}
+// subsetViewPlan invokes the view-matching rule on the subexpression over a
+// table subset and returns the memo entry of the cheapest substitute if it
+// costs less than limit, nil otherwise.
+func (c *optCtx) subsetViewPlan(mask uint64, limit float64) *planInfo {
+	if !c.o.ruleOn() {
+		return nil // before deriving the subexpression for nothing
 	}
-	sub := &spjg.Query{}
-	for _, t := range tabs {
-		sub.Tables = append(sub.Tables, c.q.Tables[t])
-	}
-	remap := func(e expr.Expr) expr.Expr {
-		return expr.MapColumns(e, func(r expr.ColRef) expr.ColRef {
-			return expr.ColRef{Tab: local[r.Tab], Col: r.Col}
-		})
-	}
-	var preds []expr.Expr
-	for i, cj := range c.conjuncts {
-		inside := true
-		for tb := range c.conjTabs[i] {
-			if mask&(1<<tb) == 0 {
-				inside = false
-				break
-			}
-		}
-		if inside {
-			preds = append(preds, remap(cj))
-		}
-	}
-	if len(preds) > 0 {
-		sub.Where = expr.NewAnd(preds...)
-	}
-	var outCols []expr.ColRef
-	for _, t := range tabs {
-		tbl := c.q.Tables[t].Table
-		for _, col := range c.refCols[t] {
-			sub.Outputs = append(sub.Outputs, spjg.OutputColumn{
-				Name: tbl.Columns[col].Name,
-				Expr: expr.Col(local[t], col),
-			})
-			outCols = append(outCols, expr.ColRef{Tab: t, Col: col})
-		}
-	}
-	return sub, outCols
-}
-
-// subsetViewPlans invokes the view-matching rule on the subset's
-// subexpression and returns the cheapest substitute plan, or nil.
-func (c *optCtx) subsetViewPlans(mask uint64) *planInfo {
-	subExpr, outCols := c.subsetExpr(mask)
-	subs := c.o.matchViews(subExpr, &c.stats)
-	if len(subs) == 0 {
+	p := c.substitutePlan(c.matchViews(c.subset(mask)), nil, limit)
+	if p == nil {
 		return nil
 	}
-	// Cost every substitute, build the memo entry for the cheapest only (the
-	// first one on a tie).
-	bestNode, bestCost, bestRows := c.buildSubstitute(subs[0])
-	for _, sub := range subs[1:] {
-		if node, cost, outRows := c.buildSubstitute(sub); cost < bestCost {
-			bestNode, bestCost, bestRows = node, cost, outRows
-		}
+	p.narrow = mask
+	for m := mask; m != 0; m &= m - 1 {
+		t := bits.TrailingZeros64(m)
+		p.base[t] = int16(p.width) + 1
+		p.width += len(c.refOuts[t])
 	}
-	return newPlanInfo(bestNode, outCols, bestCost, bestRows, true)
+	return p
 }
 
-// buildSubstitute assembles a substitute's physical plan and estimates its
-// access cost: a full view scan, an index seek when a declared index is
-// pinned by the compensating filter, plus one hash join per backjoin.
-func (c *optCtx) buildSubstitute(sub *core.Substitute) (node exec.Node, cost, filtered float64) {
-	vrows := c.o.viewRows[sub.View.ID]
-	filtered = vrows * c.viewFilterSelectivity(sub)
-	if filtered < 1 {
-		filtered = 1
+// subset returns the context of the subexpression over a table subset: its
+// tables, every conjunct they bind, the referenced columns as outputs.
+func (c *optCtx) subset(mask uint64) *core.QueryContext {
+	c.outs = c.outs[:0]
+	for m := mask; m != 0; m &= m - 1 {
+		c.outs = append(c.outs, c.refOuts[bits.TrailingZeros64(m)]...)
 	}
-	scan := &exec.ViewScan{View: sub.View.Name, Filter: sub.Filter, NCols: len(sub.View.Def.Outputs)}
-	cost = vrows + filtered
-	if len(sub.Backjoins) == 0 {
-		if seek := c.o.seekAccess(sub); seek != nil {
-			scan = seek
-			cost = seekCost(filtered)
+	return c.qc.Sub(mask, c.outs, 0, nil)
+}
+
+// substitutePlan costs every substitute — a full view scan or, when the
+// compensating filter pins a declared index, a seek; one hash join per
+// backjoin; a regrouping on groupBy where needed — from the conjuncts the
+// matcher produced, and builds only the cheapest (the first on a tie), if it
+// costs less than limit.
+func (c *optCtx) substitutePlan(subs []*core.Substitute, groupBy []expr.Expr, limit float64) *planInfo {
+	var win *core.Substitute
+	var winSeek *exec.ViewScan
+	var rows float64
+	for _, sub := range subs {
+		vrows := c.o.viewRows[sub.View.ID]
+		est := estimator{v: sub.View}
+		sel := 1.0
+		for _, cj := range sub.Conjuncts() {
+			sel *= est.conjunctSelectivity(cj)
 		}
-	} else {
+		filtered := max(vrows*sel, 1)
+		cost := vrows + filtered
+		var seek *exec.ViewScan
+		if len(sub.Backjoins) == 0 {
+			if seek = c.o.seekAccess(sub); seek != nil {
+				cost = seekCost(filtered)
+			}
+		}
 		// Each backjoin builds a hash table over the base table and probes
 		// once per surviving view row.
 		for _, bj := range sub.Backjoins {
 			cost += float64(bj.Table.RowCount) + filtered
 		}
-	}
-	return exec.BuildSubstitutePlanWithScan(sub, scan), cost, filtered
-}
-
-// viewFilterSelectivity estimates the selectivity of a substitute's
-// compensating filter by translating view-output references back to the
-// view definition's base columns.
-func (c *optCtx) viewFilterSelectivity(sub *core.Substitute) float64 {
-	if sub.Filter == nil {
-		return 1
-	}
-	def := sub.View.Def
-	est := &estimator{q: def}
-	translated := expr.MapColumns(sub.Filter, func(r expr.ColRef) expr.ColRef {
-		if r.Tab == 0 && r.Col >= 0 && r.Col < len(def.Outputs) {
-			if col, ok := def.Outputs[r.Col].Expr.(expr.Column); ok {
-				return col.Ref
-			}
+		if sub.Regroup {
+			filtered = estimateGroups(&c.est, groupBy, filtered)
+			cost += filtered
 		}
-		return expr.ColRef{Tab: -1, Col: -1} // unknown: default selectivity
-	})
-	sel := 1.0
-	for _, cj := range expr.ToCNF(translated) {
-		sel *= est.conjunctSelectivity(cj)
+		if cost < limit {
+			win, winSeek, limit, rows = sub, seek, cost, filtered
+		}
 	}
-	return sel
+	if win == nil {
+		return nil
+	}
+	if winSeek == nil {
+		winSeek = &exec.ViewScan{View: win.View.Name, Filter: win.Filter, NCols: len(win.View.Def.Outputs)}
+	}
+	return c.newPlan(exec.BuildSubstitutePlanWithScan(win, winSeek), limit, rows, true)
 }
 
 // projectOutputs adds the final projection of an SPJ query.
 func (c *optCtx) projectOutputs(p *planInfo) (*planInfo, error) {
 	exprs := make([]expr.Expr, len(c.q.Outputs))
 	for i, o := range c.q.Outputs {
-		e, err := p.rewriteTo(o.Expr)
+		e, err := c.rewriteTo(p, o.Expr)
 		if err != nil {
 			return nil, err
 		}
 		exprs[i] = e
 	}
 	node := &exec.Project{In: p.node, Exprs: exprs}
-	return newPlanInfo(node, nil, p.cost+p.rows, p.rows, p.usesView), nil
+	return &planInfo{node: node, cost: p.cost + p.rows, rows: p.rows, usesView: p.usesView}, nil
 }
 
 // assembleAgg places the final group-by over the SPJ core.
@@ -592,7 +598,7 @@ func (c *optCtx) assembleAgg(p *planInfo) (*planInfo, error) {
 	q := c.q
 	groupBy := make([]expr.Expr, len(q.GroupBy))
 	for i, g := range q.GroupBy {
-		e, err := p.rewriteTo(g)
+		e, err := c.rewriteTo(p, g)
 		if err != nil {
 			return nil, err
 		}
@@ -600,11 +606,11 @@ func (c *optCtx) assembleAgg(p *planInfo) (*planInfo, error) {
 	}
 	var aggs []exec.AggSpec
 	var projExprs []expr.Expr
-	for _, o := range q.Outputs {
+	for i, o := range q.Outputs {
 		if o.Agg != nil {
 			spec := exec.AggSpec{Num: exec.SimpleAgg{Kind: o.Agg.Kind}}
 			if o.Agg.Arg != nil {
-				e, err := p.rewriteTo(o.Agg.Arg)
+				e, err := c.rewriteTo(p, o.Agg.Arg)
 				if err != nil {
 					return nil, err
 				}
@@ -614,38 +620,51 @@ func (c *optCtx) assembleAgg(p *planInfo) (*planInfo, error) {
 			projExprs = append(projExprs, expr.Col(0, len(groupBy)+len(aggs)-1))
 			continue
 		}
-		pos, err := groupKeyPos(q.GroupBy, o.Expr)
+		pos, err := c.groupKeyPos(i)
 		if err != nil {
 			return nil, err
 		}
 		projExprs = append(projExprs, expr.Col(0, pos))
 	}
-	groups := estimateGroups(c.est, q.GroupBy, p.rows)
+	groups := estimateGroups(&c.est, q.GroupBy, p.rows)
 	node := &exec.Project{
 		In:    &exec.HashAgg{In: p.node, GroupBy: groupBy, Aggs: aggs},
 		Exprs: projExprs,
 	}
-	cost := p.cost + p.rows + groups
-	return newPlanInfo(node, nil, cost, groups, p.usesView), nil
+	return &planInfo{node: node, cost: p.cost + p.rows + groups, rows: groups, usesView: p.usesView}, nil
 }
 
-// topSubstitutePlan costs a substitute for the whole query, using an index
-// seek on the view when the compensating filter pins a declared index.
-func (c *optCtx) topSubstitutePlan(sub *core.Substitute) *planInfo {
-	node, cost, filtered := c.buildSubstitute(sub)
-	rows := filtered
-	if sub.Regroup {
-		rows = estimateGroups(c.est, c.q.GroupBy, filtered)
-		cost += rows
+// term identifies a scalar expression of the query up to normal form: a plain
+// column by its reference (fp nil), anything else by the fingerprint the
+// query's context keeps of it.
+type term struct {
+	col expr.ColRef
+	fp  *expr.Fingerprint
+}
+
+func termOf(e expr.Expr, fp *expr.Fingerprint) term {
+	if col, ok := e.(expr.Column); ok {
+		return term{col: col.Ref}
 	}
-	return newPlanInfo(node, nil, cost, rows, true)
+	return term{fp: fp}
 }
 
-func groupKeyPos(groupBy []expr.Expr, e expr.Expr) (int, error) {
-	ne := expr.Normalize(e)
-	for i, g := range groupBy {
-		if expr.Equal(ne, expr.Normalize(g)) {
-			return i, nil
+func (a term) equal(b term) bool {
+	return a.col == b.col && (a.fp == b.fp ||
+		a.fp != nil && b.fp != nil && a.fp.Text == b.fp.Text && slices.Equal(a.fp.Cols, b.fp.Cols))
+}
+
+// groupKeyPos returns the position in the GROUP BY list of scalar output i.
+func (c *optCtx) groupKeyPos(i int) (int, error) {
+	e := c.q.Outputs[i].Expr
+	out := termOf(e, c.qc.OutputFP(i))
+	for gi, g := range c.q.GroupBy {
+		if _, isConst := e.(expr.Const); isConst {
+			if expr.Equal(e, g) {
+				return gi, nil
+			}
+		} else if out.equal(termOf(g, c.qc.GroupFP(gi))) {
+			return gi, nil
 		}
 	}
 	return -1, fmt.Errorf("opt: output expression not in GROUP BY list")

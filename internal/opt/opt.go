@@ -258,39 +258,42 @@ func (o *Optimizer) UnhealthyViews() []string {
 	return out
 }
 
-// matchViews is the view-matching transformation rule: find candidate views
-// (through the filter tree or by scanning all descriptions), run the matching
-// tests on each, and return the substitutes. Instrumentation mirrors §5.
-// Non-Fresh views (SetViewHealth) are filtered out before the matching tests
-// so a degraded view can never appear in a plan.
-func (o *Optimizer) matchViews(q *spjg.Query, stats *QueryStats) []*core.Substitute {
-	if !o.opts.UseViews || len(o.views) == 0 {
+// ruleOn reports whether the view-matching rule has anything to do; the caller
+// holds the catalog lock.
+func (o *Optimizer) ruleOn() bool { return o.opts.UseViews && len(o.views) > 0 }
+
+// matchViews is the view-matching transformation rule on one expression of
+// the query, given as its context: find candidate views (through the filter
+// tree or by scanning all descriptions), run the matching tests on each, and
+// return the substitutes — in a buffer that the next invocation reuses.
+// Instrumentation mirrors §5. Non-Fresh views (SetViewHealth) are filtered
+// out before the matching tests so a degraded view can never appear in a plan.
+func (c *optCtx) matchViews(qc *core.QueryContext) []*core.Substitute {
+	o := c.o
+	if !o.ruleOn() {
 		return nil
 	}
 	start := time.Now()
-	stats.Invocations++
-	// One analysis of the expression serves the filter-tree search and every
-	// candidate's match.
-	qc := o.matcher.NewQueryContext(q)
+	c.stats.Invocations++
 	cands := o.views
 	if o.opts.UseFilterTree {
 		cands = o.tree.Candidates(qc.Keys())
 	}
-	stats.CandidatesChecked += int64(len(cands))
-	var subs []*core.Substitute
+	c.stats.CandidatesChecked += int64(len(cands))
+	c.subs = c.subs[:0]
 	for _, v := range cands {
 		if len(o.unhealthy) > 0 && o.unhealthy[v.Name] {
 			continue
 		}
 		if sub := qc.Match(v); sub != nil {
-			stats.SubstitutesProduced++
+			c.stats.SubstitutesProduced++
 			if !o.opts.NoSubstitutes {
-				subs = append(subs, sub)
+				c.subs = append(c.subs, sub)
 			}
 		}
 	}
-	stats.ViewMatchTime += time.Since(start)
-	return subs
+	c.stats.ViewMatchTime += time.Since(start)
+	return c.subs
 }
 
 // OptimizeAll optimizes a batch of queries over a pool of workers and

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"slices"
 
 	"matview/internal/core"
 	"matview/internal/exec"
@@ -46,71 +47,54 @@ func (o *Optimizer) seekAccess(sub *core.Substitute) *exec.ViewScan {
 	if len(idxs) == 0 || sub.Filter == nil {
 		return nil
 	}
-	conjuncts := expr.ToCNF(sub.Filter)
-	points := map[int]sqlvalue.Value{} // output ordinal → pinned constant
-	pointConj := map[int]int{}         // output ordinal → conjunct index
-	for ci, c := range conjuncts {
-		cmp, ok := c.(expr.Cmp)
-		if !ok || cmp.Op != expr.EQ {
-			continue
-		}
-		col, lok := cmp.L.(expr.Column)
-		val, rok := cmp.R.(expr.Const)
-		if !lok || !rok {
-			if col2, ok2 := cmp.R.(expr.Column); ok2 {
-				if val2, ok3 := cmp.L.(expr.Const); ok3 {
-					col, val = col2, val2
-					lok, rok = true, true
-				}
-			}
-		}
-		if !lok || !rok || col.Ref.Tab != 0 || val.Val.IsNull() {
-			continue
-		}
-		if _, dup := points[col.Ref.Col]; !dup {
-			points[col.Ref.Col] = val.Val
-			pointConj[col.Ref.Col] = ci
-		}
-	}
+	conjuncts := sub.Conjuncts()
 	// Pick the longest fully-pinned index.
 	var best []int
 	for _, cols := range idxs {
-		all := true
+		all := len(cols) > len(best)
 		for _, c := range cols {
-			if _, ok := points[c]; !ok {
-				all = false
-				break
-			}
+			ci, _ := pinnedBy(conjuncts, c)
+			all = all && ci >= 0
 		}
-		if all && len(cols) > len(best) {
+		if all {
 			best = cols
 		}
 	}
 	if best == nil {
 		return nil
 	}
-	used := map[int]bool{}
-	vals := make([]sqlvalue.Value, len(best))
-	for i, c := range best {
-		vals[i] = points[c]
-		used[pointConj[c]] = true
-	}
-	var rest []expr.Expr
-	for ci, c := range conjuncts {
-		if !used[ci] {
-			rest = append(rest, c)
-		}
-	}
 	scan := &exec.ViewScan{
 		View:   sub.View.Name,
 		NCols:  len(sub.View.Def.Outputs),
 		EqCols: best,
-		EqVals: vals,
+		EqVals: make([]sqlvalue.Value, len(best)),
+	}
+	used := make([]int, len(best))
+	for i, c := range best {
+		used[i], scan.EqVals[i] = pinnedBy(conjuncts, c)
+	}
+	var rest []expr.Expr
+	for ci, c := range conjuncts {
+		if !slices.Contains(used, ci) {
+			rest = append(rest, c)
+		}
 	}
 	if len(rest) > 0 {
 		scan.Filter = expr.NewAnd(rest...)
 	}
 	return scan
+}
+
+// pinnedBy returns the index of the first conjunct that pins output ordinal
+// col to a non-NULL constant (in either operand order), and the constant; -1
+// when none does.
+func pinnedBy(conjuncts []expr.Expr, col int) (int, sqlvalue.Value) {
+	for ci, c := range conjuncts {
+		if kind, _, rng := expr.Classify(c); kind == expr.KindRange && rng.Op == expr.EQ && rng.Col == (expr.ColRef{Col: col}) {
+			return ci, rng.Val
+		}
+	}
+	return -1, sqlvalue.Null
 }
 
 // seekCost is the access cost of an index probe producing outRows rows: the

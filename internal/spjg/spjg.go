@@ -294,15 +294,24 @@ func (q *Query) String() string {
 // Analysis holds everything the matching tests derive from a Query: the
 // predicate components, the column equivalence classes, and the per-class
 // ranges. For views it is computed once at registration; for queries, once
-// per view-matching invocation. It is read-only once Analyze returns.
+// per optimization. It is read-only once Analyze returns.
 type Analysis struct {
 	Q *Query
 
-	// PE / PR / PU are the predicate components of §3.1.2 after CNF
-	// conversion. PU conjuncts are normalized.
-	PE []expr.EqualityConjunct
-	PR []expr.RangeConjunct
-	PU []expr.Expr
+	// Conjuncts is the predicate in conjunctive normal form: the first NWhere
+	// conjuncts come from the WHERE clause, the rest from folded check
+	// constraints, table by table.
+	Conjuncts []expr.Expr
+	NWhere    int
+
+	// PE / PR / PU are the predicate components of §3.1.2, each in conjunct
+	// order. PU conjuncts are normalized; the first NResidual of them are
+	// residual conjuncts of the predicate, the rest range conjuncts that
+	// degraded (see AddRange), in PR order.
+	PE        []expr.EqualityConjunct
+	PR        []expr.RangeConjunct
+	PU        []expr.Expr
+	NResidual int
 
 	// EC holds the column equivalence classes computed from PE over every
 	// column of every table instance, frozen.
@@ -337,60 +346,27 @@ func Analyze(q *Query, includeChecks bool) *Analysis {
 		return len(q.Tables[t].Table.Columns)
 	})}
 
-	pred := q.Where
-	if pred == nil {
-		pred = expr.NewAnd()
+	if q.Where != nil {
+		a.Conjuncts = expr.ToCNF(q.Where)
 	}
+	a.NWhere = len(a.Conjuncts)
 	if includeChecks {
-		var checks []expr.Expr
 		for ti, t := range q.Tables {
 			for _, ck := range t.Table.Checks {
-				checks = append(checks, expr.ShiftTables(ck.Expr, ti))
+				a.Conjuncts = append(a.Conjuncts, expr.ToCNF(expr.ShiftTables(ck.Expr, ti))...)
 			}
-		}
-		if len(checks) > 0 {
-			pred = expr.NewAnd(append([]expr.Expr{pred}, checks...)...)
 		}
 	}
 
-	pe, pr, pu := expr.SplitPredicate(pred)
+	pe, pr, pu := expr.SplitConjuncts(a.Conjuncts)
 	a.PE = pe
 	a.PR = pr
+	a.NResidual = len(pu)
 	a.EC.AddEqualities(pe)
 	a.EC.Freeze()
-
-	// Fold range predicates into per-class ranges. A range predicate whose
-	// constant is incomparable with the accumulated bounds degrades to a
-	// residual conjunct (conservative).
 	for _, rc := range pr {
-		id := a.EC.ID(rc.Col)
-		if id < 0 {
-			continue // outside the FROM list; Validate rejects such queries
-		}
-		rep := a.EC.FindID(id)
-		at := -1
-		for i := range a.Ranges {
-			if a.Ranges[i].Rep == rep {
-				at = i
-				break
-			}
-		}
-		cur := ranges.Universal()
-		if at >= 0 {
-			cur = a.Ranges[at].Range
-		}
-		next, ok := cur.Apply(rc.Op, rc.Val)
-		if !ok {
-			pu = append(pu, expr.NewCmp(rc.Op, expr.ColE(rc.Col), expr.C(rc.Val)))
-			continue
-		}
-		if at < 0 {
-			a.Ranges = append(a.Ranges, ClassRange{Rep: rep, Range: next})
-		} else {
-			a.Ranges[at].Range = next
-		}
-		if next.Empty() {
-			a.Contradiction = true
+		if !a.AddRange(rc) {
+			pu = append(pu, rc.Expr())
 		}
 	}
 
@@ -403,6 +379,42 @@ func Analyze(q *Query, includeChecks bool) *Analysis {
 		a.ResidualFPs[i] = expr.NewFingerprint(n)
 	}
 	return a
+}
+
+// AddRange folds a range predicate into the range of its column's class under
+// a.EC. It reports false, folding nothing, when the constant is incomparable
+// with the bounds accumulated so far: the predicate then degrades to a
+// residual conjunct (conservative).
+func (a *Analysis) AddRange(rc expr.RangeConjunct) bool {
+	id := a.EC.ID(rc.Col)
+	if id < 0 {
+		return true // outside the FROM list; Validate rejects such queries
+	}
+	rep := a.EC.FindID(id)
+	at := -1
+	for i := range a.Ranges {
+		if a.Ranges[i].Rep == rep {
+			at = i
+			break
+		}
+	}
+	cur := ranges.Universal()
+	if at >= 0 {
+		cur = a.Ranges[at].Range
+	}
+	next, ok := cur.Apply(rc.Op, rc.Val)
+	if !ok {
+		return false
+	}
+	if at < 0 {
+		a.Ranges = append(a.Ranges, ClassRange{Rep: rep, Range: next})
+	} else {
+		a.Ranges[at].Range = next
+	}
+	if next.Empty() {
+		a.Contradiction = true
+	}
+	return true
 }
 
 // RangeFor returns the accumulated range of the class containing r

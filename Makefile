@@ -16,12 +16,13 @@ test:
 race:
 	go test -race ./...
 
-# bench runs every benchmark (no tests) with allocation stats; repeat with
-# `make bench COUNT=10` and feed the output to benchstat to compare runs.
-# EXEC_BENCH_SF shrinks the BenchmarkExec* TPC-H scale factor for quick passes.
-COUNT ?= 1
+# bench runs the repository's benchmark (bench/README.md): four seeded
+# workloads through the real handler, untraced then traced, every answer
+# checked against the reference evaluator. The layer micro-benchmarks are
+# `go test -run '^$' -bench . -benchmem ./...` (EXEC_BENCH_SF shrinks the
+# BenchmarkExec* TPC-H scale factor for quick passes).
 bench:
-	go test -run '^$$' -bench . -benchmem -count $(COUNT) ./...
+	bash bench/run.sh
 
 # chaos runs the fault-injected correctness suite (full-length) under the
 # race detector: concurrent query + DML traffic with faults at every site.

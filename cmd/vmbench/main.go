@@ -7,51 +7,31 @@
 //
 //	vmbench -experiment fig2|fig3|fig4|stats|all [-views N] [-queries N] [-seed S] [-step N]
 //	        [-workers N] [-cpuprofile FILE] [-memprofile FILE]
-//	vmbench -experiment load [-server URL] [-clients N] [-duration D] [-sf F] [-seed S]
-//	        [-fault-rate P]
-//	vmbench -experiment exec [-sf F] [-seed S] [-workers N]
 //	vmbench -experiment advisor [-sf F] [-seed S] [-clients N] [-phase-a D] [-phase-b D]
 //	        [-out FILE]
-//
-// The exec experiment benchmarks raw plan execution (no optimizer): each
-// BenchmarkExec* plan shape runs through the seed row-at-a-time interpreter
-// and the batched engine at worker counts 1 and N, reporting wall-clock and
-// speedup. -sf sets the TPC-H scale factor (default 0.05 here).
 //
 // -workers fans each measurement's queries out over N optimizer goroutines
 // (0 = GOMAXPROCS, 1 = serial as in the paper); plan choices and aggregate
 // statistics are unaffected, only wall-clock time changes. -cpuprofile and
 // -memprofile write pprof profiles of the run.
 //
-// The load experiment drives a vmserver instance with concurrent /query
-// traffic and reports throughput, latency percentiles, and the plan-cache
-// hit rate. With no -server URL it starts an in-process server over a fresh
-// TPC-H database on a loopback port first. -fault-rate P (in-process only)
-// arms fault injection at every storage and maintenance site with
-// probability P, adds a DML writer to the mix, runs the background repair
-// loop, and additionally reports error rate, repairs, and degraded time —
-// measuring what failures cost in performance while the server keeps
-// answering.
+// Throughput, latency and per-layer cost of the running system are measured
+// by the repository's benchmark, `bash bench/run.sh` (bench/README.md).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"time"
 
-	"matview/internal/faults"
 	"matview/internal/harness"
-	"matview/internal/server"
-	"matview/internal/tpch"
 )
 
 func main() {
-	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, stats, load, exec, advisor, or all")
+	experiment := flag.String("experiment", "all", "fig2, fig3, fig4, stats, advisor, or all")
 	views := flag.Int("views", 1000, "maximum number of materialized views")
 	queries := flag.Int("queries", 1000, "number of queries per measurement")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -60,40 +40,15 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	verbose := flag.Bool("v", false, "print per-point progress")
-	serverURL := flag.String("server", "", "load: base URL of a running vmserver ('' = start one in-process)")
-	clients := flag.Int("clients", 8, "load: concurrent client goroutines")
-	duration := flag.Duration("duration", 3*time.Second, "load: how long to drive traffic")
-	sf := flag.Float64("sf", 0.01, "load: TPC-H scale factor for the in-process server")
-	faultRate := flag.Float64("fault-rate", 0, "load: per-site fault probability for the in-process server (0 disables)")
+	clients := flag.Int("clients", 8, "advisor: concurrent client goroutines")
+	sf := flag.Float64("sf", 0.01, "advisor: TPC-H scale factor for the in-process server")
 	phaseA := flag.Duration("phase-a", 8*time.Second, "advisor: pre-shift phase duration")
 	phaseB := flag.Duration("phase-b", 16*time.Second, "advisor: post-shift phase duration")
 	outFile := flag.String("out", "", "advisor: write the JSON report to this file")
 	flag.Parse()
 
-	if *experiment == "load" {
-		check(runLoad(*serverURL, *clients, *duration, *sf, *seed, *faultRate))
-		return
-	}
 	if *experiment == "advisor" {
 		check(runAdvisor(*sf, *seed, *clients, *phaseA, *phaseB, *outFile))
-		return
-	}
-	if *experiment == "exec" {
-		execSF := 0.05 // big enough that per-row costs dominate generation
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "sf" {
-				execSF = *sf
-			}
-		})
-		wk := *workers
-		if wk <= 1 {
-			wk = runtime.GOMAXPROCS(0)
-		}
-		counts := []int{1}
-		if wk > 1 {
-			counts = append(counts, wk)
-		}
-		check(runExec(os.Stdout, execSF, *seed, counts, 3))
 		return
 	}
 
@@ -179,115 +134,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
-}
-
-// loadStatements builds the canonical load mix: two rollup views plus an
-// index, then a pool of point-rollup SELECTs over a rotating constant set.
-// The pool repeats quickly, so after one warm pass nearly every request is
-// a plan-cache hit — the serve-many-similar-queries regime the cache is
-// built for.
-func loadStatements() (optional, setup, queries []string) {
-	optional = []string{"drop view load_pq", "drop view load_ord"}
-	setup = []string{
-		`create view load_pq with schemabinding as
-			select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
-			from lineitem group by l_partkey`,
-		`create unique index load_pq_idx on load_pq (l_partkey)`,
-		`create view load_ord with schemabinding as
-			select o_custkey, count_big(*) as cnt, sum(o_totalprice) as total
-			from orders group by o_custkey`,
-	}
-	for k := 1; k <= 32; k++ {
-		queries = append(queries, fmt.Sprintf(
-			"select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = %d group by l_partkey", k))
-	}
-	for k := 1; k <= 16; k++ {
-		queries = append(queries, fmt.Sprintf(
-			"select o_custkey, sum(o_totalprice) as total from orders where o_custkey = %d group by o_custkey", k))
-	}
-	queries = append(queries,
-		"select count_big(*) as n from lineitem",
-		"select l_partkey, count_big(*) as cnt from lineitem group by l_partkey")
-	return optional, setup, queries
-}
-
-// loadMutations builds the writer's DML pool: an insert/delete pair over a
-// dedicated part key, so the table returns to its initial state every two
-// statements while every cycle exercises delta maintenance (and, with
-// faults armed, the repair path).
-func loadMutations(orderKey int64) []string {
-	return []string{
-		fmt.Sprintf(`insert into lineitem values
-			(%d, 990, 1, 7, 2.0, 20.0, 0.0, 0.0, 'N', 'O',
-			 DATE '1995-05-05', DATE '1995-05-15', DATE '1995-05-25',
-			 'NONE', 'MAIL', 'loadgen')`, orderKey),
-		"delete from lineitem where l_partkey = 990",
-	}
-}
-
-func runLoad(url string, clients int, duration time.Duration, sf float64, seed int64, faultRate float64) error {
-	var mutations []string
-	if url == "" {
-		fmt.Printf("starting in-process vmserver (sf=%g, seed=%d)...\n", sf, seed)
-		db, err := tpch.NewDatabase(sf, seed)
-		if err != nil {
-			return err
-		}
-		cfg := server.Config{}
-		if faultRate > 0 {
-			cfg.RepairInterval = 50 * time.Millisecond
-		}
-		srv := server.New(db, cfg)
-		if faultRate > 0 {
-			inj := faults.New(seed)
-			inj.AddAll(faults.Rule{Rate: faultRate})
-			srv.SetFaultInjector(inj)
-			snap := db.Snapshot()
-			mutations = loadMutations(snap.TableData("orders").RowAt(0)[tpch.OOrderkey].Int())
-			snap.Release()
-			fmt.Printf("fault injection armed: rate %.2f at every site, repair loop every %v\n",
-				faultRate, cfg.RepairInterval)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		go func() { _ = http.Serve(ln, srv.Handler()) }()
-		url = "http://" + ln.Addr().String()
-	} else if faultRate > 0 {
-		return fmt.Errorf("-fault-rate needs the in-process server (drop -server)")
-	}
-	optional, setup, queries := loadStatements()
-	fmt.Printf("driving %s: %d clients, %d query shapes, %v\n", url, clients, len(queries), duration)
-	res, err := server.RunLoad(server.LoadOptions{
-		URL:           url,
-		Clients:       clients,
-		Duration:      duration,
-		SetupOptional: optional,
-		Setup:         setup,
-		Queries:       queries,
-		Mutations:     mutations,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nrequests:        %d (%d errors, %d rejected 503s)\n", res.Requests, res.Errors, res.Rejected)
-	fmt.Printf("elapsed:         %v\n", res.Elapsed.Round(time.Millisecond))
-	fmt.Printf("throughput:      %.0f qps\n", res.QPS)
-	fmt.Printf("latency p50/p99: %v / %v\n", res.P50.Round(time.Microsecond), res.P99.Round(time.Microsecond))
-	fmt.Printf("plan cache:      %d hits, %d misses (%.1f%% hit rate)\n",
-		res.CacheHits, res.CacheMisses, 100*res.CacheHitRate)
-	fmt.Printf("zone maps:       %d blocks scanned, %d skipped (%.1f%% skip rate)\n",
-		res.BlocksScanned, res.BlocksSkipped, 100*res.SkipRate)
-	fmt.Printf("join pipeline:   %d rids probed, %d matched (%.1f%% hit rate), %d rows gathered\n",
-		res.RowsProbed, res.RowsMatched, 100*res.ProbeHitRate, res.RowsGathered)
-	if faultRate > 0 {
-		fmt.Printf("error rate:      %.2f%% of queries\n", 100*res.ErrorRate)
-		fmt.Printf("mutations:       %d (%d failed and degraded views)\n", res.Mutations, res.MutationErrors)
-		fmt.Printf("repairs:         %d successful rebuilds\n", res.Repairs)
-		fmt.Printf("degraded time:   %v with >=1 non-fresh view\n", res.DegradedTime.Round(time.Millisecond))
-	}
-	return nil
 }
 
 func check(err error) {

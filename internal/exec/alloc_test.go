@@ -115,7 +115,7 @@ func TestJoinBuildAllocs(t *testing.T) {
 	build := &HashJoin{L: &TableScan{Table: "t", NCols: 3}, LCols: []int{0}}
 	for workers, ceiling := range map[int]float64{1: 150, 4: 200} {
 		e := &Engine{Workers: workers}
-		b, _, _, err := e.buildRidJoin(db, build)
+		b, _, err := e.buildRidJoin(db, build)
 		if err != nil || b.tab.n != 50_000 {
 			t.Fatalf("build: %v, %v", b, err)
 		}

@@ -14,11 +14,11 @@ import (
 // maintainer deltas, benchmarks) feeds the same ledger. A "block" is a block
 // segment visited by one morsel; with the default 1024-row batch size,
 // morsels align with storage blocks and segments == blocks. The join
-// counters (gather.go/joinkey.go) are probe-side tuples entering a hash-join
-// probe, tuples whose key found at least one build match, and rows the gather
-// stage actually materialized; the gap between probed and gathered is the
-// work late materialization avoids. Workers count in their scanScratch and
-// flush once per morsel.
+// counters are probe-side tuples entering a hash-join probe, tuples whose key
+// found at least one build match, and rows the gather sink boxed out of
+// column stores; the gap between probed and gathered is the work late
+// materialization avoids. Workers count in their scanScratch and flush once
+// per morsel; gathered rows are added once per pipeline.
 var scanLedger struct {
 	blocksScanned, blocksSkipped, rowsProbed, rowsMatched, rowsGathered atomic.Int64
 }
@@ -82,47 +82,22 @@ func (s *ScanStats) flush() {
 	add(&scanLedger.blocksSkipped, s.BlocksSkipped)
 	add(&scanLedger.rowsProbed, s.RowsProbed)
 	add(&scanLedger.rowsMatched, s.RowsMatched)
-	add(&scanLedger.rowsGathered, s.RowsGathered)
 	*s = ScanStats{}
 }
 
-// rowSource is the head of a pipeline: a range of row ordinals that morsels
-// are cut from. scanSource reads column blocks directly; sliceSource wraps
-// already-materialized rows (view seeks, aggregation outputs).
-type rowSource interface {
-	numRows() int
-	// morsel returns the qualifying rows of ordinals [lo,hi). The returned
-	// slice is only valid until the worker's next morsel call (its backing
-	// array is per-worker scratch), but the rows themselves are durable.
-	morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error)
-}
-
-type sliceSource []storage.Row
-
-func (s sliceSource) numRows() int { return len(s) }
-
-func (s sliceSource) morsel(lo, hi int, _ *scanScratch) ([]storage.Row, error) {
-	return s[lo:hi], nil
-}
-
-// scanScratch is one worker's private scan state: the row-slab allocator
-// (emitted rows are durable — slabs are never recycled), the reusable morsel
-// output slice, the gather row used when a non-vectorizable predicate
-// conjunct needs a materialized row, the selection-vector buffer for
-// late-materialization sources, the worker's rid pipeline state when the
-// source is a ridRowSource (gather.go), and its counts for the current morsel.
+// scanScratch is one worker's private source state: the selection-vector
+// buffer and the one-relation batch a morsel's ordinals head the pipeline as,
+// the row a non-vectorizable predicate conjunct is evaluated over, and the
+// worker's counts for the current morsel.
 type scanScratch struct {
 	stats  ScanStats
-	alloc  rowAlloc
-	rows   []storage.Row
 	gather storage.Row
 	rids   []int32
-	rid    *ridWorker
-	batch  ridBatch   // the one-relation batch heading a rid pipeline …
-	sel    [1][]int32 // … and its selection-vector header
+	batch  ridBatch
+	sel    [1][]int32 // batch's selection-vector header
 }
 
-// ridBatch wraps a morsel's qualifying ordinals as the batch a rid pipeline
+// ridBatch wraps a morsel's qualifying ordinals as the batch a pipeline
 // starts from, valid until the worker's next morsel.
 func (sc *scanScratch) ridBatch(rids []int32) *ridBatch {
 	sc.sel[0] = rids
@@ -208,58 +183,35 @@ func bitSet(bm []uint64, i int) bool {
 	return w < len(bm) && bm[w]&(1<<(uint(i)&63)) != 0
 }
 
-// scanSource streams a table or view scan straight out of column blocks:
-// the fused filter runs against column arrays (vectorized conjuncts read
-// typed payloads; only non-vectorizable conjuncts see a gathered row), zone
-// maps skip whole blocks when the predicate cannot hold there, and only
-// qualifying rows are materialized — one emitter call per output column.
+// scanSource heads a pipeline with a table or view scan straight out of
+// column blocks: the fused filter runs against column arrays (vectorized
+// conjuncts read typed payloads; only non-vectorizable conjuncts see a boxed
+// row), zone maps skip whole blocks when the predicate cannot hold there, and
+// nothing is materialized — a morsel is the ordinals that qualified.
 type scanSource struct {
-	store   *storage.ColumnStore
-	cols    []storage.ColView
-	colEmit []colEmitter // per storage column, for gather and default output
-	emit    []colEmitter // output columns (differs after projection fusion)
-	width   int
-	pred    *scanPred
-	skip    bool // consult zone maps (pred is safe and yields constraints)
-
-	projected bool
+	store *storage.ColumnStore
+	cols  []storage.ColView
+	pred  *scanPred
+	skip  bool // consult zone maps (pred is safe and yields constraints)
 }
 
-func newScanSource(store *storage.ColumnStore, filter expr.Expr, e *Engine) *scanSource {
-	ncols := store.NumCols()
-	s := &scanSource{store: store, width: ncols}
-	s.cols = make([]storage.ColView, ncols)
-	s.colEmit = make([]colEmitter, ncols)
-	for c := 0; c < ncols; c++ {
+func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, error) {
+	if err := checkRid(store.Len()); err != nil {
+		return nil, err
+	}
+	s := &scanSource{store: store, cols: make([]storage.ColView, store.NumCols())}
+	for c := range s.cols {
 		s.cols[c] = store.Col(c)
-		s.colEmit[c] = makeEmitter(s.cols[c])
 	}
-	s.emit = s.colEmit
 	if filter != nil {
-		s.pred = compileScanPred(filter, s.cols, ncols)
-		s.skip = s.pred.safe && len(s.pred.zones) > 0 && !e.DisableZoneSkip
+		s.pred = compileScanPred(filter, s.cols, len(s.cols))
+		s.skip = s.pred.safe && len(s.pred.zones) > 0
 	}
-	return s
-}
-
-// exprEmitter returns an emitter for a Column or Const expression over the
-// scan's OUTPUT columns, or nil for any other shape.
-func (s *scanSource) exprEmitter(ex expr.Expr) colEmitter {
-	switch n := ex.(type) {
-	case expr.Column:
-		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= len(s.emit) {
-			return nullEmitter
-		}
-		return s.emit[n.Ref.Col]
-	case expr.Const:
-		v := n.Val
-		return func(int) sqlvalue.Value { return v }
-	}
-	return nil
+	return s, nil
 }
 
 // projectable reports whether every projection expression is a plain column
-// reference or constant, i.e. the projection can fuse into the scan.
+// reference or constant: what a view seek can emit straight from its probe.
 func projectable(exprs []expr.Expr) bool {
 	for _, ex := range exprs {
 		switch ex.(type) {
@@ -271,73 +223,16 @@ func projectable(exprs []expr.Expr) bool {
 	return true
 }
 
-// setProjection fuses a column/constant projection into the scan: output
-// rows are emitted at projection width with no intermediate full-width row.
-func (s *scanSource) setProjection(exprs []expr.Expr) {
-	emit := make([]colEmitter, len(exprs))
-	for j, ex := range exprs {
-		emit[j] = s.exprEmitter(ex)
-	}
-	s.emit = emit
-	s.width = len(exprs)
-	s.projected = true
-}
-
 // numRows is the bound of the ordinal space morsels are cut from: the
 // store's physical length, dead rows included.
 func (s *scanSource) numRows() int { return s.store.Len() }
 
-// morsel and morselRids walk [lo,hi) block by block: a block the zone maps
-// rule out is skipped; a block without tombstones — every block of a store
-// nobody deleted from — runs the row loop once over its whole range; a block
-// with some runs it once per run of live rows, so the row loop itself never
-// tests for a dead row.
-
-func (s *scanSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error) {
-	out := sc.rows[:0]
-	pred := s.pred
-	for i := lo; i < hi; {
-		b := i / storage.BlockRows
-		be := min((b+1)*storage.BlockRows, hi)
-		if s.skip && s.skipBlock(b) {
-			sc.stats.BlocksSkipped++
-			i = be
-			continue
-		}
-		sc.stats.BlocksScanned++
-		tombstones := s.store.BlockDead(b) != 0
-		for i < be {
-			end := be
-			if tombstones {
-				i, end = s.store.LiveRun(i, be)
-			}
-			for ; i < end; i++ {
-				if pred != nil {
-					ok, err := pred.eval(i, s, sc)
-					if err != nil {
-						sc.rows = out
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				r := sc.alloc.row(s.width)
-				for c, em := range s.emit {
-					r[c] = em(i)
-				}
-				out = append(out, r)
-			}
-		}
-	}
-	sc.rows = out
-	return out, nil
-}
-
-// morselRids appends the ordinals of qualifying rows in [lo,hi) to out — the
-// selection-vector form of morsel: the same block loop, zone-map skipping,
-// and fused predicate, but nothing is materialized. Late-materialization join
-// pipelines (gather.go) start here.
+// morselRids appends the ordinals of qualifying rows in [lo,hi) to out,
+// walking the range block by block: a block the zone maps rule out is
+// skipped; a block without tombstones — every block of a store nobody deleted
+// from — runs the row loop once over its whole range; a block with some runs
+// it once per run of live rows, so the row loop itself never tests for a dead
+// row.
 func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int32, error) {
 	pred := s.pred
 	for i := lo; i < hi; {
@@ -379,8 +274,8 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 // predicate row by row: some conjunct may fail or panic, and the caller's
 // row-at-a-time path defines what that means.
 func MatchOrdinals(store *storage.ColumnStore, filter expr.Expr) (ords []int, ok bool) {
-	s := newScanSource(store, filter, DefaultEngine)
-	if store.Len() > maxRid || (s.pred != nil && !s.pred.safe) {
+	s, err := newScanSource(store, filter)
+	if err != nil || (s.pred != nil && !s.pred.safe) {
 		return nil, false
 	}
 	var sc scanScratch
@@ -465,6 +360,18 @@ type scanPred struct {
 	safe  bool // every conjunct provably error- and panic-free
 }
 
+// box fills sc.gather with row i, for the conjuncts that run over a boxed
+// row. It is kept out of eval so that eval's frame, entered once per row,
+// stays small.
+func (s *scanSource) box(i int, sc *scanScratch) {
+	if sc.gather == nil {
+		sc.gather = make(storage.Row, len(s.cols))
+	}
+	for c := range s.cols {
+		sc.gather[c] = s.cols[c].Value(i)
+	}
+}
+
 // eval applies the predicate to row i with the exact three-valued-logic,
 // error, and panic behavior of expr.CompilePredicate over the same filter:
 // conjuncts evaluate in original order, FALSE short-circuits, NULL does not.
@@ -483,12 +390,7 @@ func (p *scanPred) eval(i int, s *scanSource, sc *scanScratch) (bool, error) {
 			continue
 		}
 		if !gathered {
-			if sc.gather == nil {
-				sc.gather = make(storage.Row, len(s.colEmit))
-			}
-			for c, em := range s.colEmit {
-				sc.gather[c] = em(i)
-			}
+			s.box(i, sc)
 			gathered = true
 		}
 		v, err := cj.gen(sc.gather)

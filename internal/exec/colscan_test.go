@@ -48,9 +48,9 @@ func zoneDB(t *testing.T, n int) *storage.Database {
 }
 
 // TestZoneSkipEquivalence: for predicates of every shape the zone-skip
-// compiler understands, a skipping engine, a non-skipping engine, and the
-// reference evaluator must produce byte-identical output — and for the
-// selective predicates the skipping engine must actually have skipped blocks.
+// compiler understands, the engine and the reference evaluator — which reads
+// every row and so never skips — must produce byte-identical output, and the
+// engine must have skipped blocks exactly where the predicate is selective.
 func TestZoneSkipEquivalence(t *testing.T) {
 	n := 5*storage.BlockRows + 123 // 6 blocks, last one ragged
 	db := zoneDB(t, n)
@@ -94,28 +94,18 @@ func TestZoneSkipEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-			for _, workers := range []int{1, 4} {
+			for _, workers := range []int{1, 2, 4} {
 				// Include batch sizes that do not divide BlockRows, so
 				// morsels straddle block boundaries.
 				for _, bs := range []int{100, 1500, 1024} {
-					skip := &Engine{Workers: workers, BatchSize: bs}
-					noskip := &Engine{Workers: workers, BatchSize: bs, DisableZoneSkip: true}
-
 					ResetScanStats()
-					got, err := skip.Run(db, plan)
+					got, err := (&Engine{Workers: workers, BatchSize: bs}).Run(db, plan)
 					if err != nil {
 						t.Fatalf("w=%d bs=%d: %v", workers, bs, err)
 					}
 					stats := ReadScanStats()
 					if !rowsExactlyEqual(got, want) {
 						t.Fatalf("w=%d bs=%d: skipping engine differs from reference", workers, bs)
-					}
-					gotNS, err := noskip.Run(db, plan)
-					if err != nil {
-						t.Fatalf("w=%d bs=%d noskip: %v", workers, bs, err)
-					}
-					if !rowsExactlyEqual(gotNS, want) {
-						t.Fatalf("w=%d bs=%d: non-skipping engine differs from reference", workers, bs)
 					}
 					if tc.wantSkips && stats.BlocksSkipped == 0 {
 						t.Fatalf("w=%d bs=%d: expected block skips, stats=%+v", workers, bs, stats)
@@ -234,8 +224,8 @@ func TestZoneSkipNeverHidesErrors(t *testing.T) {
 		want, refErr := RunReference(db, plan)
 		for _, e := range []*Engine{
 			{Workers: 1, BatchSize: 1024},
+			{Workers: 2, BatchSize: 1500},
 			{Workers: 4, BatchSize: 100},
-			{Workers: 1, BatchSize: 1024, DisableZoneSkip: true},
 		} {
 			got, err := e.Run(db, plan)
 			if (err == nil) != (refErr == nil) {
@@ -251,22 +241,6 @@ func TestZoneSkipNeverHidesErrors(t *testing.T) {
 				t.Fatalf("%s: rows differ", name)
 			}
 		}
-	}
-}
-
-// TestDisableZoneSkipFlag: with the flag set, no blocks are ever skipped even
-// under a maximally selective predicate.
-func TestDisableZoneSkipFlag(t *testing.T) {
-	db := zoneDB(t, 3*storage.BlockRows)
-	e := &Engine{Workers: 1, BatchSize: 1024, DisableZoneSkip: true}
-	ResetScanStats()
-	plan := &TableScan{Table: "events", NCols: 3,
-		Filter: expr.NewCmp(expr.EQ, expr.Col(0, 0), expr.CInt(1))}
-	if _, err := e.Run(db, plan); err != nil {
-		t.Fatal(err)
-	}
-	if st := ReadScanStats(); st.BlocksSkipped != 0 || st.BlocksScanned != 3 {
-		t.Fatalf("stats with skip disabled = %+v", st)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -15,22 +14,24 @@ import (
 
 // Engine executes plan trees batch-at-a-time with morsel-driven parallelism.
 //
-// A plan is decomposed into pipelines at its breakers (hash-join builds and
-// hash aggregation). Each pipeline streams fixed-size batches of rows from a
-// row source through a chain of compiled operator stages — filter, project,
-// hash-join probe, nested-loop — into a sink. Table and view scans are
-// columnar sources: they read typed column blocks directly, evaluate fused
-// filter conjuncts against column arrays, consult per-block zone maps to
-// skip blocks the predicate cannot match, and materialize only qualifying
-// rows (see colscan.go). The source range is split into morsels (one batch
-// each) claimed by workers off a shared atomic counter; every worker owns a
-// private stage chain (scratch batches, row slabs, partial aggregation
-// state), so the hot loop is synchronization-free. Shared read-only state —
-// compiled expressions, finished join build tables, the inner relation of a
-// nested-loop join — is built once and read by all workers.
+// A plan is decomposed into pipelines at its breakers: hash-join builds,
+// aggregations, projections and the inner side of a nested loop, each fully
+// executed before the pipeline above it starts. Every pipeline has one shape
+// (gather.go): a source yields the ordinals of a relation — a table or view
+// scan reads typed column blocks directly, evaluates fused filter conjuncts
+// against column arrays and consults per-block zone maps to skip blocks the
+// predicate cannot match (colscan.go) — stages filter the row-id tuples or
+// extend them by a join, and a sink builds a join table, aggregates, or
+// gathers the surviving tuples into rows. The source range is split into
+// morsels (one batch each) claimed by workers off a shared atomic counter;
+// every worker owns a private stage chain (selection vectors, scratch rows,
+// partial aggregation state), so the hot loop is synchronization-free.
+// Shared read-only state — compiled expressions, finished join build tables,
+// the inner relation of a nested-loop join — is built once and read by all
+// workers.
 //
 // Output is deterministic and identical to RunReference for every plan:
-// collected rows are ordered by (morsel, position), hash-join match lists are
+// gathered rows are ordered by (morsel, position), hash-join match lists are
 // kept in build-input order, merged aggregation groups are emitted in global
 // first-seen order, and a SUM is the exact sum of its inputs (aggState), so
 // no schedule can change a digit of it.
@@ -43,17 +44,6 @@ type Engine struct {
 	// BatchSize is the number of rows per batch/morsel (default 1024,
 	// matching storage.BlockRows so morsels align with zone-map blocks).
 	BatchSize int
-	// DisableZoneSkip turns off zone-map block skipping (scans read every
-	// block). Used by tests to compare skipping against exhaustive scans.
-	DisableZoneSkip bool
-	// DisableLateMat turns off late-materialization join pipelines (joins
-	// materialize full rows at the scan, the pre-rid path). Used by tests to
-	// compare the two join paths.
-	DisableLateMat bool
-	// DisableTypedKeys forces rid joins onto the boxed sqlvalue.AppendKey
-	// codec even when typed fast paths apply. Used by equivalence tests to
-	// exercise the fallback against the typed paths.
-	DisableTypedKeys bool
 }
 
 // DefaultEngine is the engine behind Node.Run.
@@ -82,151 +72,184 @@ func (e *Engine) Run(db storage.Reader, plan Node) ([]storage.Row, error) {
 	return e.materialize(db, plan)
 }
 
-// materialize fully evaluates a subtree, used at the plan root and at
-// pipeline breakers.
+// materialize fully evaluates a subtree, used at the plan root and for the
+// inner side of a nested loop.
 func (e *Engine) materialize(db storage.Reader, n Node) ([]storage.Row, error) {
-	if a, ok := n.(*HashAgg); ok {
-		return e.runAgg(db, a)
-	}
-	src, specs, err := e.stream(db, n)
+	p, err := e.decompose(db, n)
 	if err != nil {
 		return nil, err
 	}
-	if rows, ok := src.(sliceSource); ok && len(specs) == 0 {
-		// A view seek or an aggregation below: the rows are fresh and the
-		// slice exactly sized, so there is nothing for a pipeline to do.
-		return rows, nil
+	if p.src == nil {
+		// A view seek, an aggregation or a projection: the rows are fresh and
+		// the slice exactly sized, so there is nothing for a pipeline to do.
+		return p.rows, nil
 	}
-	var col *collector
-	if _, err := e.runPipeline(src, specs, func(nm int) morselSink {
-		if col == nil {
-			col = &collector{buckets: make([][]storage.Row, nm)}
-		}
-		return &collectorSink{c: col}
-	}); err != nil {
-		return nil, err
-	}
-	return slices.Concat(col.buckets...), nil
+	return e.gather(p, gatherColumns(p.layout))
 }
 
-// stream decomposes a subtree into the current pipeline: a row source and
-// the ordered stage specs to stream it through. Pipeline breakers below n
-// (join builds, aggregations, nested-loop inner sides) are fully executed
-// here, before the caller starts the pipeline. Scan filters fuse into the
-// columnar source, and a Project of plain columns/constants over a bare scan
-// fuses into the scan's output emitters.
-func (e *Engine) stream(db storage.Reader, n Node) (rowSource, []stageSpec, error) {
+// pipeline is a plan subtree in executable form: a rid source, the layout of
+// the relations its tuples address, and the stages to stream them through.
+// A subtree that has already been evaluated carries only its rows; input
+// gives it a source and a layout when something is composed over it.
+type pipeline struct {
+	src    ridSource
+	layout *ridLayout
+	stages []ridStageSpec
+	rows   []storage.Row
+}
+
+// rowsPipeline heads a pipeline with a relation that is already rows.
+func rowsPipeline(rows []storage.Row, width int) (pipeline, error) {
+	if err := checkRid(len(rows)); err != nil {
+		return pipeline{}, err
+	}
+	return pipeline{src: rowsRidSource(rows), layout: singleLayout(rowsRel(rows, width))}, nil
+}
+
+// input is decompose for the input of an operator.
+func (e *Engine) input(db storage.Reader, n Node) (pipeline, error) {
+	p, err := e.decompose(db, n)
+	if err != nil || p.src != nil {
+		return p, err
+	}
+	return rowsPipeline(p.rows, n.Width())
+}
+
+// decompose turns a subtree into its topmost pipeline. Everything below a
+// breaker in n — join builds, aggregations, projections, nested-loop inner
+// sides — is fully executed here, before the caller starts the pipeline;
+// when n itself is a breaker (or a view seek) all that is left is its rows.
+// Scan filters fuse into the columnar source.
+func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 	switch t := n.(type) {
 	case *TableScan:
 		tb := db.TableData(t.Table)
 		if tb == nil {
-			return nil, nil, fmt.Errorf("exec: unknown table %q", t.Table)
+			return pipeline{}, fmt.Errorf("exec: unknown table %q", t.Table)
 		}
-		return newScanSource(tb.Store(), t.Filter, e), nil, nil
+		return scanPipeline(tb.Store(), t.Filter)
 	case *ViewScan:
 		v := db.ViewData(t.View)
 		if v == nil {
-			return nil, nil, fmt.Errorf("exec: view %q not materialized", t.View)
+			return pipeline{}, fmt.Errorf("exec: view %q not materialized", t.View)
 		}
-		if len(t.EqCols) > 0 {
-			rows := seekView(v, t.EqCols, t.EqVals, nil)
-			var specs []stageSpec
-			if t.Filter != nil {
-				specs = append(specs, &filterSpec{pred: expr.CompilePredicate(t.Filter)})
-			}
-			return sliceSource(rows), specs, nil
+		if len(t.EqCols) == 0 {
+			return scanPipeline(v.Store(), t.Filter)
 		}
-		return newScanSource(v.Store(), t.Filter, e), nil, nil
-	case *Filter:
-		src, specs, err := e.stream(db, t.In)
+		rows := seekView(v, t.EqCols, t.EqVals, nil)
+		if t.Filter == nil {
+			return pipeline{rows: rows}, nil
+		}
+		p, err := rowsPipeline(rows, t.NCols)
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		if rs, ok := src.(*ridRowSource); ok && len(specs) == 0 && !rs.projected {
-			rs.addFilter(t.Pred)
-			return rs, nil, nil
+		p.stages = append(p.stages, newRidFilter(p.layout, t.Filter))
+		return p, nil
+	case *Filter:
+		p, err := e.input(db, t.In)
+		if err != nil {
+			return pipeline{}, err
 		}
-		return src, append(specs, &filterSpec{pred: expr.CompilePredicate(t.Pred)}), nil
+		p.stages = append(p.stages, newRidFilter(p.layout, t.Pred))
+		return p, nil
 	case *Project:
 		if vs, ok := t.In.(*ViewScan); ok && len(vs.EqCols) > 0 && vs.Filter == nil && projectable(t.Exprs) {
 			if v := db.ViewData(vs.View); v != nil {
-				return sliceSource(seekView(v, vs.EqCols, vs.EqVals, t.Exprs)), nil, nil
+				return pipeline{rows: seekView(v, vs.EqCols, vs.EqVals, t.Exprs)}, nil
 			}
 		}
-		src, specs, err := e.stream(db, t.In)
+		p, err := e.input(db, t.In)
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		if ss, ok := src.(*scanSource); ok && len(specs) == 0 && !ss.projected && projectable(t.Exprs) {
-			ss.setProjection(t.Exprs)
-			return ss, nil, nil
+		rows, err := e.gather(p, gatherExprs(p.layout, t.Exprs))
+		return pipeline{rows: rows}, err
+	case *HashAgg:
+		p, err := e.input(db, t.In)
+		if err != nil {
+			return pipeline{}, err
 		}
-		if rs, ok := src.(*ridRowSource); ok && len(specs) == 0 && !rs.projected {
-			if projectable(t.Exprs) {
-				rs.setProjection(t.Exprs)
-				return rs, nil, nil
-			}
-			// Non-trivial projection: still narrow the gather to the columns
-			// the projection actually reads before the row stage runs.
-			rs.narrowTo(t.Exprs)
-		}
-		return src, append(specs, &projectSpec{exprs: compileAll(t.Exprs)}), nil
+		rows, err := e.aggregate(p, t)
+		return pipeline{rows: rows}, err
 	case *HashJoin:
-		if !e.DisableLateMat {
-			src, layout, stages, ok, err := e.streamRids(db, t)
-			if err != nil {
-				return nil, nil, err
-			}
-			if ok {
-				return &ridRowSource{e: e, src: src, layout: layout, stages: stages}, nil, nil
-			}
-		}
-		build, err := e.buildJoin(db, t)
+		// Build side first — fully executed before the probe side is even
+		// decomposed, exactly like the reference evaluator.
+		build, bLayout, err := e.buildRidJoin(db, t)
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		src, specs, err := e.stream(db, t.R)
+		p, err := e.input(db, t.R)
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		spec := &probeSpec{build: build, cols: t.RCols, batch: e.batchSize()}
+		spec := &ridProbeSpec{
+			build: build,
+			keys:  newRidKeyCodec(build.mode, p.layout, t.RCols),
+			batch: e.batchSize(),
+		}
+		p.layout = concatLayouts(bLayout, p.layout)
+		spec.outArity = p.layout.arity()
 		if t.Residual != nil {
 			spec.residual = expr.CompilePredicate(t.Residual)
+			spec.resEval = newRidEval(p.layout, t.Residual)
 		}
-		return src, append(specs, spec), nil
+		p.stages = append(p.stages, spec)
+		return p, nil
 	case *NestedLoopJoin:
 		// The inner (right) relation is materialized once, in order, and
 		// shared read-only by all workers streaming the outer side.
-		inner, err := e.materialize(db, t.R)
+		rows, err := e.materialize(db, t.R)
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		src, specs, err := e.stream(db, t.L)
+		inner, err := rowsPipeline(rows, t.R.Width())
 		if err != nil {
-			return nil, nil, err
+			return pipeline{}, err
 		}
-		spec := &nestedLoopSpec{inner: inner, batch: e.batchSize()}
+		p, err := e.input(db, t.L)
+		if err != nil {
+			return pipeline{}, err
+		}
+		p.layout = concatLayouts(p.layout, inner.layout)
+		spec := &ridLoopSpec{inner: len(rows), batch: e.batchSize()}
 		if t.Pred != nil {
 			spec.pred = expr.CompilePredicate(t.Pred)
+			spec.eval = newRidEval(p.layout, t.Pred)
 		}
-		return src, append(specs, spec), nil
-	case *HashAgg:
-		rows, err := e.runAgg(db, t)
-		if err != nil {
-			return nil, nil, err
-		}
-		return sliceSource(rows), nil, nil
+		p.stages = append(p.stages, spec)
+		return p, nil
 	default:
-		return nil, nil, fmt.Errorf("exec: engine cannot execute %T", n)
+		return pipeline{}, fmt.Errorf("exec: engine cannot execute %T", n)
 	}
 }
 
-func compileAll(es []expr.Expr) []expr.Compiled {
-	out := make([]expr.Compiled, len(es))
-	for i, ex := range es {
-		out[i] = expr.Compile(ex)
+// scanPipeline heads a pipeline with a table's or view's column store.
+func scanPipeline(st *storage.ColumnStore, filter expr.Expr) (pipeline, error) {
+	ss, err := newScanSource(st, filter)
+	if err != nil {
+		return pipeline{}, err
 	}
-	return out
+	return pipeline{src: ss, layout: singleLayout(storeRel(st, ss.cols))}, nil
+}
+
+// gather runs a pipeline into the gather sink and returns its rows in morsel
+// order.
+func (e *Engine) gather(p pipeline, spec *gatherSpec) ([]storage.Row, error) {
+	var buckets [][]storage.Row
+	if _, err := e.run(p, func(numMorsels int) ridSink {
+		if buckets == nil {
+			buckets = make([][]storage.Row, numMorsels)
+		}
+		return newGatherSink(spec, buckets)
+	}); err != nil {
+		return nil, err
+	}
+	rows := slices.Concat(buckets...)
+	if spec.stored {
+		scanLedger.rowsGathered.Add(int64(len(rows)))
+	}
+	return rows, nil
 }
 
 // seekView resolves a point lookup on a view: via a secondary index when one
@@ -280,29 +303,7 @@ func seekView(v *storage.ViewData, eqCols []int, eqVals []sqlvalue.Value, proj [
 }
 
 // ---------------------------------------------------------------------------
-// Pipeline machinery
-
-// pusher consumes one batch of rows. The input slice (and its backing array)
-// is only valid during the call: downstream stages must copy row headers
-// they retain. The rows themselves are immutable.
-type pusher interface {
-	push(in []storage.Row) error
-}
-
-// morselSink terminates a worker's stage chain. begin is called before each
-// morsel with the morsel's global sequence number, which sinks use to keep
-// output deterministic (collector buckets, first-seen ordinals).
-type morselSink interface {
-	pusher
-	begin(seq int)
-}
-
-// stageSpec holds the shared, read-only state of one operator (compiled
-// expressions, build tables) and makes per-worker stage instances that own
-// all mutable scratch.
-type stageSpec interface {
-	make(next pusher) pusher
-}
+// The driver
 
 // forEachMorsel distributes morsel sequence numbers [0, nm) across w
 // workers, calling body(worker, seq) once per morsel. A single worker runs
@@ -361,55 +362,44 @@ func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 	return first
 }
 
-// runPipeline streams src through the stage specs: one sink and one stage
-// chain per worker, morsels claimed off a shared counter. mkSink is called
-// serially (before workers start), once per worker, with the morsel count.
-func (e *Engine) runPipeline(src rowSource, specs []stageSpec, mkSink func(numMorsels int) morselSink) ([]morselSink, error) {
+// run streams p's source through its stages: one sink and one stage chain per
+// worker, morsels claimed off a shared counter. mkSink is called serially
+// (before workers start), once per worker, with the morsel count. Every
+// pipeline of every plan runs here.
+func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink, error) {
 	bs := e.batchSize()
-	n := src.numRows()
+	n := p.src.numRows()
 	nm := (n + bs - 1) / bs
-	w := e.workers()
-	if w > nm {
-		w = nm
-	}
-	if w < 1 {
-		w = 1
-	}
-	// Resolve the rid source's gather plan before workers fan out: the lazy
-	// default in gatherSpec() must not race across first morsels.
-	if rs, ok := src.(*ridRowSource); ok {
-		rs.gatherSpec()
-	}
-	sinks := make([]morselSink, w)
-	chains := make([]pusher, w)
+	w := max(1, min(e.workers(), nm))
+	sinks := make([]ridSink, w)
+	chains := make([]ridPusher, w)
 	scratch := make([]scanScratch, w)
+	var stages []ridStage
 	for i := range sinks {
 		sinks[i] = mkSink(nm)
-		var p pusher = sinks[i]
-		for s := len(specs) - 1; s >= 0; s-- {
-			p = specs[s].make(p)
+		chains[i] = sinks[i]
+		for s := len(p.stages) - 1; s >= 0; s-- {
+			st := p.stages[s].makeRid(chains[i], &scratch[i].stats)
+			stages = append(stages, st)
+			chains[i] = st
 		}
-		chains[i] = p
 	}
 	err := forEachMorsel(nm, w, func(wi, seq int) error {
 		lo := seq * bs
 		hi := min(lo+bs, n)
 		sinks[wi].begin(seq)
-		defer scratch[wi].stats.flush()
-		rows, err := src.morsel(lo, hi, &scratch[wi])
-		if err != nil {
+		sc := &scratch[wi]
+		defer sc.stats.flush()
+		rids, err := p.src.morselRids(lo, hi, sc, sc.rids[:0])
+		sc.rids = rids
+		if err != nil || len(rids) == 0 {
 			return err
 		}
-		if len(rows) == 0 {
-			return nil
-		}
-		return chains[wi].push(rows)
+		return chains[wi].pushRids(sc.ridBatch(rids))
 	})
-	// Return rid-pipeline scratch to the pool: no worker goroutines remain.
-	for i := range scratch {
-		if scratch[i].rid != nil {
-			scratch[i].rid.release()
-		}
+	// Return the stages' scratch to the pool: no worker goroutines remain.
+	for _, st := range stages {
+		st.release()
 	}
 	if err != nil {
 		return nil, err
@@ -444,324 +434,10 @@ func (a *rowAlloc) row(w int) storage.Row {
 	return storage.Row(r)
 }
 
-// appendRowKey appends the composite hash key of the given columns, or
-// reports false if any is NULL (NULL join keys never match). The encoding —
-// Value.Key bytes joined by 0x1f — matches the reference evaluator's.
-func appendRowKey(dst []byte, r storage.Row, cols []int) ([]byte, bool) {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return dst, false
-		}
-		dst = r[c].AppendKey(dst)
-		dst = append(dst, '\x1f')
-	}
-	return dst, true
-}
-
-// ---------------------------------------------------------------------------
-// Stages
-
-type filterSpec struct {
-	pred expr.CompiledPredicate
-}
-
-func (s *filterSpec) make(next pusher) pusher {
-	return &filterStage{pred: s.pred, next: next}
-}
-
-type filterStage struct {
-	pred    expr.CompiledPredicate
-	next    pusher
-	scratch []storage.Row
-}
-
-func (f *filterStage) push(in []storage.Row) error {
-	out := f.scratch[:0]
-	for _, r := range in {
-		ok, err := f.pred(r)
-		if err != nil {
-			return err
-		}
-		if ok {
-			out = append(out, r)
-		}
-	}
-	f.scratch = out
-	if len(out) == 0 {
-		return nil
-	}
-	return f.next.push(out)
-}
-
-type projectSpec struct {
-	exprs []expr.Compiled
-}
-
-func (s *projectSpec) make(next pusher) pusher {
-	return &projectStage{exprs: s.exprs, next: next}
-}
-
-type projectStage struct {
-	exprs   []expr.Compiled
-	next    pusher
-	alloc   rowAlloc
-	scratch []storage.Row
-}
-
-func (p *projectStage) push(in []storage.Row) error {
-	out := p.scratch[:0]
-	for _, r := range in {
-		nr := p.alloc.row(len(p.exprs))
-		for c, ex := range p.exprs {
-			v, err := ex(r)
-			if err != nil {
-				return err
-			}
-			nr[c] = v
-		}
-		out = append(out, nr)
-	}
-	p.scratch = out
-	if len(out) == 0 {
-		return nil
-	}
-	return p.next.push(out)
-}
-
-// joinBuild is a finished, immutable hash-join build table shared by all
-// probe workers: key → left rows in build-input order.
-type joinBuild struct {
-	idx   map[string]int32
-	lists [][]storage.Row
-}
-
-type probeSpec struct {
-	build    *joinBuild
-	cols     []int // key columns in the probe row
-	residual expr.CompiledPredicate
-	batch    int
-}
-
-func (s *probeSpec) make(next pusher) pusher {
-	return &probeStage{spec: s, next: next}
-}
-
-type probeStage struct {
-	spec    *probeSpec
-	next    pusher
-	alloc   rowAlloc
-	keyBuf  []byte
-	scratch []storage.Row
-}
-
-func (p *probeStage) push(in []storage.Row) error {
-	s := p.spec
-	out := p.scratch[:0]
-	defer func() { p.scratch = out[:0] }()
-	for _, rr := range in {
-		key, ok := appendRowKey(p.keyBuf[:0], rr, s.cols)
-		p.keyBuf = key[:0]
-		if !ok {
-			continue
-		}
-		li, ok := s.build.idx[string(key)]
-		if !ok {
-			continue
-		}
-		for _, lr := range s.build.lists[li] {
-			joined := p.alloc.row(len(lr) + len(rr))
-			copy(joined, lr)
-			copy(joined[len(lr):], rr)
-			if s.residual != nil {
-				pass, err := s.residual(joined)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-			}
-			out = append(out, joined)
-			if len(out) >= s.batch {
-				if err := p.next.push(out); err != nil {
-					return err
-				}
-				out = out[:0]
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return p.next.push(out)
-}
-
-type nestedLoopSpec struct {
-	inner []storage.Row
-	pred  expr.CompiledPredicate
-	batch int
-}
-
-func (s *nestedLoopSpec) make(next pusher) pusher {
-	return &nestedLoopStage{spec: s, next: next}
-}
-
-type nestedLoopStage struct {
-	spec    *nestedLoopSpec
-	next    pusher
-	alloc   rowAlloc
-	scratch []storage.Row
-}
-
-func (n *nestedLoopStage) push(in []storage.Row) error {
-	s := n.spec
-	out := n.scratch[:0]
-	defer func() { n.scratch = out[:0] }()
-	for _, lr := range in {
-		for _, rr := range s.inner {
-			joined := n.alloc.row(len(lr) + len(rr))
-			copy(joined, lr)
-			copy(joined[len(lr):], rr)
-			if s.pred != nil {
-				pass, err := s.pred(joined)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
-			}
-			out = append(out, joined)
-			if len(out) >= s.batch {
-				if err := n.next.push(out); err != nil {
-					return err
-				}
-				out = out[:0]
-			}
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return n.next.push(out)
-}
-
-// ---------------------------------------------------------------------------
-// Sinks
-
-// collector gathers pipeline output rows bucketed by morsel sequence number,
-// so concatenating buckets reproduces the serial (reference) output order.
-// Each bucket is written by exactly the worker that owns the morsel.
-type collector struct {
-	buckets [][]storage.Row
-}
-
-type collectorSink struct {
-	c   *collector
-	cur int
-}
-
-func (s *collectorSink) begin(seq int) { s.cur = seq }
-
-func (s *collectorSink) push(in []storage.Row) error {
-	s.c.buckets[s.cur] = append(s.c.buckets[s.cur], in...)
-	return nil
-}
-
-// ordinal builds a global row ordinal from a morsel sequence number and a
-// within-morsel counter. Morsels are batch-sized at the source, so counters
-// stay far below 2³² except under extreme join fan-out; ordering only
-// degrades (never corrupts) in that case.
+// ordinal places a tuple in the pipeline's output order: the sequence number
+// of the morsel that produced it, then its position among that morsel's
+// tuples. Aggregation keeps the smallest ordinal per group to emit groups in
+// first-seen order. A morsel that fans out past 2³² tuples carries into the
+// next morsel's range; only the relative order of groups first seen in those
+// two morsels can then differ from the reference's — never a group or a sum.
 func ordinal(seq int, ctr int64) int64 { return int64(seq)<<32 | ctr }
-
-// buildSink accumulates one worker's shard of a hash-join build table,
-// tagging every entry with its global ordinal so the merged per-key lists
-// can be restored to build-input order.
-type buildSink struct {
-	cols    []int
-	idx     map[string]int32
-	lists   [][]buildEntry
-	keyBuf  []byte
-	ordBase int64
-	ctr     int64
-}
-
-type buildEntry struct {
-	row storage.Row
-	ord int64
-}
-
-func (b *buildSink) begin(seq int) {
-	b.ordBase = ordinal(seq, 0)
-	b.ctr = 0
-}
-
-func (b *buildSink) push(in []storage.Row) error {
-	for _, r := range in {
-		ord := b.ordBase | b.ctr
-		b.ctr++
-		key, ok := appendRowKey(b.keyBuf[:0], r, b.cols)
-		b.keyBuf = key[:0]
-		if !ok {
-			continue
-		}
-		if li, ok := b.idx[string(key)]; ok {
-			b.lists[li] = append(b.lists[li], buildEntry{r, ord})
-		} else {
-			b.idx[string(key)] = int32(len(b.lists))
-			b.lists = append(b.lists, []buildEntry{{r, ord}})
-		}
-	}
-	return nil
-}
-
-// buildJoin executes the build side of a hash join as its own pipeline and
-// merges the per-worker shards into one immutable table.
-func (e *Engine) buildJoin(db storage.Reader, j *HashJoin) (*joinBuild, error) {
-	src, specs, err := e.stream(db, j.L)
-	if err != nil {
-		return nil, err
-	}
-	sinks, err := e.runPipeline(src, specs, func(int) morselSink {
-		return &buildSink{cols: j.LCols, idx: make(map[string]int32)}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(sinks) == 1 {
-		// Single shard: entries are already in ordinal order.
-		b := sinks[0].(*buildSink)
-		out := &joinBuild{idx: b.idx, lists: make([][]storage.Row, len(b.lists))}
-		for i, es := range b.lists {
-			rows := make([]storage.Row, len(es))
-			for k, en := range es {
-				rows[k] = en.row
-			}
-			out.lists[i] = rows
-		}
-		return out, nil
-	}
-	idx := make(map[string]int32)
-	var merged [][]buildEntry
-	for _, s := range sinks {
-		b := s.(*buildSink)
-		for k, li := range b.idx {
-			if gi, ok := idx[k]; ok {
-				merged[gi] = append(merged[gi], b.lists[li]...)
-			} else {
-				idx[k] = int32(len(merged))
-				merged = append(merged, b.lists[li])
-			}
-		}
-	}
-	out := &joinBuild{idx: idx, lists: make([][]storage.Row, len(merged))}
-	for i, es := range merged {
-		sort.Slice(es, func(a, b int) bool { return es[a].ord < es[b].ord })
-		rows := make([]storage.Row, len(es))
-		for k, en := range es {
-			rows[k] = en.row
-		}
-		out.lists[i] = rows
-	}
-	return out, nil
-}

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -12,11 +13,47 @@ import (
 
 // enginePlans is a set of plan shapes covering every operator, built over
 // smallDB: scans (filtered and not), hash join with residual, nested loop,
-// projection, grouped and scalar aggregation with Den rollups.
+// projection, grouped and scalar aggregation with Den rollups — and the
+// compositions that put a materialised subtree, a nested loop or a computed
+// expression at each position of a pipeline, including expressions that
+// yield NULL (division by zero) or fail (arithmetic on a string) above a join.
 func enginePlans() map[string]Node {
 	empSalary := expr.Col(0, 2)
 	empDept := expr.Col(0, 1)
+	dept := func() Node { return &TableScan{Table: "dept", NCols: 2} }
+	emp := func() Node { return &TableScan{Table: "emp", NCols: 4} }
+	// dept ⋈ emp: id name | id dept_id salary note.
+	join := func() Node { return &HashJoin{L: dept(), R: emp(), LCols: []int{0}, RCols: []int{1}} }
+	loop := func() Node {
+		return &NestedLoopJoin{L: dept(), R: emp(), Pred: expr.NewCmp(expr.LT, expr.Col(0, 0), expr.Col(0, 2))}
+	}
+	perDeptMinusOne := expr.NewArith(expr.Div, expr.Col(0, 4), expr.NewArith(expr.Sub, expr.Col(0, 3), expr.CInt(1)))
+	namePlusOne := expr.NewArith(expr.Add, expr.Col(0, 1), expr.CInt(1))
 	return map[string]Node{
+		"hash-join-over-loop": &HashJoin{L: loop(), R: dept(), LCols: []int{3}, RCols: []int{0}},
+		"loop-over-hash-join": &NestedLoopJoin{L: join(), R: dept(),
+			Pred: expr.NewCmp(expr.GE, expr.Col(0, 4), expr.NewArith(expr.Mul, expr.Col(0, 6), expr.CInt(200)))},
+		"agg-over-loop": &HashAgg{In: loop(), GroupBy: []expr.Expr{expr.Col(0, 1)},
+			Aggs: []AggSpec{{Num: SimpleAgg{Kind: spjg.AggCountStar}}, {Num: SimpleAgg{Kind: spjg.AggSum, Arg: expr.Col(0, 4)}}}},
+		"filter-over-computed-project": &Filter{
+			In:   &Project{In: emp(), Exprs: []expr.Expr{expr.Col(0, 0), expr.NewArith(expr.Mul, empSalary, expr.CInt(2))}},
+			Pred: expr.NewCmp(expr.GT, expr.Col(0, 1), expr.CInt(400))},
+		"project-unbound-column-over-join": &Project{In: join(),
+			Exprs: []expr.Expr{expr.Col(0, 5), expr.Col(0, 99), expr.Col(0, -1), expr.Col(1, 0), expr.Col(0, 1)}},
+		"agg-on-build-side": &HashJoin{
+			L: &HashAgg{In: emp(), GroupBy: []expr.Expr{empDept},
+				Aggs: []AggSpec{{Num: SimpleAgg{Kind: spjg.AggSum, Arg: empSalary}}}},
+			R: dept(), LCols: []int{0}, RCols: []int{0}},
+		"computed-project-on-probe-side": &HashJoin{L: dept(),
+			R:     &Project{In: emp(), Exprs: []expr.Expr{empDept, expr.NewArith(expr.Add, empSalary, expr.CInt(1))}},
+			LCols: []int{0}, RCols: []int{0}},
+		"zero-key-hash-join":                  &HashJoin{L: dept(), R: emp()},
+		"divide-by-zero-in-project-over-join": &Project{In: join(), Exprs: []expr.Expr{expr.Col(0, 2), perDeptMinusOne}},
+		"divide-by-zero-in-filter-over-join": &Filter{In: join(),
+			Pred: expr.NewCmp(expr.GT, perDeptMinusOne, expr.CInt(0))},
+		"error-in-project-over-join": &Project{In: join(), Exprs: []expr.Expr{expr.Col(0, 2), namePlusOne}},
+		"error-in-filter-over-join":  &Filter{In: join(), Pred: expr.NewCmp(expr.GT, namePlusOne, expr.CInt(0))},
+
 		"scan": &TableScan{Table: "emp", NCols: 4},
 		"filter-scan": &TableScan{Table: "emp", NCols: 4,
 			Filter: expr.NewCmp(expr.GE, empSalary, expr.CInt(100))},
@@ -117,18 +154,24 @@ func rowsExactlyEqual(a, b []storage.Row) bool {
 // TestEngineMatchesReferenceExactly: for every plan shape, worker count, and
 // batch size — including BatchSize 1, which maximizes morsel interleaving —
 // the engine must reproduce the reference evaluator's rows in the same
-// order, not just the same bag.
+// order, not just the same bag, or fail with the reference's error.
 func TestEngineMatchesReferenceExactly(t *testing.T) {
 	db := smallDB(t)
 	for name, plan := range enginePlans() {
-		want, err := RunReference(db, plan)
-		if err != nil {
-			t.Fatalf("%s: reference: %v", name, err)
+		want, refErr := RunReference(db, plan)
+		if (refErr != nil) != strings.HasPrefix(name, "error-") {
+			t.Fatalf("%s: reference: %v", name, refErr)
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, bs := range []int{1, 2, 3, 1024} {
 				e := &Engine{Workers: workers, BatchSize: bs}
 				got, err := e.Run(db, plan)
+				if refErr != nil {
+					if err == nil || err.Error() != refErr.Error() {
+						t.Fatalf("%s w=%d bs=%d: error %v, reference %v", name, workers, bs, err, refErr)
+					}
+					continue
+				}
 				if err != nil {
 					t.Fatalf("%s w=%d bs=%d: %v", name, workers, bs, err)
 				}
@@ -251,3 +294,16 @@ func (unknownNode) Run(storage.Reader) ([]storage.Row, error) { return nil, nil 
 func (unknownNode) Width() int                                { return 0 }
 func (unknownNode) Describe() string                          { return "unknown" }
 func (unknownNode) Children() []Node                          { return nil }
+
+// TestRelationTooLarge: a relation a row id cannot address is a typed error
+// wherever it would enter a pipeline.
+func TestRelationTooLarge(t *testing.T) {
+	most := maxRid
+	if err := checkRid(most); err != nil {
+		t.Fatalf("checkRid(%d) = %v", most, err)
+	}
+	err := checkRid(most + 1)
+	if !errors.Is(err, ErrRelationTooLarge) {
+		t.Fatalf("checkRid(%d) = %v, want ErrRelationTooLarge", most+1, err)
+	}
+}

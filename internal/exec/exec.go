@@ -7,8 +7,8 @@
 // Plans execute through two evaluators with identical semantics:
 //
 //   - Engine (the default behind Node.Run) compiles expressions once per
-//     operator, streams fixed-size row batches between operators, and runs
-//     scans, join probes, and aggregation in parallel over morsels.
+//     operator, breaks the plan into pipelines of row-id batches — source,
+//     stages, sink — and runs each in parallel over morsels.
 //   - RunReference is the original row-at-a-time interpreter, kept as the
 //     semantic baseline for equivalence tests and benchmarks.
 //

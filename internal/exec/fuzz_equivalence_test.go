@@ -62,45 +62,28 @@ func TestRandomWorkloadEquivalence(t *testing.T) {
 		views = append(views, mview{v, i})
 	}
 
-	// Workers > 1 with a tiny batch size forces many morsels even on the
-	// small fuzz tables, so parallel merge paths genuinely execute.
-	engine := &exec.Engine{Workers: 4, BatchSize: 16}
-	// noskip is the same engine with zone-map block skipping turned off: any
-	// disagreement between the two legs means a zone map pruned a block that
-	// held a qualifying row.
-	noskip := &exec.Engine{Workers: 4, BatchSize: 16, DisableZoneSkip: true}
-	// boxed forces rid joins onto the boxed AppendKey codec, so every fuzzed
-	// join also cross-checks the typed key fast paths against the fallback;
-	// rowjoin disables late materialization entirely, pinning the rid
-	// pipelines against the row-at-a-time join path they replaced.
-	boxed := &exec.Engine{Workers: 4, BatchSize: 16, DisableTypedKeys: true}
-	rowjoin := &exec.Engine{Workers: 4, BatchSize: 16, DisableLateMat: true}
+	// Several workers with a tiny batch size force many morsels even on the
+	// small fuzz tables, so parallel merge paths genuinely execute; one worker
+	// at the default batch size is what a maintenance delta runs on.
+	engines := []*exec.Engine{{Workers: 4, BatchSize: 16}, {Workers: 2, BatchSize: 3}, {Workers: 1}}
 	// bothEngines runs one plan through the reference interpreter and the
-	// batched engine (default, no zone skipping, boxed join keys, and
-	// row-at-a-time joins) and requires bag-equal output from all five.
+	// batched engine and requires bag-equal output. The reference reads every
+	// row, never skips a block and keys every join on boxed values, so a zone
+	// map that pruned a qualifying row or a typed key that met the wrong
+	// partner shows up here.
 	bothEngines := func(plan exec.Node, what string) []storage.Row {
 		ref, err := exec.RunReference(db, plan)
 		if err != nil {
 			t.Fatalf("%s: reference: %v", what, err)
 		}
-		eng, err := engine.Run(db, plan)
-		if err != nil {
-			t.Fatalf("%s: engine: %v", what, err)
-		}
-		if !exec.SameRows(ref, eng) {
-			t.Fatalf("%s: engines disagree (%d vs %d rows)\nplan:\n%s",
-				what, len(ref), len(eng), exec.Explain(plan))
-		}
-		for leg, alt := range map[string]*exec.Engine{
-			"noskip": noskip, "boxed-keys": boxed, "row-join": rowjoin,
-		} {
-			got, err := alt.Run(db, plan)
+		for _, engine := range engines {
+			eng, err := engine.Run(db, plan)
 			if err != nil {
-				t.Fatalf("%s: engine(%s): %v", what, leg, err)
+				t.Fatalf("%s: engine %+v: %v", what, *engine, err)
 			}
-			if !exec.SameRows(ref, got) {
-				t.Fatalf("%s: engine(%s) changed results (%d vs %d rows)\nplan:\n%s",
-					what, leg, len(ref), len(got), exec.Explain(plan))
+			if !exec.SameRows(ref, eng) {
+				t.Fatalf("%s: engine %+v disagrees with the reference (%d vs %d rows)\nplan:\n%s",
+					what, *engine, len(eng), len(ref), exec.Explain(plan))
 			}
 		}
 		return ref

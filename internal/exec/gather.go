@@ -1,8 +1,10 @@
 package exec
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"matview/internal/expr"
@@ -10,38 +12,47 @@ import (
 	"matview/internal/storage"
 )
 
-// Late-materialization join pipelines.
+// The pipeline: rid tuples from a source, through stages, into a sink.
 //
-// A hash join over columnar scans never materializes its inputs as rows.
-// Scan leaves emit selection vectors (row ordinals that survived the fused
-// predicate); the build side reads typed keys straight out of column arrays
-// and stores rid tuples, not rows (joinkey.go); the probe stage matches
-// batch-at-a-time and extends the tuple with the build side's rids; and a
-// single gather stage at the top of the pipeline boxes only the columns the
-// plan above actually references, only for tuples that survived every probe
-// and filter. An N-way left-deep join therefore carries (rid, rid, ...)
-// tuples through every intermediate join and touches payload columns exactly
-// once, at the end.
+// No operator passes rows to another. A source yields selection vectors —
+// the ordinals of one relation that survived a scan's fused predicate, or
+// every ordinal of a relation that is already rows; a stage (filter, hash-join
+// probe, nested loop) drops tuples or extends them with another relation's
+// rids; a sink ends the pipeline: a join build stores the tuples under their
+// keys (joinkey.go), an aggregation folds them into groups (group.go), and
+// the gather boxes what the plan above reads of the tuples that survived
+// every stage. An N-way join therefore carries (rid, rid, ...) tuples through
+// every intermediate join and touches payload columns once, at the end.
 //
-// Output stays byte-identical to RunReference: the rid pipeline visits
-// qualifying rows in the same order as the row pipeline it replaces, the
-// build table keeps per-key entries in build-input order (it is filled in
-// morsel order, whichever worker ran which morsel), NULL keys never match on
-// either side, and residual/filter predicates are evaluated
-// over scratch rows populated with the same boxed values — and in the same
-// sequence — the row-at-a-time stages would have produced.
+// Output is byte-identical to RunReference: tuples are visited in the order
+// its nested loops visit rows, the build table keeps per-key entries in
+// build-input order (it is filled in morsel order, whichever worker ran which
+// morsel), NULL keys never match on either side, and residual, filter and
+// projection expressions are evaluated over scratch rows populated with the
+// boxed values — and in the sequence — the reference evaluates them in.
 
-// maxRid bounds a relation addressable by int32 row ids; larger relations
-// fall back to the row-at-a-time join path.
+// maxRid bounds a relation addressable by int32 row ids.
 const maxRid = math.MaxInt32
+
+// ErrRelationTooLarge reports a table, view or intermediate result with more
+// rows than a row id can address.
+var ErrRelationTooLarge = errors.New("exec: relation has more rows than a row id can address")
+
+// checkRid is called wherever a relation of n rows enters a layout.
+func checkRid(n int) error {
+	if n > maxRid {
+		return fmt.Errorf("%w (%d > %d)", ErrRelationTooLarge, n, maxRid)
+	}
+	return nil
+}
 
 // ---------------------------------------------------------------------------
 // Relations, layouts, batches
 
-// joinRel is one payload relation carried through a rid pipeline: either a
+// joinRel is one payload relation a pipeline's tuples address: either a
 // columnar store (scan leaves — values stay in column arrays until gather) or
-// an already-materialized row slice (view seeks, aggregation outputs, and
-// other subtrees with no rid form).
+// an already-materialized row slice (view seeks, aggregation and projection
+// outputs, the inner side of a nested loop).
 type joinRel struct {
 	store *storage.ColumnStore
 	cols  []storage.ColView
@@ -66,7 +77,7 @@ func (r *joinRel) emitter(c int) colEmitter {
 	return func(i int) sqlvalue.Value { return rows[i][c] }
 }
 
-// ridLayout is the flat schema of a rid pipeline: the concatenation of its
+// ridLayout is the flat schema of a pipeline: the concatenation of its
 // relations' columns, with prefix sums to map a flat column to its relation.
 type ridLayout struct {
 	rels []*joinRel
@@ -112,18 +123,37 @@ type ridPusher interface {
 	pushRids(b *ridBatch) error
 }
 
-// ridStageSpec makes per-worker rid stage instances (probe, filter).
-type ridStageSpec interface {
-	makeRid(next ridPusher, stats *ScanStats) ridPusher
-}
-
-// ridSource heads a rid pipeline: scan leaves yield the ordinals surviving
-// their fused predicate; row-backed relations yield every ordinal.
+// ridSource heads a pipeline: scan leaves yield the ordinals surviving their
+// fused predicate; row-backed relations yield every ordinal.
 type ridSource interface {
 	numRows() int
 	morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int32, error)
 }
 
+// ridStageSpec holds the shared, read-only state of one stage (compiled
+// expressions, a finished build table) and makes the per-worker instances
+// that own all mutable scratch.
+type ridStageSpec interface {
+	makeRid(next ridPusher, stats *ScanStats) ridStage
+}
+
+// ridStage is one worker's instance of a stage; the driver releases its
+// pooled scratch after the run, when no worker holds a reference.
+type ridStage interface {
+	ridPusher
+	release()
+}
+
+// ridSink terminates a worker's stage chain. begin is called before each
+// morsel with the morsel's global sequence number, which sinks use to keep
+// output deterministic (gather buckets, build-input order, first-seen groups).
+type ridSink interface {
+	ridPusher
+	begin(seq int)
+}
+
+// rowsRidSource heads a pipeline over a relation that is already rows: a view
+// seek, an aggregation's output, any materialised subtree.
 type rowsRidSource []storage.Row
 
 func (s rowsRidSource) numRows() int { return len(s) }
@@ -138,17 +168,16 @@ func (s rowsRidSource) morselRids(lo, hi int, _ *scanScratch, out []int32) ([]in
 // ---------------------------------------------------------------------------
 // Pooled per-stage scratch
 
-// ridScratch is the per-stage scratch of a rid pipeline: selection-vector
-// buffers, a wide row for predicate evaluation, gathered row headers, and a
-// key buffer. Instances are pooled across pipeline runs so steady-state
-// allocations stay flat as worker count grows: each worker's stages borrow
-// scratch for one run and return it when the pipeline finishes.
+// ridScratch is the per-stage scratch of a pipeline: selection-vector
+// buffers, a wide row for predicate evaluation, and a key buffer. Instances
+// are pooled across pipeline runs so steady-state allocations stay flat as
+// worker count grows: each worker's stages borrow scratch for one run and
+// return it when the pipeline finishes.
 type ridScratch struct {
-	vecs  [][]int32
-	row   storage.Row
-	heads []storage.Row
-	key   keyList
-	ids   []int32
+	vecs [][]int32
+	row  storage.Row
+	key  keyList
+	ids  []int32
 }
 
 var ridScratchPool = sync.Pool{New: func() any { return new(ridScratch) }}
@@ -169,16 +198,43 @@ func (s *ridScratch) wideRow(w int) storage.Row {
 	return s.row[:w]
 }
 
-func (s *ridScratch) rowHeads(n int) []storage.Row {
-	if cap(s.heads) < n {
-		s.heads = make([]storage.Row, n)
-	}
-	return s.heads[:n]
+// ridOut is the output side of a stage: the tuples it passes on accumulate in
+// out, over pooled selection vectors, and go to next a batch at a time.
+type ridOut struct {
+	next ridPusher
+	sc   *ridScratch
+	out  ridBatch
 }
 
-// releaser is implemented by stages holding pooled scratch; pipeline drivers
-// release every stage after the run completes (no worker references remain).
-type releaser interface{ release() }
+func newRidOut(next ridPusher) ridOut {
+	return ridOut{next: next, sc: ridScratchPool.Get().(*ridScratch)}
+}
+
+func (o *ridOut) release() {
+	if o.sc != nil {
+		ridScratchPool.Put(o.sc)
+		o.sc = nil
+	}
+}
+
+// clear empties out and gives it arity selection vectors.
+func (o *ridOut) clear(arity int) {
+	o.out.sel = o.sc.selVecs(arity)
+	for r := range o.out.sel {
+		o.out.sel[r] = o.out.sel[r][:0]
+	}
+	o.out.n = 0
+}
+
+// flush hands out, if it holds anything, to the next stage and empties it.
+func (o *ridOut) flush() error {
+	if o.out.n == 0 {
+		return nil
+	}
+	err := o.next.pushRids(&o.out)
+	o.clear(len(o.out.sel))
+	return err
+}
 
 // ---------------------------------------------------------------------------
 // Expression binding over rid tuples
@@ -222,7 +278,7 @@ func (ev *ridEval) fill(row storage.Row, in *ridBatch, k int) {
 }
 
 // fillJoin fills the row for a candidate join tuple: the first ba relations
-// come from the build entry's rids, the rest from probe tuple k.
+// come from ent, a tuple of ba rids, the rest from tuple k of in.
 func (ev *ridEval) fillJoin(row storage.Row, ent []int32, in *ridBatch, k, ba int) {
 	for i := range ev.cols {
 		c := &ev.cols[i]
@@ -235,39 +291,30 @@ func (ev *ridEval) fillJoin(row storage.Row, ent []int32, in *ridBatch, k, ba in
 }
 
 // ---------------------------------------------------------------------------
-// Rid filter stage
+// Filter stage
 
 type ridFilterSpec struct {
 	pred expr.CompiledPredicate
 	eval ridEval
 }
 
-func (s *ridFilterSpec) makeRid(next ridPusher, _ *ScanStats) ridPusher {
-	return &ridFilterStage{spec: s, next: next, sc: ridScratchPool.Get().(*ridScratch)}
+func newRidFilter(layout *ridLayout, pred expr.Expr) *ridFilterSpec {
+	return &ridFilterSpec{pred: expr.CompilePredicate(pred), eval: newRidEval(layout, pred)}
+}
+
+func (s *ridFilterSpec) makeRid(next ridPusher, _ *ScanStats) ridStage {
+	return &ridFilterStage{spec: s, ridOut: newRidOut(next)}
 }
 
 type ridFilterStage struct {
 	spec *ridFilterSpec
-	next ridPusher
-	sc   *ridScratch
-	out  ridBatch
-}
-
-func (f *ridFilterStage) release() {
-	if f.sc != nil {
-		ridScratchPool.Put(f.sc)
-		f.sc = nil
-	}
+	ridOut
 }
 
 func (f *ridFilterStage) pushRids(in *ridBatch) error {
 	arity := len(in.sel)
+	f.clear(arity)
 	out := &f.out
-	out.sel = f.sc.selVecs(arity)
-	for r := range out.sel {
-		out.sel[r] = out.sel[r][:0]
-	}
-	out.n = 0
 	row := f.sc.wideRow(f.spec.eval.width)
 	for k := 0; k < in.n; k++ {
 		f.spec.eval.fill(row, in, k)
@@ -283,85 +330,191 @@ func (f *ridFilterStage) pushRids(in *ridBatch) error {
 		}
 		out.n++
 	}
-	if out.n == 0 {
-		return nil
-	}
-	return f.next.pushRids(out)
+	return f.flush()
 }
 
 // ---------------------------------------------------------------------------
-// Gather stage: the rid → row boundary
+// Nested-loop stage
 
-// gatherOut materializes one output slot of the gather stage. Store-backed
+// ridLoopSpec is a nested-loop join: the inner side, materialised once and
+// shared read-only by all workers, is the last relation of the stage's output
+// layout, and every outer tuple meets its rows in order — output is
+// outer-major in inner order, as the reference evaluator's.
+type ridLoopSpec struct {
+	inner int                    // rows of the inner relation
+	pred  expr.CompiledPredicate // over the joined tuple; nil for a cross join
+	eval  ridEval
+	batch int
+}
+
+func (s *ridLoopSpec) makeRid(next ridPusher, _ *ScanStats) ridStage {
+	return &ridLoopStage{spec: s, ridOut: newRidOut(next)}
+}
+
+type ridLoopStage struct {
+	spec *ridLoopSpec
+	ridOut
+	ent []int32 // the candidate tuple: the outer tuple's rids, then the inner rid
+}
+
+func (l *ridLoopStage) pushRids(in *ridBatch) error {
+	s := l.spec
+	oa := len(in.sel)
+	l.clear(oa + 1)
+	out := &l.out
+	var row storage.Row
+	if s.pred != nil {
+		row = l.sc.wideRow(s.eval.width)
+	}
+	if l.ent == nil {
+		l.ent = make([]int32, oa+1)
+	}
+	ent := l.ent
+	for k := 0; k < in.n; k++ {
+		for r := 0; r < oa; r++ {
+			ent[r] = in.sel[r][k]
+		}
+		for i := 0; i < s.inner; i++ {
+			ent[oa] = int32(i)
+			if s.pred != nil {
+				s.eval.fillJoin(row, ent, nil, 0, len(ent)) // every relation from ent
+				pass, err := s.pred(row)
+				if err != nil {
+					return err
+				}
+				if !pass {
+					continue
+				}
+			}
+			for r, rid := range ent {
+				out.sel[r] = append(out.sel[r], rid)
+			}
+			out.n++
+			if out.n >= s.batch {
+				if err := l.flush(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return l.flush()
+}
+
+// ---------------------------------------------------------------------------
+// Gather sink: the rid → row boundary
+
+// gatherOut materializes one column or constant output slot. Store-backed
 // columns go through ColView.Gather (one typed dispatch per batch);
-// row-backed relations and constants use a boxed emitter.
+// row-backed relations use a boxed emitter.
 type gatherOut struct {
 	slot int
 	rel  int // -1 for constants
 	view *storage.ColView
 	em   colEmitter
+	val  sqlvalue.Value
 }
 
+// gatherSpec is what the gather emits per tuple: width slots, of which outs
+// are columns and constants, exprs are compiled expressions over a scratch
+// row that eval fills, and the rest — references no relation binds — stay
+// NULL.
 type gatherSpec struct {
-	width int
-	outs  []gatherOut
+	width  int
+	outs   []gatherOut
+	exprs  []gatherExpr
+	eval   ridEval
+	stored bool // some relation is a column store: emitted rows count as gathered
 }
 
-func gatherColOut(layout *ridLayout, flat, slot int) gatherOut {
-	rel, local := layout.locate(flat)
-	r := layout.rels[rel]
-	if r.store != nil {
-		return gatherOut{slot: slot, rel: rel, view: &r.cols[local]}
-	}
-	return gatherOut{slot: slot, rel: rel, em: r.emitter(local)}
+type gatherExpr struct {
+	slot int
+	fn   expr.Compiled
 }
 
-func defaultGather(layout *ridLayout) *gatherSpec {
-	w := layout.width()
-	g := &gatherSpec{width: w, outs: make([]gatherOut, 0, w)}
-	for c := 0; c < w; c++ {
-		g.outs = append(g.outs, gatherColOut(layout, c, c))
+func newGatherSpec(layout *ridLayout, width int) *gatherSpec {
+	g := &gatherSpec{width: width, outs: make([]gatherOut, 0, width)}
+	for _, r := range layout.rels {
+		g.stored = g.stored || r.store != nil
 	}
 	return g
 }
 
-type gatherStage struct {
-	spec  *gatherSpec
-	next  pusher
-	sc    *ridScratch
-	stats *ScanStats
-}
-
-func newGatherStage(spec *gatherSpec, next pusher, stats *ScanStats) *gatherStage {
-	return &gatherStage{spec: spec, next: next, sc: ridScratchPool.Get().(*ridScratch), stats: stats}
-}
-
-func (g *gatherStage) release() {
-	if g.sc != nil {
-		ridScratchPool.Put(g.sc)
-		g.sc = nil
+func (g *gatherSpec) addCol(layout *ridLayout, flat, slot int) {
+	rel, local := layout.locate(flat)
+	r := layout.rels[rel]
+	if r.store != nil {
+		g.outs = append(g.outs, gatherOut{slot: slot, rel: rel, view: &r.cols[local]})
+	} else {
+		g.outs = append(g.outs, gatherOut{slot: slot, rel: rel, em: r.emitter(local)})
 	}
 }
 
-func (g *gatherStage) pushRids(in *ridBatch) error {
-	n := in.n
-	w := g.spec.width
-	heads := g.sc.rowHeads(n)
+// gatherColumns emits every column of the layout.
+func gatherColumns(layout *ridLayout) *gatherSpec {
+	g := newGatherSpec(layout, layout.width())
+	for c := 0; c < g.width; c++ {
+		g.addCol(layout, c, c)
+	}
+	return g
+}
+
+// gatherExprs emits a projection: only the columns it reads are ever boxed.
+func gatherExprs(layout *ridLayout, exprs []expr.Expr) *gatherSpec {
+	g := newGatherSpec(layout, len(exprs))
+	var computed []expr.Expr
+	for j, ex := range exprs {
+		switch n := ex.(type) {
+		case expr.Column:
+			if n.Ref.Tab == 0 && n.Ref.Col >= 0 && n.Ref.Col < layout.width() { // else unbound: NULL, as compiled
+				g.addCol(layout, n.Ref.Col, j)
+			}
+		case expr.Const:
+			g.outs = append(g.outs, gatherOut{slot: j, rel: -1, val: n.Val})
+		default:
+			g.exprs = append(g.exprs, gatherExpr{slot: j, fn: expr.Compile(ex)})
+			computed = append(computed, ex)
+		}
+	}
+	if computed != nil {
+		g.eval = newRidEval(layout, computed...)
+	}
+	return g
+}
+
+// gatherSink collects a pipeline's output as rows, bucketed by morsel
+// sequence number so that concatenating the buckets reproduces the serial
+// (reference) order. A bucket is written only by the worker that owns the
+// morsel.
+type gatherSink struct {
+	spec    *gatherSpec
+	buckets [][]storage.Row
+	cur     int
+	row     storage.Row // what spec.exprs are evaluated over
+}
+
+func newGatherSink(spec *gatherSpec, buckets [][]storage.Row) *gatherSink {
+	g := &gatherSink{spec: spec, buckets: buckets}
+	if len(spec.exprs) > 0 {
+		g.row = make(storage.Row, spec.eval.width)
+	}
+	return g
+}
+
+func (g *gatherSink) begin(seq int) { g.cur = seq }
+
+func (g *gatherSink) pushRids(in *ridBatch) error {
+	n, w := in.n, g.spec.width
 	// One durable slab per batch: emitted rows outlive the pipeline. Unfilled
 	// slots stay at the zero Value, which is NULL.
 	slab := make([]sqlvalue.Value, n*w)
-	for k := 0; k < n; k++ {
-		heads[k] = storage.Row(slab[k*w : (k+1)*w : (k+1)*w])
-	}
 	for i := range g.spec.outs {
 		o := &g.spec.outs[i]
 		switch {
 		case o.view != nil:
 			o.view.Gather(in.sel[o.rel], slab, o.slot, w)
 		case o.rel < 0:
-			v := o.em(0)
 			for k := 0; k < n; k++ {
-				slab[k*w+o.slot] = v
+				slab[k*w+o.slot] = o.val
 			}
 		default:
 			sel := in.sel[o.rel]
@@ -371,301 +524,24 @@ func (g *gatherStage) pushRids(in *ridBatch) error {
 			}
 		}
 	}
-	g.stats.RowsGathered += int64(n)
-	return g.next.push(heads)
-}
-
-// ---------------------------------------------------------------------------
-// ridRowSource: bridging a rid pipeline into the row-pipeline machinery
-
-// ridRowSource adapts a rid pipeline to the rowSource contract so every
-// existing sink (collector, build, aggregation) and row stage composes over
-// it unchanged: each morsel pulls a selection vector from the rid source,
-// streams it through the probe/filter stages, and gathers surviving tuples
-// into rows. Projections of columns/constants fuse into the gather; filters
-// become rid stages; aggregations bypass the gather entirely (group.go).
-type ridRowSource struct {
-	e      *Engine
-	src    ridSource
-	layout *ridLayout
-	stages []ridStageSpec
-	gather *gatherSpec
-
-	projected bool
-}
-
-func (s *ridRowSource) numRows() int { return s.src.numRows() }
-
-func (s *ridRowSource) gatherSpec() *gatherSpec {
-	if s.gather == nil {
-		s.gather = defaultGather(s.layout)
-	}
-	return s.gather
-}
-
-// addFilter appends a rid-level filter: the predicate is evaluated over a
-// scratch row holding only its referenced columns, before any gather.
-func (s *ridRowSource) addFilter(pred expr.Expr) {
-	s.stages = append(s.stages, &ridFilterSpec{
-		pred: expr.CompilePredicate(pred),
-		eval: newRidEval(s.layout, pred),
-	})
-}
-
-// setProjection fuses a column/constant projection into the gather stage:
-// output rows are emitted at projection width and only projected columns are
-// ever materialized.
-func (s *ridRowSource) setProjection(exprs []expr.Expr) {
-	g := &gatherSpec{width: len(exprs)}
-	for j, ex := range exprs {
-		switch n := ex.(type) {
-		case expr.Column:
-			if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= s.layout.width() {
-				g.outs = append(g.outs, gatherOut{slot: j, rel: -1, em: nullEmitter})
-				continue
+	if len(g.spec.exprs) > 0 {
+		// Tuple by tuple, expression by expression: the reference's order, so
+		// the first error or panic is the one it would raise.
+		for k := 0; k < n; k++ {
+			g.spec.eval.fill(g.row, in, k)
+			for _, ex := range g.spec.exprs {
+				v, err := ex.fn(g.row)
+				if err != nil {
+					return err
+				}
+				slab[k*w+ex.slot] = v
 			}
-			g.outs = append(g.outs, gatherColOut(s.layout, n.Ref.Col, j))
-		case expr.Const:
-			v := n.Val
-			g.outs = append(g.outs, gatherOut{slot: j, rel: -1, em: func(int) sqlvalue.Value { return v }})
 		}
 	}
-	s.gather = g
-	s.projected = true
-}
-
-// narrowTo restricts the gather to the flat columns referenced by exprs,
-// keeping output width: unreferenced slots stay NULL and the compiled
-// expressions above never read them.
-func (s *ridRowSource) narrowTo(exprs []expr.Expr) {
-	w := s.layout.width()
-	g := &gatherSpec{width: w}
-	seen := make(map[int]bool)
-	for _, ex := range exprs {
-		for _, ref := range expr.Columns(ex) {
-			c := ref.Col
-			if ref.Tab != 0 || c < 0 || c >= w || seen[c] {
-				continue
-			}
-			seen[c] = true
-			g.outs = append(g.outs, gatherColOut(s.layout, c, c))
-		}
+	rows := slices.Grow(g.buckets[g.cur], n)
+	for k := 0; k < n; k++ {
+		rows = append(rows, storage.Row(slab[k*w:(k+1)*w:(k+1)*w]))
 	}
-	s.gather = g
-}
-
-// ridWorker is one row-pipeline worker's instantiated rid chain, hung off
-// its scanScratch and released when the enclosing pipeline finishes.
-type ridWorker struct {
-	chain ridPusher
-	cap   rowCapture
-	rel   []releaser
-}
-
-// rowCapture terminates the bridge: gathered rows accumulate per morsel.
-type rowCapture struct {
-	out []storage.Row
-}
-
-func (c *rowCapture) push(in []storage.Row) error {
-	c.out = append(c.out, in...)
+	g.buckets[g.cur] = rows
 	return nil
-}
-
-func (w *ridWorker) release() {
-	for _, r := range w.rel {
-		r.release()
-	}
-	w.rel = nil
-}
-
-func (s *ridRowSource) morsel(lo, hi int, sc *scanScratch) ([]storage.Row, error) {
-	w := sc.rid
-	if w == nil {
-		w = &ridWorker{}
-		g := newGatherStage(s.gatherSpec(), &w.cap, &sc.stats)
-		w.rel = append(w.rel, g)
-		var p ridPusher = g
-		for i := len(s.stages) - 1; i >= 0; i-- {
-			p = s.stages[i].makeRid(p, &sc.stats)
-			if r, ok := p.(releaser); ok {
-				w.rel = append(w.rel, r)
-			}
-		}
-		w.chain = p
-		sc.rid = w
-	}
-	w.cap.out = w.cap.out[:0]
-	rids, err := s.src.morselRids(lo, hi, sc, sc.rids[:0])
-	sc.rids = rids
-	if err != nil {
-		return nil, err
-	}
-	if len(rids) > 0 {
-		if err := w.chain.pushRids(sc.ridBatch(rids)); err != nil {
-			return nil, err
-		}
-	}
-	return w.cap.out, nil
-}
-
-// ---------------------------------------------------------------------------
-// Rid pipeline driver
-
-// ridMorselSink terminates a worker's rid stage chain (build sinks,
-// aggregation sinks). begin mirrors morselSink.begin.
-type ridMorselSink interface {
-	ridPusher
-	begin(seq int)
-}
-
-// runRidPipeline streams a rid source through per-worker stage chains into
-// per-worker sinks, with the same morsel distribution (and therefore the
-// same ordinal structure) as runPipeline.
-func (e *Engine) runRidPipeline(src ridSource, stages []ridStageSpec, mkSink func(numMorsels int) ridMorselSink) ([]ridMorselSink, error) {
-	bs := e.batchSize()
-	n := src.numRows()
-	nm := (n + bs - 1) / bs
-	w := e.workers()
-	if w > nm {
-		w = nm
-	}
-	if w < 1 {
-		w = 1
-	}
-	sinks := make([]ridMorselSink, w)
-	chains := make([]ridPusher, w)
-	scratch := make([]scanScratch, w)
-	var rel []releaser
-	for i := range sinks {
-		sinks[i] = mkSink(nm)
-		if r, ok := sinks[i].(releaser); ok {
-			rel = append(rel, r)
-		}
-		var p ridPusher = sinks[i]
-		for s := len(stages) - 1; s >= 0; s-- {
-			p = stages[s].makeRid(p, &scratch[i].stats)
-			if r, ok := p.(releaser); ok {
-				rel = append(rel, r)
-			}
-		}
-		chains[i] = p
-	}
-	err := forEachMorsel(nm, w, func(wi, seq int) error {
-		lo := seq * bs
-		hi := min(lo+bs, n)
-		sinks[wi].begin(seq)
-		sc := &scratch[wi]
-		defer sc.stats.flush()
-		rids, err := src.morselRids(lo, hi, sc, sc.rids[:0])
-		sc.rids = rids
-		if err != nil {
-			return err
-		}
-		if len(rids) == 0 {
-			return nil
-		}
-		return chains[wi].pushRids(sc.ridBatch(rids))
-	})
-	for _, r := range rel {
-		r.release()
-	}
-	if err != nil {
-		return nil, err
-	}
-	return sinks, nil
-}
-
-// ---------------------------------------------------------------------------
-// Plan decomposition into rid pipelines
-
-// streamRids decomposes a subtree into a rid pipeline: a rid source, the
-// layout of the relations its tuples address, and the probe/filter stages to
-// stream them through. Subtrees with no rid form report ok=false and the
-// caller materializes them as a row-backed relation; only relations larger
-// than the rid address space make the whole decomposition fail (the caller
-// then falls back to the row-at-a-time join path).
-func (e *Engine) streamRids(db storage.Reader, n Node) (ridSource, *ridLayout, []ridStageSpec, bool, error) {
-	switch t := n.(type) {
-	case *TableScan:
-		tb := db.TableData(t.Table)
-		if tb == nil {
-			return nil, nil, nil, false, fmt.Errorf("exec: unknown table %q", t.Table)
-		}
-		st := tb.Store()
-		if st.Len() > maxRid {
-			return nil, nil, nil, false, nil
-		}
-		ss := newScanSource(st, t.Filter, e)
-		return ss, singleLayout(storeRel(st, ss.cols)), nil, true, nil
-	case *ViewScan:
-		v := db.ViewData(t.View)
-		if v == nil {
-			return nil, nil, nil, false, fmt.Errorf("exec: view %q not materialized", t.View)
-		}
-		if len(t.EqCols) > 0 {
-			rows := seekView(v, t.EqCols, t.EqVals, nil)
-			if len(rows) > maxRid {
-				return nil, nil, nil, false, nil
-			}
-			layout := singleLayout(rowsRel(rows, t.NCols))
-			var stages []ridStageSpec
-			if t.Filter != nil {
-				stages = append(stages, &ridFilterSpec{
-					pred: expr.CompilePredicate(t.Filter),
-					eval: newRidEval(layout, t.Filter),
-				})
-			}
-			return rowsRidSource(rows), layout, stages, true, nil
-		}
-		st := v.Store()
-		if st.Len() > maxRid {
-			return nil, nil, nil, false, nil
-		}
-		ss := newScanSource(st, t.Filter, e)
-		return ss, singleLayout(storeRel(st, ss.cols)), nil, true, nil
-	case *Filter:
-		src, layout, stages, ok, err := e.streamRids(db, t.In)
-		if err != nil || !ok {
-			return nil, nil, nil, false, err
-		}
-		spec := &ridFilterSpec{pred: expr.CompilePredicate(t.Pred), eval: newRidEval(layout, t.Pred)}
-		return src, layout, append(stages, spec), true, nil
-	case *HashJoin:
-		// Build side first — fully executed before the probe side starts,
-		// exactly like buildJoin and the reference evaluator.
-		build, bLayout, ok, err := e.buildRidJoin(db, t)
-		if err != nil || !ok {
-			return nil, nil, nil, false, err
-		}
-		psrc, pLayout, pstages, ok, err := e.streamRids(db, t.R)
-		if err != nil {
-			return nil, nil, nil, false, err
-		}
-		if !ok {
-			rows, err := e.materialize(db, t.R)
-			if err != nil {
-				return nil, nil, nil, false, err
-			}
-			if len(rows) > maxRid {
-				return nil, nil, nil, false, nil
-			}
-			pLayout = singleLayout(rowsRel(rows, t.R.Width()))
-			psrc, pstages = rowsRidSource(rows), nil
-		}
-		layout := concatLayouts(bLayout, pLayout)
-		spec := &ridProbeSpec{
-			build:    build,
-			keys:     newRidKeyCodec(build.mode, pLayout, t.RCols),
-			outArity: layout.arity(),
-			batch:    e.batchSize(),
-		}
-		if t.Residual != nil {
-			spec.residual = expr.CompilePredicate(t.Residual)
-			spec.resEval = newRidEval(layout, t.Residual)
-		}
-		return psrc, layout, append(pstages, spec), true, nil
-	default:
-		return nil, nil, nil, false, nil
-	}
 }

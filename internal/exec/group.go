@@ -46,10 +46,9 @@ func (st *aggState) fold(r *aggReader, i int) error {
 }
 
 // groupTable is one worker's partial aggregation, and the one place groups
-// are found, created and folded into: the row sink and the rid sink differ
-// only in the readers they bind. Groups are numbered in first-seen order by a
-// keyTable — on words when every key is an int-family column (one word per
-// key, plus a word of NULL flags if any column has NULLs), on the
+// are found, created and folded into. Groups are numbered in first-seen order
+// by a keyTable — on words when every key is an int-family column (one word
+// per key, plus a word of NULL flags if any column has NULLs), on the
 // sqlvalue.AppendKey bytes of the boxed keys otherwise — and their state
 // lives in flat slices indexed by group id.
 type groupTable struct {
@@ -280,43 +279,13 @@ func finishAgg(tabs []*groupTable, a *HashAgg) ([]storage.Row, error) {
 	return out, nil
 }
 
-// aggSink is the row-pipeline sink: every key and argument is a compiled
-// expression over a materialized input row.
-type aggSink struct {
-	g   *groupTable
-	cur []storage.Row
-	ord int64
-}
-
-func newAggSink(a *HashAgg) *aggSink {
-	s := &aggSink{}
-	s.g = newGroupTable(a, func(ex expr.Expr, _ bool) aggReader {
-		c := expr.Compile(ex)
-		return aggReader{gv: func(i int) (sqlvalue.Value, error) { return c(s.cur[i]) }}
-	})
-	return s
-}
-
-func (s *aggSink) begin(seq int) { s.ord = ordinal(seq, 0) }
-
-func (s *aggSink) push(in []storage.Row) error {
-	s.cur = in
-	for i := range in {
-		if err := s.g.add(i, s.ord); err != nil {
-			return err
-		}
-		s.ord++
-	}
-	return nil
-}
-
-// ridAggSink is the rid-pipeline sink: it aggregates rid tuples — of a join
-// pipeline, or of a bare scan, a one-relation tuple — without gathering a
-// row. A key or argument over one store-backed relation reads that
-// relation's typed arrays at the tuple's rid; a bare column of any relation
-// reads its boxed value there; only what is left (expressions spanning
-// relations, or over row-backed or degraded columns) is compiled and run over
-// a scratch row holding the columns it references.
+// ridAggSink aggregates rid tuples — of a join pipeline, or of a bare scan, a
+// one-relation tuple — without gathering a row. A key or argument over one
+// store-backed relation reads that relation's typed arrays at the tuple's
+// rid; a bare column of any relation reads its boxed value there; only what
+// is left (expressions spanning relations, or over row-backed or degraded
+// columns) is compiled and run over a scratch row holding the columns it
+// references.
 type ridAggSink struct {
 	g    *groupTable
 	cur  *ridBatch
@@ -400,38 +369,17 @@ func (s *ridAggSink) pushRids(in *ridBatch) error {
 	return nil
 }
 
-// runAgg executes a HashAgg: the input pipeline feeds per-worker group
-// tables, merged in global first-seen order to match the reference
-// evaluator's output exactly. Directly over a columnar scan or a
-// late-materialization join pipeline the aggregation runs on rid tuples and
-// no input row is ever materialized.
-func (e *Engine) runAgg(db storage.Reader, a *HashAgg) ([]storage.Row, error) {
-	src, specs, err := e.stream(db, a.In)
+// aggregate runs p into per-worker group tables and merges them in global
+// first-seen order, the reference evaluator's output exactly. No input row is
+// ever materialized.
+func (e *Engine) aggregate(p pipeline, a *HashAgg) ([]storage.Row, error) {
+	sinks, err := e.run(p, func(int) ridSink { return newRidAggSink(a, p.layout) })
 	if err != nil {
 		return nil, err
 	}
-	rs, _ := src.(*ridRowSource)
-	if ss, ok := src.(*scanSource); ok && !ss.projected && ss.numRows() <= maxRid {
-		// A bare scan is a rid pipeline of one relation and no stages.
-		rs = &ridRowSource{src: ss, layout: singleLayout(storeRel(ss.store, ss.cols))}
-	}
-	var tabs []*groupTable
-	if rs != nil && len(specs) == 0 && !rs.projected {
-		sinks, err := e.runRidPipeline(rs.src, rs.stages, func(int) ridMorselSink { return newRidAggSink(a, rs.layout) })
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sinks {
-			tabs = append(tabs, s.(*ridAggSink).g)
-		}
-	} else {
-		sinks, err := e.runPipeline(src, specs, func(int) morselSink { return newAggSink(a) })
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range sinks {
-			tabs = append(tabs, s.(*aggSink).g)
-		}
+	tabs := make([]*groupTable, len(sinks))
+	for i, s := range sinks {
+		tabs[i] = s.(*ridAggSink).g
 	}
 	return finishAgg(tabs, a)
 }

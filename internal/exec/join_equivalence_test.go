@@ -197,11 +197,12 @@ func joinSweepPlans() map[string]Node {
 	}
 }
 
-// TestJoinEquivalenceSweep pins the late-materialization join path to the
-// reference evaluator byte-for-byte: every plan shape runs at every worker
-// count × batch size (including non-block-aligned sizes that split selection
-// vectors mid-block) × engine variant (typed keys, boxed-key fallback, and
-// the pre-rid row path), and must reproduce the reference rows in order.
+// TestJoinEquivalenceSweep pins the join pipeline to the reference evaluator
+// byte-for-byte: every plan shape runs at every worker count × batch size
+// (including non-block-aligned sizes that split selection vectors mid-block)
+// and must reproduce the reference rows in order. The fixture's data selects
+// the key codec: typed for the single-kind columns, boxed for the degraded
+// column, mixed-kind multi-column keys and the row-backed build side.
 func TestJoinEquivalenceSweep(t *testing.T) {
 	db := joinDB(t, 80, 400)
 	for name, plan := range joinSweepPlans() {
@@ -211,19 +212,13 @@ func TestJoinEquivalenceSweep(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 4} {
 			for _, bs := range []int{1, 3, 7, 64, 1024} {
-				for variant, e := range map[string]*Engine{
-					"typed": {Workers: workers, BatchSize: bs},
-					"boxed": {Workers: workers, BatchSize: bs, DisableTypedKeys: true},
-					"row":   {Workers: workers, BatchSize: bs, DisableLateMat: true},
-				} {
-					got, err := e.Run(db, plan)
-					if err != nil {
-						t.Fatalf("%s %s w=%d bs=%d: %v", name, variant, workers, bs, err)
-					}
-					if !rowsExactlyEqual(got, want) {
-						t.Fatalf("%s %s w=%d bs=%d: output differs (%d vs %d rows)",
-							name, variant, workers, bs, len(got), len(want))
-					}
+				got, err := (&Engine{Workers: workers, BatchSize: bs}).Run(db, plan)
+				if err != nil {
+					t.Fatalf("%s w=%d bs=%d: %v", name, workers, bs, err)
+				}
+				if !rowsExactlyEqual(got, want) {
+					t.Fatalf("%s w=%d bs=%d: output differs (%d vs %d rows)",
+						name, workers, bs, len(got), len(want))
 				}
 			}
 		}
@@ -233,8 +228,9 @@ func TestJoinEquivalenceSweep(t *testing.T) {
 // TestJoinEquivalenceRandomChains fuzzes multi-join rid-tuple pipelines:
 // random left-deep chains of 2–4 hash joins over random compatible key
 // columns, with random residuals and an optional aggregate on top. Every
-// plan must agree with the reference under both key codecs at a batch size
-// that forces tuples through many selection-vector batches.
+// plan must agree with the reference at every worker count, at a batch size
+// that forces tuples through many selection-vector batches; the mixed column
+// among the key columns puts chains on the boxed codec, the others on typed.
 func TestJoinEquivalenceRandomChains(t *testing.T) {
 	db := joinDB(t, 40, 120)
 	rng := rand.New(rand.NewSource(42))
@@ -276,17 +272,14 @@ func TestJoinEquivalenceRandomChains(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
-		for variant, e := range map[string]*Engine{
-			"typed": {Workers: 4, BatchSize: 13},
-			"boxed": {Workers: 4, BatchSize: 13, DisableTypedKeys: true},
-		} {
-			got, err := e.Run(db, plan)
+		for _, workers := range []int{1, 2, 4} {
+			got, err := (&Engine{Workers: workers, BatchSize: 13}).Run(db, plan)
 			if err != nil {
-				t.Fatalf("trial %d %s: %v", trial, variant, err)
+				t.Fatalf("trial %d w=%d: %v", trial, workers, err)
 			}
 			if !rowsExactlyEqual(got, want) {
-				t.Fatalf("trial %d %s: output differs (%d vs %d rows)\nplan:\n%s",
-					trial, variant, len(got), len(want), Explain(plan))
+				t.Fatalf("trial %d w=%d: output differs (%d vs %d rows)\nplan:\n%s",
+					trial, workers, len(got), len(want), Explain(plan))
 			}
 		}
 	}

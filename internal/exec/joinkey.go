@@ -8,7 +8,7 @@ import (
 	"matview/internal/storage"
 )
 
-// Typed join keys for the late-materialization join path.
+// Typed join keys.
 //
 // The equality classes here reproduce sqlvalue.AppendKey exactly, so typed
 // and boxed keying are interchangeable: bools, ints, and dates share one
@@ -103,9 +103,11 @@ func valueStrKey(v sqlvalue.Value) (string, bool) {
 }
 
 // classifyKeys picks the key mode for a build layout's key columns. Typed
-// modes require store-backed, non-degraded (no Generic overlay) columns.
-func classifyKeys(layout *ridLayout, cols []int, disableTyped bool) ridKeyMode {
-	if disableTyped || len(cols) == 0 {
+// modes require store-backed, non-degraded (no Generic overlay) columns of
+// one key class; anything else — a row-backed or degraded column, mixed
+// kinds, no key column at all — takes the boxed codec.
+func classifyKeys(layout *ridLayout, cols []int) ridKeyMode {
+	if len(cols) == 0 {
 		return keyModeBoxed
 	}
 	kinds := make([]sqlvalue.Kind, len(cols))
@@ -372,36 +374,22 @@ func (b *ridBuildSink) pushRids(in *ridBatch) error {
 	return nil
 }
 
-// buildRidJoin executes the build side of a hash join as a rid pipeline and
-// turns what the workers collected into the CSR table. ok=false means a
-// relation overflowed the rid address space and the caller must fall back to
-// the row path.
-func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *ridLayout, bool, error) {
-	src, layout, stages, ok, err := e.streamRids(db, j.L)
+// buildRidJoin executes the build side of a hash join as a pipeline of its
+// own and turns what the workers collected into the CSR table.
+func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *ridLayout, error) {
+	p, err := e.input(db, j.L)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	if !ok {
-		rows, err := e.materialize(db, j.L)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		if len(rows) > maxRid {
-			return nil, nil, false, nil
-		}
-		layout = singleLayout(rowsRel(rows, j.L.Width()))
-		src, stages = rowsRidSource(rows), nil
-	}
-	mode := classifyKeys(layout, j.LCols, e.DisableTypedKeys)
-	codec := newRidKeyCodec(mode, layout, j.LCols)
-	arity := layout.arity()
-	sinks, err := e.runRidPipeline(src, stages, func(int) ridMorselSink {
+	codec := newRidKeyCodec(classifyKeys(p.layout, j.LCols), p.layout, j.LCols)
+	arity := p.layout.arity()
+	sinks, err := e.run(p, func(int) ridSink {
 		return &ridBuildSink{codec: codec, arity: arity, keys: keyList{width: codec.width}}
 	})
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
-	return finishRidBuild(sinks, codec, arity), layout, true, nil
+	return finishRidBuild(sinks, codec, arity), p.layout, nil
 }
 
 // finishRidBuild is the serial half of a build: one pass over the collected
@@ -410,7 +398,7 @@ func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *r
 // sum lay out the per-key ranges; a second pass in the same order scatters
 // the rid tuples into them. Per-key lists come out in build-input order
 // because that is the order they are written in.
-func finishRidBuild(sinks []ridMorselSink, codec *ridKeyCodec, arity int) *ridJoinBuild {
+func finishRidBuild(sinks []ridSink, codec *ridKeyCodec, arity int) *ridJoinBuild {
 	type span struct {
 		b      *ridBuildSink
 		lo, hi int
@@ -483,52 +471,26 @@ type ridProbeSpec struct {
 	batch    int
 }
 
-func (s *ridProbeSpec) makeRid(next ridPusher, stats *ScanStats) ridPusher {
-	return &ridProbeStage{spec: s, next: next, sc: ridScratchPool.Get().(*ridScratch), stats: stats}
+func (s *ridProbeSpec) makeRid(next ridPusher, stats *ScanStats) ridStage {
+	return &ridProbeStage{spec: s, ridOut: newRidOut(next), stats: stats}
 }
 
 // ridProbeStage matches probe tuples against the build table batch-at-a-time
 // and extends each surviving tuple with the matching build entry's rids: the
-// output tuple is (build rels..., probe rels...), matching the row path's
-// left++right concatenation. All scratch is pooled per worker.
+// output tuple is (build rels..., probe rels...), the reference's left++right
+// concatenation. All scratch is pooled per worker.
 type ridProbeStage struct {
-	spec  *ridProbeSpec
-	next  ridPusher
-	sc    *ridScratch
+	spec *ridProbeSpec
+	ridOut
 	stats *ScanStats
-	out   ridBatch
-}
-
-func (p *ridProbeStage) release() {
-	if p.sc != nil {
-		ridScratchPool.Put(p.sc)
-		p.sc = nil
-	}
-}
-
-func (p *ridProbeStage) flush() error {
-	out := &p.out
-	if out.n == 0 {
-		return nil
-	}
-	err := p.next.pushRids(out)
-	for r := range out.sel {
-		out.sel[r] = out.sel[r][:0]
-	}
-	out.n = 0
-	return err
 }
 
 func (p *ridProbeStage) pushRids(in *ridBatch) error {
 	s := p.spec
 	b := s.build
 	ba := b.arity
+	p.clear(s.outArity)
 	out := &p.out
-	out.sel = p.sc.selVecs(s.outArity)
-	for r := range out.sel {
-		out.sel[r] = out.sel[r][:0]
-	}
-	out.n = 0
 	var row storage.Row
 	if s.residual != nil {
 		row = p.sc.wideRow(s.resEval.width)

@@ -29,7 +29,7 @@ func (l *keyList) bytesOf(e int) []byte {
 func (l *keyList) reset() { l.words, l.bytes, l.ends = l.words[:0], l.bytes[:0], l.ends[:0] }
 
 // keyTable assigns dense ids — 0, 1, 2, … in order of first insertion — to
-// distinct keys. It is the one hash table of the rid pipeline: join builds
+// distinct keys. It is the one hash table of the engine: join builds
 // map a key to its slot in the CSR arrays, group tables map a key to its
 // group. Open addressing with linear probing over a power-of-two slot array
 // kept at most half full; key id is entry id of the embedded list, so a table

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"matview/internal/catalog"
@@ -112,30 +113,37 @@ func TestRidBuildIsCSRInInputOrder(t *testing.T) {
 		"intN": {1, 4}, "boxed-degraded": {6}, "boxed-mixed-kinds": {1, 3},
 	} {
 		want, order := map[string][]int32{}, []string{}
+	rows:
 		for rid, r := range dim {
-			if key, ok := appendRowKey(nil, r, cols); ok {
-				if _, seen := want[string(key)]; !seen {
-					order = append(order, string(key))
+			var key []byte // the reference's: Value.Key bytes joined by 0x1f, none for a NULL
+			for _, c := range cols {
+				if r[c].IsNull() {
+					continue rows
 				}
-				want[string(key)] = append(want[string(key)], int32(rid))
+				key = append(r[c].AppendKey(key), '\x1f')
 			}
+			if _, seen := want[string(key)]; !seen {
+				order = append(order, string(key))
+			}
+			want[string(key)] = append(want[string(key)], int32(rid))
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
 			for _, bs := range []int{1, 7, 1024} {
-				for _, boxed := range []bool{false, true} {
-					e := &Engine{Workers: workers, BatchSize: bs, DisableTypedKeys: boxed}
-					b, _, ok, err := e.buildRidJoin(db, &HashJoin{L: &TableScan{Table: "dim", NCols: 8}, LCols: cols})
-					if err != nil || !ok {
-						t.Fatalf("%s: build: ok=%v err=%v", name, ok, err)
-					}
-					if int(b.tab.n) != len(want) || len(b.starts) != len(want)+1 {
-						t.Fatalf("%s w=%d bs=%d boxed=%v: %d keys, want %d", name, workers, bs, boxed, b.tab.n, len(want))
-					}
-					for id, key := range order { // ids follow first appearance in the input
-						got := b.rids[b.starts[id]:b.starts[id+1]]
-						if fmt.Sprint(got) != fmt.Sprint(want[key]) {
-							t.Fatalf("%s w=%d bs=%d boxed=%v: key %q has rids %v, want %v", name, workers, bs, boxed, key, got, want[key])
-						}
+				e := &Engine{Workers: workers, BatchSize: bs}
+				b, _, err := e.buildRidJoin(db, &HashJoin{L: &TableScan{Table: "dim", NCols: 8}, LCols: cols})
+				if err != nil {
+					t.Fatalf("%s: build: %v", name, err)
+				}
+				if boxed := strings.HasPrefix(name, "boxed"); boxed != (b.mode == keyModeBoxed) {
+					t.Fatalf("%s: key mode %d", name, b.mode)
+				}
+				if int(b.tab.n) != len(want) || len(b.starts) != len(want)+1 {
+					t.Fatalf("%s w=%d bs=%d: %d keys, want %d", name, workers, bs, b.tab.n, len(want))
+				}
+				for id, key := range order { // ids follow first appearance in the input
+					got := b.rids[b.starts[id]:b.starts[id+1]]
+					if fmt.Sprint(got) != fmt.Sprint(want[key]) {
+						t.Fatalf("%s w=%d bs=%d: key %q has rids %v, want %v", name, workers, bs, key, got, want[key])
 					}
 				}
 			}
@@ -147,7 +155,7 @@ func TestRidBuildIsCSRInInputOrder(t *testing.T) {
 	allNull := &TableScan{Table: "dim", NCols: 8, Filter: expr.IsNull{E: expr.Col(0, 1)}}
 	for _, l := range []Node{empty, allNull} {
 		j := &HashJoin{L: l, R: &TableScan{Table: "fact", NCols: 8}, LCols: []int{1}, RCols: []int{1}}
-		b, _, _, err := (&Engine{Workers: 4, BatchSize: 7}).buildRidJoin(db, j)
+		b, _, err := (&Engine{Workers: 4, BatchSize: 7}).buildRidJoin(db, j)
 		if err != nil || b.tab.n != 0 || len(b.rids) != 0 || len(b.starts) != 1 {
 			t.Fatalf("empty build: %+v, %v", b, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"matview/internal/exec"
 	"matview/internal/faults"
@@ -258,10 +259,14 @@ type chaosObservation struct {
 // /exec response carries the epoch it committed (and whether the base
 // mutation applied), and after the storm each recorded response must equal
 // the reference evaluator's answer over the committed mutation history up
-// to exactly that epoch, replayed on a pristine copy of the dataset.
+// to exactly that epoch, replayed on a pristine copy of the dataset. The
+// full-length run also checks that the MVCC machinery cycled underneath:
+// the epoch advanced, the version GC reclaimed superseded versions, and
+// every snapshot was released by the time the storm drained.
 func TestChaosQueriesStayCorrect(t *testing.T) {
 	db := newTestDB(t)
-	srv := New(db, Config{MaxConcurrent: 64})
+	srv := New(db, Config{MaxConcurrent: 64, GCInterval: 10 * time.Millisecond})
+	epochBefore := db.Epoch()
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -398,6 +403,20 @@ func TestChaosQueriesStayCorrect(t *testing.T) {
 		t.Fatal("chaos run injected no faults; the test proved nothing")
 	} else {
 		t.Logf("faults: %v", inj)
+	}
+	if ms := srv.Metrics().Storage; !testing.Short() {
+		if ms.Epoch <= epochBefore {
+			t.Fatalf("epoch did not advance under DML: %d -> %d", epochBefore, ms.Epoch)
+		}
+		if ms.VersionsReclaimed == 0 {
+			t.Fatalf("version GC reclaimed nothing across %d commits: %+v", ms.Epoch, ms)
+		}
+		if ms.ActiveReaders != 0 {
+			t.Fatalf("snapshots leaked after drain: %+v", ms)
+		}
+		if ms.SnapshotsLeaked != 0 {
+			t.Fatalf("leak guard fired during a clean run: %+v", ms)
+		}
 	}
 
 	// Serializability replay: rebuild the pristine dataset, apply the

@@ -499,86 +499,6 @@ func postHelper(ts *httptest.Server, path string, body any) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
-func TestRunLoadEndToEnd(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	res, err := RunLoad(LoadOptions{
-		URL:      ts.URL,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		Setup: []string{`create view pq with schemabinding as
-			select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
-			from lineitem group by l_partkey`},
-		Queries: []string{
-			"select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = 1 group by l_partkey",
-			"select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = 2 group by l_partkey",
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 || res.Errors != 0 {
-		t.Fatalf("load result: %+v", res)
-	}
-	if res.QPS <= 0 || res.CacheHits == 0 {
-		t.Fatalf("load result lacks throughput or cache hits: %+v", res)
-	}
-}
-
-// TestLoadWithConcurrentMutations drives the load generator's writer
-// goroutine against live query traffic — no quiescing anywhere: queries pin
-// epoch snapshots while DML commits new epochs and the background version GC
-// reclaims drained ones. The assertions check the MVCC machinery actually
-// cycled: the epoch advanced, superseded versions were reclaimed, and every
-// snapshot was released by the time the run drained.
-func TestLoadWithConcurrentMutations(t *testing.T) {
-	srv, ts := newTestServer(t, Config{GCInterval: 10 * time.Millisecond})
-	snap := srv.db.Snapshot()
-	okey := snap.TableData("orders").RowAt(0)[tpch.OOrderkey].Int()
-	snap.Release()
-	epochBefore := srv.db.Epoch()
-	res, err := RunLoad(LoadOptions{
-		URL:      ts.URL,
-		Clients:  4,
-		Duration: 300 * time.Millisecond,
-		Setup: []string{`create view pq with schemabinding as
-			select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
-			from lineitem group by l_partkey`},
-		Queries: []string{
-			"select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = 960 group by l_partkey",
-			"select l_partkey, count_big(*) as cnt from lineitem where l_partkey <= 5 group by l_partkey",
-		},
-		Mutations: []string{
-			fmt.Sprintf(`insert into lineitem values
-				(%d, 960, 1, 7, 2.0, 20.0, 0.0, 0.0, 'N', 'O',
-				 DATE '1995-05-05', DATE '1995-05-15', DATE '1995-05-25',
-				 'NONE', 'MAIL', 'mvcc load')`, okey),
-			"delete from lineitem where l_partkey = 960",
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Requests == 0 || res.Errors != 0 {
-		t.Fatalf("load result: %+v", res)
-	}
-	if res.Mutations == 0 || res.MutationErrors != 0 {
-		t.Fatalf("writer did no clean work: %+v", res)
-	}
-	m := srv.Metrics()
-	if m.Storage.Epoch <= epochBefore {
-		t.Fatalf("epoch did not advance under DML: %d -> %d", epochBefore, m.Storage.Epoch)
-	}
-	if m.Storage.VersionsReclaimed == 0 {
-		t.Fatalf("version GC reclaimed nothing across %d commits: %+v", m.Storage.Epoch, m.Storage)
-	}
-	if m.Storage.ActiveReaders != 0 {
-		t.Fatalf("snapshots leaked after drain: %+v", m.Storage)
-	}
-	if m.Storage.SnapshotsLeaked != 0 {
-		t.Fatalf("leak guard fired during a clean run: %+v", m.Storage)
-	}
-}
-
 // TestRequestBodyIsOneJSONObject: every endpoint that reads a body accepts
 // exactly one JSON object, surrounding whitespace aside — a second value or
 // garbage after it used to be ignored — and still refuses unknown fields and

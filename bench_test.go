@@ -17,12 +17,8 @@ import (
 	"testing"
 
 	"matview/internal/core"
-	"matview/internal/filtertree"
 	"matview/internal/harness"
 	"matview/internal/opt"
-	"matview/internal/spjg"
-	"matview/internal/tpch"
-	"matview/internal/workload"
 )
 
 // benchHarness caches workload construction across benchmarks. The sync.Once
@@ -128,82 +124,6 @@ func BenchmarkFigure4_PlansUsingViews(b *testing.B) {
 	}
 }
 
-// BenchmarkOptimizeParallel runs the full configuration at 1000 views with
-// concurrent optimizer goroutines (one per GOMAXPROCS via b.RunParallel),
-// exercising the shared-read lock and pooled scratch under contention.
-// Compare qps (queries/sec) against BenchmarkOptimizeAll/workers=1.
-func BenchmarkOptimizeParallel(b *testing.B) {
-	h := getHarness(b)
-	o, err := newBenchOptimizer(h, harness.Settings[0], 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := h.Queries()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := o.Optimize(queries[i%len(queries)]); err != nil {
-				b.Error(err)
-				return
-			}
-			i++
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
-}
-
-// BenchmarkOptimizeAll measures batch throughput via the worker pool: one op
-// is the whole 200-query batch, so ns/op shrinking with workers is the
-// speedup, and the qps metric gives queries/sec directly.
-func BenchmarkOptimizeAll(b *testing.B) {
-	h := getHarness(b)
-	o, err := newBenchOptimizer(h, harness.Settings[0], 1000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	queries := h.Queries()
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := o.OptimizeAll(queries, workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)*float64(len(queries))/b.Elapsed().Seconds(), "qps")
-		})
-	}
-}
-
-// BenchmarkFilterTree isolates the candidate lookup: filter tree vs the
-// linear alternative it replaces (§4's contribution).
-func BenchmarkFilterTree(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	m := core.NewMatcher(cat, core.DefaultOptions())
-	for _, n := range []int{100, 1000} {
-		tree := filtertree.New()
-		for i := 0; i < n; i++ {
-			v, err := m.NewView(i, fmt.Sprintf("v%d_%d", n, i), gen.View(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			tree.Insert(v)
-		}
-		var keys []core.QueryKeys
-		for i := 0; i < 50; i++ {
-			keys = append(keys, m.ComputeQueryKeys(gen.Query(i)))
-		}
-		b.Run(fmt.Sprintf("lookup/views=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				tree.Candidates(&keys[i%len(keys)])
-			}
-		})
-	}
-}
-
 // BenchmarkAblations toggles each optional feature off against the full
 // configuration, at 500 views — the ablation study DESIGN.md calls out.
 // Compare ns/op (overhead of the feature) and plans_with_views_pct /
@@ -254,26 +174,5 @@ func BenchmarkAblations(b *testing.B) {
 				b.ReportMetric(float64(stats.SubstitutesProduced)/float64(b.N), "subs_per_query")
 			}
 		})
-	}
-}
-
-// BenchmarkViewRegistration measures analysis + key computation + filter-tree
-// insertion per view.
-func BenchmarkViewRegistration(b *testing.B) {
-	cat := tpch.NewCatalog(0.5)
-	gen := workload.New(cat, workload.DefaultConfig(1))
-	defs := make([]*spjg.Query, 200)
-	for i := range defs {
-		defs[i] = gen.View(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		opts := opt.DefaultOptions()
-		o := opt.NewOptimizer(cat, opts)
-		for j, def := range defs {
-			if _, err := o.RegisterView(fmt.Sprintf("v%d", j), def); err != nil {
-				b.Fatal(err)
-			}
-		}
 	}
 }

@@ -10,10 +10,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"matview/internal/exec"
-	"matview/internal/maintain"
-	"matview/internal/opt"
+	"matview/internal/shell"
 	"matview/internal/sqlparser"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
@@ -27,24 +27,16 @@ func main() {
 	}
 	cat := db.Catalog
 
-	st, err := sqlparser.Parse(cat, `
+	// A session keeps the maintainer, the optimizer and storage in step.
+	sess := shell.NewSession(db)
+	if err := sess.Execute(`
 		create view cust_totals with schemabinding as
 		select o_custkey, count_big(*) as cnt, sum(o_totalprice) as total
-		from orders group by o_custkey`)
-	if err != nil {
+		from orders group by o_custkey`, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	mnt := maintain.New(db)
-	mv, err := mnt.Register(st.ViewName, st.Query)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o := opt.NewOptimizer(cat, opt.DefaultOptions())
-	if _, err := o.RegisterView(st.ViewName, st.Query); err != nil {
-		log.Fatal(err)
-	}
-	o.SetViewRowCount(st.ViewName, db.View(st.ViewName).RowCount())
-	fmt.Printf("materialized %s: %d groups\n\n", st.ViewName, db.View(st.ViewName).RowCount())
+	mnt, o, view := sess.Maint, sess.Opt, sess.Maint.Views()[0]
+	fmt.Println()
 
 	report := func(label string) {
 		q, err := sqlparser.ParseQuery(cat, `
@@ -112,14 +104,14 @@ func main() {
 	// Final consistency proof: the maintained view equals a recomputation,
 	// both read from the same committed snapshot.
 	snap := db.Snapshot()
-	fresh, err := exec.RunQuery(snap, st.Query)
+	fresh, err := exec.RunQuery(snap, view.Def)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if !exec.SameRows(snap.ViewData(st.ViewName).Rows(), fresh) {
+	if !exec.SameRows(snap.ViewData(view.Name).Rows(), fresh) {
 		log.Fatal("maintained view diverged from recomputation")
 	}
 	snap.Release()
 	fmt.Printf("\nverified: after all churn, %s still equals a full recomputation (%d groups)\n",
-		mv.Name, db.View(st.ViewName).RowCount())
+		view.Name, db.View(view.Name).RowCount())
 }

@@ -10,6 +10,8 @@ import (
 	"matview/internal/tpch"
 )
 
+// deferredFixture defines a view without building it: the background-create
+// path, where the build runs apart from the definition and the install.
 func deferredFixture(t *testing.T) (*storage.Database, *maintain.Maintainer, *maintain.View) {
 	t.Helper()
 	db, err := tpch.NewDatabase(0.001, 7)
@@ -23,21 +25,21 @@ func deferredFixture(t *testing.T) (*storage.Database, *maintain.Maintainer, *ma
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := m.RegisterDeferred("def_oc", def)
+	v, err := m.Define("def_oc", def)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return db, m, v
 }
 
-// TestDeferredLifecycle walks the happy path: Rebuilding on registration
-// (no stored rows, DML skips it), Fresh with correct contents after
+// TestDeferredLifecycle walks the happy path: Rebuilding on definition (no
+// stored rows, DML skips it), Fresh with correct contents after
 // Build+Install.
 func TestDeferredLifecycle(t *testing.T) {
 	db, m, v := deferredFixture(t)
 
 	if st, ok := m.ViewState("def_oc"); !ok || st != maintain.Rebuilding {
-		t.Fatalf("state after RegisterDeferred = %v, want Rebuilding", st)
+		t.Fatalf("state after Define = %v, want Rebuilding", st)
 	}
 	if db.View("def_oc") != nil {
 		t.Fatal("deferred view has stored rows before install")
@@ -52,11 +54,14 @@ func TestDeferredLifecycle(t *testing.T) {
 		t.Fatalf("state after DML = %v, want still Rebuilding", st)
 	}
 
-	rows, err := m.BuildDeferred(v)
+	rows, epoch, err := m.Build(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InstallDeferred(v, rows); err != nil {
+	if epoch != db.Epoch() {
+		t.Fatalf("build epoch %d, database at %d", epoch, db.Epoch())
+	}
+	if err := m.Install(v, rows); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := m.ViewState("def_oc"); st != maintain.Fresh {
@@ -74,18 +79,18 @@ func TestDeferredLifecycle(t *testing.T) {
 	checkAgainstRecompute(t, db, v)
 }
 
-// TestDeferredBuildFault: a fault during the deferred build surfaces as an
-// error; FailDeferred quarantines the view and counts it.
+// TestDeferredBuildFault: a fault during the build surfaces as an error;
+// quarantining the view counts it.
 func TestDeferredBuildFault(t *testing.T) {
 	_, m, v := deferredFixture(t)
 	inj := faults.New(3)
 	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1})
 	m.SetFaultInjector(inj)
 
-	if _, err := m.BuildDeferred(v); err == nil {
+	if _, _, err := m.Build(v); err == nil {
 		t.Fatal("faulted build reported success")
 	} else {
-		m.FailDeferred("def_oc", err)
+		m.SetState("def_oc", maintain.Quarantined, err)
 	}
 	if st, _ := m.ViewState("def_oc"); st != maintain.Quarantined {
 		t.Fatalf("state after failed build = %v, want Quarantined", st)
@@ -93,13 +98,18 @@ func TestDeferredBuildFault(t *testing.T) {
 	if got := m.Stats().Quarantines; got != 1 {
 		t.Fatalf("quarantines = %d, want 1", got)
 	}
+	// Repair cannot revive it: rows rebuilt there would be stored for a view
+	// the optimizer never registered.
+	if err := m.RepairView("def_oc", true); err == nil {
+		t.Fatal("forced repair of a never-built view succeeded")
+	}
 
 	// The clean retry path: the injector is spent, rebuild and install.
-	rows, err := m.BuildDeferred(v)
+	rows, _, err := m.Build(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.InstallDeferred(v, rows); err != nil {
+	if err := m.Install(v, rows); err != nil {
 		t.Fatal(err)
 	}
 	if st, _ := m.ViewState("def_oc"); st != maintain.Fresh {
@@ -114,12 +124,12 @@ func TestDeferredBuildPanicContained(t *testing.T) {
 	inj := faults.New(4)
 	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1, Panic: true})
 	m.SetFaultInjector(inj)
-	if _, err := m.BuildDeferred(v); err == nil {
+	if _, _, err := m.Build(v); err == nil {
 		t.Fatal("panicking build reported success")
 	}
 }
 
-// TestDeferredDuplicateName: deferred registration respects the namespace.
+// TestDeferredDuplicateName: a defined view holds its name.
 func TestDeferredDuplicateName(t *testing.T) {
 	db, m, _ := deferredFixture(t)
 	def, err := sqlparser.ParseQuery(db.Catalog,
@@ -127,23 +137,35 @@ func TestDeferredDuplicateName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.RegisterDeferred("def_oc", def); err == nil {
+	if _, err := m.Define("def_oc", def); err == nil {
 		t.Fatal("duplicate deferred name accepted")
 	}
 }
 
 // TestDeferredDropWhileRebuilding: a deferred view can be dropped before it
 // is ever installed (the controller's error path) without leaving ledger
-// residue.
+// residue, and rows built for it can no longer be installed.
 func TestDeferredDropWhileRebuilding(t *testing.T) {
-	db, m, _ := deferredFixture(t)
+	db, m, v := deferredFixture(t)
+	rows, _, err := m.Build(v)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ok, err := m.Drop("def_oc"); !ok || err != nil {
 		t.Fatalf("drop of deferred view failed: %v %v", ok, err)
 	}
 	if _, ok := m.ViewState("def_oc"); ok {
 		t.Fatal("dropped view still in lifecycle ledger")
 	}
+	if err := m.Install(v, rows); err == nil {
+		t.Fatal("rows installed for a dropped view")
+	} else {
+		m.SetState("def_oc", maintain.Quarantined, err) // what the server does with a failed install
+	}
 	if db.View("def_oc") != nil {
 		t.Fatal("dropped view left rows behind")
+	}
+	if _, ok := m.ViewState("def_oc"); ok {
+		t.Fatal("a failed install of a dropped view re-entered the ledger")
 	}
 }

@@ -299,14 +299,16 @@ func (m *Maintainer) Stats() Stats {
 	return s
 }
 
-// transition moves a view to state `to`, maintains the degraded clock, and
-// returns the previous state plus the listener to invoke (lock-free).
+// transition moves a registered view to state `to`, maintains the degraded
+// clock, and returns the previous state plus the listener to invoke
+// (lock-free). An unregistered name — a view dropped meanwhile — is left
+// alone.
 func (lc *lifecycle) transition(name string, to State, cause error) (from State, notify func()) {
 	lc.mu.Lock()
 	h := lc.health[name]
 	if h == nil {
-		h = &viewHealth{}
-		lc.health[name] = h
+		lc.mu.Unlock()
+		return to, func() {}
 	}
 	from = h.state
 	h.state = to
@@ -346,17 +348,9 @@ func (lc *lifecycle) accountTransition(from, to State) {
 	}
 }
 
-// register initializes a Fresh ledger entry for a new view.
-func (lc *lifecycle) register(name string) {
-	lc.mu.Lock()
-	defer lc.mu.Unlock()
-	lc.health[name] = &viewHealth{state: Fresh}
-}
-
-// registerState initializes a ledger entry in an arbitrary state (deferred
-// registration starts views at Rebuilding), opening the degraded stopwatch
-// if the state is non-Fresh.
-func (lc *lifecycle) registerState(name string, st State) {
+// register initializes a new view's ledger entry in state st, opening the
+// degraded stopwatch if st is not Fresh.
+func (lc *lifecycle) register(name string, st State) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.health[name] = &viewHealth{state: st}
@@ -476,15 +470,15 @@ func (m *Maintainer) Repair() RepairReport {
 // RepairView explicitly rebuilds one view regardless of backoff. Repairing a
 // Quarantined view requires force, which also resets its attempt budget.
 func (m *Maintainer) RepairView(name string, force bool) error {
-	var v *View
-	for _, w := range m.views {
-		if w.Name == name {
-			v = w
-			break
-		}
-	}
-	if v == nil {
+	i := m.find(name)
+	if i < 0 {
 		return fmt.Errorf("maintain: unknown view %q", name)
+	}
+	v := m.views[i]
+	if m.db.View(name) == nil {
+		// Its build failed before install: the optimizer never learned of
+		// it, so a rebuild here would store rows nothing can match.
+		return fmt.Errorf("maintain: view %s was never built; drop it and create it again", name)
 	}
 	m.lc.mu.Lock()
 	h := m.lc.health[name]
@@ -503,13 +497,20 @@ func (m *Maintainer) RepairView(name string, force bool) error {
 	return nil
 }
 
-// RestoreHealth seeds a view's lifecycle state without running maintenance.
-// Crash recovery uses it to re-impose the health a checkpoint recorded: a
-// view that was Stale or Quarantined when the checkpoint was cut must come
-// back untrusted, not silently Fresh. The listener fires so the optimizer's
-// matching eligibility tracks the restored state.
-func (m *Maintainer) RestoreHealth(name string, st State) {
-	_, notify := m.lc.transition(name, st, nil)
+// SetState moves a registered view to st without running maintenance, with
+// cause as its last error: Install brings a built view Fresh, a failed
+// background build quarantines its view, and crash recovery re-imposes the
+// health a checkpoint recorded — a view that was Stale or Quarantined when
+// the checkpoint was cut comes back untrusted, not silently Fresh. Every
+// entry into quarantine counts in Stats. The listener fires so the
+// optimizer's matching eligibility tracks the state.
+func (m *Maintainer) SetState(name string, st State, cause error) {
+	from, notify := m.lc.transition(name, st, cause)
+	if st == Quarantined && from != Quarantined {
+		m.lc.mu.Lock()
+		m.lc.stats.Quarantines++
+		m.lc.mu.Unlock()
+	}
 	notify()
 }
 

@@ -42,11 +42,11 @@ func newLifecycleFixture(t *testing.T, seed int64) (*storage.Database, *maintain
 			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
 		},
 	}
-	vs, err := m.Register("lc_spj", spj)
+	vs, err := register(m, "lc_spj", spj)
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := m.Register("lc_agg", agg)
+	va, err := register(m, "lc_agg", agg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestSelfJoinRecomputeLifecycle(t *testing.T) {
 			{Name: "b_name", Expr: expr.Col(1, tpch.NName)},
 		},
 	}
-	v, err := m.Register("lc_pairs", def)
+	v, err := register(m, "lc_pairs", def)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,10 +12,15 @@
 // stored groups, inserting new groups and deleting groups whose count reaches
 // zero. Views referencing the changed table more than once (self-joins) fall
 // back to full recomputation, as production systems also commonly do.
+//
+// The Maintainer is the registry of record for views: every view the
+// optimizer matches or storage holds is one of its views (shell.Session keeps
+// the three in step and checks it with CheckViews).
 package maintain
 
 import (
 	"fmt"
+	"slices"
 
 	"matview/internal/exec"
 	"matview/internal/expr"
@@ -32,11 +37,10 @@ type View struct {
 
 	// Derived layout for aggregation views: positions of group keys, the
 	// count column, and sum columns in the output row.
-	isAgg   bool
-	keyPos  []int
-	cntPos  int
-	sumPos  []int
-	sumArgs []int // parallel to sumPos; index into Def.Outputs
+	isAgg  bool
+	keyPos []int
+	cntPos int
+	sumPos []int
 }
 
 // Maintainer tracks a set of materialized views, applies base-table changes
@@ -44,9 +48,9 @@ type View struct {
 // maintenance fails is marked Stale before the statement returns, repaired
 // by Repair with backoff, and Quarantined if repairs keep failing.
 //
-// Insert, Delete, Repair, Register, and Drop must be externally serialized
-// (the server runs them under its exclusive lock); the lifecycle ledger —
-// ViewState, Stats, ViewsInState — may be read concurrently.
+// Every method but the lifecycle readers must be externally serialized (the
+// server runs them under its exclusive lock, Build under its shared lock);
+// the ledger — ViewState, Stats, ViewsInState — may be read concurrently.
 type Maintainer struct {
 	db    *storage.Database
 	views []*View
@@ -63,75 +67,102 @@ func New(db *storage.Database) *Maintainer {
 	return &Maintainer{db: db, lc: newLifecycle()}
 }
 
-// Register materializes the view (if not already stored) and starts
-// maintaining it. The definition must satisfy the indexable-view rules —
-// exactly the restrictions §2 imposes to make incremental maintenance
-// possible.
-func (m *Maintainer) Register(name string, def *spjg.Query) (*View, error) {
+// find returns the position of the named view, or -1.
+func (m *Maintainer) find(name string) int {
+	return slices.IndexFunc(m.views, func(v *View) bool { return v.Name == name })
+}
+
+// Define validates def against the indexable-view rules — exactly the
+// restrictions §2 imposes to make incremental maintenance possible — derives
+// its maintenance layout, and registers the view as Rebuilding: in the
+// ledger (and on /healthz), skipped by every statement, and without stored
+// rows until Install stores the rows Build computed. A name the maintainer
+// already holds is refused.
+func (m *Maintainer) Define(name string, def *spjg.Query) (*View, error) {
+	if m.find(name) >= 0 {
+		return nil, fmt.Errorf("maintain: duplicate view %q", name)
+	}
 	if err := def.ValidateAsView(); err != nil {
 		return nil, err
 	}
 	v := &View{Name: name, Def: def, isAgg: def.IsAggregate(), cntPos: -1}
 	if v.isAgg {
+		// ValidateAsView admits SUM and one COUNT_BIG(*) besides the keys.
 		for i, o := range def.Outputs {
 			switch {
 			case o.Expr != nil:
 				v.keyPos = append(v.keyPos, i)
-			case o.Agg != nil && o.Agg.Kind == spjg.AggCountStar:
+			case o.Agg.Kind == spjg.AggCountStar:
 				v.cntPos = i
-			case o.Agg != nil && o.Agg.Kind == spjg.AggSum:
-				v.sumPos = append(v.sumPos, i)
-				v.sumArgs = append(v.sumArgs, i)
 			default:
-				return nil, fmt.Errorf("maintain: view %s: unsupported aggregate", name)
+				v.sumPos = append(v.sumPos, i)
 			}
-		}
-		if v.cntPos < 0 {
-			return nil, fmt.Errorf("maintain: view %s lacks COUNT_BIG(*)", name)
-		}
-	}
-	if m.db.View(name) == nil {
-		if _, err := exec.Materialize(m.db, name, def); err != nil {
-			m.db.RollbackView(name)
-			return nil, err
 		}
 	}
 	m.views = append(m.views, v)
-	m.lc.register(name)
-	// Publish the materialization so the committed epoch always contains
-	// every registered view (RollbackView relies on that to distinguish
-	// "restore committed contents" from "drop a never-committed view").
-	if _, err := m.db.CommitDurable(); err != nil {
-		m.db.RollbackView(name)
-		m.views = m.views[:len(m.views)-1]
-		m.lc.drop(name)
-		return nil, fmt.Errorf("maintain: commit of view %s failed: %w", name, err)
-	}
+	m.lc.register(name, Rebuilding)
 	return v, nil
+}
+
+// Build computes v's rows read-only against a pinned snapshot of the
+// committed epoch, so it may run concurrently with query traffic, and
+// returns them with that epoch: they are v's contents only while the
+// database is still at it. Panics become errors, and the recompute fault
+// site fires here so chaos runs can break a build mid-flight.
+func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error) {
+	err = guard(func() error {
+		if ferr := m.faults.Maybe(faults.SiteMaintainRecompute); ferr != nil {
+			return fmt.Errorf("maintain: build of %s: %w", v.Name, ferr)
+		}
+		snap := m.db.Snapshot()
+		defer snap.Release()
+		epoch = snap.Epoch()
+		var rerr error
+		rows, rerr = exec.RunQuery(snap, v.Def)
+		return rerr
+	})
+	return rows, epoch, err
+}
+
+// Install stores rows — Build's result, still current — as v's contents,
+// publishes them as one epoch, and brings v Fresh. A commit failure drops the
+// never-committed rows again and leaves v as it was.
+func (m *Maintainer) Install(v *View, rows []storage.Row) error {
+	if i := m.find(v.Name); i < 0 || m.views[i] != v {
+		return fmt.Errorf("maintain: view %s was dropped before its rows were installed", v.Name)
+	}
+	return guard(func() error {
+		m.db.PutView(v.Name, len(v.Def.Outputs), rows)
+		if _, err := m.db.CommitDurable(); err != nil {
+			m.db.RollbackView(v.Name)
+			return fmt.Errorf("maintain: commit of view %s failed: %w", v.Name, err)
+		}
+		m.SetState(v.Name, Fresh, nil)
+		return nil
+	})
 }
 
 // Views returns the maintained views.
 func (m *Maintainer) Views() []*View { return m.views }
 
-// Drop stops maintaining a view and removes its materialized rows from
-// storage; it reports whether the view was registered. A commit failure
-// (durable servers whose WAL refused the drop record) restores the view —
-// storage, registration, and ledger entry — and returns the error.
+// Drop stops maintaining a view and removes its stored rows, if it has any;
+// it reports whether the view was registered. A commit failure (durable
+// servers whose WAL refused the drop) restores the rows, keeps the view
+// registered, and returns the error.
 func (m *Maintainer) Drop(name string) (bool, error) {
-	for i, v := range m.views {
-		if v.Name == name {
-			m.views = append(m.views[:i], m.views[i+1:]...)
-			m.db.DropView(name)
-			if _, err := m.db.CommitDurable(); err != nil {
-				m.db.RollbackView(name)
-				m.views = append(m.views, v)
-				return true, fmt.Errorf("maintain: commit of drop view %s failed: %w", name, err)
-			}
-			m.lc.drop(name)
-			return true, nil
+	i := m.find(name)
+	if i < 0 {
+		return false, nil
+	}
+	if m.db.DropView(name) {
+		if _, err := m.db.CommitDurable(); err != nil {
+			m.db.RollbackView(name)
+			return true, fmt.Errorf("maintain: commit of drop view %s failed: %w", name, err)
 		}
 	}
-	return false, nil
+	m.views = slices.Delete(m.views, i, i+1)
+	m.lc.drop(name)
+	return true, nil
 }
 
 // instancesOf counts how many times the view references the table.
@@ -145,128 +176,27 @@ func instancesOf(def *spjg.Query, table string) int {
 	return n
 }
 
-// Insert appends rows to a base table and incrementally maintains every
-// registered view, as one snapshot-to-snapshot commit: deltas are computed
-// read-only against the committed epoch, the base write and every successful
-// per-view apply are published together as the next epoch, and failures roll
-// the affected object back to its committed contents. Concretely:
-//
-//   - A base-write failure aborts the whole statement. The table head is
-//     rolled back, no view is touched, and the epoch does not advance — the
-//     returned *MaintenanceError has Base set and nothing in Updated.
-//   - A per-view failure does not abort the statement: the failing view is
-//     rolled back to its committed (pre-statement) contents — consistent but
-//     stale, never torn — and marked Stale before Insert returns; the
-//     remaining views and the base write still commit.
-//
-// Non-Fresh views are not touched (Repair owns them); the returned error
-// names exactly which views were updated, failed, or skipped.
+// Insert appends rows to a base table and maintains every registered view
+// (see write).
 func (m *Maintainer) Insert(table string, rows []storage.Row) error {
-	t := m.db.Table(table)
-	if t == nil {
-		return fmt.Errorf("maintain: unknown table %q", table)
-	}
-	rep := &MaintenanceError{Op: "insert", Table: table}
-	// Phase 1 — read-only: compute each eligible single-instance view's delta
-	// Q(T ← Δ) against the pre-insert state. Only `table` changes, so
-	// evaluation order relative to the base write is irrelevant for these
-	// views. Nothing is marked Stale yet: if the base write below aborts, a
-	// view whose delta merely failed to compute is still consistent.
-	type pending struct {
-		v     *View
-		delta []storage.Row
-	}
-	var pendings []pending
-	var computeFailed []ViewError
-	var selfJoin []*View
-	changed := storage.NewOverlay(m.db, table, rows)
-	for _, v := range m.views {
-		switch instancesOf(v.Def, table) {
-		case 0:
-			continue
-		case 1:
-			if st, _ := m.ViewState(v.Name); st != Fresh {
-				rep.Skipped = append(rep.Skipped, v.Name)
-				continue
-			}
-			delta, err := m.computeDelta(v, changed)
-			if err != nil {
-				computeFailed = append(computeFailed, ViewError{v.Name, err})
-				continue
-			}
-			pendings = append(pendings, pending{v, delta})
-		default:
-			// Self-join views are recomputed after the base insert below.
-			selfJoin = append(selfJoin, v)
-		}
-	}
-	// Phase 2 — base write. Failure aborts the statement: the table head is
-	// rolled back to the committed epoch, so a mid-batch failure cannot
-	// persist a prefix of the batch, and every view stays consistent.
-	if err := guard(func() error {
+	_, err := m.write("insert", table, +1, func(t *storage.Table) ([]storage.Row, error) {
 		for _, r := range rows {
 			if err := t.Insert(r); err != nil {
-				return err
+				return nil, err
 			}
 		}
-		return nil
-	}); err != nil {
-		m.db.RollbackTable(table)
-		rep.Base = fmt.Errorf("maintain: base insert into %s failed: %w", table, err)
-		return rep
-	}
-	// Phase 3 — apply deltas. A failing view rolls back to its committed
-	// contents and goes Stale; the statement carries on.
-	for _, f := range computeFailed {
-		m.failView(f.View, f.Err)
-		rep.Failed = append(rep.Failed, f)
-	}
-	for _, p := range pendings {
-		if err := m.applyGuarded(p.v, p.delta, +1); err != nil {
-			m.db.RollbackView(p.v.Name)
-			m.failView(p.v.Name, err)
-			rep.Failed = append(rep.Failed, ViewError{p.v.Name, err})
-		} else {
-			rep.Updated = append(rep.Updated, p.v.Name)
-		}
-	}
-	// Phase 4 — self-join views: full recompute from the post-insert head. A
-	// successful recompute also heals a Stale view; only Quarantined views
-	// wait for an operator.
-	for _, v := range selfJoin {
-		m.recomputeInPlace(v, rep)
-	}
-	// Phase 5 — publish the base write and every successful view update as
-	// one new epoch. Snapshots pinned before this instant keep reading the
-	// previous epoch in full. A commit failure (the WAL refused the record)
-	// aborts the statement: base and views roll back to the committed epoch,
-	// and every view this statement touched is marked Stale — a rolled-back
-	// self-join recompute may have healed a Stale view in the ledger, so the
-	// restored (pre-statement) contents cannot be trusted as Fresh.
-	if _, err := m.db.CommitDurable(); err != nil {
-		m.db.RollbackTable(table)
-		for _, name := range rep.Updated {
-			m.db.RollbackView(name)
-			m.failView(name, err)
-		}
-		rep.Updated = nil
-		rep.Base = fmt.Errorf("maintain: commit of insert into %s failed: %w", table, err)
-		return rep
-	}
-	return rep.orNil()
+		return rows, nil
+	})
+	return err
 }
 
-// Delete removes the base-table rows satisfying pred and incrementally
-// maintains every registered view, with the same transactional contract as
-// Insert: a base-write failure rolls the table back and aborts the statement
-// with no view touched; a per-view failure rolls that view back to its
-// committed contents and marks it Stale; everything that succeeded publishes
-// as one new epoch. It returns the number of deleted rows.
+// Delete removes the base-table rows satisfying pred, maintains every
+// registered view (see write), and returns the number of deleted rows.
 //
 // pred sees every live row boxed, so the statement costs a full pass over
 // the table; DeleteWhere takes the predicate as an expression and does not.
 func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, error) {
-	return m.deleteRows(table, func(t *storage.Table) ([]storage.Row, error) { return t.DeleteWhere(pred) })
+	return m.write("delete", table, -1, func(t *storage.Table) ([]storage.Row, error) { return t.DeleteWhere(pred) })
 }
 
 // DeleteWhere is Delete for a WHERE clause over the table's columns (nil
@@ -275,7 +205,7 @@ func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, err
 // whose evaluation could fail on some row goes row by row instead, counting
 // a failing row as not matching.
 func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
-	return m.deleteRows(table, func(t *storage.Table) ([]storage.Row, error) {
+	return m.write("delete", table, -1, func(t *storage.Table) ([]storage.Row, error) {
 		if ords, ok := exec.MatchOrdinals(t.Store(), where); ok {
 			return t.DeleteOrds(ords)
 		}
@@ -287,56 +217,84 @@ func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
 	})
 }
 
-// deleteRows runs one DELETE: del removes the victims from the base table
-// and returns them, then every view is maintained from them.
-func (m *Maintainer) deleteRows(table string, del func(*storage.Table) ([]storage.Row, error)) (int, error) {
+// write runs one INSERT or DELETE as a snapshot-to-snapshot commit: base
+// changes the table and returns the changed rows Δ (sign +1 for inserted
+// rows, -1 for deleted ones), one loop brings every view over the table up
+// to date, and the base write and every view update that succeeded publish
+// together as the next epoch. Snapshots pinned before keep reading the
+// previous epoch in full. Concretely:
+//
+//   - A base-write failure aborts the statement: the table rolls back to the
+//     committed epoch, no view is touched, the epoch does not advance, and the
+//     returned *MaintenanceError has Base set.
+//   - A view that reads the table once folds in its delta Q(T ← Δ), evaluated
+//     over one overlay in which Δ stands for the table. Only the table
+//     changed, so the rest of the database the delta reads is the same before
+//     and after the base write. A view that reads it more than once (a
+//     self-join) is recomputed from the written database, which also heals
+//     it if it was Stale.
+//   - A failing view rolls back to its committed contents — consistent but
+//     stale, never torn — and is marked Stale before the statement returns;
+//     the rest of the statement still commits. Every other view that is not
+//     Fresh is skipped (Repair owns it).
+//   - A commit failure (the WAL refused the record) aborts the statement: the
+//     table and views roll back, and every view the statement updated is
+//     marked Stale, since a rolled-back recompute may have healed one in the
+//     ledger.
+//
+// The returned error names exactly which views were updated, failed, or
+// skipped; the count is len(Δ).
+func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Table) ([]storage.Row, error)) (int, error) {
 	t := m.db.Table(table)
 	if t == nil {
 		return 0, fmt.Errorf("maintain: unknown table %q", table)
 	}
-	rep := &MaintenanceError{Op: "delete", Table: table}
-	var deleted []storage.Row
-	err := guard(func() error {
-		var derr error
-		deleted, derr = del(t)
-		return derr
-	})
-	if err != nil {
-		// Rolling the table back to the committed epoch restores rows and
-		// indexes alike, so the views stay consistent with it.
+	rep := &MaintenanceError{Op: op, Table: table}
+	var changed []storage.Row
+	if err := guard(func() (err error) {
+		changed, err = base(t)
+		return err
+	}); err != nil {
 		m.db.RollbackTable(table)
-		rep.Base = fmt.Errorf("maintain: base delete from %s failed: %w", table, err)
+		rep.Base = fmt.Errorf("maintain: base %s on %s failed: %w", op, table, err)
 		return 0, rep
 	}
-	if len(deleted) == 0 {
+	if len(changed) == 0 {
 		return 0, nil
 	}
-	changed := storage.NewOverlay(m.db, table, deleted)
+	delta := storage.NewOverlay(m.db, table, changed)
 	for _, v := range m.views {
-		switch instancesOf(v.Def, table) {
-		case 0:
+		n := instancesOf(v.Def, table)
+		if n == 0 {
 			continue
-		case 1:
-			if st, _ := m.ViewState(v.Name); st != Fresh {
-				rep.Skipped = append(rep.Skipped, v.Name)
-				continue
-			}
-			// Other tables are unchanged, so Q(T ← Δ) after the base delete
-			// equals the delta of the view.
-			delta, derr := m.computeDelta(v, changed)
-			if derr == nil {
-				derr = m.applyGuarded(v, delta, -1)
-			}
-			if derr != nil {
-				m.db.RollbackView(v.Name)
-				m.failView(v.Name, derr)
-				rep.Failed = append(rep.Failed, ViewError{v.Name, derr})
-			} else {
-				rep.Updated = append(rep.Updated, v.Name)
-			}
-		default:
-			m.recomputeInPlace(v, rep)
 		}
+		// Repair owns a view that is not Fresh, except that a self-join's
+		// recompute heals a Stale one.
+		st, _ := m.ViewState(v.Name)
+		if st != Fresh && (n == 1 || st != Stale) {
+			rep.Skipped = append(rep.Skipped, v.Name)
+			continue
+		}
+		err := guard(func() error {
+			if n > 1 {
+				return m.recompute(v)
+			}
+			rows, err := m.computeDelta(v, delta)
+			if err != nil {
+				return err
+			}
+			return m.apply(v, rows, sign)
+		})
+		if err != nil {
+			m.db.RollbackView(v.Name)
+			m.failView(v.Name, err)
+			rep.Failed = append(rep.Failed, ViewError{v.Name, err})
+			continue
+		}
+		if st != Fresh {
+			m.SetState(v.Name, Fresh, nil)
+		}
+		rep.Updated = append(rep.Updated, v.Name)
 	}
 	if _, err := m.db.CommitDurable(); err != nil {
 		m.db.RollbackTable(table)
@@ -345,59 +303,24 @@ func (m *Maintainer) deleteRows(table string, del func(*storage.Table) ([]storag
 			m.failView(name, err)
 		}
 		rep.Updated = nil
-		rep.Base = fmt.Errorf("maintain: commit of delete from %s failed: %w", table, err)
+		rep.Base = fmt.Errorf("maintain: commit of %s on %s failed: %w", op, table, err)
 		return 0, rep
 	}
-	return len(deleted), rep.orNil()
+	return len(changed), rep.orNil()
 }
 
 // computeDelta evaluates the view's delta query Q(T ← Δ) read-only over
-// changed, the statement's zero-copy overlay of the database in which the
-// changed rows stand for their table (one overlay serves every view). Panics
-// become errors so one broken view cannot unwind the whole statement.
-func (m *Maintainer) computeDelta(v *View, changed *storage.Overlay) (delta []storage.Row, err error) {
-	err = guard(func() error {
-		if ferr := m.faults.Maybe(faults.SiteMaintainDelta); ferr != nil {
-			return fmt.Errorf("maintain: delta for %s: %w", v.Name, ferr)
-		}
-		var rerr error
-		delta, rerr = exec.RunQuery(changed, v.Def)
-		if rerr != nil {
-			return fmt.Errorf("maintain: delta for %s: %w", v.Name, rerr)
-		}
-		return nil
-	})
+// delta, the statement's zero-copy overlay of the database in which the
+// changed rows stand for their table (one overlay serves every view).
+func (m *Maintainer) computeDelta(v *View, delta *storage.Overlay) ([]storage.Row, error) {
+	if err := m.faults.Maybe(faults.SiteMaintainDelta); err != nil {
+		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
+	}
+	rows, err := exec.RunQuery(delta, v.Def)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
 	}
-	return delta, nil
-}
-
-// applyGuarded folds a computed delta into the stored view with panics
-// converted to errors. On error the caller rolls the view back.
-func (m *Maintainer) applyGuarded(v *View, delta []storage.Row, sign int64) error {
-	return guard(func() error { return m.apply(v, delta, sign) })
-}
-
-// recomputeInPlace is the self-join maintenance path: rebuild the view from
-// the post-change database, recording the outcome in rep and the lifecycle.
-// A failed recompute rolls the view back to its committed contents.
-func (m *Maintainer) recomputeInPlace(v *View, rep *MaintenanceError) {
-	if st, _ := m.ViewState(v.Name); st == Quarantined {
-		rep.Skipped = append(rep.Skipped, v.Name)
-		return
-	}
-	if err := guard(func() error { return m.recompute(v) }); err != nil {
-		m.db.RollbackView(v.Name)
-		m.failView(v.Name, err)
-		rep.Failed = append(rep.Failed, ViewError{v.Name, err})
-		return
-	}
-	if st, _ := m.ViewState(v.Name); st != Fresh {
-		_, notify := m.lc.transition(v.Name, Fresh, nil)
-		notify()
-	}
-	rep.Updated = append(rep.Updated, v.Name)
+	return rows, nil
 }
 
 // recompute rebuilds a view from scratch (self-join fallback and Repair).
@@ -434,17 +357,6 @@ func (m *Maintainer) apply(v *View, delta []storage.Row, sign int64) error {
 	return mv.PatchIndexes()
 }
 
-// appendRowKey appends the composite group/row key of the given columns to
-// buf — Value.AppendKey bytes joined by 0x1f, the key layout of a storage
-// index. Callers reuse buf across rows.
-func appendRowKey(buf []byte, r storage.Row, cols []int) []byte {
-	for _, c := range cols {
-		buf = r[c].AppendKey(buf)
-		buf = append(buf, '\x1f')
-	}
-	return buf
-}
-
 // bagSubtract removes one stored occurrence per delta row (bag semantics),
 // finding them through the view's locator over all of its columns: the cost
 // follows the delta, not the view.
@@ -460,7 +372,7 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 	ords := make([]int, 0, len(delta))
 	var buf []byte
 	for _, d := range delta {
-		buf = appendRowKey(buf[:0], d, cols)
+		buf = d.AppendKey(buf[:0], cols)
 		stored := loc.ProbeKey(buf)
 		k := taken[string(buf)]
 		if k >= len(stored) {
@@ -486,7 +398,7 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 	loc := mv.Locator(v.keyPos)
 	var buf []byte
 	for _, d := range delta {
-		buf = appendRowKey(buf[:0], d, v.keyPos)
+		buf = d.AppendKey(buf[:0], v.keyPos)
 		stored := loc.ProbeKey(buf)
 		if len(stored) == 0 {
 			if sign < 0 {

@@ -43,7 +43,7 @@ func maintBenchSetup(b *testing.B) (*maintain.Maintainer, []storage.Row) {
 				maintBench.err = err
 				return
 			}
-			if _, err := m.Register(v.name, def); err != nil {
+			if _, err := register(m, v.name, def); err != nil {
 				maintBench.err = err
 				return
 			}

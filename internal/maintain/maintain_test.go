@@ -14,6 +14,24 @@ import (
 	"matview/internal/tpch"
 )
 
+// register defines, builds and installs a view — the maintainer's half of a
+// session's CREATE VIEW — dropping the definition again if it never installs.
+func register(m *maintain.Maintainer, name string, def *spjg.Query) (*maintain.View, error) {
+	v, err := m.Define(name, def)
+	if err != nil {
+		return nil, err
+	}
+	rows, _, err := m.Build(v)
+	if err == nil {
+		err = m.Install(v, rows)
+	}
+	if err != nil {
+		m.Drop(name)
+		return nil, err
+	}
+	return v, nil
+}
+
 // checkAgainstRecompute asserts a maintained view equals a fresh evaluation
 // of its definition.
 func checkAgainstRecompute(t *testing.T, db *storage.Database, v *maintain.View) {
@@ -62,7 +80,7 @@ func TestSPJViewMaintenance(t *testing.T) {
 			{Name: "o_totalprice", Expr: expr.Col(0, tpch.OTotalprice)},
 		},
 	}
-	v, err := m.Register("big_orders", def)
+	v, err := register(m, "big_orders", def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +128,7 @@ func TestAggViewMaintenanceCountBig(t *testing.T) {
 			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
 		},
 	}
-	v, err := m.Register("cust_totals", def)
+	v, err := register(m, "cust_totals", def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +210,7 @@ func TestJoinViewMaintenance(t *testing.T) {
 			{Name: "qty", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.LQuantity)}},
 		},
 	}
-	v, err := m.Register("cust_rev", def)
+	v, err := register(m, "cust_rev", def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +254,7 @@ func TestSelfJoinFallsBackToRecompute(t *testing.T) {
 			{Name: "b_name", Expr: expr.Col(1, tpch.NName)},
 		},
 	}
-	v, err := m.Register("nation_pairs", def)
+	v, err := register(m, "nation_pairs", def)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,9 +294,26 @@ func TestMaintainErrors(t *testing.T) {
 			{Name: "s", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
 		},
 	}
-	if _, err := m.Register("bad", bad); err == nil {
+	if _, err := register(m, "bad", bad); err == nil {
 		t.Error("aggregation view without COUNT_BIG registered")
 	}
+}
+
+// TestDuplicateViewNameRefused: the maintainer is the registry of record, so
+// a second view under a held name is refused before anything is stored —
+// two entries of one name would each take every statement's delta.
+func TestDuplicateViewNameRefused(t *testing.T) {
+	db, m, _, va := newLifecycleFixture(t, 28)
+	if _, err := register(m, "lc_agg", va.Def); err == nil {
+		t.Fatal("second view named lc_agg accepted")
+	}
+	if n := len(m.Views()); n != 2 {
+		t.Fatalf("maintainer holds %d views, want 2", n)
+	}
+	if err := m.Insert("orders", []storage.Row{newOrderRow(db, 8_600_001, 14, 900)}); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstRecompute(t, db, va)
 }
 
 // TestMaintenanceRandomChurn applies random insert/delete batches and checks
@@ -311,7 +346,7 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 	}
 	var views []*maintain.View
 	for i, def := range defs {
-		v, err := m.Register(fmt.Sprintf("churn%d", i), def)
+		v, err := register(m, fmt.Sprintf("churn%d", i), def)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,8 +16,9 @@ import (
 // to a constant are planned as index seeks and costed accordingly — this is
 // how "any secondary indexes defined on a materialized view will be
 // considered automatically in the same way as for base tables" (§2) plays
-// out. The caller is responsible for building the matching storage index on
-// the materialized rows (storage.MaterializedView.BuildIndex).
+// out. The caller builds and commits the matching storage index first
+// (storage.MaterializedView.BuildIndex), so no plan seeks an index storage
+// lacks.
 func (o *Optimizer) RegisterViewIndex(name string, cols []int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -35,6 +36,17 @@ func (o *Optimizer) RegisterViewIndex(name string, cols []int) error {
 	}
 	o.viewIndexes[v.ID] = append(o.viewIndexes[v.ID], append([]int(nil), cols...))
 	o.epoch.Add(1)
+	return nil
+}
+
+// ViewIndexes returns the secondary indexes declared on a view, as output
+// ordinals — the ones plans may seek.
+func (o *Optimizer) ViewIndexes(name string) [][]int {
+	o.mu.RLock()
+	defer o.mu.RUnlock()
+	if v, ok := o.byName[name]; ok {
+		return o.viewIndexes[v.ID]
+	}
 	return nil
 }
 

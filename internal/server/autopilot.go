@@ -1,27 +1,21 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 
 	"matview/internal/autopilot"
 	"matview/internal/catalog"
 	"matview/internal/maintain"
+	"matview/internal/shell"
 	"matview/internal/spjg"
-	"matview/internal/storage"
 )
 
 // This file is the server side of the autopilot loop: the Actuator the
-// controller drives, the background-create path that brings views up
+// controller drives, the background create that brings views up
 // Rebuilding→Fresh without blocking traffic, and the /autopilot endpoints.
-//
-// Background creation and the data epoch: a deferred build computes the
-// view's rows under the shared lock, concurrently with queries — but DML
-// may land between the build and the install, which would install rows
-// computed against a database that no longer exists. Every successful /exec
-// bumps dataEpoch; the install takes the write lock, rechecks the epoch,
-// and retries the build if it moved. After a few racy attempts the final
-// build runs entirely under the write lock, which cannot race.
+// Every view operation is shell.Session's; this file only chooses the locks.
 
 // EvaluateSelection implements autopilot.Actuator: it runs fn under the
 // shared lock with the current catalog and registered-view snapshot, so the
@@ -43,99 +37,56 @@ func (s *Server) EvaluateSelection(fn func(cat *catalog.Catalog, views []autopil
 	fn(s.db.Catalog, infos)
 }
 
-// CreateView implements autopilot.Actuator: build the view in the
-// background and install it atomically. Traffic can never match the view
-// half-built: it enters the optimizer only in the same write-locked section
-// that stores its rows and marks it Fresh.
+// CreateView implements autopilot.Actuator without blocking traffic for the
+// build: the view is defined under the write lock (Rebuilding, never
+// matched), built under the shared lock concurrently with queries, and
+// installed under the write lock. DML that lands in between leaves the rows
+// stale, which InstallView refuses; the build then runs again, the last
+// attempt under the write lock, where nothing can interleave. A build or
+// install that fails quarantines the view until something drops it.
 func (s *Server) CreateView(name string, def *spjg.Query) error {
 	s.mu.Lock()
-	v, err := s.sess.Maint.RegisterDeferred(name, def)
+	v, err := s.sess.DefineView(name, def)
 	s.mu.Unlock()
 	if err != nil {
 		return err
 	}
 	const buildAttempts = 3
-	for attempt := 0; attempt < buildAttempts; attempt++ {
-		epoch := s.dataEpoch.Load()
-		s.mu.RLock()
-		rows, berr := s.sess.Maint.BuildDeferred(v)
-		s.mu.RUnlock()
-		if berr != nil {
-			s.sess.Maint.FailDeferred(name, berr)
-			return berr
+	for attempt := 1; ; attempt++ {
+		last := attempt == buildAttempts
+		if last {
+			s.mu.Lock()
+		} else {
+			s.mu.RLock()
 		}
-		s.mu.Lock()
-		if s.dataEpoch.Load() != epoch {
-			// DML landed between build and install; the rows are stale.
+		rows, epoch, err := s.sess.Maint.Build(v)
+		if !last {
+			s.mu.RUnlock()
+			s.mu.Lock()
+		}
+		if err == nil {
+			err = s.sess.InstallView(v, rows, epoch)
+		}
+		if errors.Is(err, shell.ErrStaleBuild) {
 			s.mu.Unlock()
 			continue
 		}
-		err := s.installDeferredLocked(v, name, def, rows)
+		if err != nil {
+			s.sess.Maint.SetState(name, maintain.Quarantined, err)
+		}
 		s.mu.Unlock()
 		return err
 	}
-	// Writes keep landing; give up on optimistic builds and do the last one
-	// under the write lock, where nothing can interleave.
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rows, berr := s.sess.Maint.BuildDeferred(v)
-	if berr != nil {
-		s.sess.Maint.FailDeferred(name, berr)
-		return berr
-	}
-	return s.installDeferredLocked(v, name, def, rows)
 }
 
-// installDeferredLocked registers the view with the optimizer and installs
-// its rows; the caller holds the write lock, so both catalog-epoch bumps
-// (registration and row count) land before any query can re-plan.
-func (s *Server) installDeferredLocked(v *maintain.View, name string, def *spjg.Query, rows []storage.Row) error {
-	if s.dur != nil {
-		// The autopilot creates views outside /exec, so durability needs a
-		// synthesized statement: replay re-runs it as an ordinary CREATE VIEW
-		// (materializing synchronously), which produces the same contents the
-		// deferred build installed here.
-		s.dur.Stage("create view " + name + " with schemabinding as " + def.String())
-		defer s.dur.Unstage()
-	}
-	if _, err := s.opt.RegisterView(name, def); err != nil {
-		s.sess.Maint.FailDeferred(name, err)
-		return err
-	}
-	if err := s.sess.Maint.InstallDeferred(v, rows); err != nil {
-		s.opt.DropView(name)
-		s.sess.Maint.FailDeferred(name, err)
-		return err
-	}
-	s.opt.SetViewRowCount(name, int64(len(rows)))
-	return nil
-}
-
-// DropView implements autopilot.Actuator: remove the view from the
-// optimizer (epoch bump invalidates any cached plan embedding it) and the
-// maintainer/storage, under the write lock.
+// DropView implements autopilot.Actuator: the view leaves every registry
+// under the write lock (the catalog-epoch bump kills any cached plan that
+// embedded it), and its usage counter goes with it.
 func (s *Server) DropView(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := s.opt.ViewByName(name)
-	if s.dur != nil {
-		// Durable servers log the drop as a synthesized statement so replay
-		// removes the view exactly where the live server did.
-		s.dur.Stage("drop view " + name)
-		defer s.dur.Unstage()
-	}
-	inOpt := s.opt.DropView(name)
-	inMaint, err := s.sess.Maint.Drop(name)
-	if err != nil {
-		// The drop never committed; the maintainer kept the view — restore
-		// the optimizer registration to match.
-		if v != nil {
-			_, _ = s.opt.RegisterView(name, v.Def)
-		}
+	if err := s.sess.DropView(name); err != nil {
 		return err
-	}
-	if !inOpt && !inMaint {
-		return fmt.Errorf("server: unknown view %q", name)
 	}
 	s.viewUseMu.Lock()
 	delete(s.viewUse, name)

@@ -11,10 +11,12 @@ import (
 	"time"
 
 	"matview/internal/autopilot"
+	"matview/internal/exec"
 	"matview/internal/faults"
 	"matview/internal/maintain"
 	"matview/internal/spjg"
 	"matview/internal/sqlparser"
+	"matview/internal/tpch"
 )
 
 func mustParseDef(t *testing.T, srv *Server, sql string) *spjg.Query {
@@ -121,6 +123,7 @@ func TestAutopilotEpochDiscipline(t *testing.T) {
 	if st, _ := srv.Maintainer().ViewState("auto_epoch"); st != maintain.Fresh {
 		t.Fatalf("state after CreateView = %v, want Fresh", st)
 	}
+	checkViews(t, srv)
 	stopReaders()
 
 	// The install bumped the epoch: the cached base-table plan is dead, the
@@ -150,6 +153,7 @@ func TestAutopilotEpochDiscipline(t *testing.T) {
 	if err := srv.DropView("auto_epoch"); err != nil {
 		t.Fatalf("DropView: %v", err)
 	}
+	checkViews(t, srv)
 	qr = query(t, ts, sqlSeq)
 	if qr.Cached {
 		t.Fatal("plan over a dropped view served from the cache")
@@ -197,6 +201,7 @@ func TestAutopilotChaosMidCreate(t *testing.T) {
 	if hr := healthz(t, ts); len(hr.Quarantined) != 1 || hr.Quarantined[0] != "auto_chaos" {
 		t.Fatalf("healthz does not report the quarantined view: %+v", hr)
 	}
+	checkViews(t, srv)
 
 	// The quarantined wreck is invisible to the optimizer: plans keep using
 	// base tables and answers keep matching the reference.
@@ -213,6 +218,7 @@ func TestAutopilotChaosMidCreate(t *testing.T) {
 	if err := srv.DropView("auto_chaos"); err != nil {
 		t.Fatalf("drop of quarantined view: %v", err)
 	}
+	checkViews(t, srv)
 	inj.SetEnabled(false)
 	if err := srv.CreateView("auto_retry", def); err != nil {
 		t.Fatalf("clean retry: %v", err)
@@ -220,6 +226,7 @@ func TestAutopilotChaosMidCreate(t *testing.T) {
 	if st, _ := srv.Maintainer().ViewState("auto_retry"); st != maintain.Fresh {
 		t.Fatalf("state after retry = %v, want Fresh", st)
 	}
+	checkViews(t, srv)
 	qr = query(t, ts, sql)
 	if !qr.UsedViews {
 		t.Fatal("retried view not matched")
@@ -227,6 +234,60 @@ func TestAutopilotChaosMidCreate(t *testing.T) {
 	if got := normRows(t, qr.Rows); fmt.Sprint(got) != fmt.Sprint(ref) {
 		t.Fatalf("answer after retry: got %v want %v", got, ref)
 	}
+}
+
+// TestExecDropsQuarantinedAutopilotView: an autopilot create whose build
+// faults leaves a quarantined view that the optimizer never heard of. /exec
+// DROP VIEW removes it from every registry and from /healthz, and a CREATE
+// VIEW of the same name afterwards is one view, maintained once: it equals a
+// recompute after an INSERT and after a DELETE.
+func TestExecDropsQuarantinedAutopilotView(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	def := mustParseDef(t, srv, pilotRollupDef)
+	inj := faults.New(29)
+	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1})
+	srv.SetFaultInjector(inj)
+	if err := srv.CreateView("apv", def); err == nil {
+		t.Fatal("faulted CreateView reported success")
+	}
+	checkViews(t, srv)
+	if hr := healthz(t, ts); len(hr.Quarantined) != 1 || hr.Quarantined[0] != "apv" {
+		t.Fatalf("healthz does not report the quarantined view: %+v", hr)
+	}
+
+	execStmt(t, ts, "drop view apv")
+	checkViews(t, srv)
+	if hr := healthz(t, ts); hr.Status != "ok" || len(hr.Quarantined) != 0 {
+		t.Fatalf("healthz after drop = %+v, want ok", hr)
+	}
+	if _, ok := srv.Maintainer().ViewState("apv"); ok {
+		t.Fatal("dropped view still in the lifecycle ledger")
+	}
+
+	execStmt(t, ts, "create view apv with schemabinding as "+pilotRollupDef)
+	checkViews(t, srv)
+	if n := len(srv.Maintainer().Views()); n != 1 {
+		t.Fatalf("maintainer holds %d views, want 1", n)
+	}
+	equalsRecompute := func(when string) {
+		t.Helper()
+		want, err := exec.RunQuery(srv.db, def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.db.View("apv").Rows(); !exec.SameRows(got, want) {
+			t.Fatalf("after %s apv holds %d rows, a recompute %d", when, len(got), len(want))
+		}
+	}
+	okey := srv.db.Table("orders").RowAt(0)[tpch.OOrderkey].Int()
+	execStmt(t, ts, fmt.Sprintf(`insert into lineitem values
+		(%d, 952, 1, 7, 3.0, 30.0, 0.0, 0.0, 'N', 'O',
+		 DATE '1995-05-05', DATE '1995-05-15', DATE '1995-05-25',
+		 'NONE', 'MAIL', 'recreated')`, okey))
+	equalsRecompute("INSERT")
+	execStmt(t, ts, "delete from lineitem where l_partkey = 952")
+	equalsRecompute("DELETE")
+	checkViews(t, srv)
 }
 
 func pilotStatus(t *testing.T, ts *httptest.Server) autopilot.Status {
@@ -280,6 +341,7 @@ func TestAutopilotSmoke(t *testing.T) {
 	if vs, ok := srv.Maintainer().ViewState(name); !ok || vs != maintain.Fresh {
 		t.Fatalf("managed view %q state = %v, want Fresh", name, vs)
 	}
+	checkViews(t, srv)
 
 	// Traffic now matches it, correctly, and usage is attributed.
 	sql := fmt.Sprintf(pilotSQL, 2)

@@ -31,6 +31,7 @@ func TestServerDegradedLifecycle(t *testing.T) {
 	execStmt(t, ts, `create view pq with schemabinding as
 		select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
 		from lineitem group by l_partkey`)
+	checkViews(t, srv)
 	sql := "select l_partkey, sum(l_quantity) as qty from lineitem where l_partkey = 5 group by l_partkey"
 	if qr := query(t, ts, sql); !qr.UsedViews {
 		t.Fatal("fresh view not matched")
@@ -52,6 +53,7 @@ func TestServerDegradedLifecycle(t *testing.T) {
 	if !strings.Contains(string(body), "pq") {
 		t.Fatalf("error does not name the stale view: %s", body)
 	}
+	checkViews(t, srv)
 
 	// The base row landed even though view maintenance failed: queries must
 	// see it via base-table plans, not the stale view, not a cached plan.
@@ -84,6 +86,7 @@ func TestServerDegradedLifecycle(t *testing.T) {
 	if hr := healthz(t, ts); hr.Status != "ok" {
 		t.Fatalf("healthz after repair = %+v", hr)
 	}
+	checkViews(t, srv)
 	qr = query(t, ts, sql)
 	if qr.Cached {
 		t.Fatal("recovery did not invalidate the cached fallback plan")
@@ -279,6 +282,7 @@ func TestChaosQueriesStayCorrect(t *testing.T) {
 			from orders group by o_custkey`,
 	} {
 		execStmt(t, ts, s)
+		checkViews(t, srv)
 	}
 
 	inj := faults.New(1234)
@@ -470,6 +474,7 @@ func TestChaosQueriesStayCorrect(t *testing.T) {
 	if hr := healthz(t, ts); hr.Status != "ok" {
 		t.Fatalf("healthz after recovery = %+v", hr)
 	}
+	checkViews(t, srv)
 
 	// Fully healed: answers still match, and views are matchable again.
 	usedView := false

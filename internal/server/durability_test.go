@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"matview/internal/catalog"
+	"matview/internal/faults"
+	"matview/internal/maintain"
 	"matview/internal/storage"
 	"matview/internal/tpch"
 	"matview/internal/wal"
@@ -105,6 +107,7 @@ func TestDurableServerCleanRestart(t *testing.T) {
 	dir := t.TempDir()
 	srv, _, ts := newDurableServer(t, dir, Config{})
 	execStmt(t, ts, "create view dur_oc with schemabinding as select o_custkey, count_big(*) as cnt from orders group by o_custkey")
+	checkViews(t, srv)
 	execStmt(t, ts, "insert into orders values (910001, 1, 'O', 50.0, '1995-06-01', '1-URGENT', 'Clerk#9', 0, 'durable')")
 	want := query(t, ts, "select o_custkey, count_big(*) as cnt from orders group by o_custkey")
 
@@ -125,6 +128,7 @@ func TestDurableServerCleanRestart(t *testing.T) {
 	if res2.Recovery.ReplayedRecords != 0 {
 		t.Fatalf("clean restart replayed %d records, want 0", res2.Recovery.ReplayedRecords)
 	}
+	checkViews(t, srv2)
 	h := healthz(t, ts2)
 	if h.Status != "ok" || h.RecoveryReplayed != 0 {
 		t.Fatalf("healthz after clean restart = %q replayed=%d, want ok/0", h.Status, h.RecoveryReplayed)
@@ -145,8 +149,9 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	// Long GC interval: the abandoned server's GC goroutine stays idle
 	// instead of churning during the rest of the test.
-	_, _, ts := newDurableServer(t, dir, Config{GCInterval: time.Hour})
+	srv, _, ts := newDurableServer(t, dir, Config{GCInterval: time.Hour})
 	execStmt(t, ts, "create view dur_oc2 with schemabinding as select o_custkey, count_big(*) as cnt from orders group by o_custkey")
+	checkViews(t, srv)
 	execStmt(t, ts, "insert into orders values (910002, 7, 'F', 75.5, '1997-01-15', '3-MEDIUM', 'Clerk#3', 0, 'crashy')")
 	want := query(t, ts, "select o_custkey, count_big(*) as cnt from orders group by o_custkey")
 	// No Shutdown: the process "dies" here with only fsync'd WAL state.
@@ -156,6 +161,7 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	if res2.Recovery.ReplayedRecords != 2 {
 		t.Fatalf("crash restart replayed %d records, want 2", res2.Recovery.ReplayedRecords)
 	}
+	checkViews(t, srv2)
 	h := healthz(t, ts2)
 	if h.Status != "ok" || h.RecoveryReplayed != 2 {
 		t.Fatalf("healthz after crash restart = %q replayed=%d, want ok/2", h.Status, h.RecoveryReplayed)
@@ -163,6 +169,42 @@ func TestDurableServerCrashRestart(t *testing.T) {
 	got := query(t, ts2, "select o_custkey, count_big(*) as cnt from orders group by o_custkey")
 	if g, w := normRows(t, got.Rows), normRows(t, want.Rows); strings.Join(g, "\n") != strings.Join(w, "\n") {
 		t.Fatal("rows after crash restart differ from pre-crash rows")
+	}
+}
+
+// TestRestartDropsUnbuiltView: a view whose autopilot build failed is
+// quarantined with no rows; its creation never committed, so nothing durable
+// records it, and a restart drops it — from every registry at once — while
+// the views that were built come back.
+func TestRestartDropsUnbuiltView(t *testing.T) {
+	dir := t.TempDir()
+	srv, _, ts := newDurableServer(t, dir, Config{})
+	execStmt(t, ts, "create view dur_built with schemabinding as select o_custkey, count_big(*) as cnt from orders group by o_custkey")
+	inj := faults.New(31)
+	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1})
+	srv.SetFaultInjector(inj)
+	if err := srv.CreateView("dur_wreck", mustParseDef(t, srv, pilotRollupDef)); err == nil {
+		t.Fatal("faulted CreateView reported success")
+	}
+	checkViews(t, srv)
+	if st, _ := srv.Maintainer().ViewState("dur_wreck"); st != maintain.Quarantined {
+		t.Fatalf("state after faulted build = %v, want Quarantined", st)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+
+	srv2, _, ts2 := newDurableServer(t, dir, Config{})
+	defer srv2.Shutdown(context.Background())
+	checkViews(t, srv2)
+	if _, ok := srv2.Maintainer().ViewState("dur_wreck"); ok {
+		t.Fatal("never-built view survived the restart")
+	}
+	if st, ok := srv2.Maintainer().ViewState("dur_built"); !ok || st != maintain.Fresh {
+		t.Fatalf("built view after restart: state %v, present %v", st, ok)
+	}
+	if h := healthz(t, ts2); h.Status != "ok" {
+		t.Fatalf("healthz after restart = %+v, want ok", h)
 	}
 }
 

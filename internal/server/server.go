@@ -106,10 +106,6 @@ type Server struct {
 	repairWG   sync.WaitGroup
 	stopGC     func() // stops the storage version GC loop
 
-	// dataEpoch advances on every successful /exec; the background view
-	// builder uses it to detect DML that raced a deferred build.
-	dataEpoch atomic.Uint64
-
 	// pilot is the autopilot controller; always constructed (so capture and
 	// the /autopilot endpoint work on any server), its loop started only
 	// when Config.Autopilot is set.
@@ -618,14 +614,8 @@ func (s *Server) runExec(req *ExecRequest) (msg string, epoch uint64, applied bo
 	if err := s.sess.ExecuteParsed(st, req.SQL, &sb); err != nil {
 		var merr *maintain.MaintenanceError
 		applied = errors.As(err, &merr) && merr.Base == nil
-		if applied {
-			s.dataEpoch.Add(1)
-		}
 		return "", s.db.Epoch(), applied, http.StatusUnprocessableEntity, err
 	}
-	// Any successful DML/DDL may have changed table contents; deferred view
-	// builds snapshot this epoch to detect the race.
-	s.dataEpoch.Add(1)
 	return strings.TrimSpace(sb.String()), s.db.Epoch(), true, 0, nil
 }
 

@@ -78,6 +78,18 @@ func execStmt(t *testing.T, ts *httptest.Server, sql string) string {
 	return er.Message
 }
 
+// checkViews holds the server's view registries to Session.CheckViews under
+// the shared lock, which excludes every view operation.
+func checkViews(t *testing.T, srv *Server) {
+	t.Helper()
+	srv.mu.RLock()
+	err := srv.sess.CheckViews()
+	srv.mu.RUnlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // normRows renders rows as sorted JSON strings so server responses (whose
 // numbers decode as float64) compare equal to reference rows.
 func normRows(t *testing.T, rows [][]any) []string {
@@ -122,7 +134,9 @@ func TestServerQueryMatchesReference(t *testing.T) {
 	execStmt(t, ts, `create view pq with schemabinding as
 		select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
 		from lineitem group by l_partkey`)
+	checkViews(t, srv)
 	execStmt(t, ts, "create unique index pq_idx on pq (l_partkey)")
+	checkViews(t, srv)
 
 	for _, sql := range []string{
 		"select l_partkey, sum(l_quantity) as q from lineitem where l_partkey = 5 group by l_partkey",
@@ -206,6 +220,7 @@ func TestDDLInvalidatesCachedPlans(t *testing.T) {
 	execStmt(t, ts, `create view pq with schemabinding as
 		select l_partkey, count_big(*) as cnt, sum(l_quantity) as qty
 		from lineitem group by l_partkey`)
+	checkViews(t, srv)
 	afterCreate := query(t, ts, sql)
 	if afterCreate.Cached {
 		t.Fatal("stale plan served after CREATE VIEW")
@@ -223,6 +238,7 @@ func TestDDLInvalidatesCachedPlans(t *testing.T) {
 
 	// CREATE INDEX on the view bumps it again (plan may switch to a seek).
 	execStmt(t, ts, "create unique index pq_idx on pq (l_partkey)")
+	checkViews(t, srv)
 	afterIndex := query(t, ts, sql)
 	if afterIndex.Cached {
 		t.Fatal("stale plan served after CREATE INDEX")
@@ -230,6 +246,7 @@ func TestDDLInvalidatesCachedPlans(t *testing.T) {
 
 	// DROP VIEW: back to base-table plans, again without serving staleness.
 	execStmt(t, ts, "drop view pq")
+	checkViews(t, srv)
 	afterDrop := query(t, ts, sql)
 	if afterDrop.Cached {
 		t.Fatal("stale plan served after DROP VIEW")

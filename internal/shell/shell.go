@@ -1,14 +1,17 @@
-// Package shell implements the interactive session behind cmd/vmshell: SQL
-// statements are parsed, views are materialized and registered with the
-// optimizer and the incremental maintainer, indexes are declared to both the
-// optimizer and storage, and DML flows through the maintainer so every
-// materialized view stays consistent while queries keep being answered from
-// views.
+// Package shell implements the interactive session behind cmd/vmshell, and
+// the one implementation of every view operation: a view lives in the
+// maintainer (the registry of record), the optimizer and storage, and only
+// the Session functions below — define, install, drop, index, restore — keep
+// the three in step. SQL statements are parsed and executed, and DML flows
+// through the maintainer so every materialized view stays consistent while
+// queries keep being answered from views.
 package shell
 
 import (
+	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"time"
 
@@ -54,6 +57,10 @@ type Session struct {
 	history []*spjg.Query
 }
 
+// ErrStaleBuild is InstallView's answer to rows built against an epoch the
+// database has since left: build them again.
+var ErrStaleBuild = errors.New("shell: view rows were built against a superseded epoch")
+
 // NewSession builds a session with default options. The maintainer's view
 // lifecycle is wired to the optimizer: any view leaving (or re-entering)
 // Fresh flips its matching eligibility and bumps the catalog epoch, so plans
@@ -93,13 +100,10 @@ func (s *Session) ExecuteParsed(st *sqlparser.Statement, stmt string, w io.Write
 }
 
 func (s *Session) run(st *sqlparser.Statement, stmt string, explain bool, w io.Writer) error {
-	if s.Dur != nil && (st.Insert != nil || st.Delete != nil || st.CreateIndex != nil ||
-		st.ViewName != "" || st.DropViewName != "") {
-		// Stage the statement text so the commit hook logs it durably before
-		// the epoch publishes; Unstage clears it on every exit path, so an
-		// aborted statement never reaches the WAL.
-		s.Dur.Stage(stmt)
-		defer s.Dur.Unstage()
+	if st.Insert != nil || st.Delete != nil || st.CreateIndex != nil {
+		// Logged as written. CREATE and DROP VIEW, which the autopilot issues
+		// without a statement, stage the statement that reproduces them.
+		defer s.stage(stmt)()
 	}
 	switch {
 	case st.Insert != nil:
@@ -107,104 +111,216 @@ func (s *Session) run(st *sqlparser.Statement, stmt string, explain bool, w io.W
 	case st.Delete != nil:
 		return s.execDelete(st.Delete, w)
 	case st.CreateIndex != nil:
-		return s.execCreateIndex(st.CreateIndex, w)
+		return s.createIndex(st.CreateIndex, w)
 	case st.ViewName != "":
-		return s.execCreateView(st, w)
+		return s.createView(st.ViewName, st.Query, w)
 	case st.DropViewName != "":
-		return s.execDropView(st.DropViewName, w)
+		if err := s.DropView(st.DropViewName); err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "dropped view %s\n", st.DropViewName)
+		return nil
 	default:
 		return s.execSelect(st, explain, w)
 	}
 }
 
-func (s *Session) execDropView(name string, w io.Writer) error {
-	v := s.Opt.ViewByName(name)
-	if v == nil || !s.Opt.DropView(name) {
+// stage hands sql to the WAL, when the session is durable, as the statement
+// the next commit logs — a commit publishes its epoch only once the record is
+// on disk — and returns the unstage to defer, which runs whether the
+// statement committed or aborted, so an aborted statement is never logged.
+func (s *Session) stage(sql string) func() {
+	if s.Dur == nil {
+		return func() {}
+	}
+	s.Dur.Stage(sql)
+	return s.Dur.Unstage
+}
+
+// createView is CREATE VIEW in one go under the caller's lock: define, build,
+// install — and drop the definition again if the view never installs.
+func (s *Session) createView(name string, def *spjg.Query, w io.Writer) error {
+	v, err := s.DefineView(name, def)
+	if err != nil {
+		return err
+	}
+	rows, epoch, err := s.Maint.Build(v)
+	if err == nil {
+		err = s.InstallView(v, rows, epoch)
+	}
+	if err != nil {
+		// The view never installed, so it has no rows whose drop could fail.
+		_ = s.DropView(name)
+		return err
+	}
+	fmt.Fprintf(w, "materialized view %s: %d rows\n", name, len(rows))
+	return nil
+}
+
+// DefineView registers def under name with the maintainer as Rebuilding,
+// refusing a name it already holds; Maintainer.Build then computes the rows
+// InstallView stores. Until then no statement maintains the view and no plan
+// matches it. The caller holds its exclusive lock.
+func (s *Session) DefineView(name string, def *spjg.Query) (*maintain.View, error) {
+	return s.Maint.Define(name, def)
+}
+
+// InstallView makes v a live view from rows Maintainer.Build computed at
+// epoch. The caller holds its exclusive lock. Rows from an epoch the database
+// has since left are refused with ErrStaleBuild. Otherwise the statement that
+// recreates the view is staged for the WAL, the maintainer stores and
+// commits the rows and brings v Fresh — rolling the rows back if the commit
+// fails, the one compensating step — and the optimizer learns of the view
+// last, with its row count.
+func (s *Session) InstallView(v *maintain.View, rows []storage.Row, epoch uint64) error {
+	if s.DB.Epoch() != epoch {
+		return ErrStaleBuild
+	}
+	defer s.stage("create view " + v.Name + " with schemabinding as " + v.Def.String())()
+	if err := s.Maint.Install(v, rows); err != nil {
+		return err
+	}
+	// Cannot fail: the maintainer holds the name once and the optimizer
+	// holds only maintainer views, and Define validated the definition.
+	if _, err := s.Opt.RegisterView(v.Name, v.Def); err != nil {
+		return err
+	}
+	s.Opt.SetViewRowCount(v.Name, int64(len(rows)))
+	return nil
+}
+
+// DropView removes a view from every registry: the maintainer drops it and
+// its rows in one commit (restoring them if the WAL refuses the drop), then
+// the optimizer forgets it. A view whose build failed before install — no
+// rows, unknown to the optimizer — drops all the same. The caller holds its
+// exclusive lock.
+func (s *Session) DropView(name string) error {
+	defer s.stage("drop view " + name)()
+	ok, err := s.Maint.Drop(name)
+	if err != nil {
+		return err
+	}
+	if !ok {
 		return fmt.Errorf("shell: unknown view %q", name)
 	}
-	if _, err := s.Maint.Drop(name); err != nil {
-		// The drop did not commit (durable servers: the WAL refused the
-		// record); the maintainer restored the stored rows, so restore the
-		// optimizer registration too and surface the failure.
-		_, _ = s.Opt.RegisterView(name, v.Def)
-		return err
-	}
-	fmt.Fprintf(w, "dropped view %s\n", name)
+	s.Opt.DropView(name)
 	return nil
 }
 
-func (s *Session) execCreateView(st *sqlparser.Statement, w io.Writer) error {
-	if _, err := s.Opt.RegisterView(st.ViewName, st.Query); err != nil {
-		return err
-	}
-	if _, err := s.Maint.Register(st.ViewName, st.Query); err != nil {
-		s.Opt.DropView(st.ViewName)
-		return err
-	}
-	mv := s.DB.View(st.ViewName)
-	s.Opt.SetViewRowCount(st.ViewName, mv.RowCount())
-	fmt.Fprintf(w, "materialized view %s: %d rows\n", st.ViewName, mv.RowCount())
-	return nil
-}
-
-func (s *Session) execCreateIndex(ci *sqlparser.CreateIndexStatement, w io.Writer) error {
-	// Index on a materialized view: resolve output names against the view
-	// definition, register with the optimizer, build on storage.
-	if v := s.Opt.ViewByName(ci.Target); v != nil {
-		var ords []int
-		for _, name := range ci.Columns {
-			ord := -1
-			for i, o := range v.Def.Outputs {
-				if o.Name == name {
-					ord = i
-					break
-				}
-			}
-			if ord < 0 {
-				return fmt.Errorf("shell: view %s has no output %q", ci.Target, name)
-			}
-			ords = append(ords, ord)
+// createIndex is CREATE [UNIQUE] INDEX over a view's outputs or a table's
+// columns, named as the view definition or the catalog names them.
+func (s *Session) createIndex(ci *sqlparser.CreateIndexStatement, w io.Writer) error {
+	kind := "view"
+	var names []string
+	if i := slices.IndexFunc(s.Maint.Views(), func(v *maintain.View) bool { return v.Name == ci.Target }); i >= 0 {
+		for _, o := range s.Maint.Views()[i].Def.Outputs {
+			names = append(names, o.Name)
 		}
-		if err := s.Opt.RegisterViewIndex(ci.Target, ords); err != nil {
-			return err
+	} else if t := s.DB.Table(ci.Target); t != nil {
+		kind = "table"
+		for _, c := range t.Meta.Columns {
+			names = append(names, c.Name)
 		}
-		mv := s.DB.View(ci.Target)
-		if mv == nil {
-			return fmt.Errorf("shell: view %s not materialized", ci.Target)
-		}
-		if _, err := mv.BuildIndex(ords, ci.Unique); err != nil {
-			return err
-		}
-		// Publish the new index as a committed epoch so snapshot readers can
-		// probe it.
-		if _, err := s.DB.CommitDurable(); err != nil {
-			s.DB.RollbackView(ci.Target)
-			return fmt.Errorf("shell: commit of index on view %s failed: %w", ci.Target, err)
-		}
-		fmt.Fprintf(w, "created index %s on view %s%v\n", ci.Name, ci.Target, ci.Columns)
-		return nil
-	}
-	// Index on a base table.
-	t := s.DB.Table(ci.Target)
-	if t == nil {
+	} else {
 		return fmt.Errorf("shell: unknown table or view %q", ci.Target)
 	}
-	var ords []int
-	for _, name := range ci.Columns {
-		ord := t.Meta.ColumnIndex(name)
-		if ord < 0 {
-			return fmt.Errorf("shell: table %s has no column %q", ci.Target, name)
+	ords := make([]int, len(ci.Columns))
+	for i, name := range ci.Columns {
+		if ords[i] = slices.Index(names, name); ords[i] < 0 {
+			return fmt.Errorf("shell: %s %s has no column %q", kind, ci.Target, name)
 		}
-		ords = append(ords, ord)
 	}
-	if _, err := t.BuildIndex(ords, ci.Unique); err != nil {
+	if err := s.buildIndex(ci.Target, ords, ci.Unique); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "created index %s on %s %s%v\n", ci.Name, kind, ci.Target, ci.Columns)
+	return nil
+}
+
+// buildIndex builds an index over ords of the stored view or table target and
+// commits it, rolling target back if the commit fails. A view's index is then
+// declared to the optimizer — last, so an index that fails to build or commit
+// (a unique index over duplicates) leaves the optimizer's index list and
+// catalog epoch untouched and no plan seeks what storage lacks. Base-table
+// indexes are not planned with, so the optimizer never hears of them.
+func (s *Session) buildIndex(target string, ords []int, unique bool) error {
+	var build func([]int, bool) (*storage.Index, error)
+	var rollback func(string)
+	mv := s.DB.View(target)
+	if mv != nil {
+		build, rollback = mv.BuildIndex, s.DB.RollbackView
+	} else if t := s.DB.Table(target); t != nil {
+		build, rollback = t.BuildIndex, s.DB.RollbackTable
+	} else {
+		return fmt.Errorf("shell: %s has no stored rows to index", target)
+	}
+	if _, err := build(ords, unique); err != nil {
 		return err
 	}
 	if _, err := s.DB.CommitDurable(); err != nil {
-		s.DB.RollbackTable(ci.Target)
-		return fmt.Errorf("shell: commit of index on table %s failed: %w", ci.Target, err)
+		rollback(target)
+		return fmt.Errorf("shell: commit of index on %s failed: %w", target, err)
 	}
-	fmt.Fprintf(w, "created index %s on table %s%v\n", ci.Name, ci.Target, ci.Columns)
+	if mv == nil {
+		return nil
+	}
+	return s.Opt.RegisterViewIndex(target, ords)
+}
+
+// RestoreView reinstalls a checkpointed view — definition, rows, indexes and
+// health — through the same define, install and index steps CREATE VIEW and
+// CREATE INDEX take. Recovery calls it before anything else runs.
+func (s *Session) RestoreView(name string, def *spjg.Query, rows []storage.Row, indexes []storage.IndexDef, health maintain.State) error {
+	v, err := s.DefineView(name, def)
+	if err != nil {
+		return err
+	}
+	if err := s.InstallView(v, rows, s.DB.Epoch()); err != nil {
+		return err
+	}
+	for _, idx := range indexes {
+		if err := s.buildIndex(name, idx.Cols, idx.Unique); err != nil {
+			return err
+		}
+	}
+	if health != maintain.Fresh {
+		s.Maint.SetState(name, health, nil)
+	}
+	return nil
+}
+
+// CheckViews reports the first disagreement between the three places a view
+// lives: a name the maintainer holds twice, an optimizer view that is not a
+// maintainer view with committed rows, a committed view the maintainer does
+// not hold, or a view index the optimizer plans with that storage lacks. A
+// maintainer view with no rows (defined, not installed) is in order.
+// Recovery runs it before serving; the DDL tests after every step.
+func (s *Session) CheckViews() error {
+	snap := s.DB.Snapshot()
+	defer snap.Release()
+	held := map[string]bool{}
+	for _, v := range s.Maint.Views() {
+		if held[v.Name] {
+			return fmt.Errorf("shell: the maintainer holds view %q twice", v.Name)
+		}
+		held[v.Name] = true
+	}
+	for _, v := range s.Opt.Views() {
+		vd := snap.ViewData(v.Name)
+		if !held[v.Name] || vd == nil {
+			return fmt.Errorf("shell: optimizer view %q is not a maintainer view with stored rows", v.Name)
+		}
+		for _, cols := range s.Opt.ViewIndexes(v.Name) {
+			if vd.LookupIndex(cols) == nil {
+				return fmt.Errorf("shell: the optimizer plans with index %v of view %q, which storage lacks", cols, v.Name)
+			}
+		}
+	}
+	for _, name := range snap.Views() {
+		if !held[name] {
+			return fmt.Errorf("shell: stored view %q is not a maintainer view", name)
+		}
+	}
 	return nil
 }
 
@@ -302,18 +418,15 @@ func (s *Session) Meta(cmd string, w io.Writer) bool {
 	case "\\quit", "\\q":
 		return false
 	case "\\views":
-		for _, v := range s.Opt.Views() {
+		for _, v := range s.Maint.Views() {
 			rows := int64(-1)
 			if mv := s.DB.View(v.Name); mv != nil {
 				rows = mv.RowCount()
 			}
-			state := maintain.Fresh
-			if st, ok := s.Maint.ViewState(v.Name); ok {
-				state = st
-			}
+			state, _ := s.Maint.ViewState(v.Name)
 			fmt.Fprintf(w, "  %-20s %8d rows  %-11s %s\n", v.Name, rows, state, v.Def.String())
 		}
-		if s.Opt.NumViews() == 0 {
+		if len(s.Maint.Views()) == 0 {
 			fmt.Fprintln(w, "  (no materialized views)")
 		}
 	case "\\advise":

@@ -18,12 +18,16 @@ func newSession(t *testing.T) *shell.Session {
 	return shell.NewSession(db)
 }
 
+// run and runErr execute one statement, expecting success or failure, and
+// then hold the view registries to CheckViews: whatever a statement did or
+// failed to do, no view is in one registry and missing from another.
 func run(t *testing.T, s *shell.Session, stmt string) string {
 	t.Helper()
 	var sb strings.Builder
 	if err := s.Execute(stmt, &sb); err != nil {
 		t.Fatalf("Execute(%q): %v", stmt, err)
 	}
+	checkViews(t, s)
 	return sb.String()
 }
 
@@ -34,7 +38,15 @@ func runErr(t *testing.T, s *shell.Session, stmt string) error {
 	if err == nil {
 		t.Fatalf("Execute(%q) succeeded, want error; output:\n%s", stmt, sb.String())
 	}
+	checkViews(t, s)
 	return err
+}
+
+func checkViews(t *testing.T, s *shell.Session) {
+	t.Helper()
+	if err := s.CheckViews(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSessionEndToEnd(t *testing.T) {
@@ -202,6 +214,33 @@ func TestSessionDropView(t *testing.T) {
 	// Dropping again (or dropping an unknown view) errors.
 	runErr(t, s, "drop view pq")
 	runErr(t, s, "drop view ghost")
+}
+
+// TestSessionFailedIndexLeavesNoSeek: a unique index over a view column that
+// holds duplicates fails in storage, so the optimizer never learns of it —
+// neither its index list nor the catalog epoch moves, and no plan seeks an
+// index that was never built. The same index without UNIQUE then works.
+func TestSessionFailedIndexLeavesNoSeek(t *testing.T) {
+	s := newSession(t)
+	run(t, s, `create view oc with schemabinding as
+		select o_orderstatus, o_custkey, count_big(*) as cnt
+		from orders group by o_orderstatus, o_custkey`)
+	const point = "explain select o_custkey, count_big(*) as cnt from orders where o_custkey = 5 group by o_custkey"
+	epoch := s.Opt.CatalogEpoch()
+	runErr(t, s, "create unique index oc_cust on oc (o_custkey)")
+	if got := s.Opt.CatalogEpoch(); got != epoch {
+		t.Fatalf("failed index moved the catalog epoch %d -> %d", epoch, got)
+	}
+	if idx := s.Opt.ViewIndexes("oc"); len(idx) != 0 {
+		t.Fatalf("optimizer declares %v on oc after a failed build", idx)
+	}
+	if out := run(t, s, point); strings.Contains(out, "ViewSeek") {
+		t.Fatalf("plan seeks an index storage never built:\n%s", out)
+	}
+	run(t, s, "create index oc_cust on oc (o_custkey)")
+	if out := run(t, s, point); !strings.Contains(out, "ViewSeek") {
+		t.Fatalf("plan ignores the built index:\n%s", out)
+	}
 }
 
 func TestSessionErrorPaths(t *testing.T) {

@@ -31,6 +31,27 @@ func (r Row) Clone() Row {
 	return out
 }
 
+// AppendKey appends the hash-index key of r's cols — each value's AppendKey
+// bytes followed by 0x1f, the layout ColumnStore.AppendRowKey writes — or of
+// every value of r in order when cols is nil (a probe's key values). Callers
+// reuse the buffer across rows and look maps up with string(buf), which Go
+// performs without allocating.
+func (r Row) AppendKey(dst []byte, cols []int) []byte {
+	n := len(cols)
+	if cols == nil {
+		n = len(r)
+	}
+	for i := 0; i < n; i++ {
+		v := r[i]
+		if cols != nil {
+			v = r[cols[i]]
+		}
+		dst = v.AppendKey(dst)
+		dst = append(dst, '\x1f')
+	}
+	return dst
+}
+
 // Table is a base table stored column-major.
 type Table struct {
 	Meta *catalog.Table
@@ -161,17 +182,6 @@ func indexKey(cols []int) string {
 	return string(buf)
 }
 
-// appendKeyVals appends the composite hash key of the given columns of r:
-// Value.AppendKey bytes joined by 0x1f. Callers reuse the buffer across rows
-// and look maps up with string(buf), which Go performs without allocating.
-func appendKeyVals(dst []byte, r Row, cols []int) []byte {
-	for _, c := range cols {
-		dst = r[c].AppendKey(dst)
-		dst = append(dst, '\x1f')
-	}
-	return dst
-}
-
 // Insert appends a row (which must have the right arity) and updates
 // indexes. Unique violations are detected before anything is written, so a
 // failed insert leaves both the column store and every index untouched.
@@ -198,7 +208,7 @@ func (t *Table) Insert(r Row) error {
 		if !idx.Unique {
 			continue
 		}
-		buf = appendKeyVals(buf[:0], r, idx.Cols)
+		buf = r.AppendKey(buf[:0], idx.Cols)
 		if len(idx.ProbeKey(buf)) > 0 {
 			return fmt.Errorf("storage: duplicate key in unique index on %s", t.Meta.Name)
 		}
@@ -253,17 +263,10 @@ func (t *Table) LookupIndex(cols []int) *Index {
 // Probe returns the ordinals of rows whose cols equal the given values.
 func (idx *Index) Probe(vals Row) []int {
 	var arr [48]byte
-	buf := arr[:0]
-	for _, v := range vals {
-		buf = v.AppendKey(buf)
-		buf = append(buf, '\x1f')
-	}
-	return idx.ProbeKey(buf)
+	return idx.ProbeKey(vals.AppendKey(arr[:0], nil))
 }
 
-// ProbeKey is Probe for a key the caller has already built: the AppendKey
-// bytes of the indexed columns' values, each followed by 0x1f (the layout
-// AppendRowKey writes).
+// ProbeKey is Probe for a key the caller has already built (Row.AppendKey).
 func (idx *Index) ProbeKey(key []byte) []int {
 	return idx.shards[maphash.Bytes(indexSeed, key)%indexShards][string(key)]
 }

@@ -44,12 +44,12 @@ type OpenResult struct {
 // Open recovers the database in dir and wires durability into it:
 //
 //  1. Load the newest CRC-valid checkpoint, if any, and rebuild base tables,
-//     views (re-registered through the real optimizer and maintainer, with
-//     their persisted health), and indexes from it. With no checkpoint, run
-//     opts.Bootstrap.
+//     views (through shell.Session.RestoreView, with their persisted health),
+//     and indexes from it. With no checkpoint, run opts.Bootstrap.
 //  2. Scan the log, truncating a torn final record, and replay every record
 //     with an epoch past the recovery base through shell.Session.Execute —
-//     the same code path live statements take.
+//     the same code path live statements take — then check that the view
+//     registries agree (shell.Session.CheckViews).
 //  3. If anything was replayed (or this is first boot), write a fresh
 //     checkpoint so the next restart starts from here.
 //  4. Install the commit hook and stager so subsequent statements are logged
@@ -118,6 +118,9 @@ func Open(dir string, opts Options) (*OpenResult, error) {
 		replayed++
 	}
 	db.RefreshStats()
+	if err := sess.CheckViews(); err != nil {
+		return fail(fmt.Errorf("wal: recovered views disagree: %w", err))
+	}
 
 	mgr := &Manager{dir: dir, log: log, stop: make(chan struct{})}
 	if ck != nil {
@@ -146,17 +149,17 @@ func Open(dir string, opts Options) (*OpenResult, error) {
 }
 
 // GatherSpec pins a snapshot of db and collects the view metadata a
-// checkpoint needs. The caller's locking must exclude in-flight commits
-// while this runs (the server pins under its read lock; single-threaded
-// callers need nothing).
+// checkpoint needs from the maintainer, the registry of record. A view with
+// no committed rows — defined but never installed, such as an autopilot
+// build that failed and was quarantined — is not checkpointed: its creation
+// never committed, so a restart drops it, exactly as replaying the log would.
+// The caller's locking must exclude in-flight commits while this runs (the
+// server pins under its read lock; single-threaded callers need nothing).
 func GatherSpec(db *storage.Database, sess *shell.Session) CheckpointSpec {
 	spec := CheckpointSpec{Snap: db.Snapshot()}
-	for _, v := range sess.Opt.Views() {
-		health := int(maintain.Fresh)
-		if st, ok := sess.Maint.ViewState(v.Name); ok {
-			health = int(st)
-		}
-		spec.Views = append(spec.Views, ViewMeta{Name: v.Name, DefSQL: v.Def.String(), Health: health})
+	for _, v := range sess.Maint.Views() {
+		st, _ := sess.Maint.ViewState(v.Name)
+		spec.Views = append(spec.Views, ViewMeta{Name: v.Name, DefSQL: v.Def.String(), Health: int(st)})
 	}
 	return spec
 }
@@ -186,35 +189,17 @@ func rebuildTables(ck *checkpointData, cat *catalog.Catalog) (*storage.Database,
 	return db, nil
 }
 
-// rebuildViews restores checkpointed views through the real registration
-// path: rows go into storage first, so Maintainer.Register skips
-// re-materialization and adopts the checkpointed contents; persisted health
-// is restored last so a view that crashed Stale comes back Stale.
+// rebuildViews restores checkpointed views — the checkpointed rows, not a
+// recompute, and their persisted health, so a view that crashed Stale comes
+// back Stale — through Session.RestoreView.
 func rebuildViews(ck *checkpointData, db *storage.Database, sess *shell.Session) error {
 	for _, cv := range ck.views {
 		def, err := sqlparser.ParseQuery(db.Catalog, cv.defSQL)
 		if err != nil {
 			return fmt.Errorf("wal: re-parsing view %s definition: %w", cv.name, err)
 		}
-		db.PutView(cv.name, cv.numCols, cv.rows)
-		if _, err := sess.Opt.RegisterView(cv.name, def); err != nil {
-			return fmt.Errorf("wal: re-registering view %s: %w", cv.name, err)
-		}
-		if _, err := sess.Maint.Register(cv.name, def); err != nil {
-			return fmt.Errorf("wal: re-registering view %s with maintainer: %w", cv.name, err)
-		}
-		mv := db.View(cv.name)
-		for _, idx := range cv.indexes {
-			if _, err := mv.BuildIndex(idx.Cols, idx.Unique); err != nil {
-				return fmt.Errorf("wal: rebuilding index on view %s: %w", cv.name, err)
-			}
-			if err := sess.Opt.RegisterViewIndex(cv.name, idx.Cols); err != nil {
-				return fmt.Errorf("wal: re-registering index on view %s: %w", cv.name, err)
-			}
-		}
-		sess.Opt.SetViewRowCount(cv.name, mv.RowCount())
-		if st := maintain.State(cv.health); st != maintain.Fresh {
-			sess.Maint.RestoreHealth(cv.name, st)
+		if err := sess.RestoreView(cv.name, def, cv.rows, cv.indexes, maintain.State(cv.health)); err != nil {
+			return fmt.Errorf("wal: restoring view %s: %w", cv.name, err)
 		}
 	}
 	return nil

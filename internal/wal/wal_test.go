@@ -32,12 +32,15 @@ func testOptions(inj *faults.Injector) wal.Options {
 	}
 }
 
+// openDir and mustExec hold the view registries to CheckViews after every
+// recovery and every statement.
 func openDir(t *testing.T, dir string, inj *faults.Injector) *wal.OpenResult {
 	t.Helper()
 	res, err := wal.Open(dir, testOptions(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkViews(t, res.Session)
 	return res
 }
 
@@ -45,6 +48,14 @@ func mustExec(t *testing.T, sess *shell.Session, sql string) {
 	t.Helper()
 	if err := sess.Execute(sql, io.Discard); err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
+	}
+	checkViews(t, sess)
+}
+
+func checkViews(t *testing.T, sess *shell.Session) {
+	t.Helper()
+	if err := sess.CheckViews(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -433,6 +444,41 @@ func TestViewHealthSurvivesRestart(t *testing.T) {
 	}
 	if st3, _ := re.Session.Maint.ViewState("km_oc"); st3 != maintain.Fresh {
 		t.Fatalf("view state after repair = %v, want Fresh", st3)
+	}
+}
+
+// TestRestartDropsUnbuiltView: a view defined but never installed (a failed
+// background build, quarantined) has no committed creation, so neither a
+// checkpoint nor the log carries it, and recovery — from either — comes back
+// without it in any registry, while a built view is kept.
+func TestRestartDropsUnbuiltView(t *testing.T) {
+	for _, checkpoint := range []bool{false, true} {
+		t.Run(fmt.Sprintf("checkpoint=%v", checkpoint), func(t *testing.T) {
+			dir := t.TempDir()
+			res := openDir(t, dir, nil)
+			mustExec(t, res.Session, kmStmts[0])
+			def := res.Session.Maint.Views()[0].Def
+			if _, err := res.Session.DefineView("km_wreck", def); err != nil {
+				t.Fatal(err)
+			}
+			res.Session.Maint.SetState("km_wreck", maintain.Quarantined, errors.New("build failed"))
+			checkViews(t, res.Session)
+			if checkpoint {
+				if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res.Manager.Close()
+
+			re := openDir(t, dir, nil)
+			defer re.Manager.Close()
+			if _, ok := re.Session.Maint.ViewState("km_wreck"); ok {
+				t.Fatal("never-built view survived recovery")
+			}
+			if st, ok := re.Session.Maint.ViewState("km_oc"); !ok || st != maintain.Fresh {
+				t.Fatalf("built view after recovery: state %v, present %v", st, ok)
+			}
+		})
 	}
 }
 

@@ -192,7 +192,7 @@ type scanSource struct {
 	store *storage.ColumnStore
 	cols  []storage.ColView
 	pred  *scanPred
-	skip  bool // consult zone maps (pred is safe and yields constraints)
+	zones []zoneConstraint // what the zone maps are tested against; only when pred is nil or safe
 }
 
 func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, error) {
@@ -205,9 +205,56 @@ func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, e
 	}
 	if filter != nil {
 		s.pred = compileScanPred(filter, s.cols, len(s.cols))
-		s.skip = s.pred.safe && len(s.pred.zones) > 0
+		s.zones = s.pred.zones
 	}
 	return s, nil
+}
+
+// restrictToBuild makes a hash join's probe scan skip the blocks whose keys
+// all lie outside the int-keyed build's key range (every block, if the build
+// is empty). It keeps the reference's answer and errors: only under a nil or
+// safe filter, so no skipped row could have failed; only on INTEGER and DATE
+// columns without a Generic overlay, whose payloads are the build's key space,
+// bounded in the column's own kind; and a block of NULL keys matches nothing.
+func (s *scanSource) restrictToBuild(b *ridJoinBuild, cols []int) {
+	if b.mode != keyModeInts || (s.pred != nil && !s.pred.safe) {
+		return
+	}
+	for i, c := range cols {
+		if s.cols[c].Generic != nil {
+			continue
+		}
+		box := sqlvalue.NewInt
+		switch s.cols[c].Kind {
+		case sqlvalue.KindInt:
+		case sqlvalue.KindDate:
+			box = sqlvalue.NewDate
+		default:
+			continue
+		}
+		var set ranges.IntervalSet // empty: an empty build matches nothing
+		if b.tab.n > 0 {
+			r, _ := ranges.Universal().Apply(expr.GE, box(b.lo[i]))
+			r, _ = r.Apply(expr.LE, box(b.hi[i]))
+			set = ranges.NewIntervalSet(r)
+		}
+		s.zones = append(s.zones, zoneConstraint{col: c, set: set})
+	}
+}
+
+// liveMorsels counts, up to limit, the morsels of bs rows that hold a block
+// the zone maps do not rule out: the workers a scan can keep busy.
+func (s *scanSource) liveMorsels(bs, limit int) int {
+	n, live, last := s.store.Len(), 0, -1
+	for b := 0; b*storage.BlockRows < n && live < limit; b++ {
+		if s.skipBlock(b) {
+			continue
+		}
+		first := max(b*storage.BlockRows/bs, last+1)
+		last = (min((b+1)*storage.BlockRows, n) - 1) / bs
+		live += last - first + 1
+	}
+	return min(live, limit)
 }
 
 // projectable reports whether every projection expression is a plain column
@@ -238,7 +285,7 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 	for i := lo; i < hi; {
 		b := i / storage.BlockRows
 		be := min((b+1)*storage.BlockRows, hi)
-		if s.skip && s.skipBlock(b) {
+		if len(s.zones) > 0 && s.skipBlock(b) {
 			sc.stats.BlocksSkipped++
 			i = be
 			continue
@@ -291,14 +338,14 @@ func MatchOrdinals(store *storage.ColumnStore, filter expr.Expr) (ords []int, ok
 }
 
 // skipBlock reports whether block b provably contains no qualifying row:
-// some predicate conjunct constrains a column to an interval set that does
-// not overlap the block's [Min,Max] zone (or the block is all-NULL on that
-// column). Only consulted when every conjunct is provably error- and
-// panic-free, so skipping can never suppress a runtime error the reference
-// evaluator would surface.
+// some predicate conjunct or join build constrains a column to an interval
+// set that does not overlap the block's [Min,Max] zone (or the block is
+// all-NULL on that column). The zones exist only when every conjunct is
+// provably error- and panic-free, so skipping can never suppress a runtime
+// error the reference evaluator would surface.
 func (s *scanSource) skipBlock(b int) bool {
-	for k := range s.pred.zones {
-		zc := &s.pred.zones[k]
+	for k := range s.zones {
+		zc := &s.zones[k]
 		z := s.store.Zone(zc.col, b)
 		if !z.Tracked {
 			continue

@@ -183,6 +183,9 @@ func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 		if err != nil {
 			return pipeline{}, err
 		}
+		if ss, ok := p.src.(*scanSource); ok && len(p.stages) == 0 {
+			ss.restrictToBuild(build, t.RCols)
+		}
 		spec := &ridProbeSpec{
 			build: build,
 			keys:  newRidKeyCodec(build.mode, p.layout, t.RCols),
@@ -363,14 +366,19 @@ func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 }
 
 // run streams p's source through its stages: one sink and one stage chain per
-// worker, morsels claimed off a shared counter. mkSink is called serially
-// (before workers start), once per worker, with the morsel count. Every
-// pipeline of every plan runs here.
+// worker, morsels claimed off a shared counter. There are no more workers
+// than morsels the zone maps leave to read, so a scan pruned to one morsel
+// runs inline. mkSink is called serially (before workers start), once per
+// worker, with the morsel count. Every pipeline of every plan runs here.
 func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink, error) {
 	bs := e.batchSize()
 	n := p.src.numRows()
 	nm := (n + bs - 1) / bs
-	w := max(1, min(e.workers(), nm))
+	w := min(e.workers(), nm)
+	if ss, ok := p.src.(*scanSource); ok && len(ss.zones) > 0 {
+		w = ss.liveMorsels(bs, w)
+	}
+	w = max(1, w)
 	sinks := make([]ridSink, w)
 	chains := make([]ridPusher, w)
 	scratch := make([]scanScratch, w)

@@ -337,12 +337,15 @@ func (c *ridKeyCodec) appendKey(l *keyList, in *ridBatch, k int) bool {
 // ridJoinBuild is a finished, immutable rid-join build table shared by all
 // probe workers, in compressed-sparse-row form: key id (from tab) → the rid
 // tuples rids[starts[id]*arity : starts[id+1]*arity], in build-input order.
+// A non-empty int-keyed build keeps each key column's smallest and largest
+// key (lo, hi), the range a probe scan may restrict itself to.
 type ridJoinBuild struct {
 	arity  int
 	mode   ridKeyMode
 	tab    keyTable
 	starts []int32
 	rids   []int32
+	lo, hi []int64
 }
 
 // ridBuildSink collects one worker's share of the build input and does
@@ -433,6 +436,14 @@ func finishRidBuild(sinks []ridSink, codec *ridKeyCodec, arity int) *ridJoinBuil
 		at += sp.hi - sp.lo
 	}
 	n := int(out.tab.n)
+	if codec.mode == keyModeInts && n > 0 {
+		out.lo, out.hi = append([]int64(nil), out.tab.wordsOf(0)...), append([]int64(nil), out.tab.wordsOf(0)...)
+		for id := 1; id < n; id++ {
+			for c, k := range out.tab.wordsOf(id) {
+				out.lo[c], out.hi[c] = min(out.lo[c], k), max(out.hi[c], k)
+			}
+		}
+	}
 	starts := make([]int32, n+1)
 	for _, id := range ids {
 		starts[id]++

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"matview/internal/catalog"
 	"matview/internal/exec"
 	"matview/internal/expr"
 	"matview/internal/maintain"
@@ -235,6 +236,66 @@ func TestJoinViewMaintenance(t *testing.T) {
 	checkAgainstRecompute(t, db, v)
 }
 
+// liOrdersCust is the view grouping lineitem ⋈ orders by o_custkey, with the
+// two tables named in the given FROM order.
+func liOrdersCust(cat *catalog.Catalog, from ...string) *spjg.Query {
+	li, o := 0, 1
+	if from[0] == "orders" {
+		li, o = 1, 0
+	}
+	return &spjg.Query{
+		Tables:  []spjg.TableRef{{Table: cat.Table(from[0])}, {Table: cat.Table(from[1])}},
+		Where:   expr.Eq(expr.Col(li, tpch.LOrderkey), expr.Col(o, tpch.OOrderkey)),
+		GroupBy: []expr.Expr{expr.Col(o, tpch.OCustkey)},
+		Outputs: []spjg.OutputColumn{
+			{Name: "o_custkey", Expr: expr.Col(o, tpch.OCustkey)},
+			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+			{Name: "qty", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(li, tpch.LQuantity)}},
+		},
+	}
+}
+
+// TestDeltaCostsItsDelta: a 10-row INSERT INTO lineitem through a view
+// joining lineitem to orders probes at most two blocks of orders — the delta
+// is the build side, and its order keys bound the probe scan — and the count
+// does not grow with orders (SF 0.01, and four times larger).
+func TestDeltaCostsItsDelta(t *testing.T) {
+	for _, sf := range []float64{0.01, 0.04} {
+		db, err := tpch.NewDatabase(sf, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		orders := db.Table("orders")
+		m := maintain.New(db)
+		v, err := register(m, "li_orders", liOrdersCust(db.Catalog, "lineitem", "orders"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Ten lineitems of ten consecutive orders halfway through orders.
+		var rows []storage.Row
+		for k := 0; k < 10; k++ {
+			r := db.Table("lineitem").RowAt(k).Clone()
+			r[tpch.LOrderkey] = orders.RowAt(orders.NumRows()/2 + k)[tpch.OOrderkey]
+			r[tpch.LLinenumber] = sqlvalue.NewInt(10)
+			rows = append(rows, r)
+		}
+		before := exec.ReadScanStats()
+		if err := m.Insert("lineitem", rows); err != nil {
+			t.Fatal(err)
+		}
+		after := exec.ReadScanStats()
+		if probed := after.RowsProbed - before.RowsProbed; probed > 2*storage.BlockRows {
+			t.Errorf("SF %g: the delta probed %d rows of %d orders, want at most %d",
+				sf, probed, orders.NumRows(), 2*storage.BlockRows)
+		}
+		// The delta's one block and two of orders.
+		if read := after.BlocksScanned - before.BlocksScanned; read > 3 {
+			t.Errorf("SF %g: the delta read %d blocks, want at most 3", sf, read)
+		}
+		checkAgainstRecompute(t, db, v)
+	}
+}
+
 func TestSelfJoinFallsBackToRecompute(t *testing.T) {
 	db, err := tpch.NewDatabase(0.001, 14)
 	if err != nil {
@@ -316,8 +377,10 @@ func TestDuplicateViewNameRefused(t *testing.T) {
 	checkAgainstRecompute(t, db, va)
 }
 
-// TestMaintenanceRandomChurn applies random insert/delete batches and checks
-// the maintained views never diverge from recomputation.
+// TestMaintenanceRandomChurn applies random insert/delete batches to orders
+// and lineitem and checks the maintained views never diverge from
+// recomputation — among them a join written with the changed table second
+// and a three-table join.
 func TestMaintenanceRandomChurn(t *testing.T) {
 	db, err := tpch.NewDatabase(0.001, 16)
 	if err != nil {
@@ -343,6 +406,21 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 				{Name: "o_totalprice", Expr: expr.Col(0, tpch.OTotalprice)},
 			},
 		},
+		liOrdersCust(cat, "orders", "lineitem"),
+		{
+			Tables: []spjg.TableRef{
+				{Table: cat.Table("lineitem")}, {Table: cat.Table("orders")}, {Table: cat.Table("customer")},
+			},
+			Where: expr.NewAnd(
+				expr.Eq(expr.Col(0, tpch.LOrderkey), expr.Col(1, tpch.OOrderkey)),
+				expr.Eq(expr.Col(1, tpch.OCustkey), expr.Col(2, tpch.CCustkey))),
+			GroupBy: []expr.Expr{expr.Col(2, tpch.CNationkey)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "c_nationkey", Expr: expr.Col(2, tpch.CNationkey)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "qty", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.LQuantity)}},
+			},
+		},
 	}
 	var views []*maintain.View
 	for i, def := range defs {
@@ -353,9 +431,31 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 		views = append(views, v)
 	}
 	r := rand.New(rand.NewSource(88))
-	nextKey := int64(10_000_000)
-	for round := 0; round < 12; round++ {
-		if r.Intn(2) == 0 {
+	nextKey, nextLine := int64(10_000_000), int64(100)
+	for round := 0; round < 24; round++ {
+		switch r.Intn(4) {
+		case 2: // lineitems of random order keys, present or not
+			var batch []storage.Row
+			for i := 0; i < 1+r.Intn(20); i++ {
+				li := db.Table("lineitem").RowAt(r.Intn(1000)).Clone()
+				nextLine++
+				li[tpch.LOrderkey] = sqlvalue.NewInt(1 + r.Int63n(6000))
+				li[tpch.LLinenumber] = sqlvalue.NewInt(nextLine)
+				batch = append(batch, li)
+			}
+			if err := m.Insert("lineitem", batch); err != nil {
+				t.Fatalf("round %d lineitem insert: %v", round, err)
+			}
+		case 3:
+			lo := r.Int63n(6000)
+			hi := lo + r.Int63n(300)
+			if _, err := m.Delete("lineitem", func(row storage.Row) bool {
+				k := row[tpch.LOrderkey].Int()
+				return k >= lo && k <= hi
+			}); err != nil {
+				t.Fatalf("round %d lineitem delete: %v", round, err)
+			}
+		case 0:
 			var batch []storage.Row
 			for i := 0; i < 1+r.Intn(20); i++ {
 				nextKey++
@@ -365,9 +465,9 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 			if err := m.Insert("orders", batch); err != nil {
 				t.Fatalf("round %d insert: %v", round, err)
 			}
-		} else {
-			lo := r.Int63n(600_000)
-			hi := lo + r.Int63n(50_000)
+		default:
+			lo := r.Int63n(6000)
+			hi := lo + r.Int63n(500)
 			if _, err := m.Delete("orders", func(row storage.Row) bool {
 				k := row[tpch.OOrderkey].Int()
 				return k >= lo && k <= hi

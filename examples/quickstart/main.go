@@ -76,16 +76,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	a, b := exec.NormalizeRows(fromView), exec.NormalizeRows(direct)
-	if len(a) != len(b) {
-		log.Fatalf("row counts differ: %d vs %d", len(a), len(b))
+	if !exec.SameRows(fromView, direct) {
+		log.Fatalf("row bags differ:\n view:   %v\n direct: %v", fromView, direct)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			log.Fatalf("row %d differs:\n view:   %s\n direct: %s", i, a[i], b[i])
-		}
-	}
-	fmt.Printf("verified: view-based plan and direct evaluation agree on all %d rows\n", len(a))
+	fmt.Printf("verified: view-based plan and direct evaluation agree on all %d rows\n", len(direct))
 
 	// 4. Peek at the substitute expression the matcher constructed.
 	sub := o.Matcher().Match(q, o.ViewByName("part_revenue"))

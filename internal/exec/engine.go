@@ -262,7 +262,7 @@ func (e *Engine) gather(p pipeline, spec *gatherSpec) ([]storage.Row, error) {
 // when non-nil, is a projectable list over the view's columns: rows are then
 // emitted at projection width. Either way the result is one exactly-sized
 // slice of rows over one value slab.
-func seekView(v *storage.ViewData, eqCols []int, eqVals []sqlvalue.Value, proj []expr.Expr) []storage.Row {
+func seekView(v *storage.Data, eqCols []int, eqVals []sqlvalue.Value, proj []expr.Expr) []storage.Row {
 	st := v.Store()
 	var ords []int
 	if idx := v.LookupIndex(eqCols); idx != nil {

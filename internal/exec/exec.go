@@ -16,9 +16,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 
 	"matview/internal/expr"
@@ -467,57 +468,18 @@ func Explain(n Node) string {
 	return sb.String()
 }
 
-// NormalizeRows sorts rows into a canonical order and renders each as a
-// string — a bag-equality helper for tests comparing substitute output
-// against the original query. Floats are rendered with 9 significant digits
-// so alternative evaluation orders (e.g. rolled-up sums, whose floating-point
-// error differs from a direct sum) compare equal.
-func NormalizeRows(rows []storage.Row) []string {
-	out := make([]string, len(rows))
-	for i, r := range rows {
-		out[i] = normalizeRow(r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func normalizeRow(r storage.Row) string {
-	var sb strings.Builder
-	for _, v := range r {
-		if v.Kind() == sqlvalue.KindFloat {
-			fmt.Fprintf(&sb, "%.9g|", v.Float())
-		} else {
-			sb.WriteString(v.String())
-			sb.WriteByte('|')
-		}
-	}
-	return sb.String()
-}
-
 // SameRows reports whether two row bags are equal up to row order and small
 // floating-point differences (relative tolerance 1e-9), the comparison
 // examples and equivalence tests need when one side sums partial aggregates
-// and the other sums raw rows.
+// and the other sums raw rows. Both sides are sorted by exact value order
+// (compareRows) and then compared pairwise.
 func SameRows(a, b []storage.Row) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	sa := append([]storage.Row(nil), a...)
-	sb := append([]storage.Row(nil), b...)
-	key := func(r storage.Row) string {
-		var out strings.Builder
-		for _, v := range r {
-			if v.Kind() == sqlvalue.KindFloat {
-				fmt.Fprintf(&out, "%.6g|", v.Float()) // coarse sort key
-			} else {
-				out.WriteString(v.String())
-				out.WriteByte('|')
-			}
-		}
-		return out.String()
-	}
-	sort.Slice(sa, func(i, j int) bool { return key(sa[i]) < key(sa[j]) })
-	sort.Slice(sb, func(i, j int) bool { return key(sb[i]) < key(sb[j]) })
+	sa, sb := slices.Clone(a), slices.Clone(b)
+	slices.SortFunc(sa, compareRows)
+	slices.SortFunc(sb, compareRows)
 	const relTol = 1e-9
 	for i := range sa {
 		ra, rb := sa[i], sb[i]
@@ -535,18 +497,7 @@ func SameRows(a, b []storage.Row) bool {
 					}
 					continue
 				}
-				diff := fa - fb
-				if diff < 0 {
-					diff = -diff
-				}
-				scale := 1.0
-				if x := abs(fa); x > scale {
-					scale = x
-				}
-				if x := abs(fb); x > scale {
-					scale = x
-				}
-				if diff > relTol*scale {
+				if math.Abs(fa-fb) > relTol*max(1, math.Abs(fa), math.Abs(fb)) {
 					return false
 				}
 				continue
@@ -559,9 +510,29 @@ func SameRows(a, b []storage.Row) bool {
 	return true
 }
 
-func abs(f float64) float64 {
-	if f < 0 {
-		return -f
+// compareRows orders rows column by column: NULL first, then numbers,
+// strings and booleans, each class in value order.
+func compareRows(x, y storage.Row) int {
+	for c := range min(len(x), len(y)) {
+		if d := cmp.Compare(valueClass(x[c]), valueClass(y[c])); d != 0 {
+			return d
+		}
+		if d, _ := sqlvalue.Compare(x[c], y[c]); d != 0 {
+			return d
+		}
 	}
-	return f
+	return cmp.Compare(len(x), len(y))
+}
+
+func valueClass(v sqlvalue.Value) int {
+	switch {
+	case v.IsNull():
+		return 0
+	case v.IsNumeric():
+		return 1
+	case v.Kind() == sqlvalue.KindString:
+		return 2
+	default:
+		return 3
+	}
 }

@@ -414,23 +414,6 @@ func contains(s, sub string) bool {
 	})()
 }
 
-func TestNormalizeRowsSortsCanonically(t *testing.T) {
-	a := []storage.Row{
-		{sqlvalue.NewInt(2), sqlvalue.NewFloat(1.5)},
-		{sqlvalue.NewInt(1), sqlvalue.NewString("x")},
-	}
-	b := []storage.Row{
-		{sqlvalue.NewInt(1), sqlvalue.NewString("x")},
-		{sqlvalue.NewInt(2), sqlvalue.NewFloat(1.5)},
-	}
-	na, nb := NormalizeRows(a), NormalizeRows(b)
-	for i := range na {
-		if na[i] != nb[i] {
-			t.Fatalf("normalization differs: %v vs %v", na, nb)
-		}
-	}
-}
-
 func TestSameRows(t *testing.T) {
 	a := []storage.Row{
 		{sqlvalue.NewInt(2), sqlvalue.NewFloat(1e7 + 0.001)},
@@ -467,5 +450,24 @@ func TestSameRows(t *testing.T) {
 	g := []storage.Row{{sqlvalue.NewFloat(5)}}
 	if !SameRows(f, g) {
 		t.Fatal("5 and 5.0 reported different")
+	}
+	// Equal bags whose floats round alike at 6 digits, listed in opposite
+	// orders.
+	h := []storage.Row{{sqlvalue.NewFloat(1.0000001)}, {sqlvalue.NewFloat(1.0000002)}}
+	if !SameRows(h, []storage.Row{h[1], h[0]}) {
+		t.Fatal("one bag in two orders reported different")
+	}
+	// Two values within tolerance on either side of a 6-digit rounding
+	// boundary: rounded, they order differently against the other row.
+	k := []storage.Row{
+		{sqlvalue.NewFloat(1.00000499999999), sqlvalue.NewString("b")},
+		{sqlvalue.NewFloat(1.000001), sqlvalue.NewString("a")},
+	}
+	l := []storage.Row{
+		{sqlvalue.NewFloat(1.000001), sqlvalue.NewString("a")},
+		{sqlvalue.NewFloat(1.00000500000001), sqlvalue.NewString("b")},
+	}
+	if !SameRows(k, l) {
+		t.Fatal("floats within tolerance across a rounding boundary reported different")
 	}
 }

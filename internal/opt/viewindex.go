@@ -16,9 +16,10 @@ import (
 // to a constant are planned as index seeks and costed accordingly — this is
 // how "any secondary indexes defined on a materialized view will be
 // considered automatically in the same way as for base tables" (§2) plays
-// out. The caller builds and commits the matching storage index first
-// (storage.MaterializedView.BuildIndex), so no plan seeks an index storage
-// lacks.
+// out. The caller (shell.Session's CREATE INDEX) builds and commits the
+// matching storage index first — BuildIndex of the view's stored relation,
+// the same one a table's index is built by — so no plan seeks an index
+// storage lacks.
 func (o *Optimizer) RegisterViewIndex(name string, cols []int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -244,21 +244,25 @@ func (s *Session) createIndex(ci *sqlparser.CreateIndexStatement, w io.Writer) e
 // catalog epoch untouched and no plan seeks what storage lacks. Base-table
 // indexes are not planned with, so the optimizer never hears of them.
 func (s *Session) buildIndex(target string, ords []int, unique bool) error {
-	var build func([]int, bool) (*storage.Index, error)
-	var rollback func(string)
+	var rel interface {
+		BuildIndex([]int, bool) (*storage.Index, error)
+	}
 	mv := s.DB.View(target)
 	if mv != nil {
-		build, rollback = mv.BuildIndex, s.DB.RollbackView
+		rel = mv
 	} else if t := s.DB.Table(target); t != nil {
-		build, rollback = t.BuildIndex, s.DB.RollbackTable
+		rel = t
 	} else {
 		return fmt.Errorf("shell: %s has no stored rows to index", target)
 	}
-	if _, err := build(ords, unique); err != nil {
+	if _, err := rel.BuildIndex(ords, unique); err != nil {
 		return err
 	}
 	if _, err := s.DB.CommitDurable(); err != nil {
-		rollback(target)
+		// Only target changed since the last commit, so rolling back both
+		// kinds under its name restores it and leaves the rest as it was.
+		s.DB.RollbackTable(target)
+		s.DB.RollbackView(target)
 		return fmt.Errorf("shell: commit of index on %s failed: %w", target, err)
 	}
 	if mv == nil {

@@ -147,7 +147,10 @@ func cloneRows(in []Row) []Row { return append([]Row(nil), in...) }
 // ordinals, update, rewrite (the deletes that push a store over its dead-row
 // fraction), Commit, RollbackTable and RollbackView, checking the head after
 // every step and — at the end, after all the writes that followed them —
-// every snapshot pinned along the way.
+// every snapshot pinned along the way. Mixed in are the steps both kinds of
+// relation share the index path for: an index built mid-run on the table, one
+// built on the view while its row changes are still pending, and an insert
+// its table's unique index refuses.
 func TestStorageAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runModel(t, seed, 300) })
@@ -179,6 +182,10 @@ func runModel(t *testing.T, seed int64, steps int) {
 	}
 	var pins []pinned
 	rewrites := 0
+	// The mixed-in steps draw from their own source, so the interleaving of
+	// the others is the same with or without them.
+	more := rand.New(rand.NewSource(-seed))
+	tableBuilds, pendingViewBuilds, refused := 0, 0, 0
 
 	newTableRow := func() Row {
 		note := sqlvalue.Null
@@ -217,6 +224,20 @@ func runModel(t *testing.T, seed int64, steps int) {
 	}
 
 	for step := 0; step < steps; step++ {
+		if more.Intn(20) == 0 { // an index built (or rebuilt) mid-run on the table
+			if _, err := tb.BuildIndex([]int{1, 2}, false); err != nil {
+				t.Fatalf("step %d: table BuildIndex: %v", step, err)
+			}
+			tableBuilds++
+		}
+		if more.Intn(10) == 0 && len(table) > 0 { // a key the unique index holds
+			dup := Row{table[more.Intn(len(table))][0], sqlvalue.NewInt(0), sqlvalue.Null}
+			n := tb.Store().Len()
+			if err := tb.Insert(dup); err == nil || tb.Store().Len() != n {
+				t.Fatalf("step %d: duplicate id %v: Insert returned %v, store %d -> %d rows", step, dup[0], err, n, tb.Store().Len())
+			}
+			refused++
+		}
 		switch op := rng.Intn(20); {
 		case op < 6: // append to the table, sometimes enough to cross a block
 			n := 1 + rng.Intn(40)
@@ -278,6 +299,15 @@ func runModel(t *testing.T, seed int64, steps int) {
 					view = append(removeAt(view, []int{p}), r)
 				}
 			}
+			if more.Intn(4) == 0 { // an index built over changes not yet patched
+				if mv.patched == mv.Store().Len() && len(mv.patchDel) == 0 {
+					t.Fatalf("step %d: no row change is pending", step)
+				}
+				if _, err := mv.BuildIndex([]int{1}, false); err != nil {
+					t.Fatalf("step %d: view BuildIndex: %v", step, err)
+				}
+				pendingViewBuilds++
+			}
 			before := mv.Store()
 			if err := mv.PatchIndexes(); err != nil {
 				t.Fatalf("step %d: PatchIndexes: %v", step, err)
@@ -299,14 +329,18 @@ func runModel(t *testing.T, seed int64, steps int) {
 			mv, view = db.View("v"), cloneRows(cView)
 		}
 		checkStore(t, fmt.Sprintf("step %d: head table", step), tb.Store(), tb.indexes, table)
-		viewIndexes := map[string]*Index{"public": mv.LookupIndex([]int{0})}
+		viewIndexes := map[string]*Index{}
+		for key, idx := range mv.indexes {
+			viewIndexes[key] = idx
+		}
 		if mv.locator != nil {
 			viewIndexes["locator"] = mv.locator
 		}
 		checkStore(t, fmt.Sprintf("step %d: head view", step), mv.Store(), viewIndexes, view)
 	}
-	if rewrites == 0 || len(pins) < 3 {
-		t.Fatalf("the run exercised %d rewrites and %d pinned snapshots", rewrites, len(pins))
+	if rewrites == 0 || len(pins) < 3 || tableBuilds == 0 || pendingViewBuilds == 0 || refused == 0 {
+		t.Fatalf("the run exercised %d rewrites, %d pinned snapshots, %d table and %d pending view index builds, %d refused inserts",
+			rewrites, len(pins), tableBuilds, pendingViewBuilds, refused)
 	}
 	for _, p := range pins {
 		td, vd := p.snap.TableData("t"), p.snap.ViewData("v")

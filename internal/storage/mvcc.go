@@ -22,8 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"matview/internal/catalog"
 )
 
 // Reader is the executor's read surface: the live head (*Database), a pinned
@@ -32,68 +30,9 @@ import (
 type Reader interface {
 	// TableData returns the named table's data at this reader's point in
 	// time, or nil.
-	TableData(name string) *TableData
+	TableData(name string) *Data
 	// ViewData returns the named materialized view's data, or nil.
-	ViewData(name string) *ViewData
-}
-
-// TableData is one table's contents at one point in time. Instances handed
-// out by Snapshots are immutable; instances from the live *Database alias
-// the head and are only safe under the caller's usual serialization.
-type TableData struct {
-	Meta *catalog.Table
-
-	store   *ColumnStore
-	indexes map[string]*Index
-}
-
-// Store returns the column store for direct columnar access.
-func (d *TableData) Store() *ColumnStore { return d.store }
-
-// NumRows returns the number of live rows.
-func (d *TableData) NumRows() int { return d.store.Live() }
-
-// Rows materializes every live row (freshly allocated).
-func (d *TableData) Rows() []Row { return d.store.Rows() }
-
-// RowAt materializes row i as a fresh Row.
-func (d *TableData) RowAt(i int) Row { return d.store.RowAt(i) }
-
-// LookupIndex returns the index on exactly cols, or nil.
-func (d *TableData) LookupIndex(cols []int) *Index {
-	if d.indexes == nil {
-		return nil
-	}
-	return d.indexes[indexKey(cols)]
-}
-
-// ViewData is one materialized view's contents at one point in time.
-type ViewData struct {
-	Name    string
-	NumCols int
-
-	store   *ColumnStore
-	indexes map[string]*Index
-}
-
-// Store returns the column store for direct columnar access.
-func (d *ViewData) Store() *ColumnStore { return d.store }
-
-// NumRows returns the number of live rows.
-func (d *ViewData) NumRows() int { return d.store.Live() }
-
-// Rows materializes every live row (freshly allocated).
-func (d *ViewData) Rows() []Row { return d.store.Rows() }
-
-// RowAt materializes row i as a fresh Row.
-func (d *ViewData) RowAt(i int) Row { return d.store.RowAt(i) }
-
-// LookupIndex returns the index on exactly cols, or nil.
-func (d *ViewData) LookupIndex(cols []int) *Index {
-	if d.indexes == nil {
-		return nil
-	}
-	return d.indexes[indexKey(cols)]
+	ViewData(name string) *Data
 }
 
 // IndexDef describes one hash index declaratively — enough for a checkpoint
@@ -103,35 +42,29 @@ type IndexDef struct {
 	Unique bool
 }
 
-// indexDefsOf extracts the defs of an index map in deterministic order.
-func indexDefsOf(in map[string]*Index) []IndexDef {
-	if len(in) == 0 {
+// IndexDefs returns the index definitions in deterministic order.
+func (d *Data) IndexDefs() []IndexDef {
+	if len(d.indexes) == 0 {
 		return nil
 	}
-	keys := make([]string, 0, len(in))
-	for k := range in {
+	keys := make([]string, 0, len(d.indexes))
+	for k := range d.indexes {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]IndexDef, 0, len(keys))
-	for _, k := range keys {
-		idx := in[k]
-		out = append(out, IndexDef{Cols: append([]int(nil), idx.Cols...), Unique: idx.Unique})
+	out := make([]IndexDef, len(keys))
+	for i, k := range keys {
+		idx := d.indexes[k]
+		out[i] = IndexDef{Cols: append([]int(nil), idx.Cols...), Unique: idx.Unique}
 	}
 	return out
 }
 
-// IndexDefs returns the table's index definitions in deterministic order.
-func (d *TableData) IndexDefs() []IndexDef { return indexDefsOf(d.indexes) }
-
-// IndexDefs returns the view's index definitions in deterministic order.
-func (d *ViewData) IndexDefs() []IndexDef { return indexDefsOf(d.indexes) }
-
 // dbVersion is one published, immutable epoch.
 type dbVersion struct {
 	epoch  uint64
-	tables map[string]*TableData
-	views  map[string]*ViewData
+	tables map[string]*Data
+	views  map[string]*Data
 
 	readers      atomic.Int64
 	supersededAt time.Time // set (under verMu) when a newer epoch publishes
@@ -150,10 +83,10 @@ type Snapshot struct {
 func (s *Snapshot) Epoch() uint64 { return s.v.epoch }
 
 // TableData implements Reader against the pinned epoch.
-func (s *Snapshot) TableData(name string) *TableData { return s.v.tables[name] }
+func (s *Snapshot) TableData(name string) *Data { return s.v.tables[name] }
 
 // ViewData implements Reader against the pinned epoch.
-func (s *Snapshot) ViewData(name string) *ViewData { return s.v.views[name] }
+func (s *Snapshot) ViewData(name string) *Data { return s.v.views[name] }
 
 // Tables returns the sorted names of every table in the pinned epoch.
 func (s *Snapshot) Tables() []string {
@@ -202,21 +135,19 @@ func (db *Database) Snapshot() *Snapshot {
 func (db *Database) Epoch() uint64 { return db.cur.Load().epoch }
 
 // TableData implements Reader over the live head.
-func (db *Database) TableData(name string) *TableData {
-	t := db.tables[name]
-	if t == nil {
-		return nil
-	}
-	return &TableData{Meta: t.Meta, store: t.cols, indexes: t.indexes}
-}
+func (db *Database) TableData(name string) *Data { return headData(db.tables, name) }
 
 // ViewData implements Reader over the live head.
-func (db *Database) ViewData(name string) *ViewData {
-	mv := db.views[name]
-	if mv == nil {
+func (db *Database) ViewData(name string) *Data { return headData(db.views, name) }
+
+// headData returns the named head's current store and indexes, or nil.
+func headData[H interface{ head() *relation }](heads map[string]H, name string) *Data {
+	h, ok := heads[name]
+	if !ok {
 		return nil
 	}
-	return &ViewData{Name: mv.Name, NumCols: mv.NumCols, store: mv.cols, indexes: mv.indexes}
+	d := h.head().Data
+	return &d
 }
 
 // shareIndexes returns an independent map of independent *Index structs over
@@ -234,24 +165,34 @@ func shareIndexes(in map[string]*Index) map[string]*Index {
 	return out
 }
 
-// freeze publishes the table's current contents as an immutable TableData.
-func (t *Table) freeze() *TableData {
-	return &TableData{Meta: t.Meta, store: t.cols.Freeze(), indexes: shareIndexes(t.indexes)}
-}
-
-// freeze publishes the view's current contents as an immutable ViewData.
-func (mv *MaterializedView) freeze() *ViewData {
-	return &ViewData{Name: mv.Name, NumCols: mv.NumCols, store: mv.cols.Freeze(), indexes: shareIndexes(mv.indexes)}
-}
-
 // initVersions publishes epoch 0 (NewDatabase calls it once).
 func (db *Database) initVersions() {
-	v := &dbVersion{epoch: 0, tables: make(map[string]*TableData, len(db.tables)), views: map[string]*ViewData{}}
-	for name, t := range db.tables {
-		v.tables[name] = t.freeze()
-		t.dirty = false
+	tables, _ := publish(db.tables, nil, true)
+	db.cur.Store(&dbVersion{tables: tables, views: map[string]*Data{}})
+}
+
+// publish returns the next version's map of one kind of relation: every
+// dirty head frozen, the rest carried over from prev, and the heads it froze.
+// With nothing dirty and changed false, prev is the next version's map.
+func publish[H interface{ head() *relation }](heads map[string]H, prev map[string]*Data, changed bool) (map[string]*Data, []*relation) {
+	for _, h := range heads {
+		changed = changed || h.head().dirty
 	}
-	db.cur.Store(v)
+	if !changed {
+		return prev, nil
+	}
+	next := make(map[string]*Data, len(heads))
+	var frozen []*relation
+	for name, h := range heads {
+		r := h.head()
+		if d, ok := prev[name]; ok && !r.dirty {
+			next[name] = d
+			continue
+		}
+		next[name] = r.freeze()
+		frozen = append(frozen, r)
+	}
+	return next, frozen
 }
 
 // Commit publishes every uncommitted head mutation as the next epoch, in one
@@ -277,57 +218,15 @@ func (db *Database) Commit() uint64 {
 // RollbackTable/RollbackView.
 func (db *Database) CommitDurable() (uint64, error) {
 	prev := db.cur.Load()
-	tablesChanged := false
-	for _, t := range db.tables {
-		if t.dirty {
-			tablesChanged = true
-			break
-		}
-	}
-	viewsChanged := db.viewSetChanged
-	if !viewsChanged {
-		for _, mv := range db.views {
-			if mv.dirty {
-				viewsChanged = true
-				break
-			}
-		}
-	}
-	if !tablesChanged && !viewsChanged {
-		return prev.epoch, nil
-	}
 	// Assemble the next version without clearing dirty marks yet: freezing is
-	// side-effect-safe (it only marks bitmaps and index maps shared), but the dirty
-	// state must survive a hook failure so a retry or rollback still sees
-	// which objects diverge from the published epoch.
-	tables := prev.tables
-	var frozenTables []*Table
-	if tablesChanged {
-		tables = make(map[string]*TableData, len(db.tables))
-		for name, td := range prev.tables {
-			tables[name] = td
-		}
-		for name, t := range db.tables {
-			if t.dirty {
-				tables[name] = t.freeze()
-				frozenTables = append(frozenTables, t)
-			}
-		}
-	}
-	views := prev.views
-	var frozenViews []*MaterializedView
-	if viewsChanged {
-		views = make(map[string]*ViewData, len(db.views))
-		for name, mv := range db.views {
-			if mv.dirty {
-				views[name] = mv.freeze()
-				frozenViews = append(frozenViews, mv)
-			} else if pv, ok := prev.views[name]; ok {
-				views[name] = pv
-			} else {
-				views[name] = mv.freeze()
-			}
-		}
+	// side-effect-safe (it only marks bitmaps and index maps shared), but the
+	// dirty state must survive a hook failure so a retry or rollback still
+	// sees which objects diverge from the published epoch.
+	tables, frozen := publish(db.tables, prev.tables, false)
+	views, frozenViews := publish(db.views, prev.views, db.viewSetChanged)
+	frozen = append(frozen, frozenViews...)
+	if len(frozen) == 0 && !db.viewSetChanged {
+		return prev.epoch, nil
 	}
 	next := &dbVersion{epoch: prev.epoch + 1, tables: tables, views: views}
 	if db.commitHook != nil {
@@ -335,15 +234,10 @@ func (db *Database) CommitDurable() (uint64, error) {
 			return prev.epoch, err
 		}
 	}
-	for _, t := range frozenTables {
-		t.dirty = false
+	for _, r := range frozen {
+		r.dirty = false
 	}
-	for _, mv := range frozenViews {
-		mv.dirty = false
-	}
-	if viewsChanged {
-		db.viewSetChanged = false
-	}
+	db.viewSetChanged = false
 	db.verMu.Lock()
 	prev.supersededAt = time.Now()
 	db.retained = append(db.retained, prev)
@@ -365,40 +259,27 @@ func (db *Database) ForceEpoch(e uint64) {
 }
 
 // RollbackTable restores the named table's head to the last committed
-// version, discarding every uncommitted mutation to it. Restoration is
-// header copying only — the head re-adopts the published arrays, and its
-// next appends overwrite whatever the discarded statement left beyond the
-// published length.
+// version, discarding every uncommitted mutation to it.
 func (db *Database) RollbackTable(name string) {
-	t := db.tables[name]
-	td := db.cur.Load().tables[name]
-	if t == nil || td == nil {
-		return
+	if t, d := db.tables[name], db.cur.Load().tables[name]; t != nil && d != nil {
+		t.thaw(d)
 	}
-	t.cols = td.store.Freeze()
-	t.indexes = shareIndexes(td.indexes)
-	t.dirty = false
 }
 
 // RollbackView restores the named view's head to the last committed version.
 // A view that did not exist at the last commit is dropped outright.
 func (db *Database) RollbackView(name string) {
-	vd := db.cur.Load().views[name]
-	if vd == nil {
+	d := db.cur.Load().views[name]
+	if d == nil {
 		if _, ok := db.views[name]; ok {
 			delete(db.views, name)
 			db.viewSetChanged = true
 		}
 		return
 	}
-	db.views[name] = &MaterializedView{
-		Name:    name,
-		NumCols: vd.NumCols,
-		cols:    vd.store.Freeze(),
-		indexes: shareIndexes(vd.indexes),
-		patched: vd.store.Len(),
-		faults:  db.faults,
-	}
+	mv := newView(name, d.store, db.faults)
+	mv.thaw(d)
+	db.views[name] = mv
 }
 
 // MVCCStats is a point-in-time summary of the version machinery, exposed on
@@ -523,22 +404,22 @@ func (db *Database) StartVersionGC(interval, maxAge time.Duration) (stop func())
 type Overlay struct {
 	base Reader
 	name string
-	data *TableData
+	data *Data
 }
 
 // NewOverlay builds an overlay replacing the named table with rows. The
 // table must exist in base.
 func NewOverlay(base Reader, table string, rows []Row) *Overlay {
 	td := base.TableData(table)
-	cs := NewColumnStore(len(td.Meta.Columns))
+	cs := NewColumnStore(td.store.NumCols())
 	for _, r := range rows {
 		cs.AppendRow(r)
 	}
-	return &Overlay{base: base, name: table, data: &TableData{Meta: td.Meta, store: cs}}
+	return &Overlay{base: base, name: table, data: &Data{store: cs}}
 }
 
 // TableData implements Reader.
-func (o *Overlay) TableData(name string) *TableData {
+func (o *Overlay) TableData(name string) *Data {
 	if name == o.name {
 		return o.data
 	}
@@ -546,4 +427,4 @@ func (o *Overlay) TableData(name string) *TableData {
 }
 
 // ViewData implements Reader.
-func (o *Overlay) ViewData(name string) *ViewData { return o.base.ViewData(name) }
+func (o *Overlay) ViewData(name string) *Data { return o.base.ViewData(name) }

@@ -1,10 +1,14 @@
-// Package storage provides the in-memory storage engine: column-major
-// tables with per-block zone maps (see columnar.go), hash indexes (the moral
-// equivalent of SQL Server's unique clustered index on a materialized view,
-// §2), and materialized-view storage. The view-matching algorithm itself
-// never reads rows; storage exists so the executor can run both original
-// queries and substitutes and so tests can verify that substitutes return
-// identical results.
+// Package storage provides the in-memory storage engine. A base table and a
+// materialized view are one kind of stored relation, as in SQL Server (§2):
+// rows in a column store with per-block zone maps (see columnar.go) and hash
+// indexes over them (the moral equivalent of the unique clustered index on a
+// materialized view), kept current by one patch path and published at each
+// epoch as one immutable Data (see mvcc.go). They differ only in how they are
+// written: a Table takes validated inserts and deletes, a MaterializedView
+// the row changes of incremental maintenance. The view-matching algorithm
+// itself never reads rows; storage exists so the executor can run both
+// original queries and substitutes and so tests can verify that substitutes
+// return identical results.
 package storage
 
 import (
@@ -52,38 +56,190 @@ func (r Row) AppendKey(dst []byte, cols []int) []byte {
 	return dst
 }
 
-// Table is a base table stored column-major.
-type Table struct {
-	Meta *catalog.Table
-
-	cols *ColumnStore
+// Data is one table's or view's contents at one point in time: a column
+// store and the hash indexes over it. Instances handed out by Snapshots are
+// immutable; instances from the live *Database alias the head and are only
+// safe under the caller's usual serialization.
+type Data struct {
+	store *ColumnStore
 
 	// indexes by a canonical column-list key.
 	indexes map[string]*Index
+}
+
+// Store returns the column store for direct columnar access.
+func (d *Data) Store() *ColumnStore { return d.store }
+
+// NumRows returns the number of live rows.
+func (d *Data) NumRows() int { return d.store.Live() }
+
+// Rows materializes every live row (freshly allocated). The executor's scans
+// read columns directly; this is for tests, tools, and the reference
+// evaluator.
+func (d *Data) Rows() []Row { return d.store.Rows() }
+
+// RowAt materializes row i as a fresh Row.
+func (d *Data) RowAt(i int) Row { return d.store.RowAt(i) }
+
+// LookupIndex returns the index on exactly cols, or nil.
+func (d *Data) LookupIndex(cols []int) *Index {
+	if len(d.indexes) == 0 {
+		return nil
+	}
+	return d.indexes[indexKey(cols)]
+}
+
+// relation is the head of a stored relation. A base table and a materialized
+// view are stored alike (§2: an indexed view is kept the way a table is):
+// rows in a column store, hash indexes over them, and the row changes those
+// indexes have not seen yet. A live write reaches an index only through
+// patch; every other index write fills a fresh one (buildIndexOn).
+type relation struct {
+	Data
+
+	what string // how errors name the relation
+
+	// Row changes the indexes have not seen yet: rows at ordinals >= patched
+	// are new, those in patchDel are gone. reindex catches up.
+	patched  int
+	patchDel []int
+
+	// locator is a view writer's own index over the view's clustered key
+	// (§2): maintenance finds the stored rows a delta touches through it
+	// instead of keying every row per statement. It is never published, so
+	// patching it never clones; whatever replaces the store (rollback,
+	// recompute, repair, rewrite) drops it and the next Locator call
+	// rebuilds it.
+	locator *Index
 
 	// dirty marks uncommitted mutations since the last published epoch.
 	dirty bool
 
-	// faults guards the table's mutations; nil outside chaos runs.
+	// faults guards the relation's mutations; nil outside chaos runs.
 	faults *faults.Injector
 }
 
-func newTable(meta *catalog.Table) *Table {
-	return &Table{Meta: meta, cols: NewColumnStore(len(meta.Columns))}
+func newRelation(store *ColumnStore, what string, in *faults.Injector) relation {
+	return relation{Data: Data{store: store}, what: what, patched: store.Len(), faults: in}
 }
 
-// Store returns the table's column store for direct columnar access.
-func (t *Table) Store() *ColumnStore { return t.cols }
+// head lets code generic over *Table and *MaterializedView reach the body.
+func (r *relation) head() *relation { return r }
 
-// NumRows returns the number of live rows.
-func (t *Table) NumRows() int { return t.cols.Live() }
+// tombstone marks row ord dead, leaving its index entries to the next patch.
+func (r *relation) tombstone(ord int) bool {
+	if !r.store.Delete(ord) {
+		return false
+	}
+	r.patchDel = append(r.patchDel, ord)
+	return true
+}
 
-// Rows materializes every live row (freshly allocated). The executor's scans read
-// columns directly; this is for tests, tools, and the reference evaluator.
-func (t *Table) Rows() []Row { return t.cols.Rows() }
+// BuildIndex creates (or rebuilds) a hash index over cols, after filing the
+// pending row changes in the existing ones.
+func (r *relation) BuildIndex(cols []int, unique bool) (*Index, error) {
+	if err := r.patch(); err != nil {
+		return nil, err
+	}
+	idx, err := buildIndexOn(r.store, cols, unique, r.what)
+	if err != nil {
+		return nil, err
+	}
+	if r.indexes == nil {
+		r.indexes = map[string]*Index{}
+	}
+	r.indexes[indexKey(cols)] = idx
+	r.dirty = true
+	return idx, nil
+}
 
-// RowAt materializes row i as a fresh Row.
-func (t *Table) RowAt(i int) Row { return t.cols.RowAt(i) }
+// reindex brings every index up to date after the rows changed: the
+// ordinals of deleted rows leave their buckets and appended rows join theirs
+// — work proportional to the change. When dead rows have piled up the store
+// is rewritten instead and the indexes rebuilt over it; that renumbers every
+// row, so the locator is dropped.
+func (r *relation) reindex() error {
+	if !r.store.rewriteDue() {
+		return r.patch()
+	}
+	store := r.store.Rewrite()
+	indexes := make(map[string]*Index, len(r.indexes))
+	for key, idx := range r.indexes {
+		rebuilt, err := buildIndexOn(store, idx.Cols, idx.Unique, r.what)
+		if err != nil {
+			return fmt.Errorf("storage: rebuilding index %s: %w", key, err)
+		}
+		indexes[key] = rebuilt
+	}
+	r.store, r.indexes, r.locator = store, indexes, nil
+	r.patched, r.patchDel = store.Len(), r.patchDel[:0]
+	return nil
+}
+
+// patch applies the pending row changes to every index and the locator,
+// removals first so an updated row's key is free again before its
+// replacement claims it.
+func (r *relation) patch() error {
+	n := r.store.Len()
+	if r.patched == n && len(r.patchDel) == 0 {
+		return nil
+	}
+	var buf []byte
+	each := func(idx *Index) error {
+		for _, ord := range r.patchDel {
+			if ord < r.patched {
+				buf = idx.remove(r.store, ord, buf)
+			}
+		}
+		for ord := r.patched; ord < n; ord++ {
+			if r.store.IsDead(ord) {
+				continue
+			}
+			var ok bool
+			if buf, ok = idx.add(r.store, ord, buf); !ok {
+				return fmt.Errorf("storage: duplicate key in unique index on %s", r.what)
+			}
+		}
+		return nil
+	}
+	for _, idx := range r.indexes {
+		if err := each(idx); err != nil {
+			return err
+		}
+	}
+	if r.locator != nil {
+		if err := each(r.locator); err != nil {
+			return err
+		}
+	}
+	r.patched, r.patchDel = n, r.patchDel[:0]
+	return nil
+}
+
+// freeze publishes the head's current contents as an immutable Data.
+func (r *relation) freeze() *Data {
+	return &Data{store: r.store.Freeze(), indexes: shareIndexes(r.indexes)}
+}
+
+// thaw makes the published d the head again, discarding every change since.
+// It is header copying only: the head re-adopts the published arrays, and
+// its next appends overwrite whatever the discarded statement left beyond
+// the published length.
+func (r *relation) thaw(d *Data) {
+	r.store, r.indexes = d.store.Freeze(), shareIndexes(d.indexes)
+	r.patched, r.patchDel, r.locator, r.dirty = r.store.Len(), nil, nil, false
+}
+
+// Table is a base table stored column-major. Its writes are validated
+// against the catalog and keep the indexes current row by row.
+type Table struct {
+	Meta *catalog.Table
+	relation
+}
+
+func newTable(meta *catalog.Table) *Table {
+	return &Table{Meta: meta, relation: newRelation(NewColumnStore(len(meta.Columns)), meta.Name, nil)}
+}
 
 // indexShards is how many maps an index spreads its buckets over; what a
 // patch clones after a publish is one shard per key it touches.
@@ -182,9 +338,9 @@ func indexKey(cols []int) string {
 	return string(buf)
 }
 
-// Insert appends a row (which must have the right arity) and updates
-// indexes. Unique violations are detected before anything is written, so a
-// failed insert leaves both the column store and every index untouched.
+// Insert appends a row (which must have the right arity) and files it in
+// the indexes. Unique violations are detected before anything is written,
+// so a failed insert leaves both the column store and every index untouched.
 func (t *Table) Insert(r Row) error {
 	if err := t.faults.Maybe(faults.SiteStorageInsert); err != nil {
 		return err
@@ -213,13 +369,9 @@ func (t *Table) Insert(r Row) error {
 			return fmt.Errorf("storage: duplicate key in unique index on %s", t.Meta.Name)
 		}
 	}
-	ord := t.cols.Len()
-	t.cols.AppendRow(r)
-	for _, idx := range t.indexes {
-		buf, _ = idx.add(t.cols, ord, buf) // uniqueness was checked above
-	}
+	t.store.AppendRow(r)
 	t.dirty = true
-	return nil
+	return t.reindex() // uniqueness was checked above
 }
 
 // buildIndexOn builds a hash index over cols of a column store's live rows.
@@ -238,28 +390,6 @@ func buildIndexOn(cs *ColumnStore, cols []int, unique bool, what string) (*Index
 	return idx, nil
 }
 
-// BuildIndex creates (or rebuilds) a hash index over cols.
-func (t *Table) BuildIndex(cols []int, unique bool) (*Index, error) {
-	idx, err := buildIndexOn(t.cols, cols, unique, t.Meta.Name)
-	if err != nil {
-		return nil, err
-	}
-	if t.indexes == nil {
-		t.indexes = map[string]*Index{}
-	}
-	t.indexes[indexKey(cols)] = idx
-	t.dirty = true
-	return idx, nil
-}
-
-// LookupIndex returns the index on exactly cols, or nil.
-func (t *Table) LookupIndex(cols []int) *Index {
-	if t.indexes == nil {
-		return nil
-	}
-	return t.indexes[indexKey(cols)]
-}
-
 // Probe returns the ordinals of rows whose cols equal the given values.
 func (idx *Index) Probe(vals Row) []int {
 	var arr [48]byte
@@ -271,85 +401,38 @@ func (idx *Index) ProbeKey(key []byte) []int {
 	return idx.shards[maphash.Bytes(indexSeed, key)%indexShards][string(key)]
 }
 
-// rewritten returns cs's Rewrite and, since that renumbers every row, fresh
-// indexes with the definitions of in built over it.
-func rewritten(cs *ColumnStore, in map[string]*Index, what string) (*ColumnStore, map[string]*Index, error) {
-	cs = cs.Rewrite()
-	if in == nil {
-		return cs, nil, nil
-	}
-	out := make(map[string]*Index, len(in))
-	for key, idx := range in {
-		rebuilt, err := buildIndexOn(cs, idx.Cols, idx.Unique, what)
-		if err != nil {
-			return nil, nil, fmt.Errorf("storage: rebuilding index %s: %w", key, err)
-		}
-		out[key] = rebuilt
-	}
-	return cs, out, nil
-}
-
 // MaterializedView stores the materialized rows of a view: one column per
 // view output, in output order, analogous to the clustered index that
 // materializes an indexed view (§2). Secondary indexes over output columns
 // can be added, mirroring SQL Server's CREATE INDEX on a view (Example 1).
+// Maintenance changes rows first (Append, Delete, Update) and then catches
+// the indexes up once with PatchIndexes.
 type MaterializedView struct {
 	Name    string
 	NumCols int
-
-	cols    *ColumnStore
-	indexes map[string]*Index
-
-	// locator is the writer's own index over the view's clustered key (§2):
-	// maintenance finds the stored rows a delta touches through it instead of
-	// keying every row per statement. It is never published, so patching it
-	// never clones; whatever replaces the store (rollback, recompute, repair,
-	// rewrite) drops it and the next Locator call rebuilds it.
-	locator *Index
-
-	// Row changes the indexes have not seen yet: rows at ordinals >= patched
-	// are new, those in patchDel are gone. PatchIndexes catches up.
-	patched  int
-	patchDel []int
-
-	// dirty marks uncommitted mutations since the last published epoch.
-	dirty bool
-
-	faults *faults.Injector
+	relation
 }
 
-// Store returns the view's column store for direct columnar access.
-func (mv *MaterializedView) Store() *ColumnStore { return mv.cols }
-
-// NumRows returns the number of live materialized rows.
-func (mv *MaterializedView) NumRows() int { return mv.cols.Live() }
+func newView(name string, store *ColumnStore, in *faults.Injector) *MaterializedView {
+	return &MaterializedView{Name: name, NumCols: store.NumCols(), relation: newRelation(store, "view "+name, in)}
+}
 
 // RowCount returns the number of live materialized rows as an int64 (the
 // shape cost models and stats want).
-func (mv *MaterializedView) RowCount() int64 { return int64(mv.cols.Live()) }
+func (mv *MaterializedView) RowCount() int64 { return int64(mv.NumRows()) }
 
-// Rows materializes every live row (freshly allocated).
-func (mv *MaterializedView) Rows() []Row { return mv.cols.Rows() }
-
-// RowAt materializes row i as a fresh Row.
-func (mv *MaterializedView) RowAt(i int) Row { return mv.cols.RowAt(i) }
-
-// Append appends delta rows to the view. Indexes are not touched here;
-// maintenance calls PatchIndexes after all row changes.
+// Append appends delta rows to the view.
 func (mv *MaterializedView) Append(rows []Row) {
 	for _, r := range rows {
-		mv.cols.AppendRow(r)
+		mv.store.AppendRow(r)
 	}
 	mv.dirty = true
 }
 
-// Delete tombstones the rows at the given ordinals; like Append it leaves
-// the indexes to PatchIndexes.
+// Delete tombstones the rows at the given ordinals.
 func (mv *MaterializedView) Delete(ords []int) {
 	for _, ord := range ords {
-		if mv.cols.Delete(ord) {
-			mv.patchDel = append(mv.patchDel, ord)
-		}
+		mv.tombstone(ord)
 	}
 	mv.dirty = true
 }
@@ -357,34 +440,9 @@ func (mv *MaterializedView) Delete(ords []int) {
 // Update replaces row ord (incremental aggregate maintenance): the stored
 // row is tombstoned and r appended, so no published array is written.
 func (mv *MaterializedView) Update(ord int, r Row) {
-	mv.Delete([]int{ord})
-	mv.cols.AppendRow(r)
-}
-
-// BuildIndex creates (or rebuilds) a hash index over the view's output
-// columns.
-func (mv *MaterializedView) BuildIndex(cols []int, unique bool) (*Index, error) {
-	if err := mv.patch(); err != nil {
-		return nil, err
-	}
-	idx, err := buildIndexOn(mv.cols, cols, unique, "view "+mv.Name)
-	if err != nil {
-		return nil, err
-	}
-	if mv.indexes == nil {
-		mv.indexes = map[string]*Index{}
-	}
-	mv.indexes[indexKey(cols)] = idx
+	mv.tombstone(ord)
+	mv.store.AppendRow(r)
 	mv.dirty = true
-	return idx, nil
-}
-
-// LookupIndex returns the view index on exactly cols, or nil.
-func (mv *MaterializedView) LookupIndex(cols []int) *Index {
-	if mv.indexes == nil {
-		return nil
-	}
-	return mv.indexes[indexKey(cols)]
 }
 
 // Locator returns the writer-private index over cols, building it on first
@@ -392,70 +450,19 @@ func (mv *MaterializedView) LookupIndex(cols []int) *Index {
 func (mv *MaterializedView) Locator(cols []int) *Index {
 	if mv.locator == nil || !slices.Equal(mv.locator.Cols, cols) {
 		// A non-unique build cannot fail.
-		mv.locator, _ = buildIndexOn(mv.cols, cols, false, "view "+mv.Name)
+		mv.locator, _ = buildIndexOn(mv.store, cols, false, mv.what)
 	}
 	return mv.locator
 }
 
 // PatchIndexes brings every index up to date after the view's rows changed
-// (incremental maintenance): the ordinals of deleted rows leave their
-// buckets and appended rows join theirs — work proportional to the change.
-// When dead rows have piled up the store is rewritten instead and the
-// indexes rebuilt over it. An injected fault here models the torn-write
+// (see relation.reindex). An injected fault here models the torn-write
 // window: rows already merged, indexes not yet consistent.
 func (mv *MaterializedView) PatchIndexes() error {
 	if err := mv.faults.Maybe(faults.SiteStorageRebuild); err != nil {
 		return err
 	}
-	if !mv.cols.rewriteDue() {
-		return mv.patch()
-	}
-	cols, indexes, err := rewritten(mv.cols, mv.indexes, "view "+mv.Name)
-	if err != nil {
-		return err
-	}
-	mv.cols, mv.indexes, mv.locator = cols, indexes, nil
-	mv.patched, mv.patchDel = cols.Len(), nil
-	return nil
-}
-
-// patch applies the pending row changes to every index, removals first so
-// an updated row's key is free again before its replacement claims it.
-func (mv *MaterializedView) patch() error {
-	n := mv.cols.Len()
-	if mv.patched == n && len(mv.patchDel) == 0 {
-		return nil
-	}
-	var buf []byte
-	each := func(idx *Index) error {
-		for _, ord := range mv.patchDel {
-			if ord < mv.patched {
-				buf = idx.remove(mv.cols, ord, buf)
-			}
-		}
-		for ord := mv.patched; ord < n; ord++ {
-			if mv.cols.IsDead(ord) {
-				continue
-			}
-			var ok bool
-			if buf, ok = idx.add(mv.cols, ord, buf); !ok {
-				return fmt.Errorf("storage: duplicate key in unique index on view %s", mv.Name)
-			}
-		}
-		return nil
-	}
-	for _, idx := range mv.indexes {
-		if err := each(idx); err != nil {
-			return err
-		}
-	}
-	if mv.locator != nil {
-		if err := each(mv.locator); err != nil {
-			return err
-		}
-	}
-	mv.patched, mv.patchDel = n, nil
-	return nil
+	return mv.reindex()
 }
 
 // Database is a catalog plus table and view storage. The tables/views maps
@@ -531,7 +538,7 @@ func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedV
 	for _, r := range rows {
 		cs.AppendRow(r)
 	}
-	mv := &MaterializedView{Name: name, NumCols: numCols, cols: cs, patched: cs.Len(), faults: db.faults}
+	mv := newView(name, cs, db.faults)
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {
 			// A failing unique rebuild is a definition-level inconsistency;
@@ -567,26 +574,17 @@ func (t *Table) DeleteOrds(ords []int) ([]Row, error) {
 		return nil, err
 	}
 	var deleted []Row
-	var buf []byte
 	for _, ord := range ords {
-		if !t.cols.Delete(ord) {
-			continue
-		}
-		deleted = append(deleted, t.cols.RowAt(ord))
-		for _, idx := range t.indexes {
-			buf = idx.remove(t.cols, ord, buf)
+		if t.tombstone(ord) {
+			deleted = append(deleted, t.store.RowAt(ord))
 		}
 	}
 	if len(deleted) == 0 {
 		return nil, nil
 	}
 	t.dirty = true
-	if t.cols.rewriteDue() {
-		cols, indexes, err := rewritten(t.cols, t.indexes, t.Meta.Name)
-		if err != nil {
-			return nil, err
-		}
-		t.cols, t.indexes = cols, indexes
+	if err := t.reindex(); err != nil {
+		return nil, err
 	}
 	return deleted, nil
 }
@@ -597,12 +595,12 @@ func (t *Table) DeleteOrds(ords []int) ([]Row, error) {
 // and hands them to DeleteOrds directly.
 func (t *Table) DeleteWhere(pred func(Row) bool) ([]Row, error) {
 	var ords []int
-	scratch := make(Row, t.cols.NumCols())
-	for i, n := 0, t.cols.Len(); i < n; i++ {
-		if t.cols.IsDead(i) {
+	scratch := make(Row, t.store.NumCols())
+	for i, n := 0, t.store.Len(); i < n; i++ {
+		if t.store.IsDead(i) {
 			continue
 		}
-		t.cols.MaterializeInto(scratch, i)
+		t.store.MaterializeInto(scratch, i)
 		if pred(scratch) {
 			ords = append(ords, i)
 		}
@@ -614,6 +612,6 @@ func (t *Table) DeleteWhere(pred func(Row) bool) ([]Row, error) {
 // so the cost model sees actual sizes after loading.
 func (db *Database) RefreshStats() {
 	for name, t := range db.tables {
-		db.Catalog.Table(name).RowCount = int64(t.cols.Live())
+		db.Catalog.Table(name).RowCount = int64(t.NumRows())
 	}
 }

@@ -11,7 +11,7 @@ import (
 // a non-unique index over both key columns — the shape the maintainer probes
 // on every delta row.
 func benchView(n int) *MaterializedView {
-	mv := &MaterializedView{Name: "bench_mv", NumCols: 3, cols: NewColumnStore(3)}
+	mv := newView("bench_mv", NewColumnStore(3), nil)
 	rows := make([]Row, n)
 	for i := 0; i < n; i++ {
 		rows[i] = Row{

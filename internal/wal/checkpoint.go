@@ -59,25 +59,23 @@ type CheckpointSpec struct {
 	Views []ViewMeta
 }
 
-type checkpointTable struct {
+// checkpointRelation is one checkpointed table or view: its name, index
+// definitions and live rows.
+type checkpointRelation struct {
 	name    string
 	indexes []storage.IndexDef
-	numCols int
 	rows    []storage.Row
 }
 
 type checkpointView struct {
-	name    string
-	defSQL  string
-	health  int
-	numCols int
-	indexes []storage.IndexDef
-	rows    []storage.Row
+	checkpointRelation
+	defSQL string
+	health int
 }
 
 type checkpointData struct {
 	epoch  uint64
-	tables []checkpointTable
+	tables []checkpointRelation
 	views  []checkpointView
 }
 
@@ -182,10 +180,15 @@ func (c *crcWriter) indexDefs(defs []storage.IndexDef) error {
 	return nil
 }
 
-// columnData serializes one column store: col count, live row count, then
-// the live rows in ordinal order. Tombstones are not written: a recovered
-// store starts compact.
-func (c *crcWriter) columnData(cs *storage.ColumnStore) error {
+// relation serializes one table's or view's data: its index definitions,
+// then its column store — col count, live row count, and the live rows in
+// ordinal order. Tombstones are not written: a recovered store starts
+// compact.
+func (c *crcWriter) relation(d *storage.Data) error {
+	if err := c.indexDefs(d.IndexDefs()); err != nil {
+		return err
+	}
+	cs := d.Store()
 	if err := c.u32(uint32(cs.NumCols())); err != nil {
 		return err
 	}
@@ -243,14 +246,10 @@ func writeCheckpoint(dir string, spec CheckpointSpec, inj *faults.Injector) (str
 		return fail(err)
 	}
 	for _, name := range tables {
-		td := snap.TableData(name)
 		if err := w.str(name); err != nil {
 			return fail(err)
 		}
-		if err := w.indexDefs(td.IndexDefs()); err != nil {
-			return fail(err)
-		}
-		if err := w.columnData(td.Store()); err != nil {
+		if err := w.relation(snap.TableData(name)); err != nil {
 			return fail(err)
 		}
 	}
@@ -267,7 +266,6 @@ func writeCheckpoint(dir string, spec CheckpointSpec, inj *faults.Injector) (str
 		return fail(err)
 	}
 	for _, vm := range views {
-		vd := snap.ViewData(vm.Name)
 		if err := w.str(vm.Name); err != nil {
 			return fail(err)
 		}
@@ -277,10 +275,7 @@ func writeCheckpoint(dir string, spec CheckpointSpec, inj *faults.Injector) (str
 		if err := w.u8(uint8(vm.Health)); err != nil {
 			return fail(err)
 		}
-		if err := w.indexDefs(vd.IndexDefs()); err != nil {
-			return fail(err)
-		}
-		if err := w.columnData(vd.Store()); err != nil {
+		if err := w.relation(snap.ViewData(vm.Name)); err != nil {
 			return fail(err)
 		}
 	}
@@ -464,26 +459,30 @@ func (r *ckptReader) indexDefs() ([]storage.IndexDef, error) {
 	return defs, nil
 }
 
-func (r *ckptReader) columnData() (numCols int, rows []storage.Row, err error) {
+// relation decodes what crcWriter.relation wrote into rel.
+func (r *ckptReader) relation(rel *checkpointRelation) (err error) {
+	if rel.indexes, err = r.indexDefs(); err != nil {
+		return err
+	}
 	nc, err := r.u32()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
 	nr, err := r.u64()
 	if err != nil {
-		return 0, nil, err
+		return err
 	}
-	rows = make([]storage.Row, 0, nr)
+	rel.rows = make([]storage.Row, 0, nr)
 	for i := uint64(0); i < nr; i++ {
 		row := make(storage.Row, nc)
 		for j := range row {
 			if row[j], err = r.value(); err != nil {
-				return 0, nil, err
+				return err
 			}
 		}
-		rows = append(rows, row)
+		rel.rows = append(rel.rows, row)
 	}
-	return int(nc), rows, nil
+	return nil
 }
 
 // parseCheckpoint validates and decodes one checkpoint file's bytes.
@@ -506,14 +505,11 @@ func parseCheckpoint(data []byte) (*checkpointData, error) {
 		return nil, err
 	}
 	for i := uint32(0); i < nt; i++ {
-		var t checkpointTable
+		var t checkpointRelation
 		if t.name, err = r.str(); err != nil {
 			return nil, err
 		}
-		if t.indexes, err = r.indexDefs(); err != nil {
-			return nil, err
-		}
-		if t.numCols, t.rows, err = r.columnData(); err != nil {
+		if err = r.relation(&t); err != nil {
 			return nil, err
 		}
 		ck.tables = append(ck.tables, t)
@@ -535,10 +531,7 @@ func parseCheckpoint(data []byte) (*checkpointData, error) {
 			return nil, err
 		}
 		v.health = int(h)
-		if v.indexes, err = r.indexDefs(); err != nil {
-			return nil, err
-		}
-		if v.numCols, v.rows, err = r.columnData(); err != nil {
+		if err = r.relation(&v.checkpointRelation); err != nil {
 			return nil, err
 		}
 		ck.views = append(ck.views, v)

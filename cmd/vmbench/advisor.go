@@ -309,7 +309,7 @@ func (r *advisorRun) finish(total, tailStart time.Duration) {
 			tail = append(tail, s.lat)
 		}
 	}
-	for w := 0; w < int((total + time.Second - 1) / time.Second); w++ {
+	for w := 0; w < int((total+time.Second-1)/time.Second); w++ {
 		lats := byWindow[w]
 		r.Windows = append(r.Windows, advisorWindow{
 			T:        w,

@@ -54,8 +54,8 @@ type WorkloadEntry struct {
 	// recordings, so re-plans after catalog changes shift it smoothly).
 	CostEstimate float64 `json:"costEstimate"`
 	// ExecMicros is the measured server-side execution time EWMA.
-	ExecMicros    float64 `json:"execMicros"`
-	LastSeenMicros int64  `json:"lastSeenMicros"`
+	ExecMicros     float64 `json:"execMicros"`
+	LastSeenMicros int64   `json:"lastSeenMicros"`
 
 	Query *spjg.Query `json:"-"`
 }

@@ -1,11 +1,14 @@
 package exec
 
 import (
+	"fmt"
 	"math"
 	"math/big"
 	"math/rand"
 	"testing"
 
+	"matview/internal/expr"
+	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
 )
 
@@ -159,10 +162,11 @@ func TestFloatSumSpecials(t *testing.T) {
 	}
 }
 
-// TestAggStateKindTransitions pins accumulate to the sequential sqlvalue.Add
-// fold it replaced, wherever that fold was exact: integer sums, the lone
-// DATE, DATE and BIGINT turning DOUBLE, NULL skipping, and the non-numeric
-// cases — and checks merge against accumulate on every split.
+// TestAggStateKindTransitions pins accumulate to the SQL rule: BIGINT and
+// DOUBLE addends fold as the sequential sqlvalue.Add fold does wherever that
+// fold is exact (integer sums, BIGINT turning DOUBLE, NULL skipping), and
+// the first DATE, VARCHAR or BOOLEAN addend is an error naming its kind —
+// and checks merge against accumulate on every split.
 func TestAggStateKindTransitions(t *testing.T) {
 	i, f, d := sqlvalue.NewInt, sqlvalue.NewFloat, sqlvalue.NewDate
 	null, str, yes := sqlvalue.Null, sqlvalue.NewString("x"), sqlvalue.NewBool(true)
@@ -175,8 +179,10 @@ func TestAggStateKindTransitions(t *testing.T) {
 	} {
 		want, wantErr := sqlvalue.Null, error(nil)
 		for _, v := range vals {
-			switch {
+			switch k := v.Kind(); {
 			case v.IsNull() || wantErr != nil:
+			case k != sqlvalue.KindInt && k != sqlvalue.KindFloat:
+				wantErr = fmt.Errorf("exec: cannot sum %s values", k)
 			case want.IsNull():
 				want = v
 			default:
@@ -232,5 +238,34 @@ func TestFloatSumAllocations(t *testing.T) {
 	}
 	if got, want := st.value().Float(), bigSum(prices); got != want {
 		t.Errorf("sum = %v, want %v", got, want)
+	}
+}
+
+// TestSumRefusesNonNumericArguments: SUM and AVG over a DATE, a VARCHAR or a
+// BOOLEAN column fail with the error naming its kind — through a bare scan's
+// aggregation and one over a join, at every worker count, exactly as the
+// reference does.
+func TestSumRefusesNonNumericArguments(t *testing.T) {
+	db := joinDB(t, 20, 200)
+	fact := &TableScan{Table: "fact", NCols: 8}
+	join := &HashJoin{L: &TableScan{Table: "dim", NCols: 8}, R: fact, LCols: []int{1}, RCols: []int{1}}
+	for col, kind := range map[int]sqlvalue.Kind{3: sqlvalue.KindString, 4: sqlvalue.KindDate, 5: sqlvalue.KindBool} {
+		want := fmt.Sprintf("exec: cannot sum %s values", kind)
+		for _, agg := range []spjg.AggKind{spjg.AggSum, spjg.AggAvg} {
+			for _, in := range []Node{fact, join} {
+				plan := &HashAgg{In: in, GroupBy: []expr.Expr{expr.Col(0, 0)}, Aggs: []AggSpec{
+					{Num: SimpleAgg{Kind: spjg.AggCountStar}},
+					{Num: SimpleAgg{Kind: agg, Arg: expr.Col(0, col)}},
+				}}
+				if _, err := RunReference(db, plan); err == nil || err.Error() != want {
+					t.Fatalf("%s over %s: reference error %v, want %q", agg, kind, err, want)
+				}
+				for _, workers := range []int{1, 2, 4} {
+					if _, err := (&Engine{Workers: workers, BatchSize: 16}).Run(db, plan); err == nil || err.Error() != want {
+						t.Fatalf("%s over %s, w=%d: engine error %v, want %q", agg, kind, workers, err, want)
+					}
+				}
+			}
+		}
 	}
 }

@@ -108,7 +108,7 @@ func TestBackjoinSubstituteEquivalence(t *testing.T) {
 			if len(sub.Backjoins) == 0 {
 				t.Fatalf("expected a backjoin: %s", sub)
 			}
-			got, err := exec.RunSubstitute(db, sub)
+			got, err := exec.BuildSubstitutePlan(sub).Run(db)
 			if err != nil {
 				t.Fatalf("%v\nsubstitute: %s", err, sub)
 			}

@@ -112,10 +112,6 @@ func nullEmitter(int) sqlvalue.Value { return sqlvalue.Null }
 
 // makeEmitter builds the emitter reading a column's physical arrays.
 func makeEmitter(v storage.ColView) colEmitter {
-	if v.Generic != nil {
-		g := v.Generic
-		return func(i int) sqlvalue.Value { return g[i] }
-	}
 	nulls := v.Nulls
 	switch v.Kind {
 	case sqlvalue.KindInt:
@@ -214,16 +210,13 @@ func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, e
 // all lie outside the int-keyed build's key range (every block, if the build
 // is empty). It keeps the reference's answer and errors: only under a nil or
 // safe filter, so no skipped row could have failed; only on INTEGER and DATE
-// columns without a Generic overlay, whose payloads are the build's key space,
-// bounded in the column's own kind; and a block of NULL keys matches nothing.
+// columns, whose payloads are the build's key space, bounded in the column's
+// own kind; and a block of NULL keys matches nothing.
 func (s *scanSource) restrictToBuild(b *ridJoinBuild, cols []int) {
 	if b.mode != keyModeInts || (s.pred != nil && !s.pred.safe) {
 		return
 	}
 	for i, c := range cols {
-		if s.cols[c].Generic != nil {
-			continue
-		}
 		box := sqlvalue.NewInt
 		switch s.cols[c].Kind {
 		case sqlvalue.KindInt:
@@ -548,9 +541,6 @@ func vecNum(e expr.Expr, cols []storage.ColView, ncols int) (numChain, bool) {
 			return numChain{}, false // binds to NULL; handled by classNull
 		}
 		v := cols[n.Ref.Col]
-		if v.Generic != nil {
-			return numChain{}, false
-		}
 		nulls := v.Nulls
 		switch v.Kind {
 		case sqlvalue.KindInt, sqlvalue.KindDate:
@@ -754,7 +744,7 @@ func vecStr(e expr.Expr, cols []storage.ColView, ncols int) (func(i int) (string
 			return nil, false
 		}
 		v := cols[n.Ref.Col]
-		if v.Generic != nil || v.Kind != sqlvalue.KindString {
+		if v.Kind != sqlvalue.KindString {
 			return nil, false
 		}
 		a := v.Strs
@@ -783,8 +773,7 @@ func sideClass(e expr.Expr, cols []storage.ColView, ncols int) uint8 {
 		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= ncols {
 			return classNull // binds to NULL
 		}
-		v := cols[n.Ref.Col]
-		if v.Generic == nil && v.Kind == sqlvalue.KindNull {
+		if cols[n.Ref.Col].Kind == sqlvalue.KindNull {
 			return classNull // column has only ever held NULL
 		}
 	}
@@ -1001,63 +990,28 @@ func predSafe(e expr.Expr, cols []storage.ColView, ncols int) bool {
 	return false
 }
 
-// colCmpConst matches a conjunct of shape col⊙const (or const⊙col, flipped)
-// over an in-range column.
-func colCmpConst(e expr.Expr, ncols int) (int, expr.CmpOp, sqlvalue.Value, bool) {
-	c, ok := e.(expr.Cmp)
-	if !ok {
-		return 0, 0, sqlvalue.Null, false
-	}
-	if col, ok := c.L.(expr.Column); ok && col.Ref.Tab == 0 && col.Ref.Col >= 0 && col.Ref.Col < ncols {
-		if cst, ok := c.R.(expr.Const); ok {
-			return col.Ref.Col, c.Op, cst.Val, true
-		}
-	}
-	if col, ok := c.R.(expr.Column); ok && col.Ref.Tab == 0 && col.Ref.Col >= 0 && col.Ref.Col < ncols {
-		if cst, ok := c.L.(expr.Const); ok {
-			return col.Ref.Col, c.Op.Flip(), cst.Val, true
-		}
-	}
-	return 0, 0, sqlvalue.Null, false
-}
-
 // conjunctConstraint extracts the interval set a single conjunct imposes on
-// one column: col⊙const directly, or an OR of col⊙const terms over the same
-// column (IN-list shape) as the union of their ranges. NE contributes
-// nothing (its complement is not an interval).
+// one in-range column: a range conjunct (expr.Classify's col⊙const, which
+// leaves out NE and NULL constants) directly, or an OR of range conjuncts
+// over the same column (IN-list shape) as the union of their ranges.
 func conjunctConstraint(e expr.Expr, ncols int) (int, ranges.IntervalSet, bool) {
-	if col, op, val, ok := colCmpConst(e, ncols); ok && op != expr.NE {
-		if r, applied := ranges.Universal().Apply(op, val); applied {
-			return col, ranges.NewIntervalSet(r), true
-		}
-		return 0, ranges.IntervalSet{}, false
+	args := []expr.Expr{e}
+	if or, ok := e.(expr.Or); ok {
+		args = or.Args
 	}
-	or, ok := e.(expr.Or)
-	if !ok {
-		return 0, ranges.IntervalSet{}, false
-	}
-	colSeen := -1
-	set := ranges.NewIntervalSet()
-	for _, arg := range or.Args {
-		col, op, val, ok := colCmpConst(arg, ncols)
-		if !ok || op == expr.NE {
+	col, set := -1, ranges.IntervalSet{}
+	for _, arg := range args {
+		kind, _, rc := expr.Classify(arg)
+		if kind != expr.KindRange || rc.Col.Tab != 0 || rc.Col.Col < 0 || rc.Col.Col >= ncols || col >= 0 && rc.Col.Col != col {
 			return 0, ranges.IntervalSet{}, false
 		}
-		if colSeen < 0 {
-			colSeen = col
-		} else if col != colSeen {
-			return 0, ranges.IntervalSet{}, false
-		}
-		r, applied := ranges.Universal().Apply(op, val)
+		r, applied := ranges.Universal().Apply(rc.Op, rc.Val)
 		if !applied {
 			return 0, ranges.IntervalSet{}, false
 		}
-		set = set.Add(r)
+		col, set = rc.Col.Col, set.Add(r)
 	}
-	if colSeen < 0 {
-		return 0, ranges.IntervalSet{}, false
-	}
-	return colSeen, set, true
+	return col, set, col >= 0
 }
 
 // zoneConstraints intersects the constraints all conjuncts impose, per

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -116,6 +117,33 @@ func TestZoneSkipEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestZoneMapSeesPastNaN: a NaN compares equal to everything, so a block
+// whose first non-NULL value is NaN must not be skipped on the strength of a
+// Min = Max = NaN zone — its later values still have to be read.
+func TestZoneMapSeesPastNaN(t *testing.T) {
+	c := catalog.New()
+	if err := c.Add(&catalog.Table{Name: "f", Columns: []catalog.Column{{Name: "x", Type: sqlvalue.KindFloat}}}); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase(c)
+	for _, x := range []float64{math.NaN(), 5} {
+		if err := db.Table("f").Insert(storage.Row{sqlvalue.NewFloat(x)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plan := &TableScan{Table: "f", NCols: 1, Filter: expr.NewCmp(expr.GT, expr.Col(0, 0), expr.CInt(3))}
+	want, err := RunReference(db, plan)
+	if err != nil || len(want) != 1 || want[0][0].Float() != 5 {
+		t.Fatalf("reference = %v, %v; want [[5]]", want, err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		got, err := (&Engine{Workers: workers, BatchSize: 1024}).Run(db, plan)
+		if err != nil || !rowsExactlyEqual(got, want) {
+			t.Fatalf("w=%d: engine = %v, %v; want %v", workers, got, err, want)
+		}
 	}
 }
 

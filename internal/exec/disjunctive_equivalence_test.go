@@ -84,7 +84,7 @@ func TestDisjunctiveSubstituteEquivalence(t *testing.T) {
 		if sub == nil {
 			t.Fatalf("query %d rejected", qi)
 		}
-		got, err := exec.RunSubstitute(db, sub)
+		got, err := exec.BuildSubstitutePlan(sub).Run(db)
 		if err != nil {
 			t.Fatalf("query %d: %v", qi, err)
 		}

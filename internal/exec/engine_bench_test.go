@@ -178,7 +178,7 @@ func BenchmarkExecGroupAggJoin(b *testing.B) {
 		w4 := measureRunAllocs(b, db, plan, 4)
 		b.ReportMetric(float64(w1), "w1-allocs")
 		b.ReportMetric(float64(w4), "w4-allocs")
-		if limit := w1+w1/5+20000; w4 > limit {
+		if limit := w1 + w1/5 + 20000; w4 > limit {
 			b.Fatalf("w4 allocs %d exceed bound %d (w1=%d): per-worker scratch is not pooled",
 				w4, limit, w1)
 		}

@@ -213,7 +213,7 @@ func TestSubstituteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunSubstitute(db, sub)
+			got, err := BuildSubstitutePlan(sub).Run(db)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -73,7 +73,7 @@ func (s *TableScan) Children() []Node { return nil }
 // predicates), a secondary index on those columns is probed if one exists —
 // this is how "any secondary indexes defined on a materialized view are
 // automatically considered" (§1, §2) manifests at execution time; without an
-// index the equality degrades to a scan predicate.
+// index the equality becomes a scan predicate.
 type ViewScan struct {
 	View   string
 	Filter expr.Expr
@@ -234,7 +234,8 @@ func (a *HashAgg) Children() []Node { return []Node{a.In} }
 
 // aggState accumulates one SimpleAgg. COUNT counts every input row (so AVG =
 // SUM/count divides by the row count, per §3.3); SUM skips NULLs and stays
-// NULL until the first non-null input.
+// NULL until the first non-null input. Its addends are BIGINT and DOUBLE
+// values only, so a sum's kind follows from its argument's.
 //
 // A running sum that is or becomes DOUBLE is exact: it is held as a
 // non-overlapping expansion (Shewchuk's grow-expansion, the algorithm behind
@@ -252,16 +253,15 @@ type aggState struct {
 	kind  sqlvalue.Kind // of the running sum; KindNull until the first non-null input
 	plain bool          // DOUBLE sum kept by plain addition, in small[0]
 	n     int8          // parts of the expansion held in small
-	i     int64         // the sum while it is a BIGINT, or a lone DATE's days
+	i     int64         // the sum while it is a BIGINT
 	small [3]float64
 	rest  *aggRest
 }
 
 // aggRest is what few sums need: an expansion that outgrew small (n is then
-// unused), or a lone first input that is not numeric.
+// unused).
 type aggRest struct {
-	big  []float64
-	lone sqlvalue.Value
+	big []float64
 }
 
 // fsumLimit is the magnitude below which adding two parts cannot overflow.
@@ -280,40 +280,23 @@ func (st *aggState) add(kind spjg.AggKind, arg expr.Expr, bind expr.Binding) err
 }
 
 // accumulate folds one already-evaluated argument value into the running sum
-// (NULL contributes nothing). The caller has already bumped count. Integer
-// sums wrap; a lone DATE stays a DATE and any second addend makes the sum
-// DOUBLE; a non-numeric addend is kept if it is the first and an error after
-// that — all as sqlvalue.Add decides.
+// (NULL contributes nothing). The caller has already bumped count. A DATE,
+// VARCHAR or BOOLEAN value is refused from the first, as SQL refuses to sum
+// one. Integer sums wrap; a DOUBLE addend makes the sum DOUBLE.
 func (st *aggState) accumulate(v sqlvalue.Value) error {
-	switch {
-	case v.IsNull():
-		return nil
-	case st.kind == sqlvalue.KindNull:
-		switch st.kind = v.Kind(); st.kind {
-		case sqlvalue.KindInt:
-			st.i = v.Int()
-		case sqlvalue.KindDate:
-			st.i = v.DateDays()
-		case sqlvalue.KindFloat:
-			st.addFloatSum(v.Float())
-		default:
-			st.rest = &aggRest{lone: v}
+	switch k := v.Kind(); {
+	case k == sqlvalue.KindNull:
+	case k != sqlvalue.KindInt && k != sqlvalue.KindFloat:
+		return fmt.Errorf("exec: cannot sum %s values", k)
+	case k == sqlvalue.KindInt && st.kind != sqlvalue.KindFloat:
+		st.addIntSum(v.Int())
+	default:
+		if st.kind == sqlvalue.KindInt {
+			st.addFloatSum(float64(st.i)) // the BIGINT sum turns DOUBLE
 		}
-		return nil
-	case st.kind == sqlvalue.KindInt && v.Kind() == sqlvalue.KindInt:
-		st.i += v.Int()
-		return nil
+		f, _ := v.AsFloat()
+		st.addFloatSum(f)
 	}
-	f, ok := v.AsFloat()
-	if st.kind != sqlvalue.KindFloat || !ok {
-		cur := st.value()
-		if _, err := sqlvalue.Add(cur, v); err != nil {
-			return err
-		}
-		prev, _ := cur.AsFloat() // a BIGINT or DATE sum turns DOUBLE
-		st.addFloatSum(prev)
-	}
-	st.addFloatSum(f)
 	return nil
 }
 
@@ -379,11 +362,6 @@ func (st *aggState) value() sqlvalue.Value {
 		return sqlvalue.Null
 	case sqlvalue.KindInt:
 		return sqlvalue.NewInt(st.i)
-	case sqlvalue.KindDate:
-		return sqlvalue.NewDate(st.i)
-	case sqlvalue.KindFloat:
-	default:
-		return st.rest.lone
 	}
 	p := st.parts()
 	if st.plain || len(p) == 0 {

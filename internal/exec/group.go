@@ -22,9 +22,8 @@ type aggReader struct {
 	gv       func(i int) (sqlvalue.Value, error)
 }
 
-// fold adds tuple i's value of r to st. A DATE argument goes the boxed way:
-// summing dates flips the running sum to DOUBLE on the second addend, which
-// a raw int accumulator would not reproduce.
+// fold adds tuple i's value of r to st. A DATE argument goes the boxed way,
+// where accumulate refuses it.
 func (st *aggState) fold(r *aggReader, i int) error {
 	switch {
 	case r.gi != nil && r.kind == sqlvalue.KindInt:
@@ -283,9 +282,8 @@ func finishAgg(tabs []*groupTable, a *HashAgg) ([]storage.Row, error) {
 // one-relation tuple — without gathering a row. A key or argument over one
 // store-backed relation reads that relation's typed arrays at the tuple's
 // rid; a bare column of any relation reads its boxed value there; only what
-// is left (expressions spanning relations, or over row-backed or degraded
-// columns) is compiled and run over a scratch row holding the columns it
-// references.
+// is left (expressions spanning relations, or over row-backed columns) is
+// compiled and run over a scratch row holding the columns it references.
 type ridAggSink struct {
 	g    *groupTable
 	cur  *ridBatch

@@ -15,13 +15,12 @@ import (
 
 // joinDB builds a two-table fixture exercising every join-key class the rid
 // path specializes: int, float (integral, fractional, NaN), string, date,
-// bool, a NULL-heavy int key, and a deliberately degraded column (mixed
-// kinds force the Generic overlay, which in turn forces the boxed key
-// fallback). Both tables share the column layout so any column pair can key
-// a join.
+// bool, a NULL-heavy int key, and a DOUBLE column of whole numbers that meets
+// the int keys across kinds. Both tables share the column layout so any
+// column pair can key a join.
 //
 // dim/fact columns: 0 id(int) 1 key_int(int,NULL-heavy) 2 key_float(float)
-// 3 key_str(string) 4 key_date(date) 5 key_bool(bool) 6 key_mixed(degraded)
+// 3 key_str(string) 4 key_date(date) 5 key_bool(bool) 6 key_whole(float)
 // 7 val(int)
 func joinDB(t *testing.T, dimRows, factRows int) *storage.Database {
 	t.Helper()
@@ -36,7 +35,7 @@ func joinDB(t *testing.T, dimRows, factRows int) *storage.Database {
 				{Name: "key_str", Type: sqlvalue.KindString},
 				{Name: "key_date", Type: sqlvalue.KindDate},
 				{Name: "key_bool", Type: sqlvalue.KindBool},
-				{Name: "key_mixed", Type: sqlvalue.KindInt},
+				{Name: "key_whole", Type: sqlvalue.KindFloat},
 				{Name: "val", Type: sqlvalue.KindInt, NotNull: true},
 			},
 			PrimaryKey: []int{0},
@@ -78,21 +77,10 @@ func joinDB(t *testing.T, dimRows, factRows int) *storage.Database {
 			if rng.Intn(4) > 0 {
 				keyStr = sqlvalue.NewString(fmt.Sprintf("s%d", rng.Intn(6)))
 			}
-			// key_mixed: declared int, but floats and strings land in it too,
-			// degrading the column to the Generic overlay. Integral floats
-			// must still meet ints across the degraded/typed boundary. Only a
-			// view's output can hold such a column — Table.Insert refuses the
-			// stray kinds — so the rows go straight into the column store.
-			var keyMixed sqlvalue.Value
-			switch rng.Intn(5) {
-			case 0:
-				keyMixed = sqlvalue.NewFloat(float64(rng.Intn(4))) // = int key
-			case 1:
-				keyMixed = sqlvalue.NewString(fmt.Sprintf("m%d", rng.Intn(3)))
-			case 2:
-				keyMixed = sqlvalue.Null
-			default:
-				keyMixed = sqlvalue.NewInt(int64(rng.Intn(4)))
+			// key_whole: integral floats, which must meet equal ints.
+			keyWhole := sqlvalue.Null
+			if rng.Intn(4) > 0 {
+				keyWhole = sqlvalue.NewFloat(float64(rng.Intn(8)))
 			}
 			row := storage.Row{
 				sqlvalue.NewInt(int64(i)),
@@ -101,7 +89,7 @@ func joinDB(t *testing.T, dimRows, factRows int) *storage.Database {
 				keyStr,
 				sqlvalue.NewDate(int64(19000 + rng.Intn(5))),
 				sqlvalue.NewBool(rng.Intn(2) == 0),
-				keyMixed,
+				keyWhole,
 				sqlvalue.NewInt(int64(rng.Intn(1000))),
 			}
 			db.Table(table).Store().AppendRow(row)
@@ -144,9 +132,12 @@ func joinSweepPlans() map[string]Node {
 			L: dim(), R: fact(),
 			LCols: []int{1, 4}, RCols: []int{1, 4},
 		},
-		"degraded-boxed": join(6, 6),
-		"typed-vs-degraded": &HashJoin{
-			L: dim(), R: fact(), LCols: []int{1}, RCols: []int{6},
+		"int-vs-whole":    join(1, 6),
+		"whole-vs-int":    join(6, 1),
+		"int-vs-str-miss": join(1, 3),
+		"boxed-mixed-kinds": &HashJoin{
+			L: dim(), R: fact(),
+			LCols: []int{1, 3}, RCols: []int{6, 3},
 		},
 		"residual": &HashJoin{
 			L: dim(), R: fact(), LCols: []int{1}, RCols: []int{1},
@@ -200,9 +191,9 @@ func joinSweepPlans() map[string]Node {
 // TestJoinEquivalenceSweep pins the join pipeline to the reference evaluator
 // byte-for-byte: every plan shape runs at every worker count × batch size
 // (including non-block-aligned sizes that split selection vectors mid-block)
-// and must reproduce the reference rows in order. The fixture's data selects
-// the key codec: typed for the single-kind columns, boxed for the degraded
-// column, mixed-kind multi-column keys and the row-backed build side.
+// and must reproduce the reference rows in order. The build side's columns
+// select the key codec: typed for single-kind keys, boxed for mixed-kind
+// multi-column keys and the row-backed build side.
 func TestJoinEquivalenceSweep(t *testing.T) {
 	db := joinDB(t, 80, 400)
 	for name, plan := range joinSweepPlans() {
@@ -229,28 +220,34 @@ func TestJoinEquivalenceSweep(t *testing.T) {
 // random left-deep chains of 2–4 hash joins over random compatible key
 // columns, with random residuals and an optional aggregate on top. Every
 // plan must agree with the reference at every worker count, at a batch size
-// that forces tuples through many selection-vector batches; the mixed column
-// among the key columns puts chains on the boxed codec, the others on typed.
+// that forces tuples through many selection-vector batches; a mixed-kind
+// two-column key puts chains on the boxed codec, the others on typed, and a
+// whole DOUBLE key probes BIGINT keys across kinds.
 func TestJoinEquivalenceRandomChains(t *testing.T) {
 	db := joinDB(t, 40, 120)
 	rng := rand.New(rand.NewSource(42))
-	keyCols := []int{1, 2, 3, 4, 6} // int, float, string, date, mixed
+	keys := []struct{ l, r []int }{ // int, float, string, date, whole ⋈ int, mixed
+		{[]int{1}, []int{1}}, {[]int{2}, []int{2}}, {[]int{3}, []int{3}}, {[]int{4}, []int{4}},
+		{[]int{6}, []int{1}}, {[]int{1, 3}, []int{6, 3}},
+	}
 	for trial := 0; trial < 32; trial++ {
 		tables := []string{"dim", "fact"}
 		var plan Node = &TableScan{Table: tables[rng.Intn(2)], NCols: 8}
 		width := 8
 		joins := 1 + rng.Intn(3)
 		for j := 0; j < joins; j++ {
-			kc := keyCols[rng.Intn(len(keyCols))]
-			// Key the new join on the same logical column of both sides so
+			k := keys[rng.Intn(len(keys))]
+			// Key the new join on columns of one key space on both sides so
 			// matches actually occur; the left key lands in a random
-			// already-joined relation's copy of that column.
+			// already-joined relation's copy of its columns.
 			loff := rng.Intn(width/8) * 8
 			h := &HashJoin{
 				L:     plan,
 				R:     &TableScan{Table: tables[rng.Intn(2)], NCols: 8},
-				LCols: []int{loff + kc},
-				RCols: []int{kc},
+				RCols: k.r,
+			}
+			for _, c := range k.l {
+				h.LCols = append(h.LCols, loff+c)
 			}
 			if rng.Intn(3) == 0 {
 				h.Residual = expr.NewCmp(expr.LE, expr.Col(0, loff+7), expr.Col(0, width+7))

@@ -23,8 +23,8 @@ import (
 // decomposed, matching the reference evaluator's left-then-right execution
 // order. The probe codec is then compiled into the build's key space: a
 // probe int column under a float-keyed build emits int-space fkeys, a probe
-// string column under an int-keyed build is a constant miss, and generic or
-// row-backed probe columns box the value and classify it at runtime.
+// string column under an int-keyed build is a constant miss, and row-backed
+// probe columns box the value and classify it at runtime.
 
 type ridKeyMode uint8
 
@@ -103,9 +103,9 @@ func valueStrKey(v sqlvalue.Value) (string, bool) {
 }
 
 // classifyKeys picks the key mode for a build layout's key columns. Typed
-// modes require store-backed, non-degraded (no Generic overlay) columns of
-// one key class; anything else — a row-backed or degraded column, mixed
-// kinds, no key column at all — takes the boxed codec.
+// modes require store-backed columns of one key class; anything else — a
+// row-backed column, mixed kinds, no key column at all — takes the boxed
+// codec.
 func classifyKeys(layout *ridLayout, cols []int) ridKeyMode {
 	if len(cols) == 0 {
 		return keyModeBoxed
@@ -117,7 +117,7 @@ func classifyKeys(layout *ridLayout, cols []int) ridKeyMode {
 		}
 		rel, local := layout.locate(c)
 		r := layout.rels[rel]
-		if r.store == nil || r.cols[local].Generic != nil {
+		if r.store == nil {
 			return keyModeBoxed
 		}
 		kinds[i] = r.cols[local].Kind
@@ -149,12 +149,12 @@ func classifyKeys(layout *ridLayout, cols []int) ridKeyMode {
 
 // intKeyGetter reads one column as an int-space key. Typed int-family
 // columns read the array directly; typed float columns apply the integral
-// check; string and never-set columns are constant misses; generic or
-// row-backed columns box and classify per value.
+// check; string and never-set columns are constant misses; row-backed
+// columns box and classify per value.
 func intKeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (int64, bool) {
 	rel, local := layout.locate(col)
 	r := layout.rels[rel]
-	if r.store != nil && r.cols[local].Generic == nil {
+	if r.store != nil {
 		v := r.cols[local]
 		switch v.Kind {
 		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
@@ -193,7 +193,7 @@ func intKeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (int64, 
 func fkeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (fkey, bool) {
 	rel, local := layout.locate(col)
 	r := layout.rels[rel]
-	if r.store != nil && r.cols[local].Generic == nil {
+	if r.store != nil {
 		v := r.cols[local]
 		switch v.Kind {
 		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
@@ -225,7 +225,7 @@ func fkeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (fkey, boo
 func strKeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (string, bool) {
 	rel, local := layout.locate(col)
 	r := layout.rels[rel]
-	if r.store != nil && r.cols[local].Generic == nil {
+	if r.store != nil {
 		v := r.cols[local]
 		if v.Kind == sqlvalue.KindString {
 			a, nulls := v.Strs, v.Nulls

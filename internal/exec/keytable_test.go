@@ -110,7 +110,7 @@ func TestRidBuildIsCSRInInputOrder(t *testing.T) {
 	dim := db.Table("dim").Rows()
 	for name, cols := range map[string][]int{
 		"int1": {1}, "float1": {2}, "str1": {3}, "date1": {4}, "bool1": {5},
-		"intN": {1, 4}, "boxed-degraded": {6}, "boxed-mixed-kinds": {1, 3},
+		"intN": {1, 4}, "float-whole": {6}, "boxed-mixed-kinds": {1, 3}, "boxed-int-float": {1, 6},
 	} {
 		want, order := map[string][]int32{}, []string{}
 	rows:
@@ -211,7 +211,6 @@ func TestGroupTableKeysAndOrder(t *testing.T) {
 		{Num: SimpleAgg{Kind: spjg.AggSum, Arg: expr.Col(0, 4)}},
 		{Num: SimpleAgg{Kind: spjg.AggSum, Arg: expr.Col(0, 1)}},
 		{Num: SimpleAgg{Kind: spjg.AggAvg, Arg: expr.NewArith(expr.Mul, expr.Col(0, 4), expr.Col(0, 5))}},
-		{Num: SimpleAgg{Kind: spjg.AggSum, Arg: expr.Col(0, 2)}}, // dates: DATE alone, DOUBLE from the second
 	}
 	for name, tc := range map[string]struct {
 		keys          []int

@@ -19,7 +19,7 @@ func stressViews(t *testing.T, m *core.Matcher, n int) []*core.View {
 		tab := tables[i%len(tables)]
 		def := &spjg.Query{
 			Tables:  []spjg.TableRef{tref(tab)},
-			Outputs: []spjg.OutputColumn{colOut(0, i % 3), colOut(0, 3+i%2)},
+			Outputs: []spjg.OutputColumn{colOut(0, i%3), colOut(0, 3+i%2)},
 		}
 		v, err := m.NewView(i, fmt.Sprintf("sv%03d", i), def)
 		if err != nil {

@@ -204,7 +204,7 @@ func TestPctIncrease(t *testing.T) {
 		base, now time.Duration
 		want      string
 	}{
-		{0, time.Second, "n/a"},           // zero base: ratio undefined
+		{0, time.Second, "n/a"},            // zero base: ratio undefined
 		{-time.Second, time.Second, "n/a"}, // negative base: clock skew
 		{time.Second, 2 * time.Second, "100%"},
 		{time.Second, time.Second, "0%"},

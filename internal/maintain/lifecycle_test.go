@@ -2,6 +2,7 @@ package maintain_test
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -278,6 +279,71 @@ func TestPanicDuringMaintenanceDegradesOneView(t *testing.T) {
 		t.Fatalf("repair: %+v", rep)
 	}
 	checkAgainstRecompute(t, db, va)
+}
+
+// TestStrayKindViewWriteStalesOneView: a view write whose value does not
+// have its column's kind is a program error — storage panics naming both
+// kinds — and the guard confines it to that view: the statement commits, the
+// view rolls back to its installed rows and goes Stale, and a repair heals
+// it. The view is installed with VARCHAR prices so the delta's DOUBLE ones
+// are the stray kind.
+func TestStrayKindViewWriteStalesOneView(t *testing.T) {
+	db, err := tpch.NewDatabase(0.001, 26)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := maintain.New(db)
+	v, err := m.Define("stray", &spjg.Query{
+		Tables: []spjg.TableRef{{Table: db.Catalog.Table("orders")}},
+		Where:  expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(100000)),
+		Outputs: []spjg.OutputColumn{
+			{Name: "o_orderkey", Expr: expr.Col(0, tpch.OOrderkey)},
+			{Name: "o_totalprice", Expr: expr.Col(0, tpch.OTotalprice)},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, _, err := m.Build(v)
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("build: %d rows, %v", len(rows), err)
+	}
+	for _, r := range rows {
+		r[1] = sqlvalue.NewString(r[1].String())
+	}
+	if err := m.Install(v, rows); err != nil {
+		t.Fatal(err)
+	}
+
+	err = m.Insert("orders", []storage.Row{newOrderRow(db, 8_400_001, 11, 200000)})
+	var me *maintain.MaintenanceError
+	if !errors.As(err, &me) || len(me.Failed) != 1 || me.Failed[0].View != "stray" {
+		t.Fatalf("stray-kind write: %v", err)
+	}
+	if msg := me.Failed[0].Err.Error(); !strings.Contains(msg, "DOUBLE value appended to a VARCHAR column") {
+		t.Fatalf("failure does not name both kinds: %s", msg)
+	}
+	wantState(t, m, "stray", maintain.Stale)
+	if got := db.View("stray").NumRows(); got != len(rows) {
+		t.Fatalf("view holds %d rows after the rollback, installed %d", got, len(rows))
+	}
+	if !hasOrder(db, 8_400_001) {
+		t.Fatal("the statement's base write did not commit")
+	}
+
+	if rep := m.Repair(); len(rep.Repaired) != 1 {
+		t.Fatalf("repair: %+v", rep)
+	}
+	checkAgainstRecompute(t, db, v)
+}
+
+func hasOrder(db *storage.Database, key int64) bool {
+	for _, r := range db.Table("orders").Rows() {
+		if r[tpch.OOrderkey].Int() == key {
+			return true
+		}
+	}
+	return false
 }
 
 // TestSelfJoinRecomputeLifecycle covers the recompute fallback directly: a

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -237,25 +236,6 @@ func (o *Optimizer) SetViewHealth(name string, healthy bool) {
 		o.unhealthy[name] = true
 	}
 	o.epoch.Add(1)
-}
-
-// ViewHealthy reports whether a view is eligible for matching.
-func (o *Optimizer) ViewHealthy(name string) bool {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	return !o.unhealthy[name]
-}
-
-// UnhealthyViews returns the names currently excluded from matching, sorted.
-func (o *Optimizer) UnhealthyViews() []string {
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	out := make([]string, 0, len(o.unhealthy))
-	for name := range o.unhealthy {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ruleOn reports whether the view-matching rule has anything to do; the caller

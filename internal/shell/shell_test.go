@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"matview/internal/maintain"
 	"matview/internal/shell"
 	"matview/internal/tpch"
 )
@@ -261,5 +262,35 @@ func TestSessionErrorPaths(t *testing.T) {
 	out := run(t, s, "select l_partkey, count_big(*) as cnt from lineitem where l_partkey = 1 group by l_partkey")
 	if !strings.Contains(out, "used materialized views") {
 		t.Fatalf("session unhealthy after errors: %s", out)
+	}
+}
+
+// TestRepairKeepsUniqueViewIndex: two rows under one key of a view's unique
+// index make the view Stale, and a repair cannot heal it — its recompute
+// holds the same two rows. The repair fails, the view stays out of plans,
+// and storage and the optimizer both keep the index.
+func TestRepairKeepsUniqueViewIndex(t *testing.T) {
+	s := newSession(t)
+	run(t, s, `create view big with schemabinding as
+		select o_orderkey, o_custkey from orders where o_totalprice > 1000000000`)
+	run(t, s, "create unique index big_cust on big (o_custkey)")
+	for _, key := range []int{920001, 920002} {
+		var sb strings.Builder
+		_ = s.Execute(fmt.Sprintf("insert into orders values (%d, 7, 'O', 2000000000.0, '1995-06-01', '1-URGENT', 'Clerk#9', 0, 'dup')", key), &sb)
+		checkViews(t, s)
+	}
+	if st, _ := s.Maint.ViewState("big"); st == maintain.Fresh {
+		t.Fatal("a duplicate key under the unique index left the view Fresh")
+	}
+	s.Maint.Repair()
+	checkViews(t, s)
+	if st, _ := s.Maint.ViewState("big"); st == maintain.Fresh {
+		t.Fatal("repair brought the view Fresh over rows its unique index refuses")
+	}
+	if idx := s.Opt.ViewIndexes("big"); len(idx) != 1 {
+		t.Fatalf("optimizer view indexes after repair = %v", idx)
+	}
+	if s.DB.View("big").LookupIndex([]int{1}) == nil {
+		t.Fatal("storage dropped the view's unique index")
 	}
 }

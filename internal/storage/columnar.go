@@ -7,12 +7,11 @@
 // prove "no row in this block can satisfy the predicate" and skip the block
 // without touching its values.
 //
-// Columns adapt to the data: a column's physical kind is fixed by the first
-// non-NULL value stored in it. If a later value arrives with a different
-// kind, the column degrades to a boxed []sqlvalue.Value representation
-// (generic), which keeps correctness for schema-less view outputs at the
-// cost of the typed fast paths; its zone maps become untracked until the
-// next Rewrite re-types it.
+// A column has one representation: its typed array and null bitmap. Its kind
+// is fixed by the first non-NULL value stored in it, and a value of another
+// kind is refused — Table.Insert checks the declared type before appending,
+// and a view write that carries one is a program error, so AppendRow panics
+// naming both kinds.
 //
 // A store only ever grows: a row is added by appending to every column, and
 // removed by setting its bit in the store's dead bitmap (a tombstone). An
@@ -26,6 +25,8 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"math/bits"
 
 	"matview/internal/sqlvalue"
@@ -37,9 +38,8 @@ const BlockRows = 1024
 
 // Zone is the per-block, per-column statistics record. Min and Max bound the
 // non-NULL values in the block (meaningful only when HasNonNull). Tracked is
-// false when the block's statistics cannot be trusted — the column is
-// degraded or held incomparable values — in which case scans must read the
-// block.
+// false once the block has folded a NaN, which compares equal to everything
+// and so bounds nothing; scans must then read the block.
 type Zone struct {
 	Min, Max   sqlvalue.Value
 	HasNull    bool
@@ -56,12 +56,7 @@ type Zone struct {
 // exists clones the bitmap first when sharedNulls says a frozen copy reads
 // it.
 type column struct {
-	kind    sqlvalue.Kind // KindNull until the first non-NULL value fixes it
-	ints    []int64       // payloads for KindInt, KindDate, KindBool
-	floats  []float64     // payloads for KindFloat
-	strs    []string      // payloads for KindString
-	nulls   []uint64      // null bitmap; may be shorter than the row count
-	generic []sqlvalue.Value
+	ColView // Kind is KindNull until the first non-NULL value fixes it
 
 	// zones holds the statistics of every full block; tail those of the last,
 	// partial one (or of a last full block no append has followed yet). tail
@@ -70,13 +65,13 @@ type column struct {
 	zones []Zone
 	tail  Zone
 
-	sharedNulls bool // nulls is read by a frozen copy
+	sharedNulls bool // Nulls is read by a frozen copy
 }
 
 // ensureNulls clones the null bitmap before an in-place word write.
 func (c *column) ensureNulls() {
 	if c.sharedNulls {
-		c.nulls = append([]uint64(nil), c.nulls...)
+		c.Nulls = append([]uint64(nil), c.Nulls...)
 		c.sharedNulls = false
 	}
 }
@@ -86,186 +81,123 @@ func bitSet(bm []uint64, i int) bool {
 	return w < len(bm) && bm[w]&(1<<(uint(i)&63)) != 0
 }
 
-func (c *column) isNull(i int) bool {
-	if c.generic != nil {
-		return c.generic[i].IsNull()
-	}
-	return bitSet(c.nulls, i)
-}
-
 func (c *column) setNull(i int) {
 	w := i >> 6
-	if w < len(c.nulls) {
+	if w < len(c.Nulls) {
 		// In-place OR into a word frozen readers may cover.
 		c.ensureNulls()
 	} else {
 		// Growing the bitmap only touches words past every frozen length.
-		for len(c.nulls) <= w {
-			c.nulls = append(c.nulls, 0)
+		for len(c.Nulls) <= w {
+			c.Nulls = append(c.Nulls, 0)
 		}
 	}
-	c.nulls[w] |= 1 << (uint(i) & 63)
-}
-
-func (c *column) value(i int) sqlvalue.Value {
-	if c.generic != nil {
-		return c.generic[i]
-	}
-	if bitSet(c.nulls, i) {
-		return sqlvalue.Null
-	}
-	switch c.kind {
-	case sqlvalue.KindInt:
-		return sqlvalue.NewInt(c.ints[i])
-	case sqlvalue.KindDate:
-		return sqlvalue.NewDate(c.ints[i])
-	case sqlvalue.KindBool:
-		return sqlvalue.NewBool(c.ints[i] != 0)
-	case sqlvalue.KindFloat:
-		return sqlvalue.NewFloat(c.floats[i])
-	case sqlvalue.KindString:
-		return sqlvalue.NewString(c.strs[i])
-	default: // KindNull: every value stored so far was NULL
-		return sqlvalue.Null
-	}
+	c.Nulls[w] |= 1 << (uint(i) & 63)
 }
 
 // adopt fixes the column's kind, backfilling the typed array with zero
 // payloads for the n existing (all-NULL) rows.
 func (c *column) adopt(k sqlvalue.Kind, n int) {
-	c.kind = k
+	c.Kind = k
 	switch k {
 	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		c.ints = make([]int64, n)
+		c.Ints = make([]int64, n)
 	case sqlvalue.KindFloat:
-		c.floats = make([]float64, n)
+		c.Floats = make([]float64, n)
 	case sqlvalue.KindString:
-		c.strs = make([]string, n)
+		c.Strs = make([]string, n)
 	}
-}
-
-// degrade boxes the column's n values into a generic slice and invalidates
-// its zone maps.
-func (c *column) degrade(n int) {
-	g := make([]sqlvalue.Value, n)
-	for i := range g {
-		g[i] = c.value(i)
-	}
-	c.generic = g
-	c.ints, c.floats, c.strs, c.nulls = nil, nil, nil, nil
-	c.sharedNulls = false
-	// A fresh all-zero zone array doubles as "untracked everywhere" and
-	// avoids clearing zones a frozen version still reads.
-	c.zones = make([]Zone, len(c.zones))
-	c.tail = Zone{}
 }
 
 func (c *column) appendZero() {
-	switch c.kind {
+	switch c.Kind {
 	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		c.ints = append(c.ints, 0)
+		c.Ints = append(c.Ints, 0)
 	case sqlvalue.KindFloat:
-		c.floats = append(c.floats, 0)
+		c.Floats = append(c.Floats, 0)
 	case sqlvalue.KindString:
-		c.strs = append(c.strs, "")
+		c.Strs = append(c.Strs, "")
 	}
 }
 
 func (c *column) setPayload(i int, v sqlvalue.Value) {
-	switch c.kind {
+	switch c.Kind {
 	case sqlvalue.KindInt:
-		c.ints[i] = v.Int()
+		c.Ints[i] = v.Int()
 	case sqlvalue.KindDate:
-		c.ints[i] = v.DateDays()
+		c.Ints[i] = v.DateDays()
 	case sqlvalue.KindBool:
 		if v.Bool() {
-			c.ints[i] = 1
+			c.Ints[i] = 1
 		} else {
-			c.ints[i] = 0
+			c.Ints[i] = 0
 		}
 	case sqlvalue.KindFloat:
-		c.floats[i] = v.Float()
+		c.Floats[i] = v.Float()
 	case sqlvalue.KindString:
-		c.strs[i] = v.Str()
+		c.Strs[i] = v.Str()
 	}
 }
 
-// append stores v at ordinal n (the current length).
+// append stores v at ordinal n (the current length). A value of a kind
+// other than the column's is a program error.
 func (c *column) append(v sqlvalue.Value, n int) {
-	if c.generic != nil {
-		c.generic = append(c.generic, v)
-		return
-	}
 	if v.IsNull() {
 		c.setNull(n)
 		c.appendZero()
 		return
 	}
-	if k := v.Kind(); c.kind == sqlvalue.KindNull {
+	if k := v.Kind(); c.Kind == sqlvalue.KindNull {
 		c.adopt(k, n)
-	} else if c.kind != k {
-		c.degrade(n)
-		c.generic = append(c.generic, v)
-		return
+	} else if c.Kind != k {
+		panic(fmt.Sprintf("storage: %s value appended to a %s column", k, c.Kind))
 	}
 	c.appendZero()
 	c.setPayload(n, v)
 }
 
-// foldZone folds one value into a block's statistics.
+// foldZone folds one value of the column's kind into a block's statistics.
+// A NaN leaves the block untracked: it compares equal to everything, so
+// folding it would pin Min and Max and hide the block's other values.
 func foldZone(z *Zone, v sqlvalue.Value) {
-	if v.IsNull() {
+	switch {
+	case v.IsNull():
 		z.HasNull = true
-		return
-	}
-	if !z.HasNonNull {
+	case v.Kind() == sqlvalue.KindFloat && math.IsNaN(v.Float()):
+		z.Tracked = false
+	case !z.HasNonNull:
 		z.Min, z.Max, z.HasNonNull = v, v, true
-		return
-	}
-	if cmp, ok := sqlvalue.Compare(v, z.Min); ok {
-		if cmp < 0 {
+	default:
+		if c, _ := sqlvalue.Compare(v, z.Min); c < 0 {
 			z.Min = v
 		}
-	} else {
-		z.Tracked = false
-		return
-	}
-	if cmp, ok := sqlvalue.Compare(v, z.Max); ok {
-		if cmp > 0 {
+		if c, _ := sqlvalue.Compare(v, z.Max); c > 0 {
 			z.Max = v
 		}
-	} else {
-		z.Tracked = false
 	}
 }
 
 // ColView is a read-only view of one column's physical arrays, handed to the
 // execution engine so scans and compiled predicates can read payloads
-// directly. Exactly one of the typed slices is populated (per Kind) unless
-// Generic is non-nil, which overrides everything else. Nulls may be shorter
-// than the row count: an out-of-range word means "no NULLs there".
+// directly. Exactly one of the typed slices is populated, per Kind (none
+// while every value is NULL). Nulls may be shorter than the row count: an
+// out-of-range word means "no NULLs there".
 type ColView struct {
-	Kind    sqlvalue.Kind
-	Ints    []int64
-	Floats  []float64
-	Strs    []string
-	Nulls   []uint64
-	Generic []sqlvalue.Value
+	Kind   sqlvalue.Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Nulls  []uint64
 }
 
 // IsNull reports whether row i of the column is NULL.
-func (v ColView) IsNull(i int) bool {
-	if v.Generic != nil {
-		return v.Generic[i].IsNull()
-	}
-	return bitSet(v.Nulls, i)
-}
+func (v ColView) IsNull(i int) bool { return bitSet(v.Nulls, i) }
 
 // Value boxes row i of the column as a sqlvalue.Value.
-func (v ColView) Value(i int) sqlvalue.Value {
-	if v.Generic != nil {
-		return v.Generic[i]
-	}
+func (v ColView) Value(i int) sqlvalue.Value { return v.value(i) }
+
+// value is Value for the store's own loops, which reach the view in place.
+func (v *ColView) value(i int) sqlvalue.Value {
 	if bitSet(v.Nulls, i) {
 		return sqlvalue.Null
 	}
@@ -291,13 +223,6 @@ func (v ColView) Value(i int) sqlvalue.Value {
 // batch instead of one per value. NULL values leave their slot untouched, so
 // callers must hand in zeroed (KindNull) destination slabs.
 func (v ColView) Gather(rids []int32, dst []sqlvalue.Value, off, stride int) {
-	if v.Generic != nil {
-		g := v.Generic
-		for k, rid := range rids {
-			dst[off+k*stride] = g[rid]
-		}
-		return
-	}
 	nulls := v.Nulls
 	switch v.Kind {
 	case sqlvalue.KindInt:
@@ -370,7 +295,7 @@ func (v ColView) Gather(rids []int32, dst []sqlvalue.Value, off, stride int) {
 }
 
 // ColumnStore is column-major row storage: a fixed number of columns, each
-// an adaptive typed array with a null bitmap and per-block zone maps, plus
+// a typed array with a null bitmap and per-block zone maps, plus
 // the dead bitmap that marks deleted rows.
 type ColumnStore struct {
 	n    int
@@ -444,23 +369,15 @@ func (cs *ColumnStore) LiveRun(from, to int) (lo, hi int) {
 
 // Col returns a read-only view of column c's physical arrays.
 func (cs *ColumnStore) Col(c int) ColView {
-	col := &cs.cols[c]
-	return ColView{
-		Kind:    col.kind,
-		Ints:    col.ints,
-		Floats:  col.floats,
-		Strs:    col.strs,
-		Nulls:   col.nulls,
-		Generic: col.generic,
-	}
+	return cs.cols[c].ColView
 }
 
 // Value boxes the value at (row i, column c).
 func (cs *ColumnStore) Value(i, c int) sqlvalue.Value { return cs.cols[c].value(i) }
 
-// AppendRow appends one row; r must have NumCols values. Values are copied
-// out of r, so the caller keeps ownership of the slice. The last block's zone
-// maps are updated incrementally.
+// AppendRow appends one row; r must have NumCols values, each NULL or of its
+// column's kind. Values are copied out of r, so the caller keeps ownership of
+// the slice. The last block's zone maps are updated incrementally.
 func (cs *ColumnStore) AppendRow(r Row) {
 	n := cs.n
 	for c := range cs.cols {
@@ -473,11 +390,7 @@ func (cs *ColumnStore) AppendRow(r Row) {
 			col.tail = Zone{Tracked: true}
 		}
 		if z := &col.tail; z.Tracked {
-			if col.generic != nil {
-				z.Tracked = false
-			} else {
-				foldZone(z, r[c])
-			}
+			foldZone(z, r[c])
 		}
 	}
 	cs.n = n + 1
@@ -509,8 +422,7 @@ func (cs *ColumnStore) Delete(i int) bool {
 func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 
 // Rewrite returns a fresh store holding the live rows in their current
-// order: no tombstones, exact zone maps, and degraded columns re-typed if
-// their surviving values are homogeneous again. The receiver is untouched,
+// order: no tombstones and exact zone maps. The receiver is untouched,
 // so frozen copies of it stay valid; ordinals of the result are new.
 func (cs *ColumnStore) Rewrite() *ColumnStore {
 	out := NewColumnStore(len(cs.cols))

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"matview/internal/sqlvalue"
@@ -169,37 +171,29 @@ func TestColumnarEmpty(t *testing.T) {
 	}
 }
 
-// TestColumnarDegradeAndRetype: a column that sees mixed kinds degrades to
-// generic storage (zones untracked, values preserved); once the offending
-// rows are deleted, the rewrite re-types it and zones come back.
-func TestColumnarDegradeAndRetype(t *testing.T) {
+// TestColumnarRefusesStrayKind: a column's first non-NULL value fixes its
+// kind for good. A value of another kind is a program error and panics,
+// naming both kinds; NULLs fit any column.
+func TestColumnarRefusesStrayKind(t *testing.T) {
 	cs := NewColumnStore(1)
+	cs.AppendRow(Row{sqlvalue.Null})
 	for i := 0; i < 10; i++ {
 		cs.AppendRow(Row{sqlvalue.NewInt(int64(i))})
 	}
-	cs.AppendRow(Row{sqlvalue.NewString("rogue")})
-	cs.AppendRow(Row{sqlvalue.NewInt(99)})
-
-	if z := cs.Zone(0, 0); z.Tracked {
-		t.Fatalf("degraded column still tracked: %+v", z)
+	cs.AppendRow(Row{sqlvalue.Null})
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "VARCHAR value appended to a BIGINT column") {
+				t.Fatalf("stray kind: recovered %v", r)
+			}
+		}()
+		cs.AppendRow(Row{sqlvalue.NewString("rogue")})
+	}()
+	if v := cs.Col(0); v.Kind != sqlvalue.KindInt || len(v.Ints) != 12 || cs.Len() != 12 {
+		t.Fatalf("after the refusal: kind %s, %d payloads, %d rows", v.Kind, len(v.Ints), cs.Len())
 	}
-	if v := cs.Col(0); v.Generic == nil {
-		t.Fatal("column did not degrade to generic storage")
-	}
-	if got := cs.Value(10, 0); got.Kind() != sqlvalue.KindString || got.Str() != "rogue" {
-		t.Fatalf("degraded value = %s", got)
-	}
-	if got := cs.Value(11, 0).Int(); got != 99 {
-		t.Fatalf("post-degrade int = %d", got)
-	}
-
-	cs.Delete(10)
-	cs = cs.Rewrite()
-	if v := cs.Col(0); v.Generic != nil || v.Kind != sqlvalue.KindInt {
-		t.Fatalf("rewrite did not re-type: kind=%s generic=%v", v.Kind, v.Generic != nil)
-	}
-	if z := cs.Zone(0, 0); !z.Tracked || z.Min.Int() != 0 || z.Max.Int() != 99 {
-		t.Fatalf("re-typed zone = %+v", z)
+	if z := cs.Zone(0, 0); !z.Tracked || z.Min.Int() != 0 || z.Max.Int() != 9 || !z.HasNull {
+		t.Fatalf("zone = %+v", z)
 	}
 }
 

@@ -123,7 +123,7 @@ func newRelation(store *ColumnStore, what string, in *faults.Injector) relation 
 	return relation{Data: Data{store: store}, what: what, patched: store.Len(), faults: in}
 }
 
-// head lets code generic over *Table and *MaterializedView reach the body.
+// head lets code written for both *Table and *MaterializedView reach the body.
 func (r *relation) head() *relation { return r }
 
 // tombstone marks row ord dead, leaving its index entries to the next patch.
@@ -532,7 +532,8 @@ func (db *Database) Table(name string) *Table { return db.tables[name] }
 
 // PutView stores (or replaces) a materialized view's rows. Indexes declared
 // on a previous materialization of the same view are rebuilt over the new
-// rows.
+// rows, except a unique one the rows violate: that one is left out, and
+// exec.Materialize, which replaces a maintained view's rows, reports it.
 func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedView {
 	cs := NewColumnStore(numCols)
 	for _, r := range rows {
@@ -541,8 +542,7 @@ func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedV
 	mv := newView(name, cs, db.faults)
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {
-			// A failing unique rebuild is a definition-level inconsistency;
-			// surface it lazily by dropping the index.
+			// A unique index the rows violate is left out; see above.
 			_, _ = mv.BuildIndex(idx.Cols, idx.Unique)
 		}
 	}

@@ -42,8 +42,8 @@ func TestInsertAndArity(t *testing.T) {
 	if err := tb.Insert(Row{sqlvalue.NewInt(3), sqlvalue.NewFloat(1), sqlvalue.Null}); err == nil {
 		t.Fatal("DOUBLE in a BIGINT column accepted")
 	}
-	if v := tb.Store().Col(1); v.Generic != nil {
-		t.Fatal("a refused value degraded the column")
+	if v := tb.Store().Col(1); v.Kind != sqlvalue.KindInt || len(v.Ints) != 2 {
+		t.Fatalf("a refused value reached the column: kind %s, %d payloads", v.Kind, len(v.Ints))
 	}
 	if tb.NumRows() != 2 {
 		t.Fatalf("rows = %d", tb.NumRows())

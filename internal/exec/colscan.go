@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"sync"
 	"sync/atomic"
 
 	"matview/internal/expr"
@@ -87,15 +90,21 @@ func (s *ScanStats) flush() {
 
 // scanScratch is one worker's private source state: the selection-vector
 // buffer and the one-relation batch a morsel's ordinals head the pipeline as,
-// the row a non-vectorizable predicate conjunct is evaluated over, and the
-// worker's counts for the current morsel.
+// the kernels' vecs and marks, the row a boxed conjunct is evaluated over,
+// and the worker's counts for the current morsel.
 type scanScratch struct {
-	stats  ScanStats
-	gather storage.Row
-	rids   []int32
-	batch  ridBatch
-	sel    [1][]int32 // batch's selection-vector header
+	stats    ScanStats
+	gather   storage.Row
+	rids     []int32
+	batch    ridBatch
+	sel      [1][]int32 // batch's selection-vector header
+	vecs     vecStack
+	marks    []bool // row markBase+i is kept for a NULL only
+	markBase int
 }
+
+// scanScratchPool keeps workers' scratch, selection vectors included, across runs.
+var scanScratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
 
 // ridBatch wraps a morsel's qualifying ordinals as the batch a pipeline
 // starts from, valid until the worker's next morsel.
@@ -200,7 +209,7 @@ func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, e
 		s.cols[c] = store.Col(c)
 	}
 	if filter != nil {
-		s.pred = compileScanPred(filter, s.cols, len(s.cols))
+		s.pred = compileScanPred(filter, s.cols)
 		s.zones = s.pred.zones
 	}
 	return s, nil
@@ -270,11 +279,9 @@ func (s *scanSource) numRows() int { return s.store.Len() }
 // morselRids appends the ordinals of qualifying rows in [lo,hi) to out,
 // walking the range block by block: a block the zone maps rule out is
 // skipped; a block without tombstones — every block of a store nobody deleted
-// from — runs the row loop once over its whole range; a block with some runs
-// it once per run of live rows, so the row loop itself never tests for a dead
-// row.
+// from — is filtered as one live run; a block with some is filtered run by
+// run, so no kernel ever tests for a dead row.
 func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int32, error) {
-	pred := s.pred
 	for i := lo; i < hi; {
 		b := i / storage.BlockRows
 		be := min((b+1)*storage.BlockRows, hi)
@@ -290,18 +297,13 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 			if tombstones {
 				i, end = s.store.LiveRun(i, be)
 			}
-			for ; i < end; i++ {
-				if pred != nil {
-					ok, err := pred.eval(i, s, sc)
-					if err != nil {
-						return out, err
-					}
-					if !ok {
-						continue
-					}
+			if i < end {
+				var err error
+				if out, err = s.filter(i, end, sc, out); err != nil {
+					return out, err
 				}
-				out = append(out, int32(i))
 			}
+			i = end
 		}
 	}
 	return out, nil
@@ -368,23 +370,15 @@ func (s *scanSource) skipBlock(b int) bool {
 // ---------------------------------------------------------------------------
 // Scan predicate compilation
 
-// Three-valued logic results of a vectorized conjunct.
-const (
-	triFalse uint8 = iota
-	triTrue
-	triNull
-)
-
-// triFn evaluates one conjunct against row ordinal i.
-type triFn func(i int) uint8
-
-// conjunct is one top-level AND term of a scan filter. Vectorized conjuncts
-// (vec) read column arrays directly; the rest fall back to the compiled
-// row-expression (gen) over a gathered row.
+// conjunct is one top-level AND term of a scan filter: a kernel over the
+// block's typed arrays or, when the term is not vectorizable, the compiled
+// row expression (gen) over a row holding the columns it reads.
 type conjunct struct {
-	vec   triFn
-	gen   expr.Compiled
-	inAnd bool // part of an AND: non-bool results panic like compiled And
+	kern     *kernel
+	gen      expr.Compiled
+	cols     []int // what gen reads
+	inAnd    bool  // part of an AND: non-bool results panic like compiled And
+	keepNull bool  // a later conjunct may fail: rows where this one is NULL stay, marked
 }
 
 // zoneConstraint is the interval set a column must intersect for any row of
@@ -398,537 +392,626 @@ type scanPred struct {
 	conj  []conjunct
 	zones []zoneConstraint
 	safe  bool // every conjunct provably error- and panic-free
+	marks bool // some conjunct keeps its NULL rows
 }
 
-// box fills sc.gather with row i, for the conjuncts that run over a boxed
-// row. It is kept out of eval so that eval's frame, entered once per row,
-// stays small.
-func (s *scanSource) box(i int, sc *scanScratch) {
-	if sc.gather == nil {
-		sc.gather = make(storage.Row, len(s.cols))
+// compileScanPred decomposes filter into top-level conjuncts, compiles the
+// ones it can into kernels, classifies safety for zone skipping, and extracts
+// per-column interval constraints. A filter that reads no column stays whole:
+// expr.Compile folds it in one evaluation, whose panic conjuncts compiled one
+// by one would not raise.
+func compileScanPred(filter expr.Expr, cols []storage.ColView) *scanPred {
+	parts := []expr.Expr{filter}
+	isAnd := false
+	if a, ok := filter.(expr.And); ok && len(expr.Columns(filter)) > 0 {
+		parts, isAnd = a.Args, true
 	}
-	for c := range s.cols {
-		sc.gather[c] = s.cols[c].Value(i)
+	p := &scanPred{safe: true, conj: make([]conjunct, len(parts))}
+	for k := len(parts) - 1; k >= 0; k-- { // backwards: may a later conjunct fail?
+		p.conj[k].keepNull = !p.safe
+		p.marks = p.marks || !p.safe
+		p.safe = p.safe && predSafe(parts[k], cols)
 	}
+	for k, part := range parts { // forwards: a compile-time panic is the first part's
+		cj := &p.conj[k]
+		if kern, ok := compileKernel(part, cols, cj.keepNull); ok {
+			cj.kern = kern
+			continue
+		}
+		cj.gen, cj.inAnd = expr.Compile(part), isAnd
+		for _, ref := range expr.Columns(part) {
+			if ref.Tab == 0 && ref.Col >= 0 && ref.Col < len(cols) && !slices.Contains(cj.cols, ref.Col) {
+				cj.cols = append(cj.cols, ref.Col)
+			}
+		}
+	}
+	if p.safe {
+		p.zones = zoneConstraints(parts, len(cols))
+	}
+	return p
 }
 
-// eval applies the predicate to row i with the exact three-valued-logic,
-// error, and panic behavior of expr.CompilePredicate over the same filter:
-// conjuncts evaluate in original order, FALSE short-circuits, NULL does not.
-func (p *scanPred) eval(i int, s *scanSource, sc *scanScratch) (bool, error) {
-	sawNull := false
-	gathered := false
+// filter appends to out the rows of the live run [lo,hi) that satisfy the
+// predicate, with expr.CompilePredicate's logic, errors and panics. The
+// conjuncts run one at a time over the run, in their original order: the
+// first turns it into a selection vector, each later one refines that in
+// place. FALSE drops a row; so does NULL, unless a later conjunct may fail
+// and must still see the row (marked, it is dropped at the end). A boxed
+// conjunct failing on a row cuts the selection there, as no later row can
+// matter, and a failure a later conjunct meets on an earlier row replaces
+// it: the first in row order is reported.
+func (s *scanSource) filter(lo, hi int, sc *scanScratch, out []int32) ([]int32, error) {
+	p, start := s.pred, len(out)
+	if p == nil {
+		return appendRun(out, lo, hi), nil
+	}
+	if p.marks {
+		sc.marks, sc.markBase = fill(sc.marks, hi-lo, false), lo
+	}
+	var fail scanFail
 	for k := range p.conj {
 		cj := &p.conj[k]
-		if cj.vec != nil {
-			switch cj.vec(i) {
-			case triFalse:
-				return false, nil
-			case triNull:
-				sawNull = true
+		if k == 0 {
+			if cj.kern != nil && cj.kern.run != nil {
+				out = cj.kern.run(lo, hi, out)
+				continue
 			}
-			continue
+			out = appendRun(out, lo, hi)
 		}
-		if !gathered {
-			s.box(i, sc)
-			gathered = true
+		sel := out[start:]
+		if cj.kern != nil {
+			sel = cj.kern.refine(sel, sc)
+		} else {
+			sel = s.boxed(cj, sel, sc, &fail)
+		}
+		if out = out[:start+len(sel)]; len(sel) == 0 {
+			break
+		}
+	}
+	if fail.pval != nil {
+		panic(fail.pval)
+	}
+	if fail.err != nil {
+		return out[:start], fail.err
+	}
+	if p.marks {
+		n := start
+		for _, r := range out[start:] {
+			out[n] = r
+			if !sc.marks[int(r)-lo] {
+				n++
+			}
+		}
+		out = out[:n]
+	}
+	return out, nil
+}
+
+// scanFail is the first failure a scan predicate met on a run: an error, or
+// the value of a panic.
+type scanFail struct {
+	err  error
+	pval any
+}
+
+// boxed refines sel by a conjunct that is not vectorized, boxing for each
+// row only the columns the conjunct reads. A failure on a row, error or
+// panic, is recorded in fail and cuts sel there.
+func (s *scanSource) boxed(cj *conjunct, sel []int32, sc *scanScratch, fail *scanFail) (kept []int32) {
+	if len(sc.gather) != len(s.cols) { // a conjunct reads a column past the row as NULL
+		sc.gather = make(storage.Row, len(s.cols))
+	}
+	n := 0
+	defer func() {
+		if p := recover(); p != nil {
+			*fail, kept = scanFail{pval: p}, sel[:n]
+		}
+	}()
+	for _, r := range sel {
+		for _, c := range cj.cols {
+			sc.gather[c] = s.cols[c].Value(int(r))
 		}
 		v, err := cj.gen(sc.gather)
-		if err != nil {
-			return false, err
-		}
-		if v.IsNull() {
-			sawNull = true
-			continue
-		}
-		if v.Kind() != sqlvalue.KindBool {
+		if err == nil && !v.IsNull() && v.Kind() != sqlvalue.KindBool {
 			if cj.inAnd {
 				// The compiled And calls Bool() on every non-NULL argument;
 				// reproduce its panic exactly.
 				_ = v.Bool()
 			}
-			return false, fmt.Errorf("expr: predicate evaluated to %s", v.Kind())
+			err = fmt.Errorf("expr: predicate evaluated to %s", v.Kind())
 		}
-		if !v.Bool() {
-			return false, nil
+		switch {
+		case err != nil:
+			*fail = scanFail{err: err}
+			return sel[:n]
+		case v.IsNull():
+			if !cj.keepNull {
+				continue
+			}
+			sc.marks[int(r)-sc.markBase] = true
+		case !v.Bool():
+			continue
 		}
+		sel[n] = r
+		n++
 	}
-	if sawNull {
-		return false, nil
-	}
-	return true, nil
+	return sel[:n]
 }
 
-// compileScanPred decomposes filter into top-level conjuncts, vectorizes the
-// ones it can, classifies safety for zone skipping, and extracts per-column
-// interval constraints.
-func compileScanPred(filter expr.Expr, cols []storage.ColView, ncols int) *scanPred {
-	parts := []expr.Expr{filter}
-	isAnd := false
-	if a, ok := filter.(expr.And); ok {
-		parts = a.Args
-		isAnd = true
+// appendRun appends the ordinals lo, …, hi-1 to out.
+func appendRun(out []int32, lo, hi int) []int32 {
+	start := len(out)
+	out = slices.Grow(out, hi-lo)[:start+hi-lo]
+	for k := range out[start:] {
+		out[start+k] = int32(lo + k)
 	}
-	p := &scanPred{safe: true}
-	for _, part := range parts {
-		cj := conjunct{inAnd: isAnd}
-		if vec, ok := vecPredicate(part, cols, ncols); ok {
-			cj.vec = vec
-		} else {
-			cj.gen = expr.Compile(part)
-		}
-		if !predSafe(part, cols, ncols) {
-			p.safe = false
-		}
-		p.conj = append(p.conj, cj)
-	}
-	if p.safe {
-		p.zones = zoneConstraints(parts, ncols)
-	}
-	return p
+	return out
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized conjuncts
+// Kernels
 
-// Static value classes of a comparison side.
-const (
-	classNone uint8 = iota // not statically classifiable (or may error)
-	classNum               // numeric chain: Int, Date, or Float result kind
-	classStr               // string column or constant
-	classNull              // constant NULL (invalid or all-NULL column)
-)
-
-// numChain is a compiled arithmetic chain with a statically known result
-// kind. Chains are error- and panic-free by construction: columns are typed,
-// constants numeric, and only operations that cannot fail on numeric inputs
-// are admitted (division by zero yields NULL, as sqlvalue.Div does).
-type numChain struct {
-	kind sqlvalue.Kind               // KindInt, KindDate, or KindFloat
-	gi   func(i int) (int64, bool)   // non-float chains; bool = NULL
-	gf   func(i int) (float64, bool) // float chains
+// kernel is one vectorized conjunct. refine keeps, in place, the rows of a
+// selection where it holds (and, compiled to keep NULLs, those where it is
+// NULL, marked); run, when set, is the same test over a live run [lo,hi),
+// appended to out: the first conjunct's entry, with no selection to read.
+type kernel struct {
+	refine func(sel []int32, sc *scanScratch) []int32
+	run    func(lo, hi int, out []int32) []int32
 }
 
-func (n numChain) float() func(i int) (float64, bool) {
-	if n.gf != nil {
-		return n.gf
-	}
-	gi := n.gi
-	return func(i int) (float64, bool) {
-		v, null := gi(i)
-		return float64(v), null
-	}
-}
-
-// vecNum compiles e into a numeric chain when its result kind is static.
-func vecNum(e expr.Expr, cols []storage.ColView, ncols int) (numChain, bool) {
-	switch n := e.(type) {
-	case expr.Const:
-		switch n.Val.Kind() {
-		case sqlvalue.KindInt:
-			c := n.Val.Int()
-			return numChain{kind: sqlvalue.KindInt, gi: func(int) (int64, bool) { return c, false }}, true
-		case sqlvalue.KindDate:
-			c := n.Val.DateDays()
-			return numChain{kind: sqlvalue.KindDate, gi: func(int) (int64, bool) { return c, false }}, true
-		case sqlvalue.KindFloat:
-			c := n.Val.Float()
-			return numChain{kind: sqlvalue.KindFloat, gf: func(int) (float64, bool) { return c, false }}, true
-		}
-		return numChain{}, false
-	case expr.Column:
-		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= ncols {
-			return numChain{}, false // binds to NULL; handled by classNull
-		}
-		v := cols[n.Ref.Col]
-		nulls := v.Nulls
-		switch v.Kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate:
-			a := v.Ints
-			if nulls == nil {
-				return numChain{kind: v.Kind, gi: func(i int) (int64, bool) { return a[i], false }}, true
-			}
-			return numChain{kind: v.Kind, gi: func(i int) (int64, bool) {
-				if bitSet(nulls, i) {
-					return 0, true
-				}
-				return a[i], false
-			}}, true
-		case sqlvalue.KindFloat:
-			a := v.Floats
-			if nulls == nil {
-				return numChain{kind: sqlvalue.KindFloat, gf: func(i int) (float64, bool) { return a[i], false }}, true
-			}
-			return numChain{kind: sqlvalue.KindFloat, gf: func(i int) (float64, bool) {
-				if bitSet(nulls, i) {
-					return 0, true
-				}
-				return a[i], false
-			}}, true
-		}
-		return numChain{}, false
-	case expr.Arith:
-		l, ok := vecNum(n.L, cols, ncols)
-		if !ok {
-			return numChain{}, false
-		}
-		r, ok := vecNum(n.R, cols, ncols)
-		if !ok {
-			return numChain{}, false
-		}
-		// sqlvalue.arith: Int op Int stays integral except division; any
-		// Date or Float operand promotes the whole operation to float.
-		if l.kind == sqlvalue.KindInt && r.kind == sqlvalue.KindInt && n.Op != expr.Div {
-			li, ri := l.gi, r.gi
-			var gi func(i int) (int64, bool)
-			switch n.Op {
-			case expr.Add:
-				gi = func(i int) (int64, bool) {
-					a, an := li(i)
-					if an {
-						return 0, true
-					}
-					b, bn := ri(i)
-					if bn {
-						return 0, true
-					}
-					return a + b, false
-				}
-			case expr.Sub:
-				gi = func(i int) (int64, bool) {
-					a, an := li(i)
-					if an {
-						return 0, true
-					}
-					b, bn := ri(i)
-					if bn {
-						return 0, true
-					}
-					return a - b, false
-				}
-			case expr.Mul:
-				gi = func(i int) (int64, bool) {
-					a, an := li(i)
-					if an {
-						return 0, true
-					}
-					b, bn := ri(i)
-					if bn {
-						return 0, true
-					}
-					return a * b, false
-				}
-			default:
-				return numChain{}, false
-			}
-			return numChain{kind: sqlvalue.KindInt, gi: gi}, true
-		}
-		lf, rf := l.float(), r.float()
-		var gf func(i int) (float64, bool)
-		switch n.Op {
-		case expr.Add:
-			gf = func(i int) (float64, bool) {
-				a, an := lf(i)
-				if an {
-					return 0, true
-				}
-				b, bn := rf(i)
-				if bn {
-					return 0, true
-				}
-				return a + b, false
-			}
-		case expr.Sub:
-			gf = func(i int) (float64, bool) {
-				a, an := lf(i)
-				if an {
-					return 0, true
-				}
-				b, bn := rf(i)
-				if bn {
-					return 0, true
-				}
-				return a - b, false
-			}
-		case expr.Mul:
-			gf = func(i int) (float64, bool) {
-				a, an := lf(i)
-				if an {
-					return 0, true
-				}
-				b, bn := rf(i)
-				if bn {
-					return 0, true
-				}
-				return a * b, false
-			}
-		case expr.Div:
-			gf = func(i int) (float64, bool) {
-				a, an := lf(i)
-				if an {
-					return 0, true
-				}
-				b, bn := rf(i)
-				if bn || b == 0 {
-					return 0, true // division by zero yields NULL
-				}
-				return a / b, false
-			}
-		default:
-			return numChain{}, false
-		}
-		return numChain{kind: sqlvalue.KindFloat, gf: gf}, true
-	case expr.Neg:
-		a, ok := vecNum(n.E, cols, ncols)
-		// sqlvalue.Neg errors on DATE, so a Date chain is not negatable.
-		if !ok || a.kind == sqlvalue.KindDate {
-			return numChain{}, false
-		}
-		if a.kind == sqlvalue.KindInt {
-			gi := a.gi
-			return numChain{kind: sqlvalue.KindInt, gi: func(i int) (int64, bool) {
-				v, null := gi(i)
-				return -v, null
-			}}, true
-		}
-		gf := a.gf
-		return numChain{kind: sqlvalue.KindFloat, gf: func(i int) (float64, bool) {
-			v, null := gf(i)
-			return -v, null
-		}}, true
-	case expr.Func:
-		if (n.Name != "ABS" && n.Name != "abs") || len(n.Args) != 1 {
-			return numChain{}, false
-		}
-		a, ok := vecNum(n.Args[0], cols, ncols)
-		// absValue errors on DATE.
-		if !ok || a.kind == sqlvalue.KindDate {
-			return numChain{}, false
-		}
-		if a.kind == sqlvalue.KindInt {
-			gi := a.gi
-			return numChain{kind: sqlvalue.KindInt, gi: func(i int) (int64, bool) {
-				v, null := gi(i)
-				if v < 0 {
-					v = -v
-				}
-				return v, null
-			}}, true
-		}
-		gf := a.gf
-		return numChain{kind: sqlvalue.KindFloat, gf: func(i int) (float64, bool) {
-			v, null := gf(i)
-			// Match absValue: only strictly negative values are negated, so
-			// ABS(-0.0) stays -0.0 and rendering is byte-identical.
-			if v < 0 {
-				v = -v
-			}
-			return v, null
-		}}, true
-	}
-	return numChain{}, false
-}
-
-// vecStr compiles e into a string getter when it is a string column or
-// constant; bool result = NULL.
-func vecStr(e expr.Expr, cols []storage.ColView, ncols int) (func(i int) (string, bool), bool) {
-	switch n := e.(type) {
-	case expr.Const:
-		if n.Val.Kind() == sqlvalue.KindString {
-			s := n.Val.Str()
-			return func(int) (string, bool) { return s, false }, true
-		}
-		return nil, false
-	case expr.Column:
-		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= ncols {
-			return nil, false
-		}
-		v := cols[n.Ref.Col]
-		if v.Kind != sqlvalue.KindString {
-			return nil, false
-		}
-		a := v.Strs
-		nulls := v.Nulls
-		if nulls == nil {
-			return func(i int) (string, bool) { return a[i], false }, true
-		}
-		return func(i int) (string, bool) {
-			if bitSet(nulls, i) {
-				return "", true
-			}
-			return a[i], false
-		}, true
-	}
-	return nil, false
-}
-
-// sideClass classifies one comparison side for vectorization.
-func sideClass(e expr.Expr, cols []storage.ColView, ncols int) uint8 {
-	switch n := e.(type) {
-	case expr.Const:
-		if n.Val.IsNull() {
-			return classNull
-		}
-	case expr.Column:
-		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= ncols {
-			return classNull // binds to NULL
-		}
-		if cols[n.Ref.Col].Kind == sqlvalue.KindNull {
-			return classNull // column has only ever held NULL
-		}
-	}
-	if _, ok := vecNum(e, cols, ncols); ok {
-		return classNum
-	}
-	if _, ok := vecStr(e, cols, ncols); ok {
-		return classStr
-	}
-	return classNone
-}
-
-func triOf(b bool) uint8 {
-	if b {
-		return triTrue
-	}
-	return triFalse
-}
-
-// cmpSatisfied mirrors expr's cmpSatisfies.
-func cmpSatisfied(op expr.CmpOp, cmp int) bool {
-	switch op {
-	case expr.EQ:
-		return cmp == 0
-	case expr.NE:
-		return cmp != 0
-	case expr.LT:
-		return cmp < 0
-	case expr.LE:
-		return cmp <= 0
-	case expr.GT:
-		return cmp > 0
-	case expr.GE:
-		return cmp >= 0
-	}
-	return false
-}
-
-func cmpInt(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// vecPredicate vectorizes a conjunct when possible: comparisons over static
-// numeric/string chains and IS [NOT] NULL over a column.
-func vecPredicate(e expr.Expr, cols []storage.ColView, ncols int) (triFn, bool) {
+// compileKernel compiles a conjunct into a kernel when it is a comparison of
+// static numeric or string sides, or IS [NOT] NULL over a column.
+func compileKernel(e expr.Expr, cols []storage.ColView, keep bool) (*kernel, bool) {
 	switch n := e.(type) {
 	case expr.Cmp:
-		return vecCmp(n, cols, ncols)
+		return cmpKernel(n, cols, keep)
 	case expr.IsNull:
 		col, ok := n.E.(expr.Column)
 		if !ok {
 			return nil, false
 		}
-		negate := n.Negate
-		if col.Ref.Tab != 0 || col.Ref.Col < 0 || col.Ref.Col >= ncols {
+		if col.Ref.Tab != 0 || col.Ref.Col < 0 || col.Ref.Col >= len(cols) {
 			// The reference binds this to NULL: IS NULL is constantly true.
-			res := triOf(!negate)
-			return func(int) uint8 { return res }, true
+			return constKernel(!n.Negate, false, false), true
 		}
-		v := cols[col.Ref.Col]
-		if negate {
-			return func(i int) uint8 { return triOf(!v.IsNull(i)) }, true
-		}
-		return func(i int) uint8 { return triOf(v.IsNull(i)) }, true
+		nulls, want := cols[col.Ref.Col].Nulls, !n.Negate
+		return &kernel{refine: func(sel []int32, _ *scanScratch) []int32 {
+			k := 0
+			for _, r := range sel {
+				sel[k] = r
+				if bitSet(nulls, int(r)) == want {
+					k++
+				}
+			}
+			return sel[:k]
+		}}, true
 	}
 	return nil, false
 }
 
-func vecCmp(n expr.Cmp, cols []storage.ColView, ncols int) (triFn, bool) {
-	op := n.Op
-	lc := sideClass(n.L, cols, ncols)
-	if lc == classNone {
-		return nil, false
-	}
-	rc := sideClass(n.R, cols, ncols)
-	if rc == classNone {
+// constKernel is a conjunct with the same value on every row.
+func constKernel(holds, null, keep bool) *kernel {
+	return &kernel{refine: func(sel []int32, sc *scanScratch) []int32 {
+		switch {
+		case null && keep:
+			for _, r := range sel {
+				sc.marks[int(r)-sc.markBase] = true
+			}
+		case null || !holds:
+			return sel[:0]
+		}
+		return sel
+	}}
+}
+
+// cmpForm is a comparison as one of three tests and the outcome that keeps
+// a row: LT and GE test a < b, GT and LE test a > b, EQ and NE test whether
+// a and b differ. A NaN compares equal to everything, as in sqlvalue.Compare.
+type cmpForm struct {
+	test expr.CmpOp // LT, GT or NE
+	want bool
+}
+
+var cmpForms = [...]cmpForm{expr.EQ: {expr.NE, false}, expr.NE: {expr.NE, true},
+	expr.LT: {expr.LT, true}, expr.GE: {expr.LT, false}, expr.GT: {expr.GT, true}, expr.LE: {expr.GT, false}}
+
+// cmpKernel compiles a comparison. A column against a constant of its own
+// payload reads the column's array in place; any other pair of static sides
+// evaluates both over the selection first.
+func cmpKernel(n expr.Cmp, cols []storage.ColView, keep bool) (*kernel, bool) {
+	l, lok := compileVec(n.L, cols)
+	r, rok := compileVec(n.R, cols)
+	if !lok || !rok {
 		return nil, false
 	}
 	// A NULL side, or statically incomparable kinds, make the comparison
 	// constantly NULL (sqlvalue.Compare never errors).
-	if lc == classNull || rc == classNull || lc != rc {
-		return func(int) uint8 { return triNull }, true
+	if l.kind == sqlvalue.KindNull || r.kind == sqlvalue.KindNull || (l.kind == sqlvalue.KindString) != (r.kind == sqlvalue.KindString) {
+		return constKernel(false, true, keep), true
 	}
-	if lc == classStr {
-		ls, _ := vecStr(n.L, cols, ncols)
-		rs, _ := vecStr(n.R, cols, ncols)
-		return func(i int) uint8 {
-			a, an := ls(i)
-			if an {
-				return triNull
-			}
-			b, bn := rs(i)
-			if bn {
-				return triNull
-			}
-			return triOf(cmpSatisfied(op, stringsCompare(a, b)))
-		}, true
+	op := n.Op
+	if l.op == vecConst && r.op == vecCol {
+		l, r, op = r, l, op.Flip()
 	}
-	ln, _ := vecNum(n.L, cols, ncols)
-	rn, _ := vecNum(n.R, cols, ncols)
-	// sqlvalue.Compare compares two non-float numerics on their integral
-	// payloads (avoiding float rounding on big keys); any float side makes
-	// it a float comparison.
-	if ln.kind != sqlvalue.KindFloat && rn.kind != sqlvalue.KindFloat {
-		li, ri := ln.gi, rn.gi
-		return func(i int) uint8 {
-			a, an := li(i)
-			if an {
-				return triNull
+	f := cmpForms[op]
+	if l.op == vecCol && r.op == vecConst && !keep {
+		nulls := l.col.Nulls
+		switch {
+		case l.kind == sqlvalue.KindString:
+			return colConst(f, l.col.Strs, r.c.Str(), nulls), true
+		case l.kind == sqlvalue.KindFloat:
+			if c, _ := r.c.AsFloat(); c == c { // a NaN constant takes the general path
+				return colConst(f, l.col.Floats, c, nulls), true
 			}
-			b, bn := ri(i)
-			if bn {
-				return triNull
-			}
-			return triOf(cmpSatisfied(op, cmpInt(a, b)))
-		}, true
-	}
-	lf, rf := ln.float(), rn.float()
-	return func(i int) uint8 {
-		a, an := lf(i)
-		if an {
-			return triNull
+		case r.kind != sqlvalue.KindFloat:
+			c, _ := valueIntKey(r.c)
+			return colConst(f, l.col.Ints, c, nulls), true
 		}
-		b, bn := rf(i)
-		if bn {
-			return triNull
+	}
+	asFloat := l.kind == sqlvalue.KindFloat || r.kind == sqlvalue.KindFloat
+	return &kernel{refine: func(sel []int32, sc *scanScratch) []int32 {
+		a := l.eval(sel, &sc.vecs, 0, asFloat)
+		b := r.eval(sel, &sc.vecs, 1, asFloat)
+		switch {
+		case l.kind == sqlvalue.KindString:
+			return keepCmp(f, a.strs, b.strs, a, b, sel, sc, keep)
+		case asFloat:
+			return keepCmp(f, a.floats, b.floats, a, b, sel, sc, keep)
 		}
-		return triOf(cmpSatisfied(op, cmpFloat(a, b)))
-	}, true
+		return keepCmp(f, a.ints, b.ints, a, b, sel, sc, keep)
+	}}, true
 }
 
-func stringsCompare(a, b string) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
+// keepCmp keeps, in place, the rows sel[k] where x[k] ⊙ y[k] holds, the
+// values of the vecs a and b, and — when keep is set — the rows where one
+// of them is NULL, marked.
+func keepCmp[T cmp.Ordered](f cmpForm, x, y []T, a, b *vec, sel []int32, sc *scanScratch, keep bool) []int32 {
+	n := 0
+	for k, r := range sel {
+		if a.isNull(k) || b.isNull(k) {
+			if !keep {
+				continue
+			}
+			sc.marks[int(r)-sc.markBase] = true
+		} else if t := f.test; (t == expr.LT && x[k] < y[k] || t == expr.GT && x[k] > y[k] ||
+			t == expr.NE && (x[k] < y[k] || x[k] > y[k])) != f.want {
+			continue
+		}
+		sel[n] = r
+		n++
 	}
-	return 0
+	return sel[:n]
+}
+
+// colConst is the kernel for a column against a constant of its payload
+// type. Its loops write every row and advance over the ones that pass, so
+// they carry no branch on the data; NULL rows are dropped after, and only
+// where the null bitmap has a bit set among the selected rows' words.
+func colConst[T cmp.Ordered](f cmpForm, a []T, c T, nulls []uint64) *kernel {
+	return &kernel{
+		run: func(lo, hi int, out []int32) []int32 {
+			start := len(out)
+			out = slices.Grow(out, hi-lo)[:start+hi-lo]
+			n := runConst(f, a[lo:hi], c, int32(lo), out[start:])
+			return out[:start+len(dropNulls(out[start:start+n], nulls))]
+		},
+		refine: func(sel []int32, _ *scanScratch) []int32 {
+			return dropNulls(selConst(f, a, c, sel), nulls)
+		},
+	}
+}
+
+// runConst writes to dst the ordinals base+k of the rows where a[k] ⊙ c
+// holds and returns their count.
+func runConst[T cmp.Ordered](f cmpForm, a []T, c T, base int32, dst []int32) int {
+	n, want := 0, f.want
+	dst = dst[:len(a)]
+	switch f.test {
+	case expr.LT:
+		for k, x := range a {
+			dst[n] = base + int32(k)
+			if (x < c) == want {
+				n++
+			}
+		}
+	case expr.GT:
+		for k, x := range a {
+			dst[n] = base + int32(k)
+			if (x > c) == want {
+				n++
+			}
+		}
+	default:
+		for k, x := range a {
+			dst[n] = base + int32(k)
+			if (x != c && x == x) == want {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// selConst keeps, in place, the rows r of sel where a[r] ⊙ c holds.
+func selConst[T cmp.Ordered](f cmpForm, a []T, c T, sel []int32) []int32 {
+	n, want := 0, f.want
+	switch f.test {
+	case expr.LT:
+		for _, r := range sel {
+			sel[n] = r
+			if (a[r] < c) == want {
+				n++
+			}
+		}
+	case expr.GT:
+		for _, r := range sel {
+			sel[n] = r
+			if (a[r] > c) == want {
+				n++
+			}
+		}
+	default:
+		for _, r := range sel {
+			sel[n] = r
+			if x := a[r]; (x != c && x == x) == want {
+				n++
+			}
+		}
+	}
+	return sel[:n]
+}
+
+// dropNulls removes, in place, the rows of sel whose bit is set in nulls.
+func dropNulls(sel []int32, nulls []uint64) []int32 {
+	if len(sel) == 0 {
+		return sel
+	}
+	set := false
+	for w := int(sel[0]) >> 6; w <= int(sel[len(sel)-1])>>6 && w < len(nulls); w++ {
+		set = set || nulls[w] != 0
+	}
+	if !set {
+		return sel
+	}
+	n := 0
+	for _, r := range sel {
+		sel[n] = r
+		if !bitSet(nulls, int(r)) {
+			n++
+		}
+	}
+	return sel[:n]
+}
+
+// ---------------------------------------------------------------------------
+// Static expressions over typed columns
+
+type vecOp uint8
+
+const (
+	vecCol vecOp = iota
+	vecConst
+	vecArith
+	vecNeg
+	vecAbs
+)
+
+// vecExpr is an expression with a statically known result kind over one
+// store's typed columns: a column, a constant, or a numeric chain of
+// arithmetic, negation and ABS over them. Kind NULL is NULL on every row: a
+// NULL constant, a column out of range (the reference binds it to NULL) or
+// one that has only ever held NULL. Chains are error- and panic-free by
+// construction: columns are typed, constants numeric, and only operations
+// that cannot fail on numeric inputs are admitted (division by zero yields
+// NULL, as sqlvalue.Div does). A string is a column or a constant.
+type vecExpr struct {
+	kind sqlvalue.Kind // KindInt, KindDate, KindFloat, KindString or KindNull
+	op   vecOp
+	aop  expr.ArithOp     // of vecArith
+	col  *storage.ColView // of vecCol
+	c    sqlvalue.Value   // of vecConst
+	l, r *vecExpr         // operands; l alone for vecNeg and vecAbs
+}
+
+func (x *vecExpr) numeric() bool { return x.kind != sqlvalue.KindString && x.kind != sqlvalue.KindNull }
+
+// compileVec compiles e when its result kind is static.
+func compileVec(e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
+	switch n := e.(type) {
+	case expr.Const:
+		switch k := n.Val.Kind(); k {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindFloat, sqlvalue.KindString, sqlvalue.KindNull:
+			return &vecExpr{kind: k, op: vecConst, c: n.Val}, true
+		}
+	case expr.Column:
+		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= len(cols) {
+			return &vecExpr{kind: sqlvalue.KindNull, op: vecConst}, true
+		}
+		switch v := cols[n.Ref.Col]; v.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindFloat, sqlvalue.KindString, sqlvalue.KindNull:
+			return &vecExpr{kind: v.Kind, op: vecCol, col: &cols[n.Ref.Col]}, true
+		}
+	case expr.Arith:
+		l, lok := compileVec(n.L, cols)
+		r, rok := compileVec(n.R, cols)
+		if !lok || !rok || !l.numeric() || !r.numeric() || n.Op > expr.Div {
+			return nil, false
+		}
+		// sqlvalue.arith: Int op Int stays integral except division; any
+		// Date or Float operand promotes the whole operation to float.
+		kind := sqlvalue.KindFloat
+		if l.kind == sqlvalue.KindInt && r.kind == sqlvalue.KindInt && n.Op != expr.Div {
+			kind = sqlvalue.KindInt
+		}
+		return &vecExpr{kind: kind, op: vecArith, aop: n.Op, l: l, r: r}, true
+	case expr.Neg:
+		return unaryVec(vecNeg, n.E, cols)
+	case expr.Func:
+		if (n.Name == "ABS" || n.Name == "abs") && len(n.Args) == 1 {
+			return unaryVec(vecAbs, n.Args[0], cols)
+		}
+	}
+	return nil, false
+}
+
+// unaryVec compiles negation or ABS, which sqlvalue refuses on a DATE.
+func unaryVec(op vecOp, e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
+	a, ok := compileVec(e, cols)
+	if !ok || (a.kind != sqlvalue.KindInt && a.kind != sqlvalue.KindFloat) {
+		return nil, false
+	}
+	return &vecExpr{kind: a.kind, op: op, l: a}, true
+}
+
+// vec is a vecExpr's value at each row of a selection: ints (INTEGER,
+// DATE), floats or strs by kind, and null[k] when row k's value is NULL
+// (null is nil when none is). The next eval into the vec reuses its buffers.
+type vec struct {
+	ints    []int64
+	floats  []float64
+	strs    []string
+	null    []bool
+	nullBuf []bool
+}
+
+func (v *vec) isNull(k int) bool { return v.null != nil && v.null[k] }
+
+// nulls returns v.null, made all-false first if it was nil.
+func (v *vec) nulls(n int) []bool {
+	if v.null == nil {
+		v.nullBuf = fill(v.nullBuf, n, false)
+		v.null = v.nullBuf
+	}
+	return v.null
+}
+
+// vecStack is one worker's vecs: eval at depth d writes the d-th and uses
+// the ones after it as scratch.
+type vecStack []*vec
+
+func (vs *vecStack) at(d int) *vec {
+	for len(*vs) <= d {
+		*vs = append(*vs, new(vec))
+	}
+	return (*vs)[d]
+}
+
+// eval computes x at each of rids into vs.at(d): as floats when asFloat,
+// in x's own representation otherwise.
+func (x *vecExpr) eval(rids []int32, vs *vecStack, d int, asFloat bool) *vec {
+	out, n := vs.at(d), len(rids)
+	out.null = nil
+	switch x.op {
+	case vecCol:
+		switch x.kind {
+		case sqlvalue.KindString:
+			out.strs = gather(out.strs, x.col.Strs, rids)
+		case sqlvalue.KindFloat:
+			out.floats = gather(out.floats, x.col.Floats, rids)
+		default:
+			out.ints = gather(out.ints, x.col.Ints, rids)
+		}
+		if nulls := x.col.Nulls; nulls != nil {
+			null := out.nulls(n)
+			for k, r := range rids {
+				null[k] = bitSet(nulls, int(r))
+			}
+		}
+	case vecConst:
+		switch x.kind {
+		case sqlvalue.KindString:
+			out.strs = fill(out.strs, n, x.c.Str())
+		case sqlvalue.KindFloat:
+			out.floats = fill(out.floats, n, x.c.Float())
+		default:
+			c, _ := valueIntKey(x.c)
+			out.ints = fill(out.ints, n, c)
+		}
+	case vecNeg, vecAbs:
+		x.l.eval(rids, vs, d, false)
+		if x.kind == sqlvalue.KindFloat {
+			unary(x.op, out.floats)
+		} else {
+			unary(x.op, out.ints)
+		}
+	case vecArith:
+		float := x.kind == sqlvalue.KindFloat
+		x.l.eval(rids, vs, d, float)
+		b := x.r.eval(rids, vs, d+1, float)
+		if b.null != nil {
+			null := out.nulls(n)
+			for k := range null {
+				null[k] = null[k] || b.null[k]
+			}
+		}
+		switch {
+		case x.aop == expr.Div:
+			null := out.nulls(n)
+			for k, v := range b.floats[:n] {
+				if v == 0 {
+					null[k] = true // division by zero yields NULL
+				} else {
+					out.floats[k] /= v
+				}
+			}
+		case float:
+			arith(x.aop, out.floats, b.floats)
+		default:
+			arith(x.aop, out.ints, b.ints)
+		}
+	}
+	if asFloat && x.kind != sqlvalue.KindFloat {
+		out.floats = slices.Grow(out.floats[:0], n)[:n]
+		for k, v := range out.ints[:n] {
+			out.floats[k] = float64(v)
+		}
+	}
+	return out
+}
+
+func gather[T any](dst, src []T, rids []int32) []T {
+	dst = slices.Grow(dst[:0], len(rids))[:len(rids)]
+	for k, r := range rids {
+		dst[k] = src[r]
+	}
+	return dst
+}
+
+func fill[T any](dst []T, n int, c T) []T {
+	dst = slices.Grow(dst[:0], n)[:n]
+	for k := range dst {
+		dst[k] = c
+	}
+	return dst
+}
+
+func arith[T int64 | float64](op expr.ArithOp, a, b []T) {
+	b = b[:len(a)]
+	switch op {
+	case expr.Add:
+		for k := range a {
+			a[k] += b[k]
+		}
+	case expr.Sub:
+		for k := range a {
+			a[k] -= b[k]
+		}
+	case expr.Mul:
+		for k := range a {
+			a[k] *= b[k]
+		}
+	}
+}
+
+// unary negates a, or takes its absolute value the way absValue does: only a
+// strictly negative value is negated, so ABS(-0.0) stays -0.0.
+func unary[T int64 | float64](op vecOp, a []T) {
+	for k, v := range a {
+		if op == vecNeg || v < 0 {
+			a[k] = -v
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -947,41 +1030,41 @@ func isLeaf(e expr.Expr) bool {
 // sideSafe reports whether a comparison side is provably error- and
 // panic-free: a leaf (Compare never errors on any value pair) or a static
 // numeric chain.
-func sideSafe(e expr.Expr, cols []storage.ColView, ncols int) bool {
+func sideSafe(e expr.Expr, cols []storage.ColView) bool {
 	if isLeaf(e) {
 		return true
 	}
-	_, ok := vecNum(e, cols, ncols)
-	return ok
+	x, ok := compileVec(e, cols)
+	return ok && x.numeric()
 }
 
 // predSafe reports whether evaluating e can neither error nor panic and
 // always yields a boolean or NULL — the precondition for zone skipping: a
 // skipped block must not suppress a runtime failure the reference evaluator
 // would surface, and AND/OR/NOT over e must not hit a non-bool panic.
-func predSafe(e expr.Expr, cols []storage.ColView, ncols int) bool {
+func predSafe(e expr.Expr, cols []storage.ColView) bool {
 	switch n := e.(type) {
 	case expr.Const:
 		k := n.Val.Kind()
 		return k == sqlvalue.KindBool || k == sqlvalue.KindNull
 	case expr.Cmp:
-		return sideSafe(n.L, cols, ncols) && sideSafe(n.R, cols, ncols)
+		return sideSafe(n.L, cols) && sideSafe(n.R, cols)
 	case expr.IsNull:
 		return isLeaf(n.E)
 	case expr.Like:
 		return isLeaf(n.E) && isLeaf(n.Pattern)
 	case expr.Not:
-		return predSafe(n.E, cols, ncols)
+		return predSafe(n.E, cols)
 	case expr.And:
 		for _, a := range n.Args {
-			if !predSafe(a, cols, ncols) {
+			if !predSafe(a, cols) {
 				return false
 			}
 		}
 		return true
 	case expr.Or:
 		for _, a := range n.Args {
-			if !predSafe(a, cols, ncols) {
+			if !predSafe(a, cols) {
 				return false
 			}
 		}
@@ -1006,7 +1089,7 @@ func conjunctConstraint(e expr.Expr, ncols int) (int, ranges.IntervalSet, bool) 
 			return 0, ranges.IntervalSet{}, false
 		}
 		r, applied := ranges.Universal().Apply(rc.Op, rc.Val)
-		if !applied {
+		if f, _ := rc.Val.AsFloat(); !applied || f != f { // a NaN compares equal to everything
 			return 0, ranges.IntervalSet{}, false
 		}
 		col, set = rc.Col.Col, set.Add(r)

@@ -310,8 +310,10 @@ func seekView(v *storage.Data, eqCols []int, eqVals []sqlvalue.Value, proj []exp
 
 // forEachMorsel distributes morsel sequence numbers [0, nm) across w
 // workers, calling body(worker, seq) once per morsel. A single worker runs
-// inline without goroutines. Worker panics are re-raised on the calling
-// goroutine; the first error aborts remaining morsels.
+// inline without goroutines. A failure stops the claiming of morsels; the one
+// reported (an error, or a panic re-raised on the calling goroutine) is the
+// lowest morsel's, since every morsel before it was claimed first and runs to
+// its end: the first failure in morsel order, whatever the scheduling.
 func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 	if w == 1 {
 		for seq := 0; seq < nm; seq++ {
@@ -327,12 +329,13 @@ func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 		mu    sync.Mutex
 		first error
 		pval  any
+		fseq  = nm
 		wg    sync.WaitGroup
 	)
-	fail := func(err error, p any) {
+	fail := func(seq int, err error, p any) {
 		mu.Lock()
-		if first == nil && pval == nil {
-			first, pval = err, p
+		if seq < fseq {
+			fseq, first, pval = seq, err, p
 		}
 		mu.Unlock()
 		abort.Store(true)
@@ -341,18 +344,18 @@ func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			seq := 0
 			defer func() {
 				if p := recover(); p != nil {
-					fail(nil, p)
+					fail(seq, nil, p)
 				}
 			}()
 			for !abort.Load() {
-				seq := int(next.Add(1) - 1)
-				if seq >= nm {
+				if seq = int(next.Add(1) - 1); seq >= nm {
 					return
 				}
 				if err := body(wi, seq); err != nil {
-					fail(err, nil)
+					fail(seq, err, nil)
 					return
 				}
 			}
@@ -381,9 +384,11 @@ func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink
 	w = max(1, w)
 	sinks := make([]ridSink, w)
 	chains := make([]ridPusher, w)
-	scratch := make([]scanScratch, w)
+	scratch := make([]*scanScratch, w)
 	var stages []ridStage
 	for i := range sinks {
+		scratch[i] = scanScratchPool.Get().(*scanScratch)
+		defer scanScratchPool.Put(scratch[i])
 		sinks[i] = mkSink(nm)
 		chains[i] = sinks[i]
 		for s := len(p.stages) - 1; s >= 0; s-- {
@@ -396,7 +401,7 @@ func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink
 		lo := seq * bs
 		hi := min(lo+bs, n)
 		sinks[wi].begin(seq)
-		sc := &scratch[wi]
+		sc := scratch[wi]
 		defer sc.stats.flush()
 		rids, err := p.src.morselRids(lo, hi, sc, sc.rids[:0])
 		sc.rids = rids

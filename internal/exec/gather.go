@@ -159,10 +159,7 @@ type rowsRidSource []storage.Row
 func (s rowsRidSource) numRows() int { return len(s) }
 
 func (s rowsRidSource) morselRids(lo, hi int, _ *scanScratch, out []int32) ([]int32, error) {
-	for i := lo; i < hi; i++ {
-		out = append(out, int32(i))
-	}
-	return out, nil
+	return appendRun(out, lo, hi), nil
 }
 
 // ---------------------------------------------------------------------------

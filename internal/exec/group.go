@@ -11,14 +11,14 @@ import (
 )
 
 // aggReader reads one group key or aggregate argument of tuple i of a sink's
-// current batch. gv yields the boxed value; gi or gf is set as well when the
-// sink could bind the expression to typed column arrays (bool = NULL). The
-// zero reader is the argument COUNT(*) does not have.
+// current batch. gv yields the boxed value; vals is set as well when the sink
+// could bind the expression to typed column arrays: the sink evaluates it
+// over each batch, before the batch's tuples are added. The zero reader is
+// the argument COUNT(*) does not have.
 type aggReader struct {
-	kind     sqlvalue.Kind // of gi's values: KindInt or KindDate
-	nullable bool          // gi may report NULL
-	gi       func(i int) (int64, bool)
-	gf       func(i int) (float64, bool)
+	kind     sqlvalue.Kind // of vals: KindInt, KindDate or KindFloat
+	nullable bool          // vals may hold a NULL
+	vals     *vec
 	gv       func(i int) (sqlvalue.Value, error)
 }
 
@@ -26,13 +26,13 @@ type aggReader struct {
 // where accumulate refuses it.
 func (st *aggState) fold(r *aggReader, i int) error {
 	switch {
-	case r.gi != nil && r.kind == sqlvalue.KindInt:
-		if v, null := r.gi(i); !null {
-			st.addIntSum(v)
+	case r.vals != nil && r.kind == sqlvalue.KindInt:
+		if !r.vals.isNull(i) {
+			st.addIntSum(r.vals.ints[i])
 		}
-	case r.gf != nil:
-		if v, null := r.gf(i); !null {
-			st.addFloatSum(v)
+	case r.vals != nil && r.kind == sqlvalue.KindFloat:
+		if !r.vals.isNull(i) {
+			st.addFloatSum(r.vals.floats[i])
 		}
 	case r.gv != nil:
 		v, err := r.gv(i)
@@ -81,7 +81,7 @@ func newGroupTable(a *HashAgg, bind func(ex expr.Expr, key bool) aggReader) *gro
 	for _, ex := range a.GroupBy {
 		r := bind(ex, true)
 		g.keys = append(g.keys, r)
-		g.typed = g.typed && r.gi != nil
+		g.typed = g.typed && r.vals != nil && r.kind != sqlvalue.KindFloat
 		g.masked = g.masked || r.nullable
 	}
 	for i, spec := range a.Aggs {
@@ -151,8 +151,8 @@ func (g *groupTable) group(i int) (int32, error) {
 	}
 	nulls := int64(0)
 	for j := range g.keys {
-		v, null := g.keys[j].gi(i)
-		if null {
+		v := g.keys[j].vals.ints[i]
+		if g.keys[j].vals.isNull(i) {
 			v, nulls = 0, nulls|1<<j
 		}
 		g.key.words = append(g.key.words, v)
@@ -285,11 +285,19 @@ func finishAgg(tabs []*groupTable, a *HashAgg) ([]storage.Row, error) {
 // is left (expressions spanning relations, or over row-backed columns) is
 // compiled and run over a scratch row holding the columns it references.
 type ridAggSink struct {
-	g    *groupTable
-	cur  *ridBatch
-	eval ridEval
-	wide storage.Row // nil when nothing is left for eval to fill
-	ord  int64
+	g     *groupTable
+	cur   *ridBatch
+	typed []typedArg
+	eval  ridEval
+	wide  storage.Row // nil when nothing is left for eval to fill
+	ord   int64
+}
+
+// typedArg is a key or argument over relation rel, evaluated once per batch.
+type typedArg struct {
+	x   *vecExpr
+	rel int
+	vs  vecStack
 }
 
 func newRidAggSink(a *HashAgg, layout *ridLayout) *ridAggSink {
@@ -312,8 +320,8 @@ func newRidAggSink(a *HashAgg, layout *ridLayout) *ridAggSink {
 
 // bind binds ex to the tuples of s.cur when every column it reads belongs to
 // one relation: a bare column gets its boxed emitter, and — over a column
-// store — a typed chain too (for a key, only a bare int or date column: its
-// boxed value must be recoverable from the word).
+// store — a typed numeric expression too (for a key, only a bare int or date
+// column: its boxed value must be recoverable from the word).
 func (s *ridAggSink) bind(ex expr.Expr, key bool, layout *ridLayout) (aggReader, bool) {
 	rel := -1
 	for _, ref := range expr.Columns(ex) {
@@ -338,23 +346,22 @@ func (s *ridAggSink) bind(ex expr.Expr, key bool, layout *ridLayout) (aggReader,
 	}
 	if r.store != nil && (isCol || !key) {
 		local := expr.MapColumns(ex, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: c.Col - off} })
-		if nc, ok := vecNum(local, r.cols, len(r.cols)); ok && (isCol || nc.kind != sqlvalue.KindDate) {
-			rd.kind, rd.nullable = nc.kind, !isCol || r.cols[col.Ref.Col-off].Nulls != nil
-			if gi := nc.gi; gi != nil {
-				rd.gi = func(k int) (int64, bool) { return gi(int(s.cur.sel[rel][k])) }
-			} else {
-				gf := nc.gf
-				rd.gf = func(k int) (float64, bool) { return gf(int(s.cur.sel[rel][k])) }
-			}
+		if x, ok := compileVec(local, r.cols); ok && x.numeric() && (isCol || x.kind != sqlvalue.KindDate) {
+			rd.kind, rd.nullable = x.kind, !isCol || r.cols[col.Ref.Col-off].Nulls != nil
+			s.typed = append(s.typed, typedArg{x: x, rel: rel})
+			rd.vals = s.typed[len(s.typed)-1].vs.at(0)
 		}
 	}
-	return rd, rd.gv != nil || rd.gi != nil || rd.gf != nil
+	return rd, rd.gv != nil || rd.vals != nil
 }
 
 func (s *ridAggSink) begin(seq int) { s.ord = ordinal(seq, 0) }
 
 func (s *ridAggSink) pushRids(in *ridBatch) error {
 	s.cur = in
+	for i, t := range s.typed {
+		t.x.eval(in.sel[t.rel][:in.n], &s.typed[i].vs, 0, false)
+	}
 	for k := 0; k < in.n; k++ {
 		if s.wide != nil {
 			s.eval.fill(s.wide, in, k)

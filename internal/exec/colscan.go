@@ -645,8 +645,8 @@ func cmpKernel(n expr.Cmp, cols []storage.ColView, keep bool) (*kernel, bool) {
 				return colConst(f, l.col.Floats, c, nulls), true
 			}
 		case r.kind != sqlvalue.KindFloat:
-			c, _ := valueIntKey(r.c)
-			return colConst(f, l.col.Ints, c, nulls), true
+			c, _ := valueFkey(r.c) // an INTEGER or DATE: {0, its int}
+			return colConst(f, l.col.Ints, c[1], nulls), true
 		}
 	}
 	asFloat := l.kind == sqlvalue.KindFloat || r.kind == sqlvalue.KindFloat
@@ -925,8 +925,8 @@ func (x *vecExpr) eval(rids []int32, vs *vecStack, d int, asFloat bool) *vec {
 		case sqlvalue.KindFloat:
 			out.floats = fill(out.floats, n, x.c.Float())
 		default:
-			c, _ := valueIntKey(x.c)
-			out.ints = fill(out.ints, n, c)
+			c, _ := valueFkey(x.c)
+			out.ints = fill(out.ints, n, c[1])
 		}
 	case vecNeg, vecAbs:
 		x.l.eval(rids, vs, d, false)

@@ -166,15 +166,17 @@ func (s rowsRidSource) morselRids(lo, hi int, _ *scanScratch, out []int32) ([]in
 // Pooled per-stage scratch
 
 // ridScratch is the per-stage scratch of a pipeline: selection-vector
-// buffers, a wide row for predicate evaluation, and a key buffer. Instances
+// buffers, a wide row for predicate evaluation, a batch's keys and their ids
+// (build ids in a probe, group ids in an aggregation), match pairs. Instances
 // are pooled across pipeline runs so steady-state allocations stay flat as
 // worker count grows: each worker's stages borrow scratch for one run and
 // return it when the pipeline finishes.
 type ridScratch struct {
-	vecs [][]int32
-	row  storage.Row
-	key  keyList
-	ids  []int32
+	vecs   [][]int32
+	row    storage.Row
+	key    keyList
+	ids    []int32
+	pk, pe []int32 // a probe's match pairs: probe tuples and build entries
 }
 
 var ridScratchPool = sync.Pool{New: func() any { return new(ridScratch) }}

@@ -10,38 +10,16 @@ import (
 	"matview/internal/storage"
 )
 
-// aggReader reads one group key or aggregate argument of tuple i of a sink's
-// current batch. gv yields the boxed value; vals is set as well when the sink
-// could bind the expression to typed column arrays: the sink evaluates it
-// over each batch, before the batch's tuples are added. The zero reader is
-// the argument COUNT(*) does not have.
+// aggReader reads one group key or aggregate argument of the tuples of a
+// sink's current batch: vals, when the sink could bind the expression to typed
+// column arrays, is evaluated over each batch before it is added; gv yields
+// tuple i's boxed value. An argument has one of the two (vals only for BIGINT
+// or DOUBLE, which cannot fail); the zero reader is the one of COUNT(*).
 type aggReader struct {
 	kind     sqlvalue.Kind // of vals: KindInt, KindDate or KindFloat
 	nullable bool          // vals may hold a NULL
 	vals     *vec
 	gv       func(i int) (sqlvalue.Value, error)
-}
-
-// fold adds tuple i's value of r to st. A DATE argument goes the boxed way,
-// where accumulate refuses it.
-func (st *aggState) fold(r *aggReader, i int) error {
-	switch {
-	case r.vals != nil && r.kind == sqlvalue.KindInt:
-		if !r.vals.isNull(i) {
-			st.addIntSum(r.vals.ints[i])
-		}
-	case r.vals != nil && r.kind == sqlvalue.KindFloat:
-		if !r.vals.isNull(i) {
-			st.addFloatSum(r.vals.floats[i])
-		}
-	case r.gv != nil:
-		v, err := r.gv(i)
-		if err != nil {
-			return err
-		}
-		return st.accumulate(v)
-	}
-	return nil
 }
 
 // groupTable is one worker's partial aggregation, and the one place groups
@@ -56,9 +34,10 @@ type groupTable struct {
 	num, den []aggReader // den is nil when no aggregate has a Den
 	typed    bool        // keys are words
 	masked   bool        // … followed by a word with bit j set when key j is NULL
+	boxed    bool        // some key or argument is read through gv
+	fill     func(k int) // fills the row the compiled gvs read; nil when none does
 	tab      keyTable
-	key      keyList          // key of the tuple being added, in tab's shape …
-	kv       []sqlvalue.Value // … and, unless typed, boxed
+	kv       []sqlvalue.Value // unless typed, the boxed key of the tuple being added
 
 	ords         []int64          // per group: ordinal of its first tuple
 	keyVals      []sqlvalue.Value // per group, unless typed: len(keys) key values as first seen
@@ -84,19 +63,30 @@ func newGroupTable(a *HashAgg, bind func(ex expr.Expr, key bool) aggReader) *gro
 		g.typed = g.typed && r.vals != nil && r.kind != sqlvalue.KindFloat
 		g.masked = g.masked || r.nullable
 	}
-	for i, spec := range a.Aggs {
-		if arg := aggArg(spec.Num); arg != nil {
-			g.num[i] = bind(arg, false)
+	g.boxed = len(g.keys) > 0 && !g.typed
+	// An argument is read typed when it can be, except a DATE one, which goes
+	// the boxed way, where accumulate refuses it.
+	arg := func(sa SimpleAgg) (r aggReader) {
+		if ex := aggArg(sa); ex != nil {
+			r = bind(ex, false)
 		}
+		if r.vals != nil && r.kind != sqlvalue.KindDate {
+			r.gv = nil
+		} else {
+			r.vals = nil
+		}
+		g.boxed = g.boxed || r.gv != nil
+		return r
+	}
+	for i, spec := range a.Aggs {
+		g.num[i] = arg(spec.Num)
 		if spec.Den == nil {
 			continue
 		}
 		if g.den == nil {
 			g.den = make([]aggReader, len(a.Aggs))
 		}
-		if arg := aggArg(*spec.Den); arg != nil {
-			g.den[i] = bind(arg, false)
-		}
+		g.den[i] = arg(*spec.Den)
 	}
 	width := 0
 	if g.typed {
@@ -105,7 +95,7 @@ func newGroupTable(a *HashAgg, bind func(ex expr.Expr, key bool) aggReader) *gro
 			width++
 		}
 	}
-	g.tab, g.key.width = newKeyTable(width, 0), width
+	g.tab = newKeyTable(width, 0)
 	return g
 }
 
@@ -130,73 +120,157 @@ func (g *groupTable) keyRow(id int) []sqlvalue.Value {
 	return g.kv
 }
 
-// group returns the id of tuple i's group; an id equal to the number of
-// groups so far is a new group (whose boxed key, unless typed, is in g.kv).
-func (g *groupTable) group(i int) (int32, error) {
-	if len(g.keys) == 0 {
-		return 0, nil // scalar aggregation: the one group
-	}
-	g.key.reset()
-	if !g.typed {
-		for j := range g.keys {
-			v, err := g.keys[j].gv(i)
-			if err != nil {
-				return 0, err
-			}
-			g.kv[j] = v
-			g.key.bytes = append(v.AppendKey(g.key.bytes), '\x1f')
-		}
-		g.key.ends = append(g.key.ends, int32(len(g.key.bytes)))
-		return g.tab.put(&g.key, 0), nil
-	}
-	nulls := int64(0)
-	for j := range g.keys {
-		v := g.keys[j].vals.ints[i]
-		if g.keys[j].vals.isNull(i) {
-			v, nulls = 0, nulls|1<<j
-		}
-		g.key.words = append(g.key.words, v)
-	}
-	if g.masked {
-		g.key.words = append(g.key.words, nulls)
-	}
-	return g.tab.put(&g.key, 0), nil
-}
-
-// add folds tuple i, whose global ordinal is ord, into its group.
-func (g *groupTable) add(i int, ord int64) error {
-	id, err := g.group(i)
-	if err != nil {
-		return err
+// addBatch folds the n tuples of a batch, the first of global ordinal ord,
+// into their groups. Typed keys are numbered and typed arguments folded a
+// column at a time: neither can fail, so the order changes no answer. What is
+// boxed runs tuple by tuple in the reference's order — the keys, then each
+// aggregate's Num, then its Den — so the first error or panic is the
+// reference's. l and gids are the batch's scratch.
+func (g *groupTable) addBatch(n int, ord int64, l *keyList, gids []int32) ([]int32, error) {
+	gids = fill(gids, n, 0)
+	switch {
+	case g.typed:
+		g.groupTyped(n, ord, l, gids)
+	case len(g.keys) == 0 && len(g.ords) == 0 && n > 0:
+		g.open(ord) // scalar aggregation: the one group
 	}
 	na := len(g.aggs)
-	if int(id) == len(g.ords) {
-		// Workers claim morsels off an increasing counter, so a table sees
-		// ordinals in increasing order: a group's first tuple is its minimum.
-		g.ords = append(g.ords, ord)
-		if !g.typed {
-			g.keyVals = append(g.keyVals, g.kv...)
+	for k := 0; g.boxed && k < n; k++ {
+		if g.fill != nil {
+			g.fill(k)
 		}
-		g.numSt = append(g.numSt, make([]aggState, na)...)
-		if g.den != nil {
-			g.denSt = append(g.denSt, make([]aggState, na)...)
+		if !g.typed && len(g.keys) > 0 {
+			id, err := g.groupBoxed(k, ord+int64(k), l)
+			if err != nil {
+				return gids, err
+			}
+			gids[k] = id
+		}
+		for s, at := 0, int(gids[k])*na; s < na; s++ {
+			err := foldBoxed(g.numSt, g.num, at+s, s, k)
+			if err == nil {
+				err = foldBoxed(g.denSt, g.den, at+s, s, k)
+			}
+			if err != nil {
+				return gids, err
+			}
 		}
 	}
 	for s := 0; s < na; s++ {
-		st := &g.numSt[int(id)*na+s]
-		st.count++
-		if err := st.fold(&g.num[s], i); err != nil {
-			return err
-		}
+		foldCol(g.numSt, na, s, gids, &g.num[s])
 		if g.aggs[s].Den != nil {
-			st := &g.denSt[int(id)*na+s]
-			st.count++
-			if err := st.fold(&g.den[s], i); err != nil {
-				return err
-			}
+			foldCol(g.denSt, na, s, gids, &g.den[s])
 		}
 	}
-	return nil
+	return gids, nil
+}
+
+// open adds a group whose first tuple has ordinal ord. Workers claim morsels
+// off an increasing counter, so a table sees ordinals in increasing order: a
+// group's first tuple is its minimum.
+func (g *groupTable) open(ord int64) {
+	g.ords = append(g.ords, ord)
+	g.numSt = append(g.numSt, make([]aggState, len(g.aggs))...)
+	if g.den != nil {
+		g.denSt = append(g.denSt, make([]aggState, len(g.aggs))...)
+	}
+}
+
+// groupTyped numbers the batch's keys into gids, reading a key column at a
+// time into l, and opens the groups first seen in the batch. gids is all 0
+// on entry.
+func (g *groupTable) groupTyped(n int, ord int64, l *keyList, gids []int32) {
+	nk, w := len(g.keys), g.tab.width
+	l.width = w
+	l.reset()
+	l.words = slices.Grow(l.words, n*w)[:n*w]
+	for k := 0; g.masked && k < n; k++ {
+		l.words[k*w+nk] = 0
+	}
+	for j := range g.keys {
+		v := g.keys[j].vals
+		for k, x := range v.ints[:n] {
+			if v.isNull(k) {
+				x, l.words[k*w+nk] = 0, l.words[k*w+nk]|1<<j
+			}
+			l.words[k*w+j] = x
+		}
+	}
+	if w == 1 { // most tuples find their group: look the batch up at once
+		g.tab.findInts(l.words, gids)
+	}
+	for k, id := range gids {
+		if w != 1 || id < 0 {
+			id = g.tab.put(l, k)
+			gids[k] = id
+		}
+		if int(id) == len(g.ords) {
+			g.open(ord + int64(k))
+		}
+	}
+}
+
+// groupBoxed returns the id of tuple k's group, on its boxed keys, opening
+// the group if k is its first tuple.
+func (g *groupTable) groupBoxed(k int, ord int64, l *keyList) (int32, error) {
+	l.width = 0
+	l.reset()
+	for j := range g.keys {
+		v, err := g.keys[j].gv(k)
+		if err != nil {
+			return 0, err
+		}
+		g.kv[j] = v
+		l.bytes = append(v.AppendKey(l.bytes), '\x1f')
+	}
+	l.ends = append(l.ends, int32(len(l.bytes)))
+	id := g.tab.put(l, 0)
+	if int(id) == len(g.ords) {
+		g.open(ord)
+		g.keyVals = append(g.keyVals, g.kv...)
+	}
+	return id, nil
+}
+
+// foldBoxed adds tuple k's value of aggregate s's argument, if it is boxed,
+// to sts[at].
+func foldBoxed(sts []aggState, rs []aggReader, at, s, k int) error {
+	if rs == nil || rs[s].gv == nil {
+		return nil
+	}
+	v, err := rs[s].gv(k)
+	if err != nil {
+		return err
+	}
+	return sts[at].accumulate(v)
+}
+
+// foldCol counts every tuple of a batch into its group's state for aggregate
+// s, and adds a typed argument's values.
+func foldCol(sts []aggState, na, s int, gids []int32, r *aggReader) {
+	v := r.vals
+	switch {
+	case v != nil && r.kind == sqlvalue.KindInt:
+		for k, id := range gids {
+			st := &sts[int(id)*na+s]
+			st.count++
+			if !v.isNull(k) {
+				st.addIntSum(v.ints[k])
+			}
+		}
+	case v != nil:
+		for k, id := range gids {
+			st := &sts[int(id)*na+s]
+			st.count++
+			if !v.isNull(k) {
+				st.addFloatSum(v.floats[k])
+			}
+		}
+	default:
+		for _, id := range gids {
+			sts[int(id)*na+s].count++
+		}
+	}
 }
 
 // absorb merges another worker's table into g, group by group in o's order,
@@ -291,6 +365,7 @@ type ridAggSink struct {
 	eval  ridEval
 	wide  storage.Row // nil when nothing is left for eval to fill
 	ord   int64
+	sc    *ridScratch // the batch's keys and group ids
 }
 
 // typedArg is a key or argument over relation rel, evaluated once per batch.
@@ -314,7 +389,9 @@ func newRidAggSink(a *HashAgg, layout *ridLayout) *ridAggSink {
 	if rest != nil {
 		s.eval = newRidEval(layout, rest...)
 		s.wide = make(storage.Row, s.eval.width)
+		s.g.fill = func(k int) { s.eval.fill(s.wide, s.cur, k) }
 	}
+	s.sc = ridScratchPool.Get().(*ridScratch)
 	return s
 }
 
@@ -362,16 +439,10 @@ func (s *ridAggSink) pushRids(in *ridBatch) error {
 	for i, t := range s.typed {
 		t.x.eval(in.sel[t.rel][:in.n], &s.typed[i].vs, 0, false)
 	}
-	for k := 0; k < in.n; k++ {
-		if s.wide != nil {
-			s.eval.fill(s.wide, in, k)
-		}
-		if err := s.g.add(k, s.ord); err != nil {
-			return err
-		}
-		s.ord++
-	}
-	return nil
+	var err error
+	s.sc.ids, err = s.g.addBatch(in.n, s.ord, &s.sc.key, s.sc.ids)
+	s.ord += int64(in.n)
+	return err
 }
 
 // aggregate runs p into per-worker group tables and merges them in global
@@ -385,6 +456,7 @@ func (e *Engine) aggregate(p pipeline, a *HashAgg) ([]storage.Row, error) {
 	tabs := make([]*groupTable, len(sinks))
 	for i, s := range sinks {
 		tabs[i] = s.(*ridAggSink).g
+		ridScratchPool.Put(s.(*ridAggSink).sc)
 	}
 	return finishAgg(tabs, a)
 }

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"matview/internal/expr"
 	"matview/internal/sqlvalue"
@@ -53,30 +55,8 @@ func floatFkey(f float64) fkey {
 	return fkey{1, int64(math.Float64bits(f))}
 }
 
-// valueIntKey classifies a boxed value into the int key space, reporting
-// false for NULLs and for values outside the class (a miss, not an error).
-func valueIntKey(v sqlvalue.Value) (int64, bool) {
-	switch v.Kind() {
-	case sqlvalue.KindInt:
-		return v.Int(), true
-	case sqlvalue.KindDate:
-		return v.DateDays(), true
-	case sqlvalue.KindBool:
-		if v.Bool() {
-			return 1, true
-		}
-		return 0, true
-	case sqlvalue.KindFloat:
-		f := v.Float()
-		if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-			return int64(f), true
-		}
-		return 0, false
-	default:
-		return 0, false
-	}
-}
-
+// valueFkey classifies a boxed value into the fkey space, reporting false
+// for NULLs and for values outside it (a miss, not an error).
 func valueFkey(v sqlvalue.Value) (fkey, bool) {
 	switch v.Kind() {
 	case sqlvalue.KindInt:
@@ -93,13 +73,6 @@ func valueFkey(v sqlvalue.Value) (fkey, bool) {
 	default:
 		return fkey{}, false
 	}
-}
-
-func valueStrKey(v sqlvalue.Value) (string, bool) {
-	if v.Kind() == sqlvalue.KindString {
-		return v.Str(), true
-	}
-	return "", false
 }
 
 // classifyKeys picks the key mode for a build layout's key columns. Typed
@@ -145,125 +118,27 @@ func classifyKeys(layout *ridLayout, cols []int) ridKeyMode {
 }
 
 // ---------------------------------------------------------------------------
-// Key getters: column → key-space value, straight off typed arrays
-
-// intKeyGetter reads one column as an int-space key. Typed int-family
-// columns read the array directly; typed float columns apply the integral
-// check; string and never-set columns are constant misses; row-backed
-// columns box and classify per value.
-func intKeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (int64, bool) {
-	rel, local := layout.locate(col)
-	r := layout.rels[rel]
-	if r.store != nil {
-		v := r.cols[local]
-		switch v.Kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			a, nulls := v.Ints, v.Nulls
-			if nulls == nil {
-				return func(in *ridBatch, k int) (int64, bool) { return a[in.sel[rel][k]], true }
-			}
-			return func(in *ridBatch, k int) (int64, bool) {
-				rid := in.sel[rel][k]
-				if bitSet(nulls, int(rid)) {
-					return 0, false
-				}
-				return a[rid], true
-			}
-		case sqlvalue.KindFloat:
-			a, nulls := v.Floats, v.Nulls
-			return func(in *ridBatch, k int) (int64, bool) {
-				rid := in.sel[rel][k]
-				if nulls != nil && bitSet(nulls, int(rid)) {
-					return 0, false
-				}
-				f := a[rid]
-				if f == math.Trunc(f) && math.Abs(f) < 1e15 {
-					return int64(f), true
-				}
-				return 0, false
-			}
-		default: // string or all-NULL column: nothing in the int key class
-			return func(*ridBatch, int) (int64, bool) { return 0, false }
-		}
-	}
-	em := r.emitter(local)
-	return func(in *ridBatch, k int) (int64, bool) { return valueIntKey(em(int(in.sel[rel][k]))) }
-}
-
-func fkeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (fkey, bool) {
-	rel, local := layout.locate(col)
-	r := layout.rels[rel]
-	if r.store != nil {
-		v := r.cols[local]
-		switch v.Kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			a, nulls := v.Ints, v.Nulls
-			return func(in *ridBatch, k int) (fkey, bool) {
-				rid := in.sel[rel][k]
-				if nulls != nil && bitSet(nulls, int(rid)) {
-					return fkey{}, false
-				}
-				return intFkey(a[rid]), true
-			}
-		case sqlvalue.KindFloat:
-			a, nulls := v.Floats, v.Nulls
-			return func(in *ridBatch, k int) (fkey, bool) {
-				rid := in.sel[rel][k]
-				if nulls != nil && bitSet(nulls, int(rid)) {
-					return fkey{}, false
-				}
-				return floatFkey(a[rid]), true
-			}
-		default:
-			return func(*ridBatch, int) (fkey, bool) { return fkey{}, false }
-		}
-	}
-	em := r.emitter(local)
-	return func(in *ridBatch, k int) (fkey, bool) { return valueFkey(em(int(in.sel[rel][k]))) }
-}
-
-func strKeyGetter(layout *ridLayout, col int) func(in *ridBatch, k int) (string, bool) {
-	rel, local := layout.locate(col)
-	r := layout.rels[rel]
-	if r.store != nil {
-		v := r.cols[local]
-		if v.Kind == sqlvalue.KindString {
-			a, nulls := v.Strs, v.Nulls
-			return func(in *ridBatch, k int) (string, bool) {
-				rid := in.sel[rel][k]
-				if nulls != nil && bitSet(nulls, int(rid)) {
-					return "", false
-				}
-				return a[rid], true
-			}
-		}
-		return func(*ridBatch, int) (string, bool) { return "", false }
-	}
-	em := r.emitter(local)
-	return func(in *ridBatch, k int) (string, bool) { return valueStrKey(em(int(in.sel[rel][k]))) }
-}
-
-// ---------------------------------------------------------------------------
 // Key codec
 
-type ridBoxCol struct {
-	rel int
-	em  colEmitter
+// ridKeyCol is one key column as a codec reads it: its relation and either
+// its typed arrays or — when the relation is rows, or the codec boxed — its
+// boxed emitter.
+type ridKeyCol struct {
+	rel  int
+	view *storage.ColView
+	em   colEmitter
 }
 
 // ridKeyCodec extracts join keys from rid tuples in a fixed mode, in the form
 // a keyTable takes them: width words per key for the int and float modes,
 // byte strings (width 0) for the string and boxed modes. The same
 // constructor serves both sides: the build side passes its own layout, the
-// probe side passes its layout with the build's mode, which compiles the
-// adapters that map probe columns into the build's key space.
+// probe side passes its layout with the build's mode, so each probe column is
+// read into the build's key space.
 type ridKeyCodec struct {
 	mode  ridKeyMode
 	width int
-	ints  []func(in *ridBatch, k int) (int64, bool)
-	gf    func(in *ridBatch, k int) (fkey, bool)
-	gs    func(in *ridBatch, k int) (string, bool)
-	box   []ridBoxCol
+	cols  []ridKeyCol
 }
 
 func newRidKeyCodec(mode ridKeyMode, layout *ridLayout, cols []int) *ridKeyCodec {
@@ -271,64 +146,120 @@ func newRidKeyCodec(mode ridKeyMode, layout *ridLayout, cols []int) *ridKeyCodec
 	switch mode {
 	case keyModeInts:
 		c.width = len(cols)
-		for _, col := range cols {
-			c.ints = append(c.ints, intKeyGetter(layout, col))
-		}
 	case keyModeFloat1:
 		c.width = 2
-		c.gf = fkeyGetter(layout, cols[0])
-	case keyModeStr1:
-		c.gs = strKeyGetter(layout, cols[0])
-	default:
-		for _, col := range cols {
-			rel, local := layout.locate(col)
-			c.box = append(c.box, ridBoxCol{rel: rel, em: layout.rels[rel].emitter(local)})
+	}
+	for _, col := range cols {
+		rel, local := layout.locate(col)
+		kc := ridKeyCol{rel: rel}
+		if r := layout.rels[rel]; r.store != nil && mode != keyModeBoxed {
+			kc.view = &r.cols[local]
+		} else {
+			kc.em = r.emitter(local)
 		}
+		c.cols = append(c.cols, kc)
 	}
 	return c
 }
 
-// appendKey appends tuple k's key to l, a list of the codec's width, or
-// reports false — l unchanged — when a component is NULL or outside the
-// build's key class: the tuple can match nothing.
-func (c *ridKeyCodec) appendKey(l *keyList, in *ridBatch, k int) bool {
-	nw, nb := len(l.words), len(l.bytes)
+// keys appends the key of every tuple of in to l, one entry a tuple, a column
+// at a time where the columns are typed, and returns ids with ids[k] = 0, or
+// -1 when tuple k's key has a NULL component or lies outside the build's key
+// class: it can match nothing, and its entry holds junk words or no bytes.
+func (c *ridKeyCodec) keys(in *ridBatch, l *keyList, ids []int32) []int32 {
+	n := in.n
+	ids = fill(ids, n, 0)
 	switch c.mode {
-	case keyModeInts:
-		for _, g := range c.ints {
-			v, ok := g(in, k)
-			if !ok {
-				l.words = l.words[:nw]
-				return false
-			}
-			l.words = append(l.words, v)
+	case keyModeInts, keyModeFloat1:
+		at := len(l.words)
+		l.words = slices.Grow(l.words, n*c.width)[:at+n*c.width]
+		for j := range c.cols {
+			c.cols[j].words(c.mode == keyModeFloat1, in.sel[c.cols[j].rel][:n], l.words[at:], j, c.width, ids)
 		}
-		return true
-	case keyModeFloat1:
-		f, ok := c.gf(in, k)
-		if ok {
-			l.words = append(l.words, f[:]...)
-		}
-		return ok
 	case keyModeStr1:
-		s, ok := c.gs(in, k)
-		if !ok {
-			return false
-		}
-		l.bytes = append(l.bytes, s...)
-	default:
-		for i := range c.box {
-			bc := &c.box[i]
-			v := bc.em(int(in.sel[bc.rel][k]))
-			if v.IsNull() {
-				l.bytes = l.bytes[:nb]
-				return false
+		kc := &c.cols[0]
+		for k, rid := range in.sel[kc.rel][:n] {
+			switch v := kc.view; {
+			case v == nil:
+				if x := kc.em(int(rid)); x.Kind() == sqlvalue.KindString {
+					l.bytes = append(l.bytes, x.Str()...)
+				} else {
+					ids[k] = -1
+				}
+			case v.Kind == sqlvalue.KindString && !bitSet(v.Nulls, int(rid)):
+				l.bytes = append(l.bytes, v.Strs[rid]...)
+			default:
+				ids[k] = -1
 			}
-			l.bytes = append(v.AppendKey(l.bytes), '\x1f')
+			l.ends = append(l.ends, int32(len(l.bytes)))
+		}
+	default: // boxed: tuple by tuple
+		for k := 0; k < n; k++ {
+			nb := len(l.bytes)
+			for _, kc := range c.cols {
+				v := kc.em(int(in.sel[kc.rel][k]))
+				if v.IsNull() {
+					l.bytes, ids[k] = l.bytes[:nb], -1
+					break
+				}
+				l.bytes = append(v.AppendKey(l.bytes), '\x1f')
+			}
+			l.ends = append(l.ends, int32(len(l.bytes)))
 		}
 	}
-	l.ends = append(l.ends, int32(len(l.bytes)))
-	return true
+	return ids
+}
+
+// words writes the column's key of each tuple of sel into dst, w words a
+// tuple: word j in the int space, or — float — both words of an fkey. A
+// float column under an int build keeps its integral values; a string
+// column has nothing in either space; a row-backed value is classified.
+func (kc *ridKeyCol) words(float bool, sel []int32, dst []int64, j, w int, ids []int32) {
+	v := kc.view
+	switch {
+	case v == nil:
+		for k, rid := range sel {
+			f, ok := valueFkey(kc.em(int(rid)))
+			if float {
+				dst[2*k], dst[2*k+1] = f[0], f[1]
+			} else if dst[k*w+j] = f[1]; f[0] != 0 {
+				ok = false
+			}
+			if !ok {
+				ids[k] = -1
+			}
+		}
+	case v.Kind == sqlvalue.KindFloat:
+		for k, rid := range sel {
+			f := floatFkey(v.Floats[rid])
+			if float {
+				dst[2*k], dst[2*k+1] = f[0], f[1]
+			} else if f[0] == 0 {
+				dst[k*w+j] = f[1]
+			} else {
+				ids[k] = -1
+			}
+		}
+	case v.Kind == sqlvalue.KindString || v.Kind == sqlvalue.KindNull:
+		for k := range sel {
+			ids[k] = -1
+		}
+	case float:
+		for k, rid := range sel {
+			dst[2*k], dst[2*k+1] = 0, v.Ints[rid]
+		}
+	default:
+		for k, rid := range sel {
+			dst[k*w+j] = v.Ints[rid]
+		}
+	}
+	if v != nil && v.Nulls != nil {
+		for k, rid := range sel {
+			if bitSet(v.Nulls, int(rid)) {
+				ids[k] = -1
+			}
+		}
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -349,29 +280,47 @@ type ridJoinBuild struct {
 }
 
 // ridBuildSink collects one worker's share of the build input and does
-// nothing else: per tuple with a non-NULL key, the key and the rid tuple are
-// appended to flat arrays; marks records where each morsel's tuples begin.
+// nothing else: a batch's keys are read into keys, and the tuples with a
+// non-NULL key keep theirs and append their rid tuple to rids; marks records
+// where each morsel's tuples begin. Sinks come from ridBuildPool, so the
+// collect arrays keep their capacity from one build to the next.
 type ridBuildSink struct {
 	codec *ridKeyCodec
 	arity int
 	keys  keyList // one per collected tuple
 	rids  []int32 // arity per collected tuple
 	marks []ridMark
+	live  []int32 // scratch: per batch, the tuples with a key
 }
 
 type ridMark struct{ seq, at int }
+
+var ridBuildPool = sync.Pool{New: func() any { return new(ridBuildSink) }}
 
 func (b *ridBuildSink) tuples() int { return len(b.rids) / b.arity }
 
 func (b *ridBuildSink) begin(seq int) { b.marks = append(b.marks, ridMark{seq, b.tuples()}) }
 
 func (b *ridBuildSink) pushRids(in *ridBatch) error {
-	for k := 0; k < in.n; k++ {
-		if !b.codec.appendKey(&b.keys, in, k) {
-			continue
+	at := b.tuples()
+	live := b.codec.keys(in, &b.keys, b.live)
+	n := 0
+	for k, id := range live {
+		if id >= 0 {
+			live[n] = int32(k)
+			n++
 		}
-		for r := 0; r < b.arity; r++ {
-			b.rids = append(b.rids, in.sel[r][k])
+	}
+	b.live, live = live, live[:n]
+	if n < in.n {
+		b.keys.keep(at, live)
+	}
+	a := b.arity
+	b.rids = slices.Grow(b.rids, n*a)[:(at+n)*a]
+	for r, sel := range in.sel[:a] {
+		dst := b.rids[at*a:]
+		for i, k := range live {
+			dst[i*a+r] = sel[k]
 		}
 	}
 	return nil
@@ -387,12 +336,21 @@ func (e *Engine) buildRidJoin(db storage.Reader, j *HashJoin) (*ridJoinBuild, *r
 	codec := newRidKeyCodec(classifyKeys(p.layout, j.LCols), p.layout, j.LCols)
 	arity := p.layout.arity()
 	sinks, err := e.run(p, func(int) ridSink {
-		return &ridBuildSink{codec: codec, arity: arity, keys: keyList{width: codec.width}}
+		b := ridBuildPool.Get().(*ridBuildSink)
+		b.codec, b.arity, b.keys.width = codec, arity, codec.width
+		b.keys.reset()
+		b.rids, b.marks = b.rids[:0], b.marks[:0]
+		return b
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	return finishRidBuild(sinks, codec, arity), p.layout, nil
+	build := finishRidBuild(sinks, codec, arity)
+	for _, s := range sinks {
+		s.(*ridBuildSink).codec = nil
+		ridBuildPool.Put(s)
+	}
+	return build, p.layout, nil
 }
 
 // finishRidBuild is the serial half of a build: one pass over the collected
@@ -497,45 +455,72 @@ type ridProbeStage struct {
 }
 
 func (p *ridProbeStage) pushRids(in *ridBatch) error {
-	s := p.spec
+	s, sc := p.spec, p.sc
 	b := s.build
 	ba := b.arity
+	ids := p.lookup(in)
 	p.clear(s.outArity)
 	out := &p.out
 	var row storage.Row
 	if s.residual != nil {
-		row = p.sc.wideRow(s.resEval.width)
+		row = sc.wideRow(s.resEval.width)
 	}
-	matched := 0
-	for k, id := range p.lookup(in) {
-		if id < 0 {
-			continue
+	// Pairs (probe tuple, build entry) are taken in probe-major order, as
+	// many as out has room for: filtered by the residual in that order, they
+	// fill out a column at a time, and out is flushed when full, exactly
+	// where a tuple-at-a-time loop would flush it.
+	k, e, matched := 0, -1, 0 // the next probe tuple, and its next build entry once started
+	for k < in.n {
+		pk, pe := sc.pk[:0], sc.pe[:0]
+		for room := s.batch - out.n; k < in.n && len(pk) < room; {
+			id := ids[k]
+			if id < 0 {
+				k++
+				continue
+			}
+			if e < 0 {
+				e, matched = int(b.starts[id]), matched+1
+			}
+			end := min(int(b.starts[id+1]), e+room-len(pk))
+			for ; e < end; e++ {
+				pk, pe = append(pk, int32(k)), append(pe, int32(e))
+			}
+			if e == int(b.starts[id+1]) {
+				k, e = k+1, -1
+			}
 		}
-		matched++
-		lst := b.rids[int(b.starts[id])*ba : int(b.starts[id+1])*ba]
-		for e := 0; e < len(lst); e += ba {
-			ent := lst[e : e+ba]
-			if s.residual != nil {
-				s.resEval.fillJoin(row, ent, in, k, ba)
+		sc.pk, sc.pe = pk, pe
+		if s.residual != nil {
+			n := 0
+			for i, x := range pe {
+				s.resEval.fillJoin(row, b.rids[int(x)*ba:], in, int(pk[i]), ba)
 				pass, err := s.residual(row)
 				if err != nil {
 					return err
 				}
-				if !pass {
-					continue
+				if pass {
+					pk[n], pe[n] = pk[i], x
+					n++
 				}
 			}
-			for r := 0; r < ba; r++ {
-				out.sel[r] = append(out.sel[r], ent[r])
-			}
-			for r := ba; r < s.outArity; r++ {
-				out.sel[r] = append(out.sel[r], in.sel[r-ba][k])
-			}
-			out.n++
-			if out.n >= s.batch {
-				if err := p.flush(); err != nil {
-					return err
+			pk, pe = pk[:n], pe[:n]
+		}
+		for r := range out.sel {
+			dst := slices.Grow(out.sel[r], len(pk))[:out.n+len(pk)]
+			if r < ba {
+				for i, x := range pe {
+					dst[out.n+i] = b.rids[int(x)*ba+r]
 				}
+			} else {
+				for i, x := range pk {
+					dst[out.n+i] = in.sel[r-ba][x]
+				}
+			}
+			out.sel[r] = dst
+		}
+		if out.n += len(pk); out.n >= s.batch {
+			if err := p.flush(); err != nil {
+				return err
 			}
 		}
 	}
@@ -549,26 +534,16 @@ func (p *ridProbeStage) lookup(in *ridBatch) []int32 {
 	c, t, key := p.spec.keys, &p.spec.build.tab, &p.sc.key
 	key.width = c.width
 	key.reset()
-	ids := p.sc.ids[:0]
-	if c.width != 1 {
-		for k := 0; k < in.n; k++ {
-			id := int32(-1)
-			if c.appendKey(key, in, k) {
-				id = t.find(key, 0)
-				key.reset()
-			}
-			ids = append(ids, id)
-		}
-	} else { // one int key: the whole batch goes to the table at once
-		for k := 0; k < in.n; k++ {
-			if c.appendKey(key, in, k) {
-				ids = append(ids, 0)
-			} else {
-				ids, key.words = append(ids, -1), append(key.words, 0)
-			}
-		}
-		t.findInts(key.words, ids)
-	}
+	ids := c.keys(in, key, p.sc.ids)
 	p.sc.ids = ids
+	if c.width == 1 { // one int key: the whole batch goes to the table at once
+		t.findInts(key.words, ids)
+		return ids
+	}
+	for k, id := range ids {
+		if id >= 0 {
+			ids[k] = t.find(key, k)
+		}
+	}
 	return ids
 }

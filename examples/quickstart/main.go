@@ -7,9 +7,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 
 	"matview/internal/exec"
-	"matview/internal/opt"
+	"matview/internal/shell"
 	"matview/internal/sqlparser"
 	"matview/internal/tpch"
 )
@@ -31,20 +32,14 @@ func main() {
 		from lineitem
 		where l_partkey < 300
 		group by l_partkey`
-	st, err := sqlparser.Parse(cat, viewSQL)
-	if err != nil {
+	// The session defines, builds and installs the view — the rows stored
+	// and the optimizer told of it — as the shell and the server do.
+	sess := shell.NewSession(db)
+	if err := sess.Execute(viewSQL, os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	o := opt.NewOptimizer(cat, opt.DefaultOptions())
-	if _, err := o.RegisterView(st.ViewName, st.Query); err != nil {
-		log.Fatal(err)
-	}
-	mv, err := exec.Materialize(db, st.ViewName, st.Query)
-	if err != nil {
-		log.Fatal(err)
-	}
-	o.SetViewRowCount(st.ViewName, mv.RowCount())
-	fmt.Printf("materialized view %q: %d rows\n\n", st.ViewName, mv.RowCount())
+	o := sess.Opt
+	fmt.Println()
 
 	// 2. A narrower aggregation query: the optimizer should answer it from
 	// the view with a compensating range predicate (§3.1.2).

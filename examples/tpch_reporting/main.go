@@ -9,10 +9,11 @@ package main
 import (
 	"fmt"
 	"log"
+	"os"
 	"time"
 
 	"matview/internal/exec"
-	"matview/internal/opt"
+	"matview/internal/shell"
 	"matview/internal/sqlparser"
 	"matview/internal/storage"
 	"matview/internal/tpch"
@@ -24,7 +25,8 @@ func main() {
 		log.Fatal(err)
 	}
 	cat := db.Catalog
-	o := opt.NewOptimizer(cat, opt.DefaultOptions())
+	sess := shell.NewSession(db) // defines, builds and installs each view
+	o := sess.Opt
 
 	views := []string{
 		// Revenue rollup per customer over the order join — the paper's v4.
@@ -47,19 +49,9 @@ func main() {
 		 where o_totalprice >= 100000`,
 	}
 	for _, sql := range views {
-		st, err := sqlparser.Parse(cat, sql)
-		if err != nil {
+		if err := sess.Execute(sql, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := o.RegisterView(st.ViewName, st.Query); err != nil {
-			log.Fatal(err)
-		}
-		mv, err := exec.Materialize(db, st.ViewName, st.Query)
-		if err != nil {
-			log.Fatal(err)
-		}
-		o.SetViewRowCount(st.ViewName, mv.RowCount())
-		fmt.Printf("materialized %-16s %6d rows\n", st.ViewName, mv.RowCount())
 	}
 	fmt.Println()
 

@@ -63,7 +63,11 @@ func TestViewSeekAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{sqlvalue.NewInt(int64(i)), sqlvalue.NewString("x"), sqlvalue.NewFloat(float64(i) / 3)}
 	}
-	if _, err := db.PutView("mv_alloc", 3, rows).BuildIndex([]int{0}, true); err != nil {
+	mv, err := db.PutView("mv_alloc", 3, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
 		t.Fatal(err)
 	}
 	plan := &Project{In: &ViewScan{View: "mv_alloc", NCols: 3, EqCols: []int{0}, EqVals: storage.Row{sqlvalue.NewInt(77)}},

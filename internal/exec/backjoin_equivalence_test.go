@@ -98,7 +98,7 @@ func TestBackjoinSubstituteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := exec.Materialize(db, name, sc.view); err != nil {
+			if _, err := materialize(db, name, sc.view); err != nil {
 				t.Fatal(err)
 			}
 			sub := m.Match(sc.query, v)

@@ -192,7 +192,10 @@ func TestViewSeekSnapshot(t *testing.T) {
 		{sqlvalue.NewInt(2), sqlvalue.NewString("two")},
 		{sqlvalue.NewInt(2), sqlvalue.NewString("deux")},
 	}
-	v := db.PutView("mv_seek", 2, stored)
+	v, err := db.PutView("mv_seek", 2, stored)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := v.BuildIndex([]int{0}, false); err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +232,9 @@ func TestViewSeekSnapshot(t *testing.T) {
 				t.Fatalf("%s: seek result aliased view storage: maintenance leaked into the earlier result %v", plan.Describe(), rows)
 			}
 			// Restore for the next configuration (PutView keeps the index).
-			v = db.PutView("mv_seek", 2, stored)
+			if v, err = db.PutView("mv_seek", 2, stored); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
@@ -292,7 +297,10 @@ func TestTombstonesMatchReference(t *testing.T) {
 		victims = append(victims, i)
 	}
 	tb := db.Table("events")
-	view := db.PutView("mv_events", 3, tb.Rows())
+	view, err := db.PutView("mv_events", 3, tb.Rows())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := view.BuildIndex([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func TestDisjunctiveSubstituteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Materialize(db, "bands", vdef); err != nil {
+	if _, err := materialize(db, "bands", vdef); err != nil {
 		t.Fatal(err)
 	}
 

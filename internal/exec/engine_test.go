@@ -215,7 +215,10 @@ func TestEngineSnapshotsScanOutput(t *testing.T) {
 		t.Fatal("TableScan result changed under DML: live slice leaked")
 	}
 
-	v := db.PutView("mv", 1, []storage.Row{{sqlvalue.NewInt(1)}, {sqlvalue.NewInt(2)}})
+	v, err := db.PutView("mv", 1, []storage.Row{{sqlvalue.NewInt(1)}, {sqlvalue.NewInt(2)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	vrows, err := (&ViewScan{View: "mv", NCols: 1}).Run(db)
 	if err != nil {
 		t.Fatal(err)

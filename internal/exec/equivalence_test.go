@@ -202,7 +202,7 @@ func TestSubstituteEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Materialize(db, "mv", p.view); err != nil {
+			if _, err := materialize(db, "mv", p.view); err != nil {
 				t.Fatal(err)
 			}
 			sub := m.Match(p.query, v)

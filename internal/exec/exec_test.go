@@ -10,6 +10,16 @@ import (
 	"matview/internal/storage"
 )
 
+// materialize stores the rows of a view definition under name — what a
+// maintainer's Build and Install do for a maintained view.
+func materialize(db *storage.Database, name string, def *spjg.Query) (*storage.MaterializedView, error) {
+	rows, err := RunQuery(db, def)
+	if err != nil {
+		return nil, err
+	}
+	return db.PutView(name, len(def.Outputs), rows)
+}
+
 // smallDB builds a two-table database:
 //
 //	dept(id PK, name)        : 2 rows
@@ -366,7 +376,7 @@ func TestMaterializeAndViewScan(t *testing.T) {
 			{Name: "salary", Expr: expr.Col(0, 2)},
 		},
 	}
-	mv, err := Materialize(db, "highpaid", def)
+	mv, err := materialize(db, "highpaid", def)
 	if err != nil {
 		t.Fatal(err)
 	}

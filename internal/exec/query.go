@@ -194,28 +194,6 @@ func ViewsReferenced(n Node) []string {
 	return out
 }
 
-// Materialize evaluates a view definition and stores its rows, making the
-// view available to ViewScan. It returns the stored view. Replacing a view
-// keeps its indexes; rows that violate one of its unique indexes are an
-// error, and the caller rolls the view back.
-func Materialize(db *storage.Database, name string, def *spjg.Query) (*storage.MaterializedView, error) {
-	rows, err := RunQuery(db, def)
-	if err != nil {
-		return nil, err
-	}
-	var defs []storage.IndexDef
-	if prev := db.View(name); prev != nil {
-		defs = prev.IndexDefs()
-	}
-	mv := db.PutView(name, len(def.Outputs), rows)
-	for _, d := range defs {
-		if mv.LookupIndex(d.Cols) == nil {
-			return nil, fmt.Errorf("exec: the rows of view %s violate its unique index on columns %v", name, d.Cols)
-		}
-	}
-	return mv, nil
-}
-
 // BuildSubstitutePlan compiles a view substitute into a physical plan: a
 // filtered scan of the materialized view, an optional compensating group-by,
 // and a final projection.

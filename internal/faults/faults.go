@@ -40,7 +40,8 @@ const (
 	SiteMaintainApply = "maintain.apply"
 	// SiteMaintainMergeAgg guards Maintainer.mergeAgg (aggregate folding).
 	SiteMaintainMergeAgg = "maintain.merge-agg"
-	// SiteMaintainRecompute guards the full recompute fallback and Repair.
+	// SiteMaintainRecompute guards Maintainer.Build, the one computation of a
+	// view's rows from scratch: CREATE VIEW, the autopilot and Repair.
 	SiteMaintainRecompute = "maintain.recompute"
 	// SiteWALAppend guards the WAL record write. An injected fault here
 	// models a short write: a prefix of the frame reaches the file (a real

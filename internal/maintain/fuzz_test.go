@@ -1,0 +1,178 @@
+package maintain_test
+
+import (
+	"fmt"
+	"testing"
+
+	"matview/internal/catalog"
+	"matview/internal/exec"
+	"matview/internal/expr"
+	"matview/internal/maintain"
+	"matview/internal/spjg"
+	"matview/internal/sqlvalue"
+	"matview/internal/storage"
+	"matview/internal/tpch"
+)
+
+// fuzzBytes hands out the fuzzer's input a byte at a time, zeros once it
+// runs out, so every input decodes to some case.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) next() int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return int(v)
+}
+
+// FuzzMaintainDelta holds the delta path to a recompute: a few orders over
+// four customers, 1–3 views over orders (1–3 instances joined on o_custkey,
+// an optional customer join, an optional range conjunct, SPJ or a
+// COUNT_BIG/SUM rollup), then 1–8 INSERT or DELETE statements on orders.
+// After every statement each Fresh view must hold exactly what its
+// definition evaluates to, and no statement may fail. Customer keys run
+// 1–5, so some orders join no customer.
+func FuzzMaintainDelta(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		db := storage.NewDatabase(tpch.NewCatalog(0.001))
+		cat := db.Catalog
+		for c := int64(1); c <= 4; c++ {
+			if err := db.Table("customer").Insert(storage.Row{
+				sqlvalue.NewInt(c), sqlvalue.NewString(fmt.Sprintf("Customer#%d", c)),
+				sqlvalue.NewString("addr"), sqlvalue.NewInt(c % 2), sqlvalue.NewString("phone"),
+				sqlvalue.NewFloat(0), sqlvalue.NewString("BUILDING"), sqlvalue.NewString("fuzz"),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key := int64(0)
+		order := func() storage.Row {
+			key++
+			return newOrderRow(db, key, 1+int64(in.next()%5), float64(in.next()%8)*1000)
+		}
+		for range in.next() % 12 {
+			if err := db.Table("orders").Insert(order()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db.Commit()
+
+		m := maintain.New(db)
+		var views []*maintain.View
+		for i := range 1 + in.next()%3 {
+			def := fuzzView(cat, &in)
+			v, err := register(m, fmt.Sprintf("fz%d", i), def)
+			if err != nil {
+				t.Fatalf("view %s: %v", def, err)
+			}
+			views = append(views, v)
+		}
+		for s := range 1 + in.next()%8 {
+			var err error
+			var what string
+			if in.next()%2 == 0 {
+				batch := make([]storage.Row, 1+in.next()%4)
+				for i := range batch {
+					batch[i] = order()
+				}
+				what = fmt.Sprintf("insert of %d order(s)", len(batch))
+				err = m.Insert("orders", batch)
+			} else {
+				var where expr.Expr
+				if in.next()%2 == 0 {
+					where = expr.Eq(expr.Col(0, tpch.OCustkey), expr.CInt(int64(1+in.next()%5)))
+				} else {
+					lo := int64(in.next() % 16)
+					where = expr.NewAnd(
+						expr.NewCmp(expr.GE, expr.Col(0, tpch.OOrderkey), expr.CInt(lo)),
+						expr.NewCmp(expr.LE, expr.Col(0, tpch.OOrderkey), expr.CInt(lo+int64(in.next()%6))))
+				}
+				what = "delete where " + expr.Render(where, expr.PositionalResolver)
+				_, err = m.DeleteWhere("orders", where)
+			}
+			if err != nil {
+				t.Fatalf("statement %d (%s): %v", s, what, err)
+			}
+			for _, v := range views {
+				if st, _ := m.ViewState(v.Name); st != maintain.Fresh {
+					continue
+				}
+				want, err := exec.RunQuery(db, v.Def)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := db.View(v.Name).Rows(); !exec.SameRows(got, want) {
+					t.Fatalf("after statement %d (%s), view %s holds %d rows, its definition %d:\n%s",
+						s, what, v.Name, len(got), len(want), v.Def)
+				}
+			}
+		}
+	})
+}
+
+// fuzzView decodes one view over orders: n instances, each after the first
+// joined to the first on o_custkey; a customer joined to the first instance
+// at some position in FROM; a range conjunct on one instance; then either a
+// rollup grouped by one instance's customer key (or the customer's nation)
+// summing another's price, or an SPJ view of every instance's customer key
+// and, optionally, price — duplicates included.
+func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
+	n := 1 + in.next()%3
+	flags := in.next()
+	withCust := flags&1 != 0
+	width, custPos := n, -1 // the customer's FROM position; orders fill the others
+	if withCust {
+		width, custPos = n+1, in.next()%(n+1)
+	}
+	var q spjg.Query
+	var inst []int // FROM position of each orders instance
+	for pos := range width {
+		if pos == custPos {
+			q.Tables = append(q.Tables, spjg.TableRef{Table: cat.Table("customer")})
+			continue
+		}
+		inst = append(inst, pos)
+		q.Tables = append(q.Tables, spjg.TableRef{Table: cat.Table("orders"), Alias: fmt.Sprintf("o%d", len(inst)-1)})
+	}
+	var conj []expr.Expr
+	for _, p := range inst[1:] {
+		conj = append(conj, expr.Eq(expr.Col(inst[0], tpch.OCustkey), expr.Col(p, tpch.OCustkey)))
+	}
+	if withCust {
+		conj = append(conj, expr.Eq(expr.Col(custPos, tpch.CCustkey), expr.Col(inst[0], tpch.OCustkey)))
+	}
+	if flags&2 != 0 {
+		p := inst[in.next()%n]
+		if in.next()%2 == 0 {
+			conj = append(conj, expr.NewCmp(expr.GE, expr.Col(p, tpch.OTotalprice), expr.CInt(int64(in.next()%8)*1000)))
+		} else {
+			conj = append(conj, expr.NewCmp(expr.LE, expr.Col(p, tpch.OOrderkey), expr.CInt(int64(in.next()%24))))
+		}
+	}
+	if len(conj) > 0 {
+		q.Where = expr.NewAnd(conj...)
+	}
+	if flags&4 != 0 {
+		group := expr.Col(inst[in.next()%n], tpch.OCustkey)
+		if withCust && in.next()%2 == 0 {
+			group = expr.Col(custPos, tpch.CNationkey)
+		}
+		q.GroupBy = []expr.Expr{group}
+		q.Outputs = []spjg.OutputColumn{
+			{Name: "g", Expr: group},
+			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(inst[in.next()%n], tpch.OTotalprice)}},
+		}
+		return &q
+	}
+	for k, p := range inst {
+		q.Outputs = append(q.Outputs, spjg.OutputColumn{Name: fmt.Sprintf("c%d", k), Expr: expr.Col(p, tpch.OCustkey)})
+		if flags&8 != 0 {
+			q.Outputs = append(q.Outputs, spjg.OutputColumn{Name: fmt.Sprintf("p%d", k), Expr: expr.Col(p, tpch.OTotalprice)})
+		}
+	}
+	return &q
+}

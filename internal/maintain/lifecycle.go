@@ -19,8 +19,8 @@ import (
 // Transitions:
 //
 //	Fresh ──(maintenance failure)──▶ Stale ──(Repair)──▶ Rebuilding
-//	Rebuilding ──(recompute ok)──▶ Fresh
-//	Rebuilding ──(recompute fails)──▶ Stale (backoff) … ──▶ Quarantined
+//	Rebuilding ──(rebuild ok)──▶ Fresh
+//	Rebuilding ──(rebuild fails)──▶ Stale (backoff) … ──▶ Quarantined
 //	Quarantined ──(RepairView force)──▶ Rebuilding
 type State int
 
@@ -29,7 +29,7 @@ const (
 	Fresh State = iota
 	// Stale: a maintenance step failed; contents are suspect until repaired.
 	Stale
-	// Rebuilding: a repair recompute is in progress.
+	// Rebuilding: the view is being built (CREATE VIEW, Repair).
 	Rebuilding
 	// Quarantined: repair failed repeatedly; the view is parked until an
 	// operator forces a repair (RepairView with force) or drops it.
@@ -166,7 +166,7 @@ type Stats struct {
 type RepairReport struct {
 	// Repaired views went Stale → Rebuilding → Fresh this pass.
 	Repaired []string
-	// Failed views' recompute failed; they are Stale again with backoff.
+	// Failed views' rebuild failed; they are Stale again with backoff.
 	Failed []ViewError
 	// Quarantined views exhausted their repair attempts this pass.
 	Quarantined []string
@@ -236,7 +236,7 @@ func (m *Maintainer) SetClock(now func() time.Time) {
 }
 
 // SetFaultInjector arms fault injection on the maintainer's own sites
-// (delta evaluation, delta application, aggregate merging, recompute).
+// (delta evaluation, delta application, aggregate merging, Build).
 // Storage sites are armed separately via Database.SetFaultInjector.
 func (m *Maintainer) SetFaultInjector(in *faults.Injector) { m.faults = in }
 
@@ -514,35 +514,27 @@ func (m *Maintainer) SetState(name string, st State, cause error) {
 	notify()
 }
 
-// repairOne runs one guarded recompute: Stale/Quarantined → Rebuilding →
-// Fresh on success. On failure the caller decides between backoff and
-// quarantine.
+// repairOne rebuilds a view the way CREATE VIEW builds one — Build, then
+// Install: Stale/Quarantined → Rebuilding → Fresh on success, with the
+// rebuilt rows published as a new epoch before the view is announced Fresh.
+// On failure the committed contents (stale but consistent) stay, and the
+// caller decides between backoff and quarantine.
 func (m *Maintainer) repairOne(v *View) error {
 	_, notify := m.lc.transition(v.Name, Rebuilding, nil)
 	notify()
 	m.lc.mu.Lock()
 	m.lc.stats.RepairAttempts++
 	m.lc.mu.Unlock()
-	err := guard(func() error { return m.recompute(v) })
-	if err != nil {
-		// A failed recompute must not leave a torn view behind: restore the
-		// committed contents (stale but consistent) before reporting failure.
-		m.db.RollbackView(v.Name)
-		return err
+	rows, _, err := m.Build(v)
+	if err == nil {
+		err = m.Install(v, rows)
 	}
-	// Publish the repaired contents as a new epoch before announcing Fresh,
-	// so the optimizer can only match the view once snapshots see the rebuilt
-	// rows. A commit failure counts as a failed repair: restore the committed
-	// contents and let the caller apply backoff.
-	if _, cerr := m.db.CommitDurable(); cerr != nil {
-		m.db.RollbackView(v.Name)
-		return cerr
+	if err != nil {
+		return err
 	}
 	m.lc.mu.Lock()
 	m.lc.stats.RepairSuccesses++
 	m.lc.mu.Unlock()
-	_, notify = m.lc.transition(v.Name, Fresh, nil)
-	notify()
 	return nil
 }
 

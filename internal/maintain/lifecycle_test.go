@@ -2,10 +2,12 @@ package maintain_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"matview/internal/exec"
 	"matview/internal/expr"
 	"matview/internal/faults"
 	"matview/internal/maintain"
@@ -346,9 +348,12 @@ func hasOrder(db *storage.Database, key int64) bool {
 	return false
 }
 
-// TestSelfJoinRecomputeLifecycle covers the recompute fallback directly: a
-// fault during the post-insert recompute degrades the self-join view, and
-// the next successful recompute (via DML, not Repair) heals it.
+// TestSelfJoinRecomputeLifecycle: a self-join view is in the same lifecycle
+// as any other. A delta fault on its second term — after the first term was
+// applied — rolls it back to its committed rows and makes it Stale while the
+// other view over the table is maintained; later statements skip it instead
+// of healing it; and Repair rebuilds it through Build, whose fault site a
+// first attempt trips.
 func TestSelfJoinRecomputeLifecycle(t *testing.T) {
 	db, err := tpch.NewDatabase(0.001, 25)
 	if err != nil {
@@ -356,47 +361,72 @@ func TestSelfJoinRecomputeLifecycle(t *testing.T) {
 	}
 	cat := db.Catalog
 	m := maintain.New(db)
-	def := &spjg.Query{
-		Tables: []spjg.TableRef{
-			{Table: cat.Table("nation"), Alias: "a"},
-			{Table: cat.Table("nation"), Alias: "b"},
-		},
-		Where: expr.Eq(expr.Col(0, tpch.NRegionkey), expr.Col(1, tpch.NRegionkey)),
-		Outputs: []spjg.OutputColumn{
-			{Name: "a_name", Expr: expr.Col(0, tpch.NName)},
-			{Name: "b_name", Expr: expr.Col(1, tpch.NName)},
-		},
-	}
-	v, err := register(m, "lc_pairs", def)
+	now := time.Unix(1_000_000, 0)
+	m.SetClock(func() time.Time { return now })
+	vp, err := register(m, "lc_pairs", nationPairs(cat))
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faults.New(7)
-	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1})
-	m.SetFaultInjector(inj)
-
-	row := storage.Row{
-		sqlvalue.NewInt(30), sqlvalue.NewString("NATION_30"),
-		sqlvalue.NewInt(1), sqlvalue.NewString("lifecycle"),
-	}
-	err = m.Insert("nation", []storage.Row{row})
-	var me *maintain.MaintenanceError
-	if !errors.As(err, &me) || len(me.Failed) != 1 || me.Failed[0].View != "lc_pairs" {
-		t.Fatalf("recompute fault not reported: %v", err)
-	}
-	wantState(t, m, "lc_pairs", maintain.Stale)
-
-	// The next insert recomputes from scratch anyway — the self-join path
-	// heals the view without waiting for Repair.
-	row2 := storage.Row{
-		sqlvalue.NewInt(31), sqlvalue.NewString("NATION_31"),
-		sqlvalue.NewInt(1), sqlvalue.NewString("lifecycle"),
-	}
-	if err := m.Insert("nation", []storage.Row{row2}); err != nil {
+	vn, err := register(m, "lc_nations", &spjg.Query{
+		Tables: []spjg.TableRef{{Table: cat.Table("nation")}},
+		Where:  expr.NewCmp(expr.LE, expr.Col(0, tpch.NRegionkey), expr.CInt(2)),
+		Outputs: []spjg.OutputColumn{
+			{Name: "n_nationkey", Expr: expr.Col(0, tpch.NNationkey)},
+			{Name: "n_name", Expr: expr.Col(0, tpch.NName)},
+		},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	committed := db.View("lc_pairs").Rows()
+	inj := faults.New(7)
+	inj.Add(faults.Rule{Site: faults.SiteMaintainDelta, Rate: 1, After: 1, Limit: 1})
+	m.SetFaultInjector(inj)
+
+	nation := func(key int64) storage.Row {
+		return storage.Row{
+			sqlvalue.NewInt(key), sqlvalue.NewString(fmt.Sprintf("NATION_%d", key)),
+			sqlvalue.NewInt(1), sqlvalue.NewString("lifecycle"),
+		}
+	}
+	err = m.Insert("nation", []storage.Row{nation(30)})
+	var me *maintain.MaintenanceError
+	if !errors.As(err, &me) || len(me.Failed) != 1 || me.Failed[0].View != "lc_pairs" ||
+		len(me.Updated) != 1 || me.Updated[0] != "lc_nations" {
+		t.Fatalf("delta fault on the second term not isolated: %v", err)
+	}
+	wantState(t, m, "lc_pairs", maintain.Stale)
+	wantState(t, m, "lc_nations", maintain.Fresh)
+	checkAgainstRecompute(t, db, vn)
+	if !exec.SameRows(db.View("lc_pairs").Rows(), committed) {
+		t.Fatal("the failed self-join kept its first term's rows")
+	}
+
+	// A later write skips the Stale view: only Repair heals it.
+	err = m.Insert("nation", []storage.Row{nation(31)})
+	if err != nil || inj.Stats().Injected != 1 {
+		t.Fatalf("second insert: %v", err)
+	}
+	wantState(t, m, "lc_pairs", maintain.Stale)
+	checkAgainstRecompute(t, db, vn)
+
+	// Repair builds the view: a build fault fails the first attempt, and
+	// once the backoff has passed the second one brings it Fresh.
+	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1, Limit: 1})
+	if rep := m.Repair(); len(rep.Failed) != 1 || rep.Failed[0].View != "lc_pairs" {
+		t.Fatalf("repair under a build fault: %+v", rep)
+	}
+	wantState(t, m, "lc_pairs", maintain.Stale)
+	now = now.Add(time.Minute)
+	if rep := m.Repair(); len(rep.Repaired) != 1 || rep.Repaired[0] != "lc_pairs" {
+		t.Fatalf("repair: %+v", rep)
+	}
 	wantState(t, m, "lc_pairs", maintain.Fresh)
-	checkAgainstRecompute(t, db, v)
+	checkAgainstRecompute(t, db, vp)
+	if err := m.Insert("nation", []storage.Row{nation(32)}); err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstRecompute(t, db, vp)
 }
 
 // TestDeleteToZeroRemovesGroups exercises the delete-to-zero aggregation

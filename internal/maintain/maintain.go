@@ -5,13 +5,12 @@
 // "so deletions can be handled incrementally (when the count becomes zero,
 // the group is empty and the row must be deleted)".
 //
-// The algorithms are the classic delta rules for SPJG views with a single
-// changed table instance: the delta query Q(T ← Δ) is evaluated against the
-// unchanged remainder of the database; SPJ views append or bag-subtract the
-// delta rows; aggregation views merge the delta's partial aggregates into the
-// stored groups, inserting new groups and deleting groups whose count reaches
-// zero. Views referencing the changed table more than once (self-joins) fall
-// back to full recomputation, as production systems also commonly do.
+// Every write reaches a view through its delta (the classic SPJG delta
+// rules): a view reading the changed table once folds in Q(T ← Δ), one
+// reading it n times (a self-join) n such terms, Δ at one instance each.
+// SPJ views append or bag-subtract the delta rows; aggregation views merge
+// the delta's partial aggregates into the stored groups, deleting groups
+// whose count reaches zero. Only Build computes a view from scratch.
 //
 // The Maintainer is the registry of record for views: every view the
 // optimizer matches or storage holds is one of its views (shell.Session keeps
@@ -72,12 +71,12 @@ func (m *Maintainer) find(name string) int {
 	return slices.IndexFunc(m.views, func(v *View) bool { return v.Name == name })
 }
 
-// Define validates def against the indexable-view rules — exactly the
-// restrictions §2 imposes to make incremental maintenance possible — derives
-// its maintenance layout, and registers the view as Rebuilding: in the
-// ledger (and on /healthz), skipped by every statement, and without stored
-// rows until Install stores the rows Build computed. A name the maintainer
-// already holds is refused.
+// Define validates def against the indexable-view rules — the restrictions
+// §2 imposes to make incremental maintenance possible, and a SUM that
+// cannot be NULL — derives its maintenance layout, and registers the view
+// as Rebuilding: in the ledger (and on /healthz), skipped by every
+// statement, and without stored rows until Install stores the rows Build
+// computed. A name the maintainer already holds is refused.
 func (m *Maintainer) Define(name string, def *spjg.Query) (*View, error) {
 	if m.find(name) >= 0 {
 		return nil, fmt.Errorf("maintain: duplicate view %q", name)
@@ -94,6 +93,8 @@ func (m *Maintainer) Define(name string, def *spjg.Query) (*View, error) {
 				v.keyPos = append(v.keyPos, i)
 			case o.Agg.Kind == spjg.AggCountStar:
 				v.cntPos = i
+			case canBeNull(def, o.Agg.Arg):
+				return nil, fmt.Errorf("maintain: view %s: SUM(%s) can be NULL, which deletes cannot maintain", name, expr.Render(o.Agg.Arg, def.Resolver()))
 			default:
 				v.sumPos = append(v.sumPos, i)
 			}
@@ -104,11 +105,29 @@ func (m *Maintainer) Define(name string, def *spjg.Query) (*View, error) {
 	return v, nil
 }
 
+// canBeNull reports whether e can be NULL on some row of def: it reads a
+// nullable column, holds a NULL literal, or divides (x/0 is NULL). mergeAgg
+// cannot tell a group of NULL addends (SUM is NULL) from one summing to 0.
+func canBeNull(def *spjg.Query, e expr.Expr) bool {
+	switch n := e.(type) {
+	case expr.Column:
+		return !def.Tables[n.Ref.Tab].Table.Columns[n.Ref.Col].NotNull
+	case expr.Const:
+		return n.Val.IsNull()
+	case expr.Arith:
+		if n.Op == expr.Div {
+			return true
+		}
+	}
+	return slices.ContainsFunc(expr.Children(e), func(c expr.Expr) bool { return canBeNull(def, c) })
+}
+
 // Build computes v's rows read-only against a pinned snapshot of the
 // committed epoch, so it may run concurrently with query traffic, and
 // returns them with that epoch: they are v's contents only while the
-// database is still at it. Panics become errors, and the recompute fault
-// site fires here so chaos runs can break a build mid-flight.
+// database is still at it. It is the one computation of a view from scratch
+// (CREATE VIEW, the autopilot, Repair). Panics become errors, and the
+// recompute fault site fires here so chaos runs can break a build.
 func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error) {
 	err = guard(func() error {
 		if ferr := m.faults.Maybe(faults.SiteMaintainRecompute); ferr != nil {
@@ -125,14 +144,17 @@ func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error
 }
 
 // Install stores rows — Build's result, still current — as v's contents,
-// publishes them as one epoch, and brings v Fresh. A commit failure drops the
-// never-committed rows again and leaves v as it was.
+// publishes them as one epoch, and brings v Fresh. Storage refuses rows that
+// violate a unique index of the view they replace, and a commit failure
+// drops the never-committed rows again; either way v is left as it was.
 func (m *Maintainer) Install(v *View, rows []storage.Row) error {
 	if i := m.find(v.Name); i < 0 || m.views[i] != v {
 		return fmt.Errorf("maintain: view %s was dropped before its rows were installed", v.Name)
 	}
 	return guard(func() error {
-		m.db.PutView(v.Name, len(v.Def.Outputs), rows)
+		if _, err := m.db.PutView(v.Name, len(v.Def.Outputs), rows); err != nil {
+			return err
+		}
 		if _, err := m.db.CommitDurable(); err != nil {
 			m.db.RollbackView(v.Name)
 			return fmt.Errorf("maintain: commit of view %s failed: %w", v.Name, err)
@@ -227,20 +249,16 @@ func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
 //   - A base-write failure aborts the statement: the table rolls back to the
 //     committed epoch, no view is touched, the epoch does not advance, and the
 //     returned *MaintenanceError has Base set.
-//   - A view that reads the table once folds in its delta Q(T ← Δ), evaluated
-//     over one overlay in which Δ stands for the table. Only the table
-//     changed, so the rest of the database the delta reads is the same before
-//     and after the base write. A view that reads it more than once (a
-//     self-join) is recomputed from the written database, which also heals
-//     it if it was Stale.
+//   - One rule per view: a view that is not Fresh is skipped (Repair owns
+//     it); every other view folds in one delta term per instance of the
+//     table it reads (deltaTerm), each evaluated over one overlay in which Δ
+//     stands for the table and applied with the statement's sign.
 //   - A failing view rolls back to its committed contents — consistent but
 //     stale, never torn — and is marked Stale before the statement returns;
-//     the rest of the statement still commits. Every other view that is not
-//     Fresh is skipped (Repair owns it).
+//     the rest of the statement still commits.
 //   - A commit failure (the WAL refused the record) aborts the statement: the
-//     table and views roll back, and every view the statement updated is
-//     marked Stale, since a rolled-back recompute may have healed one in the
-//     ledger.
+//     table and every updated view roll back to their committed contents,
+//     which still agree, so no view changes state.
 //
 // The returned error names exactly which views were updated, failed, or
 // skipped; the count is len(Δ).
@@ -263,27 +281,38 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 		return 0, nil
 	}
 	delta := storage.NewOverlay(m.db, table, changed)
+	if slices.ContainsFunc(m.views, func(v *View) bool { return instancesOf(v.Def, table) > 1 }) {
+		// Self-join terms read the table as written and, through the epoch
+		// not yet holding the base write, as committed.
+		snap := m.db.Snapshot()
+		defer snap.Release()
+		delta.Bind(table+asWritten, m.db.TableData(table))
+		delta.Bind(table+asCommitted, snap.TableData(table))
+	}
 	for _, v := range m.views {
 		n := instancesOf(v.Def, table)
 		if n == 0 {
 			continue
 		}
-		// Repair owns a view that is not Fresh, except that a self-join's
-		// recompute heals a Stale one.
-		st, _ := m.ViewState(v.Name)
-		if st != Fresh && (n == 1 || st != Stale) {
+		if st, _ := m.ViewState(v.Name); st != Fresh {
 			rep.Skipped = append(rep.Skipped, v.Name)
 			continue
 		}
 		err := guard(func() error {
-			if n > 1 {
-				return m.recompute(v)
+			for i := range n {
+				q := v.Def
+				if n > 1 {
+					q = deltaTerm(v.Def, table, i)
+				}
+				rows, err := m.computeDelta(v, q, delta)
+				if err != nil {
+					return err
+				}
+				if err := m.apply(v, rows, sign); err != nil {
+					return err
+				}
 			}
-			rows, err := m.computeDelta(v, delta)
-			if err != nil {
-				return err
-			}
-			return m.apply(v, rows, sign)
+			return nil
 		})
 		if err != nil {
 			m.db.RollbackView(v.Name)
@@ -291,16 +320,12 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 			rep.Failed = append(rep.Failed, ViewError{v.Name, err})
 			continue
 		}
-		if st != Fresh {
-			m.SetState(v.Name, Fresh, nil)
-		}
 		rep.Updated = append(rep.Updated, v.Name)
 	}
 	if _, err := m.db.CommitDurable(); err != nil {
 		m.db.RollbackTable(table)
 		for _, name := range rep.Updated {
 			m.db.RollbackView(name)
-			m.failView(name, err)
 		}
 		rep.Updated = nil
 		rep.Base = fmt.Errorf("maintain: commit of %s on %s failed: %w", op, table, err)
@@ -309,27 +334,52 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 	return len(changed), rep.orNil()
 }
 
-// computeDelta evaluates the view's delta query Q(T ← Δ) read-only over
-// delta, the statement's zero-copy overlay of the database in which the
-// changed rows stand for their table (one overlay serves every view).
-func (m *Maintainer) computeDelta(v *View, delta *storage.Overlay) ([]storage.Row, error) {
+// The names under which a statement's overlay binds the changed table as
+// written and as committed; a NUL byte keeps them off every catalog name.
+const (
+	asWritten   = "\x00written"
+	asCommitted = "\x00committed"
+)
+
+// deltaTerm returns term i of the delta of a view that reads table n > 1
+// times: with R the table as committed and R′ as written,
+//
+//	±(R′1⋯R′n − R1⋯Rn) = Σi R′1⋯R′i−1 · ΔRi · Ri+1⋯Rn   (+ insert, − delete)
+//
+// Each changed join tuple falls in exactly one term, so each term is applied
+// on its own. The term is def with the other instances renamed to the
+// overlay's bindings.
+func deltaTerm(def *spjg.Query, table string, i int) *spjg.Query {
+	q := *def
+	q.Tables = slices.Clone(def.Tables)
+	k := 0
+	for j, t := range q.Tables {
+		if t.Table.Name != table {
+			continue
+		}
+		if k != i {
+			renamed := *t.Table
+			renamed.Name = table + asCommitted
+			if k < i {
+				renamed.Name = table + asWritten
+			}
+			q.Tables[j].Table = &renamed
+		}
+		k++
+	}
+	return &q
+}
+
+// computeDelta evaluates a delta term of v over the statement's overlay.
+func (m *Maintainer) computeDelta(v *View, q *spjg.Query, delta *storage.Overlay) ([]storage.Row, error) {
 	if err := m.faults.Maybe(faults.SiteMaintainDelta); err != nil {
 		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
 	}
-	rows, err := exec.RunQuery(delta, v.Def)
+	rows, err := exec.RunQuery(delta, q)
 	if err != nil {
 		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
 	}
 	return rows, nil
-}
-
-// recompute rebuilds a view from scratch (self-join fallback and Repair).
-func (m *Maintainer) recompute(v *View) error {
-	if err := m.faults.Maybe(faults.SiteMaintainRecompute); err != nil {
-		return fmt.Errorf("maintain: recompute %s: %w", v.Name, err)
-	}
-	_, err := exec.Materialize(m.db, v.Name, v.Def)
-	return err
 }
 
 // apply merges delta rows into the stored view. sign is +1 for inserts and
@@ -387,13 +437,18 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 
 // mergeAgg folds the delta's groups into the stored groups: counts and sums
 // add (or subtract); groups reaching count zero are removed — the §2
-// incremental-deletion rule that COUNT_BIG exists for. A stored group is
-// found through the view's locator over the group-by columns (the unique
-// clustered key §2 requires), and a delta holds each group once, so the cost
-// follows the delta's groups, not the view's.
+// incremental-deletion rule that COUNT_BIG exists for. Define admits only
+// sums that cannot be NULL, so a sum merges by plain arithmetic. A stored
+// group is found through the view's locator over the group-by columns (the
+// unique clustered key §2 requires), and a delta holds each group once, so
+// the cost follows the delta's groups, not the view's.
 func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []storage.Row, sign int64) error {
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
+	}
+	merge := sqlvalue.Add
+	if sign < 0 {
+		merge = sqlvalue.Sub
 	}
 	loc := mv.Locator(v.keyPos)
 	var buf []byte
@@ -419,7 +474,7 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 		}
 		row[v.cntPos] = sqlvalue.NewInt(newCnt)
 		for _, sp := range v.sumPos {
-			merged, err := mergeSum(row[sp], d[sp], sign)
+			merged, err := merge(row[sp], d[sp])
 			if err != nil {
 				return fmt.Errorf("maintain: view %s: %w", v.Name, err)
 			}
@@ -428,25 +483,4 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 		mv.Update(i, row)
 	}
 	return nil
-}
-
-// mergeSum combines a stored SUM with a delta SUM. SQL SUM ignores NULLs, so
-// a NULL delta leaves the stored value; subtracting from a group whose
-// remaining rows are all-NULL cannot be detected without per-group non-null
-// counts, so this implementation follows SQL Server's restriction in spirit:
-// the workloads here have NOT NULL sum arguments.
-func mergeSum(stored, delta sqlvalue.Value, sign int64) (sqlvalue.Value, error) {
-	if delta.IsNull() {
-		return stored, nil
-	}
-	if stored.IsNull() {
-		if sign > 0 {
-			return delta, nil
-		}
-		return sqlvalue.Null, fmt.Errorf("subtracting from NULL sum")
-	}
-	if sign > 0 {
-		return sqlvalue.Add(stored, delta)
-	}
-	return sqlvalue.Sub(stored, delta)
 }

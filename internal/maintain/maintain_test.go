@@ -3,11 +3,13 @@ package maintain_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"matview/internal/catalog"
 	"matview/internal/exec"
 	"matview/internal/expr"
+	"matview/internal/faults"
 	"matview/internal/maintain"
 	"matview/internal/spjg"
 	"matview/internal/sqlvalue"
@@ -296,15 +298,9 @@ func TestDeltaCostsItsDelta(t *testing.T) {
 	}
 }
 
-func TestSelfJoinFallsBackToRecompute(t *testing.T) {
-	db, err := tpch.NewDatabase(0.001, 14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := db.Catalog
-	m := maintain.New(db)
-	// nation appears twice (self-join via region equality).
-	def := &spjg.Query{
+// nationPairs is a self-join: the pairs of nations in one region.
+func nationPairs(cat *catalog.Catalog) *spjg.Query {
+	return &spjg.Query{
 		Tables: []spjg.TableRef{
 			{Table: cat.Table("nation"), Alias: "a"},
 			{Table: cat.Table("nation"), Alias: "b"},
@@ -315,23 +311,104 @@ func TestSelfJoinFallsBackToRecompute(t *testing.T) {
 			{Name: "b_name", Expr: expr.Col(1, tpch.NName)},
 		},
 	}
-	v, err := register(m, "nation_pairs", def)
+}
+
+// TestSelfJoinMaintainedByDelta: a view reading nation twice absorbs an
+// INSERT and a DELETE through its delta terms. With every build failing
+// after the view is built, the statements still leave it Fresh and equal to
+// its recompute — nothing on the statement path computes it from scratch.
+func TestSelfJoinMaintainedByDelta(t *testing.T) {
+	db, err := tpch.NewDatabase(0.001, 14)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Insert("nation", []storage.Row{{
-		sqlvalue.NewInt(25), sqlvalue.NewString("NATION_25"),
-		sqlvalue.NewInt(0), sqlvalue.NewString("new"),
-	}}); err != nil {
+	m := maintain.New(db)
+	v, err := register(m, "nation_pairs", nationPairs(db.Catalog))
+	if err != nil {
 		t.Fatal(err)
 	}
-	checkAgainstRecompute(t, db, v)
-	if _, err := m.Delete("nation", func(r storage.Row) bool {
-		return r[tpch.NNationkey].Int() == 25
+	inj := faults.New(5)
+	inj.Add(faults.Rule{Site: faults.SiteMaintainRecompute, Rate: 1})
+	m.SetFaultInjector(inj)
+
+	// Two new nations in region 0, so the insert's delta holds pairs of new
+	// rows as well as pairs of a new row with an old one.
+	if err := m.Insert("nation", []storage.Row{
+		{sqlvalue.NewInt(25), sqlvalue.NewString("NATION_25"), sqlvalue.NewInt(0), sqlvalue.NewString("new")},
+		{sqlvalue.NewInt(26), sqlvalue.NewString("NATION_26"), sqlvalue.NewInt(0), sqlvalue.NewString("new")},
 	}); err != nil {
 		t.Fatal(err)
 	}
+	wantState(t, m, "nation_pairs", maintain.Fresh)
 	checkAgainstRecompute(t, db, v)
+	if _, err := m.Delete("nation", func(r storage.Row) bool {
+		k := r[tpch.NNationkey].Int()
+		return k == 25 || k == 0
+	}); err != nil {
+		t.Fatal(err)
+	}
+	wantState(t, m, "nation_pairs", maintain.Fresh)
+	checkAgainstRecompute(t, db, v)
+	if n := inj.Stats().BySite[faults.SiteMaintainRecompute]; n != 0 {
+		t.Fatalf("the statements built the view %d time(s)", n)
+	}
+}
+
+// TestDefineRefusesNullableSum: a SUM whose argument can be NULL cannot be
+// maintained under deletes — with addends NULL and 5, deleting the 5 leaves
+// SQL's SUM NULL while the merge subtracts it to 0 — so Define refuses it,
+// as SQL Server does for indexed views: a division (NULL on a zero divisor),
+// a column without NOT NULL, a NULL literal. Non-nullable sums still define.
+func TestDefineRefusesNullableSum(t *testing.T) {
+	db, err := tpch.NewDatabase(0.001, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := maintain.New(db)
+	rollup := func(arg expr.Expr) *spjg.Query {
+		return &spjg.Query{
+			Tables:  []spjg.TableRef{{Table: db.Catalog.Table("lineitem")}},
+			GroupBy: []expr.Expr{expr.Col(0, tpch.LShipmode)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "l_shipmode", Expr: expr.Col(0, tpch.LShipmode)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "s", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: arg}},
+			},
+		}
+	}
+	price, disc := expr.Col(0, tpch.LExtendedprice), expr.Col(0, tpch.LDiscount)
+	for name, arg := range map[string]expr.Expr{
+		"ratio":   expr.NewArith(expr.Div, price, disc),
+		"literal": expr.NewArith(expr.Add, price, expr.C(sqlvalue.Null)),
+	} {
+		if _, err := m.Define(name, rollup(arg)); err == nil || !strings.Contains(err.Error(), "can be NULL") {
+			t.Errorf("SUM %s defined: %v", name, err)
+		}
+	}
+	revenue := expr.NewArith(expr.Mul, price, expr.NewArith(expr.Sub, expr.CInt(1), disc))
+	if _, err := register(m, "revenue", rollup(revenue)); err != nil {
+		t.Fatalf("a non-nullable SUM was refused: %v", err)
+	}
+
+	cat := catalog.New()
+	if err := cat.Add(&catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "k", Type: sqlvalue.KindInt, NotNull: true},
+		{Name: "x", Type: sqlvalue.KindInt},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	nullable := &spjg.Query{
+		Tables:  []spjg.TableRef{{Table: cat.Table("t")}},
+		GroupBy: []expr.Expr{expr.Col(0, 0)},
+		Outputs: []spjg.OutputColumn{
+			{Name: "k", Expr: expr.Col(0, 0)},
+			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+			{Name: "x", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, 1)}},
+		},
+	}
+	if _, err := maintain.New(storage.NewDatabase(cat)).Define("nullable", nullable); err == nil {
+		t.Error("SUM over a nullable column defined")
+	}
 }
 
 func TestMaintainErrors(t *testing.T) {
@@ -379,8 +456,9 @@ func TestDuplicateViewNameRefused(t *testing.T) {
 
 // TestMaintenanceRandomChurn applies random insert/delete batches to orders
 // and lineitem and checks the maintained views never diverge from
-// recomputation — among them a join written with the changed table second
-// and a three-table join.
+// recomputation — among them a join written with the changed table second,
+// a three-table join, and two self-joins of orders whose writes fold in one
+// delta term per instance.
 func TestMaintenanceRandomChurn(t *testing.T) {
 	db, err := tpch.NewDatabase(0.001, 16)
 	if err != nil {
@@ -419,6 +497,39 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 				{Name: "c_nationkey", Expr: expr.Col(2, tpch.CNationkey)},
 				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
 				{Name: "qty", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.LQuantity)}},
+			},
+		},
+		{
+			// Per customer, the count and value of its pairs of orders whose
+			// second order is a large one.
+			Tables: []spjg.TableRef{
+				{Table: cat.Table("orders"), Alias: "a"}, {Table: cat.Table("orders"), Alias: "b"},
+			},
+			Where: expr.NewAnd(
+				expr.Eq(expr.Col(0, tpch.OCustkey), expr.Col(1, tpch.OCustkey)),
+				expr.NewCmp(expr.GE, expr.Col(1, tpch.OTotalprice), expr.CInt(250000))),
+			GroupBy: []expr.Expr{expr.Col(0, tpch.OCustkey)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "o_custkey", Expr: expr.Col(0, tpch.OCustkey)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(1, tpch.OTotalprice)}},
+			},
+		},
+		{
+			// A large order beside every order of the same customer.
+			Tables: []spjg.TableRef{
+				{Table: cat.Table("orders"), Alias: "a"}, {Table: cat.Table("customer")},
+				{Table: cat.Table("orders"), Alias: "b"},
+			},
+			Where: expr.NewAnd(
+				expr.Eq(expr.Col(0, tpch.OCustkey), expr.Col(1, tpch.CCustkey)),
+				expr.Eq(expr.Col(2, tpch.OCustkey), expr.Col(1, tpch.CCustkey)),
+				expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(300000))),
+			Outputs: []spjg.OutputColumn{
+				{Name: "a_orderkey", Expr: expr.Col(0, tpch.OOrderkey)},
+				{Name: "c_name", Expr: expr.Col(1, tpch.CName)},
+				{Name: "b_orderkey", Expr: expr.Col(2, tpch.OOrderkey)},
+				{Name: "b_totalprice", Expr: expr.Col(2, tpch.OTotalprice)},
 			},
 		},
 	}

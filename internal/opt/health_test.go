@@ -3,7 +3,6 @@ package opt
 import (
 	"testing"
 
-	"matview/internal/exec"
 	"matview/internal/spjg"
 )
 
@@ -11,7 +10,7 @@ import (
 func registerJoinView(t *testing.T, o *Optimizer, name string) *spjg.Query {
 	t.Helper()
 	def := joinQuery(t)
-	if _, err := exec.Materialize(db(t), name, def); err != nil {
+	if _, err := materialize(db(t), name, def); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := o.RegisterView(name, def); err != nil {

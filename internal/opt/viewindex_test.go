@@ -27,7 +27,7 @@ func indexedViewSetup(t *testing.T) *Optimizer {
 	if _, err := o.RegisterView("part_qty", vdef); err != nil {
 		t.Fatal(err)
 	}
-	mv, err := exec.Materialize(db(t), "part_qty", vdef)
+	mv, err := materialize(db(t), "part_qty", vdef)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestViewSeekWithoutStorageIndexStillCorrect(t *testing.T) {
 	if _, err := o.RegisterView("ordv", vdef); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := exec.Materialize(db(t), "ordv", vdef); err != nil {
+	if _, err := materialize(db(t), "ordv", vdef); err != nil {
 		t.Fatal(err)
 	}
 	o.SetViewRowCount("ordv", db(t).View("ordv").RowCount())
@@ -175,7 +175,7 @@ func TestSeekAccessCompositeIndex(t *testing.T) {
 	if _, err := o.RegisterView("psv", vdef); err != nil {
 		t.Fatal(err)
 	}
-	mv, err := exec.Materialize(db(t), "psv", vdef)
+	mv, err := materialize(db(t), "psv", vdef)
 	if err != nil {
 		t.Fatal(err)
 	}

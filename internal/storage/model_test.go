@@ -167,7 +167,10 @@ func runModel(t *testing.T, seed int64, steps int) {
 	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}
-	mv := db.PutView("v", 2, nil)
+	mv, err := db.PutView("v", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +365,10 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}
-	mv := db.PutView("v", 2, nil)
+	mv, err := db.PutView("v", 2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
 		t.Fatal(err)
 	}

@@ -400,11 +400,12 @@ func (db *Database) StartVersionGC(interval, maxAge time.Duration) (stop func())
 // that one table is replaced by a transient table holding only the given
 // rows — the standard trick for evaluating a view's delta query Q(T ← Δ)
 // during incremental maintenance, without copying the table map or touching
-// the head. base may be the live database or a pinned snapshot.
+// the head. base may be the live database or a pinned snapshot. Bind adds
+// names that read another reader's data of a table, so one query can read
+// the table at several points in time under different names.
 type Overlay struct {
-	base Reader
-	name string
-	data *Data
+	base  Reader
+	bound map[string]*Data
 }
 
 // NewOverlay builds an overlay replacing the named table with rows. The
@@ -415,13 +416,16 @@ func NewOverlay(base Reader, table string, rows []Row) *Overlay {
 	for _, r := range rows {
 		cs.AppendRow(r)
 	}
-	return &Overlay{base: base, name: table, data: &Data{store: cs}}
+	return &Overlay{base: base, bound: map[string]*Data{table: {store: cs}}}
 }
+
+// Bind makes name, which base does not hold, read as d.
+func (o *Overlay) Bind(name string, d *Data) { o.bound[name] = d }
 
 // TableData implements Reader.
 func (o *Overlay) TableData(name string) *Data {
-	if name == o.name {
-		return o.data
+	if d, ok := o.bound[name]; ok {
+		return d
 	}
 	return o.base.TableData(name)
 }

@@ -532,9 +532,9 @@ func (db *Database) Table(name string) *Table { return db.tables[name] }
 
 // PutView stores (or replaces) a materialized view's rows. Indexes declared
 // on a previous materialization of the same view are rebuilt over the new
-// rows, except a unique one the rows violate: that one is left out, and
-// exec.Materialize, which replaces a maintained view's rows, reports it.
-func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedView {
+// rows; rows that violate a unique one are refused, and the head keeps the
+// previous view and its indexes.
+func (db *Database) PutView(name string, numCols int, rows []Row) (*MaterializedView, error) {
 	cs := NewColumnStore(numCols)
 	for _, r := range rows {
 		cs.AppendRow(r)
@@ -542,14 +542,15 @@ func (db *Database) PutView(name string, numCols int, rows []Row) *MaterializedV
 	mv := newView(name, cs, db.faults)
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {
-			// A unique index the rows violate is left out; see above.
-			_, _ = mv.BuildIndex(idx.Cols, idx.Unique)
+			if _, err := mv.BuildIndex(idx.Cols, idx.Unique); err != nil {
+				return nil, fmt.Errorf("storage: the rows of view %s violate its unique index on columns %v", name, idx.Cols)
+			}
 		}
 	}
 	mv.dirty = true
 	db.views[name] = mv
 	db.viewSetChanged = true
-	return mv
+	return mv, nil
 }
 
 // View returns the named materialized view, or nil.

@@ -113,8 +113,8 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 
 func TestViews(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
-	mv := db.PutView("v", 2, []Row{{sqlvalue.NewInt(1), sqlvalue.NewInt(2)}})
-	if db.View("v") != mv || mv.RowCount() != 1 || mv.NumCols != 2 {
+	mv, err := db.PutView("v", 2, []Row{{sqlvalue.NewInt(1), sqlvalue.NewInt(2)}})
+	if err != nil || db.View("v") != mv || mv.RowCount() != 1 || mv.NumCols != 2 {
 		t.Fatal("view storage broken")
 	}
 	if db.View("missing") != nil {
@@ -150,10 +150,13 @@ func TestRowClone(t *testing.T) {
 
 func TestViewIndexes(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
-	mv := db.PutView("v", 2, []Row{
+	mv, err := db.PutView("v", 2, []Row{
 		{sqlvalue.NewInt(1), sqlvalue.NewInt(10)},
 		{sqlvalue.NewInt(2), sqlvalue.NewInt(20)},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	idx, err := mv.BuildIndex([]int{0}, true)
 	if err != nil {
 		t.Fatal(err)
@@ -182,12 +185,23 @@ func TestViewIndexes(t *testing.T) {
 		t.Fatal("duplicate key entered a unique view index")
 	}
 	// Re-materialization preserves declared indexes.
-	mv2 := db.PutView("v", 2, []Row{{sqlvalue.NewInt(9), sqlvalue.NewInt(90)}})
+	mv2, err := db.PutView("v", 2, []Row{{sqlvalue.NewInt(9), sqlvalue.NewInt(90)}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if mv2.LookupIndex([]int{0}) == nil {
 		t.Fatal("PutView dropped the declared index")
 	}
 	if got := mv2.LookupIndex([]int{0}).Probe(Row{sqlvalue.NewInt(9)}); len(got) != 1 {
 		t.Fatalf("replacement probe = %v", got)
+	}
+	// Replacement rows that violate the unique index are refused, and the
+	// previous view keeps its rows and its index.
+	if _, err := db.PutView("v", 2, []Row{intRow(5, 1), intRow(5, 2)}); err == nil {
+		t.Fatal("PutView accepted rows that violate the unique index")
+	}
+	if db.View("v") != mv2 || mv2.LookupIndex([]int{0}) == nil {
+		t.Fatal("a refused PutView replaced the view or lost its index")
 	}
 }
 

@@ -109,8 +109,11 @@ func referenceState(t *testing.T, stmts []string) string {
 
 // kmStmts is the committed-statement history the kill matrix replays: view
 // DDL, an index, inserts, a delete, a drop — every loggable statement kind.
+// km_pairs reads orders twice, so every write replays its per-instance delta
+// terms.
 var kmStmts = []string{
 	`create view km_oc with schemabinding as select o_custkey, count_big(*) as cnt, sum(o_totalprice) as total from orders group by o_custkey`,
+	`create view km_pairs with schemabinding as select a.o_custkey, count_big(*) as cnt, sum(b.o_totalprice) as total from orders a, orders b where a.o_custkey = b.o_custkey and b.o_totalprice >= 100 group by a.o_custkey`,
 	`insert into orders values (900001, 1, 'O', 111.50, '1996-01-02', '1-URGENT', 'Clerk#1', 0, 'first')`,
 	`create index km_idx on km_oc (o_custkey)`,
 	`insert into orders values (900002, 7, 'F', 220.25, '1997-03-04', '2-HIGH', 'Clerk#2', 0, 'second')`,
@@ -152,7 +155,7 @@ func TestGenesisOpen(t *testing.T) {
 func TestCleanShutdownZeroReplay(t *testing.T) {
 	dir := t.TempDir()
 	res := openDir(t, dir, nil)
-	for _, s := range kmStmts[:4] {
+	for _, s := range kmStmts[:5] {
 		mustExec(t, res.Session, s)
 	}
 	want := dumpState(res.DB)
@@ -172,7 +175,7 @@ func TestCleanShutdownZeroReplay(t *testing.T) {
 		t.Fatalf("recovered state differs from pre-shutdown state:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 	// The recovered stack stays writable and durable.
-	mustExec(t, re.Session, kmStmts[4])
+	mustExec(t, re.Session, kmStmts[5])
 }
 
 // TestKillMatrix is the crash-recovery acceptance test: for every prefix of
@@ -236,7 +239,7 @@ func TestRecoveryCheckpointMakesSecondRestartClean(t *testing.T) {
 func TestTornTailDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	res := openDir(t, dir, nil)
-	for _, s := range kmStmts[:3] {
+	for _, s := range kmStmts[:4] {
 		mustExec(t, res.Session, s)
 	}
 	res.Manager.Close()
@@ -260,10 +263,10 @@ func TestTornTailDiscarded(t *testing.T) {
 	if re.Recovery.TornRecordsDropped != 1 {
 		t.Fatalf("torn dropped = %d, want 1", re.Recovery.TornRecordsDropped)
 	}
-	if re.Recovery.ReplayedRecords != 3 {
-		t.Fatalf("replayed %d records, want 3", re.Recovery.ReplayedRecords)
+	if re.Recovery.ReplayedRecords != 4 {
+		t.Fatalf("replayed %d records, want 4", re.Recovery.ReplayedRecords)
 	}
-	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:3]); got != want {
+	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:4]); got != want {
 		t.Fatal("state after torn-tail recovery differs from reference")
 	}
 }
@@ -276,9 +279,10 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	inj := faults.New(11)
 	res := openDir(t, dir, inj)
 	mustExec(t, res.Session, kmStmts[0])
+	mustExec(t, res.Session, kmStmts[1])
 
 	inj.Add(faults.Rule{Site: faults.SiteWALSync, Rate: 1, Limit: 1})
-	if err := res.Session.Execute(kmStmts[1], io.Discard); err == nil {
+	if err := res.Session.Execute(kmStmts[2], io.Discard); err == nil {
 		t.Fatal("statement with failed fsync reported success")
 	}
 	if res.Manager.Failed() == nil {
@@ -286,7 +290,7 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	}
 	// The injected rule is spent (Limit 1); the refusal below is the sticky
 	// poison, not another injection.
-	if err := res.Session.Execute(kmStmts[3], io.Discard); err == nil {
+	if err := res.Session.Execute(kmStmts[4], io.Discard); err == nil {
 		t.Fatal("poisoned log accepted a later statement")
 	}
 	if stats := res.Manager.StatsSnapshot(); stats.Failed == "" {
@@ -303,10 +307,10 @@ func TestFsyncFailurePoisonsLog(t *testing.T) {
 	// reappear.
 	re := openDir(t, dir, nil)
 	defer re.Manager.Close()
-	if re.Recovery.ReplayedRecords != 2 {
-		t.Fatalf("replayed %d records, want 2", re.Recovery.ReplayedRecords)
+	if re.Recovery.ReplayedRecords != 3 {
+		t.Fatalf("replayed %d records, want 3", re.Recovery.ReplayedRecords)
 	}
-	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:2]); got != want {
+	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:3]); got != want {
 		t.Fatal("recovery after poisoned log diverged from the durable statement history")
 	}
 }
@@ -318,11 +322,12 @@ func TestAppendShortWrite(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(12)
 	res := openDir(t, dir, inj)
-	mustExec(t, res.Session, kmStmts[0])
-	mustExec(t, res.Session, kmStmts[1])
+	for _, s := range kmStmts[:3] {
+		mustExec(t, res.Session, s)
+	}
 
 	inj.Add(faults.Rule{Site: faults.SiteWALAppend, Rate: 1, Limit: 1})
-	if err := res.Session.Execute(kmStmts[3], io.Discard); err == nil {
+	if err := res.Session.Execute(kmStmts[4], io.Discard); err == nil {
 		t.Fatal("statement with torn append reported success")
 	}
 	res.Manager.Close()
@@ -332,7 +337,7 @@ func TestAppendShortWrite(t *testing.T) {
 	if re.Recovery.TornRecordsDropped != 1 {
 		t.Fatalf("torn dropped = %d, want 1", re.Recovery.TornRecordsDropped)
 	}
-	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:2]); got != want {
+	if got, want := dumpState(re.DB), referenceState(t, kmStmts[:3]); got != want {
 		t.Fatal("state after short-write recovery differs from reference")
 	}
 }
@@ -344,8 +349,9 @@ func TestCheckpointWriteFault(t *testing.T) {
 	dir := t.TempDir()
 	inj := faults.New(13)
 	res := openDir(t, dir, inj)
-	mustExec(t, res.Session, kmStmts[0])
-	mustExec(t, res.Session, kmStmts[1])
+	for _, s := range kmStmts[:3] {
+		mustExec(t, res.Session, s)
+	}
 
 	inj.Add(faults.Rule{Site: faults.SiteWALCheckpointWrite, Rate: 1, Limit: 1})
 	if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err == nil {
@@ -355,7 +361,7 @@ func TestCheckpointWriteFault(t *testing.T) {
 		t.Fatalf("failed checkpoint changed the published set: %d files, want the genesis 1", n)
 	}
 	// Checkpoint faults never poison the log: commits continue.
-	mustExec(t, res.Session, kmStmts[3])
+	mustExec(t, res.Session, kmStmts[4])
 	// And the retry (injector spent) succeeds.
 	if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
 		t.Fatalf("checkpoint retry: %v", err)
@@ -367,7 +373,7 @@ func TestCheckpointWriteFault(t *testing.T) {
 	if re.Recovery.ReplayedRecords != 0 {
 		t.Fatalf("replayed %d after successful checkpoint, want 0", re.Recovery.ReplayedRecords)
 	}
-	want := referenceState(t, []string{kmStmts[0], kmStmts[1], kmStmts[3]})
+	want := referenceState(t, []string{kmStmts[0], kmStmts[1], kmStmts[2], kmStmts[4]})
 	if got := dumpState(re.DB); got != want {
 		t.Fatal("state after checkpoint-write fault differs from reference")
 	}
@@ -412,7 +418,7 @@ func TestViewHealthSurvivesRestart(t *testing.T) {
 	inj := faults.New(15)
 	inj.Add(faults.Rule{Site: faults.SiteMaintainApply, Rate: 1, Limit: 1})
 	res.Session.Maint.SetFaultInjector(inj)
-	err := res.Session.Execute(kmStmts[1], io.Discard)
+	err := res.Session.Execute(kmStmts[2], io.Discard)
 	var me *maintain.MaintenanceError
 	if err == nil {
 		t.Fatal("faulted maintenance reported success")

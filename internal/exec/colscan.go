@@ -192,7 +192,9 @@ func bitSet(bm []uint64, i int) bool {
 // column blocks: the fused filter runs against column arrays (vectorized
 // conjuncts read typed payloads; only non-vectorizable conjuncts see a boxed
 // row), zone maps skip whole blocks when the predicate cannot hold there, and
-// nothing is materialized — a morsel is the ordinals that qualified.
+// nothing is materialized — a morsel is the ordinals that qualified. The
+// compiled filter (pred) is shared and read-only; cols binds it to this
+// execution's store.
 type scanSource struct {
 	store *storage.ColumnStore
 	cols  []storage.ColView
@@ -200,7 +202,12 @@ type scanSource struct {
 	zones []zoneConstraint // what the zone maps are tested against; only when pred is nil or safe
 }
 
-func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, error) {
+// newScanSource binds a scan of store under filter. cached, when not nil,
+// is the plan node's compiled filter: used as it is while the store's column
+// kinds are the ones it was compiled against, and replaced by a fresh
+// compilation when they are not (a column that held only NULLs has since
+// taken a kind, or a rewrite left one all-NULL again).
+func newScanSource(store *storage.ColumnStore, filter expr.Expr, cached *atomic.Pointer[scanPred]) (*scanSource, error) {
 	if err := checkRid(store.Len()); err != nil {
 		return nil, err
 	}
@@ -208,10 +215,19 @@ func newScanSource(store *storage.ColumnStore, filter expr.Expr) (*scanSource, e
 	for c := range s.cols {
 		s.cols[c] = store.Col(c)
 	}
-	if filter != nil {
-		s.pred = compileScanPred(filter, s.cols)
-		s.zones = s.pred.zones
+	if filter == nil {
+		return s, nil
 	}
+	if cached != nil {
+		s.pred = cached.Load()
+	}
+	if s.pred == nil || !s.pred.fits(s.cols) {
+		s.pred = compileScanPred(filter, colKinds(s.cols))
+		if cached != nil {
+			cached.Store(s.pred)
+		}
+	}
+	s.zones = s.pred.zones
 	return s, nil
 }
 
@@ -240,7 +256,8 @@ func (s *scanSource) restrictToBuild(b *ridJoinBuild, cols []int) {
 			r, _ = r.Apply(expr.LE, box(b.hi[i]))
 			set = ranges.NewIntervalSet(r)
 		}
-		s.zones = append(s.zones, zoneConstraint{col: c, set: set})
+		// Clipped: the predicate's zones belong to the shared compiled filter.
+		s.zones = append(slices.Clip(s.zones), zoneConstraint{col: c, set: set})
 	}
 }
 
@@ -316,7 +333,7 @@ func (s *scanSource) morselRids(lo, hi int, sc *scanScratch, out []int32) ([]int
 // predicate row by row: some conjunct may fail or panic, and the caller's
 // row-at-a-time path defines what that means.
 func MatchOrdinals(store *storage.ColumnStore, filter expr.Expr) (ords []int, ok bool) {
-	s, err := newScanSource(store, filter)
+	s, err := newScanSource(store, filter, nil)
 	if err != nil || (s.pred != nil && !s.pred.safe) {
 		return nil, false
 	}
@@ -388,45 +405,72 @@ type zoneConstraint struct {
 	set ranges.IntervalSet
 }
 
+// scanPred is a scan filter compiled against a store's column kinds, not
+// its arrays: kernels address columns by index and read the arrays a
+// scanSource binds, so one compilation serves every execution over a store
+// of the same kinds, concurrent ones included.
 type scanPred struct {
+	kinds []sqlvalue.Kind // of the columns it was compiled against
 	conj  []conjunct
 	zones []zoneConstraint
 	safe  bool // every conjunct provably error- and panic-free
 	marks bool // some conjunct keeps its NULL rows
 }
 
+// colKinds returns the kinds of cols, what a filter compiles against.
+func colKinds(cols []storage.ColView) []sqlvalue.Kind {
+	kinds := make([]sqlvalue.Kind, len(cols))
+	for c := range cols {
+		kinds[c] = cols[c].Kind
+	}
+	return kinds
+}
+
+// fits reports whether p was compiled against columns of cols' kinds.
+func (p *scanPred) fits(cols []storage.ColView) bool {
+	if len(cols) != len(p.kinds) {
+		return false
+	}
+	for c := range cols {
+		if cols[c].Kind != p.kinds[c] {
+			return false
+		}
+	}
+	return true
+}
+
 // compileScanPred decomposes filter into top-level conjuncts, compiles the
 // ones it can into kernels, classifies safety for zone skipping, and extracts
-// per-column interval constraints. A filter that reads no column stays whole:
-// expr.Compile folds it in one evaluation, whose panic conjuncts compiled one
-// by one would not raise.
-func compileScanPred(filter expr.Expr, cols []storage.ColView) *scanPred {
+// per-column interval constraints, for columns of the given kinds. A filter
+// that reads no column stays whole: expr.Compile folds it in one evaluation,
+// whose panic conjuncts compiled one by one would not raise.
+func compileScanPred(filter expr.Expr, kinds []sqlvalue.Kind) *scanPred {
 	parts := []expr.Expr{filter}
 	isAnd := false
 	if a, ok := filter.(expr.And); ok && len(expr.Columns(filter)) > 0 {
 		parts, isAnd = a.Args, true
 	}
-	p := &scanPred{safe: true, conj: make([]conjunct, len(parts))}
+	p := &scanPred{kinds: kinds, safe: true, conj: make([]conjunct, len(parts))}
 	for k := len(parts) - 1; k >= 0; k-- { // backwards: may a later conjunct fail?
 		p.conj[k].keepNull = !p.safe
 		p.marks = p.marks || !p.safe
-		p.safe = p.safe && predSafe(parts[k], cols)
+		p.safe = p.safe && predSafe(parts[k], kinds)
 	}
 	for k, part := range parts { // forwards: a compile-time panic is the first part's
 		cj := &p.conj[k]
-		if kern, ok := compileKernel(part, cols, cj.keepNull); ok {
+		if kern, ok := compileKernel(part, kinds, cj.keepNull); ok {
 			cj.kern = kern
 			continue
 		}
 		cj.gen, cj.inAnd = expr.Compile(part), isAnd
 		for _, ref := range expr.Columns(part) {
-			if ref.Tab == 0 && ref.Col >= 0 && ref.Col < len(cols) && !slices.Contains(cj.cols, ref.Col) {
+			if ref.Tab == 0 && ref.Col >= 0 && ref.Col < len(kinds) && !slices.Contains(cj.cols, ref.Col) {
 				cj.cols = append(cj.cols, ref.Col)
 			}
 		}
 	}
 	if p.safe {
-		p.zones = zoneConstraints(parts, len(cols))
+		p.zones = zoneConstraints(parts, len(kinds))
 	}
 	return p
 }
@@ -453,14 +497,14 @@ func (s *scanSource) filter(lo, hi int, sc *scanScratch, out []int32) ([]int32, 
 		cj := &p.conj[k]
 		if k == 0 {
 			if cj.kern != nil && cj.kern.run != nil {
-				out = cj.kern.run(lo, hi, out)
+				out = cj.kern.run(s.cols, lo, hi, out)
 				continue
 			}
 			out = appendRun(out, lo, hi)
 		}
 		sel := out[start:]
 		if cj.kern != nil {
-			sel = cj.kern.refine(sel, sc)
+			sel = cj.kern.refine(s.cols, sel, sc)
 		} else {
 			sel = s.boxed(cj, sel, sc, &fail)
 		}
@@ -551,33 +595,34 @@ func appendRun(out []int32, lo, hi int) []int32 {
 // ---------------------------------------------------------------------------
 // Kernels
 
-// kernel is one vectorized conjunct. refine keeps, in place, the rows of a
-// selection where it holds (and, compiled to keep NULLs, those where it is
-// NULL, marked); run, when set, is the same test over a live run [lo,hi),
-// appended to out: the first conjunct's entry, with no selection to read.
+// kernel is one vectorized conjunct over the columns a scan binds. refine
+// keeps, in place, the rows of a selection where it holds (and, compiled to
+// keep NULLs, those where it is NULL, marked); run, when set, is the same
+// test over a live run [lo,hi), appended to out: the first conjunct's entry,
+// with no selection to read.
 type kernel struct {
-	refine func(sel []int32, sc *scanScratch) []int32
-	run    func(lo, hi int, out []int32) []int32
+	refine func(cols []storage.ColView, sel []int32, sc *scanScratch) []int32
+	run    func(cols []storage.ColView, lo, hi int, out []int32) []int32
 }
 
 // compileKernel compiles a conjunct into a kernel when it is a comparison of
 // static numeric or string sides, or IS [NOT] NULL over a column.
-func compileKernel(e expr.Expr, cols []storage.ColView, keep bool) (*kernel, bool) {
+func compileKernel(e expr.Expr, kinds []sqlvalue.Kind, keep bool) (*kernel, bool) {
 	switch n := e.(type) {
 	case expr.Cmp:
-		return cmpKernel(n, cols, keep)
+		return cmpKernel(n, kinds, keep)
 	case expr.IsNull:
 		col, ok := n.E.(expr.Column)
 		if !ok {
 			return nil, false
 		}
-		if col.Ref.Tab != 0 || col.Ref.Col < 0 || col.Ref.Col >= len(cols) {
+		if col.Ref.Tab != 0 || col.Ref.Col < 0 || col.Ref.Col >= len(kinds) {
 			// The reference binds this to NULL: IS NULL is constantly true.
 			return constKernel(!n.Negate, false, false), true
 		}
-		nulls, want := cols[col.Ref.Col].Nulls, !n.Negate
-		return &kernel{refine: func(sel []int32, _ *scanScratch) []int32 {
-			k := 0
+		c, want := col.Ref.Col, !n.Negate
+		return &kernel{refine: func(cols []storage.ColView, sel []int32, _ *scanScratch) []int32 {
+			nulls, k := cols[c].Nulls, 0
 			for _, r := range sel {
 				sel[k] = r
 				if bitSet(nulls, int(r)) == want {
@@ -592,7 +637,7 @@ func compileKernel(e expr.Expr, cols []storage.ColView, keep bool) (*kernel, boo
 
 // constKernel is a conjunct with the same value on every row.
 func constKernel(holds, null, keep bool) *kernel {
-	return &kernel{refine: func(sel []int32, sc *scanScratch) []int32 {
+	return &kernel{refine: func(_ []storage.ColView, sel []int32, sc *scanScratch) []int32 {
 		switch {
 		case null && keep:
 			for _, r := range sel {
@@ -619,9 +664,9 @@ var cmpForms = [...]cmpForm{expr.EQ: {expr.NE, false}, expr.NE: {expr.NE, true},
 // cmpKernel compiles a comparison. A column against a constant of its own
 // payload reads the column's array in place; any other pair of static sides
 // evaluates both over the selection first.
-func cmpKernel(n expr.Cmp, cols []storage.ColView, keep bool) (*kernel, bool) {
-	l, lok := compileVec(n.L, cols)
-	r, rok := compileVec(n.R, cols)
+func cmpKernel(n expr.Cmp, kinds []sqlvalue.Kind, keep bool) (*kernel, bool) {
+	l, lok := compileVec(n.L, kinds)
+	r, rok := compileVec(n.R, kinds)
 	if !lok || !rok {
 		return nil, false
 	}
@@ -636,23 +681,22 @@ func cmpKernel(n expr.Cmp, cols []storage.ColView, keep bool) (*kernel, bool) {
 	}
 	f := cmpForms[op]
 	if l.op == vecCol && r.op == vecConst && !keep {
-		nulls := l.col.Nulls
 		switch {
 		case l.kind == sqlvalue.KindString:
-			return colConst(f, l.col.Strs, r.c.Str(), nulls), true
+			return colConst(f, l.col, strsOf, r.c.Str()), true
 		case l.kind == sqlvalue.KindFloat:
 			if c, _ := r.c.AsFloat(); c == c { // a NaN constant takes the general path
-				return colConst(f, l.col.Floats, c, nulls), true
+				return colConst(f, l.col, floatsOf, c), true
 			}
 		case r.kind != sqlvalue.KindFloat:
 			c, _ := valueFkey(r.c) // an INTEGER or DATE: {0, its int}
-			return colConst(f, l.col.Ints, c[1], nulls), true
+			return colConst(f, l.col, intsOf, c[1]), true
 		}
 	}
 	asFloat := l.kind == sqlvalue.KindFloat || r.kind == sqlvalue.KindFloat
-	return &kernel{refine: func(sel []int32, sc *scanScratch) []int32 {
-		a := l.eval(sel, &sc.vecs, 0, asFloat)
-		b := r.eval(sel, &sc.vecs, 1, asFloat)
+	return &kernel{refine: func(cols []storage.ColView, sel []int32, sc *scanScratch) []int32 {
+		a := l.eval(cols, sel, &sc.vecs, 0, asFloat)
+		b := r.eval(cols, sel, &sc.vecs, 1, asFloat)
 		switch {
 		case l.kind == sqlvalue.KindString:
 			return keepCmp(f, a.strs, b.strs, a, b, sel, sc, keep)
@@ -684,23 +728,30 @@ func keepCmp[T cmp.Ordered](f cmpForm, x, y []T, a, b *vec, sel []int32, sc *sca
 	return sel[:n]
 }
 
-// colConst is the kernel for a column against a constant of its payload
-// type. Its loops write every row and advance over the ones that pass, so
-// they carry no branch on the data; NULL rows are dropped after, and only
-// where the null bitmap has a bit set among the selected rows' words.
-func colConst[T cmp.Ordered](f cmpForm, a []T, c T, nulls []uint64) *kernel {
+// colConst is the kernel for column col against a constant of its payload
+// type, read through payload. Its loops write every row and advance over the
+// ones that pass, so they carry no branch on the data; NULL rows are dropped
+// after, and only where the null bitmap has a bit set among the selected
+// rows' words.
+func colConst[T cmp.Ordered](f cmpForm, col int, payload func(*storage.ColView) []T, c T) *kernel {
 	return &kernel{
-		run: func(lo, hi int, out []int32) []int32 {
+		run: func(cols []storage.ColView, lo, hi int, out []int32) []int32 {
+			v := &cols[col]
 			start := len(out)
 			out = slices.Grow(out, hi-lo)[:start+hi-lo]
-			n := runConst(f, a[lo:hi], c, int32(lo), out[start:])
-			return out[:start+len(dropNulls(out[start:start+n], nulls))]
+			n := runConst(f, payload(v)[lo:hi], c, int32(lo), out[start:])
+			return out[:start+len(dropNulls(out[start:start+n], v.Nulls))]
 		},
-		refine: func(sel []int32, _ *scanScratch) []int32 {
-			return dropNulls(selConst(f, a, c, sel), nulls)
+		refine: func(cols []storage.ColView, sel []int32, _ *scanScratch) []int32 {
+			v := &cols[col]
+			return dropNulls(selConst(f, payload(v), c, sel), v.Nulls)
 		},
 	}
 }
+
+func intsOf(v *storage.ColView) []int64     { return v.Ints }
+func floatsOf(v *storage.ColView) []float64 { return v.Floats }
+func strsOf(v *storage.ColView) []string    { return v.Strs }
 
 // runConst writes to dst the ordinals base+k of the rows where a[k] ⊙ c
 // holds and returns their count.
@@ -797,27 +848,29 @@ const (
 	vecAbs
 )
 
-// vecExpr is an expression with a statically known result kind over one
-// store's typed columns: a column, a constant, or a numeric chain of
-// arithmetic, negation and ABS over them. Kind NULL is NULL on every row: a
-// NULL constant, a column out of range (the reference binds it to NULL) or
-// one that has only ever held NULL. Chains are error- and panic-free by
-// construction: columns are typed, constants numeric, and only operations
-// that cannot fail on numeric inputs are admitted (division by zero yields
-// NULL, as sqlvalue.Div does). A string is a column or a constant.
+// vecExpr is an expression with a statically known result kind over typed
+// columns of known kinds, read from the columns eval is handed: a column, a
+// constant, or a numeric chain of arithmetic, negation and ABS over them.
+// Kind NULL is NULL on every row: a NULL constant, a column out of range
+// (the reference binds it to NULL) or one that has only ever held NULL.
+// Chains are error- and panic-free by construction: columns are typed,
+// constants numeric, and only operations that cannot fail on numeric inputs
+// are admitted (division by zero yields NULL, as sqlvalue.Div does). A
+// string is a column or a constant.
 type vecExpr struct {
 	kind sqlvalue.Kind // KindInt, KindDate, KindFloat, KindString or KindNull
 	op   vecOp
-	aop  expr.ArithOp     // of vecArith
-	col  *storage.ColView // of vecCol
-	c    sqlvalue.Value   // of vecConst
-	l, r *vecExpr         // operands; l alone for vecNeg and vecAbs
+	aop  expr.ArithOp   // of vecArith
+	col  int            // of vecCol: the index of the column eval reads
+	c    sqlvalue.Value // of vecConst
+	l, r *vecExpr       // operands; l alone for vecNeg and vecAbs
 }
 
 func (x *vecExpr) numeric() bool { return x.kind != sqlvalue.KindString && x.kind != sqlvalue.KindNull }
 
-// compileVec compiles e when its result kind is static.
-func compileVec(e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
+// compileVec compiles e over columns of the given kinds when its result kind
+// is static.
+func compileVec(e expr.Expr, kinds []sqlvalue.Kind) (*vecExpr, bool) {
 	switch n := e.(type) {
 	case expr.Const:
 		switch k := n.Val.Kind(); k {
@@ -825,16 +878,16 @@ func compileVec(e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
 			return &vecExpr{kind: k, op: vecConst, c: n.Val}, true
 		}
 	case expr.Column:
-		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= len(cols) {
+		if n.Ref.Tab != 0 || n.Ref.Col < 0 || n.Ref.Col >= len(kinds) {
 			return &vecExpr{kind: sqlvalue.KindNull, op: vecConst}, true
 		}
-		switch v := cols[n.Ref.Col]; v.Kind {
+		switch k := kinds[n.Ref.Col]; k {
 		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindFloat, sqlvalue.KindString, sqlvalue.KindNull:
-			return &vecExpr{kind: v.Kind, op: vecCol, col: &cols[n.Ref.Col]}, true
+			return &vecExpr{kind: k, op: vecCol, col: n.Ref.Col}, true
 		}
 	case expr.Arith:
-		l, lok := compileVec(n.L, cols)
-		r, rok := compileVec(n.R, cols)
+		l, lok := compileVec(n.L, kinds)
+		r, rok := compileVec(n.R, kinds)
 		if !lok || !rok || !l.numeric() || !r.numeric() || n.Op > expr.Div {
 			return nil, false
 		}
@@ -846,18 +899,18 @@ func compileVec(e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
 		}
 		return &vecExpr{kind: kind, op: vecArith, aop: n.Op, l: l, r: r}, true
 	case expr.Neg:
-		return unaryVec(vecNeg, n.E, cols)
+		return unaryVec(vecNeg, n.E, kinds)
 	case expr.Func:
 		if (n.Name == "ABS" || n.Name == "abs") && len(n.Args) == 1 {
-			return unaryVec(vecAbs, n.Args[0], cols)
+			return unaryVec(vecAbs, n.Args[0], kinds)
 		}
 	}
 	return nil, false
 }
 
 // unaryVec compiles negation or ABS, which sqlvalue refuses on a DATE.
-func unaryVec(op vecOp, e expr.Expr, cols []storage.ColView) (*vecExpr, bool) {
-	a, ok := compileVec(e, cols)
+func unaryVec(op vecOp, e expr.Expr, kinds []sqlvalue.Kind) (*vecExpr, bool) {
+	a, ok := compileVec(e, kinds)
 	if !ok || (a.kind != sqlvalue.KindInt && a.kind != sqlvalue.KindFloat) {
 		return nil, false
 	}
@@ -897,22 +950,23 @@ func (vs *vecStack) at(d int) *vec {
 	return (*vs)[d]
 }
 
-// eval computes x at each of rids into vs.at(d): as floats when asFloat,
-// in x's own representation otherwise.
-func (x *vecExpr) eval(rids []int32, vs *vecStack, d int, asFloat bool) *vec {
+// eval computes x at each of rids of the columns cols into vs.at(d): as
+// floats when asFloat, in x's own representation otherwise.
+func (x *vecExpr) eval(cols []storage.ColView, rids []int32, vs *vecStack, d int, asFloat bool) *vec {
 	out, n := vs.at(d), len(rids)
 	out.null = nil
 	switch x.op {
 	case vecCol:
+		col := &cols[x.col]
 		switch x.kind {
 		case sqlvalue.KindString:
-			out.strs = gather(out.strs, x.col.Strs, rids)
+			out.strs = gather(out.strs, col.Strs, rids)
 		case sqlvalue.KindFloat:
-			out.floats = gather(out.floats, x.col.Floats, rids)
+			out.floats = gather(out.floats, col.Floats, rids)
 		default:
-			out.ints = gather(out.ints, x.col.Ints, rids)
+			out.ints = gather(out.ints, col.Ints, rids)
 		}
-		if nulls := x.col.Nulls; nulls != nil {
+		if nulls := col.Nulls; nulls != nil {
 			null := out.nulls(n)
 			for k, r := range rids {
 				null[k] = bitSet(nulls, int(r))
@@ -929,7 +983,7 @@ func (x *vecExpr) eval(rids []int32, vs *vecStack, d int, asFloat bool) *vec {
 			out.ints = fill(out.ints, n, c[1])
 		}
 	case vecNeg, vecAbs:
-		x.l.eval(rids, vs, d, false)
+		x.l.eval(cols, rids, vs, d, false)
 		if x.kind == sqlvalue.KindFloat {
 			unary(x.op, out.floats)
 		} else {
@@ -937,8 +991,8 @@ func (x *vecExpr) eval(rids []int32, vs *vecStack, d int, asFloat bool) *vec {
 		}
 	case vecArith:
 		float := x.kind == sqlvalue.KindFloat
-		x.l.eval(rids, vs, d, float)
-		b := x.r.eval(rids, vs, d+1, float)
+		x.l.eval(cols, rids, vs, d, float)
+		b := x.r.eval(cols, rids, vs, d+1, float)
 		if b.null != nil {
 			null := out.nulls(n)
 			for k := range null {
@@ -1030,11 +1084,11 @@ func isLeaf(e expr.Expr) bool {
 // sideSafe reports whether a comparison side is provably error- and
 // panic-free: a leaf (Compare never errors on any value pair) or a static
 // numeric chain.
-func sideSafe(e expr.Expr, cols []storage.ColView) bool {
+func sideSafe(e expr.Expr, kinds []sqlvalue.Kind) bool {
 	if isLeaf(e) {
 		return true
 	}
-	x, ok := compileVec(e, cols)
+	x, ok := compileVec(e, kinds)
 	return ok && x.numeric()
 }
 
@@ -1042,29 +1096,29 @@ func sideSafe(e expr.Expr, cols []storage.ColView) bool {
 // always yields a boolean or NULL — the precondition for zone skipping: a
 // skipped block must not suppress a runtime failure the reference evaluator
 // would surface, and AND/OR/NOT over e must not hit a non-bool panic.
-func predSafe(e expr.Expr, cols []storage.ColView) bool {
+func predSafe(e expr.Expr, kinds []sqlvalue.Kind) bool {
 	switch n := e.(type) {
 	case expr.Const:
 		k := n.Val.Kind()
 		return k == sqlvalue.KindBool || k == sqlvalue.KindNull
 	case expr.Cmp:
-		return sideSafe(n.L, cols) && sideSafe(n.R, cols)
+		return sideSafe(n.L, kinds) && sideSafe(n.R, kinds)
 	case expr.IsNull:
 		return isLeaf(n.E)
 	case expr.Like:
 		return isLeaf(n.E) && isLeaf(n.Pattern)
 	case expr.Not:
-		return predSafe(n.E, cols)
+		return predSafe(n.E, kinds)
 	case expr.And:
 		for _, a := range n.Args {
-			if !predSafe(a, cols) {
+			if !predSafe(a, kinds) {
 				return false
 			}
 		}
 		return true
 	case expr.Or:
 		for _, a := range n.Args {
-			if !predSafe(a, cols) {
+			if !predSafe(a, kinds) {
 				return false
 			}
 		}

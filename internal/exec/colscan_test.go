@@ -396,3 +396,41 @@ func plansRows(t *testing.T, db storage.Reader, plan Node) []storage.Row {
 	}
 	return rows
 }
+
+// TestCachedScanFilterFollowsKinds: a view scan keeps the filter its first
+// execution compiled and binds it to each later execution's store, until
+// the store's column kinds change — here a column that held only NULLs
+// takes INTEGER rows — when it compiles afresh; the answers equal the
+// reference before and after.
+func TestCachedScanFilterFollowsKinds(t *testing.T) {
+	db := smallDB(t)
+	mv, err := db.PutView("nv", 2, []storage.Row{{sqlvalue.NewInt(1), sqlvalue.Null}, {sqlvalue.NewInt(2), sqlvalue.Null}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan := &ViewScan{View: "nv", NCols: 2, Filter: expr.NewAnd(
+		expr.NewCmp(expr.GE, expr.Col(0, 1), expr.CInt(5)),
+		expr.NewCmp(expr.LE, expr.Col(0, 1), expr.CInt(10)))}
+	plan := &Project{In: scan, Exprs: []expr.Expr{expr.Col(0, 0), expr.Col(0, 1)}}
+	check := func(wantRows int) *scanPred {
+		t.Helper()
+		got, err := plan.Run(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := RunReference(db, plan)
+		if err != nil || !SameRows(got, want) || len(got) != wantRows {
+			t.Fatalf("engine %v, reference %v (%v), want %d rows", got, want, err, wantRows)
+		}
+		return scan.pred.Load()
+	}
+	allNull := check(0)
+	if allNull == nil || allNull.kinds[1] != sqlvalue.KindNull || check(0) != allNull {
+		t.Fatalf("the all-NULL store's filter was not compiled once and kept: %+v", allNull)
+	}
+	mv.Append([]storage.Row{{sqlvalue.NewInt(3), sqlvalue.NewInt(7)}, {sqlvalue.NewInt(4), sqlvalue.NewInt(12)}, {sqlvalue.NewInt(5), sqlvalue.Null}})
+	typed := check(1)
+	if typed == allNull || typed.kinds[1] != sqlvalue.KindInt || check(1) != typed {
+		t.Fatalf("the INTEGER store's filter was not compiled afresh and then kept: %+v", typed)
+	}
+}

@@ -127,14 +127,14 @@ func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 		if tb == nil {
 			return pipeline{}, fmt.Errorf("exec: unknown table %q", t.Table)
 		}
-		return scanPipeline(tb.Store(), t.Filter)
+		return scanPipeline(tb.Store(), t.Filter, &t.pred)
 	case *ViewScan:
 		v := db.ViewData(t.View)
 		if v == nil {
 			return pipeline{}, fmt.Errorf("exec: view %q not materialized", t.View)
 		}
 		if len(t.EqCols) == 0 {
-			return scanPipeline(v.Store(), t.Filter)
+			return scanPipeline(v.Store(), t.Filter, &t.pred)
 		}
 		rows := seekView(v, t.EqCols, t.EqVals, nil)
 		if t.Filter == nil {
@@ -227,9 +227,10 @@ func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 	}
 }
 
-// scanPipeline heads a pipeline with a table's or view's column store.
-func scanPipeline(st *storage.ColumnStore, filter expr.Expr) (pipeline, error) {
-	ss, err := newScanSource(st, filter)
+// scanPipeline heads a pipeline with a table's or view's column store,
+// filtered by the scan node's filter as compiled into pred.
+func scanPipeline(st *storage.ColumnStore, filter expr.Expr, pred *atomic.Pointer[scanPred]) (pipeline, error) {
+	ss, err := newScanSource(st, filter, pred)
 	if err != nil {
 		return pipeline{}, err
 	}

@@ -21,6 +21,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 
 	"matview/internal/expr"
 	"matview/internal/spjg"
@@ -47,6 +48,8 @@ type TableScan struct {
 	Table  string
 	Filter expr.Expr // may be nil
 	NCols  int
+
+	pred atomic.Pointer[scanPred] // Filter as last compiled, for its store's column kinds
 }
 
 // Run implements Node.
@@ -81,6 +84,8 @@ type ViewScan struct {
 
 	EqCols []int
 	EqVals []sqlvalue.Value
+
+	pred atomic.Pointer[scanPred] // Filter as last compiled, for its store's column kinds
 }
 
 // Run implements Node.

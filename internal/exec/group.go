@@ -370,9 +370,10 @@ type ridAggSink struct {
 
 // typedArg is a key or argument over relation rel, evaluated once per batch.
 type typedArg struct {
-	x   *vecExpr
-	rel int
-	vs  vecStack
+	x    *vecExpr
+	rel  int
+	cols []storage.ColView // of relation rel
+	vs   vecStack
 }
 
 func newRidAggSink(a *HashAgg, layout *ridLayout) *ridAggSink {
@@ -423,9 +424,9 @@ func (s *ridAggSink) bind(ex expr.Expr, key bool, layout *ridLayout) (aggReader,
 	}
 	if r.store != nil && (isCol || !key) {
 		local := expr.MapColumns(ex, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: c.Col - off} })
-		if x, ok := compileVec(local, r.cols); ok && x.numeric() && (isCol || x.kind != sqlvalue.KindDate) {
+		if x, ok := compileVec(local, colKinds(r.cols)); ok && x.numeric() && (isCol || x.kind != sqlvalue.KindDate) {
 			rd.kind, rd.nullable = x.kind, !isCol || r.cols[col.Ref.Col-off].Nulls != nil
-			s.typed = append(s.typed, typedArg{x: x, rel: rel})
+			s.typed = append(s.typed, typedArg{x: x, rel: rel, cols: r.cols})
 			rd.vals = s.typed[len(s.typed)-1].vs.at(0)
 		}
 	}
@@ -437,7 +438,7 @@ func (s *ridAggSink) begin(seq int) { s.ord = ordinal(seq, 0) }
 func (s *ridAggSink) pushRids(in *ridBatch) error {
 	s.cur = in
 	for i, t := range s.typed {
-		t.x.eval(in.sel[t.rel][:in.n], &s.typed[i].vs, 0, false)
+		t.x.eval(t.cols, in.sel[t.rel][:in.n], &s.typed[i].vs, 0, false)
 	}
 	var err error
 	s.sc.ids, err = s.g.addBatch(in.n, s.ord, &s.sc.key, s.sc.ids)

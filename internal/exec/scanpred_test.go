@@ -183,12 +183,20 @@ func rowByRow(st *storage.ColumnStore, filter expr.Expr) (ords []int, fail strin
 
 // checkScanPredicate requires engine scans of p at one and two workers, and
 // MatchOrdinals when it takes the filter, to find rowByRow's ordinals and
-// failure.
-func checkScanPredicate(t *testing.T, db *storage.Database, filter expr.Expr) {
+// failure. It returns the scan it ran, which holds the compiled filter.
+func checkScanPredicate(t *testing.T, db *storage.Database, filter expr.Expr) *TableScan {
 	t.Helper()
-	st := db.Table("p").Store()
-	want, wantFail := rowByRow(st, filter)
 	plan := &TableScan{Table: "p", NCols: 5, Filter: filter}
+	checkScanPlan(t, db, plan)
+	return plan
+}
+
+// checkScanPlan is checkScanPredicate for a scan that may already hold a
+// filter compiled over another store.
+func checkScanPlan(t *testing.T, db *storage.Database, plan *TableScan) {
+	t.Helper()
+	st, filter := db.Table("p").Store(), plan.Filter
+	want, wantFail := rowByRow(st, filter)
 	for _, e := range []*Engine{{Workers: 1}, {Workers: 2, BatchSize: 300}} {
 		var got []int
 		fail := failure(func() error {
@@ -217,7 +225,10 @@ func checkScanPredicate(t *testing.T, db *storage.Database, filter expr.Expr) {
 // FuzzScanPredicate holds the scan's kernels and boxed conjuncts, together,
 // to row-at-a-time evaluation: the same ordinals, and the same first error
 // or panic, over tables up to 2 100 rows (crossing a block boundary) with
-// NULLs, float specials and tombstones.
+// NULLs, float specials and tombstones. The filter the first table's scan
+// compiled is then bound to a second table of other rows: used as it is when
+// the column kinds are the same, recompiled when one is all-NULL in just one
+// of the two.
 func FuzzScanPredicate(f *testing.F) {
 	f.Add(uint16(2100), uint8(7), []byte{0, 1, 4, 0, 3, 1, 4, 0, 5, 0})
 	f.Add(uint16(1500), uint8(0), []byte{3, 2, 0, 2, 4, 3, 0, 0, 1, 3, 4, 5, 2})
@@ -226,7 +237,18 @@ func FuzzScanPredicate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rows uint16, dead uint8, prog []byte) {
 		n := 1 + int(rows)%2100
 		db := predDB(t, n, int(dead), rand.New(rand.NewPCG(uint64(rows), uint64(dead))))
-		checkScanPredicate(t, db, (&predGen{b: prog}).filter())
+		plan := checkScanPredicate(t, db, (&predGen{b: prog}).filter())
+		other := predDB(t, 1+(7*n+13)%2100, int(dead)+1, rand.New(rand.NewPCG(uint64(rows)+1, uint64(dead))))
+		compiled := plan.pred.Load()
+		checkScanPlan(t, other, plan)
+		st := other.Table("p").Store()
+		cols := make([]storage.ColView, st.NumCols())
+		for c := range cols {
+			cols[c] = st.Col(c)
+		}
+		if compiled != nil && compiled.fits(cols) != (plan.pred.Load() == compiled) {
+			t.Fatalf("a store of the same kinds recompiled, or one of other kinds did not: %v", plan.pred.Load().kinds)
+		}
 	})
 }
 
@@ -322,7 +344,7 @@ func BenchmarkScanKernel(b *testing.B) {
 			for _, pct := range []int{1, 50, 99} {
 				filter := expr.NewCmp(expr.LT, expr.Col(0, 0), expr.C(val(pct)))
 				b.Run(fmt.Sprintf("%s/nullable=%t/sel=%d%%", kind, nullable, pct), func(b *testing.B) {
-					s, err := newScanSource(st, filter)
+					s, err := newScanSource(st, filter, nil)
 					if err != nil {
 						b.Fatal(err)
 					}

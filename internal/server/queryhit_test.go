@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"matview/internal/exec"
@@ -126,6 +127,48 @@ func BenchmarkQueryHit(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestQueryHitConcurrentRange: four goroutines execute one cached range
+// plan at once — one compiled scan filter, bound by each execution to its
+// own snapshot — and every answer equals the reference evaluator's.
+func TestQueryHitConcurrentRange(t *testing.T) {
+	f := newHitFixture(t)
+	var qr QueryRequest
+	if err := json.Unmarshal(f.ranges[3], &qr); err != nil {
+		t.Fatal(err)
+	}
+	key, err := sqlparser.Fingerprint(qr.SQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp, ok := f.srv.cache.Get(key, f.srv.opt.CatalogEpoch())
+	if !ok || !strings.Contains(exec.Explain(cp.Res.Plan), "ViewScan") {
+		t.Fatalf("fixture statement is not a cached view scan: %v", cp)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := 0; k < 25; k++ {
+				snap := f.srv.db.Snapshot()
+				got, err := cp.Res.Plan.Run(snap)
+				want, rerr := exec.RunReference(snap, cp.Res.Plan)
+				snap.Release()
+				if err != nil || rerr != nil || len(got) == 0 || !exec.SameRows(got, want) {
+					errs <- fmt.Errorf("run %d: %d rows (%v), reference %d rows (%v)", k, len(got), err, len(want), rerr)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }
 

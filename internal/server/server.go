@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"sync"
@@ -432,7 +431,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req QueryRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		s.errors.Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -575,7 +574,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	defer release()
 	var req ExecRequest
-	if err := decodeJSON(r, &req); err != nil {
+	if err := decodeRequest(r, &req); err != nil {
 		s.errors.Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -766,20 +765,6 @@ func (s *Server) walMetrics() *WALMetrics {
 
 func isCtxErr(err error) bool {
 	return errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)
-}
-
-// decodeJSON reads a request body of at most 1 MB holding exactly one JSON
-// object with no unknown fields; anything but whitespace after it is refused.
-func decodeJSON(r *http.Request, dst any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("server: bad request body: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("server: bad request body: trailing data after the JSON object")
-	}
-	return nil
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

@@ -25,6 +25,7 @@
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
@@ -424,16 +425,109 @@ func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 // Rewrite returns a fresh store holding the live rows in their current
 // order: no tombstones and exact zone maps. The receiver is untouched,
 // so frozen copies of it stay valid; ordinals of the result are new.
+//
+// The result is the store appending the live rows one by one would build —
+// the same kinds, payloads, null bitmaps and zones — made column by column:
+// each column's live runs are copied into an exactly sized typed array and
+// each block's zone is folded from that array with foldZone's rules.
 func (cs *ColumnStore) Rewrite() *ColumnStore {
-	out := NewColumnStore(len(cs.cols))
-	scratch := make(Row, len(cs.cols))
-	for i := 0; i < cs.n; i++ {
-		if !bitSet(cs.dead, i) {
-			cs.MaterializeInto(scratch, i)
-			out.AppendRow(scratch)
-		}
+	out := &ColumnStore{n: cs.Live(), cols: make([]column, len(cs.cols))}
+	for c := range cs.cols {
+		out.cols[c] = cs.compact(c, out.n)
 	}
 	return out
+}
+
+// compact copies column c's live rows, of which there are live.
+func (cs *ColumnStore) compact(c, live int) column {
+	src := &cs.cols[c]
+	dst := column{ColView: ColView{Kind: src.Kind}}
+	switch src.Kind {
+	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+		dst.Ints = make([]int64, 0, live)
+	case sqlvalue.KindFloat:
+		dst.Floats = make([]float64, 0, live)
+	case sqlvalue.KindString:
+		dst.Strs = make([]string, 0, live)
+	}
+	n, nulls := 0, 0
+	for i := 0; i < cs.n; {
+		lo, hi := cs.LiveRun(i, cs.n)
+		switch src.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			dst.Ints = append(dst.Ints, src.Ints[lo:hi]...)
+		case sqlvalue.KindFloat:
+			dst.Floats = append(dst.Floats, src.Floats[lo:hi]...)
+		case sqlvalue.KindString:
+			dst.Strs = append(dst.Strs, src.Strs[lo:hi]...)
+		}
+		if src.Nulls != nil {
+			for r := lo; r < hi; r++ {
+				if bitSet(src.Nulls, r) {
+					dst.setNull(n + r - lo)
+					nulls++
+				}
+			}
+		}
+		n += hi - lo
+		i = hi
+	}
+	if nulls == live {
+		// Only NULLs are left: appended one by one, they would fix no kind.
+		dst.ColView = ColView{Kind: sqlvalue.KindNull, Nulls: dst.Nulls}
+	}
+	dst.tail = Zone{Tracked: true}
+	for lo := 0; lo < live; lo += BlockRows {
+		if lo > 0 {
+			dst.zones = append(dst.zones, dst.tail)
+		}
+		dst.tail = dst.blockZone(lo, min(lo+BlockRows, live))
+	}
+	return dst
+}
+
+// blockZone is the zone AppendRow folds over rows [lo,hi) of the column.
+func (c *column) blockZone(lo, hi int) Zone {
+	switch c.Kind {
+	case sqlvalue.KindInt:
+		return foldTyped(c.Ints, c.Nulls, lo, hi, sqlvalue.NewInt)
+	case sqlvalue.KindDate:
+		return foldTyped(c.Ints, c.Nulls, lo, hi, sqlvalue.NewDate)
+	case sqlvalue.KindBool:
+		return foldTyped(c.Ints, c.Nulls, lo, hi, func(x int64) sqlvalue.Value { return sqlvalue.NewBool(x != 0) })
+	case sqlvalue.KindFloat:
+		return foldTyped(c.Floats, c.Nulls, lo, hi, sqlvalue.NewFloat)
+	case sqlvalue.KindString:
+		return foldTyped(c.Strs, c.Nulls, lo, hi, sqlvalue.NewString)
+	}
+	return Zone{Tracked: true, HasNull: true} // a KindNull column: every row is NULL
+}
+
+// foldTyped is foldZone over a[lo:hi] in row order, boxing only the two
+// extremes: the first of equal extremes wins, and a NaN stops the fold with
+// the block untracked.
+func foldTyped[T cmp.Ordered](a []T, nulls []uint64, lo, hi int, box func(T) sqlvalue.Value) Zone {
+	z := Zone{Tracked: true}
+	lo0, hi0 := -1, -1
+	for i := lo; i < hi; i++ {
+		switch x := a[i]; {
+		case bitSet(nulls, i):
+			z.HasNull = true
+		case x != x: // NaN
+			z.Tracked = false
+			i = hi
+		case lo0 < 0:
+			lo0, hi0 = i, i
+		case x < a[lo0]:
+			lo0 = i
+		case x > a[hi0]:
+			hi0 = i
+		}
+	}
+	if lo0 >= 0 {
+		z.Min, z.Max, z.HasNonNull = box(a[lo0]), box(a[hi0]), true
+	}
+	return z
 }
 
 // MaterializeInto fills dst (length NumCols) with row i's values.

@@ -62,3 +62,34 @@ func BenchmarkAppendRowKey(b *testing.B) {
 	}
 	_ = buf
 }
+
+// BenchmarkRewrite measures compacting a lineitem-shaped store — 100 000
+// rows of integers, dates, doubles and strings, some NULL — after every
+// third row was deleted: what a writer holds its lock for when a table's
+// tombstones come due.
+func BenchmarkRewrite(b *testing.B) {
+	const n = 100_000
+	cs := NewColumnStore(8)
+	flags := []string{"A", "N", "R"}
+	for i := 0; i < n; i++ {
+		disc := sqlvalue.NewFloat(float64(i%11) / 100)
+		if i%17 == 0 {
+			disc = sqlvalue.Null
+		}
+		cs.AppendRow(Row{
+			sqlvalue.NewInt(int64(i / 4)), sqlvalue.NewInt(int64(i % 2000)), sqlvalue.NewInt(int64(i%7 + 1)),
+			sqlvalue.NewFloat(float64(i%50 + 1)), disc, sqlvalue.NewString(flags[i%3]),
+			sqlvalue.NewDate(int64(8000 + i%2500)), sqlvalue.NewString(fmt.Sprintf("comment %d", i%977)),
+		})
+	}
+	for i := 0; i < n; i += 3 {
+		cs.Delete(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := cs.Rewrite(); out.Len() != cs.Live() {
+			b.Fatalf("rewrite kept %d of %d live rows", out.Len(), cs.Live())
+		}
+	}
+}

@@ -31,6 +31,9 @@ chaos:
 
 # recover runs the durability suite under the race detector: WAL framing,
 # the crash kill matrix, torn tails, fsync poisoning, checkpoint faults,
+# the fallback past a corrupt newest checkpoint
+# (TestCorruptNewestCheckpointFallsBack), the refusal to start over
+# checkpoints none of which verifies (TestUnverifiedCheckpointsRefused),
 # and server-level recovery gating.
 recover:
 	go test -race -count=1 -v ./internal/wal

@@ -431,15 +431,37 @@ func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 // each column's live runs are copied into an exactly sized typed array and
 // each block's zone is folded from that array with foldZone's rules.
 func (cs *ColumnStore) Rewrite() *ColumnStore {
-	out := &ColumnStore{n: cs.Live(), cols: make([]column, len(cs.cols))}
+	live := cs.Live()
+	cols := make([]ColView, len(cs.cols))
 	for c := range cs.cols {
-		out.cols[c] = cs.compact(c, out.n)
+		cols[c] = cs.compact(c, live)
 	}
-	return out
+	return NewColumnStoreOf(live, cols)
+}
+
+// NewColumnStoreOf returns a store of n rows over the given column arrays,
+// with no tombstones and each block's zone folded from the arrays as
+// AppendRow would have folded it. It takes the arrays over. Each view must
+// hold exactly n payloads of its kind (none for KindNull, every row of which
+// is NULL) and a null bitmap of at most (n+63)/64 words with no bit set at
+// or past n.
+func NewColumnStoreOf(n int, cols []ColView) *ColumnStore {
+	cs := &ColumnStore{n: n, cols: make([]column, len(cols))}
+	for c, v := range cols {
+		col := &cs.cols[c]
+		col.ColView, col.tail = v, Zone{Tracked: true}
+		for lo := 0; lo < n; lo += BlockRows {
+			if lo > 0 {
+				col.zones = append(col.zones, col.tail)
+			}
+			col.tail = col.blockZone(lo, min(lo+BlockRows, n))
+		}
+	}
+	return cs
 }
 
 // compact copies column c's live rows, of which there are live.
-func (cs *ColumnStore) compact(c, live int) column {
+func (cs *ColumnStore) compact(c, live int) ColView {
 	src := &cs.cols[c]
 	dst := column{ColView: ColView{Kind: src.Kind}}
 	switch src.Kind {
@@ -474,16 +496,9 @@ func (cs *ColumnStore) compact(c, live int) column {
 	}
 	if nulls == live {
 		// Only NULLs are left: appended one by one, they would fix no kind.
-		dst.ColView = ColView{Kind: sqlvalue.KindNull, Nulls: dst.Nulls}
+		return ColView{Kind: sqlvalue.KindNull, Nulls: dst.Nulls}
 	}
-	dst.tail = Zone{Tracked: true}
-	for lo := 0; lo < live; lo += BlockRows {
-		if lo > 0 {
-			dst.zones = append(dst.zones, dst.tail)
-		}
-		dst.tail = dst.blockZone(lo, min(lo+BlockRows, live))
-	}
-	return dst
+	return dst.ColView
 }
 
 // blockZone is the zone AppendRow folds over rows [lo,hi) of the column.

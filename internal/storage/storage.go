@@ -374,6 +374,31 @@ func (t *Table) Insert(r Row) error {
 	return t.reindex() // uniqueness was checked above
 }
 
+// Restore makes cs, a store read from outside the program (a checkpoint
+// image), the table's rows after holding it to what Insert checks of each
+// row: the column count, each column's kind (the declared type, or
+// KindNull while the column holds no value) and no NULL in a NOT NULL
+// column. It replaces the table's rows and indexes: build indexes after it.
+func (t *Table) Restore(cs *ColumnStore) error {
+	if cs.NumCols() != len(t.Meta.Columns) {
+		return fmt.Errorf("storage: %d columns restored into the %d of %s",
+			cs.NumCols(), len(t.Meta.Columns), t.Meta.Name)
+	}
+	for i, col := range t.Meta.Columns {
+		v := cs.Col(i)
+		if v.Kind != sqlvalue.KindNull && v.Kind != col.Type {
+			return fmt.Errorf("storage: %s column restored into %s column %s.%s", v.Kind, col.Type, t.Meta.Name, col.Name)
+		}
+		hasNull := v.Kind == sqlvalue.KindNull || slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 })
+		if col.NotNull && cs.Len() > 0 && hasNull {
+			return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", t.Meta.Name, col.Name)
+		}
+	}
+	t.relation = newRelation(cs, t.Meta.Name, t.faults)
+	t.dirty = true
+	return nil
+}
+
 // buildIndexOn builds a hash index over cols of a column store's live rows.
 func buildIndexOn(cs *ColumnStore, cols []int, unique bool, what string) (*Index, error) {
 	idx := newIndex(cols, unique)

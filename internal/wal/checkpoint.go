@@ -1,15 +1,16 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
-	"strings"
 
 	"matview/internal/faults"
 	"matview/internal/sqlvalue"
@@ -18,18 +19,26 @@ import (
 
 // Checkpoint format (all integers little-endian):
 //
-//	magic "MVWCKPT1"
+//	magic "MVWCKPT2"
 //	u64 epoch
 //	u32 table count
-//	  per table:  str name | u32 cols | indexes | u64 rows | row data
+//	  per table:  str name | relation
 //	u32 view count
-//	  per view:   str name | str defSQL | u8 health | u32 cols | indexes | u64 rows | row data
+//	  per view:   str name | str defSQL | u8 health | relation
 //	u32 CRC-32C of everything above
 //
-// indexes = u32 count, then per index: u32 col count, u32 cols..., u8 unique.
-// Values encode as a kind byte plus a fixed payload (u64 bits for ints,
-// dates, and floats; length-prefixed bytes for strings), chosen for exact
-// round-tripping — a recovered float is bit-identical to the stored one.
+//	relation = indexes | u32 cols | u64 rows | per column: u8 kind | u32 n | n × u64 null words | payload
+//	indexes  = u32 count, then per index: u32 col count, u32 cols..., u8 unique
+//	str      = u32 length | bytes
+//
+// A relation is the store's own layout (storage.ColView): its live rows in
+// ordinal order, a column at a time. The kind byte is the sqlvalue.Kind (so
+// reordering that enum changes the format). The null bitmap may be shorter
+// than the rows, as in the store. The payload is one value per row: u64 for
+// BIGINT, DATE and BOOLEAN (0 or 1); the Float64bits of a DOUBLE, so a
+// recovered float is bit-identical; str for a VARCHAR; nothing for a
+// KindNull column, every row of which is NULL. Recovery decodes each column
+// into a typed array and hands the arrays to storage.NewColumnStoreOf.
 //
 // A checkpoint is epoch-consistent by construction: it serializes a pinned
 // *storage.Snapshot, so every table and view belongs to the same committed
@@ -38,7 +47,7 @@ import (
 // directory. Recovery takes the newest file whose CRC verifies; the previous
 // checkpoint is kept as a fallback until the next one lands.
 
-const ckptMagic = "MVWCKPT1"
+const ckptMagic = "MVWCKPT2"
 
 // ViewMeta is the non-row state a checkpoint must carry per view: its
 // definition SQL (re-parsed and re-registered on recovery) and its health
@@ -60,11 +69,11 @@ type CheckpointSpec struct {
 }
 
 // checkpointRelation is one checkpointed table or view: its name, index
-// definitions and live rows.
+// definitions and rows.
 type checkpointRelation struct {
 	name    string
 	indexes []storage.IndexDef
-	rows    []storage.Row
+	store   *storage.ColumnStore
 }
 
 type checkpointView struct {
@@ -79,135 +88,79 @@ type checkpointData struct {
 	views  []checkpointView
 }
 
-// crcWriter folds every written byte into a running CRC-32C.
-type crcWriter struct {
-	w   *bufio.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, castagnoli, p[:n])
-	return n, err
-}
-
-func (c *crcWriter) u8(v uint8) error { _, err := c.Write([]byte{v}); return err }
-func (c *crcWriter) u32(v uint32) error {
-	_, err := c.Write(binary.LittleEndian.AppendUint32(nil, v))
-	return err
-}
-func (c *crcWriter) u64(v uint64) error {
-	_, err := c.Write(binary.LittleEndian.AppendUint64(nil, v))
-	return err
-}
-func (c *crcWriter) str(s string) error {
-	if err := c.u32(uint32(len(s))); err != nil {
-		return err
+// write writes ck's image to w, one buffer per relation.
+func (ck *checkpointData) write(w io.Writer) error {
+	var crc uint32
+	var err error
+	flush := func(b []byte) []byte {
+		crc = crc32.Update(crc, castagnoli, b)
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return b[:0]
 	}
-	_, err := c.Write([]byte(s))
+	b := binary.LittleEndian.AppendUint64([]byte(ckptMagic), ck.epoch)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ck.tables)))
+	for _, t := range ck.tables {
+		b = flush(appendRelation(appendStr(b, t.name), t.indexes, t.store))
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ck.views)))
+	for _, v := range ck.views {
+		b = append(appendStr(appendStr(b, v.name), v.defSQL), uint8(v.health))
+		b = flush(appendRelation(b, v.indexes, v.store))
+	}
+	b = flush(b)
+	flush(binary.LittleEndian.AppendUint32(b, crc))
 	return err
 }
 
-// Value kind tags mirror sqlvalue.Kind but are pinned here so the on-disk
-// format cannot drift if the enum is reordered.
-const (
-	tagNull   = 0
-	tagBool   = 1
-	tagInt    = 2
-	tagFloat  = 3
-	tagString = 4
-	tagDate   = 5
-)
-
-func (c *crcWriter) value(v sqlvalue.Value) error {
-	switch v.Kind() {
-	case sqlvalue.KindNull:
-		return c.u8(tagNull)
-	case sqlvalue.KindBool:
-		if err := c.u8(tagBool); err != nil {
-			return err
-		}
-		if v.Bool() {
-			return c.u8(1)
-		}
-		return c.u8(0)
-	case sqlvalue.KindInt:
-		if err := c.u8(tagInt); err != nil {
-			return err
-		}
-		return c.u64(uint64(v.Int()))
-	case sqlvalue.KindFloat:
-		if err := c.u8(tagFloat); err != nil {
-			return err
-		}
-		return c.u64(math.Float64bits(v.Float()))
-	case sqlvalue.KindString:
-		if err := c.u8(tagString); err != nil {
-			return err
-		}
-		return c.str(v.Str())
-	case sqlvalue.KindDate:
-		if err := c.u8(tagDate); err != nil {
-			return err
-		}
-		return c.u64(uint64(v.DateDays()))
-	default:
-		return fmt.Errorf("wal: cannot checkpoint value kind %v", v.Kind())
-	}
+func appendStr(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
-func (c *crcWriter) indexDefs(defs []storage.IndexDef) error {
-	if err := c.u32(uint32(len(defs))); err != nil {
-		return err
-	}
-	for _, d := range defs {
-		if err := c.u32(uint32(len(d.Cols))); err != nil {
-			return err
+// appendRelation appends a relation's image. A store with tombstones is
+// written through its Rewrite: live rows only, in ordinal order.
+func appendRelation(b []byte, indexes []storage.IndexDef, cs *storage.ColumnStore) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(indexes)))
+	for _, d := range indexes {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(d.Cols)))
+		for _, c := range d.Cols {
+			b = binary.LittleEndian.AppendUint32(b, uint32(c))
 		}
-		for _, col := range d.Cols {
-			if err := c.u32(uint32(col)); err != nil {
-				return err
-			}
-		}
-		u := uint8(0)
+		unique := uint8(0)
 		if d.Unique {
-			u = 1
+			unique = 1
 		}
-		if err := c.u8(u); err != nil {
-			return err
+		b = append(b, unique)
+	}
+	if cs.Live() != cs.Len() {
+		cs = cs.Rewrite()
+	}
+	n := cs.Len()
+	b = binary.LittleEndian.AppendUint32(b, uint32(cs.NumCols()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	for c := 0; c < cs.NumCols(); c++ {
+		col := cs.Col(c)
+		b = binary.LittleEndian.AppendUint32(append(b, uint8(col.Kind)), uint32(len(col.Nulls)))
+		for _, w := range col.Nulls {
+			b = binary.LittleEndian.AppendUint64(b, w)
 		}
-	}
-	return nil
-}
-
-// relation serializes one table's or view's data: its index definitions,
-// then its column store — col count, live row count, and the live rows in
-// ordinal order. Tombstones are not written: a recovered store starts
-// compact.
-func (c *crcWriter) relation(d *storage.Data) error {
-	if err := c.indexDefs(d.IndexDefs()); err != nil {
-		return err
-	}
-	cs := d.Store()
-	if err := c.u32(uint32(cs.NumCols())); err != nil {
-		return err
-	}
-	if err := c.u64(uint64(cs.Live())); err != nil {
-		return err
-	}
-	scratch := make(storage.Row, cs.NumCols())
-	for i := 0; i < cs.Len(); i++ {
-		if cs.IsDead(i) {
-			continue
-		}
-		cs.MaterializeInto(scratch, i)
-		for _, v := range scratch {
-			if err := c.value(v); err != nil {
-				return err
+		switch col.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			for _, x := range col.Ints[:n] {
+				b = binary.LittleEndian.AppendUint64(b, uint64(x))
+			}
+		case sqlvalue.KindFloat:
+			for _, x := range col.Floats[:n] {
+				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+			}
+		case sqlvalue.KindString:
+			for _, s := range col.Strs[:n] {
+				b = appendStr(b, s)
 			}
 		}
 	}
-	return nil
+	return b
 }
 
 func ckptPath(dir string, epoch uint64) string {
@@ -217,93 +170,54 @@ func ckptPath(dir string, epoch uint64) string {
 // writeCheckpoint serializes spec to a temp file and atomically publishes it.
 // On any failure (including injected faults) the temp file is abandoned and
 // the previous checkpoint remains authoritative.
-func writeCheckpoint(dir string, spec CheckpointSpec, inj *faults.Injector) (string, error) {
+func writeCheckpoint(dir string, spec CheckpointSpec, inj *faults.Injector) error {
 	snap := spec.Snap
+	ck := &checkpointData{epoch: snap.Epoch()}
+	for _, name := range snap.Tables() {
+		d := snap.TableData(name)
+		ck.tables = append(ck.tables, checkpointRelation{name, d.IndexDefs(), d.Store()})
+	}
+	// Only views with materialized data in this snapshot are checkpointed;
+	// order deterministically by name.
+	for _, vm := range spec.Views {
+		if d := snap.ViewData(vm.Name); d != nil {
+			ck.views = append(ck.views, checkpointView{checkpointRelation{vm.Name, d.IndexDefs(), d.Store()}, vm.DefSQL, vm.Health})
+		}
+	}
+	sort.Slice(ck.views, func(i, j int) bool { return ck.views[i].name < ck.views[j].name })
+
 	tmp := filepath.Join(dir, "checkpoint.tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
-		return "", fmt.Errorf("wal: creating checkpoint temp file: %w", err)
-	}
-	w := &crcWriter{w: bufio.NewWriterSize(f, 1<<20)}
-	fail := func(err error) (string, error) {
-		_ = f.Close()
-		return "", err
+		return fmt.Errorf("wal: creating checkpoint temp file: %w", err)
 	}
 	if err := inj.Maybe(faults.SiteWALCheckpointWrite); err != nil {
 		// Simulate a crash mid-serialization: a partial temp file remains on
 		// disk and is ignored by recovery (it is never renamed).
 		_, _ = f.WriteString(ckptMagic[:4])
-		return fail(fmt.Errorf("wal: checkpoint write: %w", err))
+		_ = f.Close()
+		return fmt.Errorf("wal: checkpoint write: %w", err)
 	}
-	if _, err := w.Write([]byte(ckptMagic)); err != nil {
-		return fail(err)
+	err = ck.write(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := w.u64(snap.Epoch()); err != nil {
-		return fail(err)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	tables := snap.Tables()
-	if err := w.u32(uint32(len(tables))); err != nil {
-		return fail(err)
-	}
-	for _, name := range tables {
-		if err := w.str(name); err != nil {
-			return fail(err)
-		}
-		if err := w.relation(snap.TableData(name)); err != nil {
-			return fail(err)
-		}
-	}
-	// Only views with materialized data in this snapshot are checkpointed;
-	// order deterministically by name.
-	views := make([]ViewMeta, 0, len(spec.Views))
-	for _, vm := range spec.Views {
-		if snap.ViewData(vm.Name) != nil {
-			views = append(views, vm)
-		}
-	}
-	sort.Slice(views, func(i, j int) bool { return views[i].Name < views[j].Name })
-	if err := w.u32(uint32(len(views))); err != nil {
-		return fail(err)
-	}
-	for _, vm := range views {
-		if err := w.str(vm.Name); err != nil {
-			return fail(err)
-		}
-		if err := w.str(vm.DefSQL); err != nil {
-			return fail(err)
-		}
-		if err := w.u8(uint8(vm.Health)); err != nil {
-			return fail(err)
-		}
-		if err := w.relation(snap.ViewData(vm.Name)); err != nil {
-			return fail(err)
-		}
-	}
-	crc := w.crc
-	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc)); err != nil {
-		return fail(err)
-	}
-	if err := w.w.Flush(); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		return "", err
+	if err != nil {
+		return fmt.Errorf("wal: writing checkpoint: %w", err)
 	}
 	if err := inj.Maybe(faults.SiteWALCheckpointRename); err != nil {
 		// Crash window between the fsync'd temp file and its publication:
 		// the temp file stays behind, recovery ignores it.
-		return "", fmt.Errorf("wal: checkpoint rename: %w", err)
+		return fmt.Errorf("wal: checkpoint rename: %w", err)
 	}
-	final := ckptPath(dir, snap.Epoch())
-	if err := os.Rename(tmp, final); err != nil {
-		return "", fmt.Errorf("wal: publishing checkpoint: %w", err)
+	if err := os.Rename(tmp, ckptPath(dir, snap.Epoch())); err != nil {
+		return fmt.Errorf("wal: publishing checkpoint: %w", err)
 	}
 	syncDir(dir)
-	pruneCheckpoints(dir, 2)
-	return final, nil
+	return nil
 }
 
 // syncDir fsyncs a directory so a rename survives power loss (best-effort;
@@ -327,232 +241,214 @@ func listCheckpoints(dir string) []string {
 	return entries
 }
 
-// pruneCheckpoints removes all but the newest keep checkpoint files.
-func pruneCheckpoints(dir string, keep int) {
-	files := listCheckpoints(dir)
-	for i := keep; i < len(files); i++ {
-		_ = os.Remove(files[i])
+// pruneCheckpoints removes the checkpoints older than the one at epoch
+// keep. Names are zero-padded hex, so they order as their epochs do.
+func pruneCheckpoints(dir string, keep uint64) {
+	for _, path := range listCheckpoints(dir) {
+		if path < ckptPath(dir, keep) {
+			_ = os.Remove(path)
+		}
 	}
 }
 
-// ckptReader decodes a checkpoint from an in-memory buffer.
+// ckptReader decodes a checkpoint body. The first short read or bad field
+// is kept in err and ends the input, so every later read yields zeros and a
+// decode checks once, at the end.
 type ckptReader struct {
 	data []byte
 	off  int
+	err  error
 }
 
-var errCkptTruncated = fmt.Errorf("wal: checkpoint truncated")
-
-func (r *ckptReader) take(n int) ([]byte, error) {
-	if r.off+n > len(r.data) {
-		return nil, errCkptTruncated
+func (r *ckptReader) fail(format string, args ...any) {
+	if r.err == nil {
+		r.err = fmt.Errorf("wal: checkpoint "+format, args...)
 	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b, nil
+	r.off = len(r.data)
 }
 
-func (r *ckptReader) u8() (uint8, error) {
-	b, err := r.take(1)
-	if err != nil {
-		return 0, err
+// room reports whether n more bytes remain, failing the decode if not. Every
+// count is held to it before anything is allocated for it.
+func (r *ckptReader) room(n uint64) bool {
+	if n > uint64(len(r.data)-r.off) {
+		r.fail("truncated: %d bytes wanted, %d left", n, len(r.data)-r.off)
+		return false
 	}
-	return b[0], nil
+	return true
 }
 
-func (r *ckptReader) u32() (uint32, error) {
-	b, err := r.take(4)
-	if err != nil {
-		return 0, err
+func (r *ckptReader) take(n uint64) []byte {
+	if !r.room(n) {
+		return nil
 	}
-	return binary.LittleEndian.Uint32(b), nil
+	b := r.data[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
 }
 
-func (r *ckptReader) u64() (uint64, error) {
-	b, err := r.take(8)
-	if err != nil {
-		return 0, err
+// uint reads an n-byte little-endian integer.
+func (r *ckptReader) uint(n uint64) uint64 {
+	var v uint64
+	for i, c := range r.take(n) {
+		v |= uint64(c) << (8 * i)
 	}
-	return binary.LittleEndian.Uint64(b), nil
+	return v
 }
 
-func (r *ckptReader) str() (string, error) {
-	n, err := r.u32()
-	if err != nil {
-		return "", err
+func (r *ckptReader) str() string { return string(r.take(r.uint(4))) }
+
+// count reads a u32 count of items at least size bytes long each.
+func (r *ckptReader) count(size uint64) int {
+	n := r.uint(4)
+	if !r.room(n * size) {
+		return 0
 	}
-	b, err := r.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
+	return int(n)
 }
 
-func (r *ckptReader) value() (sqlvalue.Value, error) {
-	tag, err := r.u8()
-	if err != nil {
-		return sqlvalue.Null, err
+// words decodes n u64s through conv into a fresh array.
+func words[T any](r *ckptReader, n int, conv func(uint64) T) []T {
+	b := r.take(8 * uint64(n))
+	if b == nil {
+		return nil
 	}
-	switch tag {
-	case tagNull:
-		return sqlvalue.Null, nil
-	case tagBool:
-		b, err := r.u8()
-		if err != nil {
-			return sqlvalue.Null, err
-		}
-		return sqlvalue.NewBool(b != 0), nil
-	case tagInt:
-		u, err := r.u64()
-		if err != nil {
-			return sqlvalue.Null, err
-		}
-		return sqlvalue.NewInt(int64(u)), nil
-	case tagFloat:
-		u, err := r.u64()
-		if err != nil {
-			return sqlvalue.Null, err
-		}
-		return sqlvalue.NewFloat(math.Float64frombits(u)), nil
-	case tagString:
-		s, err := r.str()
-		if err != nil {
-			return sqlvalue.Null, err
-		}
-		return sqlvalue.NewString(s), nil
-	case tagDate:
-		u, err := r.u64()
-		if err != nil {
-			return sqlvalue.Null, err
-		}
-		return sqlvalue.NewDate(int64(u)), nil
-	default:
-		return sqlvalue.Null, fmt.Errorf("wal: unknown value tag %d", tag)
+	out := make([]T, n)
+	for i := range out {
+		out[i] = conv(binary.LittleEndian.Uint64(b[8*i:]))
 	}
+	return out
 }
 
-func (r *ckptReader) indexDefs() ([]storage.IndexDef, error) {
-	n, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	defs := make([]storage.IndexDef, 0, n)
-	for i := uint32(0); i < n; i++ {
-		nc, err := r.u32()
-		if err != nil {
-			return nil, err
-		}
-		cols := make([]int, nc)
+// relation decodes what appendRelation wrote.
+func (r *ckptReader) relation() ([]storage.IndexDef, *storage.ColumnStore) {
+	indexes := make([]storage.IndexDef, r.count(5))
+	for i := range indexes {
+		cols := make([]int, r.count(4))
 		for j := range cols {
-			c, err := r.u32()
-			if err != nil {
-				return nil, err
-			}
-			cols[j] = int(c)
+			cols[j] = int(r.uint(4))
 		}
-		u, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		defs = append(defs, storage.IndexDef{Cols: cols, Unique: u != 0})
+		indexes[i] = storage.IndexDef{Cols: cols, Unique: r.uint(1) != 0}
 	}
-	return defs, nil
+	cols := make([]storage.ColView, r.count(5))
+	for _, d := range indexes {
+		for _, c := range d.Cols {
+			if c >= len(cols) {
+				r.fail("indexes column %d of %d", c, len(cols))
+			}
+		}
+	}
+	// Every column holds at least a bit per row: a KindNull column's bitmap.
+	rows := r.uint(8)
+	if len(cols) == 0 && rows > 0 {
+		r.fail("has %d rows and no columns", rows)
+	}
+	if !r.room(rows / 8) {
+		rows = 0
+	}
+	for c := range cols {
+		cols[c] = r.column(int(rows))
+	}
+	if r.err != nil {
+		return nil, nil
+	}
+	return indexes, storage.NewColumnStoreOf(int(rows), cols)
 }
 
-// relation decodes what crcWriter.relation wrote into rel.
-func (r *ckptReader) relation(rel *checkpointRelation) (err error) {
-	if rel.indexes, err = r.indexDefs(); err != nil {
-		return err
+// column decodes one column of n rows.
+func (r *ckptReader) column(n int) storage.ColView {
+	v := storage.ColView{Kind: sqlvalue.Kind(r.uint(1))}
+	nw := r.count(8)
+	if nw > (n+63)/64 {
+		r.fail("null bitmap of %d words for %d rows", nw, n)
 	}
-	nc, err := r.u32()
-	if err != nil {
-		return err
+	v.Nulls = words(r, nw, func(w uint64) uint64 { return w })
+	if k := len(v.Nulls); k == (n+63)/64 && n%64 != 0 && v.Nulls[k-1]>>(n%64) != 0 {
+		r.fail("NULL past the last of %d rows", n)
 	}
-	nr, err := r.u64()
-	if err != nil {
-		return err
-	}
-	rel.rows = make([]storage.Row, 0, nr)
-	for i := uint64(0); i < nr; i++ {
-		row := make(storage.Row, nc)
-		for j := range row {
-			if row[j], err = r.value(); err != nil {
-				return err
+	switch v.Kind {
+	case sqlvalue.KindNull:
+		set := 0
+		for _, w := range v.Nulls {
+			set += bits.OnesCount64(w)
+		}
+		if set != n {
+			r.fail("KindNull column with %d NULLs in %d rows", set, n)
+		}
+	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+		v.Ints = words(r, n, func(x uint64) int64 { return int64(x) })
+		if v.Kind == sqlvalue.KindBool && slices.ContainsFunc(v.Ints, func(x int64) bool { return x>>1 != 0 }) {
+			r.fail("BOOLEAN payload other than 0 or 1")
+		}
+	case sqlvalue.KindFloat:
+		v.Floats = words(r, n, math.Float64frombits)
+	case sqlvalue.KindString:
+		if r.room(4 * uint64(n)) {
+			v.Strs = make([]string, n)
+			for i := range v.Strs {
+				v.Strs[i] = r.str()
 			}
 		}
-		rel.rows = append(rel.rows, row)
+	default:
+		r.fail("column kind %d", v.Kind)
 	}
-	return nil
+	return v
 }
 
 // parseCheckpoint validates and decodes one checkpoint file's bytes.
 func parseCheckpoint(data []byte) (*checkpointData, error) {
-	if len(data) < len(ckptMagic)+4 || !strings.HasPrefix(string(data[:len(ckptMagic)]), ckptMagic) {
-		return nil, fmt.Errorf("wal: not a checkpoint file")
+	if len(data) < len(ckptMagic)+4 || string(data[:len(ckptMagic)]) != ckptMagic {
+		return nil, fmt.Errorf("wal: not a %s checkpoint", ckptMagic)
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(tail) {
 		return nil, fmt.Errorf("wal: checkpoint CRC mismatch")
 	}
-	r := &ckptReader{data: body, off: len(ckptMagic)}
-	ck := &checkpointData{}
-	var err error
-	if ck.epoch, err = r.u64(); err != nil {
-		return nil, err
+	r := &ckptReader{data: body[len(ckptMagic):]}
+	ck := &checkpointData{epoch: r.uint(8)}
+	ck.tables = make([]checkpointRelation, r.count(20))
+	for i := range ck.tables {
+		t := &ck.tables[i]
+		t.name = r.str()
+		t.indexes, t.store = r.relation()
 	}
-	nt, err := r.u32()
-	if err != nil {
-		return nil, err
+	ck.views = make([]checkpointView, r.count(25))
+	for i := range ck.views {
+		v := &ck.views[i]
+		v.name, v.defSQL, v.health = r.str(), r.str(), int(r.uint(1))
+		v.indexes, v.store = r.relation()
 	}
-	for i := uint32(0); i < nt; i++ {
-		var t checkpointRelation
-		if t.name, err = r.str(); err != nil {
-			return nil, err
-		}
-		if err = r.relation(&t); err != nil {
-			return nil, err
-		}
-		ck.tables = append(ck.tables, t)
+	if r.off != len(r.data) {
+		r.fail("has %d bytes past its last view", len(r.data)-r.off)
 	}
-	nv, err := r.u32()
-	if err != nil {
-		return nil, err
-	}
-	for i := uint32(0); i < nv; i++ {
-		var v checkpointView
-		if v.name, err = r.str(); err != nil {
-			return nil, err
-		}
-		if v.defSQL, err = r.str(); err != nil {
-			return nil, err
-		}
-		h, err := r.u8()
-		if err != nil {
-			return nil, err
-		}
-		v.health = int(h)
-		if err = r.relation(&v.checkpointRelation); err != nil {
-			return nil, err
-		}
-		ck.views = append(ck.views, v)
+	if r.err != nil {
+		return nil, r.err
 	}
 	return ck, nil
 }
 
 // loadNewestCheckpoint returns the newest checkpoint whose CRC verifies, or
-// nil if none exists. A corrupt newest checkpoint (e.g. bit rot) falls back
-// to the previous one — the log retains every epoch past it.
+// nil when dir holds no checkpoint. A corrupt newest checkpoint (e.g. bit
+// rot) falls back to the older one: the log keeps every record past it (see
+// Manager.Checkpoint). Checkpoint files none of which verifies are refused,
+// never skipped: bootstrapping under them would replay the log onto the
+// wrong base and lose what they held.
 func loadNewestCheckpoint(dir string) (*checkpointData, error) {
-	for _, path := range listCheckpoints(dir) {
+	files := listCheckpoints(dir)
+	var newestErr error
+	for _, path := range files {
 		data, err := os.ReadFile(path)
-		if err != nil {
-			continue
+		if err == nil {
+			var ck *checkpointData
+			if ck, err = parseCheckpoint(data); err == nil {
+				return ck, nil
+			}
 		}
-		ck, err := parseCheckpoint(data)
-		if err != nil {
-			continue
+		if newestErr == nil {
+			newestErr = fmt.Errorf("%s: %w", filepath.Base(path), err)
 		}
-		return ck, nil
+	}
+	if newestErr != nil {
+		return nil, fmt.Errorf("wal: none of the %d checkpoint files in %s verifies (newest: %v); refusing to start over them", len(files), dir, newestErr)
 	}
 	return nil, nil
 }

@@ -191,10 +191,10 @@ func (l *walLog) Sync() error {
 }
 
 // rotateAndTruncate seals the active segment, starts a fresh one, and deletes
-// every sealed segment whose records are all covered by the checkpoint at
-// `epoch`. Records with epochs ≤ epoch that survive in the just-sealed
-// segment are harmless: recovery filters replay by epoch, so truncation is
-// space reclamation, never a correctness mechanism.
+// every sealed segment whose records all have epochs ≤ epoch — the older
+// retained checkpoint's, so a fallback to it still finds every record past
+// it. Records with epochs ≤ epoch that survive in a kept segment are
+// harmless: recovery filters replay by epoch.
 func (l *walLog) rotateAndTruncate(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -131,11 +131,14 @@ func (m *Manager) commitHook(epoch uint64) error {
 	return m.log.Sync()
 }
 
-// Checkpoint serializes spec durably and truncates the log prefix it covers.
-// It takes ownership of spec.Snap and releases it. Failures leave the
-// previous checkpoint authoritative and are retryable — unlike log failures
-// they never poison anything, because a stale checkpoint just means a longer
-// replay.
+// Checkpoint serializes spec durably. It then deletes what the previous
+// checkpoint covers: older checkpoint files and the log segments whose
+// records all precede it. The log keeps every record past the previous
+// checkpoint, so if the new one is found corrupt, recovery falls back to the
+// previous one and replays the rest. It takes ownership of spec.Snap and
+// releases it. Failures leave the previous checkpoint authoritative and are
+// retryable — unlike log failures they never poison anything, because a
+// stale checkpoint just means a longer replay.
 func (m *Manager) Checkpoint(spec CheckpointSpec) error {
 	m.ckptMu.Lock()
 	defer m.ckptMu.Unlock()
@@ -146,11 +149,13 @@ func (m *Manager) Checkpoint(spec CheckpointSpec) error {
 		// have been written by a previous process); skip the write.
 		return nil
 	}
-	if _, err := writeCheckpoint(m.dir, spec, m.inj); err != nil {
+	if err := writeCheckpoint(m.dir, spec, m.inj); err != nil {
 		m.ckptFailures.Add(1)
 		return err
 	}
-	if err := m.log.rotateAndTruncate(epoch); err != nil {
+	prev := m.ckptEpoch.Load()
+	pruneCheckpoints(m.dir, prev)
+	if err := m.log.rotateAndTruncate(prev); err != nil {
 		return err
 	}
 	m.checkpoints.Add(1)

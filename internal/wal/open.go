@@ -173,12 +173,9 @@ func rebuildTables(ck *checkpointData, cat *catalog.Catalog) (*storage.Database,
 		if t == nil {
 			return nil, fmt.Errorf("wal: checkpoint has table %q not in the catalog; schema mismatch", ct.name)
 		}
-		for _, r := range ct.rows {
-			if err := t.Insert(r); err != nil {
-				return nil, fmt.Errorf("wal: restoring table %s: %w", ct.name, err)
-			}
+		if err := t.Restore(ct.store); err != nil {
+			return nil, fmt.Errorf("wal: restoring table %s: %w", ct.name, err)
 		}
-		// Indexes are rebuilt after the rows so unique checks cost one pass.
 		for _, idx := range ct.indexes {
 			if _, err := t.BuildIndex(idx.Cols, idx.Unique); err != nil {
 				return nil, fmt.Errorf("wal: rebuilding index on %s: %w", ct.name, err)
@@ -198,7 +195,7 @@ func rebuildViews(ck *checkpointData, db *storage.Database, sess *shell.Session)
 		if err != nil {
 			return fmt.Errorf("wal: re-parsing view %s definition: %w", cv.name, err)
 		}
-		if err := sess.RestoreView(cv.name, def, cv.rows, cv.indexes, maintain.State(cv.health)); err != nil {
+		if err := sess.RestoreView(cv.name, def, cv.store.Rows(), cv.indexes, maintain.State(cv.health)); err != nil {
 			return fmt.Errorf("wal: restoring view %s: %w", cv.name, err)
 		}
 	}

@@ -504,30 +504,125 @@ func TestCheckpointPruning(t *testing.T) {
 	}
 }
 
-// TestSegmentTruncation: checkpoints delete sealed segments whose epochs
-// they cover, bounding disk growth.
+// TestSegmentTruncation: a checkpoint deletes the sealed segments the
+// previous checkpoint covers, bounding disk growth, and keeps the records
+// past it, which a fallback to that checkpoint replays.
 func TestSegmentTruncation(t *testing.T) {
 	dir := t.TempDir()
 	res := openDir(t, dir, nil)
 	defer res.Manager.Close()
+	checkpoint := func() {
+		t.Helper()
+		if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, s := range kmStmts[:4] {
 		mustExec(t, res.Session, s)
 	}
-	if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
-		t.Fatal(err)
+	checkpoint()
+	first := walFiles(t, dir, "wal-*.log")
+	if len(first) != 2 {
+		t.Fatalf("%d segments after the first checkpoint, want 2 (the records past genesis, a fresh active)", len(first))
+	}
+	mustExec(t, res.Session, kmStmts[4])
+	checkpoint()
+	if _, err := os.Stat(first[0]); !os.IsNotExist(err) {
+		t.Fatalf("segment %s, covered by the first checkpoint, survived the second: %v", first[0], err)
 	}
 	segs := walFiles(t, dir, "wal-*.log")
-	if len(segs) != 1 {
-		t.Fatalf("%d segments after covering checkpoint, want 1 (fresh active)", len(segs))
+	if len(segs) != 2 || segs[0] != first[1] {
+		t.Fatalf("segments after the second checkpoint %v, want %s (the record past the first) and a fresh active", segs, first[1])
 	}
-	// The surviving active segment must be empty: everything is in the
-	// checkpoint.
-	info, err := os.Stat(segs[0])
+	info, err := os.Stat(segs[1])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Size() != 0 {
 		t.Fatalf("active segment has %d bytes after checkpoint, want 0", info.Size())
+	}
+}
+
+// corrupt rewrites a file through edit.
+func corrupt(t *testing.T, path string, edit func([]byte)) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(data)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func flipMiddleByte(data []byte) { data[len(data)/2] ^= 0xff }
+
+// TestCorruptNewestCheckpointFallsBack: when the newest checkpoint fails its
+// CRC, recovery falls back to the older one and replays every record past
+// it, which the log still holds: no acknowledged write is lost.
+func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	res := openDir(t, dir, nil)
+	checkpoint := func() {
+		t.Helper()
+		if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustExec(t, res.Session, kmStmts[0])
+	mustExec(t, res.Session, kmStmts[2])
+	checkpoint()
+	mustExec(t, res.Session, kmStmts[4])
+	checkpoint()
+	mustExec(t, res.Session, `insert into orders values (900003, 11, 'O', 333.75, '1998-05-06', '3-MEDIUM', 'Clerk#3', 0, 'third')`)
+	want := dumpState(res.DB)
+	res.Manager.Close()
+
+	files := walFiles(t, dir, "checkpoint-*.ckpt")
+	if len(files) != 2 {
+		t.Fatalf("%d checkpoints on disk, want 2", len(files))
+	}
+	corrupt(t, files[1], flipMiddleByte)
+	re := openDir(t, dir, nil)
+	defer re.Manager.Close()
+	if re.Recovery.ReplayedRecords != 2 {
+		t.Fatalf("replayed %d records past the older checkpoint, want 2", re.Recovery.ReplayedRecords)
+	}
+	if got := dumpState(re.DB); got != want {
+		t.Fatal("state recovered through the older checkpoint differs from the state before the crash")
+	}
+}
+
+// TestUnverifiedCheckpointsRefused: checkpoint files none of which verifies
+// — bit rot, or a format this build does not read — make Open refuse,
+// naming the directory, instead of bootstrapping under them and replaying
+// the truncated log onto fresh data.
+func TestUnverifiedCheckpointsRefused(t *testing.T) {
+	for name, edit := range map[string]func([]byte){
+		"flipped byte": flipMiddleByte,
+		"old format":   func(data []byte) { copy(data, "MVWCKPT1") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			res := openDir(t, dir, nil)
+			mustExec(t, res.Session, kmStmts[2])
+			if err := res.Manager.Checkpoint(wal.GatherSpec(res.DB, res.Session)); err != nil {
+				t.Fatal(err)
+			}
+			res.Manager.Close()
+			for _, path := range walFiles(t, dir, "checkpoint-*.ckpt") {
+				corrupt(t, path, edit)
+			}
+			re, err := wal.Open(dir, testOptions(nil))
+			if err == nil {
+				re.Manager.Close()
+				t.Fatal("Open started over checkpoints none of which verifies")
+			}
+			if !strings.Contains(err.Error(), dir) {
+				t.Fatalf("refusal %q does not name the directory %s", err, dir)
+			}
+		})
 	}
 }
 

@@ -126,8 +126,12 @@ func canBeNull(def *spjg.Query, e expr.Expr) bool {
 // committed epoch, so it may run concurrently with query traffic, and
 // returns them with that epoch: they are v's contents only while the
 // database is still at it. It is the one computation of a view from scratch
-// (CREATE VIEW, the autopilot, Repair). Panics become errors, and the
-// recompute fault site fires here so chaos runs can break a build.
+// (CREATE VIEW, the autopilot, Repair). An aggregate view's rows come back
+// in the order of its grouping columns, the unique clustered key §2 stores
+// such a view under (stable, NULL keys last); Install keeps whatever order it
+// is handed, so a view restored from a checkpoint keeps the order it had.
+// Panics become errors, and the recompute fault site fires here so chaos
+// runs can break a build.
 func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error) {
 	err = guard(func() error {
 		if ferr := m.faults.Maybe(faults.SiteMaintainRecompute); ferr != nil {
@@ -138,9 +142,33 @@ func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error
 		epoch = snap.Epoch()
 		var rerr error
 		rows, rerr = exec.RunQuery(snap, v.Def)
+		if len(v.keyPos) > 0 {
+			slices.SortStableFunc(rows, func(a, b storage.Row) int {
+				for _, c := range v.keyPos {
+					if d := compareKey(a[c], b[c]); d != 0 {
+						return d
+					}
+				}
+				return 0
+			})
+		}
 		return rerr
 	})
 	return rows, epoch, err
+}
+
+// compareKey orders two values of one key column, NULL after every value.
+func compareKey(a, b sqlvalue.Value) int {
+	switch an, bn := a.IsNull(), b.IsNull(); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	case bn:
+		return -1
+	}
+	d, _ := sqlvalue.Compare(a, b)
+	return d
 }
 
 // Install stores rows — Build's result, still current — as v's contents,

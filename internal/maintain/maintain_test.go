@@ -591,3 +591,67 @@ func TestMaintenanceRandomChurn(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildStoresClusteredOrder: Build returns an aggregate view's rows in
+// the order of its grouping columns, NULL keys last, and Install stores them
+// as handed.
+func TestBuildStoresClusteredOrder(t *testing.T) {
+	cat := catalog.New()
+	if err := cat.Add(&catalog.Table{Name: "t", Columns: []catalog.Column{
+		{Name: "k", Type: sqlvalue.KindInt, NotNull: true},
+		{Name: "g", Type: sqlvalue.KindInt},
+		{Name: "x", Type: sqlvalue.KindInt, NotNull: true},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	db := storage.NewDatabase(cat)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 3000; i++ {
+		g := sqlvalue.NewInt(int64(rng.Intn(500)))
+		if rng.Intn(20) == 0 {
+			g = sqlvalue.Null
+		}
+		if err := db.Table("t").Insert(storage.Row{sqlvalue.NewInt(int64(rng.Intn(3))), g, sqlvalue.NewInt(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Commit()
+	m := maintain.New(db)
+	def := &spjg.Query{
+		Tables:  []spjg.TableRef{{Table: cat.Table("t")}},
+		GroupBy: []expr.Expr{expr.Col(0, 1), expr.Col(0, 0)},
+		Outputs: []spjg.OutputColumn{
+			{Name: "g", Expr: expr.Col(0, 1)},
+			{Name: "k", Expr: expr.Col(0, 0)},
+			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+			{Name: "x", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, 2)}},
+		},
+	}
+	v, err := register(m, "clustered", def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := db.View("clustered").Rows()
+	nonNull := 0
+	for i, r := range rows {
+		if !r[0].IsNull() {
+			nonNull++
+		}
+		if i == 0 {
+			continue
+		}
+		p := rows[i-1]
+		if p[0].IsNull() && !r[0].IsNull() {
+			t.Fatalf("row %d: key %v after a NULL key", i, r[0])
+		}
+		g, _ := sqlvalue.Compare(p[0], r[0])
+		k, _ := sqlvalue.Compare(p[1], r[1])
+		if !r[0].IsNull() && (g > 0 || g == 0 && k >= 0) || p[0].IsNull() && r[0].IsNull() && k >= 0 {
+			t.Fatalf("rows %d and %d out of key order: %v, %v", i-1, i, p, r)
+		}
+	}
+	if nonNull == 0 || nonNull == len(rows) {
+		t.Fatalf("%d of %d groups have a key: want both kinds", nonNull, len(rows))
+	}
+	checkAgainstRecompute(t, db, v)
+}

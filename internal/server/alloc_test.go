@@ -14,14 +14,15 @@ import (
 // objects (body limit, statement text, fingerprint, snapshot pin, response
 // header) and the one row it returns: 12 allocations and 851 bytes. A range
 // rollup answered by a view scan binds the filter the plan's first
-// execution compiled and runs a pipeline: 41 allocations and 3.6 KB.
+// execution compiled and runs a pipeline inline over the one block of the
+// view its range can match: 27 allocations and 3 253 bytes.
 func TestQueryHitAllocs(t *testing.T) {
 	f := newHitFixture(t)
 	for _, class := range []struct {
 		name          string
 		bodies        [][]byte
 		allocs, bytes float64
-	}{{"point", f.points, 14, 1024}, {"range", f.ranges, 46, 4096}} {
+	}{{"point", f.points, 14, 1024}, {"range", f.ranges, 29, 3578}} {
 		c := newReusedCall("/query")
 		i := 0
 		hit := func() {

@@ -210,3 +210,28 @@ func TestSeekResultSurvivesMaintenance(t *testing.T) {
 		t.Fatalf("maintenance reached into an earlier seek result: %v, was %s", before, kept)
 	}
 }
+
+// TestQueryHitRangeReadsOneBlock: qh_oc is stored in the order of its
+// grouping column, so its two blocks hold disjoint key ranges and each cached
+// range rollup's zone test leaves one of them: the scan counters show one
+// block scanned and one skipped per hit.
+func TestQueryHitRangeReadsOneBlock(t *testing.T) {
+	f := newHitFixture(t)
+	snap := f.srv.db.Snapshot()
+	blocks := snap.ViewData("qh_oc").Store().NumBlocks()
+	snap.Release()
+	if blocks != 2 {
+		t.Fatalf("qh_oc: %d blocks, want 2", blocks)
+	}
+	c := newReusedCall("/query")
+	for _, body := range f.ranges {
+		before := exec.ReadScanStats()
+		if code, out := c.do(f.h, body); code != http.StatusOK {
+			t.Fatalf("status %d: %s", code, out)
+		}
+		after := exec.ReadScanStats()
+		if scanned, skipped := after.BlocksScanned-before.BlocksScanned, after.BlocksSkipped-before.BlocksSkipped; scanned != 1 || skipped != 1 {
+			t.Errorf("%s: scanned %d blocks and skipped %d, want 1 and 1", body, scanned, skipped)
+		}
+	}
+}

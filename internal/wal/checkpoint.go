@@ -241,11 +241,11 @@ func listCheckpoints(dir string) []string {
 	return entries
 }
 
-// pruneCheckpoints removes the checkpoints older than the one at epoch
-// keep. Names are zero-padded hex, so they order as their epochs do.
-func pruneCheckpoints(dir string, keep uint64) {
+// pruneCheckpoints removes every checkpoint but the two at epochs prev and
+// cur: older ones, and any a recovery skipped as corrupt.
+func pruneCheckpoints(dir string, prev, cur uint64) {
 	for _, path := range listCheckpoints(dir) {
-		if path < ckptPath(dir, keep) {
+		if path != ckptPath(dir, prev) && path != ckptPath(dir, cur) {
 			_ = os.Remove(path)
 		}
 	}

@@ -132,8 +132,9 @@ func (m *Manager) commitHook(epoch uint64) error {
 }
 
 // Checkpoint serializes spec durably. It then deletes what the previous
-// checkpoint covers: older checkpoint files and the log segments whose
-// records all precede it. The log keeps every record past the previous
+// checkpoint covers: every other checkpoint file (older ones, and any
+// recovery skipped as corrupt) and the log segments whose records all
+// precede it. The log keeps every record past the previous
 // checkpoint, so if the new one is found corrupt, recovery falls back to the
 // previous one and replays the rest. It takes ownership of spec.Snap and
 // releases it. Failures leave the previous checkpoint authoritative and are
@@ -154,7 +155,7 @@ func (m *Manager) Checkpoint(spec CheckpointSpec) error {
 		return err
 	}
 	prev := m.ckptEpoch.Load()
-	pruneCheckpoints(m.dir, prev)
+	pruneCheckpoints(m.dir, prev, epoch)
 	if err := m.log.rotateAndTruncate(prev); err != nil {
 		return err
 	}

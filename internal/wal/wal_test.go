@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -560,7 +561,9 @@ func flipMiddleByte(data []byte) { data[len(data)/2] ^= 0xff }
 
 // TestCorruptNewestCheckpointFallsBack: when the newest checkpoint fails its
 // CRC, recovery falls back to the older one and replays every record past
-// it, which the log still holds: no acknowledged write is lost.
+// it, which the log still holds: no acknowledged write is lost. The
+// checkpoint written after that recovery deletes the corrupt file, and a
+// second restart starts from the new checkpoint with the same state.
 func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	res := openDir(t, dir, nil)
@@ -585,12 +588,23 @@ func TestCorruptNewestCheckpointFallsBack(t *testing.T) {
 	}
 	corrupt(t, files[1], flipMiddleByte)
 	re := openDir(t, dir, nil)
-	defer re.Manager.Close()
 	if re.Recovery.ReplayedRecords != 2 {
 		t.Fatalf("replayed %d records past the older checkpoint, want 2", re.Recovery.ReplayedRecords)
 	}
 	if got := dumpState(re.DB); got != want {
 		t.Fatal("state recovered through the older checkpoint differs from the state before the crash")
+	}
+	re.Manager.Close()
+	if got := walFiles(t, dir, "checkpoint-*.ckpt"); slices.Contains(got, files[1]) || len(got) != 2 {
+		t.Fatalf("checkpoints after the post-recovery checkpoint: %v; want the older one and the new one, not the corrupt %s", got, files[1])
+	}
+	again := openDir(t, dir, nil)
+	defer again.Manager.Close()
+	if again.Recovery.ReplayedRecords != 0 {
+		t.Fatalf("second restart replayed %d records, want 0", again.Recovery.ReplayedRecords)
+	}
+	if got := dumpState(again.DB); got != want {
+		t.Fatal("state after a second restart differs from the state before the crash")
 	}
 }
 

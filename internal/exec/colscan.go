@@ -17,13 +17,15 @@ import (
 // maintainer deltas, benchmarks) feeds the same ledger. A "block" is a block
 // segment visited by one morsel; with the default 1024-row batch size,
 // morsels align with storage blocks and segments == blocks. The join
-// counters are probe-side tuples entering a hash-join probe, tuples whose key
-// found at least one build match, and rows the gather sink boxed out of
+// counters are probe-side tuples entering a hash-join or delta-term probe,
+// tuples whose key found at least one match, and rows the gather sink boxed out of
 // column stores; the gap between probed and gathered is the work late
 // materialization avoids. Workers count in their scanScratch and flush once
-// per morsel; gathered rows are added once per pipeline.
+// per morsel; gathered rows are added once per pipeline. Reference plans
+// counts BuildReferencePlan's compilations: view builds and the oracle, never
+// a maintained write.
 var scanLedger struct {
-	blocksScanned, blocksSkipped, rowsProbed, rowsMatched, rowsGathered atomic.Int64
+	blocksScanned, blocksSkipped, rowsProbed, rowsMatched, rowsGathered, referencePlans atomic.Int64
 }
 
 // ScanStats is a snapshot of the columnar scan and join counters.
@@ -33,6 +35,8 @@ type ScanStats struct {
 	RowsProbed    int64 `json:"rows_probed"`
 	RowsMatched   int64 `json:"rows_matched"`
 	RowsGathered  int64 `json:"rows_gathered"`
+
+	ReferencePlans int64 `json:"reference_plans"`
 }
 
 // SkipRate returns the fraction of visited blocks that zone maps proved
@@ -63,13 +67,15 @@ func ReadScanStats() ScanStats {
 		RowsProbed:    l.rowsProbed.Load(),
 		RowsMatched:   l.rowsMatched.Load(),
 		RowsGathered:  l.rowsGathered.Load(),
+
+		ReferencePlans: l.referencePlans.Load(),
 	}
 }
 
 // ResetScanStats zeroes the scan and join counters (benchmarks and tests).
 func ResetScanStats() {
 	l := &scanLedger
-	for _, c := range []*atomic.Int64{&l.blocksScanned, &l.blocksSkipped, &l.rowsProbed, &l.rowsMatched, &l.rowsGathered} {
+	for _, c := range []*atomic.Int64{&l.blocksScanned, &l.blocksSkipped, &l.rowsProbed, &l.rowsMatched, &l.rowsGathered, &l.referencePlans} {
 		c.Store(0)
 	}
 }
@@ -208,15 +214,25 @@ type scanSource struct {
 // compilation when they are not (a column that held only NULLs has since
 // taken a kind, or a rewrite left one all-NULL again).
 func newScanSource(store *storage.ColumnStore, filter expr.Expr, cached *atomic.Pointer[scanPred]) (*scanSource, error) {
+	s := new(scanSource)
+	return s, s.bind(store, filter, cached)
+}
+
+// bind points s at store under filter, as newScanSource describes, reusing
+// s's column slice.
+func (s *scanSource) bind(store *storage.ColumnStore, filter expr.Expr, cached *atomic.Pointer[scanPred]) error {
 	if err := checkRid(store.Len()); err != nil {
-		return nil, err
+		return err
 	}
-	s := &scanSource{store: store, cols: make([]storage.ColView, store.NumCols())}
-	for c := range s.cols {
-		s.cols[c] = store.Col(c)
+	s.store, s.cols, s.pred, s.zones = store, s.cols[:0], nil, nil
+	if cap(s.cols) < store.NumCols() {
+		s.cols = make([]storage.ColView, 0, store.NumCols())
+	}
+	for c := range store.NumCols() {
+		s.cols = append(s.cols, store.Col(c))
 	}
 	if filter == nil {
-		return s, nil
+		return nil
 	}
 	if cached != nil {
 		s.pred = cached.Load()
@@ -228,7 +244,7 @@ func newScanSource(store *storage.ColumnStore, filter expr.Expr, cached *atomic.
 		}
 	}
 	s.zones = s.pred.zones
-	return s, nil
+	return nil
 }
 
 // restrictToBuild makes a hash join's probe scan skip the blocks whose keys

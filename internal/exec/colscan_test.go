@@ -305,8 +305,8 @@ func TestTombstonesMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	deleted, err := tb.DeleteOrds(victims)
-	if err != nil || len(deleted) != len(victims) {
-		t.Fatalf("DeleteOrds removed %d of %d rows: %v", len(deleted), len(victims), err)
+	if err != nil || deleted.Len() != len(victims) {
+		t.Fatalf("DeleteOrds removed %d of %d rows: %v", deleted.Len(), len(victims), err)
 	}
 	view.Delete(victims)
 	if err := view.PatchIndexes(); err != nil {

@@ -39,7 +39,7 @@ type Engine struct {
 	// Workers caps the number of goroutines per pipeline. 0 (or negative)
 	// selects GOMAXPROCS. Small inputs use fewer workers — never more than
 	// one per morsel — and a single-worker pipeline runs inline without
-	// spawning goroutines, which keeps tiny maintainer delta queries cheap.
+	// spawning goroutines.
 	Workers int
 	// BatchSize is the number of rows per batch/morsel (default 1024,
 	// matching storage.BlockRows so morsels align with zone-map blocks).

@@ -12,7 +12,10 @@
 //   - RunReference is the original row-at-a-time interpreter, kept as the
 //     semantic baseline for equivalence tests and benchmarks.
 //
-// Both produce rows in the same deterministic order.
+// Both produce rows in the same deterministic order. Incremental view
+// maintenance does not run plans: a view's delta term is compiled once into
+// a DeltaTerm (delta.go) and evaluated over each statement's few changed
+// rows, probing the other tables by key.
 package exec
 
 import (

@@ -16,6 +16,7 @@ import (
 // the baseline evaluator used to validate substitutes and to execute no-view
 // plans.
 func BuildReferencePlan(q *spjg.Query) (Node, error) {
+	scanLedger.referencePlans.Add(1)
 	widths := make([]int, len(q.Tables))
 	offsets := make([]int, len(q.Tables))
 	total := 0

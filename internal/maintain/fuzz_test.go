@@ -30,8 +30,11 @@ func (b *fuzzBytes) next() int {
 // FuzzMaintainDelta holds the delta path to a recompute: a few orders over
 // four customers, 1–3 views over orders (1–3 instances joined on o_custkey,
 // an optional customer join, an optional range conjunct, SPJ or a
-// COUNT_BIG/SUM rollup), then 1–8 INSERT or DELETE statements on orders.
-// After every statement each Fresh view must hold exactly what its
+// COUNT_BIG/SUM rollup), optionally a rollup whose price floor many a
+// statement's Δ fails entirely (the irrelevant-update test skips it), and
+// optionally two views joining orders to customer on one key (one shared
+// Δ⋈customer node), then 1–8 INSERT or DELETE statements on orders. After
+// every statement each view must be Fresh and hold exactly what its
 // definition evaluates to, and no statement may fail. Customer keys run
 // 1–5, so some orders join no customer.
 func FuzzMaintainDelta(f *testing.F) {
@@ -70,6 +73,13 @@ func FuzzMaintainDelta(f *testing.F) {
 			}
 			views = append(views, v)
 		}
+		for _, def := range extraViews(cat, &in) {
+			v, err := register(m, fmt.Sprintf("fz%d", len(views)), def)
+			if err != nil {
+				t.Fatalf("view %s: %v", def, err)
+			}
+			views = append(views, v)
+		}
 		for s := range 1 + in.next()%8 {
 			var err error
 			var what string
@@ -98,7 +108,7 @@ func FuzzMaintainDelta(f *testing.F) {
 			}
 			for _, v := range views {
 				if st, _ := m.ViewState(v.Name); st != maintain.Fresh {
-					continue
+					t.Fatalf("after statement %d (%s), view %s is %s", s, what, v.Name, st)
 				}
 				want, err := exec.RunQuery(db, v.Def)
 				if err != nil {
@@ -175,4 +185,48 @@ func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 		}
 	}
 	return &q
+}
+
+// extraViews decodes the views beside fuzzView's: a rollup of orders priced
+// at least a floor of 5000–8000 (prices run 0–7000, so many a statement's Δ
+// has no row to pass), and two views joining orders to customer on
+// o_custkey = c_custkey — a rollup by nation and an SPJ view — whose delta
+// terms share one Δ⋈customer node.
+func extraViews(cat *catalog.Catalog, in *fuzzBytes) []*spjg.Query {
+	flags := in.next()
+	var out []*spjg.Query
+	if flags&1 != 0 {
+		out = append(out, &spjg.Query{
+			Tables:  []spjg.TableRef{{Table: cat.Table("orders")}},
+			Where:   expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(int64(5+in.next()%4)*1000)),
+			GroupBy: []expr.Expr{expr.Col(0, tpch.OCustkey)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "c", Expr: expr.Col(0, tpch.OCustkey)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
+			},
+		})
+	}
+	if flags&2 != 0 {
+		join := []spjg.TableRef{{Table: cat.Table("orders")}, {Table: cat.Table("customer")}}
+		on := expr.Eq(expr.Col(0, tpch.OCustkey), expr.Col(1, tpch.CCustkey))
+		out = append(out, &spjg.Query{
+			Tables:  join,
+			Where:   on,
+			GroupBy: []expr.Expr{expr.Col(1, tpch.CNationkey)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "n", Expr: expr.Col(1, tpch.CNationkey)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
+			},
+		}, &spjg.Query{
+			Tables: join,
+			Where:  on,
+			Outputs: []spjg.OutputColumn{
+				{Name: "k", Expr: expr.Col(0, tpch.OOrderkey)},
+				{Name: "name", Expr: expr.Col(1, tpch.CName)},
+			},
+		})
+	}
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"matview/internal/faults"
@@ -185,6 +186,10 @@ type lifecycle struct {
 	now      func() time.Time
 	rng      *rand.Rand // jitter; guarded by mu
 
+	// version counts the changes to the set of views and their states; a
+	// maintenance program is compiled for one version.
+	version atomic.Uint64
+
 	stats         Stats // counter fields only; state counts derived on read
 	nonFresh      int
 	degradedSince time.Time
@@ -312,6 +317,7 @@ func (lc *lifecycle) transition(name string, to State, cause error) (from State,
 	}
 	from = h.state
 	h.state = to
+	lc.version.Add(1)
 	if cause != nil {
 		h.lastErr = cause
 	}
@@ -354,6 +360,7 @@ func (lc *lifecycle) register(name string, st State) {
 	lc.mu.Lock()
 	defer lc.mu.Unlock()
 	lc.health[name] = &viewHealth{state: st}
+	lc.version.Add(1)
 	lc.accountTransition(Fresh, st)
 }
 
@@ -364,6 +371,7 @@ func (lc *lifecycle) drop(name string) {
 	if h, ok := lc.health[name]; ok {
 		lc.accountTransition(h.state, Fresh)
 		delete(lc.health, name)
+		lc.version.Add(1)
 	}
 }
 
@@ -385,6 +393,7 @@ func (m *Maintainer) failView(name string, err error) {
 	}
 	from := h.state
 	h.state = Stale
+	m.lc.version.Add(1)
 	h.lastErr = err
 	h.nextAttempt = m.lc.now() // due immediately; backoff starts on repair failure
 	m.lc.accountTransition(from, Stale)
@@ -426,6 +435,7 @@ func (m *Maintainer) repairFailed(name string, err error) bool {
 		h.nextAttempt = m.lc.now().Add(delay)
 	}
 	h.state = to
+	m.lc.version.Add(1)
 	m.lc.accountTransition(from, to)
 	listener := m.lc.listener
 	m.lc.mu.Unlock()

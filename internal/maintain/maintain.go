@@ -59,11 +59,15 @@ type Maintainer struct {
 	faults *faults.Injector
 
 	lc *lifecycle
+
+	// programs holds each changed table's maintenance program, compiled for
+	// the view-set version it names (see program).
+	programs map[string]*program
 }
 
 // New returns a maintainer over the database.
 func New(db *storage.Database) *Maintainer {
-	return &Maintainer{db: db, lc: newLifecycle()}
+	return &Maintainer{db: db, lc: newLifecycle(), programs: map[string]*program{}}
 }
 
 // find returns the position of the named view, or -1.
@@ -229,13 +233,11 @@ func instancesOf(def *spjg.Query, table string) int {
 // Insert appends rows to a base table and maintains every registered view
 // (see write).
 func (m *Maintainer) Insert(table string, rows []storage.Row) error {
-	_, err := m.write("insert", table, +1, func(t *storage.Table) ([]storage.Row, error) {
-		for _, r := range rows {
-			if err := t.Insert(r); err != nil {
-				return nil, err
-			}
+	_, err := m.write("insert", table, +1, func(t *storage.Table) (*storage.ColumnStore, error) {
+		if err := t.InsertRows(rows); err != nil {
+			return nil, err
 		}
-		return rows, nil
+		return t.Tail(len(rows)), nil
 	})
 	return err
 }
@@ -246,16 +248,16 @@ func (m *Maintainer) Insert(table string, rows []storage.Row) error {
 // pred sees every live row boxed, so the statement costs a full pass over
 // the table; DeleteWhere takes the predicate as an expression and does not.
 func (m *Maintainer) Delete(table string, pred func(storage.Row) bool) (int, error) {
-	return m.write("delete", table, -1, func(t *storage.Table) ([]storage.Row, error) { return t.DeleteWhere(pred) })
+	return m.write("delete", table, -1, func(t *storage.Table) (*storage.ColumnStore, error) { return t.DeleteWhere(pred) })
 }
 
 // DeleteWhere is Delete for a WHERE clause over the table's columns (nil
 // deletes every row). The victims are found the way a scan finds them —
-// compiled column predicate, zone maps — and only they are boxed. A clause
-// whose evaluation could fail on some row goes row by row instead, counting
-// a failing row as not matching.
+// compiled column predicate, zone maps — and none is boxed. A clause whose
+// evaluation could fail on some row goes row by row instead, counting a
+// failing row as not matching.
 func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
-	return m.write("delete", table, -1, func(t *storage.Table) ([]storage.Row, error) {
+	return m.write("delete", table, -1, func(t *storage.Table) (*storage.ColumnStore, error) {
 		if ords, ok := exec.MatchOrdinals(t.Store(), where); ok {
 			return t.DeleteOrds(ords)
 		}
@@ -268,19 +270,21 @@ func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
 }
 
 // write runs one INSERT or DELETE as a snapshot-to-snapshot commit: base
-// changes the table and returns the changed rows Δ (sign +1 for inserted
-// rows, -1 for deleted ones), one loop brings every view over the table up
-// to date, and the base write and every view update that succeeded publish
-// together as the next epoch. Snapshots pinned before keep reading the
-// previous epoch in full. Concretely:
+// changes the table and returns the changed rows Δ as a batch of the
+// table's column types (sign +1 for inserted rows, -1 for deleted ones), the
+// table's maintenance program brings every view over the table up to date,
+// and the base write and every view update that succeeded publish together
+// as the next epoch. Snapshots pinned before keep reading the previous epoch
+// in full. Concretely:
 //
 //   - A base-write failure aborts the statement: the table rolls back to the
 //     committed epoch, no view is touched, the epoch does not advance, and the
 //     returned *MaintenanceError has Base set.
 //   - One rule per view: a view that is not Fresh is skipped (Repair owns
-//     it); every other view folds in one delta term per instance of the
-//     table it reads (deltaTerm), each evaluated over one overlay in which Δ
-//     stands for the table and applied with the statement's sign.
+//     it); every other view folds in its delta terms (program), one per
+//     instance of the table it reads, each applied with the statement's
+//     sign. A view whose conjuncts on the table alone no Δ row passes is
+//     left as it is.
 //   - A failing view rolls back to its committed contents — consistent but
 //     stale, never torn — and is marked Stale before the statement returns;
 //     the rest of the statement still commits.
@@ -290,65 +294,47 @@ func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
 //
 // The returned error names exactly which views were updated, failed, or
 // skipped; the count is len(Δ).
-func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Table) ([]storage.Row, error)) (int, error) {
+func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Table) (*storage.ColumnStore, error)) (int, error) {
 	t := m.db.Table(table)
 	if t == nil {
 		return 0, fmt.Errorf("maintain: unknown table %q", table)
 	}
 	rep := &MaintenanceError{Op: op, Table: table}
-	var changed []storage.Row
+	var delta *storage.ColumnStore
 	if err := guard(func() (err error) {
-		changed, err = base(t)
+		delta, err = base(t)
 		return err
 	}); err != nil {
 		m.db.RollbackTable(table)
 		rep.Base = fmt.Errorf("maintain: base %s on %s failed: %w", op, table, err)
 		return 0, rep
 	}
-	if len(changed) == 0 {
+	if delta == nil || delta.Len() == 0 {
 		return 0, nil
 	}
-	delta := storage.NewOverlay(m.db, table, changed)
-	if slices.ContainsFunc(m.views, func(v *View) bool { return instancesOf(v.Def, table) > 1 }) {
+	p := m.program(table)
+	rep.Skipped = append(rep.Skipped, p.skipped...)
+	var reader storage.Reader = m.db
+	if p.selfJoin {
 		// Self-join terms read the table as written and, through the epoch
 		// not yet holding the base write, as committed.
 		snap := m.db.Snapshot()
 		defer snap.Release()
-		delta.Bind(table+asWritten, m.db.TableData(table))
-		delta.Bind(table+asCommitted, snap.TableData(table))
+		ov := storage.NewOverlay(m.db)
+		ov.Bind(table+asWritten, m.db.TableData(table))
+		ov.Bind(table+asCommitted, snap.TableData(table))
+		reader = ov
 	}
-	for _, v := range m.views {
-		n := instancesOf(v.Def, table)
-		if n == 0 {
+	p.in.Bind(delta, reader, p.index)
+	for i := range p.views {
+		pv := &p.views[i]
+		if err := guard(func() error { return m.maintainView(pv, p.in, sign) }); err != nil {
+			m.db.RollbackView(pv.v.Name)
+			m.failView(pv.v.Name, err)
+			rep.Failed = append(rep.Failed, ViewError{pv.v.Name, err})
 			continue
 		}
-		if st, _ := m.ViewState(v.Name); st != Fresh {
-			rep.Skipped = append(rep.Skipped, v.Name)
-			continue
-		}
-		err := guard(func() error {
-			for i := range n {
-				q := v.Def
-				if n > 1 {
-					q = deltaTerm(v.Def, table, i)
-				}
-				rows, err := m.computeDelta(v, q, delta)
-				if err != nil {
-					return err
-				}
-				if err := m.apply(v, rows, sign); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			m.db.RollbackView(v.Name)
-			m.failView(v.Name, err)
-			rep.Failed = append(rep.Failed, ViewError{v.Name, err})
-			continue
-		}
-		rep.Updated = append(rep.Updated, v.Name)
+		rep.Updated = append(rep.Updated, pv.v.Name)
 	}
 	if _, err := m.db.CommitDurable(); err != nil {
 		m.db.RollbackTable(table)
@@ -359,7 +345,41 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 		rep.Base = fmt.Errorf("maintain: commit of %s on %s failed: %w", op, table, err)
 		return 0, rep
 	}
-	return len(changed), rep.orNil()
+	return delta.Len(), rep.orNil()
+}
+
+// maintainView folds the statement's Δ into one view: first every term's
+// conjuncts on Δ alone (the irrelevant-update test of Blakeley, Coburn and
+// Larson — a view no Δ row can reach is left as it is), then each term's
+// rows, applied with the statement's sign.
+func (m *Maintainer) maintainView(pv *programView, in *exec.DeltaInput, sign int64) error {
+	if pv.err != nil {
+		return pv.err
+	}
+	relevant := false
+	for _, term := range pv.terms {
+		n, err := term.Select(in)
+		if err != nil {
+			return fmt.Errorf("maintain: delta for %s: %w", pv.v.Name, err)
+		}
+		relevant = relevant || n > 0
+	}
+	if !relevant {
+		return nil
+	}
+	for _, term := range pv.terms {
+		if err := m.faults.Maybe(faults.SiteMaintainDelta); err != nil {
+			return fmt.Errorf("maintain: delta for %s: %w", pv.v.Name, err)
+		}
+		rows, err := term.Run(in)
+		if err != nil {
+			return fmt.Errorf("maintain: delta for %s: %w", pv.v.Name, err)
+		}
+		if err := m.apply(pv.v, rows, sign); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // The names under which a statement's overlay binds the changed table as
@@ -376,38 +396,28 @@ const (
 //
 // Each changed join tuple falls in exactly one term, so each term is applied
 // on its own. The term is def with the other instances renamed to the
-// overlay's bindings.
-func deltaTerm(def *spjg.Query, table string, i int) *spjg.Query {
-	q := *def
-	q.Tables = slices.Clone(def.Tables)
+// overlay's bindings, and Δ at the FROM position lead.
+func deltaTerm(def *spjg.Query, table string, i int) (q *spjg.Query, lead int) {
+	cp := *def
+	cp.Tables = slices.Clone(def.Tables)
 	k := 0
-	for j, t := range q.Tables {
+	for j, t := range cp.Tables {
 		if t.Table.Name != table {
 			continue
 		}
-		if k != i {
+		if k == i {
+			lead = j
+		} else {
 			renamed := *t.Table
 			renamed.Name = table + asCommitted
 			if k < i {
 				renamed.Name = table + asWritten
 			}
-			q.Tables[j].Table = &renamed
+			cp.Tables[j].Table = &renamed
 		}
 		k++
 	}
-	return &q
-}
-
-// computeDelta evaluates a delta term of v over the statement's overlay.
-func (m *Maintainer) computeDelta(v *View, q *spjg.Query, delta *storage.Overlay) ([]storage.Row, error) {
-	if err := m.faults.Maybe(faults.SiteMaintainDelta); err != nil {
-		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
-	}
-	rows, err := exec.RunQuery(delta, q)
-	if err != nil {
-		return nil, fmt.Errorf("maintain: delta for %s: %w", v.Name, err)
-	}
-	return rows, nil
+	return &cp, lead
 }
 
 // apply merges delta rows into the stored view. sign is +1 for inserts and
@@ -467,9 +477,10 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 // add (or subtract); groups reaching count zero are removed — the §2
 // incremental-deletion rule that COUNT_BIG exists for. Define admits only
 // sums that cannot be NULL, so a sum merges by plain arithmetic. A stored
-// group is found through the view's locator over the group-by columns (the
-// unique clustered key §2 requires), and a delta holds each group once, so
-// the cost follows the delta's groups, not the view's.
+// group is found through an index over the group-by columns (the unique
+// clustered key §2 requires) — the view's declared one when it has one,
+// else its locator, so the key is not kept twice — and a delta holds each
+// group once, so the cost follows the delta's groups, not the view's.
 func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []storage.Row, sign int64) error {
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
@@ -478,7 +489,10 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 	if sign < 0 {
 		merge = sqlvalue.Sub
 	}
-	loc := mv.Locator(v.keyPos)
+	loc := mv.LookupIndex(v.keyPos)
+	if loc == nil {
+		loc = mv.Locator(v.keyPos)
+	}
 	var buf []byte
 	for _, d := range delta {
 		buf = d.AppendKey(buf[:0], v.keyPos)

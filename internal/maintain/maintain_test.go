@@ -258,9 +258,10 @@ func liOrdersCust(cat *catalog.Catalog, from ...string) *spjg.Query {
 }
 
 // TestDeltaCostsItsDelta: a 10-row INSERT INTO lineitem through a view
-// joining lineitem to orders probes at most two blocks of orders — the delta
-// is the build side, and its order keys bound the probe scan — and the count
-// does not grow with orders (SF 0.01, and four times larger).
+// joining lineitem to orders probes at most two blocks' worth of orders rows
+// and reads at most three blocks — Δ leads and probes orders by key — and
+// the count does not grow with orders (SF 0.01, and four times larger).
+// TestJoinDeltaProbesOrdersByKey pins the exact counts.
 func TestDeltaCostsItsDelta(t *testing.T) {
 	for _, sf := range []float64{0.01, 0.04} {
 		db, err := tpch.NewDatabase(sf, 3)

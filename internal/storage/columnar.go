@@ -27,7 +27,7 @@ package storage
 import (
 	"cmp"
 	"fmt"
-	"math"
+
 	"math/bits"
 
 	"matview/internal/sqlvalue"
@@ -157,24 +157,54 @@ func (c *column) append(v sqlvalue.Value, n int) {
 	c.setPayload(n, v)
 }
 
-// foldZone folds one value of the column's kind into a block's statistics.
-// A NaN leaves the block untracked: it compares equal to everything, so
-// folding it would pin Min and Max and hide the block's other values.
-func foldZone(z *Zone, v sqlvalue.Value) {
-	switch {
-	case v.IsNull():
+// foldLast folds row n, the value just appended, into a block's statistics
+// straight from the typed array, boxing a value only when it becomes the new
+// minimum or maximum. A NaN leaves the block untracked: it compares equal to
+// everything, so folding it would pin Min and Max and hide the block's other
+// values.
+func (c *column) foldLast(z *Zone, n int) {
+	if bitSet(c.Nulls, n) {
 		z.HasNull = true
-	case v.Kind() == sqlvalue.KindFloat && math.IsNaN(v.Float()):
-		z.Tracked = false
+		return
+	}
+	switch c.Kind {
+	case sqlvalue.KindInt:
+		foldAt(z, c.Ints[n], sqlvalue.Value.Int, sqlvalue.NewInt)
+	case sqlvalue.KindDate:
+		foldAt(z, c.Ints[n], sqlvalue.Value.DateDays, sqlvalue.NewDate)
+	case sqlvalue.KindBool:
+		foldAt(z, c.Ints[n], boolPayload, boolValue)
+	case sqlvalue.KindFloat:
+		if x := c.Floats[n]; x != x {
+			z.Tracked = false
+		} else {
+			foldAt(z, x, sqlvalue.Value.Float, sqlvalue.NewFloat)
+		}
+	case sqlvalue.KindString:
+		foldAt(z, c.Strs[n], sqlvalue.Value.Str, sqlvalue.NewString)
+	}
+}
+
+func boolPayload(v sqlvalue.Value) int64 {
+	if v.Bool() {
+		return 1
+	}
+	return 0
+}
+
+func boolValue(x int64) sqlvalue.Value { return sqlvalue.NewBool(x != 0) }
+
+// foldAt folds the non-NULL, non-NaN payload x into z, whose bounds hold
+// payloads of the same kind.
+func foldAt[T cmp.Ordered](z *Zone, x T, payload func(sqlvalue.Value) T, box func(T) sqlvalue.Value) {
+	switch {
 	case !z.HasNonNull:
+		v := box(x)
 		z.Min, z.Max, z.HasNonNull = v, v, true
-	default:
-		if c, _ := sqlvalue.Compare(v, z.Min); c < 0 {
-			z.Min = v
-		}
-		if c, _ := sqlvalue.Compare(v, z.Max); c > 0 {
-			z.Max = v
-		}
+	case x < payload(z.Min):
+		z.Min = box(x)
+	case x > payload(z.Max):
+		z.Max = box(x)
 	}
 }
 
@@ -391,7 +421,7 @@ func (cs *ColumnStore) AppendRow(r Row) {
 			col.tail = Zone{Tracked: true}
 		}
 		if z := &col.tail; z.Tracked {
-			foldZone(z, r[c])
+			col.foldLast(z, n)
 		}
 	}
 	cs.n = n + 1
@@ -429,7 +459,7 @@ func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 // The result is the store appending the live rows one by one would build —
 // the same kinds, payloads, null bitmaps and zones — made column by column:
 // each column's live runs are copied into an exactly sized typed array and
-// each block's zone is folded from that array with foldZone's rules.
+// each block's zone is folded from that array with foldLast's rules.
 func (cs *ColumnStore) Rewrite() *ColumnStore {
 	live := cs.Live()
 	cols := make([]ColView, len(cs.cols))
@@ -437,6 +467,22 @@ func (cs *ColumnStore) Rewrite() *ColumnStore {
 		cols[c] = cs.compact(c, live)
 	}
 	return NewColumnStoreOf(live, cols)
+}
+
+// rewriteOrdinal returns the map from a live row's ordinal to its ordinal in
+// Rewrite's result: the ordinal less the dead rows before it.
+func (cs *ColumnStore) rewriteOrdinal() func(int) int {
+	before := make([]int, len(cs.dead)+1) // dead rows before word w
+	for w, word := range cs.dead {
+		before[w+1] = before[w] + bits.OnesCount64(word)
+	}
+	return func(ord int) int {
+		w := ord >> 6
+		if w >= len(cs.dead) {
+			return ord - before[len(cs.dead)]
+		}
+		return ord - before[w] - bits.OnesCount64(cs.dead[w]&(1<<(uint(ord)&63)-1))
+	}
 }
 
 // NewColumnStoreOf returns a store of n rows over the given column arrays,
@@ -458,6 +504,64 @@ func NewColumnStoreOf(n int, cols []ColView) *ColumnStore {
 		}
 	}
 	return cs
+}
+
+// Gather returns a store of cs's rows at ords, in that order: the batch a
+// write hands to view maintenance as Δ. Each column keeps cs's kind, or
+// kinds[c] while cs's column holds no value yet, so a gathered column keeps
+// its type even when every value in it is NULL. Dead rows keep their
+// payloads, so a delete's victims can be gathered after their tombstones.
+func (cs *ColumnStore) Gather(ords []int, kinds []sqlvalue.Kind) *ColumnStore {
+	n := len(ords)
+	var nInt, nFloat, nStr int
+	for c := range cs.cols {
+		switch gatherKind(cs.cols[c].Kind, kinds[c]) {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			nInt++
+		case sqlvalue.KindFloat:
+			nFloat++
+		case sqlvalue.KindString:
+			nStr++
+		}
+	}
+	// One slab per payload type, cut into the columns.
+	ints, floats, strs := make([]int64, nInt*n), make([]float64, nFloat*n), make([]string, nStr*n)
+	cols := make([]ColView, len(cs.cols))
+	for c := range cs.cols {
+		src := &cs.cols[c]
+		dst := column{ColView: ColView{Kind: gatherKind(src.Kind, kinds[c])}}
+		switch dst.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			dst.Ints, ints = ints[:n:n], ints[n:]
+		case sqlvalue.KindFloat:
+			dst.Floats, floats = floats[:n:n], floats[n:]
+		case sqlvalue.KindString:
+			dst.Strs, strs = strs[:n:n], strs[n:]
+		}
+		for j, ord := range ords {
+			switch {
+			case src.Kind == sqlvalue.KindNull || bitSet(src.Nulls, ord):
+				dst.setNull(j)
+			case dst.Ints != nil:
+				dst.Ints[j] = src.Ints[ord]
+			case dst.Floats != nil:
+				dst.Floats[j] = src.Floats[ord]
+			default:
+				dst.Strs[j] = src.Strs[ord]
+			}
+		}
+		cols[c] = dst.ColView
+	}
+	return NewColumnStoreOf(n, cols)
+}
+
+// gatherKind is the kind a gathered column takes: the stored column's, or
+// the declared one while the stored column holds only NULLs.
+func gatherKind(stored, declared sqlvalue.Kind) sqlvalue.Kind {
+	if stored == sqlvalue.KindNull {
+		return declared
+	}
+	return stored
 }
 
 // compact copies column c's live rows, of which there are live.
@@ -509,7 +613,7 @@ func (c *column) blockZone(lo, hi int) Zone {
 	case sqlvalue.KindDate:
 		return foldTyped(c.Ints, c.Nulls, lo, hi, sqlvalue.NewDate)
 	case sqlvalue.KindBool:
-		return foldTyped(c.Ints, c.Nulls, lo, hi, func(x int64) sqlvalue.Value { return sqlvalue.NewBool(x != 0) })
+		return foldTyped(c.Ints, c.Nulls, lo, hi, boolValue)
 	case sqlvalue.KindFloat:
 		return foldTyped(c.Floats, c.Nulls, lo, hi, sqlvalue.NewFloat)
 	case sqlvalue.KindString:
@@ -518,7 +622,7 @@ func (c *column) blockZone(lo, hi int) Zone {
 	return Zone{Tracked: true, HasNull: true} // a KindNull column: every row is NULL
 }
 
-// foldTyped is foldZone over a[lo:hi] in row order, boxing only the two
+// foldTyped is foldLast over a[lo:hi] in row order, boxing only the two
 // extremes: the first of equal extremes wins, and a NaN stops the fold with
 // the block untracked.
 func foldTyped[T cmp.Ordered](a []T, nulls []uint64, lo, hi int, box func(T) sqlvalue.Value) Zone {

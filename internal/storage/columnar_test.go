@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -350,6 +351,76 @@ func TestRewriteMatchesRowByRow(t *testing.T) {
 					!sameValue(gz.Min, wz.Min) || !sameValue(gz.Max, wz.Max) {
 					t.Fatalf("column %d block %d: zone %+v, row by row %+v", c, b, gz, wz)
 				}
+			}
+		}
+	}
+}
+
+// foldBoxed is the zone fold AppendRow made before it read typed payloads:
+// two sqlvalue.Compare calls per value. TestTypedZoneFoldMatchesBoxed holds
+// foldLast to it.
+func foldBoxed(z *Zone, v sqlvalue.Value) {
+	switch {
+	case v.IsNull():
+		z.HasNull = true
+	case v.Kind() == sqlvalue.KindFloat && math.IsNaN(v.Float()):
+		z.Tracked = false
+	case !z.HasNonNull:
+		z.Min, z.Max, z.HasNonNull = v, v, true
+	default:
+		if c, _ := sqlvalue.Compare(v, z.Min); c < 0 {
+			z.Min = v
+		}
+		if c, _ := sqlvalue.Compare(v, z.Max); c > 0 {
+			z.Max = v
+		}
+	}
+}
+
+// TestTypedZoneFoldMatchesBoxed: on random rows of every kind — NULLs, NaN,
+// ±0 and ±Inf among the floats, blocks that start NULL — the zones AppendRow
+// folds from typed payloads equal the boxed fold's, bit for bit, in every
+// block and the partial tail.
+func TestTypedZoneFoldMatchesBoxed(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	floats := []float64{math.Copysign(0, -1), 0, 1.5, -2.25, math.Inf(1), math.Inf(-1), math.NaN()}
+	pick := func(x sqlvalue.Value) sqlvalue.Value {
+		if rng.Intn(5) == 0 {
+			return sqlvalue.Null
+		}
+		return x
+	}
+	const n = 5*BlockRows + 77
+	rows := make([]Row, n)
+	for i := range rows {
+		f := floats[rng.Intn(len(floats))]
+		if rng.Intn(20) != 0 && math.IsNaN(f) {
+			f = float64(rng.Intn(100)) // NaN rare: most blocks stay tracked
+		}
+		rows[i] = Row{
+			pick(sqlvalue.NewInt(rng.Int63n(2000) - 1000)),
+			pick(sqlvalue.NewDate(rng.Int63n(400))),
+			pick(sqlvalue.NewBool(rng.Intn(2) == 0)),
+			pick(sqlvalue.NewFloat(f)),
+			pick(sqlvalue.NewString(string(rune('a' + rng.Intn(26))))),
+		}
+	}
+	cs := NewColumnStore(5)
+	for _, r := range rows {
+		cs.AppendRow(r)
+	}
+	for c := range 5 {
+		for b := 0; b < cs.NumBlocks(); b++ {
+			want := Zone{Tracked: true}
+			for _, r := range rows[b*BlockRows : min((b+1)*BlockRows, n)] {
+				if want.Tracked {
+					foldBoxed(&want, r[c])
+				}
+			}
+			got := cs.Zone(c, b)
+			if got.Tracked != want.Tracked || got.HasNull != want.HasNull || got.HasNonNull != want.HasNonNull ||
+				!sameValue(got.Min, want.Min) || !sameValue(got.Max, want.Max) {
+				t.Fatalf("column %d block %d: typed fold %+v, boxed fold %+v", c, b, got, want)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"sort"
 	"sync"
@@ -241,19 +242,39 @@ func runModel(t *testing.T, seed int64, steps int) {
 			}
 			refused++
 		}
+		if more.Intn(10) == 0 { // a batch repeating a key within itself
+			r := newTableRow()
+			n := tb.Store().Len()
+			if err := tb.InsertRows([]Row{r, newTableRow(), r}); err == nil || tb.Store().Len() != n {
+				t.Fatalf("step %d: batch repeating id %v: InsertRows returned %v, store %d -> %d rows", step, r[0], err, n, tb.Store().Len())
+			}
+			refused++
+		}
+		if more.Intn(25) == 0 { // the writer's own index on the table, from here on
+			tb.Locator([]int{1})
+		}
 		switch op := rng.Intn(20); {
 		case op < 6: // append to the table, sometimes enough to cross a block
 			n := 1 + rng.Intn(40)
 			if rng.Intn(8) == 0 {
 				n += BlockRows
 			}
-			for i := 0; i < n; i++ {
-				r := newTableRow()
-				if err := tb.Insert(r); err != nil {
+			batch := make([]Row, n)
+			for i := range batch {
+				batch[i] = newTableRow()
+			}
+			if more.Intn(2) == 0 { // one statement, one reindex
+				if err := tb.InsertRows(batch); err != nil {
 					t.Fatal(err)
 				}
-				table = append(table, r)
+			} else {
+				for _, r := range batch {
+					if err := tb.Insert(r); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
+			table = append(table, batch...)
 		case op < 10 && len(table) > 0: // delete from the table by ordinals
 			k := 1 + rng.Intn(min(len(table), 30))
 			if rng.Intn(6) == 0 {
@@ -266,10 +287,11 @@ func runModel(t *testing.T, seed int64, steps int) {
 				victims[i] = ords[p]
 			}
 			before := tb.Store()
-			deleted, err := tb.DeleteOrds(victims)
-			if err != nil || len(deleted) != len(pos) {
-				t.Fatalf("step %d: DeleteOrds(%d ordinals) returned %d rows, %v", step, len(pos), len(deleted), err)
+			batch, err := tb.DeleteOrds(victims)
+			if err != nil || batch.Len() != len(pos) {
+				t.Fatalf("step %d: DeleteOrds(%d ordinals) returned %v, %v", step, len(pos), batch, err)
 			}
+			deleted := batch.Rows()
 			for i, p := range pos {
 				if !sameRow(deleted[i], table[p]) {
 					t.Fatalf("step %d: deleted row %v, model row %v", step, deleted[i], table[p])
@@ -331,13 +353,17 @@ func runModel(t *testing.T, seed int64, steps int) {
 			db.RollbackView("v")
 			mv, view = db.View("v"), cloneRows(cView)
 		}
-		checkStore(t, fmt.Sprintf("step %d: head table", step), tb.Store(), tb.indexes, table)
+		tableIndexes := maps.Clone(tb.indexes)
+		for i, loc := range tb.locators {
+			tableIndexes[fmt.Sprint("locator", i)] = loc
+		}
+		checkStore(t, fmt.Sprintf("step %d: head table", step), tb.Store(), tableIndexes, table)
 		viewIndexes := map[string]*Index{}
 		for key, idx := range mv.indexes {
 			viewIndexes[key] = idx
 		}
-		if mv.locator != nil {
-			viewIndexes["locator"] = mv.locator
+		for i, loc := range mv.locators {
+			viewIndexes[fmt.Sprint("locator", i)] = loc
 		}
 		checkStore(t, fmt.Sprintf("step %d: head view", step), mv.Store(), viewIndexes, view)
 	}

@@ -25,8 +25,8 @@ import (
 )
 
 // Reader is the executor's read surface: the live head (*Database), a pinned
-// epoch (*Snapshot), or a what-if overlay (*Overlay) all satisfy it, so a
-// plan runs identically against any of them.
+// epoch (*Snapshot), or an overlay binding extra names (*Overlay) all
+// satisfy it, so a plan runs identically against any of them.
 type Reader interface {
 	// TableData returns the named table's data at this reader's point in
 	// time, or nil.
@@ -396,27 +396,19 @@ func (db *Database) StartVersionGC(interval, maxAge time.Duration) (stop func())
 	}
 }
 
-// Overlay is a zero-copy what-if reader: it reads exactly like base except
-// that one table is replaced by a transient table holding only the given
-// rows — the standard trick for evaluating a view's delta query Q(T ← Δ)
-// during incremental maintenance, without copying the table map or touching
-// the head. base may be the live database or a pinned snapshot. Bind adds
-// names that read another reader's data of a table, so one query can read
-// the table at several points in time under different names.
+// Overlay is a reader that reads exactly like base except for the names
+// bound in it, each of which reads another reader's data of a table — how
+// one query reads a table at several points in time under different names
+// (a self-join view's delta terms read the changed table as written and as
+// committed). base may be the live database or a pinned snapshot.
 type Overlay struct {
 	base  Reader
 	bound map[string]*Data
 }
 
-// NewOverlay builds an overlay replacing the named table with rows. The
-// table must exist in base.
-func NewOverlay(base Reader, table string, rows []Row) *Overlay {
-	td := base.TableData(table)
-	cs := NewColumnStore(td.store.NumCols())
-	for _, r := range rows {
-		cs.AppendRow(r)
-	}
-	return &Overlay{base: base, bound: map[string]*Data{table: {store: cs}}}
+// NewOverlay returns an overlay over base with nothing bound.
+func NewOverlay(base Reader) *Overlay {
+	return &Overlay{base: base, bound: map[string]*Data{}}
 }
 
 // Bind makes name, which base does not hold, read as d.

@@ -104,13 +104,14 @@ type relation struct {
 	patched  int
 	patchDel []int
 
-	// locator is a view writer's own index over the view's clustered key
-	// (§2): maintenance finds the stored rows a delta touches through it
-	// instead of keying every row per statement. It is never published, so
-	// patching it never clones; whatever replaces the store (rollback,
-	// recompute, repair, rewrite) drops it and the next Locator call
-	// rebuilds it.
-	locator *Index
+	// locators are the writer's own indexes: a view's over its clustered key
+	// (§2), through which maintenance finds the stored rows a delta touches,
+	// and a table's over the columns a view joins it on, through which a
+	// delta probes it. They are never published, so patching them never
+	// clones and a rewrite renumbers them in place; whatever else replaces
+	// the store (rollback, recompute, repair) drops them and the next Locator
+	// call rebuilds one.
+	locators []*Index
 
 	// dirty marks uncommitted mutations since the last published epoch.
 	dirty bool
@@ -156,11 +157,16 @@ func (r *relation) BuildIndex(cols []int, unique bool) (*Index, error) {
 // reindex brings every index up to date after the rows changed: the
 // ordinals of deleted rows leave their buckets and appended rows join theirs
 // — work proportional to the change. When dead rows have piled up the store
-// is rewritten instead and the indexes rebuilt over it; that renumbers every
-// row, so the locator is dropped.
+// is rewritten instead, which renumbers every row: the published indexes are
+// rebuilt over the new store, and the locators, which only the writer reads,
+// are caught up and renumbered in place.
 func (r *relation) reindex() error {
 	if !r.store.rewriteDue() {
 		return r.patch()
+	}
+	var buf []byte
+	for _, loc := range r.locators {
+		buf, _ = r.patchOne(loc, buf) // a non-unique index refuses nothing
 	}
 	store := r.store.Rewrite()
 	indexes := make(map[string]*Index, len(r.indexes))
@@ -171,49 +177,55 @@ func (r *relation) reindex() error {
 		}
 		indexes[key] = rebuilt
 	}
-	r.store, r.indexes, r.locator = store, indexes, nil
+	renumber := r.store.rewriteOrdinal()
+	for _, loc := range r.locators {
+		loc.renumber(renumber)
+	}
+	r.store, r.indexes = store, indexes
 	r.patched, r.patchDel = store.Len(), r.patchDel[:0]
 	return nil
 }
 
-// patch applies the pending row changes to every index and the locator,
-// removals first so an updated row's key is free again before its
-// replacement claims it.
+// patch applies the pending row changes to every index and locator.
 func (r *relation) patch() error {
 	n := r.store.Len()
 	if r.patched == n && len(r.patchDel) == 0 {
 		return nil
 	}
 	var buf []byte
-	each := func(idx *Index) error {
-		for _, ord := range r.patchDel {
-			if ord < r.patched {
-				buf = idx.remove(r.store, ord, buf)
-			}
-		}
-		for ord := r.patched; ord < n; ord++ {
-			if r.store.IsDead(ord) {
-				continue
-			}
-			var ok bool
-			if buf, ok = idx.add(r.store, ord, buf); !ok {
-				return fmt.Errorf("storage: duplicate key in unique index on %s", r.what)
-			}
-		}
-		return nil
-	}
+	var err error
 	for _, idx := range r.indexes {
-		if err := each(idx); err != nil {
+		if buf, err = r.patchOne(idx, buf); err != nil {
 			return err
 		}
 	}
-	if r.locator != nil {
-		if err := each(r.locator); err != nil {
+	for _, loc := range r.locators {
+		if buf, err = r.patchOne(loc, buf); err != nil {
 			return err
 		}
 	}
 	r.patched, r.patchDel = n, r.patchDel[:0]
 	return nil
+}
+
+// patchOne applies the pending row changes to idx, removals first so an
+// updated row's key is free again before its replacement claims it.
+func (r *relation) patchOne(idx *Index, buf []byte) ([]byte, error) {
+	for _, ord := range r.patchDel {
+		if ord < r.patched {
+			buf = idx.remove(r.store, ord, buf)
+		}
+	}
+	for ord := r.patched; ord < r.store.Len(); ord++ {
+		if r.store.IsDead(ord) {
+			continue
+		}
+		var ok bool
+		if buf, ok = idx.add(r.store, ord, buf); !ok {
+			return buf, fmt.Errorf("storage: duplicate key in unique index on %s", r.what)
+		}
+	}
+	return buf, nil
 }
 
 // freeze publishes the head's current contents as an immutable Data.
@@ -227,18 +239,39 @@ func (r *relation) freeze() *Data {
 // the published length.
 func (r *relation) thaw(d *Data) {
 	r.store, r.indexes = d.store.Freeze(), shareIndexes(d.indexes)
-	r.patched, r.patchDel, r.locator, r.dirty = r.store.Len(), nil, nil, false
+	r.patched, r.patchDel, r.locators, r.dirty = r.store.Len(), nil, nil, false
+}
+
+// Locator returns the writer-private index over cols, building it on first
+// use. It agrees with the rows as of the last index patch: for a table, the
+// end of its last write; for a view, its last PatchIndexes.
+func (r *relation) Locator(cols []int) *Index {
+	for _, loc := range r.locators {
+		if slices.Equal(loc.Cols, cols) {
+			return loc
+		}
+	}
+	// A non-unique build cannot fail.
+	loc, _ := buildIndexOn(r.store, cols, false, r.what)
+	r.locators = append(r.locators, loc)
+	return loc
 }
 
 // Table is a base table stored column-major. Its writes are validated
-// against the catalog and keep the indexes current row by row.
+// against the catalog and keep the indexes current statement by statement.
 type Table struct {
 	Meta *catalog.Table
 	relation
+
+	kinds []sqlvalue.Kind // the declared column types
 }
 
 func newTable(meta *catalog.Table) *Table {
-	return &Table{Meta: meta, relation: newRelation(NewColumnStore(len(meta.Columns)), meta.Name, nil)}
+	kinds := make([]sqlvalue.Kind, len(meta.Columns))
+	for i, col := range meta.Columns {
+		kinds[i] = col.Type
+	}
+	return &Table{Meta: meta, relation: newRelation(NewColumnStore(len(meta.Columns)), meta.Name, nil), kinds: kinds}
 }
 
 // indexShards is how many maps an index spreads its buckets over; what a
@@ -327,6 +360,18 @@ func (idx *Index) remove(cs *ColumnStore, ord int, buf []byte) []byte {
 	return buf
 }
 
+// renumber maps every ordinal the index holds through f, in place: only for
+// a locator, whose maps and buckets no published version reads.
+func (idx *Index) renumber(f func(int) int) {
+	for _, m := range idx.shards {
+		for _, ords := range m {
+			for i, o := range ords {
+				ords[i] = f(o)
+			}
+		}
+	}
+}
+
 func indexKey(cols []int) string {
 	buf := make([]byte, 0, 3*len(cols))
 	for i, c := range cols {
@@ -338,13 +383,55 @@ func indexKey(cols []int) string {
 	return string(buf)
 }
 
-// Insert appends a row (which must have the right arity) and files it in
-// the indexes. Unique violations are detected before anything is written,
-// so a failed insert leaves both the column store and every index untouched.
-func (t *Table) Insert(r Row) error {
-	if err := t.faults.Maybe(faults.SiteStorageInsert); err != nil {
-		return err
+// Insert appends one row; it is InsertRows of a one-row batch.
+func (t *Table) Insert(r Row) error { return t.InsertRows([]Row{r}) }
+
+// InsertRows appends a batch of rows (each of the right arity) and files them
+// in the indexes with one patch. Every row is checked first — the insert
+// fault site, kinds, NOT NULL, unique keys against the index and within the
+// batch — so a failed insert leaves both the column store and every index
+// untouched.
+func (t *Table) InsertRows(rows []Row) error {
+	if len(rows) == 0 {
+		return nil
 	}
+	for _, r := range rows {
+		if err := t.faults.Maybe(faults.SiteStorageInsert); err != nil {
+			return err
+		}
+		if err := t.check(r); err != nil {
+			return err
+		}
+	}
+	var buf []byte
+	for _, idx := range t.indexes {
+		if !idx.Unique {
+			continue
+		}
+		var batch map[string]bool // keys earlier rows of the batch claim
+		for k, r := range rows {
+			buf = r.AppendKey(buf[:0], idx.Cols)
+			if len(idx.ProbeKey(buf)) > 0 || batch[string(buf)] {
+				return fmt.Errorf("storage: duplicate key in unique index on %s", t.Meta.Name)
+			}
+			if k < len(rows)-1 {
+				if batch == nil {
+					batch = make(map[string]bool, len(rows))
+				}
+				batch[string(buf)] = true
+			}
+		}
+	}
+	for _, r := range rows {
+		t.store.AppendRow(r)
+	}
+	t.dirty = true
+	return t.reindex() // uniqueness was checked above
+}
+
+// check holds one row to the catalog: its arity, no NULL in a NOT NULL
+// column, and each value of its column's declared type.
+func (t *Table) check(r Row) error {
 	if len(r) != len(t.Meta.Columns) {
 		return fmt.Errorf("storage: row arity %d != %d columns of %s",
 			len(r), len(t.Meta.Columns), t.Meta.Name)
@@ -359,19 +446,18 @@ func (t *Table) Insert(r Row) error {
 			return fmt.Errorf("storage: %s value in %s column %s.%s", k, col.Type, t.Meta.Name, col.Name)
 		}
 	}
-	var buf []byte
-	for _, idx := range t.indexes {
-		if !idx.Unique {
-			continue
-		}
-		buf = r.AppendKey(buf[:0], idx.Cols)
-		if len(idx.ProbeKey(buf)) > 0 {
-			return fmt.Errorf("storage: duplicate key in unique index on %s", t.Meta.Name)
-		}
+	return nil
+}
+
+// Tail returns the last k rows of the table — an INSERT's rows, right after
+// it — as a batch of the table's column types (ColumnStore.Gather).
+func (t *Table) Tail(k int) *ColumnStore {
+	n := t.store.Len()
+	ords := make([]int, k)
+	for i := range ords {
+		ords[i] = n - k + i
 	}
-	t.store.AppendRow(r)
-	t.dirty = true
-	return t.reindex() // uniqueness was checked above
+	return t.store.Gather(ords, t.kinds)
 }
 
 // Restore makes cs, a store read from outside the program (a checkpoint
@@ -468,16 +554,6 @@ func (mv *MaterializedView) Update(ord int, r Row) {
 	mv.tombstone(ord)
 	mv.store.AppendRow(r)
 	mv.dirty = true
-}
-
-// Locator returns the writer-private index over cols, building it on first
-// use. It agrees with the rows as of the last PatchIndexes.
-func (mv *MaterializedView) Locator(cols []int) *Index {
-	if mv.locator == nil || !slices.Equal(mv.locator.Cols, cols) {
-		// A non-unique build cannot fail.
-		mv.locator, _ = buildIndexOn(mv.store, cols, false, mv.what)
-	}
-	return mv.locator
 }
 
 // PatchIndexes brings every index up to date after the view's rows changed
@@ -591,35 +667,38 @@ func (db *Database) DropView(name string) bool {
 	return true
 }
 
-// DeleteOrds removes the rows at the given ordinals and returns them, boxed
-// — the only rows a delete boxes. Each victim costs a tombstone bit and its
-// removal from every index bucket that holds it; nothing is moved. Ordinals
-// that are out of range or already dead are ignored.
-func (t *Table) DeleteOrds(ords []int) ([]Row, error) {
+// DeleteOrds removes the rows at the given ordinals and returns them as a
+// batch of the table's column types (ColumnStore.Gather), read from the
+// payloads their tombstones leave in place; nil when nothing was deleted.
+// Each victim costs a tombstone bit and its removal from every index bucket
+// that holds it; nothing is moved or boxed. Ordinals that are out of range
+// or already dead are ignored.
+func (t *Table) DeleteOrds(ords []int) (*ColumnStore, error) {
 	if err := t.faults.Maybe(faults.SiteStorageDelete); err != nil {
 		return nil, err
 	}
-	var deleted []Row
+	var victims []int
 	for _, ord := range ords {
 		if t.tombstone(ord) {
-			deleted = append(deleted, t.store.RowAt(ord))
+			victims = append(victims, ord)
 		}
 	}
-	if len(deleted) == 0 {
+	if len(victims) == 0 {
 		return nil, nil
 	}
 	t.dirty = true
+	deleted := t.store.Gather(victims, t.kinds) // before reindex can replace the store
 	if err := t.reindex(); err != nil {
 		return nil, err
 	}
 	return deleted, nil
 }
 
-// DeleteWhere removes every row satisfying pred, returning the deleted rows.
-// It finds them by boxing each live row for the closure — the slow locator;
-// a compiled column predicate finds the ordinals without (exec.MatchOrdinals)
-// and hands them to DeleteOrds directly.
-func (t *Table) DeleteWhere(pred func(Row) bool) ([]Row, error) {
+// DeleteWhere removes every row satisfying pred, returning the deleted rows
+// as DeleteOrds does. It finds them by boxing each live row for the closure —
+// the slow locator; a compiled column predicate finds the ordinals without
+// (exec.MatchOrdinals) and hands them to DeleteOrds directly.
+func (t *Table) DeleteWhere(pred func(Row) bool) (*ColumnStore, error) {
 	var ords []int
 	scratch := make(Row, t.store.NumCols())
 	for i, n := 0, t.store.Len(); i < n; i++ {

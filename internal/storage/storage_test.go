@@ -220,8 +220,8 @@ func TestDeleteWhere(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deleted) != 3 || tb.NumRows() != 3 {
-		t.Fatalf("deleted %d, kept %d", len(deleted), tb.NumRows())
+	if deleted.Len() != 3 || tb.NumRows() != 3 {
+		t.Fatalf("deleted %d, kept %d", deleted.Len(), tb.NumRows())
 	}
 	// Index patched: deleted keys gone, survivors probe correctly.
 	idx := tb.LookupIndex([]int{0})
@@ -251,28 +251,65 @@ func TestOverlay(t *testing.T) {
 	if err := tb.Insert(Row{sqlvalue.NewInt(1), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
 		t.Fatal(err)
 	}
-	overlayRows := []Row{{sqlvalue.NewInt(99), sqlvalue.NewInt(9), sqlvalue.Null}}
-	ov := NewOverlay(db, "t", overlayRows)
-	if ov.TableData("t").NumRows() != 1 || ov.TableData("t").RowAt(0)[0].Int() != 99 {
-		t.Fatal("overlay table wrong")
+	db.Commit()
+	snap := db.Snapshot()
+	defer snap.Release()
+	if err := tb.Insert(Row{sqlvalue.NewInt(2), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
+		t.Fatal(err)
 	}
-	// The original is untouched and views are shared.
-	if db.Table("t").NumRows() != 1 || db.Table("t").RowAt(0)[0].Int() != 1 {
-		t.Fatal("overlay mutated the original")
+	// A bound name reads the snapshot's table; every other name reads base.
+	ov := NewOverlay(db)
+	ov.Bind("t@committed", snap.TableData("t"))
+	if ov.TableData("t@committed").NumRows() != 1 || ov.TableData("t").NumRows() != 2 {
+		t.Fatal("overlay binding wrong")
 	}
 	db.PutView("v", 1, nil)
 	if ov.ViewData("v") == nil {
 		t.Fatal("overlay must share views")
 	}
-	// Overlaying a snapshot pins the other tables at the snapshot's epoch.
-	db.Commit()
-	snap := db.Snapshot()
-	defer snap.Release()
-	sv := NewOverlay(snap, "t", overlayRows)
-	if err := tb.Insert(Row{sqlvalue.NewInt(2), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
+}
+
+// TestInsertRowsBatch: a batch is checked whole before anything is written.
+// A key repeated within the batch is refused with the text a key the index
+// already holds gets, and leaves the store and the index as they were; a
+// clean batch lands and is indexed by one patch. Deleting it hands the rows
+// back as a batch of the declared types, a column of NULLs included.
+func TestInsertRowsBatch(t *testing.T) {
+	db := NewDatabase(testCatalog(t))
+	tb := db.Table("t")
+	if _, err := tb.BuildIndex([]int{0}, true); err != nil {
 		t.Fatal(err)
 	}
-	if sv.TableData("t").NumRows() != 1 || sv.TableData("t").RowAt(0)[0].Int() != 99 {
-		t.Fatal("snapshot overlay table wrong")
+	row := func(id int64) Row { return Row{sqlvalue.NewInt(id), sqlvalue.NewInt(id % 2), sqlvalue.Null} }
+	if err := tb.InsertRows([]Row{row(1), row(2)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, batch := range [][]Row{{row(3), row(4), row(3)}, {row(5), row(2)}} {
+		err := tb.InsertRows(batch)
+		if err == nil || err.Error() != "storage: duplicate key in unique index on t" {
+			t.Fatalf("batch %v: err %v", batch, err)
+		}
+		if tb.Store().Len() != 2 || tb.patched != 2 {
+			t.Fatalf("a refused batch wrote: %d rows, %d patched", tb.Store().Len(), tb.patched)
+		}
+	}
+	if err := tb.InsertRows([]Row{row(3), row(4)}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.LookupIndex([]int{0}).Probe(Row{sqlvalue.NewInt(4)}); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("probe of the batch's last key: %v", got)
+	}
+	tail := tb.Tail(2)
+	deleted, err := tb.DeleteOrds([]int{3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*ColumnStore{tail, deleted} {
+		if k := b.Col(2).Kind; k != sqlvalue.KindString || b.Len() != 2 || !b.Col(2).IsNull(1) {
+			t.Fatalf("batch column 2: kind %v, %d rows", k, b.Len())
+		}
+	}
+	if got := deleted.Value(0, 0).Int(); got != 4 {
+		t.Fatalf("first victim gathered first: got id %d", got)
 	}
 }

@@ -69,8 +69,8 @@ func (f *lineitemFixture) deleteTail(tb testing.TB) {
 	for i := range ords {
 		ords[i] = f.t.Store().Len() - len(ords) + i
 	}
-	if deleted, err := f.t.DeleteOrds(ords); err != nil || len(deleted) != len(ords) {
-		tb.Fatalf("deleted %d rows: %v", len(deleted), err)
+	if deleted, err := f.t.DeleteOrds(ords); err != nil || deleted.Len() != len(ords) {
+		tb.Fatalf("deleted %v: %v", deleted, err)
 	}
 	f.db.Commit()
 }

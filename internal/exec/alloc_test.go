@@ -3,7 +3,9 @@
 package exec
 
 import (
+	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"matview/internal/catalog"
@@ -13,15 +15,27 @@ import (
 	"matview/internal/storage"
 )
 
-// allocBytes is the mean number of heap bytes one call of f allocates.
+// allocBytes is the mean number of heap bytes one call of f allocates, once
+// f is warm: one call first fills the sync.Pools f draws from, then the
+// measured calls run with the collector off, so no collection empties a pool
+// between them. A pool also keeps one item per P that no other P can take,
+// so a goroutine that moves to another P between a Put and the next Get
+// allocates afresh what it reuses; the measured calls come in three batches,
+// and the cheapest batch is the cost.
 func allocBytes(runs int, f func()) float64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		f()
+	f()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
-	runtime.ReadMemStats(&after)
-	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+	return float64(best) / float64(runs)
 }
 
 // TestRowAllocSizedToRowsEmitted: a stage that emits one row pays for a few

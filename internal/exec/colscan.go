@@ -125,64 +125,44 @@ type colEmitter func(i int) sqlvalue.Value
 
 func nullEmitter(int) sqlvalue.Value { return sqlvalue.Null }
 
-// makeEmitter builds the emitter reading a column's physical arrays.
+// makeEmitter builds the emitter reading a column's blocks.
 func makeEmitter(v storage.ColView) colEmitter {
-	nulls := v.Nulls
+	const shift, mask = storage.BlockShift, storage.BlockRows - 1
 	switch v.Kind {
 	case sqlvalue.KindInt:
-		a := v.Ints
-		if nulls == nil {
-			return func(i int) sqlvalue.Value { return sqlvalue.NewInt(a[i]) }
-		}
 		return func(i int) sqlvalue.Value {
-			if bitSet(nulls, i) {
-				return sqlvalue.Null
+			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
+				return sqlvalue.NewInt(b.Ints[i&mask])
 			}
-			return sqlvalue.NewInt(a[i])
+			return sqlvalue.Null
 		}
 	case sqlvalue.KindDate:
-		a := v.Ints
-		if nulls == nil {
-			return func(i int) sqlvalue.Value { return sqlvalue.NewDate(a[i]) }
-		}
 		return func(i int) sqlvalue.Value {
-			if bitSet(nulls, i) {
-				return sqlvalue.Null
+			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
+				return sqlvalue.NewDate(b.Ints[i&mask])
 			}
-			return sqlvalue.NewDate(a[i])
+			return sqlvalue.Null
 		}
 	case sqlvalue.KindBool:
-		a := v.Ints
-		if nulls == nil {
-			return func(i int) sqlvalue.Value { return sqlvalue.NewBool(a[i] != 0) }
-		}
 		return func(i int) sqlvalue.Value {
-			if bitSet(nulls, i) {
-				return sqlvalue.Null
+			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
+				return sqlvalue.NewBool(b.Ints[i&mask] != 0)
 			}
-			return sqlvalue.NewBool(a[i] != 0)
+			return sqlvalue.Null
 		}
 	case sqlvalue.KindFloat:
-		a := v.Floats
-		if nulls == nil {
-			return func(i int) sqlvalue.Value { return sqlvalue.NewFloat(a[i]) }
-		}
 		return func(i int) sqlvalue.Value {
-			if bitSet(nulls, i) {
-				return sqlvalue.Null
+			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
+				return sqlvalue.NewFloat(b.Floats[i&mask])
 			}
-			return sqlvalue.NewFloat(a[i])
+			return sqlvalue.Null
 		}
 	case sqlvalue.KindString:
-		a := v.Strs
-		if nulls == nil {
-			return func(i int) sqlvalue.Value { return sqlvalue.NewString(a[i]) }
-		}
 		return func(i int) sqlvalue.Value {
-			if bitSet(nulls, i) {
-				return sqlvalue.Null
+			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
+				return sqlvalue.NewString(b.Strs[i&mask])
 			}
-			return sqlvalue.NewString(a[i])
+			return sqlvalue.Null
 		}
 	default: // KindNull: the column has only ever held NULL
 		return nullEmitter
@@ -615,7 +595,7 @@ func appendRun(out []int32, lo, hi int) []int32 {
 // keeps, in place, the rows of a selection where it holds (and, compiled to
 // keep NULLs, those where it is NULL, marked); run, when set, is the same
 // test over a live run [lo,hi), appended to out: the first conjunct's entry,
-// with no selection to read.
+// with no selection to read. The run and the selection lie in one block.
 type kernel struct {
 	refine func(cols []storage.ColView, sel []int32, sc *scanScratch) []int32
 	run    func(cols []storage.ColView, lo, hi int, out []int32) []int32
@@ -638,10 +618,13 @@ func compileKernel(e expr.Expr, kinds []sqlvalue.Kind, keep bool) (*kernel, bool
 		}
 		c, want := col.Ref.Col, !n.Negate
 		return &kernel{refine: func(cols []storage.ColView, sel []int32, _ *scanScratch) []int32 {
-			nulls, k := cols[c].Nulls, 0
+			if len(sel) == 0 {
+				return sel
+			}
+			nulls, base, k := inBlock(&cols[c], sel[0]).Nulls, blockBase(sel[0]), 0
 			for _, r := range sel {
 				sel[k] = r
-				if bitSet(nulls, int(r)) == want {
+				if bitSet(nulls, int(r-base)) == want {
 					k++
 				}
 			}
@@ -745,29 +728,47 @@ func keepCmp[T cmp.Ordered](f cmpForm, x, y []T, a, b *vec, sel []int32, sc *sca
 }
 
 // colConst is the kernel for column col against a constant of its payload
-// type, read through payload. Its loops write every row and advance over the
-// ones that pass, so they carry no branch on the data; NULL rows are dropped
-// after, and only where the null bitmap has a bit set among the selected
-// rows' words.
-func colConst[T cmp.Ordered](f cmpForm, col int, payload func(*storage.ColView) []T, c T) *kernel {
+// type, read from the block's array through payload. Its loops write every
+// row and advance over the ones that pass, so they carry no branch on the
+// data; NULL rows are dropped after, and only where the block's null words
+// have a bit set among the selected rows' words.
+func colConst[T cmp.Ordered](f cmpForm, col int, payload func(*storage.Block) []T, c T) *kernel {
 	return &kernel{
 		run: func(cols []storage.ColView, lo, hi int, out []int32) []int32 {
-			v := &cols[col]
+			blk, base := inBlock(&cols[col], int32(lo)), blockBase(int32(lo))
 			start := len(out)
 			out = slices.Grow(out, hi-lo)[:start+hi-lo]
-			n := runConst(f, payload(v)[lo:hi], c, int32(lo), out[start:])
-			return out[:start+len(dropNulls(out[start:start+n], v.Nulls))]
+			n := runConst(f, payload(blk)[lo-int(base):hi-int(base)], c, int32(lo), out[start:])
+			return out[:start+len(dropNulls(out[start:start+n], blk.Nulls, base))]
 		},
 		refine: func(cols []storage.ColView, sel []int32, _ *scanScratch) []int32 {
-			v := &cols[col]
-			return dropNulls(selConst(f, payload(v), c, sel), v.Nulls)
+			if len(sel) == 0 {
+				return sel
+			}
+			blk, base := inBlock(&cols[col], sel[0]), blockBase(sel[0])
+			return dropNulls(selConst(f, payload(blk), c, sel, base), blk.Nulls, base)
 		},
 	}
 }
 
-func intsOf(v *storage.ColView) []int64     { return v.Ints }
-func floatsOf(v *storage.ColView) []float64 { return v.Floats }
-func strsOf(v *storage.ColView) []string    { return v.Strs }
+func intsOf(b *storage.Block) []int64     { return b.Ints }
+func floatsOf(b *storage.Block) []float64 { return b.Floats }
+func strsOf(b *storage.Block) []string    { return b.Strs }
+
+// inBlock returns the block of v holding row r; blockBase is that block's
+// first row.
+func inBlock(v *storage.ColView, r int32) *storage.Block { return blockOf(v.Full, v.Last, r) }
+
+// blockOf is the block holding row r of a column whose blocks are full then
+// last (ColView.Full, ColView.Last, copied into locals by a loop over rows).
+func blockOf(full []*storage.Block, last *storage.Block, r int32) *storage.Block {
+	if b := int(r) >> storage.BlockShift; b < len(full) {
+		return full[b]
+	}
+	return last
+}
+
+func blockBase(r int32) int32 { return r &^ (storage.BlockRows - 1) }
 
 // runConst writes to dst the ordinals base+k of the rows where a[k] ⊙ c
 // holds and returns their count.
@@ -800,28 +801,29 @@ func runConst[T cmp.Ordered](f cmpForm, a []T, c T, base int32, dst []int32) int
 	return n
 }
 
-// selConst keeps, in place, the rows r of sel where a[r] ⊙ c holds.
-func selConst[T cmp.Ordered](f cmpForm, a []T, c T, sel []int32) []int32 {
+// selConst keeps, in place, the rows r of sel where a[r-base] ⊙ c holds: a
+// is the array of the block whose first row is base.
+func selConst[T cmp.Ordered](f cmpForm, a []T, c T, sel []int32, base int32) []int32 {
 	n, want := 0, f.want
 	switch f.test {
 	case expr.LT:
 		for _, r := range sel {
 			sel[n] = r
-			if (a[r] < c) == want {
+			if (a[r-base] < c) == want {
 				n++
 			}
 		}
 	case expr.GT:
 		for _, r := range sel {
 			sel[n] = r
-			if (a[r] > c) == want {
+			if (a[r-base] > c) == want {
 				n++
 			}
 		}
 	default:
 		for _, r := range sel {
 			sel[n] = r
-			if x := a[r]; (x != c && x == x) == want {
+			if x := a[r-base]; (x != c && x == x) == want {
 				n++
 			}
 		}
@@ -829,13 +831,14 @@ func selConst[T cmp.Ordered](f cmpForm, a []T, c T, sel []int32) []int32 {
 	return sel[:n]
 }
 
-// dropNulls removes, in place, the rows of sel whose bit is set in nulls.
-func dropNulls(sel []int32, nulls []uint64) []int32 {
-	if len(sel) == 0 {
+// dropNulls removes, in place, the rows of sel whose bit is set in nulls,
+// the null words of the block whose first row is base.
+func dropNulls(sel []int32, nulls []uint64, base int32) []int32 {
+	if len(sel) == 0 || nulls == nil {
 		return sel
 	}
 	set := false
-	for w := int(sel[0]) >> 6; w <= int(sel[len(sel)-1])>>6 && w < len(nulls); w++ {
+	for w := int(sel[0]-base) >> 6; w <= int(sel[len(sel)-1]-base)>>6 && w < len(nulls); w++ {
 		set = set || nulls[w] != 0
 	}
 	if !set {
@@ -844,7 +847,7 @@ func dropNulls(sel []int32, nulls []uint64) []int32 {
 	n := 0
 	for _, r := range sel {
 		sel[n] = r
-		if !bitSet(nulls, int(r)) {
+		if !bitSet(nulls, int(r-base)) {
 			n++
 		}
 	}
@@ -973,19 +976,43 @@ func (x *vecExpr) eval(cols []storage.ColView, rids []int32, vs *vecStack, d int
 	out.null = nil
 	switch x.op {
 	case vecCol:
+		// A block is looked up only where the rids leave the last one: a
+		// scan's rids run through one block before the next.
+		const mask = storage.BlockRows - 1
 		col := &cols[x.col]
+		full, last := col.Full, col.Last
+		blk, base := last, int32(-1)
+		at := func(r int32) int32 {
+			if b := r &^ mask; b != base {
+				base, blk = b, blockOf(full, last, r)
+			}
+			return r - base
+		}
 		switch x.kind {
 		case sqlvalue.KindString:
-			out.strs = gather(out.strs, col.Strs, rids)
+			out.strs = slices.Grow(out.strs[:0], n)[:n]
+			for k, r := range rids {
+				j := at(r)
+				out.strs[k] = blk.Strs[j]
+			}
 		case sqlvalue.KindFloat:
-			out.floats = gather(out.floats, col.Floats, rids)
+			out.floats = slices.Grow(out.floats[:0], n)[:n]
+			for k, r := range rids {
+				j := at(r)
+				out.floats[k] = blk.Floats[j]
+			}
 		default:
-			out.ints = gather(out.ints, col.Ints, rids)
+			out.ints = slices.Grow(out.ints[:0], n)[:n]
+			for k, r := range rids {
+				j := at(r)
+				out.ints[k] = blk.Ints[j]
+			}
 		}
-		if nulls := col.Nulls; nulls != nil {
+		if col.Nullable() {
 			null := out.nulls(n)
 			for k, r := range rids {
-				null[k] = bitSet(nulls, int(r))
+				j := at(r)
+				null[k] = bitSet(blk.Nulls, int(j))
 			}
 		}
 	case vecConst:
@@ -1038,14 +1065,6 @@ func (x *vecExpr) eval(cols []storage.ColView, rids []int32, vs *vecStack, d int
 		}
 	}
 	return out
-}
-
-func gather[T any](dst, src []T, rids []int32) []T {
-	dst = slices.Grow(dst[:0], len(rids))[:len(rids)]
-	for k, r := range rids {
-		dst[k] = src[r]
-	}
-	return dst
 }
 
 func fill[T any](dst []T, n int, c T) []T {

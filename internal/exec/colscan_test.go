@@ -221,10 +221,11 @@ func TestViewSeekSnapshot(t *testing.T) {
 			if len(rows) != 2 || rows[0][text].Str() != "two" || rows[1][text].Str() != "deux" {
 				t.Fatalf("%s: seek returned %v", plan.Describe(), rows)
 			}
-			// Maintain the view the way an incremental delta does: replace a
-			// matching row, move another out of the key.
-			v.Update(1, storage.Row{sqlvalue.NewInt(2), sqlvalue.NewString("CLOBBERED")})
-			v.Update(2, storage.Row{sqlvalue.NewInt(3), sqlvalue.NewString("trois")})
+			// Change the view the way maintenance of an SPJ view does: take a
+			// matching row out and put another in its key, move a second one
+			// out of the key.
+			v.Delete([]int{1, 2})
+			v.Append([]storage.Row{{sqlvalue.NewInt(2), sqlvalue.NewString("CLOBBERED")}, {sqlvalue.NewInt(3), sqlvalue.NewString("trois")}})
 			if err := v.PatchIndexes(); err != nil {
 				t.Fatal(err)
 			}

@@ -223,9 +223,9 @@ func TestEngineSnapshotsScanOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mutate the view's storage the way incremental maintenance does:
-	// replace a row.
-	v.Update(0, storage.Row{sqlvalue.NewInt(42)})
+	// Mutate the view's storage the way incremental maintenance does: write
+	// a cell in place.
+	v.SetInt(0, 0, 42)
 	if len(vrows) != 2 || vrows[0][0].Int() != 1 || vrows[1][0].Int() != 2 {
 		t.Fatal("ViewScan result changed under view maintenance: live slice leaked")
 	}

@@ -425,7 +425,7 @@ func (s *ridAggSink) bind(ex expr.Expr, key bool, layout *ridLayout) (aggReader,
 	if r.store != nil && (isCol || !key) {
 		local := expr.MapColumns(ex, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: c.Col - off} })
 		if x, ok := compileVec(local, colKinds(r.cols)); ok && x.numeric() && (isCol || x.kind != sqlvalue.KindDate) {
-			rd.kind, rd.nullable = x.kind, !isCol || r.cols[col.Ref.Col-off].Nulls != nil
+			rd.kind, rd.nullable = x.kind, !isCol || r.cols[col.Ref.Col-off].Nullable()
 			s.typed = append(s.typed, typedArg{x: x, rel: rel, cols: r.cols})
 			rd.vals = s.typed[len(s.typed)-1].vs.at(0)
 		}

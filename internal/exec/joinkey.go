@@ -186,8 +186,8 @@ func (c *ridKeyCodec) keys(in *ridBatch, l *keyList, ids []int32) []int32 {
 				} else {
 					ids[k] = -1
 				}
-			case v.Kind == sqlvalue.KindString && !bitSet(v.Nulls, int(rid)):
-				l.bytes = append(l.bytes, v.Strs[rid]...)
+			case v.Kind == sqlvalue.KindString && !bitSet(inBlock(v, rid).Nulls, int(rid&(storage.BlockRows-1))):
+				l.bytes = append(l.bytes, inBlock(v, rid).Strs[rid&(storage.BlockRows-1)]...)
 			default:
 				ids[k] = -1
 			}
@@ -215,7 +215,13 @@ func (c *ridKeyCodec) keys(in *ridBatch, l *keyList, ids []int32) []int32 {
 // float column under an int build keeps its integral values; a string
 // column has nothing in either space; a row-backed value is classified.
 func (kc *ridKeyCol) words(float bool, sel []int32, dst []int64, j, w int, ids []int32) {
+	const mask = storage.BlockRows - 1
 	v := kc.view
+	var full []*storage.Block
+	var last *storage.Block
+	if v != nil {
+		full, last = v.Full, v.Last
+	}
 	switch {
 	case v == nil:
 		for k, rid := range sel {
@@ -231,7 +237,7 @@ func (kc *ridKeyCol) words(float bool, sel []int32, dst []int64, j, w int, ids [
 		}
 	case v.Kind == sqlvalue.KindFloat:
 		for k, rid := range sel {
-			f := floatFkey(v.Floats[rid])
+			f := floatFkey(blockOf(full, last, rid).Floats[rid&mask])
 			if float {
 				dst[2*k], dst[2*k+1] = f[0], f[1]
 			} else if f[0] == 0 {
@@ -245,17 +251,29 @@ func (kc *ridKeyCol) words(float bool, sel []int32, dst []int64, j, w int, ids [
 			ids[k] = -1
 		}
 	case float:
+		var a []int64
+		base := int32(-1)
 		for k, rid := range sel {
-			dst[2*k], dst[2*k+1] = 0, v.Ints[rid]
+			if b := rid &^ mask; b != base {
+				base, a = b, blockOf(full, last, rid).Ints
+			}
+			dst[2*k], dst[2*k+1] = 0, a[rid-base]
 		}
 	default:
+		// Keys are read a block at a time: a probe scan's rids run through
+		// one block before the next.
+		var a []int64
+		base := int32(-1)
 		for k, rid := range sel {
-			dst[k*w+j] = v.Ints[rid]
+			if b := rid &^ mask; b != base {
+				base, a = b, blockOf(full, last, rid).Ints
+			}
+			dst[k*w+j] = a[rid-base]
 		}
 	}
-	if v != nil && v.Nulls != nil {
+	if v != nil && v.Nullable() {
 		for k, rid := range sel {
-			if bitSet(v.Nulls, int(rid)) {
+			if bitSet(blockOf(full, last, rid).Nulls, int(rid&mask)) {
 				ids[k] = -1
 			}
 		}

@@ -2,6 +2,7 @@ package maintain_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"matview/internal/catalog"
@@ -31,12 +32,15 @@ func (b *fuzzBytes) next() int {
 // four customers, 1–3 views over orders (1–3 instances joined on o_custkey,
 // an optional customer join, an optional range conjunct, SPJ or a
 // COUNT_BIG/SUM rollup), optionally a rollup whose price floor many a
-// statement's Δ fails entirely (the irrelevant-update test skips it), and
+// statement's Δ fails entirely (the irrelevant-update test skips it),
 // optionally two views joining orders to customer on one key (one shared
-// Δ⋈customer node), then 1–8 INSERT or DELETE statements on orders. After
-// every statement each view must be Fresh and hold exactly what its
-// definition evaluates to, and no statement may fail. Customer keys run
-// 1–5, so some orders join no customer.
+// Δ⋈customer node), and optionally a rollup with secondary indexes over its
+// SUM and its COUNT_BIG, the columns an update writes in place; then 1–8
+// statements on orders: an INSERT, a DELETE, or a customer's orders deleted
+// and one inserted again, so a group vanishes and reappears. After every
+// statement each view must be Fresh and hold exactly what its definition
+// evaluates to, each of its indexes must agree with a scan, and no statement
+// may fail. Customer keys run 1–5, so some orders join no customer.
 func FuzzMaintainDelta(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
@@ -52,10 +56,11 @@ func FuzzMaintainDelta(f *testing.F) {
 			}
 		}
 		key := int64(0)
-		order := func() storage.Row {
+		orderOf := func(cust int64) storage.Row {
 			key++
-			return newOrderRow(db, key, 1+int64(in.next()%5), float64(in.next()%8)*1000)
+			return newOrderRow(db, key, cust, float64(in.next()%8)*1000)
 		}
+		order := func() storage.Row { return orderOf(1 + int64(in.next()%5)) }
 		for range in.next() % 12 {
 			if err := db.Table("orders").Insert(order()); err != nil {
 				t.Fatal(err)
@@ -73,24 +78,41 @@ func FuzzMaintainDelta(f *testing.F) {
 			}
 			views = append(views, v)
 		}
-		for _, def := range extraViews(cat, &in) {
-			v, err := register(m, fmt.Sprintf("fz%d", len(views)), def)
+		for _, x := range extraViews(cat, &in) {
+			v, err := register(m, fmt.Sprintf("fz%d", len(views)), x.def)
 			if err != nil {
-				t.Fatalf("view %s: %v", def, err)
+				t.Fatalf("view %s: %v", x.def, err)
 			}
+			for _, cols := range x.indexes {
+				if _, err := db.View(v.Name).BuildIndex(cols, false); err != nil {
+					t.Fatal(err)
+				}
+			}
+			db.Commit()
 			views = append(views, v)
 		}
+		keys := map[string]map[string]storage.Row{} // per view index: every key its rows ever had
+		var churn int64                             // the customer whose orders go and come back
 		for s := range 1 + in.next()%8 {
 			var err error
 			var what string
-			if in.next()%2 == 0 {
+			switch op := in.next() % 3; {
+			case churn > 0:
+				what = fmt.Sprintf("insert of an order of customer %d", churn)
+				err = m.Insert("orders", []storage.Row{orderOf(churn)})
+				churn = 0
+			case op == 0:
 				batch := make([]storage.Row, 1+in.next()%4)
 				for i := range batch {
 					batch[i] = order()
 				}
 				what = fmt.Sprintf("insert of %d order(s)", len(batch))
 				err = m.Insert("orders", batch)
-			} else {
+			case op == 1:
+				churn = int64(1 + in.next()%5)
+				what = fmt.Sprintf("delete of every order of customer %d", churn)
+				_, err = m.DeleteWhere("orders", expr.Eq(expr.Col(0, tpch.OCustkey), expr.CInt(churn)))
+			default:
 				var where expr.Expr
 				if in.next()%2 == 0 {
 					where = expr.Eq(expr.Col(0, tpch.OCustkey), expr.CInt(int64(1+in.next()%5)))
@@ -118,9 +140,47 @@ func FuzzMaintainDelta(f *testing.F) {
 					t.Fatalf("after statement %d (%s), view %s holds %d rows, its definition %d:\n%s",
 						s, what, v.Name, len(got), len(want), v.Def)
 				}
+				if msg := indexesAgree(v.Name, db.ViewData(v.Name), keys); msg != "" {
+					t.Fatalf("after statement %d (%s), view %s: %s", s, what, v.Name, msg)
+				}
 			}
 		}
 	})
+}
+
+// indexesAgree checks every index of view name's data d against a scan:
+// probing any key a row of the view ever had (seen, which it extends, holds
+// those keys per view and index) finds exactly the live rows holding it now,
+// so an entry left under a row's old key, a dead row's or a missing one
+// shows.
+func indexesAgree(name string, d *storage.Data, seen map[string]map[string]storage.Row) string {
+	st := d.Store()
+	for _, def := range d.IndexDefs() {
+		id := fmt.Sprint(name, def.Cols)
+		if seen[id] == nil {
+			seen[id] = map[string]storage.Row{}
+		}
+		live := map[string][]int{}
+		for i := range st.Len() {
+			key := make(storage.Row, len(def.Cols))
+			for k, c := range def.Cols {
+				key[k] = st.Value(i, c)
+			}
+			s := string(key.AppendKey(nil, nil))
+			seen[id][s] = key
+			if !st.IsDead(i) {
+				live[s] = append(live[s], i)
+			}
+		}
+		idx := d.LookupIndex(def.Cols)
+		for s, key := range seen[id] {
+			got := slices.Clone(idx.Probe(key))
+			if slices.Sort(got); !slices.Equal(got, live[s]) {
+				return fmt.Sprintf("index on %v finds %v under %v, a scan %v", def.Cols, got, key, live[s])
+			}
+		}
+	}
+	return ""
 }
 
 // fuzzView decodes one view over orders: n instances, each after the first
@@ -187,30 +247,41 @@ func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 	return &q
 }
 
+// extraView is a view beside fuzzView's, with the secondary indexes to
+// build on it.
+type extraView struct {
+	def     *spjg.Query
+	indexes [][]int
+}
+
 // extraViews decodes the views beside fuzzView's: a rollup of orders priced
 // at least a floor of 5000–8000 (prices run 0–7000, so many a statement's Δ
-// has no row to pass), and two views joining orders to customer on
+// has no row to pass), two views joining orders to customer on
 // o_custkey = c_custkey — a rollup by nation and an SPJ view — whose delta
-// terms share one Δ⋈customer node.
-func extraViews(cat *catalog.Catalog, in *fuzzBytes) []*spjg.Query {
+// terms share one Δ⋈customer node, and a rollup by customer indexed on its
+// SUM and on its COUNT_BIG.
+func extraViews(cat *catalog.Catalog, in *fuzzBytes) []extraView {
 	flags := in.next()
-	var out []*spjg.Query
-	if flags&1 != 0 {
-		out = append(out, &spjg.Query{
+	var out []extraView
+	rollup := func(where expr.Expr) *spjg.Query {
+		return &spjg.Query{
 			Tables:  []spjg.TableRef{{Table: cat.Table("orders")}},
-			Where:   expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(int64(5+in.next()%4)*1000)),
+			Where:   where,
 			GroupBy: []expr.Expr{expr.Col(0, tpch.OCustkey)},
 			Outputs: []spjg.OutputColumn{
 				{Name: "c", Expr: expr.Col(0, tpch.OCustkey)},
 				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
 				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
 			},
-		})
+		}
+	}
+	if flags&1 != 0 {
+		out = append(out, extraView{def: rollup(expr.NewCmp(expr.GE, expr.Col(0, tpch.OTotalprice), expr.CInt(int64(5+in.next()%4)*1000)))})
 	}
 	if flags&2 != 0 {
 		join := []spjg.TableRef{{Table: cat.Table("orders")}, {Table: cat.Table("customer")}}
 		on := expr.Eq(expr.Col(0, tpch.OCustkey), expr.Col(1, tpch.CCustkey))
-		out = append(out, &spjg.Query{
+		out = append(out, extraView{def: &spjg.Query{
 			Tables:  join,
 			Where:   on,
 			GroupBy: []expr.Expr{expr.Col(1, tpch.CNationkey)},
@@ -219,14 +290,17 @@ func extraViews(cat *catalog.Catalog, in *fuzzBytes) []*spjg.Query {
 				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
 				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
 			},
-		}, &spjg.Query{
+		}}, extraView{def: &spjg.Query{
 			Tables: join,
 			Where:  on,
 			Outputs: []spjg.OutputColumn{
 				{Name: "k", Expr: expr.Col(0, tpch.OOrderkey)},
 				{Name: "name", Expr: expr.Col(1, tpch.CName)},
 			},
-		})
+		}})
+	}
+	if flags&4 != 0 {
+		out = append(out, extraView{def: rollup(nil), indexes: [][]int{{2}, {1}}})
 	}
 	return out
 }

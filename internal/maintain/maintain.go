@@ -476,23 +476,24 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 // mergeAgg folds the delta's groups into the stored groups: counts and sums
 // add (or subtract); groups reaching count zero are removed — the §2
 // incremental-deletion rule that COUNT_BIG exists for. Define admits only
-// sums that cannot be NULL, so a sum merges by plain arithmetic. A stored
-// group is found through an index over the group-by columns (the unique
-// clustered key §2 requires) — the view's declared one when it has one,
-// else its locator, so the key is not kept twice — and a delta holds each
-// group once, so the cost follows the delta's groups, not the view's.
+// sums that cannot be NULL, so a sum merges by plain arithmetic, with
+// sqlvalue.Add's and Sub's semantics on the stored payloads: an INTEGER wraps,
+// a DOUBLE is a plain float sum. A stored group is found through an index
+// over the group-by columns (the unique clustered key §2 requires) — the
+// view's declared one when it has one, else its locator, so the key is not
+// kept twice — and is updated where it lies (SetInt, SetFloat): it keeps its
+// ordinal and its place in that index. Only a new group (appended) or a
+// vanished one (tombstoned) changes the key index. A delta holds each group
+// once, so the cost follows the delta's groups, not the view's.
 func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []storage.Row, sign int64) error {
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
-	}
-	merge := sqlvalue.Add
-	if sign < 0 {
-		merge = sqlvalue.Sub
 	}
 	loc := mv.LookupIndex(v.keyPos)
 	if loc == nil {
 		loc = mv.Locator(v.keyPos)
 	}
+	st := mv.Store()
 	var buf []byte
 	for _, d := range delta {
 		buf = d.AppendKey(buf[:0], v.keyPos)
@@ -505,8 +506,7 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 			continue
 		}
 		i := stored[0]
-		row := mv.RowAt(i) // a fresh row: changing it never aliases stored data
-		newCnt := row[v.cntPos].Int() + sign*d[v.cntPos].Int()
+		newCnt := st.Int(i, v.cntPos) + sign*d[v.cntPos].Int()
 		if newCnt < 0 {
 			return fmt.Errorf("maintain: view %s: group count went negative", v.Name)
 		}
@@ -514,15 +514,21 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 			mv.Delete([]int{i})
 			continue
 		}
-		row[v.cntPos] = sqlvalue.NewInt(newCnt)
+		mv.SetInt(i, v.cntPos, newCnt)
 		for _, sp := range v.sumPos {
-			merged, err := merge(row[sp], d[sp])
-			if err != nil {
-				return fmt.Errorf("maintain: view %s: %w", v.Name, err)
+			switch stored, add := st.Col(sp).Kind, d[sp]; {
+			case stored == sqlvalue.KindInt && add.Kind() == sqlvalue.KindInt:
+				mv.SetInt(i, sp, st.Int(i, sp)+sign*add.Int())
+			case stored == sqlvalue.KindFloat && add.IsNumeric():
+				x, _ := add.AsFloat()
+				if sign < 0 {
+					x = -x
+				}
+				mv.SetFloat(i, sp, st.Float(i, sp)+x)
+			default:
+				return fmt.Errorf("maintain: view %s: a %s delta cannot merge into a %s sum", v.Name, add.Kind(), stored)
 			}
-			row[sp] = merged
 		}
-		mv.Update(i, row)
 	}
 	return nil
 }

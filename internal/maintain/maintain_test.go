@@ -656,3 +656,67 @@ func TestBuildStoresClusteredOrder(t *testing.T) {
 	}
 	checkAgainstRecompute(t, db, v)
 }
+
+// TestGroupUpdatedInPlace: statements that only change existing groups —
+// INSERTs of orders for customers the view holds, and DELETEs of some of
+// those orders again — update each group where it lies. The view keeps its
+// length with no dead row, its store is the one it had (no rewrite), and its
+// key index files every key under the ordinal it had.
+func TestGroupUpdatedInPlace(t *testing.T) {
+	db, err := tpch.NewDatabase(0.01, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := db.Catalog
+	m := maintain.New(db)
+	v, err := register(m, "by_cust", &spjg.Query{
+		Tables:  []spjg.TableRef{{Table: cat.Table("orders")}},
+		GroupBy: []expr.Expr{expr.Col(0, tpch.OCustkey)},
+		Outputs: []spjg.OutputColumn{
+			{Name: "c", Expr: expr.Col(0, tpch.OCustkey)},
+			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(0, tpch.OTotalprice)}},
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mv := db.View(v.Name)
+	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	db.Commit()
+	st, n := mv.Store(), mv.Store().Len()
+	if st.NumBlocks() < 2 {
+		t.Fatalf("the view spans %d block(s), want at least 2", st.NumBlocks())
+	}
+	keyOf := func(i int) storage.Row { return storage.Row{st.Value(i, 0)} }
+	rng := rand.New(rand.NewSource(9))
+	next := int64(10_000_000)
+	for s := range 40 {
+		if s%4 == 3 { // the previous statement's orders go again
+			if _, err := m.DeleteWhere("orders", expr.NewCmp(expr.GE, expr.Col(0, tpch.OOrderkey), expr.CInt(next-5))); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		batch := make([]storage.Row, 5)
+		for i := range batch {
+			next++
+			batch[i] = newOrderRow(db, next, keyOf(rng.Intn(n))[0].Int(), float64(rng.Intn(9000)))
+		}
+		if err := m.Insert("orders", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkAgainstRecompute(t, db, v)
+	if mv := db.View(v.Name); mv.Store() != st || st.Len() != n || st.Live() != n {
+		t.Fatalf("after updates of existing groups: store replaced %t, %d rows, %d live; it had %d", mv.Store() != st, st.Len(), st.Live(), n)
+	}
+	idx := db.View(v.Name).LookupIndex([]int{0})
+	for i := range n {
+		if got := idx.Probe(keyOf(i)); len(got) != 1 || got[0] != i {
+			t.Fatalf("key %v: the index files %v, it filed ordinal %d", keyOf(i), got, i)
+		}
+	}
+}

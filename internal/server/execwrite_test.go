@@ -110,14 +110,16 @@ func BenchmarkExecWrite(b *testing.B) {
 // TestExecWriteAllocates: through /exec, with all eight views maintained and
 // the WAL on, a 10-row INSERT and a DELETE of twenty tail rows each allocate
 // at most 170 000 bytes on a 60 k-row lineitem: the worst statement measured
-// 155 kB (the first INSERT of a cycle; the second ~96 kB, the DELETE ~66 kB),
-// and the bound is that plus 10 %. The 13 MB a statement cost when every
-// write copied the table it touched fails it, and so does the 215 kB its
-// worst statement cost when every view ran a reference pipeline of its own
-// over a boxed copy of Δ. What is left is the
-// parse, the Δ batch, the views' appends and index patches — a patch clones
-// only the shards it touches of an index published since (256 per index,
-// indexShards in storage.go) — the locators views rebuild after a rewrite,
+// 120–124 kB (an INSERT; the DELETE ~75 kB). The 13 MB a statement cost when
+// every write copied the table it touched fails it, and so does the 215 kB
+// its worst statement cost when every view ran a reference pipeline of its
+// own over a boxed copy of Δ. What is left is the parse, the Δ batch, the
+// views' appends, the blocks their updated groups lie in — a group is
+// written in place, and the first write since the last commit to a block a
+// published version reads copies that block (8 KB a column) and its
+// column's block list, so wm_part's and wm_cust's COUNT and SUM blocks are
+// most of it — the index shards a new or vanished group touches (256 per
+// index, indexShards in storage.go, a published one cloned on first write),
 // and the WAL record. The base table's own share is bounded at 256 KB by
 // storage's TestWriteAllocationIsFlat.
 func TestExecWriteAllocates(t *testing.T) {

@@ -1,41 +1,55 @@
-// Column-major storage. A ColumnStore holds one typed array per column —
+// Column-major storage. A ColumnStore holds each column as typed arrays —
 // int64 for BIGINT/DATE/BOOLEAN payloads, float64 for DOUBLE, Go strings for
-// VARCHAR — plus a null bitmap, instead of a heap of materialized Row slices.
+// VARCHAR — plus null bits, instead of a heap of materialized Row slices.
 // Rows are organized into fixed-size blocks of BlockRows rows (aligned with
-// the execution engine's batch size); every block carries a per-column
-// min/max zone map maintained eagerly at mutation time, which lets scans
+// the execution engine's batch size), and a block is the unit of storage: a
+// column is a list of blocks, each with its own payload array, null words and
+// min/max zone map, maintained eagerly at mutation time, which lets scans
 // prove "no row in this block can satisfy the predicate" and skip the block
 // without touching its values.
 //
-// A column has one representation: its typed array and null bitmap. Its kind
-// is fixed by the first non-NULL value stored in it, and a value of another
-// kind is refused — Table.Insert checks the declared type before appending,
-// and a view write that carries one is a program error, so AppendRow panics
-// naming both kinds.
+// A column has one representation: its blocks' typed arrays and null words.
+// Its kind is fixed by the first non-NULL value stored in it, and a value of
+// another kind is refused — Table.Insert checks the declared type before
+// appending, and a view write that carries one is a program error, so
+// AppendRow panics naming both kinds.
 //
-// A store only ever grows: a row is added by appending to every column, and
-// removed by setting its bit in the store's dead bitmap (a tombstone). An
-// ordinal therefore names the same row for the store's whole life, payloads
-// below the current length are never written again, and a frozen copy (see
-// Freeze) is a set of lengths plus its own dead bitmap. Len is the physical
-// length — the bound of the ordinal space, dead rows included; Live is the
-// number of rows a reader sees. Zone maps stay conservative bounds after a
-// delete. Rewrite copies the live rows, in order, into a fresh store once
-// the dead ones are worth reclaiming.
+// A row is added by appending to every column and removed by setting its bit
+// in the store's dead bitmap (a tombstone), so an ordinal names the same row
+// for the store's whole life. Len is the physical length — the bound of the
+// ordinal space, dead rows included; Live is the number of rows a reader
+// sees. Zone maps stay conservative bounds after a delete. Rewrite copies the
+// live rows, in order, into a fresh store once the dead ones are worth
+// reclaiming.
+//
+// A frozen copy (see Freeze) shares every block with the store it was taken
+// from. Appends land past its length, so they never touch what it reads. A
+// write to an existing row — an aggregate view's group updated in place, a
+// NULL bit in a word the copy covers — goes through own, which clones the
+// block (and the column's block list, while a copy shares it) the first time
+// the store writes a block a frozen copy reads: copy on write, a block at a
+// time.
 package storage
 
 import (
 	"cmp"
 	"fmt"
-
 	"math/bits"
+	"slices"
+	"sync/atomic"
 
 	"matview/internal/sqlvalue"
 )
 
 // BlockRows is the number of rows per storage block. It matches the
 // engine's default batch size so a default morsel covers exactly one block.
-const BlockRows = 1024
+const BlockRows = 1 << BlockShift
+
+// BlockShift is log2(BlockRows): row i lies in block i>>BlockShift, at
+// position i&(BlockRows-1) there.
+const BlockShift = 10
+
+const blockMask = BlockRows - 1
 
 // Zone is the per-block, per-column statistics record. Min and Max bound the
 // non-NULL values in the block (meaningful only when HasNonNull). Tracked is
@@ -48,201 +62,125 @@ type Zone struct {
 	Tracked    bool
 }
 
-// column is one column of a ColumnStore.
-//
-// Every array is append-only: a write lands at or beyond the current length,
-// which no frozen copy can reach (and a reallocating append leaves the frozen
-// array behind entirely). The one exception is the null bitmap, whose last
-// word a frozen copy may cover: appending a NULL into a word that already
-// exists clones the bitmap first when sharedNulls says a frozen copy reads
-// it.
-type column struct {
-	ColView // Kind is KindNull until the first non-NULL value fixes it
+// Block is one column's rows of one block, indexed from the block's first
+// row: the payload array of the column's kind (none while every value is
+// NULL) and its null words, which may be shorter than the rows (an
+// out-of-range word means "no NULLs there"; nil, none at all).
+type Block struct {
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Nulls  []uint64
 
-	// zones holds the statistics of every full block; tail those of the last,
-	// partial one (or of a last full block no append has followed yet). tail
-	// is a value, so a frozen copy keeps its own while the live store folds
-	// further appends into its.
-	zones []Zone
-	tail  Zone
-
-	sharedNulls bool // Nulls is read by a frozen copy
+	zone Zone
+	// gen is the generation of the store that made or cloned the block: the
+	// store writes it in place only while its own generation is the same,
+	// that is, while no frozen copy reads it.
+	gen uint64
+	// stale marks a zone an in-place write left behind; the store's
+	// refold brings it back to the block's values.
+	stale bool
 }
 
-// ensureNulls clones the null bitmap before an in-place word write.
-func (c *column) ensureNulls() {
-	if c.sharedNulls {
-		c.Nulls = append([]uint64(nil), c.Nulls...)
-		c.sharedNulls = false
+// clone returns a copy of the block with arrays of its own, at generation gen.
+func (b *Block) clone(gen uint64) Block {
+	return Block{
+		Ints:   slices.Clone(b.Ints),
+		Floats: slices.Clone(b.Floats),
+		Strs:   slices.Clone(b.Strs),
+		Nulls:  slices.Clone(b.Nulls),
+		zone:   b.zone,
+		gen:    gen,
+		stale:  b.stale,
 	}
 }
+
+// generations hands out store generations; every Freeze gives both sides a
+// new one, so no block made before it counts as the head's own.
+var generations atomic.Uint64
+
+func newGen() uint64 { return generations.Add(1) }
+
+// column is one column of a ColumnStore: every full block in a list, and the
+// last one by value. A frozen copy copies the column, so it keeps its own
+// last block's header (lengths, zone) while the live store appends into the
+// same arrays past the copy's length; and it shares the list, which the live
+// store appends to past the copy's length, or clones before writing a slot
+// the copy reads.
+type column struct {
+	Kind sqlvalue.Kind // KindNull until the first non-NULL value fixes it
+
+	full    []*Block // blocks 0 … len-1, each BlockRows rows
+	tail    Block    // the last block: partial, or full until the next append
+	listGen uint64   // full's backing array is the store's own at this generation
+	// spare is the rest of the slab the next blocks' headers and arrays are
+	// cut from. A frozen copy shares it, so a head thawed from the copy cuts
+	// past what any head has cut.
+	spare *slab
+
+	hasNull bool // some row was stored NULL
+}
+
+// block returns block b of the column.
+func (c *column) block(b int) *Block { return blockOf(c.full, &c.tail, b) }
 
 func bitSet(bm []uint64, i int) bool {
 	w := i >> 6
 	return w < len(bm) && bm[w]&(1<<(uint(i)&63)) != 0
 }
 
-func (c *column) setNull(i int) {
-	w := i >> 6
-	if w < len(c.Nulls) {
-		// In-place OR into a word frozen readers may cover.
-		c.ensureNulls()
-	} else {
-		// Growing the bitmap only touches words past every frozen length.
-		for len(c.Nulls) <= w {
-			c.Nulls = append(c.Nulls, 0)
-		}
-	}
-	c.Nulls[w] |= 1 << (uint(i) & 63)
-}
-
-// adopt fixes the column's kind, backfilling the typed array with zero
-// payloads for the n existing (all-NULL) rows.
-func (c *column) adopt(k sqlvalue.Kind, n int) {
-	c.Kind = k
-	switch k {
-	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		c.Ints = make([]int64, n)
-	case sqlvalue.KindFloat:
-		c.Floats = make([]float64, n)
-	case sqlvalue.KindString:
-		c.Strs = make([]string, n)
-	}
-}
-
-func (c *column) appendZero() {
-	switch c.Kind {
-	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-		c.Ints = append(c.Ints, 0)
-	case sqlvalue.KindFloat:
-		c.Floats = append(c.Floats, 0)
-	case sqlvalue.KindString:
-		c.Strs = append(c.Strs, "")
-	}
-}
-
-func (c *column) setPayload(i int, v sqlvalue.Value) {
-	switch c.Kind {
-	case sqlvalue.KindInt:
-		c.Ints[i] = v.Int()
-	case sqlvalue.KindDate:
-		c.Ints[i] = v.DateDays()
-	case sqlvalue.KindBool:
-		if v.Bool() {
-			c.Ints[i] = 1
-		} else {
-			c.Ints[i] = 0
-		}
-	case sqlvalue.KindFloat:
-		c.Floats[i] = v.Float()
-	case sqlvalue.KindString:
-		c.Strs[i] = v.Str()
-	}
-}
-
-// append stores v at ordinal n (the current length). A value of a kind
-// other than the column's is a program error.
-func (c *column) append(v sqlvalue.Value, n int) {
-	if v.IsNull() {
-		c.setNull(n)
-		c.appendZero()
-		return
-	}
-	if k := v.Kind(); c.Kind == sqlvalue.KindNull {
-		c.adopt(k, n)
-	} else if c.Kind != k {
-		panic(fmt.Sprintf("storage: %s value appended to a %s column", k, c.Kind))
-	}
-	c.appendZero()
-	c.setPayload(n, v)
-}
-
-// foldLast folds row n, the value just appended, into a block's statistics
-// straight from the typed array, boxing a value only when it becomes the new
-// minimum or maximum. A NaN leaves the block untracked: it compares equal to
-// everything, so folding it would pin Min and Max and hide the block's other
-// values.
-func (c *column) foldLast(z *Zone, n int) {
-	if bitSet(c.Nulls, n) {
-		z.HasNull = true
-		return
-	}
-	switch c.Kind {
-	case sqlvalue.KindInt:
-		foldAt(z, c.Ints[n], sqlvalue.Value.Int, sqlvalue.NewInt)
-	case sqlvalue.KindDate:
-		foldAt(z, c.Ints[n], sqlvalue.Value.DateDays, sqlvalue.NewDate)
-	case sqlvalue.KindBool:
-		foldAt(z, c.Ints[n], boolPayload, boolValue)
-	case sqlvalue.KindFloat:
-		if x := c.Floats[n]; x != x {
-			z.Tracked = false
-		} else {
-			foldAt(z, x, sqlvalue.Value.Float, sqlvalue.NewFloat)
-		}
-	case sqlvalue.KindString:
-		foldAt(z, c.Strs[n], sqlvalue.Value.Str, sqlvalue.NewString)
-	}
-}
-
-func boolPayload(v sqlvalue.Value) int64 {
-	if v.Bool() {
-		return 1
-	}
-	return 0
-}
-
-func boolValue(x int64) sqlvalue.Value { return sqlvalue.NewBool(x != 0) }
-
-// foldAt folds the non-NULL, non-NaN payload x into z, whose bounds hold
-// payloads of the same kind.
-func foldAt[T cmp.Ordered](z *Zone, x T, payload func(sqlvalue.Value) T, box func(T) sqlvalue.Value) {
-	switch {
-	case !z.HasNonNull:
-		v := box(x)
-		z.Min, z.Max, z.HasNonNull = v, v, true
-	case x < payload(z.Min):
-		z.Min = box(x)
-	case x > payload(z.Max):
-		z.Max = box(x)
-	}
-}
-
-// ColView is a read-only view of one column's physical arrays, handed to the
+// ColView is a read-only view of one column's blocks, handed to the
 // execution engine so scans and compiled predicates can read payloads
-// directly. Exactly one of the typed slices is populated, per Kind (none
-// while every value is NULL). Nulls may be shorter than the row count: an
-// out-of-range word means "no NULLs there".
+// directly: row i is position i&(BlockRows-1) of Block(i>>BlockShift),
+// which is Full[i>>BlockShift] for every block but the last. A loop reading
+// rows by ordinal copies Full and Last into locals first.
 type ColView struct {
-	Kind   sqlvalue.Kind
-	Ints   []int64
-	Floats []float64
-	Strs   []string
-	Nulls  []uint64
+	Kind     sqlvalue.Kind
+	Full     []*Block
+	Last     *Block
+	nullable bool
 }
+
+// Block returns block b's arrays. A scan morsel reads one block's; a read
+// by ordinal finds its row's block first.
+func (v *ColView) Block(b int) *Block { return blockOf(v.Full, v.Last, b) }
+
+// blockOf is block b of a column whose blocks are full then last.
+func blockOf(full []*Block, last *Block, b int) *Block {
+	if b < len(full) {
+		return full[b]
+	}
+	return last
+}
+
+// Nullable reports whether any row of the column may be NULL; false means
+// no block has a null word.
+func (v *ColView) Nullable() bool { return v.nullable }
 
 // IsNull reports whether row i of the column is NULL.
-func (v ColView) IsNull(i int) bool { return bitSet(v.Nulls, i) }
+func (v ColView) IsNull(i int) bool { return bitSet(v.Block(i>>BlockShift).Nulls, i&blockMask) }
 
 // Value boxes row i of the column as a sqlvalue.Value.
-func (v ColView) Value(i int) sqlvalue.Value { return v.value(i) }
+func (v ColView) Value(i int) sqlvalue.Value {
+	return boxAt(v.Kind, v.Block(i>>BlockShift), i&blockMask)
+}
 
-// value is Value for the store's own loops, which reach the view in place.
-func (v *ColView) value(i int) sqlvalue.Value {
-	if bitSet(v.Nulls, i) {
+// boxAt boxes position j of block b of a column of kind k.
+func boxAt(k sqlvalue.Kind, b *Block, j int) sqlvalue.Value {
+	if bitSet(b.Nulls, j) {
 		return sqlvalue.Null
 	}
-	switch v.Kind {
+	switch k {
 	case sqlvalue.KindInt:
-		return sqlvalue.NewInt(v.Ints[i])
+		return sqlvalue.NewInt(b.Ints[j])
 	case sqlvalue.KindDate:
-		return sqlvalue.NewDate(v.Ints[i])
+		return sqlvalue.NewDate(b.Ints[j])
 	case sqlvalue.KindBool:
-		return sqlvalue.NewBool(v.Ints[i] != 0)
+		return sqlvalue.NewBool(b.Ints[j] != 0)
 	case sqlvalue.KindFloat:
-		return sqlvalue.NewFloat(v.Floats[i])
+		return sqlvalue.NewFloat(b.Floats[j])
 	case sqlvalue.KindString:
-		return sqlvalue.NewString(v.Strs[i])
+		return sqlvalue.NewString(b.Strs[j])
 	default:
 		return sqlvalue.Null
 	}
@@ -254,71 +192,36 @@ func (v *ColView) value(i int) sqlvalue.Value {
 // batch instead of one per value. NULL values leave their slot untouched, so
 // callers must hand in zeroed (KindNull) destination slabs.
 func (v ColView) Gather(rids []int32, dst []sqlvalue.Value, off, stride int) {
-	nulls := v.Nulls
+	full, last := v.Full, v.Last
 	switch v.Kind {
 	case sqlvalue.KindInt:
-		a := v.Ints
-		if nulls == nil {
-			for k, rid := range rids {
-				dst[off+k*stride] = sqlvalue.NewInt(a[rid])
-			}
-			return
-		}
 		for k, rid := range rids {
-			if !bitSet(nulls, int(rid)) {
-				dst[off+k*stride] = sqlvalue.NewInt(a[rid])
+			if b, j := blockOf(full, last, int(rid)>>BlockShift), int(rid)&blockMask; !bitSet(b.Nulls, j) {
+				dst[off+k*stride] = sqlvalue.NewInt(b.Ints[j])
 			}
 		}
 	case sqlvalue.KindDate:
-		a := v.Ints
-		if nulls == nil {
-			for k, rid := range rids {
-				dst[off+k*stride] = sqlvalue.NewDate(a[rid])
-			}
-			return
-		}
 		for k, rid := range rids {
-			if !bitSet(nulls, int(rid)) {
-				dst[off+k*stride] = sqlvalue.NewDate(a[rid])
+			if b, j := blockOf(full, last, int(rid)>>BlockShift), int(rid)&blockMask; !bitSet(b.Nulls, j) {
+				dst[off+k*stride] = sqlvalue.NewDate(b.Ints[j])
 			}
 		}
 	case sqlvalue.KindBool:
-		a := v.Ints
-		if nulls == nil {
-			for k, rid := range rids {
-				dst[off+k*stride] = sqlvalue.NewBool(a[rid] != 0)
-			}
-			return
-		}
 		for k, rid := range rids {
-			if !bitSet(nulls, int(rid)) {
-				dst[off+k*stride] = sqlvalue.NewBool(a[rid] != 0)
+			if b, j := blockOf(full, last, int(rid)>>BlockShift), int(rid)&blockMask; !bitSet(b.Nulls, j) {
+				dst[off+k*stride] = sqlvalue.NewBool(b.Ints[j] != 0)
 			}
 		}
 	case sqlvalue.KindFloat:
-		a := v.Floats
-		if nulls == nil {
-			for k, rid := range rids {
-				dst[off+k*stride] = sqlvalue.NewFloat(a[rid])
-			}
-			return
-		}
 		for k, rid := range rids {
-			if !bitSet(nulls, int(rid)) {
-				dst[off+k*stride] = sqlvalue.NewFloat(a[rid])
+			if b, j := blockOf(full, last, int(rid)>>BlockShift), int(rid)&blockMask; !bitSet(b.Nulls, j) {
+				dst[off+k*stride] = sqlvalue.NewFloat(b.Floats[j])
 			}
 		}
 	case sqlvalue.KindString:
-		a := v.Strs
-		if nulls == nil {
-			for k, rid := range rids {
-				dst[off+k*stride] = sqlvalue.NewString(a[rid])
-			}
-			return
-		}
 		for k, rid := range rids {
-			if !bitSet(nulls, int(rid)) {
-				dst[off+k*stride] = sqlvalue.NewString(a[rid])
+			if b, j := blockOf(full, last, int(rid)>>BlockShift), int(rid)&blockMask; !bitSet(b.Nulls, j) {
+				dst[off+k*stride] = sqlvalue.NewString(b.Strs[j])
 			}
 		}
 	}
@@ -326,22 +229,31 @@ func (v ColView) Gather(rids []int32, dst []sqlvalue.Value, off, stride int) {
 }
 
 // ColumnStore is column-major row storage: a fixed number of columns, each
-// a typed array with a null bitmap and per-block zone maps, plus
-// the dead bitmap that marks deleted rows.
+// a list of blocks of typed arrays with null words and zone maps, plus the
+// dead bitmap that marks deleted rows.
 type ColumnStore struct {
 	n    int
 	cols []column
 
-	dead       []uint64 // tombstones; may be shorter than n (no dead rows there)
-	ndead      int
-	sharedDead bool // dead is read by a frozen copy: clone before the next tombstone
+	// gen is the store's generation: blocks, block lists and a dead bitmap
+	// made at it are the store's own to write; Freeze moves it on.
+	gen uint64
+	// stale lists the blocks, as (column, block) pairs, whose zones an
+	// in-place write left behind; refold recomputes them.
+	stale [][2]int
+
+	dead    []uint64 // tombstones; may be shorter than n (no dead rows there)
+	ndead   int
+	deadGen uint64 // dead is the store's own at this generation
 }
 
 // NewColumnStore returns an empty store with ncols columns.
 func NewColumnStore(ncols int) *ColumnStore {
-	cs := &ColumnStore{cols: make([]column, ncols)}
+	cs := &ColumnStore{cols: make([]column, ncols), gen: newGen()}
+	cs.deadGen = cs.gen
 	for c := range cs.cols {
-		cs.cols[c].tail.Tracked = true
+		cs.cols[c].tail = Block{zone: Zone{Tracked: true}, gen: cs.gen}
+		cs.cols[c].listGen = cs.gen
 	}
 	return cs
 }
@@ -361,13 +273,7 @@ func (cs *ColumnStore) NumBlocks() int { return (cs.n + BlockRows - 1) / BlockRo
 
 // Zone returns the zone map of column c in block b. It bounds the block's
 // live values; after a delete it may be wider than they are.
-func (cs *ColumnStore) Zone(c, b int) Zone {
-	col := &cs.cols[c]
-	if b < len(col.zones) {
-		return col.zones[b]
-	}
-	return col.tail
-}
+func (cs *ColumnStore) Zone(c, b int) Zone { return cs.cols[c].block(b).zone }
 
 // IsDead reports whether row i has been deleted.
 func (cs *ColumnStore) IsDead(i int) bool { return bitSet(cs.dead, i) }
@@ -398,13 +304,29 @@ func (cs *ColumnStore) LiveRun(from, to int) (lo, hi int) {
 	return lo, hi
 }
 
-// Col returns a read-only view of column c's physical arrays.
+// Col returns a read-only view of column c's blocks.
 func (cs *ColumnStore) Col(c int) ColView {
-	return cs.cols[c].ColView
+	col := &cs.cols[c]
+	return ColView{Kind: col.Kind, Full: col.full, Last: &col.tail, nullable: col.hasNull}
 }
 
 // Value boxes the value at (row i, column c).
-func (cs *ColumnStore) Value(i, c int) sqlvalue.Value { return cs.cols[c].value(i) }
+func (cs *ColumnStore) Value(i, c int) sqlvalue.Value {
+	col := &cs.cols[c]
+	return boxAt(col.Kind, col.block(i>>BlockShift), i&blockMask)
+}
+
+// Int returns the payload of row i in column c, an INTEGER, DATE or BOOLEAN
+// column; the row must not be NULL.
+func (cs *ColumnStore) Int(i, c int) int64 {
+	return cs.cols[c].block(i >> BlockShift).Ints[i&blockMask]
+}
+
+// Float returns the payload of row i in column c, a DOUBLE column; the row
+// must not be NULL.
+func (cs *ColumnStore) Float(i, c int) float64 {
+	return cs.cols[c].block(i >> BlockShift).Floats[i&blockMask]
+}
 
 // AppendRow appends one row; r must have NumCols values, each NULL or of its
 // column's kind. Values are copied out of r, so the caller keeps ownership of
@@ -413,18 +335,277 @@ func (cs *ColumnStore) AppendRow(r Row) {
 	n := cs.n
 	for c := range cs.cols {
 		col := &cs.cols[c]
-		col.append(r[c], n)
-		if n > 0 && n%BlockRows == 0 {
-			// The previous block is full: its zone is final. Appending it
-			// writes past every frozen copy's length.
-			col.zones = append(col.zones, col.tail)
-			col.tail = Zone{Tracked: true}
+		if n > 0 && n&blockMask == 0 {
+			cs.push(col)
 		}
-		if z := &col.tail; z.Tracked {
-			col.foldLast(z, n)
+		cs.append(col, r[c], n)
+		if z := &col.tail.zone; z.Tracked {
+			col.foldLast(z, n&blockMask)
 		}
 	}
 	cs.n = n + 1
+}
+
+// slab is memory for the next blocks of a column: their headers and their
+// payload arrays, one after another.
+type slab struct {
+	hdrs []Block
+	Block
+}
+
+// push moves a full last block into the list and starts the next one. The
+// list grows past every frozen copy's length; the new block is the store's
+// own, with room for a whole block, as a store this long fills it. Its
+// header and array are cut from a slab of as many blocks as the column has
+// (at most slabBlocks), so a long column's blocks lie side by side in memory
+// as one array's elements would, and a scan streams through them.
+func (cs *ColumnStore) push(col *column) {
+	if col.spare == nil {
+		col.spare = new(slab)
+	}
+	sp := col.spare
+	n := min(len(col.full)+1, slabBlocks)
+	if len(sp.hdrs) == 0 {
+		sp.hdrs = make([]Block, n)
+	}
+	blk := &sp.hdrs[0]
+	sp.hdrs = sp.hdrs[1:]
+	*blk = col.tail
+	if len(col.full) == cap(col.full) {
+		col.listGen = cs.gen // append reallocates: the new array is the store's own
+	}
+	col.full = append(col.full, blk)
+	col.tail = Block{zone: Zone{Tracked: true}, gen: cs.gen}
+	switch col.Kind {
+	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+		if len(sp.Ints) < BlockRows {
+			sp.Ints = make([]int64, n*BlockRows)
+		}
+		col.tail.Ints, sp.Ints = sp.Ints[:0:BlockRows], sp.Ints[BlockRows:]
+	case sqlvalue.KindFloat:
+		if len(sp.Floats) < BlockRows {
+			sp.Floats = make([]float64, n*BlockRows)
+		}
+		col.tail.Floats, sp.Floats = sp.Floats[:0:BlockRows], sp.Floats[BlockRows:]
+	case sqlvalue.KindString:
+		if len(sp.Strs) < BlockRows {
+			sp.Strs = make([]string, n*BlockRows)
+		}
+		col.tail.Strs, sp.Strs = sp.Strs[:0:BlockRows], sp.Strs[BlockRows:]
+	}
+}
+
+// slabBlocks bounds the blocks one slab holds: 512 KB of INTEGER payloads.
+const slabBlocks = 64
+
+// append stores v at ordinal n (the current length), the next row of the
+// last block. A value of a kind other than the column's is a program error.
+func (cs *ColumnStore) append(col *column, v sqlvalue.Value, n int) {
+	j := n & blockMask
+	if v.IsNull() {
+		if w := j >> 6; w < len(col.tail.Nulls) {
+			cs.own(col, n>>BlockShift) // a word a frozen copy may read
+		} else {
+			for len(col.tail.Nulls) <= w {
+				col.tail.Nulls = append(col.tail.Nulls, 0) // past every frozen copy's words
+			}
+		}
+		col.tail.Nulls[j>>6] |= 1 << (uint(j) & 63)
+		col.hasNull = true
+		appendZero(col.Kind, &col.tail)
+		return
+	}
+	if k := v.Kind(); col.Kind == sqlvalue.KindNull {
+		cs.adopt(col, k)
+	} else if col.Kind != k {
+		panic(fmt.Sprintf("storage: %s value appended to a %s column", k, col.Kind))
+	}
+	appendZero(col.Kind, &col.tail)
+	setPayload(col.Kind, &col.tail, j, v)
+}
+
+// adopt fixes the column's kind, giving every existing block (all of whose
+// rows are NULL) zero payloads. The blocks are new, and so is the list: a
+// frozen copy keeps reading a KindNull column.
+func (cs *ColumnStore) adopt(col *column, k sqlvalue.Kind) {
+	col.Kind = k
+	full := make([]*Block, len(col.full))
+	for b, old := range col.full {
+		full[b] = new(Block)
+		*full[b] = old.clone(cs.gen)
+		zeros(k, full[b], BlockRows)
+	}
+	col.full, col.listGen = full, cs.gen
+	col.tail = col.tail.clone(cs.gen)
+	zeros(k, &col.tail, cs.n-len(full)*BlockRows)
+}
+
+// zeros gives b n zero payloads of kind k, with room for a whole block.
+func zeros(k sqlvalue.Kind, b *Block, n int) {
+	switch k {
+	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+		b.Ints = make([]int64, n, BlockRows)
+	case sqlvalue.KindFloat:
+		b.Floats = make([]float64, n, BlockRows)
+	case sqlvalue.KindString:
+		b.Strs = make([]string, n, BlockRows)
+	}
+}
+
+func appendZero(k sqlvalue.Kind, b *Block) {
+	switch k {
+	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+		b.Ints = append(b.Ints, 0)
+	case sqlvalue.KindFloat:
+		b.Floats = append(b.Floats, 0)
+	case sqlvalue.KindString:
+		b.Strs = append(b.Strs, "")
+	}
+}
+
+func setPayload(k sqlvalue.Kind, b *Block, j int, v sqlvalue.Value) {
+	switch k {
+	case sqlvalue.KindInt:
+		b.Ints[j] = v.Int()
+	case sqlvalue.KindDate:
+		b.Ints[j] = v.DateDays()
+	case sqlvalue.KindBool:
+		b.Ints[j] = boolPayload(v)
+	case sqlvalue.KindFloat:
+		b.Floats[j] = v.Float()
+	case sqlvalue.KindString:
+		b.Strs[j] = v.Str()
+	}
+}
+
+// own returns block b of col for writing in place. The first write since
+// the last Freeze to a block a frozen copy reads clones it, after cloning
+// the list when a frozen copy shares that too; the clone is the store's own
+// until the next Freeze.
+func (cs *ColumnStore) own(col *column, b int) *Block {
+	if b >= len(col.full) {
+		if col.tail.gen != cs.gen {
+			col.tail = col.tail.clone(cs.gen)
+		}
+		return &col.tail
+	}
+	if blk := col.full[b]; blk.gen == cs.gen {
+		return blk
+	}
+	if col.listGen != cs.gen {
+		col.full, col.listGen = slices.Clone(col.full), cs.gen
+	}
+	blk := new(Block)
+	*blk = col.full[b].clone(cs.gen)
+	col.full[b] = blk
+	return blk
+}
+
+// setInt writes x into row i of column c, an INTEGER column, in place: the
+// row keeps its ordinal, and the block's zone is stale until the next
+// refold. It is the write of incremental aggregate maintenance (a group's
+// COUNT_BIG and integer SUMs); a frozen copy never sees it.
+func (cs *ColumnStore) setInt(i, c int, x int64) {
+	blk := cs.written(i, c, sqlvalue.KindInt)
+	blk.Ints[i&blockMask] = x
+}
+
+// setFloat is setInt for a DOUBLE column.
+func (cs *ColumnStore) setFloat(i, c int, x float64) {
+	blk := cs.written(i, c, sqlvalue.KindFloat)
+	blk.Floats[i&blockMask] = x
+}
+
+// written returns the block of row i in column c for an in-place write of a
+// non-NULL payload of kind k: owned, its zone marked stale, the row's null
+// bit cleared.
+func (cs *ColumnStore) written(i, c int, k sqlvalue.Kind) *Block {
+	col := &cs.cols[c]
+	if col.Kind != k {
+		panic(fmt.Sprintf("storage: %s value written to a %s column", k, col.Kind))
+	}
+	b, j := i>>BlockShift, i&blockMask
+	blk := cs.own(col, b)
+	if !blk.stale {
+		blk.stale = true
+		cs.stale = append(cs.stale, [2]int{c, b})
+	}
+	if w := j >> 6; w < len(blk.Nulls) {
+		blk.Nulls[w] &^= 1 << (uint(j) & 63)
+	}
+	return blk
+}
+
+// refold recomputes the zones in-place writes left stale, each from its
+// block's values as AppendRow would have folded them. A relation refolds at
+// each patch, and Freeze before it publishes, so no version holds a stale
+// zone.
+func (cs *ColumnStore) refold() {
+	if len(cs.stale) == 0 {
+		return // a frozen copy's: nothing to write
+	}
+	for _, cb := range cs.stale {
+		col := &cs.cols[cb[0]]
+		blk := col.block(cb[1])
+		rows := BlockRows
+		if cb[1] >= len(col.full) {
+			rows = cs.n - len(col.full)*BlockRows
+		}
+		blk.zone, blk.stale = blockZone(col.Kind, blk, rows), false
+	}
+	cs.stale = cs.stale[:0]
+}
+
+// foldLast folds row j of the last block, the value just appended, into a
+// block's statistics straight from the typed array, boxing a value only when
+// it becomes the new minimum or maximum. A NaN leaves the block untracked: it
+// compares equal to everything, so folding it would pin Min and Max and hide
+// the block's other values.
+func (c *column) foldLast(z *Zone, j int) {
+	b := &c.tail
+	if bitSet(b.Nulls, j) {
+		z.HasNull = true
+		return
+	}
+	switch c.Kind {
+	case sqlvalue.KindInt:
+		foldAt(z, b.Ints[j], sqlvalue.Value.Int, sqlvalue.NewInt)
+	case sqlvalue.KindDate:
+		foldAt(z, b.Ints[j], sqlvalue.Value.DateDays, sqlvalue.NewDate)
+	case sqlvalue.KindBool:
+		foldAt(z, b.Ints[j], boolPayload, boolValue)
+	case sqlvalue.KindFloat:
+		if x := b.Floats[j]; x != x {
+			z.Tracked = false
+		} else {
+			foldAt(z, x, sqlvalue.Value.Float, sqlvalue.NewFloat)
+		}
+	case sqlvalue.KindString:
+		foldAt(z, b.Strs[j], sqlvalue.Value.Str, sqlvalue.NewString)
+	}
+}
+
+func boolPayload(v sqlvalue.Value) int64 {
+	if v.Bool() {
+		return 1
+	}
+	return 0
+}
+
+func boolValue(x int64) sqlvalue.Value { return sqlvalue.NewBool(x != 0) }
+
+// foldAt folds the non-NULL, non-NaN payload x into z, whose bounds hold
+// payloads of the same kind.
+func foldAt[T cmp.Ordered](z *Zone, x T, payload func(sqlvalue.Value) T, box func(T) sqlvalue.Value) {
+	switch {
+	case !z.HasNonNull:
+		v := box(x)
+		z.Min, z.Max, z.HasNonNull = v, v, true
+	case x < payload(z.Min):
+		z.Min = box(x)
+	case x > payload(z.Max):
+		z.Max = box(x)
+	}
 }
 
 // Delete marks row i dead and reports whether it was live before. Payloads,
@@ -434,9 +615,8 @@ func (cs *ColumnStore) Delete(i int) bool {
 	if i < 0 || i >= cs.n || bitSet(cs.dead, i) {
 		return false
 	}
-	if cs.sharedDead {
-		cs.dead = append(make([]uint64, 0, (cs.n+63)/64), cs.dead...)
-		cs.sharedDead = false
+	if cs.deadGen != cs.gen {
+		cs.dead, cs.deadGen = append(make([]uint64, 0, (cs.n+63)/64), cs.dead...), cs.gen
 	}
 	for w := i >> 6; w >= len(cs.dead); {
 		cs.dead = append(cs.dead, 0) // growing only touches words no frozen copy has
@@ -457,12 +637,13 @@ func (cs *ColumnStore) rewriteDue() bool { return cs.ndead*4 > cs.n }
 // so frozen copies of it stay valid; ordinals of the result are new.
 //
 // The result is the store appending the live rows one by one would build —
-// the same kinds, payloads, null bitmaps and zones — made column by column:
-// each column's live runs are copied into an exactly sized typed array and
-// each block's zone is folded from that array with foldLast's rules.
+// the same kinds, payloads, null bits and zones — made column by column:
+// each column's live runs are copied into an exactly sized typed array, cut
+// into blocks, and each block's zone is folded from its array with
+// foldLast's rules.
 func (cs *ColumnStore) Rewrite() *ColumnStore {
 	live := cs.Live()
-	cols := make([]ColView, len(cs.cols))
+	cols := make([]Arrays, len(cs.cols))
 	for c := range cs.cols {
 		cols[c] = cs.compact(c, live)
 	}
@@ -485,22 +666,56 @@ func (cs *ColumnStore) rewriteOrdinal() func(int) int {
 	}
 }
 
+// Arrays is one column's rows as flat typed arrays — what a checkpoint
+// decodes, a compaction copies and a gather collects — before
+// NewColumnStoreOf cuts them into blocks: the payload array of Kind (none for
+// KindNull) and null bits, which may be shorter than the rows.
+type Arrays struct {
+	Kind   sqlvalue.Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Nulls  []uint64
+}
+
 // NewColumnStoreOf returns a store of n rows over the given column arrays,
 // with no tombstones and each block's zone folded from the arrays as
-// AppendRow would have folded it. It takes the arrays over. Each view must
-// hold exactly n payloads of its kind (none for KindNull, every row of which
-// is NULL) and a null bitmap of at most (n+63)/64 words with no bit set at
-// or past n.
-func NewColumnStoreOf(n int, cols []ColView) *ColumnStore {
-	cs := &ColumnStore{n: n, cols: make([]column, len(cols))}
-	for c, v := range cols {
+// AppendRow would have folded it. It takes the arrays over and cuts them into
+// blocks without copying. Each must hold exactly n payloads of its kind (none
+// for KindNull, every row of which is NULL) and a null bitmap of at most
+// (n+63)/64 words with no bit set at or past n.
+func NewColumnStoreOf(n int, cols []Arrays) *ColumnStore {
+	cs := &ColumnStore{n: n, cols: make([]column, len(cols)), gen: newGen()}
+	cs.deadGen = cs.gen
+	nfull := max(0, (n-1)>>BlockShift) // every block but the last
+	headers := make([]Block, nfull*len(cols))
+	for c, a := range cols {
 		col := &cs.cols[c]
-		col.ColView, col.tail = v, Zone{Tracked: true}
-		for lo := 0; lo < n; lo += BlockRows {
-			if lo > 0 {
-				col.zones = append(col.zones, col.tail)
+		col.Kind, col.listGen = a.Kind, cs.gen
+		if nfull > 0 {
+			col.full = make([]*Block, nfull)
+		}
+		for b := 0; b <= nfull; b++ {
+			lo, hi := b*BlockRows, min((b+1)*BlockRows, n)
+			blk := &col.tail
+			if b < nfull {
+				blk = &headers[c*nfull+b]
+				col.full[b] = blk
 			}
-			col.tail = col.blockZone(lo, min(lo+BlockRows, n))
+			*blk = Block{gen: cs.gen}
+			switch a.Kind {
+			case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+				blk.Ints = a.Ints[lo:hi:hi]
+			case sqlvalue.KindFloat:
+				blk.Floats = a.Floats[lo:hi:hi]
+			case sqlvalue.KindString:
+				blk.Strs = a.Strs[lo:hi:hi]
+			}
+			if wlo, whi := lo>>6, min((hi+63)>>6, len(a.Nulls)); wlo < whi &&
+				slices.ContainsFunc(a.Nulls[wlo:whi], func(w uint64) bool { return w != 0 }) {
+				blk.Nulls, col.hasNull = a.Nulls[wlo:whi:whi], true
+			}
+			blk.zone = blockZone(a.Kind, blk, hi-lo)
 		}
 	}
 	return cs
@@ -526,10 +741,10 @@ func (cs *ColumnStore) Gather(ords []int, kinds []sqlvalue.Kind) *ColumnStore {
 	}
 	// One slab per payload type, cut into the columns.
 	ints, floats, strs := make([]int64, nInt*n), make([]float64, nFloat*n), make([]string, nStr*n)
-	cols := make([]ColView, len(cs.cols))
+	cols := make([]Arrays, len(cs.cols))
 	for c := range cs.cols {
 		src := &cs.cols[c]
-		dst := column{ColView: ColView{Kind: gatherKind(src.Kind, kinds[c])}}
+		dst := Arrays{Kind: gatherKind(src.Kind, kinds[c])}
 		switch dst.Kind {
 		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
 			dst.Ints, ints = ints[:n:n], ints[n:]
@@ -538,21 +753,31 @@ func (cs *ColumnStore) Gather(ords []int, kinds []sqlvalue.Kind) *ColumnStore {
 		case sqlvalue.KindString:
 			dst.Strs, strs = strs[:n:n], strs[n:]
 		}
-		for j, ord := range ords {
+		for k, ord := range ords {
+			blk, j := src.block(ord>>BlockShift), ord&blockMask
 			switch {
-			case src.Kind == sqlvalue.KindNull || bitSet(src.Nulls, ord):
-				dst.setNull(j)
+			case src.Kind == sqlvalue.KindNull || bitSet(blk.Nulls, j):
+				dst.Nulls = setBit(dst.Nulls, k)
 			case dst.Ints != nil:
-				dst.Ints[j] = src.Ints[ord]
+				dst.Ints[k] = blk.Ints[j]
 			case dst.Floats != nil:
-				dst.Floats[j] = src.Floats[ord]
+				dst.Floats[k] = blk.Floats[j]
 			default:
-				dst.Strs[j] = src.Strs[ord]
+				dst.Strs[k] = blk.Strs[j]
 			}
 		}
-		cols[c] = dst.ColView
+		cols[c] = dst
 	}
 	return NewColumnStoreOf(n, cols)
+}
+
+// setBit sets bit i of a bitmap it grows as needed.
+func setBit(bm []uint64, i int) []uint64 {
+	for len(bm) <= i>>6 {
+		bm = append(bm, 0)
+	}
+	bm[i>>6] |= 1 << (uint(i) & 63)
+	return bm
 }
 
 // gatherKind is the kind a gathered column takes: the stored column's, or
@@ -565,9 +790,9 @@ func gatherKind(stored, declared sqlvalue.Kind) sqlvalue.Kind {
 }
 
 // compact copies column c's live rows, of which there are live.
-func (cs *ColumnStore) compact(c, live int) ColView {
+func (cs *ColumnStore) compact(c, live int) Arrays {
 	src := &cs.cols[c]
-	dst := column{ColView: ColView{Kind: src.Kind}}
+	dst := Arrays{Kind: src.Kind}
 	switch src.Kind {
 	case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
 		dst.Ints = make([]int64, 0, live)
@@ -577,82 +802,90 @@ func (cs *ColumnStore) compact(c, live int) ColView {
 		dst.Strs = make([]string, 0, live)
 	}
 	n, nulls := 0, 0
-	for i := 0; i < cs.n; {
-		lo, hi := cs.LiveRun(i, cs.n)
-		switch src.Kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			dst.Ints = append(dst.Ints, src.Ints[lo:hi]...)
-		case sqlvalue.KindFloat:
-			dst.Floats = append(dst.Floats, src.Floats[lo:hi]...)
-		case sqlvalue.KindString:
-			dst.Strs = append(dst.Strs, src.Strs[lo:hi]...)
-		}
-		if src.Nulls != nil {
-			for r := lo; r < hi; r++ {
-				if bitSet(src.Nulls, r) {
-					dst.setNull(n + r - lo)
-					nulls++
+	for b := 0; b*BlockRows < cs.n; b++ {
+		blk, base := src.block(b), b*BlockRows
+		for i, end := base, min(base+BlockRows, cs.n); i < end; {
+			lo, hi := cs.LiveRun(i, end)
+			switch src.Kind {
+			case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+				dst.Ints = append(dst.Ints, blk.Ints[lo-base:hi-base]...)
+			case sqlvalue.KindFloat:
+				dst.Floats = append(dst.Floats, blk.Floats[lo-base:hi-base]...)
+			case sqlvalue.KindString:
+				dst.Strs = append(dst.Strs, blk.Strs[lo-base:hi-base]...)
+			}
+			if blk.Nulls != nil {
+				for r := lo; r < hi; r++ {
+					if bitSet(blk.Nulls, r-base) {
+						dst.Nulls = setBit(dst.Nulls, n+r-lo)
+						nulls++
+					}
 				}
 			}
+			n += hi - lo
+			i = hi
 		}
-		n += hi - lo
-		i = hi
 	}
 	if nulls == live {
 		// Only NULLs are left: appended one by one, they would fix no kind.
-		return ColView{Kind: sqlvalue.KindNull, Nulls: dst.Nulls}
+		return Arrays{Kind: sqlvalue.KindNull, Nulls: dst.Nulls}
 	}
-	return dst.ColView
+	return dst
 }
 
-// blockZone is the zone AppendRow folds over rows [lo,hi) of the column.
-func (c *column) blockZone(lo, hi int) Zone {
-	switch c.Kind {
+// blockZone is the zone AppendRow folds over the first rows rows of a block
+// of a column of kind k.
+func blockZone(k sqlvalue.Kind, b *Block, rows int) Zone {
+	switch k {
 	case sqlvalue.KindInt:
-		return foldTyped(c.Ints, c.Nulls, lo, hi, sqlvalue.NewInt)
+		return foldTyped(b.Ints[:rows], b.Nulls, sqlvalue.NewInt)
 	case sqlvalue.KindDate:
-		return foldTyped(c.Ints, c.Nulls, lo, hi, sqlvalue.NewDate)
+		return foldTyped(b.Ints[:rows], b.Nulls, sqlvalue.NewDate)
 	case sqlvalue.KindBool:
-		return foldTyped(c.Ints, c.Nulls, lo, hi, boolValue)
+		return foldTyped(b.Ints[:rows], b.Nulls, boolValue)
 	case sqlvalue.KindFloat:
-		return foldTyped(c.Floats, c.Nulls, lo, hi, sqlvalue.NewFloat)
+		return foldTyped(b.Floats[:rows], b.Nulls, sqlvalue.NewFloat)
 	case sqlvalue.KindString:
-		return foldTyped(c.Strs, c.Nulls, lo, hi, sqlvalue.NewString)
+		return foldTyped(b.Strs[:rows], b.Nulls, sqlvalue.NewString)
 	}
-	return Zone{Tracked: true, HasNull: true} // a KindNull column: every row is NULL
+	return Zone{Tracked: true, HasNull: rows > 0} // a KindNull column: every row is NULL
 }
 
-// foldTyped is foldLast over a[lo:hi] in row order, boxing only the two
-// extremes: the first of equal extremes wins, and a NaN stops the fold with
-// the block untracked.
-func foldTyped[T cmp.Ordered](a []T, nulls []uint64, lo, hi int, box func(T) sqlvalue.Value) Zone {
+// foldTyped is foldLast over a in row order, boxing only the two extremes:
+// the first of equal extremes wins, and a NaN stops the fold with the block
+// untracked.
+func foldTyped[T cmp.Ordered](a []T, nulls []uint64, box func(T) sqlvalue.Value) Zone {
 	z := Zone{Tracked: true}
-	lo0, hi0 := -1, -1
-	for i := lo; i < hi; i++ {
-		switch x := a[i]; {
+	lo, hi := -1, -1
+	for i, x := range a {
+		if !z.Tracked {
+			break
+		}
+		switch {
 		case bitSet(nulls, i):
 			z.HasNull = true
 		case x != x: // NaN
 			z.Tracked = false
-			i = hi
-		case lo0 < 0:
-			lo0, hi0 = i, i
-		case x < a[lo0]:
-			lo0 = i
-		case x > a[hi0]:
-			hi0 = i
+		case lo < 0:
+			lo, hi = i, i
+		case x < a[lo]:
+			lo = i
+		case x > a[hi]:
+			hi = i
 		}
 	}
-	if lo0 >= 0 {
-		z.Min, z.Max, z.HasNonNull = box(a[lo0]), box(a[hi0]), true
+	if lo >= 0 {
+		z.Min, z.Max, z.HasNonNull = box(a[lo]), box(a[hi]), true
 	}
 	return z
 }
 
 // MaterializeInto fills dst (length NumCols) with row i's values.
 func (cs *ColumnStore) MaterializeInto(dst Row, i int) {
+	b, j := i>>BlockShift, i&blockMask
 	for c := range cs.cols {
-		dst[c] = cs.cols[c].value(i)
+		col := &cs.cols[c]
+		dst[c] = boxAt(col.Kind, col.block(b), j)
 	}
 }
 
@@ -690,20 +923,20 @@ func (cs *ColumnStore) Rows() []Row {
 // Freeze returns a copy of the store's headers pinned at the current length
 // and dead bitmap — O(NumCols), no payload copying. Readers of the copy see
 // exactly the rows live at the freeze, forever, while the receiver remains
-// mutable: its appends land beyond the copy's lengths, and the two bitmaps an
-// in-place write could reach (dead rows, and a NULL appended into an existing
-// word) are marked shared on both sides, so the next such write clones first.
+// mutable: its appends land beyond the copy's lengths, and both sides move
+// to a new generation, so neither owns a block, block list or dead bitmap
+// the other reads — the first in-place write or tombstone clones it (own,
+// Delete).
 //
 // Freeze is also the thaw direction: calling it on an immutable version's
-// store yields a mutable store over the same arrays, which is how rollback
+// store yields a mutable store over the same blocks, which is how rollback
 // restores a table or view head from the last published version.
 func (cs *ColumnStore) Freeze() *ColumnStore {
-	for c := range cs.cols {
-		cs.cols[c].sharedNulls = true
-	}
-	cs.sharedDead = true
+	cs.refold()
 	f := *cs
-	f.cols = append([]column(nil), cs.cols...)
+	f.cols = slices.Clone(cs.cols)
+	f.stale = nil
+	cs.gen, f.gen = newGen(), newGen()
 	return &f
 }
 
@@ -712,7 +945,7 @@ func (cs *ColumnStore) Freeze() *ColumnStore {
 // row key is built — and returns the extended buffer.
 func (cs *ColumnStore) AppendRowKey(dst []byte, i int, cols []int) []byte {
 	for _, c := range cols {
-		dst = cs.cols[c].value(i).AppendKey(dst)
+		dst = cs.Value(i, c).AppendKey(dst)
 		dst = append(dst, '\x1f')
 	}
 	return dst

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"matview/internal/sqlvalue"
 )
@@ -192,7 +194,7 @@ func TestColumnarRefusesStrayKind(t *testing.T) {
 		}()
 		cs.AppendRow(Row{sqlvalue.NewString("rogue")})
 	}()
-	if v := cs.Col(0); v.Kind != sqlvalue.KindInt || len(v.Ints) != 12 || cs.Len() != 12 {
+	if v := flat(cs, 0); v.Kind != sqlvalue.KindInt || len(v.Ints) != 12 || cs.Len() != 12 {
 		t.Fatalf("after the refusal: kind %s, %d payloads, %d rows", v.Kind, len(v.Ints), cs.Len())
 	}
 	if z := cs.Zone(0, 0); !z.Tracked || z.Min.Int() != 0 || z.Max.Int() != 9 || !z.HasNull {
@@ -262,6 +264,31 @@ func TestColumnarAppendRowKey(t *testing.T) {
 	if string(got) != string(want) {
 		t.Fatalf("AppendRowKey = %q, want %q", got, want)
 	}
+}
+
+// flat returns column c's rows as one run of arrays, its null words through
+// the last that holds a NULL: the store's payloads and NULLs, whatever blocks
+// hold them.
+func flat(cs *ColumnStore, c int) Arrays {
+	v := cs.Col(c)
+	a := Arrays{Kind: v.Kind}
+	for b := 0; b < cs.NumBlocks(); b++ {
+		blk, rows := v.Block(b), min(BlockRows, cs.Len()-b*BlockRows)
+		switch v.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			a.Ints = append(a.Ints, blk.Ints[:rows]...)
+		case sqlvalue.KindFloat:
+			a.Floats = append(a.Floats, blk.Floats[:rows]...)
+		case sqlvalue.KindString:
+			a.Strs = append(a.Strs, blk.Strs[:rows]...)
+		}
+		for j := range rows {
+			if bitSet(blk.Nulls, j) {
+				a.Nulls = setBit(a.Nulls, b*BlockRows+j)
+			}
+		}
+	}
+	return a
 }
 
 // rewriteRowByRow is what Rewrite must equal: the live rows appended one by
@@ -335,7 +362,7 @@ func TestRewriteMatchesRowByRow(t *testing.T) {
 				got.Len(), got.Live(), got.NumBlocks(), want.Len(), want.Live(), want.NumBlocks())
 		}
 		for c := 0; c < st.NumCols(); c++ {
-			g, w := got.Col(c), want.Col(c)
+			g, w := flat(got, c), flat(want, c)
 			if g.Kind != w.Kind || !slices.Equal(g.Ints, w.Ints) || !slices.Equal(g.Strs, w.Strs) ||
 				!slices.Equal(g.Nulls, w.Nulls) || len(g.Floats) != len(w.Floats) {
 				t.Fatalf("column %d: rewrite %+v, row by row %+v", c, g, w)
@@ -423,5 +450,52 @@ func TestTypedZoneFoldMatchesBoxed(t *testing.T) {
 				t.Fatalf("column %d block %d: typed fold %+v, boxed fold %+v", c, b, got, want)
 			}
 		}
+	}
+}
+
+// TestUpdateInPlaceCopiesOneBlock: writing one group's COUNT and SUM cells in
+// a published view of eleven blocks clones, per written column, the block
+// the group lies in and the column's block list, and nothing else: the key
+// index is not touched, no other block is copied. A clone of every written
+// column (88 KB each) fails it.
+func TestUpdateInPlaceCopiesOneBlock(t *testing.T) {
+	const groups = 10*BlockRows + 5
+	db := NewDatabase(testCatalog(t))
+	rows := make([]Row, groups)
+	for g := range rows {
+		rows[g] = Row{sqlvalue.NewInt(int64(g)), sqlvalue.NewInt(1), sqlvalue.NewFloat(float64(g))}
+	}
+	mv, err := db.PutView("v", 3, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
+		t.Fatal(err)
+	}
+	st := mv.Store()
+	// Per written column: one block's payloads and header, and the list.
+	limit := 2 * (BlockRows*8 + uint64(unsafe.Sizeof(Block{})) + uint64(st.NumBlocks())*8)
+	rng := rand.New(rand.NewSource(3))
+	for round := 0; round < 5; round++ {
+		db.Commit() // every block is published again
+		g := rng.Intn(groups)
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		mv.SetInt(g, 1, st.Int(g, 1)+1)
+		mv.SetFloat(g, 2, st.Float(g, 2)+0.5)
+		err := mv.PatchIndexes()
+		runtime.ReadMemStats(&m1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m1.TotalAlloc - m0.TotalAlloc; round > 0 && got > limit { // round 0 grows the list of stale zones
+			t.Fatalf("round %d: updating group %d allocated %d bytes, want at most %d (a block and the list per written column)", round, g, got, limit)
+		}
+		if z := st.Zone(2, g/BlockRows); z.Max.Float() < st.Float(g, 2) {
+			t.Fatalf("round %d: the written block's zone %+v misses %v", round, z, st.Float(g, 2))
+		}
+	}
+	if mv.Store() != st || st.Live() != groups {
+		t.Fatal("an in-place update rewrote the view or tombstoned a group")
 	}
 }

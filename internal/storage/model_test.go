@@ -13,7 +13,7 @@ import (
 
 // The model: a table and a view are each a plain []Row — the live rows in
 // ordinal order. An append adds at the end, a delete removes in place, an
-// update is remove + append, a rewrite changes nothing. Everything the store
+// update changes the row where it is, a rewrite changes nothing. Everything the store
 // answers (through the head or through a snapshot pinned at any epoch) must
 // be what this slice answers.
 
@@ -189,7 +189,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 	// The mixed-in steps draw from their own source, so the interleaving of
 	// the others is the same with or without them.
 	more := rand.New(rand.NewSource(-seed))
-	tableBuilds, pendingViewBuilds, refused := 0, 0, 0
+	tableBuilds, pendingViewBuilds, refused, updates := 0, 0, 0, 0
 
 	newTableRow := func() Row {
 		note := sqlvalue.Null
@@ -308,7 +308,9 @@ func runModel(t *testing.T, seed int64, steps int) {
 			mv.Locator([]int{0}) // the writer's own index rides along from here on
 			for m := 0; m < 1+rng.Intn(6); m++ {
 				switch kind := rng.Intn(3); {
-				case kind == 0 || len(view) == 0:
+				case kind == 0 || len(view) == 0 || mv.Store().Col(1).Kind != sqlvalue.KindFloat:
+					// (Nothing can be written in place while column 1 holds
+					// no value.)
 					nextKey++
 					r := newViewRow(nextKey)
 					mv.Append([]Row{r})
@@ -318,14 +320,17 @@ func runModel(t *testing.T, seed int64, steps int) {
 					mv.Delete([]int{liveOrds(mv.Store())[p]})
 					view = removeAt(view, []int{p})
 				default:
+					// An in-place write: the row keeps its place, and an index
+					// over column 1 (built mid-run) has it re-filed.
 					p := rng.Intn(len(view))
-					r := newViewRow(view[p][0].Int())
-					mv.Update(liveOrds(mv.Store())[p], r)
-					view = append(removeAt(view, []int{p}), r)
+					x := rng.Float64()*200 - 100
+					mv.SetFloat(liveOrds(mv.Store())[p], 1, x)
+					view[p] = Row{view[p][0], sqlvalue.NewFloat(x)}
+					updates++
 				}
 			}
 			if more.Intn(4) == 0 { // an index built over changes not yet patched
-				if mv.patched == mv.Store().Len() && len(mv.patchDel) == 0 {
+				if mv.patched == mv.Store().Len() && len(mv.patchDel) == 0 && len(mv.store.stale) == 0 {
 					t.Fatalf("step %d: no row change is pending", step)
 				}
 				if _, err := mv.BuildIndex([]int{1}, false); err != nil {
@@ -367,9 +372,9 @@ func runModel(t *testing.T, seed int64, steps int) {
 		}
 		checkStore(t, fmt.Sprintf("step %d: head view", step), mv.Store(), viewIndexes, view)
 	}
-	if rewrites == 0 || len(pins) < 3 || tableBuilds == 0 || pendingViewBuilds == 0 || refused == 0 {
-		t.Fatalf("the run exercised %d rewrites, %d pinned snapshots, %d table and %d pending view index builds, %d refused inserts",
-			rewrites, len(pins), tableBuilds, pendingViewBuilds, refused)
+	if rewrites == 0 || len(pins) < 3 || tableBuilds == 0 || pendingViewBuilds == 0 || refused == 0 || updates == 0 {
+		t.Fatalf("the run exercised %d rewrites, %d pinned snapshots, %d table and %d pending view index builds, %d refused inserts, %d in-place updates",
+			rewrites, len(pins), tableBuilds, pendingViewBuilds, refused, updates)
 	}
 	for _, p := range pins {
 		td, vd := p.snap.TableData("t"), p.snap.ViewData("v")
@@ -381,25 +386,28 @@ func runModel(t *testing.T, seed int64, steps int) {
 
 // TestSnapshotReadersDuringWrites: readers scan, probe and re-scan snapshots
 // pinned at whatever epoch is current while one writer appends, tombstones,
-// updates, rewrites, rolls back and commits. Every committed epoch holds
-// rows in pairs (x, -x) under one group, so a torn or moving snapshot shows
-// as a non-zero sum; under -race a write below a pinned length shows as a
-// race.
+// rewrites, rolls back and commits the table, and writes the view's groups
+// in place. Every committed epoch holds table rows in pairs (x, -x) under one
+// group, and view groups — over three blocks — whose counts sum to the
+// table's live rows; each statement writes groups in at least two blocks. So
+// a torn or moving snapshot shows as a non-zero sum or a view total that
+// disagrees; under -race a write to a block a snapshot reads shows as a race.
 func TestSnapshotReadersDuringWrites(t *testing.T) {
+	const groups = 2*BlockRows + 100
 	db := NewDatabase(testCatalog(t))
 	tb := db.Table("t")
 	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}
-	mv, err := db.PutView("v", 2, nil)
+	rows := make([]Row, groups)
+	for g := range rows {
+		rows[g] = intRow(int64(g), 0)
+	}
+	mv, err := db.PutView("v", 2, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mv.BuildIndex([]int{0}, true); err != nil {
-		t.Fatal(err)
-	}
-	mv.Append([]Row{intRow(1, 0)})
-	if err := mv.PatchIndexes(); err != nil {
 		t.Fatal(err)
 	}
 	db.Commit()
@@ -418,18 +426,25 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 				}
 				snap := db.Snapshot()
 				td, vd := snap.TableData("t"), snap.ViewData("v")
-				scan := func() (n int, sum int64) {
+				scan := func() (n int, sum, total int64) {
 					st := td.Store()
 					ids := st.Col(0)
 					for i := 0; i < st.Len(); i++ {
 						if !st.IsDead(i) {
 							n++
-							sum += ids.Ints[i]
+							sum += ids.Value(i).Int()
 						}
 					}
-					return n, sum
+					vs := vd.Store()
+					counts := vs.Col(1)
+					for b := 0; b < vs.NumBlocks(); b++ {
+						for _, c := range counts.Block(b).Ints[:min(BlockRows, vs.Len()-b*BlockRows)] {
+							total += c
+						}
+					}
+					return n, sum, total
 				}
-				n, sum := scan()
+				n, sum, total := scan()
 				if sum != 0 || n%2 != 0 || n != td.NumRows() {
 					t.Errorf("epoch %d: %d rows (NumRows %d) summing to %d", snap.Epoch(), n, td.NumRows(), sum)
 				}
@@ -441,14 +456,18 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 						t.Errorf("epoch %d: zone %d untracked", snap.Epoch(), b)
 					}
 				}
-				// The view holds one row: the table's live row count.
-				if rows := vd.Rows(); len(rows) != 1 || rows[0][1].Int() != int64(n) {
-					t.Errorf("epoch %d: view says %v, table has %d rows", snap.Epoch(), rows, n)
-				} else if got := vd.LookupIndex([]int{0}).Probe(intRow(1)); len(got) != 1 || vd.RowAt(got[0])[1].Int() != int64(n) {
-					t.Errorf("epoch %d: view index finds %v", snap.Epoch(), got)
+				// The view's counts sum to the table's live rows, and its key
+				// index finds every group where a scan does.
+				if vd.NumRows() != groups || total != int64(n) {
+					t.Errorf("epoch %d: view of %d groups totals %d, table has %d rows", snap.Epoch(), vd.NumRows(), total, n)
 				}
-				if n2, sum2 := scan(); n2 != n || sum2 != sum {
-					t.Errorf("epoch %d moved under its reader: %d/%d then %d/%d", snap.Epoch(), n, sum, n2, sum2)
+				for _, g := range []int64{0, BlockRows + 7, groups - 1} {
+					if got := vd.LookupIndex([]int{0}).Probe(intRow(g)); len(got) != 1 || vd.RowAt(got[0])[0].Int() != g {
+						t.Errorf("epoch %d: view index finds %v for group %d", snap.Epoch(), got, g)
+					}
+				}
+				if n2, sum2, total2 := scan(); n2 != n || sum2 != sum || total2 != total {
+					t.Errorf("epoch %d moved under its reader: %d/%d/%d then %d/%d/%d", snap.Epoch(), n, sum, total, n2, sum2, total2)
 				}
 				snap.Release()
 			}
@@ -458,6 +477,7 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	live, next := 0, int64(1)
 	for step := 0; step < 500; step++ {
+		before := live
 		if live > 0 && rng.Intn(3) == 0 {
 			// Delete the oldest pairs; their ordinals come in twos.
 			ords := liveOrds(tb.Store())
@@ -477,7 +497,14 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 				live += 2
 			}
 		}
-		mv.Update(liveOrds(mv.Store())[0], intRow(1, int64(live)))
+		// The change lands on a group in one block; a count moves between
+		// groups in two others, which keeps the total.
+		st := mv.Store()
+		g1, g2, g3 := rng.Intn(BlockRows), BlockRows+rng.Intn(BlockRows), 2*BlockRows+rng.Intn(groups-2*BlockRows)
+		x := int64(rng.Intn(5))
+		mv.SetInt(g1, 1, st.Int(g1, 1)+int64(live-before))
+		mv.SetInt(g2, 1, st.Int(g2, 1)+x)
+		mv.SetInt(g3, 1, st.Int(g3, 1)-x)
 		if err := mv.PatchIndexes(); err != nil {
 			t.Fatal(err)
 		}

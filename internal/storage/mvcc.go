@@ -1,13 +1,13 @@
 // Epoch-snapshot MVCC. The database publishes an immutable version of every
 // table and view at each Commit; readers pin a version with Snapshot() —
 // three atomic operations, no locks — and run entire queries against it
-// while writers keep mutating the live head. Stores are append-only with
-// tombstones (see columnar.go), so below a version's pinned length payloads
-// never change and a version is just lengths, a dead bitmap and index maps:
-// publishing is O(tables × columns) header copying, a write after it clones
-// at most those two small structures, and a failed statement rolls the head
-// back to the published version so an epoch is only ever observed fully
-// applied.
+// while writers keep mutating the live head. A store is copied on write a
+// block at a time (see columnar.go): a block a version reads is never
+// written again, so a version is just lengths, block lists, a dead bitmap
+// and index maps. Publishing is O(tables × columns) header copying; a write
+// after it clones only the blocks, lists, dead bitmap and index shards it
+// changes; and a failed statement rolls the head back to the published
+// version so an epoch is only ever observed fully applied.
 //
 // Version lifecycle:
 //

@@ -100,9 +100,13 @@ type relation struct {
 	what string // how errors name the relation
 
 	// Row changes the indexes have not seen yet: rows at ordinals >= patched
-	// are new, those in patchDel are gone. reindex catches up.
+	// are new, those in patchDel are gone, and those in rekeys were taken out
+	// of one index before an in-place write changed their key there. reindex
+	// catches up.
 	patched  int
 	patchDel []int
+	rekeys   []rekeyed
+	buf      []byte // key scratch of rekey
 
 	// locators are the writer's own indexes: a view's over its clustered key
 	// (§2), through which maintenance finds the stored rows a delta touches,
@@ -126,6 +130,34 @@ func newRelation(store *ColumnStore, what string, in *faults.Injector) relation 
 
 // head lets code written for both *Table and *MaterializedView reach the body.
 func (r *relation) head() *relation { return r }
+
+// rekeyed is a row an in-place write took out of an index.
+type rekeyed struct {
+	idx *Index
+	ord int
+}
+
+// rekey takes row ord out of every index and locator over column c before an
+// in-place write changes the row's value there; the next patch files it again
+// under its new key. An index over other columns keeps the row where it is.
+func (r *relation) rekey(ord, c int) {
+	for _, idx := range r.indexes {
+		r.rekeyIn(idx, ord, c)
+	}
+	for _, loc := range r.locators {
+		r.rekeyIn(loc, ord, c)
+	}
+}
+
+func (r *relation) rekeyIn(idx *Index, ord, c int) {
+	// A row past patched is filed by the next patch under whatever key it
+	// has then.
+	if ord >= r.patched || !slices.Contains(idx.Cols, c) || slices.Contains(r.rekeys, rekeyed{idx, ord}) {
+		return
+	}
+	r.buf = idx.remove(r.store, ord, r.buf)
+	r.rekeys = append(r.rekeys, rekeyed{idx, ord})
+}
 
 // tombstone marks row ord dead, leaving its index entries to the next patch.
 func (r *relation) tombstone(ord int) bool {
@@ -182,14 +214,16 @@ func (r *relation) reindex() error {
 		loc.renumber(renumber)
 	}
 	r.store, r.indexes = store, indexes
-	r.patched, r.patchDel = store.Len(), r.patchDel[:0]
+	r.patched, r.patchDel, r.rekeys = store.Len(), r.patchDel[:0], r.rekeys[:0]
 	return nil
 }
 
-// patch applies the pending row changes to every index and locator.
+// patch applies the pending row changes to every index and locator, and
+// refolds the zones in-place writes left stale.
 func (r *relation) patch() error {
+	r.store.refold()
 	n := r.store.Len()
-	if r.patched == n && len(r.patchDel) == 0 {
+	if r.patched == n && len(r.patchDel) == 0 && len(r.rekeys) == 0 {
 		return nil
 	}
 	var buf []byte
@@ -204,12 +238,13 @@ func (r *relation) patch() error {
 			return err
 		}
 	}
-	r.patched, r.patchDel = n, r.patchDel[:0]
+	r.patched, r.patchDel, r.rekeys = n, r.patchDel[:0], r.rekeys[:0]
 	return nil
 }
 
-// patchOne applies the pending row changes to idx, removals first so an
-// updated row's key is free again before its replacement claims it.
+// patchOne applies the pending row changes to idx: removals first, so a
+// key a vanished row held is free again before a new row claims it, then
+// new rows, then the rows an in-place write re-keyed.
 func (r *relation) patchOne(idx *Index, buf []byte) ([]byte, error) {
 	for _, ord := range r.patchDel {
 		if ord < r.patched {
@@ -222,6 +257,15 @@ func (r *relation) patchOne(idx *Index, buf []byte) ([]byte, error) {
 		}
 		var ok bool
 		if buf, ok = idx.add(r.store, ord, buf); !ok {
+			return buf, fmt.Errorf("storage: duplicate key in unique index on %s", r.what)
+		}
+	}
+	for _, rk := range r.rekeys {
+		if rk.idx != idx || r.store.IsDead(rk.ord) {
+			continue
+		}
+		var ok bool
+		if buf, ok = idx.add(r.store, rk.ord, buf); !ok {
 			return buf, fmt.Errorf("storage: duplicate key in unique index on %s", r.what)
 		}
 	}
@@ -239,7 +283,7 @@ func (r *relation) freeze() *Data {
 // the published length.
 func (r *relation) thaw(d *Data) {
 	r.store, r.indexes = d.store.Freeze(), shareIndexes(d.indexes)
-	r.patched, r.patchDel, r.locators, r.dirty = r.store.Len(), nil, nil, false
+	r.patched, r.patchDel, r.rekeys, r.locators, r.dirty = r.store.Len(), nil, nil, nil, false
 }
 
 // Locator returns the writer-private index over cols, building it on first
@@ -475,8 +519,7 @@ func (t *Table) Restore(cs *ColumnStore) error {
 		if v.Kind != sqlvalue.KindNull && v.Kind != col.Type {
 			return fmt.Errorf("storage: %s column restored into %s column %s.%s", v.Kind, col.Type, t.Meta.Name, col.Name)
 		}
-		hasNull := v.Kind == sqlvalue.KindNull || slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 })
-		if col.NotNull && cs.Len() > 0 && hasNull {
+		if col.NotNull && cs.Len() > 0 && (v.Kind == sqlvalue.KindNull || v.Nullable()) {
 			return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", t.Meta.Name, col.Name)
 		}
 	}
@@ -516,8 +559,8 @@ func (idx *Index) ProbeKey(key []byte) []int {
 // view output, in output order, analogous to the clustered index that
 // materializes an indexed view (§2). Secondary indexes over output columns
 // can be added, mirroring SQL Server's CREATE INDEX on a view (Example 1).
-// Maintenance changes rows first (Append, Delete, Update) and then catches
-// the indexes up once with PatchIndexes.
+// Maintenance changes rows first (Append, Delete, SetInt, SetFloat) and then
+// catches the indexes up once with PatchIndexes.
 type MaterializedView struct {
 	Name    string
 	NumCols int
@@ -548,11 +591,23 @@ func (mv *MaterializedView) Delete(ords []int) {
 	mv.dirty = true
 }
 
-// Update replaces row ord (incremental aggregate maintenance): the stored
-// row is tombstoned and r appended, so no published array is written.
-func (mv *MaterializedView) Update(ord int, r Row) {
-	mv.tombstone(ord)
-	mv.store.AppendRow(r)
+// SetInt writes x into column c of row ord in place: incremental aggregate
+// maintenance changing a stored group's COUNT_BIG or an integer SUM (§2).
+// The group keeps its ordinal, so an index over other columns — the view's
+// key — is not touched; an index over c has the row re-filed by the next
+// PatchIndexes, which also refolds the block's zone. The first write since
+// the last commit to a block a published version reads clones that block
+// (ColumnStore.own), so readers of the version never see it.
+func (mv *MaterializedView) SetInt(ord, c int, x int64) {
+	mv.rekey(ord, c)
+	mv.store.setInt(ord, c, x)
+	mv.dirty = true
+}
+
+// SetFloat is SetInt for a DOUBLE column (a SUM over floats).
+func (mv *MaterializedView) SetFloat(ord, c int, x float64) {
+	mv.rekey(ord, c)
+	mv.store.setFloat(ord, c, x)
 	mv.dirty = true
 }
 

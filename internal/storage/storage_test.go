@@ -42,7 +42,7 @@ func TestInsertAndArity(t *testing.T) {
 	if err := tb.Insert(Row{sqlvalue.NewInt(3), sqlvalue.NewFloat(1), sqlvalue.Null}); err == nil {
 		t.Fatal("DOUBLE in a BIGINT column accepted")
 	}
-	if v := tb.Store().Col(1); v.Kind != sqlvalue.KindInt || len(v.Ints) != 2 {
+	if v := flat(tb.Store(), 1); v.Kind != sqlvalue.KindInt || len(v.Ints) != 2 {
 		t.Fatalf("a refused value reached the column: kind %s, %d payloads", v.Kind, len(v.Ints))
 	}
 	if tb.NumRows() != 2 {
@@ -169,7 +169,7 @@ func TestViewIndexes(t *testing.T) {
 	}
 	// Mutate rows then patch: the index must see the change.
 	mv.Append([]Row{{sqlvalue.NewInt(3), sqlvalue.NewInt(30)}})
-	mv.Update(0, Row{sqlvalue.NewInt(1), sqlvalue.NewInt(11)})
+	mv.SetInt(0, 1, 11)
 	if err := mv.PatchIndexes(); err != nil {
 		t.Fatal(err)
 	}

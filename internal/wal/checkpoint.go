@@ -31,14 +31,16 @@ import (
 //	indexes  = u32 count, then per index: u32 col count, u32 cols..., u8 unique
 //	str      = u32 length | bytes
 //
-// A relation is the store's own layout (storage.ColView): its live rows in
-// ordinal order, a column at a time. The kind byte is the sqlvalue.Kind (so
-// reordering that enum changes the format). The null bitmap may be shorter
-// than the rows, as in the store. The payload is one value per row: u64 for
-// BIGINT, DATE and BOOLEAN (0 or 1); the Float64bits of a DOUBLE, so a
-// recovered float is bit-identical; str for a VARCHAR; nothing for a
-// KindNull column, every row of which is NULL. Recovery decodes each column
-// into a typed array and hands the arrays to storage.NewColumnStoreOf.
+// A relation is the store's own layout: its live rows in ordinal order, a
+// column at a time, each column's blocks written one after another. The kind
+// byte is the sqlvalue.Kind (so reordering that enum changes the format).
+// The null bitmap is the column's null words through the last that holds a
+// NULL, so it may be shorter than the rows. The payload is one value per
+// row: u64 for BIGINT, DATE and BOOLEAN (0 or 1); the Float64bits of a
+// DOUBLE, so a recovered float is bit-identical; str for a VARCHAR; nothing
+// for a KindNull column, every row of which is NULL. Recovery decodes each
+// column into a typed array and hands the arrays to storage.NewColumnStoreOf,
+// which cuts them into blocks.
 //
 // A checkpoint is epoch-consistent by construction: it serializes a pinned
 // *storage.Snapshot, so every table and view belongs to the same committed
@@ -139,24 +141,42 @@ func appendRelation(b []byte, indexes []storage.IndexDef, cs *storage.ColumnStor
 	n := cs.Len()
 	b = binary.LittleEndian.AppendUint32(b, uint32(cs.NumCols()))
 	b = binary.LittleEndian.AppendUint64(b, uint64(n))
+	const wordsPerBlock = storage.BlockRows / 64
 	for c := 0; c < cs.NumCols(); c++ {
 		col := cs.Col(c)
-		b = binary.LittleEndian.AppendUint32(append(b, uint8(col.Kind)), uint32(len(col.Nulls)))
-		for _, w := range col.Nulls {
-			b = binary.LittleEndian.AppendUint64(b, w)
+		nw := 0 // through the last word holding a NULL
+		for blk := 0; blk < cs.NumBlocks(); blk++ {
+			nulls := col.Block(blk).Nulls
+			for w := len(nulls) - 1; w >= 0; w-- {
+				if nulls[w] != 0 {
+					nw = blk*wordsPerBlock + w + 1
+					break
+				}
+			}
 		}
-		switch col.Kind {
-		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
-			for _, x := range col.Ints[:n] {
-				b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		b = binary.LittleEndian.AppendUint32(append(b, uint8(col.Kind)), uint32(nw))
+		for w := 0; w < nw; w++ {
+			var word uint64
+			if nulls := col.Block(w / wordsPerBlock).Nulls; w%wordsPerBlock < len(nulls) {
+				word = nulls[w%wordsPerBlock]
 			}
-		case sqlvalue.KindFloat:
-			for _, x := range col.Floats[:n] {
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-			}
-		case sqlvalue.KindString:
-			for _, s := range col.Strs[:n] {
-				b = appendStr(b, s)
+			b = binary.LittleEndian.AppendUint64(b, word)
+		}
+		for blk := 0; blk < cs.NumBlocks(); blk++ {
+			rows := min(storage.BlockRows, n-blk*storage.BlockRows)
+			switch blk := col.Block(blk); col.Kind {
+			case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+				for _, x := range blk.Ints[:rows] {
+					b = binary.LittleEndian.AppendUint64(b, uint64(x))
+				}
+			case sqlvalue.KindFloat:
+				for _, x := range blk.Floats[:rows] {
+					b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+				}
+			case sqlvalue.KindString:
+				for _, s := range blk.Strs[:rows] {
+					b = appendStr(b, s)
+				}
 			}
 		}
 	}
@@ -329,7 +349,7 @@ func (r *ckptReader) relation() ([]storage.IndexDef, *storage.ColumnStore) {
 		}
 		indexes[i] = storage.IndexDef{Cols: cols, Unique: r.uint(1) != 0}
 	}
-	cols := make([]storage.ColView, r.count(5))
+	cols := make([]storage.Arrays, r.count(5))
 	for _, d := range indexes {
 		for _, c := range d.Cols {
 			if c >= len(cols) {
@@ -355,8 +375,8 @@ func (r *ckptReader) relation() ([]storage.IndexDef, *storage.ColumnStore) {
 }
 
 // column decodes one column of n rows.
-func (r *ckptReader) column(n int) storage.ColView {
-	v := storage.ColView{Kind: sqlvalue.Kind(r.uint(1))}
+func (r *ckptReader) column(n int) storage.Arrays {
+	v := storage.Arrays{Kind: sqlvalue.Kind(r.uint(1))}
 	nw := r.count(8)
 	if nw > (n+63)/64 {
 		r.fail("null bitmap of %d words for %d rows", nw, n)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"testing"
@@ -70,6 +71,33 @@ func sameValue(a, b sqlvalue.Value) bool {
 	return a.Kind() == b.Kind() && sqlvalue.Identical(a, b)
 }
 
+// flat returns column c's rows as one run of arrays, its null words through
+// the last that holds a NULL, whatever blocks hold them.
+func flat(cs *storage.ColumnStore, c int) storage.Arrays {
+	v := cs.Col(c)
+	a := storage.Arrays{Kind: v.Kind}
+	for b := 0; b < cs.NumBlocks(); b++ {
+		blk, rows := v.Block(b), min(storage.BlockRows, cs.Len()-b*storage.BlockRows)
+		switch v.Kind {
+		case sqlvalue.KindInt, sqlvalue.KindDate, sqlvalue.KindBool:
+			a.Ints = append(a.Ints, blk.Ints[:rows]...)
+		case sqlvalue.KindFloat:
+			a.Floats = append(a.Floats, blk.Floats[:rows]...)
+		case sqlvalue.KindString:
+			a.Strs = append(a.Strs, blk.Strs[:rows]...)
+		}
+		for j := range rows {
+			if i := b*storage.BlockRows + j; v.IsNull(i) {
+				for len(a.Nulls) <= i>>6 {
+					a.Nulls = append(a.Nulls, 0)
+				}
+				a.Nulls[i>>6] |= 1 << (i & 63)
+			}
+		}
+	}
+	return a
+}
+
 // storeDiff describes the first difference between two stores — lengths,
 // kinds, payload bits, null bitmaps or any block's zone — or is "".
 func storeDiff(a, b *storage.ColumnStore) string {
@@ -79,7 +107,7 @@ func storeDiff(a, b *storage.ColumnStore) string {
 	}
 	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 	for c := 0; c < a.NumCols(); c++ {
-		x, y := a.Col(c), b.Col(c)
+		x, y := flat(a, c), flat(b, c)
 		if x.Kind != y.Kind || !slices.Equal(x.Ints, y.Ints) || !slices.EqualFunc(x.Floats, y.Floats, sameBits) ||
 			!slices.Equal(x.Strs, y.Strs) || !slices.Equal(x.Nulls, y.Nulls) {
 			return fmt.Sprintf("column %d: %+v vs %+v", c, x, y)
@@ -154,6 +182,48 @@ func TestCheckpointImageRoundTrip(t *testing.T) {
 		if d := storeDiff(got.tables[0].store, src.Rewrite()); d != "" {
 			t.Fatalf("loaded image differs from the written store's Rewrite: %s", d)
 		}
+	}
+}
+
+// TestCheckpointFormatUnchanged: testdata/checkpoint-cde42ad.ckpt is
+// fixtureImage(2*BlockRows+150) as the store wrote it at commit cde42ad,
+// when a column was one flat array. It loads into the stores the fixture
+// holds today — kinds, payload bits, null words, every block's zone — and a
+// store that now keeps its columns in blocks writes it back byte for byte,
+// as it writes the fixture.
+func TestCheckpointFormatUnchanged(t *testing.T) {
+	const n = 2*storage.BlockRows + 150
+	old, err := os.ReadFile("testdata/checkpoint-cde42ad.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := parseCheckpoint(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.tables[0].store.NumBlocks() < 2 || ck.tables[0].store.Col(6).Kind != sqlvalue.KindNull {
+		t.Fatalf("the image lost a case: %d blocks, column 6 %s", ck.tables[0].store.NumBlocks(), ck.tables[0].store.Col(6).Kind)
+	}
+	for _, c := range []struct {
+		got, want *storage.ColumnStore
+	}{
+		{ck.tables[0].store, fixtureStore(n).Rewrite()},
+		{ck.tables[1].store, storage.NewColumnStore(2)},
+		{ck.views[0].store, fixtureStore(n / 2).Rewrite()},
+	} {
+		if d := storeDiff(c.got, c.want); d != "" {
+			t.Fatalf("the image loads as %s", d)
+		}
+	}
+	var buf bytes.Buffer
+	if err := ck.write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), old) {
+		t.Fatal("the loaded image writes back to other bytes")
+	}
+	if !bytes.Equal(fixtureImage(n), old) {
+		t.Fatal("the fixture writes to other bytes than it did")
 	}
 }
 

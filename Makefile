@@ -1,6 +1,6 @@
 # Convenience targets; repro.sh is the full reproduction pipeline.
 
-.PHONY: build test race bench vet chaos recover repro
+.PHONY: build test race bench vet chaos recover repro loc
 
 build:
 	go build ./...
@@ -41,3 +41,13 @@ recover:
 
 repro:
 	./repro.sh
+
+# loc prints the non-test Go lines of every package and, last, of the whole
+# tree (bench/ and the benchmark's build directory excluded): the count each
+# CHANGES.md entry reports.
+GOSRC = find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*'
+loc:
+	@for d in $$($(GOSRC) | xargs -n1 dirname | sort -u); do \
+		printf '%7d %s\n' $$(find $$d -maxdepth 1 -name '*.go' -not -name '*_test.go' | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d total\n' $$($(GOSRC) | xargs cat | wc -l)

@@ -13,6 +13,7 @@ import (
 
 	"matview/internal/opt"
 	"matview/internal/sqlparser"
+	"matview/internal/storage"
 	"matview/internal/tpch"
 )
 
@@ -56,7 +57,7 @@ func main() {
 		if _, err := o.RegisterView(name, q); err != nil {
 			log.Fatal(err)
 		}
-		db.PutView(name, len(q.Outputs), rows)
+		db.PutView(name, storage.StoreOf(len(q.Outputs), rows))
 		o.SetViewRowCount(name, int64(len(rows)))
 		fmt.Printf("   -> cached as %s (%d rows)\n", name, len(rows))
 	}

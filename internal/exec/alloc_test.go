@@ -77,7 +77,7 @@ func TestViewSeekAllocs(t *testing.T) {
 	for i := range rows {
 		rows[i] = storage.Row{sqlvalue.NewInt(int64(i)), sqlvalue.NewString("x"), sqlvalue.NewFloat(float64(i) / 3)}
 	}
-	mv, err := db.PutView("mv_alloc", 3, rows)
+	mv, err := db.PutView("mv_alloc", storage.StoreOf(3, rows))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestViewSeekSnapshot(t *testing.T) {
 		{sqlvalue.NewInt(2), sqlvalue.NewString("two")},
 		{sqlvalue.NewInt(2), sqlvalue.NewString("deux")},
 	}
-	v, err := db.PutView("mv_seek", 2, stored)
+	v, err := db.PutView("mv_seek", storage.StoreOf(2, stored))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestViewSeekSnapshot(t *testing.T) {
 				t.Fatalf("%s: seek result aliased view storage: maintenance leaked into the earlier result %v", plan.Describe(), rows)
 			}
 			// Restore for the next configuration (PutView keeps the index).
-			if v, err = db.PutView("mv_seek", 2, stored); err != nil {
+			if v, err = db.PutView("mv_seek", storage.StoreOf(2, stored)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -298,7 +298,7 @@ func TestTombstonesMatchReference(t *testing.T) {
 		victims = append(victims, i)
 	}
 	tb := db.Table("events")
-	view, err := db.PutView("mv_events", 3, tb.Rows())
+	view, err := db.PutView("mv_events", storage.StoreOf(3, tb.Rows()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +405,7 @@ func plansRows(t *testing.T, db storage.Reader, plan Node) []storage.Row {
 // reference before and after.
 func TestCachedScanFilterFollowsKinds(t *testing.T) {
 	db := smallDB(t)
-	mv, err := db.PutView("nv", 2, []storage.Row{{sqlvalue.NewInt(1), sqlvalue.Null}, {sqlvalue.NewInt(2), sqlvalue.Null}})
+	mv, err := db.PutView("nv", storage.StoreOf(2, []storage.Row{{sqlvalue.NewInt(1), sqlvalue.Null}, {sqlvalue.NewInt(2), sqlvalue.Null}}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,16 +14,18 @@ import (
 
 // Delta terms: a view's change under one write, compiled once.
 //
-// A term is the view's query with one FROM instance of the changed table
-// standing for Δ, the write's rows. It is compiled once per view set and run
+// A term is the view's query with some FROM instances of the changed table
+// standing for Δ, the write's rows, and every other instance read as the
+// table is now written (its head). It is compiled once per view set and run
 // on every statement, inline, with its scratch — selection, wide row, group
-// table, output rows — reset rather than reallocated. Δ leads: its
-// conjuncts run first as typed kernels over the Δ batch (the
+// table, output rows — reset rather than reallocated. One Δ instance leads:
+// its conjuncts run first as typed kernels over the Δ batch (the
 // irrelevant-update test: a term no Δ row passes runs nothing), then each
-// other instance joins in turn, probed through an index on its join columns
-// when the statement's input offers one, and checked against the conjuncts
-// it completes. A first join of Δ to a table is a node the statement
-// computes once for every term that names the same one.
+// other instance joins in turn and is checked against the conjuncts it
+// completes. A table instance is probed through the index the writer keeps
+// on its join columns (Table.Locator); a further Δ instance through a hash
+// of Δ the statement builds once. A first join of Δ to a relation is a node
+// the statement computes once for every term that names the same one.
 
 // DeltaTerm is one compiled delta term. Select, then Run, on one statement's
 // DeltaInput; a term is not safe for concurrent use.
@@ -57,17 +59,18 @@ type DeltaTerm struct {
 // deltaStep joins one more FROM instance to the tuples built so far.
 type deltaStep struct {
 	pos     int    // the instance's FROM position
-	name    string // the relation the instance reads
+	name    string // the table the instance reads
+	delta   bool   // the instance stands for Δ, not the table
 	off     int    // its offset in the wide row
 	tupCols []int  // wide-row columns of the probe key
 	cols    []int  // the instance's columns they equal
 	fill    []int  // the instance's columns the rest of the term reads
 	resid   []expr.CompiledPredicate
 	node    string // shared-node key of a first join on columns; "" otherwise
-	build   string // key of the relation's build by cols, when no index serves
+	build   string // key of Δ's hash by cols, for a Δ instance
 
-	data *storage.Data // bound per statement
-	idx  *storage.Index
+	store *storage.ColumnStore // bound per statement
+	idx   *storage.Index       // the table's, by cols; nil for Δ
 }
 
 type deltaAgg struct {
@@ -75,11 +78,11 @@ type deltaAgg struct {
 	arg  expr.Compiled // nil for COUNT_BIG(*)
 }
 
-// CompileDeltaTerm compiles q with Δ standing at FROM position lead. The
-// other instances are read, per statement, under their table names through
-// the DeltaInput's reader.
-func CompileDeltaTerm(q *spjg.Query, lead int) (*DeltaTerm, error) {
-	n := len(q.Tables)
+// CompileDeltaTerm compiles q with Δ standing at the FROM positions at, the
+// first of which leads. The other instances are read, per statement, as the
+// DeltaInput's database holds their tables.
+func CompileDeltaTerm(q *spjg.Query, at []int) (*DeltaTerm, error) {
+	n, lead := len(q.Tables), at[0]
 	offs := make([]int, n+1)
 	for i, t := range q.Tables {
 		offs[i+1] = offs[i] + len(t.Table.Columns)
@@ -150,7 +153,7 @@ func CompileDeltaTerm(q *spjg.Query, lead int) (*DeltaTerm, error) {
 		if next < 0 {
 			next = slices.Index(joined, false)
 		}
-		st := deltaStep{pos: next, name: q.Tables[next].Table.Name, off: offs[next]}
+		st := deltaStep{pos: next, name: q.Tables[next].Table.Name, delta: slices.Contains(at, next), off: offs[next]}
 		for ci, c := range conjuncts {
 			if tup, col, ok := equi(c, next); ok && !used[ci] {
 				st.tupCols = append(st.tupCols, tup)
@@ -176,9 +179,11 @@ func CompileDeltaTerm(q *spjg.Query, lead int) (*DeltaTerm, error) {
 			}
 		}
 		if len(t.steps) == 0 && len(st.cols) > 0 {
-			st.node = nodeKey(st.name, st.tupCols, t.leadOff, st.cols)
+			st.node = nodeKey(st.delta, st.name, st.tupCols, t.leadOff, st.cols)
 		}
-		st.build = nodeKey(st.name, nil, 0, st.cols)
+		if st.delta {
+			st.build = nodeKey(true, st.name, nil, 0, st.cols)
+		}
 		t.steps = append(t.steps, st)
 	}
 
@@ -232,10 +237,15 @@ func CompileDeltaTerm(q *spjg.Query, lead int) (*DeltaTerm, error) {
 	return t, nil
 }
 
-// nodeKey names a first join of Δ: the relation, Δ's key columns and the
-// relation's. Two terms with one key compute the same matches.
-func nodeKey(name string, tupCols []int, leadOff int, cols []int) string {
-	b := append([]byte(name), 0)
+// nodeKey names a first join of Δ: what it probes (Δ, or the table by
+// name), Δ's key columns and the probed relation's. Two terms with one key
+// compute the same matches; a probe of Δ and one of the table never share.
+func nodeKey(delta bool, name string, tupCols []int, leadOff int, cols []int) string {
+	b := []byte{'t'}
+	if delta {
+		b[0] = 'd'
+	}
+	b = append(append(b, name...), 0)
 	for _, c := range tupCols {
 		b = strconv.AppendInt(append(b, ','), int64(c-leadOff), 10)
 	}
@@ -246,15 +256,12 @@ func nodeKey(name string, tupCols []int, leadOff int, cols []int) string {
 	return string(b)
 }
 
-// DeltaInput is one statement's Δ and what its terms read besides it: a
-// reader for the other instances' relations and, optionally, index, which
-// returns an index of the named relation on exactly cols that agrees with
-// what the reader returns for it (nil when there is none). It holds the
-// statement's shared join nodes and builds; Bind starts the next statement.
+// DeltaInput is one statement's Δ and the database whose tables, as written,
+// its terms read besides it. It holds the statement's shared join nodes and
+// its hashes of Δ; Bind starts the next statement.
 type DeltaInput struct {
 	delta  *storage.ColumnStore
-	reader storage.Reader
-	index  func(name string, cols []int) *storage.Index
+	db     *storage.Database
 	gen    uint64
 	nodes  map[string]*deltaNode
 	builds map[string]*deltaBuild
@@ -268,8 +275,8 @@ type deltaNode struct {
 	ords   []int
 }
 
-// deltaBuild hashes a relation's live rows by key columns, for a join no
-// index serves.
+// deltaBuild hashes Δ's rows by key columns, for a join of a further Δ
+// instance.
 type deltaBuild struct {
 	gen     uint64
 	buckets map[string][]int
@@ -280,10 +287,10 @@ func NewDeltaInput() *DeltaInput {
 	return &DeltaInput{nodes: map[string]*deltaNode{}, builds: map[string]*deltaBuild{}}
 }
 
-// Bind makes delta, read through reader and index, the input of the next
-// statement's terms, dropping the last statement's nodes and builds.
-func (in *DeltaInput) Bind(delta *storage.ColumnStore, reader storage.Reader, index func(name string, cols []int) *storage.Index) {
-	in.delta, in.reader, in.index = delta, reader, index
+// Bind makes delta, joined to db's tables as they are written, the input of
+// the next statement's terms, dropping the last statement's nodes and builds.
+func (in *DeltaInput) Bind(delta *storage.ColumnStore, db *storage.Database) {
+	in.delta, in.db = delta, db
 	in.gen++
 }
 
@@ -318,13 +325,15 @@ func (t *DeltaTerm) Run(in *DeltaInput) ([]storage.Row, error) {
 	}
 	for i := range t.steps {
 		st := &t.steps[i]
-		if st.data = in.reader.TableData(st.name); st.data == nil {
+		if st.delta {
+			st.store = in.delta
+			continue
+		}
+		tab := in.db.Table(st.name)
+		if tab == nil {
 			return nil, fmt.Errorf("exec: unknown table %q", st.name)
 		}
-		st.idx = nil
-		if in.index != nil && len(st.cols) > 0 {
-			st.idx = in.index(st.name, st.cols)
-		}
+		st.store, st.idx = tab.Store(), tab.Locator(st.cols)
 	}
 	defer t.sc.stats.flush()
 	for _, j := range t.sel {
@@ -359,7 +368,7 @@ func (t *DeltaTerm) join(in *DeltaInput, s, j int) error {
 		}
 		cands = in.probe(st, t.key, &t.sc.stats)
 	}
-	store := st.data.Store()
+	store := st.store
 candidates:
 	for _, ord := range cands {
 		for _, c := range st.fill {
@@ -394,15 +403,15 @@ func appendKey(dst []byte, row []sqlvalue.Value, cols []int) ([]byte, bool) {
 }
 
 // probe returns the live ordinals of st's relation whose key columns hold
-// key: through the input's index when it has one, else through a build of
-// the relation the statement makes once.
+// key: through the table's index, or through the hash of Δ the statement
+// builds once.
 func (in *DeltaInput) probe(st *deltaStep, key []byte, stats *ScanStats) []int {
 	stats.RowsProbed++
 	var ords []int
-	if st.idx != nil {
-		ords = st.idx.ProbeKey(key)
-	} else {
+	if st.delta {
 		ords = in.build(st, stats).buckets[string(key)]
+	} else {
+		ords = st.idx.ProbeKey(key)
 	}
 	if len(ords) > 0 {
 		stats.RowsMatched++
@@ -410,8 +419,8 @@ func (in *DeltaInput) probe(st *deltaStep, key []byte, stats *ScanStats) []int {
 	return ords
 }
 
-// build hashes st's relation by st.cols, once per statement, counting the
-// blocks it reads.
+// build hashes Δ by st.cols, once per statement, counting the blocks it
+// reads.
 func (in *DeltaInput) build(st *deltaStep, stats *ScanStats) *deltaBuild {
 	b := in.builds[st.build]
 	if b == nil {
@@ -423,17 +432,13 @@ func (in *DeltaInput) build(st *deltaStep, stats *ScanStats) *deltaBuild {
 	}
 	b.gen = in.gen
 	clear(b.buckets)
-	store := st.data.Store()
-	stats.BlocksScanned += int64(store.NumBlocks())
+	stats.BlocksScanned += int64(in.delta.NumBlocks())
 	var key []byte
 rows:
-	for ord := range store.Len() {
-		if store.IsDead(ord) {
-			continue
-		}
+	for ord := range in.delta.Len() {
 		key = key[:0]
 		for _, c := range st.cols {
-			v := store.Value(ord, c)
+			v := in.delta.Value(ord, c)
 			if v.IsNull() {
 				continue rows
 			}

@@ -215,7 +215,7 @@ func TestEngineSnapshotsScanOutput(t *testing.T) {
 		t.Fatal("TableScan result changed under DML: live slice leaked")
 	}
 
-	v, err := db.PutView("mv", 1, []storage.Row{{sqlvalue.NewInt(1)}, {sqlvalue.NewInt(2)}})
+	v, err := db.PutView("mv", storage.StoreOf(1, []storage.Row{{sqlvalue.NewInt(1)}, {sqlvalue.NewInt(2)}}))
 	if err != nil {
 		t.Fatal(err)
 	}

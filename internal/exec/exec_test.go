@@ -17,7 +17,7 @@ func materialize(db *storage.Database, name string, def *spjg.Query) (*storage.M
 	if err != nil {
 		return nil, err
 	}
-	return db.PutView(name, len(def.Outputs), rows)
+	return db.PutView(name, storage.StoreOf(len(def.Outputs), rows))
 }
 
 // smallDB builds a two-table database:

@@ -19,7 +19,7 @@ func materialize(db *storage.Database, name string, def *spjg.Query) (*storage.M
 	if err != nil {
 		return nil, err
 	}
-	return db.PutView(name, len(def.Outputs), rows)
+	return db.PutView(name, storage.StoreOf(len(def.Outputs), rows))
 }
 
 // TestRandomWorkloadEquivalence is the repository's broadest soundness check:

@@ -535,9 +535,9 @@ func (m *Maintainer) repairOne(v *View) error {
 	m.lc.mu.Lock()
 	m.lc.stats.RepairAttempts++
 	m.lc.mu.Unlock()
-	rows, _, err := m.Build(v)
+	cs, _, err := m.Build(v)
 	if err == nil {
-		err = m.Install(v, rows)
+		err = m.Install(v, cs)
 	}
 	if err != nil {
 		return err

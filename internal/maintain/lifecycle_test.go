@@ -306,14 +306,15 @@ func TestStrayKindViewWriteStalesOneView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, _, err := m.Build(v)
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("build: %d rows, %v", len(rows), err)
+	cs, _, err := m.Build(v)
+	if err != nil || cs.Live() == 0 {
+		t.Fatalf("build: %v", err)
 	}
+	rows := cs.Rows()
 	for _, r := range rows {
 		r[1] = sqlvalue.NewString(r[1].String())
 	}
-	if err := m.Install(v, rows); err != nil {
+	if err := m.Install(v, storage.StoreOf(2, rows)); err != nil {
 		t.Fatal(err)
 	}
 

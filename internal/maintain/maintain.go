@@ -7,10 +7,11 @@
 //
 // Every write reaches a view through its delta (the classic SPJG delta
 // rules): a view reading the changed table once folds in Q(T ← Δ), one
-// reading it n times (a self-join) n such terms, Δ at one instance each.
-// SPJ views append or bag-subtract the delta rows; aggregation views merge
-// the delta's partial aggregates into the stored groups, deleting groups
-// whose count reaches zero. Only Build computes a view from scratch.
+// reading it n times (a self-join) 2^n − 1 such terms, Δ at a nonempty set
+// of the instances and the table as written at the rest (see terms). SPJ
+// views append or bag-subtract the delta rows; aggregation views merge the
+// delta's partial aggregates into the stored groups, deleting groups whose
+// count reaches zero. Only Build computes a view from scratch.
 //
 // The Maintainer is the registry of record for views: every view the
 // optimizer matches or storage holds is one of its views (shell.Session keeps
@@ -128,15 +129,15 @@ func canBeNull(def *spjg.Query, e expr.Expr) bool {
 
 // Build computes v's rows read-only against a pinned snapshot of the
 // committed epoch, so it may run concurrently with query traffic, and
-// returns them with that epoch: they are v's contents only while the
-// database is still at it. It is the one computation of a view from scratch
-// (CREATE VIEW, the autopilot, Repair). An aggregate view's rows come back
-// in the order of its grouping columns, the unique clustered key §2 stores
-// such a view under (stable, NULL keys last); Install keeps whatever order it
-// is handed, so a view restored from a checkpoint keeps the order it had.
-// Panics become errors, and the recompute fault site fires here so chaos
-// runs can break a build.
-func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error) {
+// returns them as a column store with that epoch: they are v's contents only
+// while the database is still at it. It is the one computation of a view
+// from scratch (CREATE VIEW, the autopilot, Repair). An aggregate view's
+// rows come in the order of its grouping columns, the unique clustered key
+// §2 stores such a view under (stable, NULL keys last); Install keeps
+// whatever order it is handed, so a view restored from a checkpoint keeps
+// the order it had. Panics become errors, and the recompute fault site fires
+// here so chaos runs can break a build.
+func (m *Maintainer) Build(v *View) (cs *storage.ColumnStore, epoch uint64, err error) {
 	err = guard(func() error {
 		if ferr := m.faults.Maybe(faults.SiteMaintainRecompute); ferr != nil {
 			return fmt.Errorf("maintain: build of %s: %w", v.Name, ferr)
@@ -144,8 +145,10 @@ func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error
 		snap := m.db.Snapshot()
 		defer snap.Release()
 		epoch = snap.Epoch()
-		var rerr error
-		rows, rerr = exec.RunQuery(snap, v.Def)
+		rows, rerr := exec.RunQuery(snap, v.Def)
+		if rerr != nil {
+			return rerr
+		}
 		if len(v.keyPos) > 0 {
 			slices.SortStableFunc(rows, func(a, b storage.Row) int {
 				for _, c := range v.keyPos {
@@ -156,9 +159,10 @@ func (m *Maintainer) Build(v *View) (rows []storage.Row, epoch uint64, err error
 				return 0
 			})
 		}
-		return rerr
+		cs = storage.StoreOf(len(v.Def.Outputs), rows)
+		return nil
 	})
-	return rows, epoch, err
+	return cs, epoch, err
 }
 
 // compareKey orders two values of one key column, NULL after every value.
@@ -175,16 +179,21 @@ func compareKey(a, b sqlvalue.Value) int {
 	return d
 }
 
-// Install stores rows — Build's result, still current — as v's contents,
-// publishes them as one epoch, and brings v Fresh. Storage refuses rows that
-// violate a unique index of the view they replace, and a commit failure
-// drops the never-committed rows again; either way v is left as it was.
-func (m *Maintainer) Install(v *View, rows []storage.Row) error {
+// Install stores cs — Build's result, still current, or a checkpoint's
+// image of v — as v's contents, publishes them as one epoch, and brings v
+// Fresh. A store of another column count than v's outputs is refused, as
+// storage refuses rows that violate a unique index of the view they replace,
+// and a commit failure drops the never-committed rows again; either way v is
+// left as it was.
+func (m *Maintainer) Install(v *View, cs *storage.ColumnStore) error {
 	if i := m.find(v.Name); i < 0 || m.views[i] != v {
 		return fmt.Errorf("maintain: view %s was dropped before its rows were installed", v.Name)
 	}
+	if cs.NumCols() != len(v.Def.Outputs) {
+		return fmt.Errorf("maintain: %d columns installed into the %d outputs of view %s", cs.NumCols(), len(v.Def.Outputs), v.Name)
+	}
 	return guard(func() error {
-		if _, err := m.db.PutView(v.Name, len(v.Def.Outputs), rows); err != nil {
+		if _, err := m.db.PutView(v.Name, cs); err != nil {
 			return err
 		}
 		if _, err := m.db.CommitDurable(); err != nil {
@@ -217,17 +226,6 @@ func (m *Maintainer) Drop(name string) (bool, error) {
 	m.views = slices.Delete(m.views, i, i+1)
 	m.lc.drop(name)
 	return true, nil
-}
-
-// instancesOf counts how many times the view references the table.
-func instancesOf(def *spjg.Query, table string) int {
-	n := 0
-	for _, t := range def.Tables {
-		if t.Table.Name == table {
-			n++
-		}
-	}
-	return n
 }
 
 // Insert appends rows to a base table and maintains every registered view
@@ -281,10 +279,10 @@ func (m *Maintainer) DeleteWhere(table string, where expr.Expr) (int, error) {
 //     committed epoch, no view is touched, the epoch does not advance, and the
 //     returned *MaintenanceError has Base set.
 //   - One rule per view: a view that is not Fresh is skipped (Repair owns
-//     it); every other view folds in its delta terms (program), one per
-//     instance of the table it reads, each applied with the statement's
-//     sign. A view whose conjuncts on the table alone no Δ row passes is
-//     left as it is.
+//     it); every other view folds in its delta terms (program), which read
+//     Δ and the table as written, each applied with its sign (see terms). A
+//     view whose conjuncts on the table alone no Δ row passes is left as it
+//     is.
 //   - A failing view rolls back to its committed contents — consistent but
 //     stale, never torn — and is marked Stale before the statement returns;
 //     the rest of the statement still commits.
@@ -314,18 +312,7 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 	}
 	p := m.program(table)
 	rep.Skipped = append(rep.Skipped, p.skipped...)
-	var reader storage.Reader = m.db
-	if p.selfJoin {
-		// Self-join terms read the table as written and, through the epoch
-		// not yet holding the base write, as committed.
-		snap := m.db.Snapshot()
-		defer snap.Release()
-		ov := storage.NewOverlay(m.db)
-		ov.Bind(table+asWritten, m.db.TableData(table))
-		ov.Bind(table+asCommitted, snap.TableData(table))
-		reader = ov
-	}
-	p.in.Bind(delta, reader, p.index)
+	p.in.Bind(delta, m.db)
 	for i := range p.views {
 		pv := &p.views[i]
 		if err := guard(func() error { return m.maintainView(pv, p.in, sign) }); err != nil {
@@ -351,7 +338,7 @@ func (m *Maintainer) write(op, table string, sign int64, base func(*storage.Tabl
 // maintainView folds the statement's Δ into one view: first every term's
 // conjuncts on Δ alone (the irrelevant-update test of Blakeley, Coburn and
 // Larson — a view no Δ row can reach is left as it is), then each term's
-// rows, applied with the statement's sign.
+// rows, in program order, applied with the term's sign (see terms).
 func (m *Maintainer) maintainView(pv *programView, in *exec.DeltaInput, sign int64) error {
 	if pv.err != nil {
 		return pv.err
@@ -367,7 +354,7 @@ func (m *Maintainer) maintainView(pv *programView, in *exec.DeltaInput, sign int
 	if !relevant {
 		return nil
 	}
-	for _, term := range pv.terms {
+	for k, term := range pv.terms {
 		if err := m.faults.Maybe(faults.SiteMaintainDelta); err != nil {
 			return fmt.Errorf("maintain: delta for %s: %w", pv.v.Name, err)
 		}
@@ -375,49 +362,15 @@ func (m *Maintainer) maintainView(pv *programView, in *exec.DeltaInput, sign int
 		if err != nil {
 			return fmt.Errorf("maintain: delta for %s: %w", pv.v.Name, err)
 		}
-		if err := m.apply(pv.v, rows, sign); err != nil {
+		s := sign
+		if sign > 0 && k >= (len(pv.terms)+1)/2 { // an even |S| under an INSERT
+			s = -sign
+		}
+		if err := m.apply(pv.v, rows, s); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// The names under which a statement's overlay binds the changed table as
-// written and as committed; a NUL byte keeps them off every catalog name.
-const (
-	asWritten   = "\x00written"
-	asCommitted = "\x00committed"
-)
-
-// deltaTerm returns term i of the delta of a view that reads table n > 1
-// times: with R the table as committed and R′ as written,
-//
-//	±(R′1⋯R′n − R1⋯Rn) = Σi R′1⋯R′i−1 · ΔRi · Ri+1⋯Rn   (+ insert, − delete)
-//
-// Each changed join tuple falls in exactly one term, so each term is applied
-// on its own. The term is def with the other instances renamed to the
-// overlay's bindings, and Δ at the FROM position lead.
-func deltaTerm(def *spjg.Query, table string, i int) (q *spjg.Query, lead int) {
-	cp := *def
-	cp.Tables = slices.Clone(def.Tables)
-	k := 0
-	for j, t := range cp.Tables {
-		if t.Table.Name != table {
-			continue
-		}
-		if k == i {
-			lead = j
-		} else {
-			renamed := *t.Table
-			renamed.Name = table + asCommitted
-			if k < i {
-				renamed.Name = table + asWritten
-			}
-			cp.Tables[j].Table = &renamed
-		}
-		k++
-	}
-	return &cp, lead
 }
 
 // apply merges delta rows into the stored view. sign is +1 for inserts and
@@ -446,15 +399,15 @@ func (m *Maintainer) apply(v *View, delta []storage.Row, sign int64) error {
 }
 
 // bagSubtract removes one stored occurrence per delta row (bag semantics),
-// finding them through the view's locator over all of its columns: the cost
-// follows the delta, not the view.
+// finding them through the view's index over all of its columns (Locator):
+// the cost follows the delta, not the view.
 func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string) error {
 	cols := make([]int, mv.NumCols)
 	for i := range cols {
 		cols[i] = i
 	}
 	loc := mv.Locator(cols)
-	// The locator does not see this statement's deletes until PatchIndexes,
+	// The index does not see this statement's deletes until PatchIndexes,
 	// so the k-th delta row with one key takes the bucket's k-th ordinal.
 	taken := map[string]int{}
 	ords := make([]int, 0, len(delta))
@@ -478,21 +431,19 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 // incremental-deletion rule that COUNT_BIG exists for. Define admits only
 // sums that cannot be NULL, so a sum merges by plain arithmetic, with
 // sqlvalue.Add's and Sub's semantics on the stored payloads: an INTEGER wraps,
-// a DOUBLE is a plain float sum. A stored group is found through an index
-// over the group-by columns (the unique clustered key §2 requires) — the
-// view's declared one when it has one, else its locator, so the key is not
-// kept twice — and is updated where it lies (SetInt, SetFloat): it keeps its
-// ordinal and its place in that index. Only a new group (appended) or a
-// vanished one (tombstoned) changes the key index. A delta holds each group
-// once, so the cost follows the delta's groups, not the view's.
+// a DOUBLE is a plain float sum. A stored group is found through the index
+// Locator picks over the group-by columns (the unique clustered key §2
+// requires) — the view's declared one when it has one, else its locator, so
+// the key is not kept twice — and is updated where it lies (SetInt,
+// SetFloat): it keeps its ordinal and its place in that index. Only a new
+// group (appended) or a vanished one (tombstoned) changes the key index. A
+// delta holds each group once, so the cost follows the delta's groups, not
+// the view's.
 func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []storage.Row, sign int64) error {
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
 	}
-	loc := mv.LookupIndex(v.keyPos)
-	if loc == nil {
-		loc = mv.Locator(v.keyPos)
-	}
+	loc := mv.Locator(v.keyPos)
 	st := mv.Store()
 	var buf []byte
 	for _, d := range delta {

@@ -713,7 +713,7 @@ func TestGroupUpdatedInPlace(t *testing.T) {
 	if mv := db.View(v.Name); mv.Store() != st || st.Len() != n || st.Live() != n {
 		t.Fatalf("after updates of existing groups: store replaced %t, %d rows, %d live; it had %d", mv.Store() != st, st.Len(), st.Live(), n)
 	}
-	idx := db.View(v.Name).LookupIndex([]int{0})
+	idx := db.View(v.Name).Locator([]int{0})
 	for i := range n {
 		if got := idx.Probe(keyOf(i)); len(got) != 1 || got[0] != i {
 			t.Fatalf("key %v: the index files %v, it filed ordinal %d", keyOf(i), got, i)

@@ -132,3 +132,62 @@ func TestIrrelevantUpdateRunsNothing(t *testing.T) {
 		checkAgainstRecompute(t, db, v)
 	}
 }
+
+// TestSelfJoinDeltaReadsOnlyDelta: a rollup joining orders to itself on
+// o_custkey has three delta terms — Δ⋈R′, R′⋈Δ and Δ⋈Δ, R′ the table as
+// written. A 10-row INSERT of orders of ten customers that already have
+// orders, and the DELETE of those rows, each read Δ's one block once per
+// term and once more to hash Δ for the Δ⋈Δ term, and probe once per Δ row
+// for R′ (one node the first two terms share, through orders' locator on
+// o_custkey) and once for Δ: no block of orders is scanned, at either size
+// of the table, and no reference plan is built. The view equals its
+// recompute after each.
+func TestSelfJoinDeltaReadsOnlyDelta(t *testing.T) {
+	for _, sf := range []float64{0.01, 0.02} {
+		db, err := tpch.NewDatabase(sf, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cat := db.Catalog
+		orders := db.Table("orders")
+		if orders.Store().NumBlocks() < 10 {
+			t.Fatalf("SF %g: orders spans %d blocks, want at least 10", sf, orders.Store().NumBlocks())
+		}
+		m := maintain.New(db)
+		v, err := register(m, "cust_pairs", &spjg.Query{
+			Tables:  []spjg.TableRef{{Table: cat.Table("orders"), Alias: "a"}, {Table: cat.Table("orders"), Alias: "b"}},
+			Where:   expr.Eq(expr.Col(0, tpch.OCustkey), expr.Col(1, tpch.OCustkey)),
+			GroupBy: []expr.Expr{expr.Col(0, tpch.OCustkey)},
+			Outputs: []spjg.OutputColumn{
+				{Name: "c", Expr: expr.Col(0, tpch.OCustkey)},
+				{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
+				{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(1, tpch.OTotalprice)}},
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		const marker = 100_000_000
+		var rows []storage.Row
+		for k := range int64(10) {
+			cust := orders.RowAt(orders.NumRows()/2 + int(k))[tpch.OCustkey].Int()
+			rows = append(rows, newOrderRow(db, marker+k, cust, float64(1000*k)))
+		}
+		want := exec.ScanStats{BlocksScanned: 4, RowsProbed: 20, RowsMatched: 20}
+		for _, stmt := range []struct {
+			what string
+			run  func() error
+		}{
+			{"insert", func() error { return m.Insert("orders", rows) }},
+			{"delete", func() error {
+				_, err := m.DeleteWhere("orders", expr.NewCmp(expr.GE, expr.Col(0, tpch.OOrderkey), expr.CInt(marker)))
+				return err
+			}},
+		} {
+			if got := statementCounts(t, stmt.run); got != want {
+				t.Errorf("SF %g, %s: counters %+v, want %+v", sf, stmt.what, got, want)
+			}
+			checkAgainstRecompute(t, db, v)
+		}
+	}
+}

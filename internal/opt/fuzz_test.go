@@ -6,6 +6,7 @@ import (
 
 	"matview/internal/exec"
 	"matview/internal/opt"
+	"matview/internal/storage"
 	"matview/internal/tpch"
 	"matview/internal/workload"
 )
@@ -42,7 +43,7 @@ func TestOptimizerRandomWorkload(t *testing.T) {
 		if err != nil {
 			t.Fatalf("materialize view %d: %v", i, err)
 		}
-		mv, err := db.PutView(name, len(def.Outputs), rows)
+		mv, err := db.PutView(name, storage.StoreOf(len(def.Outputs), rows))
 		if err != nil {
 			t.Fatalf("materialize view %d: %v", i, err)
 		}

@@ -59,13 +59,13 @@ func (s *Server) CreateView(name string, def *spjg.Query) error {
 		} else {
 			s.mu.RLock()
 		}
-		rows, epoch, err := s.sess.Maint.Build(v)
+		cs, epoch, err := s.sess.Maint.Build(v)
 		if !last {
 			s.mu.RUnlock()
 			s.mu.Lock()
 		}
 		if err == nil {
-			err = s.sess.InstallView(v, rows, epoch)
+			err = s.sess.InstallView(v, cs, epoch)
 		}
 		if errors.Is(err, shell.ErrStaleBuild) {
 			s.mu.Unlock()

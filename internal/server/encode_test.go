@@ -135,8 +135,8 @@ func plantPlan(t *testing.T, srv *Server, sql string, plan exec.Node, cols []str
 func TestEncodeWireCompat(t *testing.T) {
 	db := newTestDB(t)
 	rows := kindRows()
-	db.PutView("kinds", 6, rows)
-	db.PutView("nonfinite", 1, []storage.Row{{sqlvalue.NewFloat(math.Inf(1))}})
+	db.PutView("kinds", storage.StoreOf(6, rows))
+	db.PutView("nonfinite", storage.StoreOf(1, []storage.Row{{sqlvalue.NewFloat(math.Inf(1))}}))
 	srv := New(db, Config{MaxRows: len(rows)})
 	defer srv.Shutdown(t.Context())
 	h := srv.Handler()

@@ -144,16 +144,16 @@ func (s *Session) createView(name string, def *spjg.Query, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	rows, epoch, err := s.Maint.Build(v)
+	cs, epoch, err := s.Maint.Build(v)
 	if err == nil {
-		err = s.InstallView(v, rows, epoch)
+		err = s.InstallView(v, cs, epoch)
 	}
 	if err != nil {
 		// The view never installed, so it has no rows whose drop could fail.
 		_ = s.DropView(name)
 		return err
 	}
-	fmt.Fprintf(w, "materialized view %s: %d rows\n", name, len(rows))
+	fmt.Fprintf(w, "materialized view %s: %d rows\n", name, cs.Live())
 	return nil
 }
 
@@ -165,19 +165,19 @@ func (s *Session) DefineView(name string, def *spjg.Query) (*maintain.View, erro
 	return s.Maint.Define(name, def)
 }
 
-// InstallView makes v a live view from rows Maintainer.Build computed at
-// epoch. The caller holds its exclusive lock. Rows from an epoch the database
+// InstallView makes v a live view from the rows cs Maintainer.Build computed
+// at epoch. The caller holds its exclusive lock. Rows from an epoch the database
 // has since left are refused with ErrStaleBuild. Otherwise the statement that
 // recreates the view is staged for the WAL, the maintainer stores and
 // commits the rows and brings v Fresh — rolling the rows back if the commit
 // fails, the one compensating step — and the optimizer learns of the view
 // last, with its row count.
-func (s *Session) InstallView(v *maintain.View, rows []storage.Row, epoch uint64) error {
+func (s *Session) InstallView(v *maintain.View, cs *storage.ColumnStore, epoch uint64) error {
 	if s.DB.Epoch() != epoch {
 		return ErrStaleBuild
 	}
 	defer s.stage("create view " + v.Name + " with schemabinding as " + v.Def.String())()
-	if err := s.Maint.Install(v, rows); err != nil {
+	if err := s.Maint.Install(v, cs); err != nil {
 		return err
 	}
 	// Cannot fail: the maintainer holds the name once and the optimizer
@@ -185,7 +185,7 @@ func (s *Session) InstallView(v *maintain.View, rows []storage.Row, epoch uint64
 	if _, err := s.Opt.RegisterView(v.Name, v.Def); err != nil {
 		return err
 	}
-	s.Opt.SetViewRowCount(v.Name, int64(len(rows)))
+	s.Opt.SetViewRowCount(v.Name, int64(cs.Live()))
 	return nil
 }
 
@@ -271,15 +271,16 @@ func (s *Session) buildIndex(target string, ords []int, unique bool) error {
 	return s.Opt.RegisterViewIndex(target, ords)
 }
 
-// RestoreView reinstalls a checkpointed view — definition, rows, indexes and
-// health — through the same define, install and index steps CREATE VIEW and
-// CREATE INDEX take. Recovery calls it before anything else runs.
-func (s *Session) RestoreView(name string, def *spjg.Query, rows []storage.Row, indexes []storage.IndexDef, health maintain.State) error {
+// RestoreView reinstalls a checkpointed view — definition, the store of its
+// rows as the checkpoint holds them, indexes and health — through the same
+// define, install and index steps CREATE VIEW and CREATE INDEX take.
+// Recovery calls it before anything else runs.
+func (s *Session) RestoreView(name string, def *spjg.Query, cs *storage.ColumnStore, indexes []storage.IndexDef, health maintain.State) error {
 	v, err := s.DefineView(name, def)
 	if err != nil {
 		return err
 	}
-	if err := s.InstallView(v, rows, s.DB.Epoch()); err != nil {
+	if err := s.InstallView(v, cs, s.DB.Epoch()); err != nil {
 		return err
 	}
 	for _, idx := range indexes {

@@ -258,6 +258,15 @@ func NewColumnStore(ncols int) *ColumnStore {
 	return cs
 }
 
+// StoreOf returns a store of ncols columns holding rows, in order.
+func StoreOf(ncols int, rows []Row) *ColumnStore {
+	cs := NewColumnStore(ncols)
+	for _, r := range rows {
+		cs.AppendRow(r)
+	}
+	return cs
+}
+
 // Len returns the physical length: ordinals run over [0, Len()), dead rows
 // included.
 func (cs *ColumnStore) Len() int { return cs.n }

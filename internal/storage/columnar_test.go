@@ -465,7 +465,7 @@ func TestUpdateInPlaceCopiesOneBlock(t *testing.T) {
 	for g := range rows {
 		rows[g] = Row{sqlvalue.NewInt(int64(g)), sqlvalue.NewInt(1), sqlvalue.NewFloat(float64(g))}
 	}
-	mv, err := db.PutView("v", 3, rows)
+	mv, err := db.PutView("v", StoreOf(3, rows))
 	if err != nil {
 		t.Fatal(err)
 	}

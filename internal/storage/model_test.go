@@ -168,7 +168,7 @@ func runModel(t *testing.T, seed int64, steps int) {
 	if _, err := tb.BuildIndex([]int{1}, false); err != nil {
 		t.Fatal(err)
 	}
-	mv, err := db.PutView("v", 2, nil)
+	mv, err := db.PutView("v", StoreOf(2, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +403,7 @@ func TestSnapshotReadersDuringWrites(t *testing.T) {
 	for g := range rows {
 		rows[g] = intRow(int64(g), 0)
 	}
-	mv, err := db.PutView("v", 2, rows)
+	mv, err := db.PutView("v", StoreOf(2, rows))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,9 +24,9 @@ import (
 	"time"
 )
 
-// Reader is the executor's read surface: the live head (*Database), a pinned
-// epoch (*Snapshot), or an overlay binding extra names (*Overlay) all
-// satisfy it, so a plan runs identically against any of them.
+// Reader is the executor's read surface: the live head (*Database) and a
+// pinned epoch (*Snapshot) both satisfy it, so a plan runs identically
+// against either.
 type Reader interface {
 	// TableData returns the named table's data at this reader's point in
 	// time, or nil.
@@ -395,32 +395,3 @@ func (db *Database) StartVersionGC(interval, maxAge time.Duration) (stop func())
 		})
 	}
 }
-
-// Overlay is a reader that reads exactly like base except for the names
-// bound in it, each of which reads another reader's data of a table — how
-// one query reads a table at several points in time under different names
-// (a self-join view's delta terms read the changed table as written and as
-// committed). base may be the live database or a pinned snapshot.
-type Overlay struct {
-	base  Reader
-	bound map[string]*Data
-}
-
-// NewOverlay returns an overlay over base with nothing bound.
-func NewOverlay(base Reader) *Overlay {
-	return &Overlay{base: base, bound: map[string]*Data{}}
-}
-
-// Bind makes name, which base does not hold, read as d.
-func (o *Overlay) Bind(name string, d *Data) { o.bound[name] = d }
-
-// TableData implements Reader.
-func (o *Overlay) TableData(name string) *Data {
-	if d, ok := o.bound[name]; ok {
-		return d
-	}
-	return o.base.TableData(name)
-}
-
-// ViewData implements Reader.
-func (o *Overlay) ViewData(name string) *Data { return o.base.ViewData(name) }

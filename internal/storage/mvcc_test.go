@@ -30,7 +30,7 @@ func TestSnapshotIsolation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.PutView("v", 2, []Row{intRow(1, 10)})
+	db.PutView("v", StoreOf(2, []Row{intRow(1, 10)}))
 	epoch := db.Commit()
 
 	snap := db.Snapshot()
@@ -48,7 +48,7 @@ func TestSnapshotIsolation(t *testing.T) {
 	if _, err := tb.DeleteWhere(func(r Row) bool { return r[0].Int() == 1 }); err != nil {
 		t.Fatal(err)
 	}
-	db.PutView("v", 2, []Row{intRow(2, 20), intRow(3, 30)})
+	db.PutView("v", StoreOf(2, []Row{intRow(2, 20), intRow(3, 30)}))
 	if next := db.Commit(); next != epoch+1 {
 		t.Fatalf("next epoch = %d, want %d", next, epoch+1)
 	}

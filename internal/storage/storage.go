@@ -108,13 +108,13 @@ type relation struct {
 	rekeys   []rekeyed
 	buf      []byte // key scratch of rekey
 
-	// locators are the writer's own indexes: a view's over its clustered key
-	// (§2), through which maintenance finds the stored rows a delta touches,
-	// and a table's over the columns a view joins it on, through which a
-	// delta probes it. They are never published, so patching them never
-	// clones and a rewrite renumbers them in place; whatever else replaces
-	// the store (rollback, recompute, repair) drops them and the next Locator
-	// call rebuilds one.
+	// locators are the writer's own indexes, on column lists no declared
+	// index covers: a view's over its clustered key (§2), through which
+	// maintenance finds the stored rows a delta touches, and a table's over
+	// the columns a view joins it on, through which a delta probes it. They
+	// are never published, so patching them never clones and a rewrite
+	// renumbers them in place; whatever else replaces the store (rollback,
+	// recompute, repair) drops them and the next Locator call rebuilds one.
 	locators []*Index
 
 	// dirty marks uncommitted mutations since the last published epoch.
@@ -169,7 +169,9 @@ func (r *relation) tombstone(ord int) bool {
 }
 
 // BuildIndex creates (or rebuilds) a hash index over cols, after filing the
-// pending row changes in the existing ones.
+// pending row changes in the existing ones. A locator over cols is dropped:
+// Locator answers with the declared index from now on, so nothing would
+// probe it again.
 func (r *relation) BuildIndex(cols []int, unique bool) (*Index, error) {
 	if err := r.patch(); err != nil {
 		return nil, err
@@ -182,6 +184,7 @@ func (r *relation) BuildIndex(cols []int, unique bool) (*Index, error) {
 		r.indexes = map[string]*Index{}
 	}
 	r.indexes[indexKey(cols)] = idx
+	r.locators = slices.DeleteFunc(r.locators, func(loc *Index) bool { return slices.Equal(loc.Cols, cols) })
 	r.dirty = true
 	return idx, nil
 }
@@ -286,10 +289,14 @@ func (r *relation) thaw(d *Data) {
 	r.patched, r.patchDel, r.rekeys, r.locators, r.dirty = r.store.Len(), nil, nil, nil, false
 }
 
-// Locator returns the writer-private index over cols, building it on first
-// use. It agrees with the rows as of the last index patch: for a table, the
-// end of its last write; for a view, its last PatchIndexes.
+// Locator returns the index the writer probes by cols: the declared index on
+// exactly cols when there is one, else its own locator over them, built on
+// first use. Either agrees with the rows as of the last index patch: for a
+// table, the end of its last write; for a view, its last PatchIndexes.
 func (r *relation) Locator(cols []int) *Index {
+	if idx := r.LookupIndex(cols); idx != nil {
+		return idx
+	}
 	for _, loc := range r.locators {
 		if slices.Equal(loc.Cols, cols) {
 			return loc
@@ -686,15 +693,12 @@ func NewDatabase(cat *catalog.Catalog) *Database {
 // Table returns the named table's storage, or nil.
 func (db *Database) Table(name string) *Table { return db.tables[name] }
 
-// PutView stores (or replaces) a materialized view's rows. Indexes declared
-// on a previous materialization of the same view are rebuilt over the new
-// rows; rows that violate a unique one are refused, and the head keeps the
-// previous view and its indexes.
-func (db *Database) PutView(name string, numCols int, rows []Row) (*MaterializedView, error) {
-	cs := NewColumnStore(numCols)
-	for _, r := range rows {
-		cs.AppendRow(r)
-	}
+// PutView stores (or replaces) a materialized view's rows: cs, which the
+// view takes over, in its order. Indexes declared on a previous
+// materialization of the same view are rebuilt over the new rows; rows that
+// violate a unique one are refused, and the head keeps the previous view and
+// its indexes.
+func (db *Database) PutView(name string, cs *ColumnStore) (*MaterializedView, error) {
 	mv := newView(name, cs, db.faults)
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {

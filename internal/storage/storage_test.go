@@ -113,7 +113,7 @@ func TestIndexMaintainedOnInsert(t *testing.T) {
 
 func TestViews(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
-	mv, err := db.PutView("v", 2, []Row{{sqlvalue.NewInt(1), sqlvalue.NewInt(2)}})
+	mv, err := db.PutView("v", StoreOf(2, []Row{{sqlvalue.NewInt(1), sqlvalue.NewInt(2)}}))
 	if err != nil || db.View("v") != mv || mv.RowCount() != 1 || mv.NumCols != 2 {
 		t.Fatal("view storage broken")
 	}
@@ -150,10 +150,10 @@ func TestRowClone(t *testing.T) {
 
 func TestViewIndexes(t *testing.T) {
 	db := NewDatabase(testCatalog(t))
-	mv, err := db.PutView("v", 2, []Row{
+	mv, err := db.PutView("v", StoreOf(2, []Row{
 		{sqlvalue.NewInt(1), sqlvalue.NewInt(10)},
 		{sqlvalue.NewInt(2), sqlvalue.NewInt(20)},
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestViewIndexes(t *testing.T) {
 		t.Fatal("duplicate key entered a unique view index")
 	}
 	// Re-materialization preserves declared indexes.
-	mv2, err := db.PutView("v", 2, []Row{{sqlvalue.NewInt(9), sqlvalue.NewInt(90)}})
+	mv2, err := db.PutView("v", StoreOf(2, []Row{{sqlvalue.NewInt(9), sqlvalue.NewInt(90)}}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestViewIndexes(t *testing.T) {
 	}
 	// Replacement rows that violate the unique index are refused, and the
 	// previous view keeps its rows and its index.
-	if _, err := db.PutView("v", 2, []Row{intRow(5, 1), intRow(5, 2)}); err == nil {
+	if _, err := db.PutView("v", StoreOf(2, []Row{intRow(5, 1), intRow(5, 2)})); err == nil {
 		t.Fatal("PutView accepted rows that violate the unique index")
 	}
 	if db.View("v") != mv2 || mv2.LookupIndex([]int{0}) == nil {
@@ -245,30 +245,6 @@ func TestDeleteWhere(t *testing.T) {
 	}
 }
 
-func TestOverlay(t *testing.T) {
-	db := NewDatabase(testCatalog(t))
-	tb := db.Table("t")
-	if err := tb.Insert(Row{sqlvalue.NewInt(1), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
-		t.Fatal(err)
-	}
-	db.Commit()
-	snap := db.Snapshot()
-	defer snap.Release()
-	if err := tb.Insert(Row{sqlvalue.NewInt(2), sqlvalue.NewInt(0), sqlvalue.Null}); err != nil {
-		t.Fatal(err)
-	}
-	// A bound name reads the snapshot's table; every other name reads base.
-	ov := NewOverlay(db)
-	ov.Bind("t@committed", snap.TableData("t"))
-	if ov.TableData("t@committed").NumRows() != 1 || ov.TableData("t").NumRows() != 2 {
-		t.Fatal("overlay binding wrong")
-	}
-	db.PutView("v", 1, nil)
-	if ov.ViewData("v") == nil {
-		t.Fatal("overlay must share views")
-	}
-}
-
 // TestInsertRowsBatch: a batch is checked whole before anything is written.
 // A key repeated within the batch is refused with the text a key the index
 // already holds gets, and leaves the store and the index as they were; a
@@ -311,5 +287,39 @@ func TestInsertRowsBatch(t *testing.T) {
 	}
 	if got := deleted.Value(0, 0).Int(); got != 4 {
 		t.Fatalf("first victim gathered first: got id %d", got)
+	}
+}
+
+// TestBuildIndexDropsLocator: Locator answers with the declared index on
+// exactly its columns when there is one. A CREATE INDEX on columns the
+// writer already keeps a locator over drops that locator, so later writes
+// do not patch an index nothing probes; a locator over other columns stays.
+func TestBuildIndexDropsLocator(t *testing.T) {
+	db := NewDatabase(testCatalog(t))
+	tb := db.Table("t")
+	for i := range int64(50) {
+		if err := tb.Insert(Row{sqlvalue.NewInt(i), sqlvalue.NewInt(i % 7), sqlvalue.Null}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grp, note := tb.Locator([]int{1}), tb.Locator([]int{2})
+	if len(tb.locators) != 2 || tb.LookupIndex([]int{1}) != nil {
+		t.Fatalf("%d locators, declared index %v: want two locators and no index", len(tb.locators), tb.LookupIndex([]int{1}))
+	}
+	idx, err := tb.BuildIndex([]int{1}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Locator([]int{1}); got != idx || got == grp {
+		t.Fatal("Locator does not answer with the declared index")
+	}
+	if len(tb.locators) != 1 || tb.locators[0] != note {
+		t.Fatalf("after the index: locators over %v, want only the one over [2]", tb.locators)
+	}
+	if err := tb.Insert(Row{sqlvalue.NewInt(50), sqlvalue.NewInt(3), sqlvalue.Null}); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Locator([]int{1}).Probe(Row{sqlvalue.NewInt(3)}); len(got) != 8 {
+		t.Fatalf("probe after a write: %d rows of group 3, want 8", len(got))
 	}
 }

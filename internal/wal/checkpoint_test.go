@@ -11,6 +11,7 @@ import (
 	"slices"
 	"testing"
 
+	"matview/internal/shell"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 	"matview/internal/tpch"
@@ -292,4 +293,70 @@ func FuzzCheckpointDecode(f *testing.F) {
 			t.Fatalf("rewritten image decodes differently: %s", d)
 		}
 	})
+}
+
+// TestRestoredViewKeepsCheckpointStore: recovery hands a checkpointed view's
+// store to the view as it decoded, not re-appended row by row: the view
+// holds that very store, in the checkpoint's row order (a NULL key first,
+// keys falling — not the clustered order Build gives) with its column kinds,
+// equal to a second decode of the same image. A store whose column count is
+// not the definition's is refused.
+func TestRestoredViewKeepsCheckpointStore(t *testing.T) {
+	const def = `select o_custkey, count_big(*) as cnt, sum(o_totalprice) as total from orders group by o_custkey`
+	rows := []storage.Row{{sqlvalue.Null, sqlvalue.NewInt(2), sqlvalue.NewFloat(5.5)}}
+	for k := int64(30); k > 0; k-- {
+		rows = append(rows, storage.Row{sqlvalue.NewInt(k), sqlvalue.NewInt(k), sqlvalue.NewFloat(float64(k) / 4)})
+	}
+	image := func(cs *storage.ColumnStore) []byte {
+		ck := &checkpointData{epoch: 1, views: []checkpointView{{checkpointRelation{name: "v", store: cs}, def, 0}}}
+		var buf bytes.Buffer
+		if err := ck.write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	restore := func(img []byte) (*checkpointData, *storage.Database, error) {
+		ck, err := parseCheckpoint(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db, err := tpch.NewDatabase(0.001, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ck, db, rebuildViews(ck, db, shell.NewSession(db))
+	}
+
+	img := image(storage.StoreOf(3, rows))
+	ck, db, err := restore(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := db.View("v").Store()
+	if got != ck.views[0].store {
+		t.Fatal("the view holds a copy of the checkpoint's store")
+	}
+	again, err := parseCheckpoint(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := storeDiff(got, again.views[0].store); d != "" {
+		t.Fatalf("the restored view differs from the image: %s", d)
+	}
+	for c, k := range []sqlvalue.Kind{sqlvalue.KindInt, sqlvalue.KindInt, sqlvalue.KindFloat} {
+		if got.Col(c).Kind != k {
+			t.Fatalf("column %d restored as %s, want %s", c, got.Col(c).Kind, k)
+		}
+	}
+	if !got.Value(0, 0).IsNull() || got.Value(1, 0).Int() != 30 || got.Value(30, 0).Int() != 1 {
+		t.Fatalf("rows restored out of the checkpoint's order: %v, %v, %v", got.RowAt(0), got.RowAt(1), got.RowAt(30))
+	}
+
+	short := make([]storage.Row, len(rows))
+	for i, r := range rows {
+		short[i] = r[:2]
+	}
+	if _, _, err := restore(image(storage.StoreOf(2, short))); err == nil {
+		t.Fatal("a two-column store restored into a three-output view")
+	}
 }

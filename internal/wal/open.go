@@ -195,7 +195,7 @@ func rebuildViews(ck *checkpointData, db *storage.Database, sess *shell.Session)
 		if err != nil {
 			return fmt.Errorf("wal: re-parsing view %s definition: %w", cv.name, err)
 		}
-		if err := sess.RestoreView(cv.name, def, cv.store.Rows(), cv.indexes, maintain.State(cv.health)); err != nil {
+		if err := sess.RestoreView(cv.name, def, cv.store, cv.indexes, maintain.State(cv.health)); err != nil {
 			return fmt.Errorf("wal: restoring view %s: %w", cv.name, err)
 		}
 	}

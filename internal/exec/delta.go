@@ -30,6 +30,7 @@ import (
 // DeltaTerm is one compiled delta term. Select, then Run, on one statement's
 // DeltaInput; a term is not safe for concurrent use.
 type DeltaTerm struct {
+	lead     deltaLead // names the Δ selection it shares with its query's other terms
 	leadOff  int       // Δ's offset in the wide row
 	leadFill []int     // Δ columns the rest of the term reads
 	filter   expr.Expr // Δ's own and constant conjuncts, in Δ's frame
@@ -46,7 +47,7 @@ type DeltaTerm struct {
 	// Scratch, kept across statements.
 	src    scanSource
 	sc     scanScratch
-	sel    []int32
+	sel    []int32 // the statement's selection for lead, which DeltaInput holds
 	row    []sqlvalue.Value
 	key    []byte
 	groups map[string]int32
@@ -90,7 +91,7 @@ func CompileDeltaTerm(q *spjg.Query, at []int) (*DeltaTerm, error) {
 	flat := func(e expr.Expr) expr.Expr {
 		return expr.MapColumns(e, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: offs[c.Tab] + c.Col} })
 	}
-	t := &DeltaTerm{leadOff: offs[lead], groups: map[string]int32{}}
+	t := &DeltaTerm{lead: deltaLead{q, lead}, leadOff: offs[lead], groups: map[string]int32{}}
 	need := make([]bool, offs[n]) // wide-row columns read after Δ's filter
 	mark := func(e expr.Expr) {
 		for _, c := range expr.Columns(e) {
@@ -257,14 +258,29 @@ func nodeKey(delta bool, name string, tupCols []int, leadOff int, cols []int) st
 }
 
 // DeltaInput is one statement's Δ and the database whose tables, as written,
-// its terms read besides it. It holds the statement's shared join nodes and
-// its hashes of Δ; Bind starts the next statement.
+// its terms read besides it. It holds the statement's shared Δ selections,
+// join nodes and hashes of Δ; Bind starts the next statement.
 type DeltaInput struct {
 	delta  *storage.ColumnStore
 	db     *storage.Database
 	gen    uint64
+	sels   map[deltaLead]*deltaSel
 	nodes  map[string]*deltaNode
 	builds map[string]*deltaBuild
+}
+
+// deltaLead names a term's Δ selection: its conjuncts on Δ alone are the
+// query's on the lead instance, so the terms of one query that Δ leads at
+// one FROM position (a self-join's S = {0} and S = {0, 1}) select alike.
+type deltaLead struct {
+	q   *spjg.Query
+	pos int
+}
+
+// deltaSel is the Δ rows a lead's conjuncts keep.
+type deltaSel struct {
+	gen uint64
+	sel []int32
 }
 
 // deltaNode is a first join of Δ computed for every Δ row: row j's matches
@@ -284,7 +300,7 @@ type deltaBuild struct {
 
 // NewDeltaInput returns an input with nothing bound.
 func NewDeltaInput() *DeltaInput {
-	return &DeltaInput{nodes: map[string]*deltaNode{}, builds: map[string]*deltaBuild{}}
+	return &DeltaInput{sels: map[deltaLead]*deltaSel{}, nodes: map[string]*deltaNode{}, builds: map[string]*deltaBuild{}}
 }
 
 // Bind makes delta, joined to db's tables as they are written, the input of
@@ -294,21 +310,29 @@ func (in *DeltaInput) Bind(delta *storage.ColumnStore, db *storage.Database) {
 	in.gen++
 }
 
-// Select runs the term's conjuncts on Δ alone over the bound Δ batch and
-// returns how many Δ rows pass: with none, the statement cannot change what
-// the term adds up to and Run returns nothing.
+// Select runs the term's conjuncts on Δ alone over the bound Δ batch, once
+// per statement for every term with the same lead, and returns how many Δ
+// rows pass: with none, the statement cannot change what the term adds up
+// to and Run returns nothing.
 func (t *DeltaTerm) Select(in *DeltaInput) (int, error) {
-	t.sel = t.sel[:0]
-	if err := t.src.bind(in.delta, t.filter, &t.pred); err != nil {
-		return 0, err
+	s := in.sels[t.lead]
+	if s == nil {
+		s = &deltaSel{}
+		in.sels[t.lead] = s
 	}
-	sel, err := t.src.morselRids(0, in.delta.Len(), &t.sc, t.sel)
-	t.sel = sel
-	t.sc.stats.flush()
-	if err != nil {
-		t.sel = t.sel[:0]
-		return 0, err
+	if s.gen != in.gen {
+		t.sel = nil
+		if err := t.src.bind(in.delta, t.filter, &t.pred); err != nil {
+			return 0, err
+		}
+		sel, err := t.src.morselRids(0, in.delta.Len(), &t.sc, s.sel[:0])
+		t.sc.stats.flush()
+		if err != nil {
+			return 0, err
+		}
+		s.gen, s.sel = in.gen, sel
 	}
+	t.sel = s.sel
 	return len(t.sel), nil
 }
 

@@ -109,19 +109,21 @@ func BenchmarkExecWrite(b *testing.B) {
 
 // TestExecWriteAllocates: through /exec, with all eight views maintained and
 // the WAL on, a 10-row INSERT and a DELETE of twenty tail rows each allocate
-// at most 170 000 bytes on a 60 k-row lineitem: the worst statement measured
-// 120–124 kB (an INSERT; the DELETE ~75 kB). The 13 MB a statement cost when
-// every write copied the table it touched fails it, and so does the 215 kB
-// its worst statement cost when every view ran a reference pipeline of its
-// own over a boxed copy of Δ. What is left is the parse, the Δ batch, the
-// views' appends, the blocks their updated groups lie in — a group is
-// written in place, and the first write since the last commit to a block a
-// published version reads copies that block (8 KB a column) and its
-// column's block list, so wm_part's and wm_cust's COUNT and SUM blocks are
-// most of it — the index shards a new or vanished group touches (256 per
-// index, indexShards in storage.go, a published one cloned on first write),
-// and the WAL record. The base table's own share is bounded at 256 KB by
-// storage's TestWriteAllocationIsFlat.
+// at most 70 000 bytes on a 60 k-row lineitem: the worst statement measured
+// 53–63 kB (an INSERT; the DELETE ~42 kB). The 13 MB a statement cost when
+// every write copied the table it touched fails it, and so does the 124 kB
+// its worst statement cost when each block a view's updated group lay in was
+// copied into a new block and each INSERT literal was parsed as an
+// expression. What is left is the parse (the tokens and one slab of rows),
+// the Δ batch, the views' appends, the block lists of the blocks their
+// updated groups lie in — a group is written in place, and the first write
+// since the last commit to a block a published version reads copies it into
+// a block an earlier statement retired once no snapshot can read that one,
+// so only the column's block list is new — the index shards a new or
+// vanished group touches (256 per index, indexShards in storage.go, a
+// published one cloned on first write), and the WAL record. The base
+// table's own share is bounded at 256 KB by storage's
+// TestWriteAllocationIsFlat.
 func TestExecWriteAllocates(t *testing.T) {
 	f := newWriteFixture(t)
 	for i := 0; i < 6; i++ { // warm: locators built, buffers grown
@@ -139,7 +141,7 @@ func TestExecWriteAllocates(t *testing.T) {
 		}
 	}
 	t.Logf("bytes allocated per statement (worst of 5): insert %d, insert %d, delete %d", worst[0], worst[1], worst[2])
-	const limit = 170_000
+	const limit = 70_000
 	for k, got := range worst {
 		if got > limit {
 			t.Errorf("statement %d of the cycle allocated %d bytes, limit %d", k, got, limit)

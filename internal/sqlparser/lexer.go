@@ -30,9 +30,11 @@ type token struct {
 }
 
 // lex tokenizes src: identifiers are lowercased, string literals unquoted
-// and unescaped, and "!=" spelled "<>".
+// and unescaped, and "!=" spelled "<>". The statements the system writes
+// spend about four bytes a token, so the slice is made once with room for a
+// token every three bytes; a denser statement grows it.
 func lex(src string) ([]token, error) {
-	var toks []token
+	toks := make([]token, 0, len(src)/3+1)
 	for pos := 0; ; {
 		kind, start, end, err := scanToken(src, pos)
 		if err != nil {

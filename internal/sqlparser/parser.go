@@ -2,7 +2,6 @@ package sqlparser
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"matview/internal/catalog"
@@ -590,18 +589,11 @@ func (p *parser) parsePrimary() (expr.Expr, error) {
 	switch t.kind {
 	case tokNumber:
 		p.pos++
-		if strings.Contains(t.text, ".") {
-			f, err := strconv.ParseFloat(t.text, 64)
-			if err != nil {
-				return nil, p.errf("bad number %q", t.text)
-			}
-			return expr.CFloat(f), nil
-		}
-		i, err := strconv.ParseInt(t.text, 10, 64)
-		if err != nil {
+		v, ok := numberValue(t.text)
+		if !ok {
 			return nil, p.errf("bad number %q", t.text)
 		}
-		return expr.CInt(i), nil
+		return expr.C(v), nil
 	case tokString:
 		p.pos++
 		return expr.CStr(t.text), nil

@@ -28,7 +28,9 @@
 // NULL bit in a word the copy covers — goes through own, which clones the
 // block (and the column's block list, while a copy shares it) the first time
 // the store writes a block a frozen copy reads: copy on write, a block at a
-// time.
+// time. The block the clone replaces is retired, and a later clone in the
+// column copies into it instead of allocating once no snapshot can read it
+// (the database's horizon, see mvcc.go).
 package storage
 
 import (
@@ -84,15 +86,32 @@ type Block struct {
 
 // clone returns a copy of the block with arrays of its own, at generation gen.
 func (b *Block) clone(gen uint64) Block {
-	return Block{
-		Ints:   slices.Clone(b.Ints),
-		Floats: slices.Clone(b.Floats),
-		Strs:   slices.Clone(b.Strs),
-		Nulls:  slices.Clone(b.Nulls),
+	var c Block
+	b.cloneInto(&c, gen)
+	return c
+}
+
+// cloneInto makes dst a copy of the block at generation gen, copying into
+// dst's arrays where they have room.
+func (b *Block) cloneInto(dst *Block, gen uint64) {
+	*dst = Block{
+		Ints:   copyInto(dst.Ints, b.Ints),
+		Floats: copyInto(dst.Floats, b.Floats),
+		Strs:   copyInto(dst.Strs, b.Strs),
+		Nulls:  copyInto(dst.Nulls, b.Nulls),
 		zone:   b.zone,
 		gen:    gen,
 		stale:  b.stale,
 	}
+}
+
+// copyInto returns a copy of src in dst's array, or in a new one when dst
+// has no room; nil for nil.
+func copyInto[T any](dst, src []T) []T {
+	if src == nil || dst == nil {
+		return slices.Clone(src)
+	}
+	return append(dst[:0], src...)
 }
 
 // generations hands out store generations; every Freeze gives both sides a
@@ -117,8 +136,20 @@ type column struct {
 	// cut from. A frozen copy shares it, so a head thawed from the copy cuts
 	// past what any head has cut.
 	spare *slab
+	// retired holds the blocks own replaced while a published version read
+	// them, oldest first, each with the publish that first leaves it out:
+	// once the horizon reaches that publish, nothing reads the block, and
+	// the next clone copies into it instead of allocating. A frozen copy
+	// starts with none.
+	retired []retiredBlock
 
 	hasNull bool // some row was stored NULL
+}
+
+// retiredBlock is a block no head reads, free for reuse from publish tag on.
+type retiredBlock struct {
+	blk *Block
+	tag uint64
 }
 
 // block returns block b of the column.
@@ -245,6 +276,10 @@ type ColumnStore struct {
 	dead    []uint64 // tombstones; may be shorter than n (no dead rows there)
 	ndead   int
 	deadGen uint64 // dead is the store's own at this generation
+
+	// clock is the database's, while the store is a relation's head; with
+	// none, own retires nothing.
+	clock *reclaimClock
 }
 
 // NewColumnStore returns an empty store with ncols columns.
@@ -490,11 +525,14 @@ func setPayload(k sqlvalue.Kind, b *Block, j int, v sqlvalue.Value) {
 // own returns block b of col for writing in place. The first write since
 // the last Freeze to a block a frozen copy reads clones it, after cloning
 // the list when a frozen copy shares that too; the clone is the store's own
-// until the next Freeze.
+// until the next Freeze, and the block it replaces is retired.
 func (cs *ColumnStore) own(col *column, b int) *Block {
 	if b >= len(col.full) {
 		if col.tail.gen != cs.gen {
-			col.tail = col.tail.clone(cs.gen)
+			blk := cs.reusable(col)
+			col.tail.cloneInto(blk, cs.gen)
+			col.tail, *blk = *blk, col.tail // blk keeps the replaced header
+			cs.retire(col, blk)
 		}
 		return &col.tail
 	}
@@ -504,10 +542,31 @@ func (cs *ColumnStore) own(col *column, b int) *Block {
 	if col.listGen != cs.gen {
 		col.full, col.listGen = slices.Clone(col.full), cs.gen
 	}
-	blk := new(Block)
-	*blk = col.full[b].clone(cs.gen)
-	col.full[b] = blk
+	blk := cs.reusable(col)
+	col.full[b].cloneInto(blk, cs.gen)
+	col.full[b], blk = blk, col.full[b]
+	cs.retire(col, blk)
+	return col.full[b]
+}
+
+// reusable returns col's oldest retired block once the horizon has passed
+// its tag — no snapshot can read it any more — or a new block.
+func (cs *ColumnStore) reusable(col *column) *Block {
+	if len(col.retired) == 0 || cs.clock == nil || col.retired[0].tag > cs.clock.horizon {
+		return new(Block)
+	}
+	blk := col.retired[0].blk
+	col.retired = slices.Delete(col.retired, 0, 1)
 	return blk
+}
+
+// retire keeps blk, which the head no longer reads, for reuse once no
+// snapshot can read it either: from the next publish on, which is the first
+// to leave it out. A column keeps at most as many as it has blocks.
+func (cs *ColumnStore) retire(col *column, blk *Block) {
+	if cs.clock != nil && len(col.retired) <= len(col.full) {
+		col.retired = append(col.retired, retiredBlock{blk, cs.clock.published + 1})
+	}
 }
 
 // setInt writes x into row i of column c, an INTEGER column, in place: the
@@ -944,6 +1003,9 @@ func (cs *ColumnStore) Freeze() *ColumnStore {
 	cs.refold()
 	f := *cs
 	f.cols = slices.Clone(cs.cols)
+	for c := range f.cols {
+		f.cols[c].retired = nil
+	}
 	f.stale = nil
 	cs.gen, f.gen = newGen(), newGen()
 	return &f

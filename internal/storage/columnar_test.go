@@ -457,7 +457,10 @@ func TestTypedZoneFoldMatchesBoxed(t *testing.T) {
 // a published view of eleven blocks clones, per written column, the block
 // the group lies in and the column's block list, and nothing else: the key
 // index is not touched, no other block is copied. A clone of every written
-// column (88 KB each) fails it.
+// column (88 KB each) fails it. With no snapshot pinned the clone copies
+// into a block an earlier write retired, so from the second write on no
+// payload array is allocated; with one pinned on each epoch, every clone
+// allocates, as the retired blocks are still read.
 func TestUpdateInPlaceCopiesOneBlock(t *testing.T) {
 	const groups = 10*BlockRows + 5
 	db := NewDatabase(testCatalog(t))
@@ -473,26 +476,38 @@ func TestUpdateInPlaceCopiesOneBlock(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mv.Store()
-	// Per written column: one block's payloads and header, and the list.
-	limit := 2 * (BlockRows*8 + uint64(unsafe.Sizeof(Block{})) + uint64(st.NumBlocks())*8)
+	// Per written column: one block's payloads and header, the list, and
+	// room for the list of retired blocks to grow.
+	limit := 2 * (BlockRows*8 + uint64(unsafe.Sizeof(Block{})) + uint64(st.NumBlocks())*(8+uint64(unsafe.Sizeof(retiredBlock{}))))
 	rng := rand.New(rand.NewSource(3))
-	for round := 0; round < 5; round++ {
-		db.Commit() // every block is published again
-		g := rng.Intn(groups)
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		mv.SetInt(g, 1, st.Int(g, 1)+1)
-		mv.SetFloat(g, 2, st.Float(g, 2)+0.5)
-		err := mv.PatchIndexes()
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := m1.TotalAlloc - m0.TotalAlloc; round > 0 && got > limit { // round 0 grows the list of stale zones
-			t.Fatalf("round %d: updating group %d allocated %d bytes, want at most %d (a block and the list per written column)", round, g, got, limit)
-		}
-		if z := st.Zone(2, g/BlockRows); z.Max.Float() < st.Float(g, 2) {
-			t.Fatalf("round %d: the written block's zone %+v misses %v", round, z, st.Float(g, 2))
+	for _, pinned := range []bool{false, true} {
+		for round := 0; round < 5; round++ {
+			db.Commit() // every block is published again
+			if pinned {
+				defer db.Snapshot().Release()
+			}
+			g := rng.Intn(groups)
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			mv.SetInt(g, 1, st.Int(g, 1)+1)
+			mv.SetFloat(g, 2, st.Float(g, 2)+0.5)
+			err := mv.PatchIndexes()
+			runtime.ReadMemStats(&m1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch got := m1.TotalAlloc - m0.TotalAlloc; {
+			case round == 0: // grows the list of stale zones and retires the first blocks
+			case got > limit:
+				t.Fatalf("pinned %t, round %d: updating group %d allocated %d bytes, want at most %d (a block and the list per written column)", pinned, round, g, got, limit)
+			case !pinned && got >= BlockRows*8:
+				t.Fatalf("round %d: updating group %d allocated %d bytes, want less than a payload array (a retired block reused)", round, g, got)
+			case pinned && got < BlockRows*8:
+				t.Fatalf("round %d: updating group %d allocated %d bytes with a snapshot pinned, want a clone", round, g, got)
+			}
+			if z := st.Zone(2, g/BlockRows); z.Max.Float() < st.Float(g, 2) {
+				t.Fatalf("round %d: the written block's zone %+v misses %v", round, z, st.Float(g, 2))
+			}
 		}
 	}
 	if mv.Store() != st || st.Live() != groups {

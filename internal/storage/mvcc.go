@@ -2,22 +2,36 @@
 // table and view at each Commit; readers pin a version with Snapshot() —
 // three atomic operations, no locks — and run entire queries against it
 // while writers keep mutating the live head. A store is copied on write a
-// block at a time (see columnar.go): a block a version reads is never
-// written again, so a version is just lengths, block lists, a dead bitmap
-// and index maps. Publishing is O(tables × columns) header copying; a write
-// after it clones only the blocks, lists, dead bitmap and index shards it
-// changes; and a failed statement rolls the head back to the published
-// version so an epoch is only ever observed fully applied.
+// block at a time (see columnar.go): a block a version reads is not written
+// while a snapshot can still read that version, so a version is just
+// lengths, block lists, a dead bitmap and index maps. Publishing is
+// O(tables × columns) header copying; a write after it clones only the
+// blocks, lists, dead bitmap and index shards it changes, a block into one
+// an earlier write retired once the horizon has passed it; and a failed
+// statement rolls the head back to the published version so an epoch is
+// only ever observed fully applied.
 //
 // Version lifecycle:
 //
 //	head --Commit--> epoch N (current) --Commit--> epoch N+1, N retained
 //	retained, readers drain to 0 --RunVersionGC--> reclaimed
 //	retained, reader leaked past maxAge --RunVersionGC--> logged + released
+//	released, its reader releases --Commit--> no longer holds the horizon
+//
+// The horizon is the oldest version a snapshot may still read: the first
+// retained or released version that has a reader, else the current one.
+// Each Commit moves it forward, never back — a superseded version with no
+// reader is never pinned again — and a block the head retired is reused
+// once the horizon reaches the first publish that left the block out. A
+// force-released version still holds the horizon until its reader
+// releases, so a leaked snapshot keeps reading valid blocks; a commit whose
+// hook fails moves nothing, so it frees no block the current epoch reads.
 package storage
 
 import (
+	"cmp"
 	"log"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -62,7 +76,10 @@ func (d *Data) IndexDefs() []IndexDef {
 
 // dbVersion is one published, immutable epoch.
 type dbVersion struct {
-	epoch  uint64
+	epoch uint64
+	// seq numbers the publishes 0, 1, 2, …: the epoch, but for the renumbering
+	// ForceEpoch does.
+	seq    uint64
 	tables map[string]*Data
 	views  map[string]*Data
 
@@ -228,7 +245,7 @@ func (db *Database) CommitDurable() (uint64, error) {
 	if len(frozen) == 0 && !db.viewSetChanged {
 		return prev.epoch, nil
 	}
-	next := &dbVersion{epoch: prev.epoch + 1, tables: tables, views: views}
+	next := &dbVersion{epoch: prev.epoch + 1, seq: prev.seq + 1, tables: tables, views: views}
 	if db.commitHook != nil {
 		if err := db.commitHook(next.epoch); err != nil {
 			return prev.epoch, err
@@ -242,8 +259,41 @@ func (db *Database) CommitDurable() (uint64, error) {
 	prev.supersededAt = time.Now()
 	db.retained = append(db.retained, prev)
 	db.cur.Store(next)
+	db.advanceHorizon(next)
 	db.verMu.Unlock()
 	return next.epoch, nil
+}
+
+// reclaimClock is what a head's column stores read of their database to
+// reuse the blocks they retire (column.retired): the current publish, whose
+// successor is the first to leave out a block retired now, and the horizon,
+// the oldest publish a snapshot may still read. Only the writer reads it,
+// and only Commit moves it.
+type reclaimClock struct {
+	published uint64
+	horizon   uint64
+}
+
+// advanceHorizon moves the horizon to the oldest version a snapshot may
+// still read, now that cur is next: the first retained one that has readers,
+// or a force-released one that still has them, or next. A superseded
+// version with no reader is never read again — Snapshot rechecks cur after
+// counting itself in — so the horizon only moves forward, and the walk
+// starts where it last stopped. Called under verMu.
+func (db *Database) advanceHorizon(next *dbVersion) {
+	h := next.seq
+	i, _ := slices.BinarySearchFunc(db.retained, db.clock.horizon, func(v *dbVersion, seq uint64) int { return cmp.Compare(v.seq, seq) })
+	for ; i < len(db.retained); i++ {
+		if db.retained[i].readers.Load() > 0 {
+			h = db.retained[i].seq
+			break
+		}
+	}
+	db.released = slices.DeleteFunc(db.released, func(v *dbVersion) bool { return v.readers.Load() == 0 })
+	for _, v := range db.released {
+		h = min(h, v.seq)
+	}
+	db.clock.published, db.clock.horizon = next.seq, h
 }
 
 // ForceEpoch overwrites the current version's epoch number. Crash recovery
@@ -352,6 +402,7 @@ func (db *Database) RunVersionGC(now time.Time, maxAge time.Duration) (reclaimed
 			log.Printf("storage: leaked snapshot on epoch %d (%d reader(s), superseded %v ago); releasing the version",
 				v.epoch, v.readers.Load(), now.Sub(v.supersededAt).Round(time.Millisecond))
 			leaked++
+			db.released = append(db.released, v) // still holds the horizon
 			continue
 		}
 		blocked = true

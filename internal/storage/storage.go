@@ -204,6 +204,7 @@ func (r *relation) reindex() error {
 		buf, _ = r.patchOne(loc, buf) // a non-unique index refuses nothing
 	}
 	store := r.store.Rewrite()
+	store.clock = r.store.clock
 	indexes := make(map[string]*Index, len(r.indexes))
 	for key, idx := range r.indexes {
 		rebuilt, err := buildIndexOn(store, idx.Cols, idx.Unique, r.what)
@@ -530,6 +531,7 @@ func (t *Table) Restore(cs *ColumnStore) error {
 			return fmt.Errorf("storage: NULL in NOT NULL column %s.%s", t.Meta.Name, col.Name)
 		}
 	}
+	cs.clock = t.store.clock
 	t.relation = newRelation(cs, t.Meta.Name, t.faults)
 	t.dirty = true
 	return nil
@@ -645,9 +647,14 @@ type Database struct {
 	// differs from the published one, not just some view's rows).
 	viewSetChanged bool
 
-	// verMu guards retained and version publication ordering.
+	// verMu guards retained, released and version publication ordering.
 	verMu    sync.Mutex
 	retained []*dbVersion
+	// released holds the versions the leak guard dropped from retained while
+	// a reader still pinned them, until it releases.
+	released []*dbVersion
+	// clock is what the heads' stores read to reuse retired blocks.
+	clock reclaimClock
 
 	// commitHook, when set, runs inside Commit after the next version is
 	// assembled but before it is published; a non-nil error aborts the
@@ -685,6 +692,7 @@ func NewDatabase(cat *catalog.Catalog) *Database {
 	db := &Database{Catalog: cat, tables: map[string]*Table{}, views: map[string]*MaterializedView{}}
 	for _, t := range cat.Tables() {
 		db.tables[t.Name] = newTable(t)
+		db.tables[t.Name].store.clock = &db.clock
 	}
 	db.initVersions()
 	return db
@@ -699,6 +707,7 @@ func (db *Database) Table(name string) *Table { return db.tables[name] }
 // violate a unique one are refused, and the head keeps the previous view and
 // its indexes.
 func (db *Database) PutView(name string, cs *ColumnStore) (*MaterializedView, error) {
+	cs.clock = &db.clock
 	mv := newView(name, cs, db.faults)
 	if prev, ok := db.views[name]; ok {
 		for _, idx := range prev.indexes {

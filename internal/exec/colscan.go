@@ -123,52 +123,6 @@ func (sc *scanScratch) ridBatch(rids []int32) *ridBatch {
 // colEmitter produces the boxed value of one output column for row ordinal i.
 type colEmitter func(i int) sqlvalue.Value
 
-func nullEmitter(int) sqlvalue.Value { return sqlvalue.Null }
-
-// makeEmitter builds the emitter reading a column's blocks.
-func makeEmitter(v storage.ColView) colEmitter {
-	const shift, mask = storage.BlockShift, storage.BlockRows - 1
-	switch v.Kind {
-	case sqlvalue.KindInt:
-		return func(i int) sqlvalue.Value {
-			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
-				return sqlvalue.NewInt(b.Ints[i&mask])
-			}
-			return sqlvalue.Null
-		}
-	case sqlvalue.KindDate:
-		return func(i int) sqlvalue.Value {
-			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
-				return sqlvalue.NewDate(b.Ints[i&mask])
-			}
-			return sqlvalue.Null
-		}
-	case sqlvalue.KindBool:
-		return func(i int) sqlvalue.Value {
-			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
-				return sqlvalue.NewBool(b.Ints[i&mask] != 0)
-			}
-			return sqlvalue.Null
-		}
-	case sqlvalue.KindFloat:
-		return func(i int) sqlvalue.Value {
-			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
-				return sqlvalue.NewFloat(b.Floats[i&mask])
-			}
-			return sqlvalue.Null
-		}
-	case sqlvalue.KindString:
-		return func(i int) sqlvalue.Value {
-			if b := v.Block(i >> shift); !bitSet(b.Nulls, i&mask) {
-				return sqlvalue.NewString(b.Strs[i&mask])
-			}
-			return sqlvalue.Null
-		}
-	default: // KindNull: the column has only ever held NULL
-		return nullEmitter
-	}
-}
-
 func bitSet(bm []uint64, i int) bool {
 	w := i >> 6
 	return w < len(bm) && bm[w]&(1<<(uint(i)&63)) != 0

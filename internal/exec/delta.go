@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync/atomic"
 
 	"matview/internal/expr"
@@ -12,71 +11,69 @@ import (
 	"matview/internal/storage"
 )
 
-// Delta terms: a view's change under one write, compiled once.
+// Delta terms: a view's change under one write, as an engine pipeline.
 //
 // A term is the view's query with some FROM instances of the changed table
 // standing for Δ, the write's rows, and every other instance read as the
-// table is now written (its head). It is compiled once per view set and run
-// on every statement, inline, with its scratch — selection, wide row, group
-// table, output rows — reset rather than reallocated. One Δ instance leads:
-// its conjuncts run first as typed kernels over the Δ batch (the
-// irrelevant-update test: a term no Δ row passes runs nothing), then each
-// other instance joins in turn and is checked against the conjuncts it
-// completes. A table instance is probed through the index the writer keeps
-// on its join columns (Table.Locator); a further Δ instance through a hash
-// of Δ the statement builds once. A first join of Δ to a relation is a node
-// the statement computes once for every term that names the same one.
+// table is now written (its head). One Δ instance leads: its conjuncts run
+// first as typed kernels over the Δ batch (Select; the irrelevant-update
+// test: a term no Δ row passes runs nothing), and the rows they keep head
+// the pipeline. Each other instance joins in turn through an index-lookup
+// stage (joinkey.go) — a table instance through the index the writer keeps
+// on its join columns (Table.Locator), a further Δ instance through an
+// index over Δ the statement builds once — then a filter stage for the
+// conjuncts it completes, into the engine's group table or a gather of the
+// view's outputs. The term is planned once per view set; its stages, chain
+// and sink are built on its first run and rebound to each statement's
+// stores, and built again only when a column the group table reads typed
+// changes kind or nullability. Selections, indexes over Δ and first joins
+// are stage outputs a statement computes once for every term that names
+// the same one.
 
 // DeltaTerm is one compiled delta term. Select, then Run, on one statement's
 // DeltaInput; a term is not safe for concurrent use.
 type DeltaTerm struct {
-	lead     deltaLead // names the Δ selection it shares with its query's other terms
-	leadOff  int       // Δ's offset in the wide row
-	leadFill []int     // Δ columns the rest of the term reads
-	filter   expr.Expr // Δ's own and constant conjuncts, in Δ's frame
-	pred     atomic.Pointer[scanPred]
-	steps    []deltaStep
+	lead   deltaKey  // names the Δ selection it shares with its query's other terms
+	filter expr.Expr // Δ's own and constant conjuncts
+	pred   atomic.Pointer[scanPred]
+	src    scanSource   // Select's scan of Δ
+	sel    *deltaShared // the statement's selection for lead: the pipeline's source
 
-	// The output: grouping keys and aggregates, or a projection.
-	agg     bool
-	groupBy []expr.Compiled
-	aggs    []deltaAgg
-	outs    []int // per output: key index, or ^agg index
-	proj    []expr.Compiled
+	// The pipeline, over Δ and then each further instance in join order.
+	layout *ridLayout
+	steps  []deltaStep
+	agg    *HashAgg    // the sink: the view's groups, or …
+	outs   []int       // … per output, its key's index or ^its aggregate's
+	proj   []expr.Expr // … its projected rows
+	typed  []int       // layout columns the group table may read typed
+	shape  []colShape  // … as they were when w was built
+	w      *ridWorker  // nil until the first Run
+	groups *ridAggSink // w's sink: the group table, or …
+	rows   *gatherSink // … the gather
 
 	// Scratch, kept across statements.
-	src    scanSource
-	sc     scanScratch
-	sel    []int32 // the statement's selection for lead, which DeltaInput holds
-	row    []sqlvalue.Value
-	key    []byte
-	groups map[string]int32
-	keys   []sqlvalue.Value // ngroups × len(groupBy)
-	states []aggState       // ngroups × len(aggs)
-	out    []storage.Row
-	slab   []sqlvalue.Value
+	sc    scanScratch
+	alloc rowAlloc
+	out   []storage.Row
 }
 
 // deltaStep joins one more FROM instance to the tuples built so far.
 type deltaStep struct {
-	pos     int    // the instance's FROM position
-	name    string // the table the instance reads
-	delta   bool   // the instance stands for Δ, not the table
-	off     int    // its offset in the wide row
-	tupCols []int  // wide-row columns of the probe key
-	cols    []int  // the instance's columns they equal
-	fill    []int  // the instance's columns the rest of the term reads
-	resid   []expr.CompiledPredicate
-	node    string // shared-node key of a first join on columns; "" otherwise
-	build   string // key of Δ's hash by cols, for a Δ instance
-
-	store *storage.ColumnStore // bound per statement
-	idx   *storage.Index       // the table's, by cols; nil for Δ
+	name  string    // the table the instance reads
+	delta bool      // the instance stands for Δ, not the table
+	tup   []int     // layout columns of the probe key
+	cols  []int     // the instance's columns they equal
+	resid expr.Expr // the conjuncts it completes; nil if none
+	node  deltaKey  // names a first join on columns; zero otherwise
+	index deltaKey  // names Δ's index by cols, for a Δ instance
+	probe ridIndexSpec
 }
 
-type deltaAgg struct {
-	kind spjg.AggKind
-	arg  expr.Compiled // nil for COUNT_BIG(*)
+// colShape is how the group table reads a column: its kind, and whether it
+// may hold a NULL.
+type colShape struct {
+	kind     sqlvalue.Kind
+	nullable bool
 }
 
 // CompileDeltaTerm compiles q with Δ standing at the FROM positions at, the
@@ -84,230 +81,193 @@ type deltaAgg struct {
 // DeltaInput's database holds their tables.
 func CompileDeltaTerm(q *spjg.Query, at []int) (*DeltaTerm, error) {
 	n, lead := len(q.Tables), at[0]
-	offs := make([]int, n+1)
-	for i, t := range q.Tables {
-		offs[i+1] = offs[i] + len(t.Table.Columns)
+	t := &DeltaTerm{lead: deltaKey{q: q, pos: lead}, layout: &ridLayout{offs: []int{0}}}
+	rank := make([]int, n) // an instance's relation in the layout, once joined; -1 before
+	for p := range rank {
+		rank[p] = -1
 	}
+	join := func(p int) {
+		l, w := t.layout, len(q.Tables[p].Table.Columns)
+		rank[p] = len(l.rels)
+		l.rels = append(l.rels, &joinRel{cols: make([]storage.ColView, w), width: w})
+		l.offs = append(l.offs, l.width()+w)
+	}
+	col := func(c expr.ColRef) int { return t.layout.offs[rank[c.Tab]] + c.Col }
 	flat := func(e expr.Expr) expr.Expr {
-		return expr.MapColumns(e, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: offs[c.Tab] + c.Col} })
+		return expr.MapColumns(e, func(c expr.ColRef) expr.ColRef { return expr.ColRef{Col: col(c)} })
 	}
-	t := &DeltaTerm{lead: deltaLead{q, lead}, leadOff: offs[lead], groups: map[string]int32{}}
-	need := make([]bool, offs[n]) // wide-row columns read after Δ's filter
-	mark := func(e expr.Expr) {
-		for _, c := range expr.Columns(e) {
-			need[c.Col] = true
-		}
-	}
-
 	var conjuncts []expr.Expr
 	if q.Where != nil {
 		conjuncts = expr.ToCNF(q.Where)
 	}
 	used := make([]bool, len(conjuncts))
-	var own []expr.Expr
-	for ci, c := range conjuncts {
-		tabs := expr.TablesUsed(c)
-		if len(tabs) == 0 || len(tabs) == 1 && tabs[lead] {
-			own = append(own, expr.MapColumns(c, func(r expr.ColRef) expr.ColRef { return expr.ColRef{Col: r.Col} }))
-			used[ci] = true
+	// within places the conjuncts left that read only instances joined so
+	// far, in the layout's frame.
+	within := func() expr.Expr {
+		var in []expr.Expr
+		for ci, c := range conjuncts {
+			ok := !used[ci]
+			for tab := range expr.TablesUsed(c) {
+				ok = ok && rank[tab] >= 0
+			}
+			if ok {
+				in, used[ci] = append(in, flat(c)), true
+			}
 		}
+		if in == nil {
+			return nil
+		}
+		return expr.NewAnd(in...)
 	}
-	if len(own) > 0 {
-		t.filter = expr.NewAnd(own...)
-	}
+	join(lead) // at offset 0: Δ's frame is the layout's
+	t.filter = within()
 
 	// Join order: Δ first, then repeatedly the first instance in FROM order
-	// that an equality ties to the instances joined so far (a cross join
-	// when none does).
-	joined := make([]bool, n)
-	joined[lead] = true
-	equi := func(c expr.Expr, p int) (tup, col int, ok bool) {
+	// that an equality ties to the instances joined so far (a probe on no
+	// columns when none does).
+	equi := func(c expr.Expr, p int) (tup, local int, ok bool) {
 		cmp, isCmp := c.(expr.Cmp)
-		if !isCmp || cmp.Op != expr.EQ {
-			return 0, 0, false
-		}
 		l, lok := cmp.L.(expr.Column)
 		r, rok := cmp.R.(expr.Column)
 		switch {
-		case !lok || !rok:
-			return 0, 0, false
-		case r.Ref.Tab == p && l.Ref.Tab != p && joined[l.Ref.Tab]:
-			return offs[l.Ref.Tab] + l.Ref.Col, r.Ref.Col, true
-		case l.Ref.Tab == p && r.Ref.Tab != p && joined[r.Ref.Tab]:
-			return offs[r.Ref.Tab] + r.Ref.Col, l.Ref.Col, true
+		case !isCmp || cmp.Op != expr.EQ || !lok || !rok:
+		case r.Ref.Tab == p && l.Ref.Tab != p && rank[l.Ref.Tab] >= 0:
+			return col(l.Ref), r.Ref.Col, true
+		case l.Ref.Tab == p && r.Ref.Tab != p && rank[r.Ref.Tab] >= 0:
+			return col(r.Ref), l.Ref.Col, true
 		}
 		return 0, 0, false
 	}
 	for range n - 1 {
-		next := -1
-		for p := 0; p < n && next < 0; p++ {
-			if joined[p] {
-				continue
-			}
+		next := slices.Index(rank, -1)
+	pick:
+		for p := range rank {
 			for ci, c := range conjuncts {
-				if _, _, ok := equi(c, p); ok && !used[ci] {
+				if _, _, ok := equi(c, p); ok && !used[ci] && rank[p] < 0 {
 					next = p
-					break
+					break pick
 				}
 			}
 		}
-		if next < 0 {
-			next = slices.Index(joined, false)
-		}
-		st := deltaStep{pos: next, name: q.Tables[next].Table.Name, delta: slices.Contains(at, next), off: offs[next]}
+		st := deltaStep{name: q.Tables[next].Table.Name, delta: slices.Contains(at, next)}
 		for ci, c := range conjuncts {
-			if tup, col, ok := equi(c, next); ok && !used[ci] {
-				st.tupCols = append(st.tupCols, tup)
-				st.cols = append(st.cols, col)
-				need[tup] = true
-				used[ci] = true
+			if tup, local, ok := equi(c, next); ok && !used[ci] {
+				st.tup, st.cols, used[ci] = append(st.tup, tup), append(st.cols, local), true
 			}
 		}
-		joined[next] = true
-		for ci, c := range conjuncts {
-			if used[ci] {
-				continue
-			}
-			within := true
-			for tab := range expr.TablesUsed(c) {
-				within = within && joined[tab]
-			}
-			if within {
-				fc := flat(c)
-				mark(fc)
-				st.resid = append(st.resid, expr.CompilePredicate(fc))
-				used[ci] = true
-			}
-		}
+		join(next)
+		st.resid = within()
+		// A first join is named by what it probes (Δ, or the table), Δ's key
+		// columns and the probed relation's: two terms with one name compute
+		// the same matches.
 		if len(t.steps) == 0 && len(st.cols) > 0 {
-			st.node = nodeKey(st.delta, st.name, st.tupCols, t.leadOff, st.cols)
+			st.node = deltaKey{name: fmt.Sprint("join", st.delta, st.name, st.tup, st.cols)}
 		}
 		if st.delta {
-			st.build = nodeKey(true, st.name, nil, 0, st.cols)
+			st.index = deltaKey{name: fmt.Sprint("index", st.cols)}
 		}
 		t.steps = append(t.steps, st)
 	}
 
-	if t.agg = q.IsAggregate(); t.agg {
-		for _, g := range q.GroupBy {
-			fg := flat(g)
-			mark(fg)
-			t.groupBy = append(t.groupBy, expr.Compile(fg))
-		}
+	if !q.IsAggregate() {
 		for _, o := range q.Outputs {
-			if o.Agg != nil {
-				a := deltaAgg{kind: o.Agg.Kind}
-				if o.Agg.Arg != nil {
-					fa := flat(o.Agg.Arg)
-					mark(fa)
-					a.arg = expr.Compile(fa)
-				}
-				t.aggs = append(t.aggs, a)
-				t.outs = append(t.outs, ^(len(t.aggs) - 1))
-				continue
-			}
+			t.proj = append(t.proj, flat(o.Expr))
+		}
+		return t, nil
+	}
+	// typed reads what the group table may read typed: its keys and arguments.
+	typed := func(e expr.Expr) expr.Expr {
+		e = flat(e)
+		for _, c := range expr.Columns(e) {
+			t.typed = append(t.typed, c.Col)
+		}
+		return e
+	}
+	t.agg = &HashAgg{}
+	for _, g := range q.GroupBy {
+		t.agg.GroupBy = append(t.agg.GroupBy, typed(g))
+	}
+	for _, o := range q.Outputs {
+		if o.Agg == nil {
 			k := slices.IndexFunc(q.GroupBy, func(g expr.Expr) bool { return expr.Equal(expr.Normalize(o.Expr), expr.Normalize(g)) })
 			if k < 0 {
 				return nil, fmt.Errorf("exec: output %v not in GROUP BY", o.Expr)
 			}
 			t.outs = append(t.outs, k)
+			continue
 		}
-	} else {
-		for _, o := range q.Outputs {
-			fo := flat(o.Expr)
-			mark(fo)
-			t.proj = append(t.proj, expr.Compile(fo))
+		a := SimpleAgg{Kind: o.Agg.Kind}
+		if o.Agg.Arg != nil {
+			a.Arg = typed(o.Agg.Arg)
 		}
+		t.agg.Aggs = append(t.agg.Aggs, AggSpec{Num: a})
+		t.outs = append(t.outs, ^(len(t.agg.Aggs) - 1))
 	}
-
-	fill := func(p int) []int {
-		var cols []int
-		for c := range offs[p+1] - offs[p] {
-			if need[offs[p]+c] {
-				cols = append(cols, c)
-			}
-		}
-		return cols
-	}
-	t.leadFill = fill(lead)
-	for i := range t.steps {
-		st := &t.steps[i]
-		st.fill = fill(st.pos)
-	}
-	t.row = make([]sqlvalue.Value, offs[n])
+	t.shape = make([]colShape, len(t.typed))
 	return t, nil
 }
 
-// nodeKey names a first join of Δ: what it probes (Δ, or the table by
-// name), Δ's key columns and the probed relation's. Two terms with one key
-// compute the same matches; a probe of Δ and one of the table never share.
-func nodeKey(delta bool, name string, tupCols []int, leadOff int, cols []int) string {
-	b := []byte{'t'}
-	if delta {
-		b[0] = 'd'
-	}
-	b = append(append(b, name...), 0)
-	for _, c := range tupCols {
-		b = strconv.AppendInt(append(b, ','), int64(c-leadOff), 10)
-	}
-	b = append(b, '=')
-	for _, c := range cols {
-		b = strconv.AppendInt(append(b, ','), int64(c), 10)
-	}
-	return string(b)
-}
-
 // DeltaInput is one statement's Δ and the database whose tables, as written,
-// its terms read besides it. It holds the statement's shared Δ selections,
-// join nodes and hashes of Δ; Bind starts the next statement.
+// its terms read besides it. It holds what the statement computes once for
+// all its terms; Bind starts the next statement.
 type DeltaInput struct {
 	delta  *storage.ColumnStore
 	db     *storage.Database
 	gen    uint64
-	sels   map[deltaLead]*deltaSel
-	nodes  map[string]*deltaNode
-	builds map[string]*deltaBuild
+	shared map[deltaKey]*deltaShared
 }
 
-// deltaLead names a term's Δ selection: its conjuncts on Δ alone are the
-// query's on the lead instance, so the terms of one query that Δ leads at
-// one FROM position (a self-join's S = {0} and S = {0, 1}) select alike.
-type deltaLead struct {
-	q   *spjg.Query
-	pos int
+// deltaKey names a stage output terms share: a lead's Δ selection — the
+// terms of one query that Δ leads at one FROM position (a self-join's
+// S = {0} and S = {0, 1}) select alike — or, by name, an index over Δ or a
+// first join of Δ.
+type deltaKey struct {
+	q    *spjg.Query
+	pos  int
+	name string
 }
 
-// deltaSel is the Δ rows a lead's conjuncts keep.
-type deltaSel struct {
+// deltaShared is one such output as of statement gen: a selection of Δ's
+// rows, the ridSource of a term's pipeline; an index over Δ; or a first
+// join (ridMemo, over Δ's rows), with the scratch it is computed in.
+type deltaShared struct {
 	gen uint64
 	sel []int32
+	idx *storage.Index
+	ridMemo
+	key  keyList
+	ids  []int32
+	rels [1][]int32
 }
 
-// deltaNode is a first join of Δ computed for every Δ row: row j's matches
-// are ords[starts[j]:starts[j+1]].
-type deltaNode struct {
-	gen    uint64
-	starts []int32
-	ords   []int
-}
+func (s *deltaShared) numRows() int { return len(s.sel) }
 
-// deltaBuild hashes Δ's rows by key columns, for a join of a further Δ
-// instance.
-type deltaBuild struct {
-	gen     uint64
-	buckets map[string][]int
+func (s *deltaShared) morselRids(lo, hi int, _ *scanScratch, out []int32) ([]int32, error) {
+	return append(out, s.sel[lo:hi]...), nil
 }
 
 // NewDeltaInput returns an input with nothing bound.
 func NewDeltaInput() *DeltaInput {
-	return &DeltaInput{sels: map[deltaLead]*deltaSel{}, nodes: map[string]*deltaNode{}, builds: map[string]*deltaBuild{}}
+	return &DeltaInput{shared: map[deltaKey]*deltaShared{}}
 }
 
 // Bind makes delta, joined to db's tables as they are written, the input of
-// the next statement's terms, dropping the last statement's nodes and builds.
+// the next statement's terms, dropping what the last statement shared.
 func (in *DeltaInput) Bind(delta *storage.ColumnStore, db *storage.Database) {
 	in.delta, in.db = delta, db
 	in.gen++
+}
+
+// share returns k's output and whether the statement has yet to compute it.
+func (in *DeltaInput) share(k deltaKey) (*deltaShared, bool) {
+	s := in.shared[k]
+	if s == nil {
+		s = &deltaShared{}
+		in.shared[k] = s
+	}
+	todo := s.gen != in.gen
+	s.gen = in.gen
+	return s, todo
 }
 
 // Select runs the term's conjuncts on Δ alone over the bound Δ batch, once
@@ -315,272 +275,162 @@ func (in *DeltaInput) Bind(delta *storage.ColumnStore, db *storage.Database) {
 // rows pass: with none, the statement cannot change what the term adds up
 // to and Run returns nothing.
 func (t *DeltaTerm) Select(in *DeltaInput) (int, error) {
-	s := in.sels[t.lead]
-	if s == nil {
-		s = &deltaSel{}
-		in.sels[t.lead] = s
-	}
-	if s.gen != in.gen {
-		t.sel = nil
-		if err := t.src.bind(in.delta, t.filter, &t.pred); err != nil {
-			return 0, err
+	s, todo := in.share(t.lead)
+	t.sel = s
+	if todo {
+		err := t.src.bind(in.delta, t.filter, &t.pred)
+		if err == nil {
+			s.sel, err = t.src.morselRids(0, in.delta.Len(), &t.sc, s.sel[:0])
 		}
-		sel, err := t.src.morselRids(0, in.delta.Len(), &t.sc, s.sel[:0])
 		t.sc.stats.flush()
 		if err != nil {
+			s.gen, s.sel = 0, s.sel[:0]
 			return 0, err
 		}
-		s.gen, s.sel = in.gen, sel
 	}
-	t.sel = s.sel
-	return len(t.sel), nil
+	return len(s.sel), nil
 }
 
 // Run evaluates the term over the Δ rows the last Select kept and returns
-// its rows: the delta's groups with their counts and sums in first-seen
-// order, or its projected rows. The rows are the term's scratch, valid until
-// its next Run.
+// its rows in the view's output order: the delta's groups with their counts
+// and sums in first-seen order, or its projected rows. The rows are the
+// term's scratch, valid until its next Run.
 func (t *DeltaTerm) Run(in *DeltaInput) ([]storage.Row, error) {
-	t.out, t.slab = t.out[:0], t.slab[:0]
-	t.keys, t.states = t.keys[:0], t.states[:0]
-	clear(t.groups)
-	if len(t.sel) == 0 {
+	t.out = t.out[:0]
+	t.alloc.rewind()
+	if t.sel == nil || len(t.sel.sel) == 0 {
 		return nil, nil
 	}
-	for i := range t.steps {
-		st := &t.steps[i]
-		if st.delta {
-			st.store = in.delta
-			continue
-		}
-		tab := in.db.Table(st.name)
-		if tab == nil {
-			return nil, fmt.Errorf("exec: unknown table %q", st.name)
-		}
-		st.store, st.idx = tab.Store(), tab.Locator(st.cols)
-	}
 	defer t.sc.stats.flush()
-	for _, j := range t.sel {
-		for _, c := range t.leadFill {
-			t.row[t.leadOff+c] = in.delta.Value(int(j), c)
-		}
-		if err := t.join(in, 0, int(j)); err != nil {
-			return nil, err
-		}
+	if err := t.bind(in); err != nil {
+		return nil, err
 	}
-	if t.agg {
-		t.emitGroups()
+	if t.groups != nil {
+		t.groups.g.reset()
+	} else {
+		t.rows.buckets[0] = t.out
+	}
+	// The selection is one morsel, run as Engine.run runs each of its own.
+	if err := t.w.morsel(t.sel, 0, len(t.sel.sel)); err != nil {
+		return nil, err
+	}
+	if t.groups == nil {
+		t.out = t.rows.buckets[0]
+		return t.out, nil
+	}
+	g, na := t.groups.g, len(t.agg.Aggs)
+	for id := range g.ords {
+		key, row := g.keyRow(id), t.alloc.row(len(t.outs))
+		for i, o := range t.outs {
+			if o >= 0 {
+				row[i] = key[o]
+			} else {
+				row[i] = g.numSt[id*na+^o].result(t.agg.Aggs[^o].Num.Kind)
+			}
+		}
+		t.out = append(t.out, row)
 	}
 	return t.out, nil
 }
 
-// join extends the tuple in the wide row, built through step s-1 from Δ row
-// j, by step s, and every completed tuple into the output.
-func (t *DeltaTerm) join(in *DeltaInput, s, j int) error {
-	if s == len(t.steps) {
-		return t.emit()
+// bind points the layout at the statement's stores and each probe at its
+// index — building one reads every block of what it indexes — and builds
+// the pipeline on the first run, or when a column the group table reads
+// typed has changed kind or nullability since.
+func (t *DeltaTerm) bind(in *DeltaInput) error {
+	stats := &t.sc.stats
+	if err := bindRel(t.layout.rels[0], in.delta); err != nil {
+		return err
 	}
-	st := &t.steps[s]
-	var cands []int
-	if st.node != "" && s == 0 {
-		nd := in.node(st, t.leadOff, &t.sc.stats)
-		cands = nd.ords[nd.starts[j]:nd.starts[j+1]]
-	} else {
-		var ok bool
-		if t.key, ok = appendKey(t.key[:0], t.row, st.tupCols); !ok {
-			return nil
-		}
-		cands = in.probe(st, t.key, &t.sc.stats)
-	}
-	store := st.store
-candidates:
-	for _, ord := range cands {
-		for _, c := range st.fill {
-			t.row[st.off+c] = store.Value(ord, c)
-		}
-		for _, p := range st.resid {
-			ok, err := p(t.row)
-			if err != nil {
-				return err
+	for i := range t.steps {
+		st, store, built := &t.steps[i], in.delta, false
+		if st.delta {
+			x, todo := in.share(st.index)
+			if built = todo; todo {
+				x.idx, _ = storage.BuildIndexOn(in.delta, st.cols, false, "Δ") // a non-unique build cannot fail
 			}
-			if !ok {
-				continue candidates
-			}
+			st.probe.idx = x.idx
+		} else if tab := in.db.Table(st.name); tab != nil {
+			st.probe.idx, built = tab.Locator(st.cols)
+			store = tab.Store()
+		} else {
+			return fmt.Errorf("exec: unknown table %q", st.name)
 		}
-		if err := t.join(in, s+1, j); err != nil {
+		if built {
+			stats.BlocksScanned += int64(store.NumBlocks())
+		}
+		if err := bindRel(t.layout.rels[i+1], store); err != nil {
 			return err
 		}
+	}
+	if t.reshaped() {
+		t.build()
+	}
+	if len(t.steps) > 0 && t.steps[0].node.name != "" {
+		st := &t.steps[0]
+		nd, todo := in.share(st.node)
+		if todo { // every Δ row's lookup, once for every term naming it
+			nd.rels[0] = appendRun(nd.rels[0][:0], 0, in.delta.Len())
+			nd.ids = st.probe.lookup(&ridBatch{n: in.delta.Len(), sel: nd.rels[:]}, &nd.ridMemo, &nd.key, nd.ids, stats)
+		}
+		st.probe.memo = &nd.ridMemo
 	}
 	return nil
 }
 
-// appendKey appends the index key of the values at cols (Row.AppendKey's
-// layout); ok is false when one is NULL, which matches nothing.
-func appendKey(dst []byte, row []sqlvalue.Value, cols []int) ([]byte, bool) {
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return dst, false
-		}
-		dst = append(row[c].AppendKey(dst), '\x1f')
+// bindRel points one relation of a term's layout at store, in place: the
+// stages and the sink read it through r.cols.
+func bindRel(r *joinRel, store *storage.ColumnStore) error {
+	r.store = store
+	for c := range r.cols {
+		r.cols[c] = store.Col(c)
 	}
-	return dst, true
+	return checkRid(store.Len())
 }
 
-// probe returns the live ordinals of st's relation whose key columns hold
-// key: through the table's index, or through the hash of Δ the statement
-// builds once.
-func (in *DeltaInput) probe(st *deltaStep, key []byte, stats *ScanStats) []int {
-	stats.RowsProbed++
-	var ords []int
-	if st.delta {
-		ords = in.build(st, stats).buckets[string(key)]
+// reshaped records the kind and nullability of every column the group table
+// may read typed, and reports whether the pipeline is to be built: it has
+// not been, or one of them changed since.
+func (t *DeltaTerm) reshaped() bool {
+	changed := t.w == nil
+	for i, c := range t.typed {
+		rel, local := t.layout.locate(c)
+		v := &t.layout.rels[rel].cols[local]
+		if s := (colShape{v.Kind, v.Nullable()}); s != t.shape[i] {
+			t.shape[i], changed = s, true
+		}
+	}
+	return changed
+}
+
+// build makes the term's one worker: per step an index-lookup stage, and a
+// filter stage for the conjuncts it completes, into the group table or the
+// gather of the view's outputs. Its stages and sink hold pooled scratch until
+// the next build.
+func (t *DeltaTerm) build() {
+	if t.w != nil {
+		t.w.release()
+		if t.groups != nil {
+			ridScratchPool.Put(t.groups.sc)
+		}
+	}
+	var specs []ridStageSpec
+	for i := range t.steps {
+		st := &t.steps[i]
+		st.probe.keys, st.probe.batch = newRidKeyCodec(keyModeBoxed, t.layout, st.tup), defaultBatchSize
+		specs = append(specs, &st.probe)
+		if st.resid != nil {
+			specs = append(specs, newRidFilter(t.layout, st.resid))
+		}
+	}
+	var sink ridSink
+	if t.agg != nil {
+		t.groups = newRidAggSink(t.agg, t.layout)
+		sink = t.groups
 	} else {
-		ords = st.idx.ProbeKey(key)
+		t.rows = newGatherSink(gatherExprs(t.layout, t.proj), make([][]storage.Row, 1))
+		t.rows.alloc = &t.alloc
+		sink = t.rows
 	}
-	if len(ords) > 0 {
-		stats.RowsMatched++
-	}
-	return ords
-}
-
-// build hashes Δ by st.cols, once per statement, counting the blocks it
-// reads.
-func (in *DeltaInput) build(st *deltaStep, stats *ScanStats) *deltaBuild {
-	b := in.builds[st.build]
-	if b == nil {
-		b = &deltaBuild{buckets: map[string][]int{}}
-		in.builds[st.build] = b
-	}
-	if b.gen == in.gen {
-		return b
-	}
-	b.gen = in.gen
-	clear(b.buckets)
-	stats.BlocksScanned += int64(in.delta.NumBlocks())
-	var key []byte
-rows:
-	for ord := range in.delta.Len() {
-		key = key[:0]
-		for _, c := range st.cols {
-			v := in.delta.Value(ord, c)
-			if v.IsNull() {
-				continue rows
-			}
-			key = append(v.AppendKey(key), '\x1f')
-		}
-		b.buckets[string(key)] = append(b.buckets[string(key)], ord)
-	}
-	return b
-}
-
-// node returns st's first join computed for every Δ row, once per statement
-// for every term naming it.
-func (in *DeltaInput) node(st *deltaStep, leadOff int, stats *ScanStats) *deltaNode {
-	nd := in.nodes[st.node]
-	if nd == nil {
-		nd = &deltaNode{}
-		in.nodes[st.node] = nd
-	}
-	if nd.gen == in.gen {
-		return nd
-	}
-	nd.gen = in.gen
-	nd.starts, nd.ords = append(nd.starts[:0], 0), nd.ords[:0]
-	var key []byte
-	for j := range in.delta.Len() {
-		key = key[:0]
-		ok := true
-		for _, c := range st.tupCols {
-			v := in.delta.Value(j, c-leadOff)
-			if ok = !v.IsNull(); !ok {
-				break
-			}
-			key = append(v.AppendKey(key), '\x1f')
-		}
-		if ok {
-			nd.ords = append(nd.ords, in.probe(st, key, stats)...)
-		}
-		nd.starts = append(nd.starts, int32(len(nd.ords)))
-	}
-	return nd
-}
-
-// emit adds the completed tuple in the wide row to the output: to its group's
-// count and sums, or as a projected row.
-func (t *DeltaTerm) emit() error {
-	if !t.agg {
-		r := t.alloc(len(t.proj))
-		for i, p := range t.proj {
-			v, err := p(t.row)
-			if err != nil {
-				return err
-			}
-			r[i] = v
-		}
-		t.out = append(t.out, r)
-		return nil
-	}
-	t.key = t.key[:0]
-	start := len(t.keys)
-	for _, g := range t.groupBy {
-		v, err := g(t.row)
-		if err != nil {
-			t.keys = t.keys[:start]
-			return err
-		}
-		t.keys = append(t.keys, v)
-		t.key = append(v.AppendKey(t.key), '\x1f')
-	}
-	id, ok := t.groups[string(t.key)]
-	if ok {
-		t.keys = t.keys[:start]
-	} else {
-		id = int32(len(t.groups))
-		t.groups[string(t.key)] = id
-		for range t.aggs {
-			t.states = append(t.states, aggState{})
-		}
-	}
-	for a := range t.aggs {
-		st := &t.states[int(id)*len(t.aggs)+a]
-		st.count++
-		if t.aggs[a].arg == nil {
-			continue
-		}
-		v, err := t.aggs[a].arg(t.row)
-		if err != nil {
-			return err
-		}
-		if err := st.accumulate(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitGroups turns the group table into output rows in first-seen order.
-func (t *DeltaTerm) emitGroups() {
-	nk, na := len(t.groupBy), len(t.aggs)
-	for g := range len(t.groups) {
-		r := t.alloc(len(t.outs))
-		for i, o := range t.outs {
-			if o >= 0 {
-				r[i] = t.keys[g*nk+o]
-			} else {
-				r[i] = t.states[g*na+^o].result(t.aggs[^o].kind)
-			}
-		}
-		t.out = append(t.out, r)
-	}
-}
-
-// alloc carves a w-wide output row from the term's slab, which grows and is
-// reused across statements.
-func (t *DeltaTerm) alloc(w int) storage.Row {
-	if len(t.slab)+w > cap(t.slab) {
-		// Rows already handed out keep the old slab.
-		t.slab = make([]sqlvalue.Value, 0, max(2*cap(t.slab), 16*w))
-	}
-	t.slab = t.slab[:len(t.slab)+w]
-	return storage.Row(t.slab[len(t.slab)-w : len(t.slab) : len(t.slab)])
+	t.w = newRidWorker(specs, sink, &t.sc)
 }

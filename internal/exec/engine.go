@@ -193,11 +193,10 @@ func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 		}
 		p.layout = concatLayouts(bLayout, p.layout)
 		spec.outArity = p.layout.arity()
-		if t.Residual != nil {
-			spec.residual = expr.CompilePredicate(t.Residual)
-			spec.resEval = newRidEval(p.layout, t.Residual)
-		}
 		p.stages = append(p.stages, spec)
+		if t.Residual != nil {
+			p.stages = append(p.stages, newRidFilter(p.layout, t.Residual))
+		}
 		return p, nil
 	case *NestedLoopJoin:
 		// The inner (right) relation is materialized once, in order, and
@@ -215,12 +214,10 @@ func (e *Engine) decompose(db storage.Reader, n Node) (pipeline, error) {
 			return pipeline{}, err
 		}
 		p.layout = concatLayouts(p.layout, inner.layout)
-		spec := &ridLoopSpec{inner: len(rows), batch: e.batchSize()}
+		p.stages = append(p.stages, &ridLoopSpec{inner: len(rows), batch: e.batchSize()})
 		if t.Pred != nil {
-			spec.pred = expr.CompilePredicate(t.Pred)
-			spec.eval = newRidEval(p.layout, t.Pred)
+			p.stages = append(p.stages, newRidFilter(p.layout, t.Pred))
 		}
-		p.stages = append(p.stages, spec)
 		return p, nil
 	default:
 		return pipeline{}, fmt.Errorf("exec: engine cannot execute %T", n)
@@ -373,47 +370,28 @@ func forEachMorsel(nm, w int, body func(wi, seq int) error) error {
 // worker, morsels claimed off a shared counter. There are no more workers
 // than morsels the zone maps leave to read, so a scan pruned to one morsel
 // runs inline. mkSink is called serially (before workers start), once per
-// worker, with the morsel count. Every pipeline of every plan runs here.
+// worker, with the morsel count. Every pipeline of every plan runs here; a
+// delta term (delta.go) keeps one worker and drives it the same way.
 func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink, error) {
 	bs := e.batchSize()
-	n := p.src.numRows()
-	nm := (n + bs - 1) / bs
+	nm := (p.src.numRows() + bs - 1) / bs
 	w := min(e.workers(), nm)
 	if ss, ok := p.src.(*scanSource); ok && len(ss.zones) > 0 {
 		w = ss.liveMorsels(bs, w)
 	}
 	w = max(1, w)
+	workers := make([]*ridWorker, w)
 	sinks := make([]ridSink, w)
-	chains := make([]ridPusher, w)
-	scratch := make([]*scanScratch, w)
-	var stages []ridStage
-	for i := range sinks {
-		scratch[i] = scanScratchPool.Get().(*scanScratch)
-		defer scanScratchPool.Put(scratch[i])
+	for i := range workers {
+		sc := scanScratchPool.Get().(*scanScratch)
+		defer scanScratchPool.Put(sc)
 		sinks[i] = mkSink(nm)
-		chains[i] = sinks[i]
-		for s := len(p.stages) - 1; s >= 0; s-- {
-			st := p.stages[s].makeRid(chains[i], &scratch[i].stats)
-			stages = append(stages, st)
-			chains[i] = st
-		}
+		workers[i] = newRidWorker(p.stages, sinks[i], sc)
 	}
-	err := forEachMorsel(nm, w, func(wi, seq int) error {
-		lo := seq * bs
-		hi := min(lo+bs, n)
-		sinks[wi].begin(seq)
-		sc := scratch[wi]
-		defer sc.stats.flush()
-		rids, err := p.src.morselRids(lo, hi, sc, sc.rids[:0])
-		sc.rids = rids
-		if err != nil || len(rids) == 0 {
-			return err
-		}
-		return chains[wi].pushRids(sc.ridBatch(rids))
-	})
+	err := forEachMorsel(nm, w, func(wi, seq int) error { return workers[wi].morsel(p.src, seq, bs) })
 	// Return the stages' scratch to the pool: no worker goroutines remain.
-	for _, st := range stages {
-		st.release()
+	for _, wk := range workers {
+		wk.release()
 	}
 	if err != nil {
 		return nil, err
@@ -421,15 +399,57 @@ func (e *Engine) run(p pipeline, mkSink func(numMorsels int) ridSink) ([]ridSink
 	return sinks, nil
 }
 
+// ridWorker is one worker's instance of a pipeline: its source scratch, whose
+// counts its stages add to, and its stage chain ending in its sink.
+type ridWorker struct {
+	sc     *scanScratch
+	sink   ridSink
+	chain  ridPusher
+	stages []ridStage
+}
+
+func newRidWorker(specs []ridStageSpec, sink ridSink, sc *scanScratch) *ridWorker {
+	w := &ridWorker{sc: sc, sink: sink, chain: sink}
+	for s := len(specs) - 1; s >= 0; s-- {
+		st := specs[s].makeRid(w.chain, &sc.stats)
+		w.stages = append(w.stages, st)
+		w.chain = st
+	}
+	return w
+}
+
+// morsel runs morsel seq of src, bs rows from seq·bs, through the chain.
+func (w *ridWorker) morsel(src ridSource, seq, bs int) error {
+	lo := seq * bs
+	hi := min(lo+bs, src.numRows())
+	w.sink.begin(seq)
+	sc := w.sc
+	defer sc.stats.flush()
+	rids, err := src.morselRids(lo, hi, sc, sc.rids[:0])
+	sc.rids = rids
+	if err != nil || len(rids) == 0 {
+		return err
+	}
+	return w.chain.pushRids(sc.ridBatch(rids))
+}
+
+// release returns the stages' pooled scratch.
+func (w *ridWorker) release() {
+	for _, st := range w.stages {
+		st.release()
+	}
+}
+
 // rowAlloc hands out output rows carved from chunked value slabs, so an
 // operator emitting N rows performs O(N·width/slab) allocations instead of
 // N. Slabs grow with what has been emitted — a few rows first, four times
 // the previous slab after that, up to rowAllocSlab values — so a stage that
-// emits one row pays for a few, not for a thousand. Slabs are never
-// recycled: emitted rows stay valid forever.
+// emits one row pays for a few, not for a thousand. Emitted rows stay valid
+// forever, unless the owner rewinds: a delta term's sink does at each run.
 type rowAlloc struct {
 	buf  []sqlvalue.Value
-	next int // values in the next slab; 0 before the first
+	slab []sqlvalue.Value // buf is its tail
+	next int              // values in the next slab; 0 before the first
 }
 
 const (
@@ -442,10 +462,18 @@ func (a *rowAlloc) row(w int) storage.Row {
 		n := max(a.next, rowAllocFirst, w)
 		a.next = min(4*n, rowAllocSlab)
 		a.buf = make([]sqlvalue.Value, n)
+		a.slab = a.buf
 	}
 	r := a.buf[:w:w]
 	a.buf = a.buf[w:]
 	return storage.Row(r)
+}
+
+// rewind clears the last slab and hands it out again: the rows cut from it
+// are no longer read.
+func (a *rowAlloc) rewind() {
+	clear(a.slab)
+	a.buf = a.slab
 }
 
 // ordinal places a tuple in the pipeline's output order: the sequence number

@@ -4,18 +4,17 @@
 // substitutes — which is how materialized views are populated and how tests
 // verify that a substitute returns exactly the rows of the original query.
 //
-// Plans execute through two evaluators with identical semantics:
+// Plans execute through the Engine (the default behind Node.Run): it
+// compiles expressions once per operator, breaks the plan into pipelines of
+// row-id batches — source, stages, sink — and runs each in parallel over
+// morsels. RunReference, the original row-at-a-time interpreter, has the
+// same semantics and order and is kept as the baseline that equivalence
+// tests and benchmarks compare the engine with.
 //
-//   - Engine (the default behind Node.Run) compiles expressions once per
-//     operator, breaks the plan into pipelines of row-id batches — source,
-//     stages, sink — and runs each in parallel over morsels.
-//   - RunReference is the original row-at-a-time interpreter, kept as the
-//     semantic baseline for equivalence tests and benchmarks.
-//
-// Both produce rows in the same deterministic order. Incremental view
-// maintenance does not run plans: a view's delta term is compiled once into
-// a DeltaTerm (delta.go) and evaluated over each statement's few changed
-// rows, probing the other tables by key.
+// Incremental view maintenance runs the same stages and sinks: a view's
+// delta term (DeltaTerm, delta.go) is one such pipeline, compiled once per
+// view set and rebound to each statement's changed rows, which it joins to
+// the other tables through index-lookup stages.
 package exec
 
 import (

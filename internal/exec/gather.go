@@ -68,10 +68,13 @@ func rowsRel(rows []storage.Row, width int) *joinRel {
 	return &joinRel{rows: rows, width: width}
 }
 
-// emitter returns the boxed-value reader for one local column.
+// emitter returns the boxed-value reader for one local column. A store's
+// column is read through its slot in cols, so a relation a delta term
+// rebinds (delta.go) is read as it is bound when the reader runs.
 func (r *joinRel) emitter(c int) colEmitter {
 	if r.store != nil {
-		return makeEmitter(r.cols[c])
+		v := &r.cols[c]
+		return func(i int) sqlvalue.Value { return v.Value(i) }
 	}
 	rows := r.rows
 	return func(i int) sqlvalue.Value { return rows[i][c] }
@@ -276,19 +279,6 @@ func (ev *ridEval) fill(row storage.Row, in *ridBatch, k int) {
 	}
 }
 
-// fillJoin fills the row for a candidate join tuple: the first ba relations
-// come from ent, a tuple of ba rids, the rest from tuple k of in.
-func (ev *ridEval) fillJoin(row storage.Row, ent []int32, in *ridBatch, k, ba int) {
-	for i := range ev.cols {
-		c := &ev.cols[i]
-		if c.rel < ba {
-			row[c.slot] = c.em(int(ent[c.rel]))
-		} else {
-			row[c.slot] = c.em(int(in.sel[c.rel-ba][k]))
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Filter stage
 
@@ -338,11 +328,10 @@ func (f *ridFilterStage) pushRids(in *ridBatch) error {
 // ridLoopSpec is a nested-loop join: the inner side, materialised once and
 // shared read-only by all workers, is the last relation of the stage's output
 // layout, and every outer tuple meets its rows in order — output is
-// outer-major in inner order, as the reference evaluator's.
+// outer-major in inner order, as the reference evaluator's. Its predicate is
+// a filter stage after this one.
 type ridLoopSpec struct {
-	inner int                    // rows of the inner relation
-	pred  expr.CompiledPredicate // over the joined tuple; nil for a cross join
-	eval  ridEval
+	inner int // rows of the inner relation
 	batch int
 }
 
@@ -353,43 +342,19 @@ func (s *ridLoopSpec) makeRid(next ridPusher, _ *ScanStats) ridStage {
 type ridLoopStage struct {
 	spec *ridLoopSpec
 	ridOut
-	ent []int32 // the candidate tuple: the outer tuple's rids, then the inner rid
 }
 
 func (l *ridLoopStage) pushRids(in *ridBatch) error {
-	s := l.spec
 	oa := len(in.sel)
 	l.clear(oa + 1)
 	out := &l.out
-	var row storage.Row
-	if s.pred != nil {
-		row = l.sc.wideRow(s.eval.width)
-	}
-	if l.ent == nil {
-		l.ent = make([]int32, oa+1)
-	}
-	ent := l.ent
 	for k := 0; k < in.n; k++ {
-		for r := 0; r < oa; r++ {
-			ent[r] = in.sel[r][k]
-		}
-		for i := 0; i < s.inner; i++ {
-			ent[oa] = int32(i)
-			if s.pred != nil {
-				s.eval.fillJoin(row, ent, nil, 0, len(ent)) // every relation from ent
-				pass, err := s.pred(row)
-				if err != nil {
-					return err
-				}
-				if !pass {
-					continue
-				}
+		for i := 0; i < l.spec.inner; i++ {
+			for r := 0; r < oa; r++ {
+				out.sel[r] = append(out.sel[r], in.sel[r][k])
 			}
-			for r, rid := range ent {
-				out.sel[r] = append(out.sel[r], rid)
-			}
-			out.n++
-			if out.n >= s.batch {
+			out.sel[oa] = append(out.sel[oa], int32(i))
+			if out.n++; out.n >= l.spec.batch {
 				if err := l.flush(); err != nil {
 					return err
 				}
@@ -483,12 +448,14 @@ func gatherExprs(layout *ridLayout, exprs []expr.Expr) *gatherSpec {
 // gatherSink collects a pipeline's output as rows, bucketed by morsel
 // sequence number so that concatenating the buckets reproduces the serial
 // (reference) order. A bucket is written only by the worker that owns the
-// morsel.
+// morsel. The rows' values are fresh, or — when alloc is set, in a delta
+// term's sink — carved from slabs its next run reuses.
 type gatherSink struct {
 	spec    *gatherSpec
 	buckets [][]storage.Row
 	cur     int
 	row     storage.Row // what spec.exprs are evaluated over
+	alloc   *rowAlloc
 }
 
 func newGatherSink(spec *gatherSpec, buckets [][]storage.Row) *gatherSink {
@@ -505,7 +472,12 @@ func (g *gatherSink) pushRids(in *ridBatch) error {
 	n, w := in.n, g.spec.width
 	// One durable slab per batch: emitted rows outlive the pipeline. Unfilled
 	// slots stay at the zero Value, which is NULL.
-	slab := make([]sqlvalue.Value, n*w)
+	var slab []sqlvalue.Value
+	if g.alloc != nil {
+		slab = g.alloc.row(n * w)
+	} else {
+		slab = make([]sqlvalue.Value, n*w)
+	}
 	for i := range g.spec.outs {
 		o := &g.spec.outs[i]
 		switch {

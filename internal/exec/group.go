@@ -99,6 +99,12 @@ func newGroupTable(a *HashAgg, bind func(ex expr.Expr, key bool) aggReader) *gro
 	return g
 }
 
+// reset empties the table for another run over the same layout.
+func (g *groupTable) reset() {
+	g.tab.reset()
+	g.ords, g.keyVals, g.numSt, g.denSt = g.ords[:0], g.keyVals[:0], g.numSt[:0], g.denSt[:0]
+}
+
 // keyRow is group id's key as boxed values: as first seen, or — typed —
 // recovered from the words into g.kv.
 func (g *groupTable) keyRow(id int) []sqlvalue.Value {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sync"
 
-	"matview/internal/expr"
 	"matview/internal/sqlvalue"
 	"matview/internal/storage"
 )
@@ -452,8 +451,6 @@ func finishRidBuild(sinks []ridSink, codec *ridKeyCodec, arity int) *ridJoinBuil
 type ridProbeSpec struct {
 	build    *ridJoinBuild
 	keys     *ridKeyCodec
-	residual expr.CompiledPredicate
-	resEval  ridEval
 	outArity int
 	batch    int
 }
@@ -479,14 +476,10 @@ func (p *ridProbeStage) pushRids(in *ridBatch) error {
 	ids := p.lookup(in)
 	p.clear(s.outArity)
 	out := &p.out
-	var row storage.Row
-	if s.residual != nil {
-		row = sc.wideRow(s.resEval.width)
-	}
 	// Pairs (probe tuple, build entry) are taken in probe-major order, as
-	// many as out has room for: filtered by the residual in that order, they
-	// fill out a column at a time, and out is flushed when full, exactly
-	// where a tuple-at-a-time loop would flush it.
+	// many as out has room for: they fill out a column at a time, and out is
+	// flushed when full, exactly where a tuple-at-a-time loop would flush it.
+	// A residual is a filter stage after this one.
 	k, e, matched := 0, -1, 0 // the next probe tuple, and its next build entry once started
 	for k < in.n {
 		pk, pe := sc.pk[:0], sc.pe[:0]
@@ -508,21 +501,6 @@ func (p *ridProbeStage) pushRids(in *ridBatch) error {
 			}
 		}
 		sc.pk, sc.pe = pk, pe
-		if s.residual != nil {
-			n := 0
-			for i, x := range pe {
-				s.resEval.fillJoin(row, b.rids[int(x)*ba:], in, int(pk[i]), ba)
-				pass, err := s.residual(row)
-				if err != nil {
-					return err
-				}
-				if pass {
-					pk[n], pe[n] = pk[i], x
-					n++
-				}
-			}
-			pk, pe = pk[:n], pe[:n]
-		}
 		for r := range out.sel {
 			dst := slices.Grow(out.sel[r], len(pk))[:out.n+len(pk)]
 			if r < ba {
@@ -564,4 +542,89 @@ func (p *ridProbeStage) lookup(in *ridBatch) []int32 {
 		}
 	}
 	return ids
+}
+
+// ---------------------------------------------------------------------------
+// Index lookup
+
+// ridIndexSpec is the paper's index lookup (S13) as a stage: each tuple's
+// key, read from any of its relations in storage.Index key format, is looked
+// up in idx, and the tuple is extended by every ordinal found, in the
+// index's order. memo, when set, holds the lookups of every row of relation
+// 0, made once for every term that shares them. A delta term (delta.go)
+// binds idx and memo per statement.
+type ridIndexSpec struct {
+	keys  *ridKeyCodec // boxed
+	idx   *storage.Index
+	memo  *ridMemo
+	batch int
+}
+
+// ridMemo holds index lookups by tuple: tuple j's ordinals are
+// ords[starts[j]:starts[j+1]].
+type ridMemo struct {
+	starts []int32
+	ords   []int
+}
+
+// lookup fills m with the ordinals idx files under the key of each tuple of
+// in, and counts the probes: a key with a NULL matches nothing and is not
+// probed. l and ids are the caller's scratch.
+func (s *ridIndexSpec) lookup(in *ridBatch, m *ridMemo, l *keyList, ids []int32, stats *ScanStats) []int32 {
+	l.width = 0
+	l.reset()
+	ids = s.keys.keys(in, l, ids)
+	m.starts, m.ords = append(m.starts[:0], 0), m.ords[:0]
+	for k, id := range ids {
+		if id >= 0 {
+			stats.RowsProbed++
+			ords := s.idx.ProbeKey(l.bytesOf(k))
+			if len(ords) > 0 {
+				stats.RowsMatched++
+			}
+			m.ords = append(m.ords, ords...)
+		}
+		m.starts = append(m.starts, int32(len(m.ords)))
+	}
+	return ids
+}
+
+func (s *ridIndexSpec) makeRid(next ridPusher, stats *ScanStats) ridStage {
+	return &ridIndexStage{spec: s, ridOut: newRidOut(next), stats: stats}
+}
+
+type ridIndexStage struct {
+	spec *ridIndexSpec
+	ridOut
+	stats *ScanStats
+	memo  ridMemo // the batch's lookups, unless the spec's memo has them
+}
+
+func (p *ridIndexStage) pushRids(in *ridBatch) error {
+	s, arity := p.spec, len(in.sel)
+	m, at := s.memo, in.sel[0]
+	if m == nil {
+		p.sc.ids = s.lookup(in, &p.memo, &p.sc.key, p.sc.ids, p.stats)
+		m, at = &p.memo, nil
+	}
+	p.clear(arity + 1)
+	out := &p.out
+	for k := range in.n {
+		j := k
+		if at != nil {
+			j = int(at[k])
+		}
+		for _, ord := range m.ords[m.starts[j]:m.starts[j+1]] {
+			for r, sel := range in.sel {
+				out.sel[r] = append(out.sel[r], sel[k])
+			}
+			out.sel[arity] = append(out.sel[arity], int32(ord))
+			if out.n++; out.n >= s.batch {
+				if err := p.flush(); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return p.flush()
 }

@@ -67,6 +67,13 @@ func newKeyTable(width, hint int) keyTable {
 	return t
 }
 
+// reset empties the table, keeping its memory.
+func (t *keyTable) reset() {
+	t.keyList.reset()
+	t.n = 0
+	clear(t.slots)
+}
+
 // resize gives the table 2^k ≥ 2·keys slots and re-seats every id.
 func (t *keyTable) resize(keys int) {
 	lg := uint(bits.Len(uint(2*keys - 1)))

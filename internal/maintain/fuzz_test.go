@@ -179,7 +179,7 @@ func indexesAgree(mv *storage.MaterializedView, seen map[string]map[string]stora
 				live[s] = append(live[s], i)
 			}
 		}
-		idx := mv.Locator(def.Cols)
+		idx, _ := mv.Locator(def.Cols)
 		for s, key := range seen[id] {
 			got := slices.Clone(idx.Probe(key))
 			if slices.Sort(got); !slices.Equal(got, live[s]) {
@@ -191,11 +191,14 @@ func indexesAgree(mv *storage.MaterializedView, seen map[string]map[string]stora
 }
 
 // fuzzView decodes one view over orders: n instances, each after the first
-// joined to the first on o_custkey; a customer joined to the first instance
-// at some position in FROM; a range conjunct on one instance; then either a
-// rollup grouped by one instance's customer key (or the customer's nation)
-// summing another's price, or an SPJ view of every instance's customer key
-// and, optionally, price — duplicates included.
+// joined to the first on o_custkey — or, optionally, all but the last, which
+// its delta terms then probe on no column; a customer joined to the first
+// instance at some position in FROM; a range conjunct on one instance; a
+// price comparison between two instances, which a delta term filters after
+// the probe that joins the second; then either a rollup grouped by one
+// instance's customer key (or the customer's nation) summing another's
+// price, or twice it, or an SPJ view of every instance's customer key and,
+// optionally, price — duplicates included.
 func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 	n := 1 + in.next()%3
 	flags := in.next()
@@ -215,8 +218,10 @@ func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 		q.Tables = append(q.Tables, spjg.TableRef{Table: cat.Table("orders"), Alias: fmt.Sprintf("o%d", len(inst)-1)})
 	}
 	var conj []expr.Expr
-	for _, p := range inst[1:] {
-		conj = append(conj, expr.Eq(expr.Col(inst[0], tpch.OCustkey), expr.Col(p, tpch.OCustkey)))
+	for k, p := range inst[1:] {
+		if flags&64 == 0 || k < n-2 { // else the last instance joins on no equality
+			conj = append(conj, expr.Eq(expr.Col(inst[0], tpch.OCustkey), expr.Col(p, tpch.OCustkey)))
+		}
 	}
 	if withCust {
 		conj = append(conj, expr.Eq(expr.Col(custPos, tpch.CCustkey), expr.Col(inst[0], tpch.OCustkey)))
@@ -229,6 +234,11 @@ func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 			conj = append(conj, expr.NewCmp(expr.LE, expr.Col(p, tpch.OOrderkey), expr.CInt(int64(in.next()%24))))
 		}
 	}
+	if flags&16 != 0 && n > 1 {
+		a := in.next() % n
+		b := (a + 1 + in.next()%(n-1)) % n
+		conj = append(conj, expr.NewCmp(expr.LE, expr.Col(inst[a], tpch.OTotalprice), expr.Col(inst[b], tpch.OTotalprice)))
+	}
 	if len(conj) > 0 {
 		q.Where = expr.NewAnd(conj...)
 	}
@@ -237,11 +247,15 @@ func fuzzView(cat *catalog.Catalog, in *fuzzBytes) *spjg.Query {
 		if withCust && in.next()%2 == 0 {
 			group = expr.Col(custPos, tpch.CNationkey)
 		}
+		var sum expr.Expr = expr.Col(inst[in.next()%n], tpch.OTotalprice)
+		if flags&32 != 0 {
+			sum = expr.NewArith(expr.Mul, sum, expr.CInt(2))
+		}
 		q.GroupBy = []expr.Expr{group}
 		q.Outputs = []spjg.OutputColumn{
 			{Name: "g", Expr: group},
 			{Name: "cnt", Agg: &spjg.Aggregate{Kind: spjg.AggCountStar}},
-			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: expr.Col(inst[in.next()%n], tpch.OTotalprice)}},
+			{Name: "total", Agg: &spjg.Aggregate{Kind: spjg.AggSum, Arg: sum}},
 		}
 		return &q
 	}

@@ -406,7 +406,7 @@ func bagSubtract(mv *storage.MaterializedView, delta []storage.Row, name string)
 	for i := range cols {
 		cols[i] = i
 	}
-	loc := mv.Locator(cols)
+	loc, _ := mv.Locator(cols)
 	// The index does not see this statement's deletes until PatchIndexes,
 	// so the k-th delta row with one key takes the bucket's k-th ordinal.
 	taken := map[string]int{}
@@ -443,7 +443,7 @@ func (m *Maintainer) mergeAgg(v *View, mv *storage.MaterializedView, delta []sto
 	if err := m.faults.Maybe(faults.SiteMaintainMergeAgg); err != nil {
 		return fmt.Errorf("maintain: merge into %s: %w", v.Name, err)
 	}
-	loc := mv.Locator(v.keyPos)
+	loc, _ := mv.Locator(v.keyPos)
 	st := mv.Store()
 	var buf []byte
 	for _, d := range delta {

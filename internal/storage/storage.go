@@ -93,7 +93,7 @@ func (d *Data) LookupIndex(cols []int) *Index {
 // view are stored alike (§2: an indexed view is kept the way a table is):
 // rows in a column store, hash indexes over them, and the row changes those
 // indexes have not seen yet. A live write reaches an index only through
-// patch; every other index write fills a fresh one (buildIndexOn).
+// patch; every other index write fills a fresh one (BuildIndexOn).
 type relation struct {
 	Data
 
@@ -176,7 +176,7 @@ func (r *relation) BuildIndex(cols []int, unique bool) (*Index, error) {
 	if err := r.patch(); err != nil {
 		return nil, err
 	}
-	idx, err := buildIndexOn(r.store, cols, unique, r.what)
+	idx, err := BuildIndexOn(r.store, cols, unique, r.what)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func (r *relation) reindex() error {
 	store.clock = r.store.clock
 	indexes := make(map[string]*Index, len(r.indexes))
 	for key, idx := range r.indexes {
-		rebuilt, err := buildIndexOn(store, idx.Cols, idx.Unique, r.what)
+		rebuilt, err := BuildIndexOn(store, idx.Cols, idx.Unique, r.what)
 		if err != nil {
 			return fmt.Errorf("storage: rebuilding index %s: %w", key, err)
 		}
@@ -292,21 +292,22 @@ func (r *relation) thaw(d *Data) {
 
 // Locator returns the index the writer probes by cols: the declared index on
 // exactly cols when there is one, else its own locator over them, built on
-// first use. Either agrees with the rows as of the last index patch: for a
+// first use — built reports that this call built it, reading every block of
+// the store. Either agrees with the rows as of the last index patch: for a
 // table, the end of its last write; for a view, its last PatchIndexes.
-func (r *relation) Locator(cols []int) *Index {
+func (r *relation) Locator(cols []int) (idx *Index, built bool) {
 	if idx := r.LookupIndex(cols); idx != nil {
-		return idx
+		return idx, false
 	}
 	for _, loc := range r.locators {
 		if slices.Equal(loc.Cols, cols) {
-			return loc
+			return loc, false
 		}
 	}
 	// A non-unique build cannot fail.
-	loc, _ := buildIndexOn(r.store, cols, false, r.what)
+	loc, _ := BuildIndexOn(r.store, cols, false, r.what)
 	r.locators = append(r.locators, loc)
-	return loc
+	return loc, true
 }
 
 // Table is a base table stored column-major. Its writes are validated
@@ -537,8 +538,10 @@ func (t *Table) Restore(cs *ColumnStore) error {
 	return nil
 }
 
-// buildIndexOn builds a hash index over cols of a column store's live rows.
-func buildIndexOn(cs *ColumnStore, cols []int, unique bool, what string) (*Index, error) {
+// BuildIndexOn builds a hash index over cols of a column store's live rows:
+// a relation's indexes, and the index a delta term probes a further
+// instance of the changed table through, over the write's rows.
+func BuildIndexOn(cs *ColumnStore, cols []int, unique bool, what string) (*Index, error) {
 	idx := newIndex(cols, unique)
 	var buf []byte
 	for ord := 0; ord < cs.Len(); ord++ {

@@ -302,7 +302,11 @@ func TestBuildIndexDropsLocator(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grp, note := tb.Locator([]int{1}), tb.Locator([]int{2})
+	grp, built := tb.Locator([]int{1})
+	note, _ := tb.Locator([]int{2})
+	if again, rebuilt := tb.Locator([]int{1}); !built || rebuilt || again != grp {
+		t.Fatalf("Locator built %t, then %t again: want a build on first use only", built, rebuilt)
+	}
 	if len(tb.locators) != 2 || tb.LookupIndex([]int{1}) != nil {
 		t.Fatalf("%d locators, declared index %v: want two locators and no index", len(tb.locators), tb.LookupIndex([]int{1}))
 	}
@@ -310,7 +314,7 @@ func TestBuildIndexDropsLocator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Locator([]int{1}); got != idx || got == grp {
+	if got, built := tb.Locator([]int{1}); got != idx || got == grp || built {
 		t.Fatal("Locator does not answer with the declared index")
 	}
 	if len(tb.locators) != 1 || tb.locators[0] != note {
@@ -319,7 +323,7 @@ func TestBuildIndexDropsLocator(t *testing.T) {
 	if err := tb.Insert(Row{sqlvalue.NewInt(50), sqlvalue.NewInt(3), sqlvalue.Null}); err != nil {
 		t.Fatal(err)
 	}
-	if got := tb.Locator([]int{1}).Probe(Row{sqlvalue.NewInt(3)}); len(got) != 8 {
-		t.Fatalf("probe after a write: %d rows of group 3, want 8", len(got))
+	if loc, _ := tb.Locator([]int{1}); len(loc.Probe(Row{sqlvalue.NewInt(3)})) != 8 {
+		t.Fatalf("probe after a write: %d rows of group 3, want 8", len(loc.Probe(Row{sqlvalue.NewInt(3)})))
 	}
 }
